@@ -16,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +23,6 @@ import (
 
 	"otif/internal/bench"
 	"otif/internal/dataset"
-	"otif/internal/nn"
 	"otif/internal/obs"
 	"otif/internal/parallel"
 	"otif/internal/video"
@@ -41,10 +39,6 @@ func main() {
 		seed     = flag.Int64("seed", 7, "sampling seed")
 		nworkers = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
-		prefetch = flag.Int("prefetch", video.DefaultPrefetchDepth, "decode-ahead depth in frames (<= 0 disables); results are identical at any setting")
-		perfOut  = flag.String("perf", "", "write the kernel/extraction performance report (JSON) to this file and exit")
-		perfGate = flag.Bool("perf-gate", false, "with -perf: exit nonzero unless the float32 backend beats float64 (kernels and end-to-end)")
-		prec     = flag.String("precision", "float64", "inference numeric backend: float64 (bit-exact reference) or float32 (faster, tolerance-tested)")
 		metricsF = flag.Bool("metrics", false, "print the per-stage cost breakdown of one test-set extraction (next to BENCH JSON) and exit")
 		metricsO = flag.String("metrics-out", "", "write the per-stage cost breakdown as JSON to this file and exit (combines with -metrics)")
 		traceOut = flag.String("trace-out", "", "record spans in the flight recorder and write them to this file on exit")
@@ -54,13 +48,6 @@ func main() {
 	flag.Parse()
 	parallel.SetWorkers(*nworkers)
 	video.SetCacheBudget(int64(*cacheMB) << 20)
-	video.SetPrefetchDepth(*prefetch)
-	if p, err := nn.ParsePrecision(*prec); err != nil {
-		fmt.Fprintln(os.Stderr, "benchtables:", err)
-		os.Exit(2)
-	} else {
-		nn.SetPrecision(p)
-	}
 	if *traceFmt != "otif" && *traceFmt != "chrome" {
 		fmt.Fprintf(os.Stderr, "benchtables: bad -trace-format %q (want otif or chrome)\n", *traceFmt)
 		os.Exit(2)
@@ -120,40 +107,6 @@ func main() {
 			}
 			f.Close()
 			fmt.Println("wrote metrics report to", *metricsO)
-		}
-		return
-	}
-
-	if *perfOut != "" {
-		ds := "caldot1"
-		if len(names) > 0 {
-			ds = names[0]
-		}
-		rep, err := suite.PerfData(ds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*perfOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Println("wrote performance report to", *perfOut)
-		if *perfGate {
-			if err := bench.GatePerf(rep); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-			fmt.Println("perf gate passed: float32 backend beats float64")
 		}
 		return
 	}

@@ -34,8 +34,6 @@ func main() {
 		segClips = flag.Int("segment-clips", 4, "clips per exported segment for -export-segments (<= 0 = one segment)")
 		nwork    = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
-		prefetch = flag.Int("prefetch", otif.Prefetch(), "decode-ahead depth in frames (<= 0 disables); results are identical at any setting")
-		prec     = flag.String("precision", "float64", "inference numeric backend: float64 (bit-exact reference) or float32 (faster, tolerance-tested)")
 		metricsF = flag.Bool("metrics", false, "print the metrics registry (text form) after the run")
 		traceOut = flag.String("trace-out", "", "record spans in the flight recorder and write them to this file")
 		traceFmt = flag.String("trace-format", "otif", "trace file format for -trace-out: otif (span JSON) or chrome (Perfetto-loadable trace events)")
@@ -44,11 +42,6 @@ func main() {
 	flag.Parse()
 	otif.SetParallelism(*nwork)
 	otif.SetCacheMB(*cacheMB)
-	otif.SetPrefetch(*prefetch)
-	if err := otif.SetPrecision(*prec); err != nil {
-		fmt.Fprintln(os.Stderr, "otif:", err)
-		os.Exit(2)
-	}
 	if *traceFmt != "otif" && *traceFmt != "chrome" {
 		fmt.Fprintf(os.Stderr, "otif: bad -trace-format %q (want otif or chrome)\n", *traceFmt)
 		os.Exit(2)

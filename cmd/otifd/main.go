@@ -21,22 +21,20 @@
 //	GET  /v1/debug/bundle       one-shot tar.gz post-mortem artifact
 //	GET  /v1/debug/vars         expvar
 //	     /v1/debug/pprof/*      CPU/heap/goroutine profiling
-//
-// The pre-versioning routes (/query/*, /streams, /debug/*) still answer,
-// marked with a Deprecation header pointing at their /v1 successors.
+//	     /debug/pprof/*         the same, where go tool pprof expects it
 //
 // The flight recorder is on by default: a fixed-capacity ring of spans
 // (-trace-spans, default 16384) overwrites oldest-first, so the daemon
 // always holds its most recent window of activity under bounded memory.
 // -trace-out writes the retained spans to a file on graceful shutdown in
-// the -trace-format of choice; GET /debug/trace serves the same data
+// the -trace-format of choice; GET /v1/debug/trace serves the same data
 // live, and format=chrome loads directly in Perfetto.
 //
 // The query endpoints answer from the indexed track store. Tracks come
 // from a successful extract job, immediately at startup from a stored
 // track file (-tracks, in which case queries work before the pipeline
 // finishes training), or incrementally from a running stream job: while
-// streaming ingest is active, /query/* answers from the live store's
+// streaming ingest is active, /v1/query/* answers from the live store's
 // latest immutable snapshot, so results grow clip by clip without ever
 // exposing a torn index.
 //
@@ -85,8 +83,6 @@ func main() {
 		seed     = flag.Int64("seed", 7, "sampling seed")
 		nwork    = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
-		prefetch = flag.Int("prefetch", otif.Prefetch(), "decode-ahead depth in frames (<= 0 disables); results are identical at any setting")
-		prec     = flag.String("precision", "float64", "inference numeric backend: float64 (bit-exact reference) or float32 (faster, tolerance-tested)")
 		logMode  = flag.String("log", "text", "structured log format: off, text, json")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		ringCap  = flag.Int("events", 256, "buffered progress events retained per job")
@@ -95,7 +91,7 @@ func main() {
 		traceCap = flag.Int("trace-spans", obs.DefaultRecorderSpans, "flight-recorder span capacity (<= 0 disables tracing); oldest spans are overwritten when full")
 		traceOut = flag.String("trace-out", "", "write the flight recorder's spans to this file on graceful shutdown")
 		traceFmt = flag.String("trace-format", "otif", "trace format for -trace-out: otif (span JSON) or chrome (Perfetto-loadable trace events)")
-		slowK    = flag.Int("slow-requests", serve.DefaultSlowRequests, "slowest /query/* requests retained for GET /debug/slow")
+		slowK    = flag.Int("slow-requests", serve.DefaultSlowRequests, "slowest /v1/query/* requests retained for GET /v1/debug/slow")
 
 		stream         = flag.Bool("stream", false, "start streaming ingest once the pipeline is ready")
 		streamCams     = flag.Int("stream-cameras", 2, "simulated camera count for -stream")
@@ -107,18 +103,13 @@ func main() {
 	flag.Parse()
 	otif.SetParallelism(*nwork)
 	otif.SetCacheMB(*cacheMB)
-	otif.SetPrefetch(*prefetch)
-	if err := otif.SetPrecision(*prec); err != nil {
-		fmt.Fprintln(os.Stderr, "otifd:", err)
-		os.Exit(2)
-	}
 	if *traceFmt != "otif" && *traceFmt != "chrome" {
 		fmt.Fprintf(os.Stderr, "otifd: bad -trace-format %q (want otif or chrome)\n", *traceFmt)
 		os.Exit(2)
 	}
 	// The flight recorder is always-on by default: span recording is cheap
 	// (a ring-slot write under a sharded mutex) and the ring bounds memory,
-	// so a live daemon can always answer /debug/trace.
+	// so a live daemon can always answer /v1/debug/trace.
 	if *traceCap > 0 {
 		otif.EnableTracing(*traceCap)
 	}
@@ -332,7 +323,7 @@ func (d *daemon) snapshot() store.Querier {
 	return nil
 }
 
-// streams reports the active ingest session's stats for GET /streams.
+// streams reports the active ingest session's stats for GET /v1/streams.
 func (d *daemon) streams() (otif.IngestStats, bool) {
 	if s := d.session.Load(); s != nil {
 		return s.Stats(), true
@@ -340,7 +331,7 @@ func (d *daemon) streams() (otif.IngestStats, bool) {
 	return otif.IngestStats{}, false
 }
 
-// movements exposes the dataset's labeled movements for /query/breakdown
+// movements exposes the dataset's labeled movements for /v1/query/breakdown
 // once the pipeline is up (a -tracks file alone carries no movements).
 func (d *daemon) movements() []query.Movement {
 	if !d.ready.Load() {

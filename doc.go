@@ -37,24 +37,14 @@
 // Beyond batch extraction, Pipeline.Ingest streams clips from N
 // simulated cameras through the trained models into a live indexed
 // store whose snapshots are queryable while ingest continues (see
-// DESIGN.md §14).
+// DESIGN.md §13).
 //
-// # Performance knobs and precedence
+// # Performance knobs
 //
-// Worker count, frame cache budget, decode-ahead depth and numeric
-// precision are process-wide settings with two equivalent spellings: the
-// Set* functions (SetParallelism, SetCacheMB, SetPrefetch, SetPrecision
-// — what the CLIs call once at startup from their flags) and the
-// corresponding functional options (WithParallelism, WithCacheMB,
-// WithPrefetch, WithPrecision), which satisfy both Option and
-// IngestOption. An option is sugar for its Set* call executed when the
-// accepting call (OpenWith or Ingest) runs; there is no per-pipeline
-// state, so the most recent setting wins process-wide — a knob passed to
-// OpenWith overrides an earlier CLI flag, and a later Set* call
-// overrides the option. None of these knobs change results: extracted
-// tracks, simulated runtimes and tuning curves are bit-identical at any
-// setting, except that SetPrecision("float32") trades bit-exactness for
-// speed within a pinned tolerance (DESIGN.md §13).
+// Worker count and frame cache budget are process-wide settings
+// (SetParallelism, SetCacheMB; the CLIs call them once at startup from
+// their flags). Neither changes results: extracted tracks, simulated
+// runtimes and tuning curves are bit-identical at any setting.
 //
 // GPU inference and real video are replaced by a deterministic simulation
 // substrate (see DESIGN.md); all runtimes the library reports are simulated

@@ -34,12 +34,9 @@ type ingestConfig struct {
 	drop     bool
 	cfg      *Config
 	progress obs.Progress
-	knobs    []func() error
 }
 
-// IngestOption configures Pipeline.Ingest. The performance knobs
-// (WithParallelism, WithCacheMB, WithPrefetch, WithPrecision) also satisfy
-// this interface.
+// IngestOption configures Pipeline.Ingest.
 type IngestOption interface {
 	applyIngest(*ingestConfig)
 }
@@ -125,11 +122,6 @@ func (p *Pipeline) Ingest(ctx context.Context, options ...IngestOption) (*Ingest
 	c := ingestConfig{cameras: 1}
 	for _, o := range options {
 		o.applyIngest(&c)
-	}
-	for _, k := range c.knobs {
-		if err := k(); err != nil {
-			return nil, err
-		}
 	}
 	if p.sys.Recurrent == nil {
 		return nil, ErrNotTrained

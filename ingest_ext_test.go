@@ -3,7 +3,6 @@ package otif_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"otif"
@@ -54,44 +53,5 @@ func TestIngestRequiresTraining(t *testing.T) {
 	}
 	if _, err := pipe.Ingest(context.Background()); !errors.Is(err, otif.ErrNotTrained) {
 		t.Fatalf("Ingest before Train = %v, want ErrNotTrained", err)
-	}
-}
-
-func TestKnobOptionsOnOpen(t *testing.T) {
-	oldPar, oldPre := otif.Parallelism(), otif.Prefetch()
-	defer func() {
-		otif.SetParallelism(oldPar)
-		otif.SetPrefetch(oldPre)
-		otif.SetCacheMB(64)
-	}()
-	if _, err := otif.OpenWith("caldot1",
-		otif.WithClips(1), otif.WithClipSeconds(2),
-		otif.WithParallelism(2), otif.WithCacheMB(32), otif.WithPrefetch(3),
-		otif.WithPrecision("float64")); err != nil {
-		t.Fatal(err)
-	}
-	if got := otif.Parallelism(); got != 2 {
-		t.Errorf("Parallelism = %d after WithParallelism(2)", got)
-	}
-	if got := otif.Prefetch(); got != 3 {
-		t.Errorf("Prefetch = %d after WithPrefetch(3)", got)
-	}
-
-	_, err := otif.OpenWith("caldot1", otif.WithClips(1), otif.WithClipSeconds(2),
-		otif.WithPrecision("float128"))
-	if err == nil {
-		t.Fatal("WithPrecision with unknown backend must fail OpenWith")
-	}
-	for _, name := range []string{"float64", "float32"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("precision error %q does not list %q", err, name)
-		}
-	}
-}
-
-func TestKnobOptionsOnIngest(t *testing.T) {
-	pipe, _ := pipeline(t)
-	if _, err := pipe.Ingest(context.Background(), otif.WithPrecision("bogus")); err == nil {
-		t.Fatal("Ingest with unknown precision must fail")
 	}
 }

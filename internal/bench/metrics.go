@@ -36,6 +36,15 @@ type MetricsReport struct {
 	Cache     PerfCacheStats     `json:"cache"`
 }
 
+// PerfCacheStats summarizes frame-cache effectiveness during the measured
+// extraction.
+type PerfCacheStats struct {
+	Hits      uint64  `json:"hits"`
+	Misses    uint64  `json:"misses"`
+	Evictions uint64  `json:"evictions"`
+	HitRate   float64 `json:"hit_rate"`
+}
+
 // MetricsReportFor trains the dataset (memoized), extracts the test set
 // under the fastest-within-5% configuration with the metrics registry
 // bracketing exactly that run, and returns the per-stage report. The

@@ -9,7 +9,6 @@ import (
 	"otif/internal/dataset"
 	"otif/internal/detect"
 	"otif/internal/geom"
-	"otif/internal/nn"
 	"otif/internal/obs"
 	"otif/internal/parallel"
 	"otif/internal/proxy"
@@ -43,22 +42,17 @@ type ClipResult struct {
 // training-data collection); RunSet uses the pooled internal variant that
 // skips that retention and recycles per-clip buffers instead.
 func (s *System) RunClip(cfg Config, clip *video.Clip, acct *costmodel.Accountant) *ClipResult {
-	prec := nn.ActivePrecision()
 	ctx, sp := obs.StartSpan(context.Background(), "run.clip")
-	sp.SetStage("extract").SetPrec(prec.String())
+	sp.SetStage("extract")
 	defer sp.End()
-	return s.runClip(ctx, cfg, clip, acct, false, prec)
+	return s.runClip(ctx, cfg, clip, acct, false)
 }
 
 // RunClipStream is the streaming-ingest entry point: it executes one clip
 // in pooled mode (detection arenas and scratch recycled, DetsByFrame not
-// retained) under an explicitly supplied compute backend. Ingest sessions
-// sample nn.ActivePrecision() once at session start and pass it for every
-// clip, so a long-lived stream is never torn by a concurrent precision
-// change — the same once-per-entry-point contract RunSetContext keeps for
-// batch extraction.
-func (s *System) RunClipStream(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant, prec nn.Precision) *ClipResult {
-	return s.runClip(ctx, cfg, clip, acct, true, prec)
+// retained).
+func (s *System) RunClipStream(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant) *ClipResult {
+	return s.runClip(ctx, cfg, clip, acct, true)
 }
 
 // runClip is RunClip with a context bounding the reader's decode-ahead
@@ -68,12 +62,7 @@ func (s *System) RunClipStream(ctx context.Context, cfg Config, clip *video.Clip
 // Pooling is safe because trackers copy Detection values into track-owned
 // slices — nothing in the returned result aliases pooled memory — and it
 // never changes results.
-//
-// prec is the compute backend for this clip. Callers sample the process
-// setting exactly once per entry point (RunClip, RunSetContext), so a
-// concurrent SetPrecision never tears a run: every clip of one RunSet uses
-// the same backend.
-func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant, pooled bool, prec nn.Precision) *ClipResult {
+func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant, pooled bool) *ClipResult {
 	detW, detH := cfg.DetRes(s.DS.Cfg.NomW, s.DS.Cfg.NomH)
 	detector := &detect.Detector{
 		Cfg: detect.Config{
@@ -84,7 +73,6 @@ func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct
 		Background: s.Background,
 		Classify:   s.Classifier,
 		Acct:       acct,
-		Prec:       prec,
 	}
 	if pooled {
 		detector.Arena = detect.GetArena()
@@ -107,7 +95,7 @@ func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct
 			cfg.Arch.PerPixelCost(), cfg.DetScale, s.WindowSizes)
 	}
 
-	tracker := s.newTracker(cfg, acct, prec)
+	tracker := s.newTracker(cfg, acct)
 	res := &ClipResult{}
 	if !pooled {
 		res.DetsByFrame = map[int][]detect.Detection{}
@@ -122,7 +110,7 @@ func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct
 		metFrames.Inc()
 		var dets []detect.Detection
 		if pm != nil {
-			scores := pm.ScorePrec(prec, frame, s.Background, acct)
+			scores := pm.Score(frame, s.Background, acct)
 			proxy.ThresholdInto(grid, scores, cfg.ProxyThresh)
 			wins := proxy.Group(grid, ws)
 			if len(wins) > 0 {
@@ -203,21 +191,19 @@ func (s *System) runVariable(cfg Config, clip *video.Clip, detW, detH int,
 // is time-based: a track survives roughly maxMissSeconds of consecutive
 // unmatched processed frames (bridging brief detector misses and
 // occlusion merges) regardless of the sampling gap.
-func (s *System) newTracker(cfg Config, acct *costmodel.Accountant, prec nn.Precision) track.Tracker {
+func (s *System) newTracker(cfg Config, acct *costmodel.Accountant) track.Tracker {
 	misses := maxMisses(s.DS.Cfg.FPS, cfg.Gap)
 	switch cfg.Tracker {
 	case TrackerRecurrent:
 		if s.Recurrent != nil {
 			t := track.NewRecurrentTracker(s.Recurrent, acct)
 			t.MaxMisses = misses
-			t.Prec = prec
 			return t
 		}
 	case TrackerPair:
 		if s.Pair != nil {
 			t := track.NewPairTracker(s.Pair, acct)
 			t.MaxMisses = misses
-			t.Prec = prec
 			return t
 		}
 	}
@@ -357,19 +343,16 @@ func (s *System) RunSet(cfg Config, clips []*dataset.ClipTruth) *SetResult {
 func (s *System) RunSetContext(ctx context.Context, cfg Config, clips []*dataset.ClipTruth) (*SetResult, error) {
 	out := &SetResult{PerClip: make([][]*query.Track, len(clips))}
 	shards := make([]*costmodel.Accountant, len(clips))
-	// The backend is sampled once for the whole set: a concurrent
-	// SetPrecision affects the next RunSet, never part of this one.
-	prec := nn.ActivePrecision()
 	ctx, setSpan := obs.StartSpan(ctx, "run.set")
-	setSpan.SetStage("extract").SetPrec(prec.String())
+	setSpan.SetStage("extract")
 	defer setSpan.End()
 	err := parallel.ForContext(ctx, len(clips), func(i int) {
 		ct := clips[i]
 		clipCtx, clipSpan := obs.StartSpan(ctx, "run.clip")
-		clipSpan.SetClip(i).SetStage("extract").SetPrec(prec.String())
+		clipSpan.SetClip(i).SetStage("extract")
 		defer clipSpan.End()
 		acct := costmodel.NewAccountant()
-		res := s.runClip(clipCtx, cfg, ct.Clip, acct, true, prec)
+		res := s.runClip(clipCtx, cfg, ct.Clip, acct, true)
 		out.PerClip[i] = s.QueryTracks(cfg, res.Tracks, ct.Clip.Len())
 		shards[i] = acct
 		s.Progress.Emit(obs.Event{

@@ -43,7 +43,7 @@ func TestRunSetDeterministicWithRecorder(t *testing.T) {
 	for _, s := range rec.Snapshot() {
 		switch s.Name {
 		case "run.set":
-			if s.Stage != "extract" || s.Prec == "" {
+			if s.Stage != "extract" {
 				t.Errorf("run.set span missing attributes: %+v", s)
 			}
 			setID = s.ID

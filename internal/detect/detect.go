@@ -173,10 +173,8 @@ type Detector struct {
 	Background *BackgroundModel
 	Classify   Classifier
 	Acct       *costmodel.Accountant
-	// Prec selects the element type of the difference plane (nn.Float32
-	// halves its memory traffic). The float64 zero value is the bit-exact
-	// reference; under Float32 each difference value is rounded once when
-	// stored and all component statistics still accumulate in float64.
+	// Prec is named by benchmark/replay.go; delete with the next benchmark
+	// PR. Nothing reads it.
 	Prec nn.Precision
 
 	// Arena, when non-nil, owns every detection slice this detector
@@ -197,7 +195,6 @@ type Detector struct {
 type analyzeScratch struct {
 	mask   []bool
 	diff   []float64
-	diff32 []float32 // float32-backend difference plane (see Detector.Prec)
 	labels []int32
 	stack  []int
 	comps  []component
@@ -346,12 +343,6 @@ func (d *Detector) analyze(dst []Detection, frame *video.Frame, frameIdx int, re
 	}
 	mask := growSlice(&s.mask, aw*ah)
 	clear(mask)
-	if d.Prec == nn.Float32 {
-		diff := growSlice(&s.diff32, aw*ah)
-		clear(diff)
-		fillDiff(diff, mask, img, bg, offset, thresh, aw, x0, x1, y0, y1)
-		return emitDetections(d, dst, s, mask, diff, frame, frameIdx, bounds, aw, ah)
-	}
 	diff := growSlice(&s.diff, aw*ah)
 	clear(diff)
 	fillDiff(diff, mask, img, bg, offset, thresh, aw, x0, x1, y0, y1)
@@ -359,33 +350,24 @@ func (d *Detector) analyze(dst []Detection, frame *video.Frame, frameIdx int, re
 }
 
 // fillDiff computes the brightness-compensated difference plane inside the
-// analysis window and thresholds it into mask, entirely in F arithmetic so
-// the float32 instantiation runs conversion-free per pixel (that, plus the
-// halved plane traffic, is where the float32 detector backend's speed
-// comes from).
+// analysis window and thresholds it into mask.
 //
-// F = float64 is bit-identical to the math.Abs reference: the pixel
-// conversions are exact, the conditional negation only differs from
-// math.Abs on NaN and -0, and neither can occur here (pixels are uint8, so
-// the difference is -0-free). F = float32 rounds the brightness offset
-// once and the subtraction once. The mask compares against F(thresh);
-// thresholds are small integers, exactly representable in float32, so the
-// comparison itself never diverges between the backends.
-func fillDiff[F ~float32 | ~float64](diff []F, mask []bool, img, bg *video.Frame, offset, thresh float64, aw, x0, x1, y0, y1 int) {
-	off := F(offset)
-	th := F(thresh)
+// The conditional negation is bit-identical to math.Abs here: the two only
+// differ on NaN and -0, and neither can occur (pixels are uint8, so the
+// difference is -0-free).
+func fillDiff(diff []float64, mask []bool, img, bg *video.Frame, offset, thresh float64, aw, x0, x1, y0, y1 int) {
 	for y := y0; y < y1; y++ {
 		ip := img.Pix[y*aw : (y+1)*aw]
 		bp := bg.Pix[y*aw : (y+1)*aw]
 		dr := diff[y*aw : (y+1)*aw]
 		mr := mask[y*aw : (y+1)*aw]
 		for x := x0; x < x1; x++ {
-			dv := F(ip[x]) - F(bp[x]) - off
+			dv := float64(ip[x]) - float64(bp[x]) - offset
 			if dv < 0 {
 				dv = -dv
 			}
 			dr[x] = dv
-			if dv > th {
+			if dv > thresh {
 				mr[x] = true
 			}
 		}
@@ -393,10 +375,8 @@ func fillDiff[F ~float32 | ~float64](diff []F, mask []bool, img, bg *video.Frame
 }
 
 // emitDetections runs the component scan over the difference plane and
-// appends the surviving detections to dst. Generic over the plane element
-// type; component statistics and all downstream geometry are float64 in
-// both instantiations.
-func emitDetections[F ~float32 | ~float64](d *Detector, dst []Detection, s *analyzeScratch, mask []bool, diff []F, frame *video.Frame, frameIdx int, bounds geom.Rect, aw, ah int) []Detection {
+// appends the surviving detections to dst.
+func emitDetections(d *Detector, dst []Detection, s *analyzeScratch, mask []bool, diff []float64, frame *video.Frame, frameIdx int, bounds geom.Rect, aw, ah int) []Detection {
 	comps := connectedComponentsInto(s, mask, diff, aw, ah)
 	sxN := float64(frame.NomW) / float64(aw)
 	syN := float64(frame.NomH) / float64(ah)
@@ -442,14 +422,12 @@ func scoreOf(c component) float64 {
 }
 
 // refineBox recomputes the box as a diff-weighted extent around the
-// component, giving the two-stage architecture tighter boxes. Generic over
-// the difference-plane element type; moments accumulate in float64 either
-// way, so the float64 instantiation is the bit-exact reference.
-func refineBox[F ~float32 | ~float64](diff []F, w, h int, c component, sx, sy float64) geom.Rect {
+// component, giving the two-stage architecture tighter boxes.
+func refineBox(diff []float64, w, h int, c component, sx, sy float64) geom.Rect {
 	var sumW, sumX, sumY, sumXX, sumYY float64
 	for y := c.minY; y <= c.maxY; y++ {
 		for x := c.minX; x <= c.maxX; x++ {
-			d := float64(diff[y*w+x])
+			d := diff[y*w+x]
 			if d <= 0 {
 				continue
 			}
@@ -481,7 +459,7 @@ type component struct {
 
 // growSlice resizes *s to length n, reallocating only when capacity is
 // insufficient. Contents are unspecified.
-func growSlice[T bool | float32 | float64 | int32 | int](s *[]T, n int) []T {
+func growSlice[T bool | float64 | int32 | int](s *[]T, n int) []T {
 	if cap(*s) < n {
 		*s = make([]T, n)
 	}
@@ -491,7 +469,7 @@ func growSlice[T bool | float32 | float64 | int32 | int](s *[]T, n int) []T {
 
 // connectedComponents labels 4-connected regions of the mask, accumulating
 // per-component extents and difference mass.
-func connectedComponents[F ~float32 | ~float64](mask []bool, diff []F, w, h int) []component {
+func connectedComponents(mask []bool, diff []float64, w, h int) []component {
 	var s analyzeScratch
 	return connectedComponentsInto(&s, mask, diff, w, h)
 }
@@ -499,8 +477,8 @@ func connectedComponents[F ~float32 | ~float64](mask []bool, diff []F, w, h int)
 // connectedComponentsInto is connectedComponents with all working storage
 // (labels, DFS stack, component list) drawn from the scratch. The returned
 // slice aliases s.comps and is valid until the next call with the same
-// scratch. Difference mass accumulates in float64 for both plane types.
-func connectedComponentsInto[F ~float32 | ~float64](s *analyzeScratch, mask []bool, diff []F, w, h int) []component {
+// scratch.
+func connectedComponentsInto(s *analyzeScratch, mask []bool, diff []float64, w, h int) []component {
 	labels := growSlice(&s.labels, w*h)
 	clear(labels)
 	comps := s.comps[:0]
@@ -518,7 +496,7 @@ func connectedComponentsInto[F ~float32 | ~float64](s *analyzeScratch, mask []bo
 			stack = stack[:len(stack)-1]
 			x, y := p%w, p/w
 			c.count++
-			c.sumDiff += float64(diff[p])
+			c.sumDiff += diff[p]
 			if x < c.minX {
 				c.minX = x
 			}

@@ -19,9 +19,8 @@
 //
 // Determinism: the stream's publication ORDER depends on worker timing,
 // but each (camera, clip) pair's extracted tracks are bit-identical to
-// running that clip through the batch pipeline — the session samples the
-// compute backend once at start and every clip is charged to its own
-// accountant, exactly like RunSet's per-clip shards.
+// running that clip through the batch pipeline — every clip is charged to
+// its own accountant, exactly like RunSet's per-clip shards.
 package ingest
 
 import (
@@ -34,7 +33,6 @@ import (
 
 	"otif/internal/core"
 	"otif/internal/costmodel"
-	"otif/internal/nn"
 	"otif/internal/obs"
 	"otif/internal/parallel"
 	"otif/internal/query"
@@ -173,9 +171,8 @@ type camState struct {
 // store. Create with Start; stop with Close or by canceling the start
 // context.
 type Session struct {
-	sys  *core.System
-	cfg  core.Config
-	prec nn.Precision
+	sys *core.System
+	cfg core.Config
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -213,11 +210,8 @@ func Start(ctx context.Context, sys *core.System, opts Options) (*Session, error
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Session{
-		sys: sys,
-		cfg: opts.Cfg,
-		// One backend for the whole session: a concurrent SetPrecision
-		// affects the next session, never clips of this one.
-		prec:     nn.ActivePrecision(),
+		sys:      sys,
+		cfg:      opts.Cfg,
 		ctx:      sctx,
 		cancel:   cancel,
 		queue:    make(chan workItem, depth),
@@ -299,10 +293,10 @@ func (s *Session) produce(wg *sync.WaitGroup, ci int, cam Camera) {
 // cancellation.
 func (s *Session) work(it workItem) {
 	clipCtx, span := obs.StartSpan(s.ctx, "ingest.clip")
-	span.SetStage("ingest").SetCamera(s.cams[it.cam].name).SetClip(it.idx).SetPrec(s.prec.String())
+	span.SetStage("ingest").SetCamera(s.cams[it.cam].name).SetClip(it.idx)
 	defer span.End()
 	acct := costmodel.NewAccountant()
-	res := s.sys.RunClipStream(clipCtx, s.cfg, it.clip, acct, s.prec)
+	res := s.sys.RunClipStream(clipCtx, s.cfg, it.clip, acct)
 	tracks := s.sys.QueryTracks(s.cfg, res.Tracks, it.clip.Len())
 	rt := acct.Total()
 

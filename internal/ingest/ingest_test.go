@@ -12,7 +12,6 @@ import (
 	"otif/internal/costmodel"
 	"otif/internal/dataset"
 	"otif/internal/detect"
-	"otif/internal/nn"
 	"otif/internal/obs"
 	"otif/internal/query"
 	"otif/internal/store"
@@ -91,7 +90,7 @@ func TestSessionPublishesEveryClipBitIdentically(t *testing.T) {
 		seen[[2]int{p.Camera, p.CamClip}] = true
 		clip := gens[p.Camera](p.CamClip).Clip
 		acct := costmodel.NewAccountant()
-		res := sys.RunClipStream(context.Background(), cfg, clip, acct, nn.ActivePrecision())
+		res := sys.RunClipStream(context.Background(), cfg, clip, acct)
 		want := sys.QueryTracks(cfg, res.Tracks, clip.Len())
 		got := snap.Tracks(p.StoreClip)
 		if !reflect.DeepEqual(got, want) {

@@ -1,79 +1,12 @@
 package nn
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"otif/internal/obs"
-)
-
-// Precision selects the floating-point compute backend used by the
-// inference hot path. Float64 is the bit-identical reference backend (the
-// zero value, and the default); Float32 runs the same kernels in single
-// precision — faster and half the memory traffic, with results guaranteed
-// only to the tolerance contract documented in DESIGN.md ("Precision-tiered
-// compute backend").
-//
-// Training, tuning and persisted weights always stay float64: Float32 only
-// changes how the extraction hot path evaluates the already-trained models
-// (weights are converted once per model via the To32 methods).
+// Precision, Float64 and ActivePrecision are named by benchmark/replay.go;
+// delete with the next benchmark PR. Inference has one numeric path,
+// float64, and no product code reads these.
 type Precision uint32
 
-// Supported compute backends.
-const (
-	// Float64 is the reference backend: bit-identical results across
-	// worker counts, batch modes and releases.
-	Float64 Precision = iota
-	// Float32 is the reduced-precision backend: register-blocked float32
-	// kernels with tolerance-gated accuracy.
-	Float32
-)
+// Float64 is the only Precision.
+const Float64 Precision = 0
 
-// String returns the flag-level name of the backend ("float64"/"float32").
-func (p Precision) String() string {
-	if p == Float32 {
-		return "float32"
-	}
-	return "float64"
-}
-
-// Bits returns the width of the backend's floating-point type.
-func (p Precision) Bits() int {
-	if p == Float32 {
-		return 32
-	}
-	return 64
-}
-
-// ParsePrecision parses a backend name as accepted by the -precision flag.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "float64", "f64", "64", "":
-		return Float64, nil
-	case "float32", "f32", "32":
-		return Float32, nil
-	}
-	return Float64, fmt.Errorf(`nn: unknown precision %q (valid: "float64", "f64", "64", "float32", "f32", "32")`, s)
-}
-
-// activePrecision is the process-wide backend selection. Stored atomically
-// so flipping it while clips execute is safe: consumers capture the value
-// once per run (core.RunSet reads it at entry and threads it down), so a
-// single run never observes a torn or mixed backend.
-var activePrecision atomic.Uint32
-
-// SetPrecision selects the process-wide compute backend. Runs already in
-// flight are unaffected: the backend is captured once at run entry.
-func SetPrecision(p Precision) { activePrecision.Store(uint32(p)) }
-
-// ActivePrecision returns the currently selected compute backend.
-func ActivePrecision() Precision { return Precision(activePrecision.Load()) }
-
-// The active backend is observable as a gauge so dashboards can tell which
-// precision a process is extracting with (64 or 32).
-var _ = func() struct{} {
-	obs.Default.GaugeFunc("nn.precision_bits", func() float64 {
-		return float64(ActivePrecision().Bits())
-	})
-	return struct{}{}
-}()
+// ActivePrecision returns Float64.
+func ActivePrecision() Precision { return Float64 }

@@ -47,7 +47,7 @@ func TestSpanRecordingAllocGate(t *testing.T) {
 
 	if allocs := testing.AllocsPerRun(1000, func() {
 		_, sp := StartSpan(ctx, "run.clip")
-		sp.SetCamera("cam0").SetClip(3).SetStage("extract").SetPrec("float64").SetErr(false)
+		sp.SetCamera("cam0").SetClip(3).SetStage("extract").SetErr(false)
 		sp.End()
 	}); allocs > 4 {
 		t.Fatalf("span record with recorder enabled allocates %.1f allocs/op, want <= 4", allocs)

@@ -157,9 +157,6 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		if s.Stage != "" {
 			args["stage"] = s.Stage
 		}
-		if s.Prec != "" {
-			args["prec"] = s.Prec
-		}
 		if s.Err {
 			args["err"] = true
 		}

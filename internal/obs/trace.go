@@ -33,11 +33,11 @@ const DefaultRecorderSpans = 1 << 14
 // exactly the newest spans overall.
 const recorderShards = 8
 
-// SpanRecord is one finished span. Camera, Clip, Stage, Prec and Err are
-// the attribute set every exporter understands: which camera and clip the
+// SpanRecord is one finished span. Camera, Clip, Stage and Err are the
+// attribute set every exporter understands: which camera and clip the
 // span worked on, which pipeline stage it belongs to ("extract", "tune",
-// "ingest", "serve"), which compute backend it ran under, and whether it
-// ended in an error (a canceled run, a 5xx response).
+// "ingest", "serve"), and whether it ended in an error (a canceled run, a
+// 5xx response).
 type SpanRecord struct {
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent,omitempty"`
@@ -53,7 +53,6 @@ type SpanRecord struct {
 	// clip-scoped.
 	Clip  int    `json:"clip"`
 	Stage string `json:"stage,omitempty"`
-	Prec  string `json:"prec,omitempty"`
 	Err   bool   `json:"err,omitempty"`
 }
 
@@ -123,10 +122,10 @@ type RecorderStats struct {
 	// Capacity is the ring size; Retained how many spans it currently
 	// holds; Recorded how many spans have ever been recorded; Overwritten
 	// how many were evicted oldest-first (Recorded - Retained).
-	Capacity    int    `json:"capacity"`
-	Retained    int    `json:"retained"`
-	Recorded    int64  `json:"recorded"`
-	Overwritten int64  `json:"overwritten"`
+	Capacity    int   `json:"capacity"`
+	Retained    int   `json:"retained"`
+	Recorded    int64 `json:"recorded"`
+	Overwritten int64 `json:"overwritten"`
 	// Utilization is Retained / Capacity in [0, 1].
 	Utilization float64 `json:"utilization"`
 }
@@ -270,7 +269,6 @@ type Span struct {
 	camera string
 	clip   int
 	stage  string
-	prec   string
 	err    bool
 }
 
@@ -322,15 +320,6 @@ func (s *Span) SetStage(stage string) *Span {
 	return s
 }
 
-// SetPrec attributes the span to a compute backend ("float64",
-// "float32").
-func (s *Span) SetPrec(prec string) *Span {
-	if s != nil {
-		s.prec = prec
-	}
-	return s
-}
-
 // SetErr flags the span as having ended in an error (a canceled run, a
 // 5xx response).
 func (s *Span) SetErr(err bool) *Span {
@@ -355,7 +344,6 @@ func (s *Span) End() {
 		Camera:  s.camera,
 		Clip:    s.clip,
 		Stage:   s.stage,
-		Prec:    s.prec,
 		Err:     s.err,
 	})
 }

@@ -18,7 +18,7 @@ func TestStartSpanDisabled(t *testing.T) {
 		t.Error("disabled StartSpan must return a nil span")
 	}
 	// Every operation on a nil span must be a no-op, not a panic.
-	sp.SetCamera("cam0").SetClip(1).SetStage("extract").SetPrec("float64").SetErr(true)
+	sp.SetCamera("cam0").SetClip(1).SetStage("extract").SetErr(true)
 	if sp.ID() != 0 {
 		t.Error("nil span must report id 0")
 	}
@@ -59,7 +59,7 @@ func TestSpanAttributes(t *testing.T) {
 	defer SetRecorder(nil)
 
 	_, sp := StartSpan(context.Background(), "ingest.clip")
-	sp.SetCamera("cam3").SetClip(7).SetStage("ingest").SetPrec("float32").SetErr(true)
+	sp.SetCamera("cam3").SetClip(7).SetStage("ingest").SetErr(true)
 	sp.End()
 	_, plain := StartSpan(context.Background(), "plain")
 	plain.End()
@@ -69,10 +69,10 @@ func TestSpanAttributes(t *testing.T) {
 		t.Fatalf("recorded %d spans, want 2", len(spans))
 	}
 	got := spans[0]
-	if got.Camera != "cam3" || got.Clip != 7 || got.Stage != "ingest" || got.Prec != "float32" || !got.Err {
+	if got.Camera != "cam3" || got.Clip != 7 || got.Stage != "ingest" || !got.Err {
 		t.Errorf("attributed span = %+v", got)
 	}
-	if p := spans[1]; p.Camera != "" || p.Clip != -1 || p.Stage != "" || p.Prec != "" || p.Err {
+	if p := spans[1]; p.Camera != "" || p.Clip != -1 || p.Stage != "" || p.Err {
 		t.Errorf("unattributed span carries attrs: %+v", p)
 	}
 }
@@ -165,7 +165,7 @@ func TestChromeExport(t *testing.T) {
 
 	ctx, set := StartSpan(context.Background(), "run.set")
 	_, clip := StartSpan(ctx, "run.clip")
-	clip.SetClip(0).SetPrec("float64")
+	clip.SetClip(0)
 	clip.End()
 	set.End()
 	_, cam := StartSpan(context.Background(), "ingest.clip")

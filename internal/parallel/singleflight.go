@@ -60,7 +60,9 @@ func SetWaitHookForTest(fn func()) { waitHook = fn }
 // Do returns the memoized result for key, executing fn to fill it if this
 // is the key's first call. Concurrent calls for the same key block until
 // the one running fn finishes and share its result. The Outcome reports
-// which of the three paths answered.
+// which of the three paths answered. If fn panics the key is forgotten, so
+// the next Do runs fn again; callers already waiting are released with the
+// zero value.
 func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error, Outcome) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -83,8 +85,23 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error, Outcome) {
 	g.m[key] = f
 	g.mu.Unlock()
 
-	defer close(f.done)
+	// A fn that panics must not stay memoized: its flight holds the zero
+	// value, which every later caller would take for the result. Drop the
+	// key (unless a Forget already detached this flight) before releasing
+	// the waiters; the panic then propagates to this caller.
+	returned := false
+	defer func() {
+		if !returned {
+			g.mu.Lock()
+			if g.m[key] == f {
+				delete(g.m, key)
+			}
+			g.mu.Unlock()
+		}
+		close(f.done)
+	}()
 	f.v, f.err = fn()
+	returned = true
 	return f.v, f.err, DidRun
 }
 

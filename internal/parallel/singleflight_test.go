@@ -127,6 +127,27 @@ func TestGroupMemoizesErrors(t *testing.T) {
 	}
 }
 
+// TestGroupForgetsPanickedFill: a fill that panics propagates to its
+// caller and leaves nothing memoized, so the next Do for the key runs fn
+// again instead of returning the dead flight's zero value.
+func TestGroupForgetsPanickedFill(t *testing.T) {
+	var g Group[int, string]
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want the fill's panic", r)
+			}
+		}()
+		g.Do(1, func() (string, error) { panic("boom") })
+	}()
+	if g.Len() != 0 {
+		t.Fatalf("Len = %d after a panicked fill, want 0", g.Len())
+	}
+	if v, err, out := g.Do(1, func() (string, error) { return "ok", nil }); v != "ok" || err != nil || out != DidRun {
+		t.Fatalf("Do after a panicked fill = (%q, %v, %v), want (ok, nil, DidRun)", v, err, out)
+	}
+}
+
 // TestGroupConcurrentKeys hammers many goroutines over a small key space
 // under -race: each key's fill runs exactly once and every caller sees its
 // key's value.

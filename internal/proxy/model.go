@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"otif/internal/costmodel"
 	"otif/internal/detect"
@@ -100,20 +99,6 @@ func TruthGrid(nomW, nomH int, boxes []geom.Rect) *Grid {
 type Model struct {
 	ResW, ResH int // nominal input resolution (cost accounting)
 	LR         *nn.LogReg
-
-	// once32 guards the lazy one-time float32 conversion of the trained
-	// weights (the nn.Float32 backend); the converted model is read-only
-	// and shared across clips. A model retrained after float32 inference
-	// must be rebuilt (nothing in the pipeline does that).
-	once32 sync.Once
-	lr32   *nn.LogReg32
-}
-
-// model32 returns the float32 twin of the trained logistic regression,
-// converting it on first use. Safe for concurrent callers.
-func (m *Model) model32() *nn.LogReg32 {
-	m.once32.Do(func() { m.lr32 = m.LR.To32() })
-	return m.lr32
 }
 
 // NewModel creates an untrained proxy model for the given nominal input
@@ -198,70 +183,6 @@ func (m *Model) forEachCell(frame *video.Frame, bg *detect.BackgroundModel, visi
 	}
 }
 
-// forEachCell32 is forEachCell on the float32 backend: cell statistics
-// accumulate in float32 (a 32x32 cell's brightness sums are far below
-// float32's exact-integer range, so the precision loss is bounded by the
-// feature scaling, which the tolerance tests pin). The visit buffer
-// contract matches forEachCell's.
-func (m *Model) forEachCell32(frame *video.Frame, bg *detect.BackgroundModel, visit func(cell int, feat nn.Vec32)) {
-	aw, ah := m.analysisSize(frame)
-	img := video.CachedDownsample(frame, aw, ah)
-	var bgImg *video.Frame
-	var offset float32
-	if bg != nil {
-		// The brightness offset is only meaningful against a background;
-		// without one the full-frame mean would go unused, so skip the pass.
-		bgImg = bg.At(aw, ah)
-		imgMean, _ := img.SharedMeanStd()
-		bgMean, _ := bgImg.SharedMeanStd()
-		offset = float32(imgMean - bgMean)
-	}
-
-	gw, gh := GridDims(frame.NomW, frame.NomH)
-	// Analysis pixels per nominal pixel.
-	sx := float64(aw) / float64(frame.NomW)
-	sy := float64(ah) / float64(frame.NomH)
-	var feat [featuresPerCell]float32
-	for cy := 0; cy < gh; cy++ {
-		y0 := clampInt(int(float64(cy*CellSize)*sy), 0, ah-1)
-		y1 := clampInt(int(math.Ceil(float64((cy+1)*CellSize)*sy)), y0+1, ah)
-		for cx := 0; cx < gw; cx++ {
-			x0 := clampInt(int(float64(cx*CellSize)*sx), 0, aw-1)
-			x1 := clampInt(int(math.Ceil(float64((cx+1)*CellSize)*sx)), x0+1, aw)
-			var sum, sum2, sumDiff, maxDiff float32
-			n := 0
-			for y := y0; y < y1; y++ {
-				for x := x0; x < x1; x++ {
-					v := float32(img.Pix[y*aw+x])
-					sum += v
-					sum2 += v * v
-					if bgImg != nil {
-						d := v - float32(bgImg.Pix[y*aw+x]) - offset
-						if d < 0 {
-							d = -d
-						}
-						sumDiff += d
-						if d > maxDiff {
-							maxDiff = d
-						}
-					}
-					n++
-				}
-			}
-			mean := sum / float32(n)
-			variance := sum2/float32(n) - mean*mean
-			if variance < 0 {
-				variance = 0
-			}
-			feat[0] = float32(math.Sqrt(float64(variance))) / 32
-			feat[1] = sumDiff / float32(n) / 48
-			feat[2] = maxDiff / 64
-			feat[3] = mean / 255
-			visit(cy*gw+cx, nn.Vec32(feat[:]))
-		}
-	}
-}
-
 // Features computes the per-cell feature matrix of the frame at the
 // model's input resolution using the background model for contrast
 // features. Features are written into dst, a caller-owned flat row-major
@@ -300,24 +221,10 @@ func (m *Model) Score(frame *video.Frame, bg *detect.BackgroundModel, acct *cost
 	return scores
 }
 
-// ScorePrec is Score evaluated on the selected backend: Float64 delegates
-// to Score (bit-exact reference, also used by training, tuning and the
-// figure pipelines), Float32 fuses float32 cell features with the converted
-// logistic readout. Scores are returned as float64 either way, so
-// thresholding and window construction are shared.
-func (m *Model) ScorePrec(prec nn.Precision, frame *video.Frame, bg *detect.BackgroundModel, acct *costmodel.Accountant) []float64 {
-	if prec != nn.Float32 {
-		return m.Score(frame, bg, acct)
-	}
-	metInvocations.Inc()
-	acct.Add(costmodel.OpProxy, costmodel.ProxyCost(m.ResW, m.ResH))
-	lr32 := m.model32()
-	gw, gh := GridDims(frame.NomW, frame.NomH)
-	scores := make([]float64, gw*gh)
-	m.forEachCell32(frame, bg, func(cell int, feat nn.Vec32) {
-		scores[cell] = float64(lr32.Predict(feat))
-	})
-	return scores
+// ScorePrec is named by benchmark/replay.go; delete with the next
+// benchmark PR. It is Score.
+func (m *Model) ScorePrec(_ nn.Precision, frame *video.Frame, bg *detect.BackgroundModel, acct *costmodel.Accountant) []float64 {
+	return m.Score(frame, bg, acct)
 }
 
 // Threshold converts per-cell scores into a positive-cell grid using the

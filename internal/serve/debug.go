@@ -16,11 +16,11 @@ import (
 
 // Debug endpoints: one-shot introspection of a live daemon.
 //
-//	GET /debug/trace?format=otif|chrome   the flight recorder's spans
-//	GET /debug/slow                       the K slowest /query/* requests
-//	GET /debug/bundle                     tar.gz post-mortem artifact
+//	GET /v1/debug/trace?format=otif|chrome   the flight recorder's spans
+//	GET /v1/debug/slow                       the K slowest /v1/query/* requests
+//	GET /v1/debug/bundle                     tar.gz post-mortem artifact
 //
-// /debug/trace answers 404 while tracing is disabled. The chrome format
+// /v1/debug/trace answers 404 while tracing is disabled. The chrome format
 // loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

@@ -19,8 +19,8 @@ import (
 	"otif/internal/store"
 )
 
-// TestDebugEndpointsDuringStreamingIngest hammers /debug/trace (both
-// formats), /debug/bundle and /query/count from several goroutines while
+// TestDebugEndpointsDuringStreamingIngest hammers /v1/debug/trace (both
+// formats), /v1/debug/bundle and /v1/query/count from several goroutines while
 // a two-camera streaming ingest session records spans into the flight
 // recorder. Run under -race this proves the recorder's ring, the
 // per-route telemetry, the slow-request log and the bundle collectors
@@ -83,7 +83,7 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 					return
 				default:
 				}
-				if code, body := get("/debug/trace"); code == http.StatusOK {
+				if code, body := get("/v1/debug/trace"); code == http.StatusOK {
 					var tr struct {
 						Spans []obs.SpanRecord  `json:"spans"`
 						Stats obs.RecorderStats `json:"stats"`
@@ -93,10 +93,10 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 						return
 					}
 				} else {
-					t.Errorf("/debug/trace = %d", code)
+					t.Errorf("/v1/debug/trace = %d", code)
 					return
 				}
-				if code, body := get("/debug/trace?format=chrome"); code == http.StatusOK {
+				if code, body := get("/v1/debug/trace?format=chrome"); code == http.StatusOK {
 					var chrome struct {
 						TraceEvents []json.RawMessage `json:"traceEvents"`
 					}
@@ -105,10 +105,10 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 						return
 					}
 				} else {
-					t.Errorf("/debug/trace?format=chrome = %d", code)
+					t.Errorf("/v1/debug/trace?format=chrome = %d", code)
 					return
 				}
-				if code, body := get("/debug/bundle"); code == http.StatusOK {
+				if code, body := get("/v1/debug/bundle"); code == http.StatusOK {
 					gz, err := gzip.NewReader(strings.NewReader(string(body)))
 					if err != nil {
 						t.Errorf("bundle gzip: %v", err)
@@ -134,10 +134,10 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 						return
 					}
 				} else {
-					t.Errorf("/debug/bundle = %d", code)
+					t.Errorf("/v1/debug/bundle = %d", code)
 					return
 				}
-				get("/query/count?category=car") // 503 until the first clip publishes
+				get("/v1/query/count?category=car") // 503 until the first clip publishes
 			}
 		}()
 	}
@@ -165,9 +165,9 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 
 	// The slow log retained query requests, each with its span subtree
 	// rooted at the request's http span.
-	code, body := get("/debug/slow")
+	code, body := get("/v1/debug/slow")
 	if code != http.StatusOK {
-		t.Fatalf("/debug/slow = %d", code)
+		t.Fatalf("/v1/debug/slow = %d", code)
 	}
 	var slow struct {
 		K        int `json:"k"`
@@ -181,14 +181,14 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(slow.Requests) == 0 {
-		t.Fatal("slow log empty after hammering /query/count")
+		t.Fatal("slow log empty after hammering /v1/query/count")
 	}
 	for _, e := range slow.Requests {
-		if e.Route != "query_count" {
+		if e.Route != "v1_query_count" {
 			t.Errorf("slow entry route = %q", e.Route)
 		}
-		if len(e.Spans) == 0 || e.Spans[0].Name != "http.query_count" || e.Spans[0].Stage != "serve" {
-			t.Errorf("slow entry spans = %+v, want http.query_count root", e.Spans)
+		if len(e.Spans) == 0 || e.Spans[0].Name != "http.v1_query_count" || e.Spans[0].Stage != "serve" {
+			t.Errorf("slow entry spans = %+v, want http.v1_query_count root", e.Spans)
 		}
 	}
 
@@ -200,9 +200,9 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 	for _, series := range []string{
 		"otif_trace_capacity",
 		"otif_trace_spans_recorded",
-		"otif_serve_route_query_count_requests_total",
-		"otif_serve_route_debug_trace_requests_total",
-		"otif_serve_route_debug_bundle_status_2xx_total",
+		"otif_serve_route_v1_query_count_requests_total",
+		"otif_serve_route_v1_debug_trace_requests_total",
+		"otif_serve_route_v1_debug_bundle_status_2xx_total",
 	} {
 		if !strings.Contains(string(body), series) {
 			t.Errorf("/metrics missing series %s", series)

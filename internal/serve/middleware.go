@@ -17,7 +17,7 @@ import (
 // routeStats: a request counter, an in-flight gauge, status-class
 // counters, and a latency histogram, all named under
 // serve.route.<key>.* where <key> is the sanitized route path
-// ("GET /query/count" → "query_count"). Methods sharing a path share a
+// ("GET /v1/query/count" → "v1_query_count"). Methods sharing a path share a
 // key — the route is the resource, and the status-class counters
 // distinguish outcomes. The wrapper also opens one "serve"-stage span per
 // request, so handler-internal spans (store scans, job submissions) nest
@@ -98,7 +98,7 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // instrumentRoute wraps one route's handler with its telemetry: metrics
 // registration happens once here at routing-table build time, and the
 // per-request path only touches pre-registered handles. Requests under
-// /query/ additionally compete for the slow-request log.
+// /v1/query/ additionally compete for the slow-request log.
 func (s *Server) instrumentRoute(pattern string, h http.Handler) http.Handler {
 	key := routeKey(pattern)
 	reg := s.registry()
@@ -115,7 +115,7 @@ func (s *Server) instrumentRoute(pattern string, h http.Handler) http.Handler {
 	if i := strings.IndexByte(path, ' '); i >= 0 {
 		path = path[i+1:]
 	}
-	slowCandidate := strings.HasPrefix(path, "/query/") || strings.HasPrefix(path, "/v1/query/")
+	slowCandidate := strings.HasPrefix(path, "/v1/query/")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st.requests.Inc()
 		st.inflight.Add(1)

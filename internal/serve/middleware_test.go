@@ -16,12 +16,12 @@ import (
 
 func TestRouteKey(t *testing.T) {
 	cases := map[string]string{
-		"GET /query/count":      "query_count",
-		"POST /query/dwell":     "query_dwell",
+		"GET /v1/query/count":   "v1_query_count",
+		"POST /v1/query/dwell":  "v1_query_dwell",
 		"GET /metrics":          "metrics",
 		"GET /jobs/{id}/events": "jobs_id_events",
 		"/debug/pprof/":         "debug_pprof",
-		"GET /debug/vars":       "debug_vars",
+		"GET /v1/debug/vars":    "v1_debug_vars",
 		"GET /":                 "root",
 	}
 	for pattern, want := range cases {
@@ -102,10 +102,10 @@ func TestSlowLog(t *testing.T) {
 	captures := 0
 	spans := func() []obs.SpanRecord {
 		captures++
-		return []obs.SpanRecord{{Name: "http.query_count"}}
+		return []obs.SpanRecord{{Name: "http.v1_query_count"}}
 	}
 	for _, sec := range []float64{0.5, 0.1, 0.9, 0.2, 0.05, 0.7} {
-		l.offer(slowRequest{Route: "query_count", Seconds: sec}, spans)
+		l.offer(slowRequest{Route: "v1_query_count", Seconds: sec}, spans)
 	}
 	got := l.snapshot()
 	if len(got) != 3 {
@@ -135,7 +135,7 @@ func TestDefaultSlowLogSize(t *testing.T) {
 }
 
 // TestSlowEndpoint drives a /query route (answering 503 with no store
-// loaded) and asserts it appears in GET /debug/slow with its parameters.
+// loaded) and asserts it appears in GET /v1/debug/slow with its parameters.
 func TestSlowEndpoint(t *testing.T) {
 	datasets := store.NewRegistry()
 	datasets.Register("live", store.ProviderFunc(func() store.Querier { return nil }))
@@ -146,16 +146,16 @@ func TestSlowEndpoint(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/query/count?category=car")
+	resp, err := http.Get(srv.URL + "/v1/query/count?category=car")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/query/count without store = %d, want 503", resp.StatusCode)
+		t.Fatalf("/v1/query/count without store = %d, want 503", resp.StatusCode)
 	}
 
-	resp, err = http.Get(srv.URL + "/debug/slow")
+	resp, err = http.Get(srv.URL + "/v1/debug/slow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +174,12 @@ func TestSlowEndpoint(t *testing.T) {
 		t.Fatalf("slow log has %d entries, want 1: %+v", len(out.Requests), out.Requests)
 	}
 	e := out.Requests[0]
-	if e.Route != "query_count" || e.Status != 503 || e.Query != "category=car" {
+	if e.Route != "v1_query_count" || e.Status != 503 || e.Query != "category=car" {
 		t.Errorf("slow entry = %+v", e)
 	}
 }
 
-// TestTraceEndpoint covers the three /debug/trace answers: 404 with
+// TestTraceEndpoint covers the three /v1/debug/trace answers: 404 with
 // tracing disabled, span JSON by default, Chrome trace events on
 // format=chrome, 400 on anything else.
 func TestTraceEndpoint(t *testing.T) {
@@ -188,18 +188,18 @@ func TestTraceEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	obs.SetRecorder(nil)
-	resp, err := http.Get(srv.URL + "/debug/trace")
+	resp, err := http.Get(srv.URL + "/v1/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/trace with tracing disabled = %d, want 404", resp.StatusCode)
+		t.Fatalf("/v1/debug/trace with tracing disabled = %d, want 404", resp.StatusCode)
 	}
 
 	obs.EnableTracing(64)
 	defer obs.SetRecorder(nil)
-	resp, err = http.Get(srv.URL + "/debug/trace")
+	resp, err = http.Get(srv.URL + "/v1/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Errorf("trace stats = %+v", otifTrace.Stats)
 	}
 
-	resp, err = http.Get(srv.URL + "/debug/trace?format=chrome")
+	resp, err = http.Get(srv.URL + "/v1/debug/trace?format=chrome")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	resp, err = http.Get(srv.URL + "/debug/trace?format=bogus")
+	resp, err = http.Get(srv.URL + "/v1/debug/trace?format=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestBundleMembers downloads /debug/bundle and asserts the expected
+// TestBundleMembers downloads /v1/debug/bundle and asserts the expected
 // archive member set.
 func TestBundleMembers(t *testing.T) {
 	s := &Server{
@@ -249,7 +249,7 @@ func TestBundleMembers(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/debug/bundle")
+	resp, err := http.Get(srv.URL + "/v1/debug/bundle")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,7 @@ var (
 // Datasets; the empty selector means the registry's default dataset, so
 // single-dataset deployments need no selector. The selector is read from
 // the URL query string only — never the body — so POST bodies pass
-// through untouched. The legacy unversioned /query/* routes serve the
-// same handlers with a Deprecation header (see Server.Handler).
+// through untouched.
 //
 // Datasets supplies the named stores. A default dataset that is not yet
 // loaded answers 503; an explicitly named dataset that is not registered
@@ -48,10 +47,8 @@ type QueryAPI struct {
 	Movements func() []query.Movement
 }
 
-// register wires the query routes: handle mounts a canonical /v1 route,
-// alias mounts a legacy unversioned route onto the same handler with the
-// deprecation headers.
-func (q *QueryAPI) register(handle, alias func(pattern string, h http.HandlerFunc)) {
+// register mounts the query routes.
+func (q *QueryAPI) register(handle func(pattern string, h http.HandlerFunc)) {
 	handle("GET /v1/datasets", q.handleDatasets)
 	routes := []struct {
 		method, name string
@@ -64,7 +61,6 @@ func (q *QueryAPI) register(handle, alias func(pattern string, h http.HandlerFun
 	}
 	for _, rt := range routes {
 		handle(rt.method+" /v1/query/"+rt.name, rt.h)
-		alias(rt.method+" /query/"+rt.name, rt.h)
 	}
 }
 

@@ -67,7 +67,7 @@ func doQueryJSON(t *testing.T, srv *Server, method, target, body string) (int, m
 
 func TestQueryCount(t *testing.T) {
 	srv, st := queryFixture()
-	code, out := doQueryJSON(t, srv, "GET", "/query/count?category=car", "")
+	code, out := doQueryJSON(t, srv, "GET", "/v1/query/count?category=car", "")
 	if code != 200 {
 		t.Fatalf("status = %d, want 200", code)
 	}
@@ -88,7 +88,7 @@ func TestQueryCount(t *testing.T) {
 
 func TestQueryBreakdown(t *testing.T) {
 	srv, _ := queryFixture()
-	code, out := doQueryJSON(t, srv, "GET", "/query/breakdown?category=car", "")
+	code, out := doQueryJSON(t, srv, "GET", "/v1/query/breakdown?category=car", "")
 	if code != 200 {
 		t.Fatalf("status = %d, want 200: %v", code, out)
 	}
@@ -101,7 +101,7 @@ func TestQueryBreakdown(t *testing.T) {
 func TestQueryBreakdownNoMovements(t *testing.T) {
 	srv, _ := queryFixture()
 	srv.Queries.Movements = nil
-	code, _ := doQueryJSON(t, srv, "GET", "/query/breakdown?category=car", "")
+	code, _ := doQueryJSON(t, srv, "GET", "/v1/query/breakdown?category=car", "")
 	if code != 404 {
 		t.Errorf("status without movements = %d, want 404", code)
 	}
@@ -109,7 +109,7 @@ func TestQueryBreakdownNoMovements(t *testing.T) {
 
 func TestQueryLimit(t *testing.T) {
 	srv, st := queryFixture()
-	code, out := doQueryJSON(t, srv, "GET", "/query/limit?category=car&n=2&limit=3&minsep=1", "")
+	code, out := doQueryJSON(t, srv, "GET", "/v1/query/limit?category=car&n=2&limit=3&minsep=1", "")
 	if code != 200 {
 		t.Fatalf("status = %d, want 200: %v", code, out)
 	}
@@ -134,7 +134,7 @@ func TestQueryLimit(t *testing.T) {
 
 func TestQueryLimitBadParam(t *testing.T) {
 	srv, _ := queryFixture()
-	code, _ := doQueryJSON(t, srv, "GET", "/query/limit?n=two", "")
+	code, _ := doQueryJSON(t, srv, "GET", "/v1/query/limit?n=two", "")
 	if code != 400 {
 		t.Errorf("status for bad n = %d, want 400", code)
 	}
@@ -143,7 +143,7 @@ func TestQueryLimitBadParam(t *testing.T) {
 func TestQueryDwell(t *testing.T) {
 	srv, st := queryFixture()
 	body := `{"category":"car","region":[[-1,-1],[641,-1],[641,361],[-1,361]]}`
-	code, out := doQueryJSON(t, srv, "POST", "/query/dwell", body)
+	code, out := doQueryJSON(t, srv, "POST", "/v1/query/dwell", body)
 	if code != 200 {
 		t.Fatalf("status = %d, want 200: %v", code, out)
 	}
@@ -163,11 +163,11 @@ func TestQueryDwell(t *testing.T) {
 
 func TestQueryDwellBadRegion(t *testing.T) {
 	srv, _ := queryFixture()
-	code, _ := doQueryJSON(t, srv, "POST", "/query/dwell", `{"category":"car","region":[[0,0],[1,1]]}`)
+	code, _ := doQueryJSON(t, srv, "POST", "/v1/query/dwell", `{"category":"car","region":[[0,0],[1,1]]}`)
 	if code != 400 {
 		t.Errorf("status for 2-vertex region = %d, want 400", code)
 	}
-	code, _ = doQueryJSON(t, srv, "POST", "/query/dwell", `not json`)
+	code, _ = doQueryJSON(t, srv, "POST", "/v1/query/dwell", `not json`)
 	if code != 400 {
 		t.Errorf("status for invalid JSON = %d, want 400", code)
 	}
@@ -177,21 +177,21 @@ func TestQueryUnavailableStore(t *testing.T) {
 	datasets := store.NewRegistry()
 	datasets.Register("live", store.ProviderFunc(func() store.Querier { return nil }))
 	srv := &Server{Queries: &QueryAPI{Datasets: datasets}}
-	for _, target := range []string{"/query/count", "/query/breakdown", "/query/limit"} {
+	for _, target := range []string{"/v1/query/count", "/v1/query/breakdown", "/v1/query/limit"} {
 		code, _ := doQueryJSON(t, srv, "GET", target, "")
 		if code != 503 {
 			t.Errorf("GET %s with nil store: status = %d, want 503", target, code)
 		}
 	}
-	code, _ := doQueryJSON(t, srv, "POST", "/query/dwell", `{}`)
+	code, _ := doQueryJSON(t, srv, "POST", "/v1/query/dwell", `{}`)
 	if code != 503 {
-		t.Errorf("POST /query/dwell with nil store: status = %d, want 503", code)
+		t.Errorf("POST /v1/query/dwell with nil store: status = %d, want 503", code)
 	}
 }
 
 func TestQueryRoutesAbsentWithoutAPI(t *testing.T) {
 	srv := &Server{}
-	req := httptest.NewRequest("GET", "/query/count", nil)
+	req := httptest.NewRequest("GET", "/v1/query/count", nil)
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != 404 {

@@ -24,89 +24,44 @@ func shardedFixtureDataset(t *testing.T, srv *Server, st *store.Store) *store.Sh
 	return sh
 }
 
-// TestRouteAliases is the routing table test: every legacy unversioned
-// route must answer exactly like its /v1 successor, carry the Deprecation
-// header and a Link naming the successor, while the canonical route
-// carries neither.
-func TestRouteAliases(t *testing.T) {
+// TestUnversionedRoutesGone is the routing table test: the query, stream
+// and debug routes answer under /v1 only, and pprof answers both under
+// /v1 and where the stdlib hardcodes it.
+func TestUnversionedRoutesGone(t *testing.T) {
 	srv, _ := queryFixture()
 	srv.Streams = func() (ingest.Stats, bool) { return ingest.Stats{}, false }
 	h := srv.Handler()
 
-	cases := []struct {
-		method, legacy, body string
-		compareBody          bool // skip for endpoints whose body varies per request
-	}{
-		{"GET", "/query/count?category=car", "", true},
-		{"GET", "/query/breakdown?category=car", "", true},
-		{"GET", "/query/limit?category=car&n=2&limit=3", "", true},
-		{"POST", "/query/dwell", `{"category":"car","region":[[-1,-1],[641,-1],[641,361],[-1,361]]}`, true},
-		{"GET", "/streams", "", true},
-		{"GET", "/debug/slow", "", false},
-		{"GET", "/debug/trace", "", false},
-		{"GET", "/debug/vars", "", false},
-		{"GET", "/debug/pprof/", "", false},
+	status := func(method, target, body string) int {
+		req := httptest.NewRequest(method, target, strings.NewReader(body))
+		if body != "" {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	cases := []struct{ method, path, body string }{
+		{"GET", "/query/count?category=car", ""},
+		{"GET", "/query/breakdown?category=car", ""},
+		{"GET", "/query/limit?category=car&n=2&limit=3", ""},
+		{"POST", "/query/dwell", `{"category":"car","region":[[-1,-1],[641,-1],[641,361],[-1,361]]}`},
+		{"GET", "/streams", ""},
+		{"GET", "/debug/slow", ""},
+		{"GET", "/debug/bundle", ""},
+		{"GET", "/debug/vars", ""},
 	}
 	for _, c := range cases {
-		do := func(target string) *httptest.ResponseRecorder {
-			req := httptest.NewRequest(c.method, target, strings.NewReader(c.body))
-			if c.body != "" {
-				req.Header.Set("Content-Type", "application/json")
-			}
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			return rec
+		if got := status(c.method, c.path, c.body); got != 404 {
+			t.Errorf("%s %s = %d, want 404", c.method, c.path, got)
 		}
-		legacy, canonical := do(c.legacy), do("/v1"+c.legacy)
-
-		if legacy.Code != canonical.Code {
-			t.Errorf("%s %s = %d but /v1 successor = %d", c.method, c.legacy, legacy.Code, canonical.Code)
-		}
-		if c.compareBody && legacy.Body.String() != canonical.Body.String() {
-			t.Errorf("%s %s body differs from its /v1 successor:\nlegacy:    %s\ncanonical: %s",
-				c.method, c.legacy, legacy.Body.String(), canonical.Body.String())
-		}
-		if got := legacy.Header().Get("Deprecation"); got != "true" {
-			t.Errorf("%s %s Deprecation header = %q, want \"true\"", c.method, c.legacy, got)
-		}
-		path := c.legacy
-		if i := strings.IndexByte(path, '?'); i >= 0 {
-			path = path[:i]
-		}
-		if got, want := legacy.Header().Get("Link"), "</v1"+path+`>; rel="successor-version"`; got != want {
-			t.Errorf("%s %s Link header = %q, want %q", c.method, c.legacy, got, want)
-		}
-		if got := canonical.Header().Get("Deprecation"); got != "" {
-			t.Errorf("canonical %s /v1%s carries Deprecation header %q", c.method, c.legacy, got)
-		}
-		if got := canonical.Header().Get("Link"); got != "" {
-			t.Errorf("canonical %s /v1%s carries Link header %q", c.method, c.legacy, got)
+		if got := status(c.method, "/v1"+c.path, c.body); got != 200 {
+			t.Errorf("%s /v1%s = %d, want 200", c.method, c.path, got)
 		}
 	}
-}
-
-// TestRouteMetricKeysSeparate pins that canonical and alias routes keep
-// separate serve.route.* metric keys, so residual legacy traffic is
-// observable in /metrics.
-func TestRouteMetricKeysSeparate(t *testing.T) {
-	srv, _ := queryFixture()
-	h := srv.Handler()
-	for _, target := range []string{"/query/count?category=car", "/v1/query/count?category=car"} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
-		if rec.Code != 200 {
-			t.Fatalf("GET %s = %d", target, rec.Code)
-		}
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
-	for _, series := range []string{
-		"otif_serve_route_query_count_requests_total",
-		"otif_serve_route_v1_query_count_requests_total",
-	} {
-		if !strings.Contains(body, series) {
-			t.Errorf("/metrics missing series %s", series)
+	for _, path := range []string{"/debug/pprof/", "/v1/debug/pprof/"} {
+		if got := status("GET", path, ""); got != 200 {
+			t.Errorf("GET %s = %d, want 200", path, got)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 
 	"otif/internal/ingest"
 	"otif/internal/obs"
@@ -32,29 +31,21 @@ import (
 //	GET  /v1/debug/bundle       one-shot tar.gz post-mortem artifact
 //	GET  /v1/debug/vars         expvar
 //	     /v1/debug/pprof/*      CPU/heap/goroutine profiling
-//
-// The pre-versioning routes (/query/*, /streams, /debug/*) remain as thin
-// aliases onto the same handlers; they answer identically but set a
-// "Deprecation: true" header and a Link header naming the successor
-// route, so clients can migrate mechanically. The routing table test pins
-// the alias ↔ canonical pairing.
+//	     /debug/pprof/*         the same, where the stdlib and its tools expect it
 //
 // Every route is wrapped with per-route telemetry (request counter,
 // in-flight gauge, status-class counters, latency histogram) exported as
-// serve.route.* metrics; see middleware.go. Canonical and alias routes
-// keep separate metric keys (v1_query_count vs query_count), which makes
-// residual legacy traffic observable.
+// serve.route.* metrics; see middleware.go.
 type Server struct {
 	// Registry is the metrics source; nil selects obs.Default.
 	Registry *obs.Registry
 	// Manager handles the /jobs endpoints; nil serves 404 for them.
 	Manager *Manager
-	// Queries handles the /v1/query endpoints (and their legacy aliases);
-	// nil serves 404 for them.
+	// Queries handles the /v1/query endpoints; nil serves 404 for them.
 	Queries *QueryAPI
 	// Ready gates /readyz; nil means always ready.
 	Ready func() bool
-	// Streams reports the active ingest session's stats for GET /streams;
+	// Streams reports the active ingest session's stats for GET /v1/streams;
 	// ok is false when no session is streaming. nil serves 404 for the
 	// endpoint.
 	Streams func() (ingest.Stats, bool)
@@ -66,18 +57,8 @@ type Server struct {
 	// SlowK caps the slow-request log (0 selects DefaultSlowRequests).
 	SlowK int
 
-	// slow retains the K slowest /query/* requests; built by Handler.
+	// slow retains the K slowest /v1/query/* requests; built by Handler.
 	slow *slowLog
-}
-
-// deprecate wraps a legacy alias handler: same behavior, plus the RFC
-// 9745 Deprecation header and a Link naming the canonical successor.
-func deprecate(successor string, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-		h.ServeHTTP(w, r)
-	})
 }
 
 // Handler builds the routing table. Every route — including the debug
@@ -92,16 +73,6 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle(pattern, s.instrumentRoute(pattern, h))
 	}
 	handleFunc := func(pattern string, h http.HandlerFunc) { handle(pattern, h) }
-	// alias mounts a legacy unversioned route onto its /v1 successor's
-	// handler: the successor path is the pattern's path prefixed with /v1.
-	alias := func(pattern string, h http.Handler) {
-		path := pattern
-		if i := strings.IndexByte(path, ' '); i >= 0 {
-			path = path[i+1:]
-		}
-		handle(pattern, deprecate("/v1"+path, h))
-	}
-	aliasFunc := func(pattern string, h http.HandlerFunc) { alias(pattern, h) }
 	handleFunc("GET /metrics", s.handleMetrics)
 	handleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -123,20 +94,15 @@ func (s *Server) Handler() http.Handler {
 		handleFunc("POST /jobs/{id}/cancel", s.handleJobCancel)
 	}
 	if s.Queries != nil {
-		s.Queries.register(handleFunc, aliasFunc)
+		s.Queries.register(handleFunc)
 	}
 	if s.Streams != nil {
 		handleFunc("GET /v1/streams", s.handleStreams)
-		aliasFunc("GET /streams", s.handleStreams)
 	}
 	handleFunc("GET /v1/debug/trace", s.handleTrace)
-	aliasFunc("GET /debug/trace", s.handleTrace)
 	handleFunc("GET /v1/debug/slow", s.handleSlow)
-	aliasFunc("GET /debug/slow", s.handleSlow)
 	handleFunc("GET /v1/debug/bundle", s.handleBundle)
-	aliasFunc("GET /debug/bundle", s.handleBundle)
 	handle("GET /v1/debug/vars", expvar.Handler())
-	alias("GET /debug/vars", expvar.Handler())
 	// The stdlib pprof handlers key on the hardcoded /debug/pprof/ prefix,
 	// so the /v1 mount strips its version prefix before delegating.
 	pprofRoutes := []struct {
@@ -151,7 +117,7 @@ func (s *Server) Handler() http.Handler {
 	}
 	for _, pr := range pprofRoutes {
 		handle("/v1/debug/pprof/"+pr.suffix, http.StripPrefix("/v1", pr.h))
-		aliasFunc("/debug/pprof/"+pr.suffix, pr.h)
+		handleFunc("/debug/pprof/"+pr.suffix, pr.h)
 	}
 	return mux
 }

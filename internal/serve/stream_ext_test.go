@@ -14,7 +14,7 @@ import (
 	"otif/internal/store"
 )
 
-// TestQueriesDuringStreamingIngest hammers /query/count and /streams from
+// TestQueriesDuringStreamingIngest hammers /v1/query/count and /v1/streams from
 // several goroutines while a streaming ingest session appends clips to
 // the live store. The live store is append-only, so every valid response
 // must be an exact prefix of the final per-clip counts: a torn index read
@@ -63,7 +63,7 @@ func TestQueriesDuringStreamingIngest(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(srv.URL + "/query/count?category=car")
+				resp, err := http.Get(srv.URL + "/v1/query/count?category=car")
 				if err != nil {
 					t.Error(err)
 					return
@@ -80,7 +80,7 @@ func TestQueriesDuringStreamingIngest(t *testing.T) {
 				}
 				resp.Body.Close()
 
-				resp, err = http.Get(srv.URL + "/streams")
+				resp, err = http.Get(srv.URL + "/v1/streams")
 				if err != nil {
 					t.Error(err)
 					return
@@ -92,7 +92,7 @@ func TestQueriesDuringStreamingIngest(t *testing.T) {
 				if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 					t.Error(err)
 				} else if !sr.Streaming || len(sr.Stats.Cameras) != 2 {
-					t.Errorf("bad /streams response: %+v", sr)
+					t.Errorf("bad /v1/streams response: %+v", sr)
 				}
 				resp.Body.Close()
 			}
@@ -113,7 +113,7 @@ func TestQueriesDuringStreamingIngest(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(responses) == 0 {
-		t.Fatal("no successful /query/count responses recorded")
+		t.Fatal("no successful /v1/query/count responses recorded")
 	}
 	sawFinal := false
 	for _, r := range responses {

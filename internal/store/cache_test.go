@@ -4,9 +4,12 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"otif/internal/geom"
 	"otif/internal/parallel"
+	"otif/internal/query"
 )
 
 // TestCacheHammer fills one cache from many goroutines hammering a small
@@ -126,5 +129,41 @@ func TestCacheNil(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Errorf("nil cache Len = %d", c.Len())
+	}
+}
+
+// panicOncePredicate is CountPredicate{N: 1} that panics on its first Eval.
+type panicOncePredicate struct{ armed *atomic.Bool }
+
+func (p panicOncePredicate) Eval(boxes []geom.Rect) ([]geom.Rect, bool) {
+	if p.armed.CompareAndSwap(true, false) {
+		panic("predicate bug")
+	}
+	return query.CountPredicate{N: 1}.Eval(boxes)
+}
+
+// TestCachePanickedFillNotMemoized: a query whose fill panics reaches its
+// caller as a panic, and the identical query asked again computes the
+// answer. The dead fill must not stay in the cache as a nil result, which
+// scatter's type assertion would panic on for ever after.
+func TestCachePanickedFillNotMemoized(t *testing.T) {
+	perClip, mono, ctx, _ := shardedFixture(3)
+	sh, err := NewSharded("test", ctx, SplitSegments(perClip, ctx, 3), NewCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := panicOncePredicate{armed: new(atomic.Bool)}
+	pred.armed.Store(true)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the panicking predicate did not reach the caller")
+			}
+		}()
+		sh.LimitQuery("", pred, 3, 5)
+	}()
+	want := mono.LimitQuery("", query.CountPredicate{N: 1}, 3, 5)
+	if got := sh.LimitQuery("", pred, 3, 5); !reflect.DeepEqual(got, want) {
+		t.Errorf("query after a panicked fill diverged from the monolithic store\n got: %v\nwant: %v", got, want)
 	}
 }

@@ -38,24 +38,6 @@ func AppendDetFeatures(dst []float64, d detect.Detection, nomW, nomH, fps int, t
 	)
 }
 
-// AppendDetFeatures32 is AppendDetFeatures for the float32 backend: each
-// feature is computed in float64 exactly as the reference and rounded once,
-// so the float32 tracker path sees the closest float32 to the reference
-// features.
-func AppendDetFeatures32(dst []float32, d detect.Detection, nomW, nomH, fps int, tElapsedFrames int) []float32 {
-	w := float64(nomW)
-	h := float64(nomH)
-	return append(dst,
-		float32(d.Box.Center().X/w),
-		float32(d.Box.Center().Y/h),
-		float32(d.Box.W/w),
-		float32(d.Box.H/h),
-		float32(d.AppMean/255),
-		float32(d.AppStd/64),
-		float32(float64(tElapsedFrames)/float64(fps)),
-	)
-}
-
 // pairFeatDim is the feature dimensionality of the pairwise matcher.
 const pairFeatDim = 7
 
@@ -82,22 +64,5 @@ func AppendPairFeatures(dst []float64, prev, cur detect.Detection, nomW, nomH, f
 		prev.Box.IoU(cur.Box),
 		(cur.AppMean-prev.AppMean)/255,
 		float64(tElapsedFrames)/float64(fps),
-	)
-}
-
-// AppendPairFeatures32 is AppendPairFeatures for the float32 backend;
-// features are computed in float64 and rounded once.
-func AppendPairFeatures32(dst []float32, prev, cur detect.Detection, nomW, nomH, fps, tElapsedFrames int) []float32 {
-	w := float64(nomW)
-	h := float64(nomH)
-	dc := cur.Box.Center().Sub(prev.Box.Center())
-	return append(dst,
-		float32(dc.X/w),
-		float32(dc.Y/h),
-		float32((cur.Box.W-prev.Box.W)/w),
-		float32((cur.Box.H-prev.Box.H)/h),
-		float32(prev.Box.IoU(cur.Box)),
-		float32((cur.AppMean-prev.AppMean)/255),
-		float32(float64(tElapsedFrames)/float64(fps)),
 	)
 }

@@ -50,31 +50,3 @@ func AppendMotionFeatures(dst []float64, prefix []detect.Detection, cand detect.
 		pred.IoU(cand.Box),
 	)
 }
-
-// AppendMotionFeatures32 is AppendMotionFeatures for the float32 backend:
-// the geometry runs in float64 exactly as the reference and each feature is
-// rounded once on append.
-func AppendMotionFeatures32(dst []float32, prefix []detect.Detection, cand detect.Detection, nomW, nomH int) []float32 {
-	w := float64(nomW)
-	h := float64(nomH)
-	last := prefix[len(prefix)-1]
-	vx, vy := 0.0, 0.0 // nominal px per frame
-	if len(prefix) >= 2 {
-		prev := prefix[len(prefix)-2]
-		dt := float64(last.FrameIdx - prev.FrameIdx)
-		if dt > 0 {
-			d := last.Box.Center().Sub(prev.Box.Center())
-			vx, vy = d.X/dt, d.Y/dt
-		}
-	}
-	dt := float64(cand.FrameIdx - last.FrameIdx)
-	pred := last.Box.Translate(vx*dt, vy*dt)
-	residual := cand.Box.Center().Sub(pred.Center())
-	return append(dst,
-		float32(residual.X/w*4), // scaled so typical residuals use the range
-		float32(residual.Y/h*4),
-		float32((cand.Box.W-last.Box.W)/w*4),
-		float32((cand.Box.H-last.Box.H)/h*4),
-		float32(pred.IoU(cand.Box)),
-	)
-}

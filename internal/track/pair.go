@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"otif/internal/costmodel"
 	"otif/internal/detect"
@@ -21,18 +20,6 @@ type PairModel struct {
 	NomW  int
 	NomH  int
 	FPS   int
-
-	// once32 guards the lazy one-time float32 conversion of the trained
-	// weights; see RecurrentModel.models32 for the contract.
-	once32  sync.Once
-	match32 *nn.MLP32
-}
-
-// model32 returns the float32 twin of the trained matching MLP, converting
-// it on first use. Safe for concurrent callers.
-func (m *PairModel) model32() *nn.MLP32 {
-	m.once32.Do(func() { m.match32 = m.Match.To32() })
-	return m.match32
 }
 
 // NewPairModel creates an untrained pairwise matching model.
@@ -53,9 +40,6 @@ type PairTracker struct {
 	MaxMisses int
 	MaxSpeed  float64
 	Acct      *costmodel.Accountant
-	// Prec selects the compute backend for this tracker instance; the zero
-	// value is the float64 reference. Set before the first Update.
-	Prec nn.Precision
 
 	active []*pairTrack
 	done   []*Track
@@ -91,11 +75,6 @@ func (p *PairTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 		p.scratch = getScratch()
 	}
 	s := p.scratch
-	f32 := p.Prec == nn.Float32
-	var match32 *nn.MLP32
-	if f32 {
-		match32 = m.model32()
-	}
 	const blocked = 1e6
 	maxDisp := p.MaxSpeed*float64(ctx.GapFrames)/float64(m.FPS) + 0.08*float64(m.NomW)
 	cost := growMatrix(&s.cost, &s.costBuf, len(p.active), len(dets))
@@ -108,14 +87,8 @@ func (p *PairTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 				continue
 			}
 			scored++
-			var prob float64
-			if f32 {
-				s.featBuf32 = AppendPairFeatures32(s.featBuf32[:0], last, d, m.NomW, m.NomH, m.FPS, ctx.GapFrames)
-				prob = float64(match32.ApplyWith(&s.nn32, nn.Vec32(s.featBuf32))[0])
-			} else {
-				s.featBuf = AppendPairFeatures(s.featBuf[:0], last, d, m.NomW, m.NomH, m.FPS, ctx.GapFrames)
-				prob = m.Match.ApplyWith(&s.nn, nn.Vec(s.featBuf))[0]
-			}
+			s.featBuf = AppendPairFeatures(s.featBuf[:0], last, d, m.NomW, m.NomH, m.FPS, ctx.GapFrames)
+			prob := m.Match.ApplyWith(&s.nn, nn.Vec(s.featBuf))[0]
 			cost[i][j] = -math.Log(math.Max(prob, 1e-9))
 		}
 	}

@@ -2,7 +2,6 @@ package track
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"otif/internal/obs"
 )
@@ -10,12 +9,12 @@ import (
 // This file implements pooled per-clip allocation for the trackers. Clip
 // execution constructs one tracker per clip, so without pooling every clip
 // re-grows the same working storage: the cost-matrix and Hungarian buffers,
-// the feature scratch, the batched-GRU gate matrices, and one small hidden
-// vector per started track. A sync.Pool of matchScratch instances (each
-// carrying a slab arena for hidden vectors) lets a finished clip hand its
-// fully grown buffers to the next clip on the same worker. Pool traffic is
-// observable through the track.pool.* counters; pooling is purely a memory
-// optimization and never changes results.
+// the feature scratch, and one small hidden vector per started track. A
+// sync.Pool of matchScratch instances (each carrying a slab arena for
+// hidden vectors) lets a finished clip hand its fully grown buffers to the
+// next clip on the same worker. Pool traffic is observable through the
+// track.pool.* counters; pooling is purely a memory optimization and never
+// changes results.
 
 // Pool effectiveness counters: a hit means a tracker reused a previously
 // grown scratch, a miss means a fresh one was built.
@@ -40,19 +39,14 @@ func getScratch() *matchScratch {
 	return &matchScratch{}
 }
 
-// putScratch releases the tracker references a scratch may hold, resets
-// its hidden-vector arena and returns it to the pool. The caller must not
-// use s (or any hidden vector drawn from its arena) afterwards.
+// putScratch resets a scratch's hidden-vector arena and returns it to the
+// pool. The caller must not use s (or any hidden vector drawn from its
+// arena) afterwards.
 func putScratch(s *matchScratch) {
 	if s == nil {
 		return
 	}
-	for i := range s.batchTracks {
-		s.batchTracks[i] = nil
-	}
-	s.batchTracks = s.batchTracks[:0]
 	s.arena.release()
-	s.arena32.release()
 	scratchPool.Put(s)
 }
 
@@ -61,25 +55,24 @@ func putScratch(s *matchScratch) {
 const vecSlabFloats = 4096
 
 // vecArena hands out small zeroed vector chunks carved from reusable
-// slabs, generic over the backend element type (vecArena[float64] backs
-// nn.Vec hidden states, vecArena[float32] the float32 backend's). Chunks
-// stay valid until release; release keeps the slabs, so an arena that
-// cycles through the scratch pool reaches a steady state where starting a
-// track allocates nothing. Oversized requests fall back to the heap.
-type vecArena[F float32 | float64] struct {
-	slabs [][]F
+// slabs. Chunks stay valid until release; release keeps the slabs, so an
+// arena that cycles through the scratch pool reaches a steady state where
+// starting a track allocates nothing. Oversized requests fall back to the
+// heap.
+type vecArena struct {
+	slabs [][]float64
 	cur   int // index of the slab currently being carved
 	off   int // carve offset within that slab
 }
 
 // alloc returns a zeroed vector of length n from the arena.
-func (a *vecArena[F]) alloc(n int) []F {
+func (a *vecArena) alloc(n int) []float64 {
 	if n > vecSlabFloats {
-		return make([]F, n)
+		return make([]float64, n)
 	}
 	for {
 		if a.cur >= len(a.slabs) {
-			a.slabs = append(a.slabs, make([]F, vecSlabFloats))
+			a.slabs = append(a.slabs, make([]float64, vecSlabFloats))
 		}
 		s := a.slabs[a.cur]
 		if a.off+n <= len(s) {
@@ -95,22 +88,6 @@ func (a *vecArena[F]) alloc(n int) []F {
 
 // release invalidates every vector handed out and makes the slabs
 // available for reuse.
-func (a *vecArena[F]) release() {
+func (a *vecArena) release() {
 	a.cur, a.off = 0, 0
 }
-
-// batchedGRU gates the recurrent tracker's batched inference path: when
-// on, each Update advances all matched tracks' hidden states with one
-// GRUCell.StepBatchInferInto call instead of one StepInferInto per track.
-// Both paths are bit-identical (pinned by differential tests); the toggle
-// exists so tests and benchmarks can compare them.
-var batchedGRU atomic.Bool
-
-func init() { batchedGRU.Store(true) }
-
-// SetBatchedInference turns the batched recurrent inference path on or
-// off process-wide. Results are bit-for-bit identical in both states.
-func SetBatchedInference(on bool) { batchedGRU.Store(on) }
-
-// BatchedInference reports whether the batched inference path is active.
-func BatchedInference() bool { return batchedGRU.Load() }

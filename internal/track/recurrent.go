@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"otif/internal/costmodel"
 	"otif/internal/detect"
@@ -22,26 +21,6 @@ type RecurrentModel struct {
 	NomW   int
 	NomH   int
 	FPS    int
-
-	// once32 guards the lazy one-time float32 conversion of the trained
-	// weights (nn.Precision Float32 backend). Conversion happens on first
-	// float32 inference — after training or loading, both of which mutate
-	// only the float64 weights — and the converted models are read-only
-	// and shared across clips. A model retrained after float32 inference
-	// must be rebuilt (nothing in the pipeline does that).
-	once32  sync.Once
-	gru32   *nn.GRUCell32
-	match32 *nn.MLP32
-}
-
-// models32 returns the float32 twins of the trained weights, converting
-// them on first use. Safe for concurrent callers.
-func (m *RecurrentModel) models32() (*nn.GRUCell32, *nn.MLP32) {
-	m.once32.Do(func() {
-		m.gru32 = m.GRU.To32()
-		m.match32 = m.Match.To32()
-	})
-	return m.gru32, m.match32
 }
 
 // NewRecurrentModel creates an untrained recurrent tracking model for the
@@ -85,10 +64,8 @@ type RecurrentTracker struct {
 	MaxSpeed float64
 	// Acct is charged TrackerPerAssoc per scored pair.
 	Acct *costmodel.Accountant
-	// Prec selects the compute backend for this tracker instance; the
-	// zero value is the float64 reference. It is fixed for the tracker's
-	// life (set before the first Update): hidden states live in the
-	// backend's element type.
+	// Prec is named by benchmark/replay.go; delete with the next benchmark
+	// PR. Nothing reads it.
 	Prec nn.Precision
 
 	active []*recTrack
@@ -108,11 +85,9 @@ type RecurrentTracker struct {
 }
 
 type recTrack struct {
-	track Track
-	// Exactly one of hidden/hidden32 is populated, per the tracker's Prec.
-	hidden   nn.Vec
-	hidden32 nn.Vec32
-	misses   int
+	track  Track
+	hidden nn.Vec
+	misses int
 }
 
 // NewRecurrentTracker wraps a trained model with the default inference
@@ -141,24 +116,10 @@ func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 	metUpdates.Inc()
 	m := r.Model
 	s := r.scratchRef()
-	batched := batchedGRU.Load()
-	f32 := r.Prec == nn.Float32
 	r.lastConf = 1
-	// Per-detection feature rows in the backend's element type. Matching
-	// probabilities are computed by the selected backend; everything
-	// downstream of them (cost matrix, assignment, track bookkeeping)
-	// stays float64 in both modes.
-	var feats []nn.Vec
-	var feats32 []nn.Vec32
-	var gru32 *nn.GRUCell32
-	if f32 {
-		gru32, _ = m.models32()
-		feats32 = s.detFeatureRows32(dets, m.NomW, m.NomH, m.FPS, ctx.GapFrames)
-	} else {
-		feats = s.detFeatureRows(dets, m.NomW, m.NomH, m.FPS, ctx.GapFrames)
-	}
+	feats := s.detFeatureRows(dets, m.NomW, m.NomH, m.FPS, ctx.GapFrames)
 	if len(r.active) == 0 {
-		r.startAll(dets, nil, batched)
+		r.startAll(dets, nil)
 		return
 	}
 
@@ -174,14 +135,8 @@ func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 				continue
 			}
 			scored++
-			var p float64
-			if f32 {
-				s.motion32 = AppendMotionFeatures32(s.motion32[:0], tr.track.Dets, d, m.NomW, m.NomH)
-				p = float64(m.scoreWith32(s, tr.hidden32, feats32[j], nn.Vec32(s.motion32)))
-			} else {
-				s.motion = AppendMotionFeatures(s.motion[:0], tr.track.Dets, d, m.NomW, m.NomH)
-				p = m.scoreWith(s, tr.hidden, feats[j], nn.Vec(s.motion))
-			}
+			s.motion = AppendMotionFeatures(s.motion[:0], tr.track.Dets, d, m.NomW, m.NomH)
+			p := m.scoreWith(s, tr.hidden, feats[j], nn.Vec(s.motion))
 			cost[i][j] = -math.Log(math.Max(p, 1e-9))
 		}
 	}
@@ -195,12 +150,6 @@ func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 
 	usedDet := grow(&s.usedDet, len(dets))
 	clear(usedDet)
-	// The hidden-state updates of matched tracks are independent of this
-	// round's decisions (the cost matrix is already built), so the batched
-	// path defers them: the match loop gathers (track, detection) pairs and
-	// one StepBatchInferInto advances every hidden state afterwards.
-	batchTracks := s.batchTracks[:0]
-	batchDet := s.batchDet[:0]
 	active := r.active
 	remaining := r.active[:0] // in-place filter; reads stay ahead of writes
 	for i, tr := range active {
@@ -219,29 +168,9 @@ func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 			r.lastConf = p
 		}
 		tr.track.Dets = append(tr.track.Dets, dets[j])
-		if batched {
-			batchTracks = append(batchTracks, tr)
-			batchDet = append(batchDet, j)
-		} else if f32 {
-			gru32.StepInferInto(tr.hidden32, tr.hidden32, feats32[j], &s.nn32)
-		} else {
-			m.GRU.StepInferInto(tr.hidden, tr.hidden, feats[j], &s.nn)
-		}
+		m.GRU.StepInferInto(tr.hidden, tr.hidden, feats[j], &s.nn)
 		tr.misses = 0
 		remaining = append(remaining, tr)
-	}
-	s.batchTracks, s.batchDet = batchTracks, batchDet
-	if len(batchTracks) > 0 {
-		if f32 {
-			r.stepMatched32(gru32, batchTracks, feats32, batchDet)
-		} else {
-			r.stepMatched(batchTracks, feats, batchDet)
-		}
-		// Drop the gathered references so the pooled scratch never pins
-		// finished tracks.
-		for i := range batchTracks {
-			batchTracks[i] = nil
-		}
 	}
 	// Drop dangling pointers in the filtered-out suffix so dead tracks can
 	// be collected.
@@ -249,133 +178,16 @@ func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 		active[i] = nil
 	}
 	r.active = remaining
-	r.startAll(dets, usedDet, batched)
-}
-
-// stepMatched advances the hidden states of the gathered matched tracks in
-// one batched GRU step: hidden states and matched detection features are
-// packed row-major, stepped together, and scattered back. Each row is
-// bit-identical to the scalar StepInferInto the non-batched path runs.
-func (r *RecurrentTracker) stepMatched(tracks []*recTrack, feats []nn.Vec, det []int) {
-	s := r.scratch
-	n := r.Model.Hidden
-	rows := len(tracks)
-	hB := growVec(&s.hB, rows*n)
-	xB := grow(&s.xB, rows*FeatDim)
-	for b, tr := range tracks {
-		copy(hB[b*n:(b+1)*n], tr.hidden)
-		copy(xB[b*FeatDim:(b+1)*FeatDim], feats[det[b]])
-	}
-	r.Model.GRU.StepBatchInferInto(hB, hB, nn.Vec(xB), rows, &s.batch)
-	for b, tr := range tracks {
-		copy(tr.hidden, hB[b*n:(b+1)*n])
-	}
-}
-
-// stepMatched32 is stepMatched on the float32 backend. Each row is
-// bit-identical to the scalar GRUCell32.StepInferInto the non-batched
-// float32 path runs.
-func (r *RecurrentTracker) stepMatched32(gru32 *nn.GRUCell32, tracks []*recTrack, feats []nn.Vec32, det []int) {
-	s := r.scratch
-	n := r.Model.Hidden
-	rows := len(tracks)
-	hB := growVec32(&s.hB32, rows*n)
-	xB := grow(&s.xB32, rows*FeatDim)
-	for b, tr := range tracks {
-		copy(hB[b*n:(b+1)*n], tr.hidden32)
-		copy(xB[b*FeatDim:(b+1)*FeatDim], feats[det[b]])
-	}
-	gru32.StepBatchInferInto(hB, hB, nn.Vec32(xB), rows, &s.batch32)
-	for b, tr := range tracks {
-		copy(tr.hidden32, hB[b*n:(b+1)*n])
-	}
+	r.startAll(dets, usedDet)
 }
 
 // startAll opens a track for every unmatched detection (usedDet == nil
-// means all detections are unmatched). The batched path folds all the
-// first GRU steps — zero hidden state, t_elapsed = 0 features, matching
-// how training prefixes begin — into one StepBatchInferInto call.
-func (r *RecurrentTracker) startAll(dets []detect.Detection, usedDet []bool, batched bool) {
-	if !batched {
-		for j, d := range dets {
-			if usedDet == nil || !usedDet[j] {
-				r.start(d)
-			}
-		}
-		return
-	}
-	if r.Prec == nn.Float32 {
-		r.startAll32(dets, usedDet)
-		return
-	}
-	s := r.scratch
-	m := r.Model
-	n := m.Hidden
-	xB := s.xB[:0]
-	rows := 0
+// means all detections are unmatched).
+func (r *RecurrentTracker) startAll(dets []detect.Detection, usedDet []bool) {
 	for j, d := range dets {
-		if usedDet != nil && usedDet[j] {
-			continue
+		if usedDet == nil || !usedDet[j] {
+			r.start(d)
 		}
-		xB = AppendDetFeatures(xB, d, m.NomW, m.NomH, m.FPS, 0)
-		rows++
-	}
-	s.xB = xB
-	if rows == 0 {
-		return
-	}
-	hB := growVec(&s.hB, rows*n)
-	clear(hB) // new tracks step from the zero hidden state
-	m.GRU.StepBatchInferInto(hB, hB, nn.Vec(xB), rows, &s.batch)
-	b := 0
-	for j, d := range dets {
-		if usedDet != nil && usedDet[j] {
-			continue
-		}
-		h := s.arena.alloc(n)
-		copy(h, hB[b*n:(b+1)*n])
-		b++
-		r.active = append(r.active, &recTrack{
-			track:  Track{Dets: []detect.Detection{d}},
-			hidden: h,
-		})
-	}
-}
-
-// startAll32 is the batched startAll on the float32 backend.
-func (r *RecurrentTracker) startAll32(dets []detect.Detection, usedDet []bool) {
-	s := r.scratch
-	m := r.Model
-	n := m.Hidden
-	gru32, _ := m.models32()
-	xB := s.xB32[:0]
-	rows := 0
-	for j, d := range dets {
-		if usedDet != nil && usedDet[j] {
-			continue
-		}
-		xB = AppendDetFeatures32(xB, d, m.NomW, m.NomH, m.FPS, 0)
-		rows++
-	}
-	s.xB32 = xB
-	if rows == 0 {
-		return
-	}
-	hB := growVec32(&s.hB32, rows*n)
-	clear(hB) // new tracks step from the zero hidden state
-	gru32.StepBatchInferInto(hB, hB, nn.Vec32(xB), rows, &s.batch32)
-	b := 0
-	for j, d := range dets {
-		if usedDet != nil && usedDet[j] {
-			continue
-		}
-		h := nn.Vec32(s.arena32.alloc(n))
-		copy(h, hB[b*n:(b+1)*n])
-		b++
-		r.active = append(r.active, &recTrack{
-			track:    Track{Dets: []detect.Detection{d}},
-			hidden32: h,
-		})
 	}
 }
 
@@ -390,33 +202,12 @@ func (m *RecurrentModel) scoreWith(s *matchScratch, h, f, motion nn.Vec) float64
 	return m.Match.ApplyWith(&s.nn, in)[0]
 }
 
-// scoreWith32 is scoreWith on the float32 backend.
-func (m *RecurrentModel) scoreWith32(s *matchScratch, h, f, motion nn.Vec32) float32 {
-	_, match32 := m.models32()
-	in := growVec32(&s.in32, len(h)+len(f)+len(motion))
-	copy(in, h)
-	copy(in[len(h):], f)
-	copy(in[len(h)+len(f):], motion)
-	return match32.ApplyWith(&s.nn32, in)[0]
-}
-
 // start opens a new track. The first detection's feature uses
 // t_elapsed = 0, matching how training prefixes begin. The hidden vector
 // is retained state owned by the track, drawn from the scratch arena
 // (tracks never outlive their tracker's Finish).
 func (r *RecurrentTracker) start(d detect.Detection) {
 	s := r.scratchRef()
-	if r.Prec == nn.Float32 {
-		gru32, _ := r.Model.models32()
-		s.startFeat32 = AppendDetFeatures32(s.startFeat32[:0], d, r.Model.NomW, r.Model.NomH, r.Model.FPS, 0)
-		h := nn.Vec32(s.arena32.alloc(r.Model.Hidden))
-		gru32.StepInferInto(h, h, nn.Vec32(s.startFeat32), &s.nn32)
-		r.active = append(r.active, &recTrack{
-			track:    Track{Dets: []detect.Detection{d}},
-			hidden32: h,
-		})
-		return
-	}
 	s.startFeat = AppendDetFeatures(s.startFeat[:0], d, r.Model.NomW, r.Model.NomH, r.Model.FPS, 0)
 	h := s.arena.alloc(r.Model.Hidden)
 	r.Model.GRU.StepInferInto(h, h, nn.Vec(s.startFeat), &s.nn)

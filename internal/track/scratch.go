@@ -33,15 +33,6 @@ func growVec(v *nn.Vec, n int) nn.Vec {
 	return *v
 }
 
-// growVec32 is grow for nn.Vec32 buffers.
-func growVec32(v *nn.Vec32, n int) nn.Vec32 {
-	if cap(*v) < n {
-		*v = make(nn.Vec32, n)
-	}
-	*v = (*v)[:n]
-	return *v
-}
-
 // growMatrix shapes an n x m matrix over one flat backing buffer, reusing
 // both the row-header slice and the backing storage. Contents are
 // unspecified.
@@ -59,9 +50,8 @@ func growMatrix(rows *[][]float64, buf *[]float64, n, m int) [][]float64 {
 // acquire one lazily on first Update and release it in Finish, so clips
 // executed back to back reuse fully grown buffers.
 type matchScratch struct {
-	nn     nn.Scratch      // matching-MLP and GRU buffers
-	assign AssignScratch   // Hungarian working storage
-	batch  nn.BatchScratch // batched-GRU gate matrices
+	nn     nn.Scratch    // matching-MLP and GRU buffers
+	assign AssignScratch // Hungarian working storage
 
 	featBuf   []float64   // flat per-detection feature matrix
 	feats     []nn.Vec    // row views into featBuf
@@ -72,33 +62,10 @@ type matchScratch struct {
 	cost      [][]float64 // row views into costBuf
 	usedDet   []bool
 
-	// Batched-inference gather buffers: matched tracks and their detection
-	// indices, plus the flat row-major hidden/feature matrices handed to
-	// GRUCell.StepBatchInferInto.
-	batchTracks []*recTrack
-	batchDet    []int
-	hB          nn.Vec
-	xB          []float64
-
-	// Float32-backend mirrors of the buffers above (see nn.Precision). A
-	// tracker uses one precision for its whole life, so only one family of
-	// buffers grows; the idle family costs a few empty slice headers.
-	nn32        nn.Scratch32
-	batch32     nn.BatchScratch32
-	featBuf32   []float32
-	feats32     []nn.Vec32
-	motion32    []float32
-	in32        nn.Vec32
-	startFeat32 []float32
-	hB32        nn.Vec32
-	xB32        []float32
-
 	// arena backs the hidden vectors of started tracks; it is released
 	// when the scratch returns to the pool (tracker Finish), after which
-	// no track referencing those vectors exists. arena32 is its
-	// float32-backend counterpart.
-	arena   vecArena[float64]
-	arena32 vecArena[float32]
+	// no track referencing those vectors exists.
+	arena vecArena
 }
 
 // detFeatureRows fills the scratch's flat feature matrix with one
@@ -113,20 +80,6 @@ func (s *matchScratch) detFeatureRows(dets []detect.Detection, nomW, nomH, fps, 
 	feats := grow(&s.feats, len(dets))
 	for j := range feats {
 		feats[j] = nn.Vec(buf[j*FeatDim : (j+1)*FeatDim])
-	}
-	return feats
-}
-
-// detFeatureRows32 is detFeatureRows for the float32 backend.
-func (s *matchScratch) detFeatureRows32(dets []detect.Detection, nomW, nomH, fps, tElapsedFrames int) []nn.Vec32 {
-	buf := s.featBuf32[:0]
-	for _, d := range dets {
-		buf = AppendDetFeatures32(buf, d, nomW, nomH, fps, tElapsedFrames)
-	}
-	s.featBuf32 = buf
-	feats := grow(&s.feats32, len(dets))
-	for j := range feats {
-		feats[j] = nn.Vec32(buf[j*FeatDim : (j+1)*FeatDim])
 	}
 	return feats
 }

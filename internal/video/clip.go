@@ -48,9 +48,9 @@ func (c *Clip) Frame(idx int) *Frame { return c.Source.Frame(idx) }
 // given decode resolution to the accountant. It mirrors the paper's
 // execution pipeline where frames are decoded at the object detector
 // resolution, so lower-resolution configurations also decode faster.
-// When the process-wide prefetch depth is positive, decoding runs in a
-// producer goroutine a bounded number of frames ahead (see prefetch.go);
-// frames, costs and counters are bit-identical either way.
+// Decoding runs in a producer goroutine a bounded number of frames ahead
+// (see prefetch.go); frames, costs and counters are bit-identical to
+// synchronous decode.
 type Reader struct {
 	clip     *Clip
 	gap      int
@@ -61,14 +61,14 @@ type Reader struct {
 	lastIdx  int
 	haveLast bool
 
-	// Decode-ahead state; nil when prefetching is disabled.
+	// Decode-ahead state; nil once the producer is gone.
 	ch     chan prefetched
 	cancel context.CancelFunc
 }
 
 // NewReader creates a reader over clip with sampling gap g (g >= 1),
 // decoding at the given nominal resolution for cost purposes. Decode-ahead
-// (if enabled) runs until end of clip; callers that may stop reading early
+// runs until end of clip; callers that may stop reading early
 // should use NewReaderContext and Close.
 func NewReader(clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant) *Reader {
 	return NewReaderContext(context.Background(), clip, gap, decodeW, decodeH, acct)
@@ -79,11 +79,17 @@ func NewReader(clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant
 // falls back to synchronous decode and remains fully usable). The caller
 // should defer Close.
 func NewReaderContext(ctx context.Context, clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant) *Reader {
+	return newReader(ctx, clip, gap, decodeW, decodeH, acct, prefetchDepth)
+}
+
+// newReader is NewReaderContext at an explicit decode-ahead depth; depth 0
+// decodes synchronously, which is the reference the tests compare against.
+func newReader(ctx context.Context, clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant, depth int) *Reader {
 	if gap < 1 {
 		panic(fmt.Sprintf("video: invalid sampling gap %d", gap))
 	}
 	r := &Reader{clip: clip, gap: gap, decodeW: decodeW, decodeH: decodeH, acct: acct}
-	if depth := PrefetchDepth(); depth > 0 && clip.Len() > 0 {
+	if depth > 0 && clip.Len() > 0 {
 		r.startPrefetch(ctx, depth)
 	}
 	return r

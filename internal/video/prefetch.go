@@ -2,7 +2,6 @@ package video
 
 import (
 	"context"
-	"sync/atomic"
 
 	"otif/internal/obs"
 )
@@ -16,16 +15,11 @@ import (
 // the consumer side in consumption order, so results and metrics are
 // bit-identical with prefetching on, off, or cancelled mid-clip.
 
-// DefaultPrefetchDepth is the default decode-ahead depth: how many decoded
-// frames a reader's producer may run ahead of the consumer. Depth 0
-// disables prefetching (fully synchronous decode).
-const DefaultPrefetchDepth = 2
-
-// prefetchDepth is the process-wide decode-ahead depth (the -prefetch flag
-// of the command-line tools overrides it).
-var prefetchDepth atomic.Int64
-
-func init() { prefetchDepth.Store(DefaultPrefetchDepth) }
+// prefetchDepth is how many decoded frames a reader's producer may run
+// ahead of the consumer. It is a constant: no caller or workload uses
+// another value. The benchmark pays for it on every clip extracted alone
+// (DESIGN.md "Pooled allocation and decode-ahead").
+const prefetchDepth = 2
 
 // Prefetch effectiveness counters: frames served from the decode-ahead
 // channel vs. decoded synchronously after the producer stopped early.
@@ -33,19 +27,6 @@ var (
 	metPrefetchServed   = obs.Default.Counter("video.prefetch.served")
 	metPrefetchFallback = obs.Default.Counter("video.prefetch.fallback")
 )
-
-// SetPrefetchDepth sets the process-wide decode-ahead depth for readers
-// created afterwards. Depth <= 0 disables prefetching. Pipeline results
-// are bit-identical at any depth.
-func SetPrefetchDepth(k int) {
-	if k < 0 {
-		k = 0
-	}
-	prefetchDepth.Store(int64(k))
-}
-
-// PrefetchDepth returns the process-wide decode-ahead depth.
-func PrefetchDepth() int { return int(prefetchDepth.Load()) }
 
 // prefetched is one decoded frame in flight from producer to consumer.
 type prefetched struct {
@@ -101,8 +82,8 @@ func (r *Reader) fetch(idx int) *Frame {
 
 // Close releases the reader's decode-ahead resources: it cancels the
 // producer goroutine and drains any frames already buffered so a pending
-// send can complete. Close is idempotent and safe on readers created at
-// depth 0. Readers that are read to end of clip do not strictly require
+// send can complete. Close is idempotent and safe on readers without a
+// producer. Readers that are read to end of clip do not strictly require
 // Close (the producer exits on its own), but callers that may stop early
 // must call it to avoid leaking the producer.
 func (r *Reader) Close() {

@@ -52,19 +52,20 @@ func readAll(r *Reader) ([]*Frame, []int, float64) {
 	return frames, idxs, acct.Total()
 }
 
+// readerAt is NewReader at an explicit decode-ahead depth.
+func readerAt(depth int, clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant) *Reader {
+	return newReader(context.Background(), clip, gap, decodeW, decodeH, acct, depth)
+}
+
 func TestReaderPrefetchMatchesSync(t *testing.T) {
-	old := PrefetchDepth()
-	defer SetPrefetchDepth(old)
 	clip := prefetchTestClip(23)
 	for _, gap := range []int{1, 3, 7, 50} {
-		SetPrefetchDepth(0)
 		syncAcct := costmodel.NewAccountant()
-		sf, si, sc := readAll(NewReader(clip, gap, 640, 360, syncAcct))
+		sf, si, sc := readAll(readerAt(0, clip, gap, 640, 360, syncAcct))
 
 		for _, depth := range []int{1, 2, 5} {
-			SetPrefetchDepth(depth)
 			acct := costmodel.NewAccountant()
-			r := NewReader(clip, gap, 640, 360, acct)
+			r := readerAt(depth, clip, gap, 640, 360, acct)
 			pf, pi, pc := readAll(r)
 			r.Close()
 			if len(pf) != len(sf) {
@@ -86,15 +87,12 @@ func TestReaderPrefetchMatchesSync(t *testing.T) {
 }
 
 func TestReaderCloseCancelsProducer(t *testing.T) {
-	old := PrefetchDepth()
-	defer SetPrefetchDepth(old)
-	SetPrefetchDepth(3)
 	cs := &prefetchCountingSource{}
 	for i := 0; i < 200; i++ {
 		cs.src.Frames = append(cs.src.Frames, NewFrame(4, 4, 4, 4))
 	}
 	cs.src.Rate = 10
-	r := NewReader(&Clip{Source: cs}, 1, 64, 64, costmodel.NewAccountant())
+	r := readerAt(3, &Clip{Source: cs}, 1, 64, 64, costmodel.NewAccountant())
 	if f, _ := r.Next(); f == nil {
 		t.Fatal("first frame missing")
 	}
@@ -121,14 +119,10 @@ func TestReaderCloseCancelsProducer(t *testing.T) {
 }
 
 func TestReaderContextCancelFallsBackToSync(t *testing.T) {
-	old := PrefetchDepth()
-	defer SetPrefetchDepth(old)
 	clip := prefetchTestClip(17)
 
-	SetPrefetchDepth(0)
-	sf, _, sc := readAll(NewReader(clip, 2, 320, 180, costmodel.NewAccountant()))
+	sf, _, sc := readAll(readerAt(0, clip, 2, 320, 180, costmodel.NewAccountant()))
 
-	SetPrefetchDepth(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	acct := costmodel.NewAccountant()
@@ -159,13 +153,10 @@ func TestReaderContextCancelFallsBackToSync(t *testing.T) {
 }
 
 func TestReaderDepthZeroNoGoroutine(t *testing.T) {
-	old := PrefetchDepth()
-	defer SetPrefetchDepth(old)
-	SetPrefetchDepth(0)
 	cs := &prefetchCountingSource{}
 	cs.src.Frames = []*Frame{NewFrame(4, 4, 4, 4), NewFrame(4, 4, 4, 4)}
 	cs.src.Rate = 10
-	r := NewReader(&Clip{Source: cs}, 1, 64, 64, costmodel.NewAccountant())
+	r := readerAt(0, &Clip{Source: cs}, 1, 64, 64, costmodel.NewAccountant())
 	if cs.calls.Load() != 0 {
 		t.Error("depth-0 reader decoded before Next")
 	}
@@ -174,17 +165,4 @@ func TestReaderDepthZeroNoGoroutine(t *testing.T) {
 		t.Errorf("depth-0 reader decoded %d frames for one Next", cs.calls.Load())
 	}
 	r.Close() // no-op, must not panic
-}
-
-func TestSetPrefetchDepthClamps(t *testing.T) {
-	old := PrefetchDepth()
-	defer SetPrefetchDepth(old)
-	SetPrefetchDepth(-5)
-	if got := PrefetchDepth(); got != 0 {
-		t.Errorf("negative depth stored as %d, want 0", got)
-	}
-	SetPrefetchDepth(7)
-	if got := PrefetchDepth(); got != 7 {
-		t.Errorf("depth = %d, want 7", got)
-	}
 }

@@ -39,14 +39,9 @@ const (
 type openConfig struct {
 	opts     Options
 	progress obs.Progress
-	knobs    []func() error
 }
 
-// Option configures OpenWith. The With* constructors below build Options;
-// the performance knobs (WithParallelism, WithCacheMB, WithPrefetch,
-// WithPrecision) return a KnobOption, which satisfies both Option and
-// IngestOption so the same knob can be passed to OpenWith and to
-// Pipeline.Ingest.
+// Option configures OpenWith. The With* constructors below build Options.
 type Option interface {
 	applyOpen(*openConfig)
 }
@@ -81,45 +76,4 @@ func WithClipSeconds(s float64) Option {
 // tuning and extraction events; it must be safe for concurrent use.
 func WithProgress(fn ProgressFunc) Option {
 	return openOption(func(c *openConfig) { c.progress = fn })
-}
-
-// KnobOption is a process-wide performance knob expressed as a functional
-// option. It satisfies both Option and IngestOption, so the same value can
-// configure OpenWith and Pipeline.Ingest. Knobs delegate to the package
-// Set* functions and therefore follow their precedence rule (see the
-// package documentation): each one applies when the accepting call runs,
-// and the most recent setting wins process-wide.
-type KnobOption struct {
-	apply func() error
-}
-
-func (k KnobOption) applyOpen(c *openConfig)     { c.knobs = append(c.knobs, k.apply) }
-func (k KnobOption) applyIngest(c *ingestConfig) { c.knobs = append(c.knobs, k.apply) }
-
-// WithParallelism sets the worker count for the session being opened, as
-// SetParallelism does process-wide. n <= 0 restores the default
-// (GOMAXPROCS).
-func WithParallelism(n int) KnobOption {
-	return KnobOption{func() error { SetParallelism(n); return nil }}
-}
-
-// WithCacheMB sets the frame cache budget in MiB for the session being
-// opened, as SetCacheMB does process-wide. mb <= 0 disables caching.
-func WithCacheMB(mb int) KnobOption {
-	return KnobOption{func() error { SetCacheMB(mb); return nil }}
-}
-
-// WithPrefetch sets the clip reader decode-ahead depth for the session
-// being opened, as SetPrefetch does process-wide. k <= 0 disables
-// prefetching.
-func WithPrefetch(k int) KnobOption {
-	return KnobOption{func() error { SetPrefetch(k); return nil }}
-}
-
-// WithPrecision selects the numeric inference backend ("float64" or
-// "float32") for the session being opened, as SetPrecision does
-// process-wide. An unknown name makes the accepting call (OpenWith or
-// Ingest) fail with SetPrecision's error, which lists the valid names.
-func WithPrecision(name string) KnobOption {
-	return KnobOption{func() error { return SetPrecision(name) }}
 }

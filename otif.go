@@ -6,7 +6,6 @@ import (
 
 	"otif/internal/core"
 	"otif/internal/dataset"
-	"otif/internal/nn"
 	"otif/internal/obs"
 	"otif/internal/parallel"
 	"otif/internal/query"
@@ -34,36 +33,6 @@ func SetCacheMB(mb int) { video.SetCacheBudget(int64(mb) << 20) }
 // CacheStats reports the process-wide frame cache counters (all zero when
 // caching is disabled).
 func CacheStats() video.CacheStats { return video.GlobalCacheStats() }
-
-// SetPrefetch sets the decode-ahead depth of fixed-gap clip readers: up to
-// k sampled frames are decoded ahead of the consumer on a background
-// goroutine. k <= 0 disables prefetching (synchronous decode). Like the
-// cache and worker count, prefetch only affects wall-clock speed —
-// extracted tracks, simulated runtimes and tuning curves are bit-for-bit
-// identical at any depth. The default is video.DefaultPrefetchDepth.
-func SetPrefetch(k int) { video.SetPrefetchDepth(k) }
-
-// Prefetch reports the current decode-ahead depth (0 when disabled).
-func Prefetch() int { return video.PrefetchDepth() }
-
-// SetPrecision selects the numeric backend for pipeline inference:
-// "float64" (the default — the bit-exact reference, also used by training
-// and tuning regardless of this setting) or "float32" (register-blocked
-// kernels with trained weights converted once; faster, with accuracy
-// within the tolerance DESIGN.md §13 documents and the tests pin). The
-// setting takes effect at the next run: each RunClip/RunSet samples it
-// once on entry, so runs are never torn by a concurrent change.
-func SetPrecision(name string) error {
-	p, err := nn.ParsePrecision(name)
-	if err != nil {
-		return fmt.Errorf("otif: %w", err)
-	}
-	nn.SetPrecision(p)
-	return nil
-}
-
-// Precision reports the active numeric backend ("float64" or "float32").
-func Precision() string { return nn.ActivePrecision().String() }
 
 // SetName selects one of a pipeline's clip sets.
 type SetName string
@@ -110,20 +79,12 @@ func Open(name string, opts Options) (*Pipeline, error) {
 }
 
 // OpenWith is Open with functional options: WithSeed, WithClips,
-// WithClipSeconds, WithProgress, a whole Options struct via WithOptions,
-// or the performance knobs (WithParallelism, WithCacheMB, WithPrefetch,
-// WithPrecision). Knobs delegate to the package Set* functions and apply
-// when OpenWith runs; see the package documentation for the precedence
-// rule.
+// WithClipSeconds, WithProgress, or a whole Options struct via
+// WithOptions.
 func OpenWith(name string, options ...Option) (*Pipeline, error) {
 	var c openConfig
 	for _, o := range options {
 		o.applyOpen(&c)
-	}
-	for _, k := range c.knobs {
-		if err := k(); err != nil {
-			return nil, err
-		}
 	}
 	spec := dataset.DefaultSpec
 	if c.opts.ClipsPerSet > 0 {

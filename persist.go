@@ -115,16 +115,6 @@ func ReadTrackSet(r io.Reader, opts ...TrackSetOption) (*TrackSet, error) {
 	}, nil
 }
 
-// ReadTrackSetLegacy loads a stored track set with positional context
-// arguments.
-//
-// Deprecated: use ReadTrackSet. v2 files need no arguments at all; for v1
-// files pass WithFPS, WithGeometry and WithFramesPerClip.
-func ReadTrackSetLegacy(r io.Reader, fps, nomW, nomH, framesPerClip int) (*TrackSet, error) {
-	return ReadTrackSet(r,
-		WithFPS(fps), WithGeometry(nomW, nomH), WithFramesPerClip(framesPerClip))
-}
-
 // ReadTrackSetFor loads a stored track set with the pipeline's clip
 // geometry (overriding any file header, so the set always matches the
 // pipeline's datasets).

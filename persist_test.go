@@ -149,8 +149,8 @@ func TestTrackSetV2SelfDescribing(t *testing.T) {
 }
 
 // TestTrackSetV1Compat asserts a v1 track file (written by the pre-v2
-// positional format) still round-trips through the new loader, both via
-// options and via the deprecated legacy wrapper.
+// positional format) still round-trips through the loader when the clip
+// geometry is passed as options.
 func TestTrackSetV1Compat(t *testing.T) {
 	pipe, curve := pipeline(t)
 	pick, err := otif.PickFastestWithin(curve, 0.05)
@@ -174,14 +174,9 @@ func TestTrackSetV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg, err := otif.ReadTrackSetLegacy(bytes.NewReader(v1.Bytes()),
-		ctx.FPS, ctx.NomW, ctx.NomH, ctx.Frames)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := ts.CountTracks("")
 	for i, w := range want {
-		if got.CountTracks("")[i] != w || leg.CountTracks("")[i] != w {
+		if got.CountTracks("")[i] != w {
 			t.Errorf("clip %d: v1 reload counts diverge", i)
 		}
 	}
