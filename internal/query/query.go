@@ -55,12 +55,11 @@ func (t *Track) BoxAt(frameIdx int) (geom.Rect, bool) {
 		return geom.Rect{}, false
 	}
 	for i := 0; i+1 < n; i++ {
-		a, b := t.Dets[i], t.Dets[i+1]
-		if frameIdx > b.FrameIdx {
+		if frameIdx > t.Dets[i+1].FrameIdx {
 			continue
 		}
 		metScanBoxes.Add(int64(i) + 2)
-		return InterpBox(a, b, frameIdx), true
+		return InterpBox(&t.Dets[i], &t.Dets[i+1], frameIdx), true
 	}
 	metScanBoxes.Add(int64(n))
 	return t.Dets[n-1].Box, true
@@ -69,7 +68,7 @@ func (t *Track) BoxAt(frameIdx int) (geom.Rect, bool) {
 // InterpBox interpolates between two detections at frameIdx with the exact
 // arithmetic BoxAt uses; the indexed store shares it so index-backed
 // results are bit-identical to the scans.
-func InterpBox(a, b detect.Detection, frameIdx int) geom.Rect {
+func InterpBox(a, b *detect.Detection, frameIdx int) geom.Rect {
 	if b.FrameIdx == a.FrameIdx {
 		return a.Box
 	}
@@ -114,7 +113,7 @@ func (ip *Interp) BoxAt(frameIdx int) (geom.Rect, bool) {
 	if ip.i+1 >= n {
 		return t.Dets[n-1].Box, true
 	}
-	return InterpBox(t.Dets[ip.i], t.Dets[ip.i+1], frameIdx), true
+	return InterpBox(&t.Dets[ip.i], &t.Dets[ip.i+1], frameIdx), true
 }
 
 // Context carries the clip geometry queries need.
@@ -293,10 +292,43 @@ func VisibleBoxes(tracks []*Track, cat string, frameIdx int) ([]geom.Rect, []*Tr
 	return boxes, owners
 }
 
-// VisibleFunc supplies the boxes (and owning tracks) of one category
-// visible at a frame. The linear scans and the indexed store both
-// implement it, so the query cores below run identically over either.
-type VisibleFunc func(frameIdx int) ([]geom.Rect, []*Track)
+// FrameSource supplies one category's visible objects frame by frame.
+// The linear scan and the indexed store's sweep line both implement it, so
+// the query cores below run the same logic over either and their answers
+// are identical by construction.
+type FrameSource interface {
+	// Advance moves the sweep to frame f and returns how many objects are
+	// visible there. Across the calls of one sweep f only ascends (it may
+	// skip frames). A track is visible exactly on [FirstFrame, LastFrame],
+	// so a source can count without interpolating a box.
+	Advance(f int) int
+	// Boxes materialises the boxes and owning tracks of the frame last
+	// advanced to, in track order, nil when nothing is visible. The slices
+	// belong to the source and are valid only until the next Advance:
+	// whatever outlives the frame must be copied.
+	Boxes() ([]geom.Rect, []*Track)
+	// At is the point lookup: the boxes and owners visible at any frame,
+	// wherever the sweep stands, in fresh slices the caller may keep.
+	At(f int) ([]geom.Rect, []*Track)
+}
+
+// scan is the linear-scan FrameSource, the reference the indexed store is
+// compared against: every frame interpolates every track of the category.
+type scan struct {
+	tracks []*Track
+	cat    string
+	boxes  []geom.Rect
+	owners []*Track
+}
+
+func (s *scan) Advance(f int) int {
+	s.boxes, s.owners = VisibleBoxes(s.tracks, s.cat, f)
+	return len(s.boxes)
+}
+
+func (s *scan) Boxes() ([]geom.Rect, []*Track) { return s.boxes, s.owners }
+
+func (s *scan) At(f int) ([]geom.Rect, []*Track) { return VisibleBoxes(s.tracks, s.cat, f) }
 
 // LimitQuery executes a frame-level limit query over one clip's tracks:
 // it scans frames, evaluates the predicate on the visible boxes, enforces
@@ -304,35 +336,56 @@ type VisibleFunc func(frameIdx int) ([]geom.Rect, []*Track)
 // minimum remaining duration of their visible tracks (descending), and
 // returns up to limit matches.
 func LimitQuery(tracks []*Track, cat string, pred FramePredicate, ctx Context, limit int, minSepFrames int) []FrameMatch {
-	return LimitQueryFrom(func(f int) ([]geom.Rect, []*Track) {
-		return VisibleBoxes(tracks, cat, f)
-	}, pred, ctx, limit, minSepFrames)
+	return LimitQueryFrom(&scan{tracks: tracks, cat: cat}, pred, ctx, limit, minSepFrames, new(LimitScratch))
 }
 
-// LimitQueryFrom is LimitQuery over any visible-boxes source.
-func LimitQueryFrom(visible VisibleFunc, pred FramePredicate, ctx Context, limit int, minSepFrames int) []FrameMatch {
-	var cands []FrameMatch
+// limitCand is one matching frame while a limit query ranks: 8 bytes, not
+// a FrameMatch with its boxes. Frame indices and durations fit int32 (a
+// duration never exceeds the math.MaxInt32 it starts from).
+type limitCand struct{ frame, minDur int32 }
+
+// LimitScratch is LimitQueryFrom's candidate buffer, so that one query
+// over many clips allocates it once. The zero value is ready to use.
+type LimitScratch struct{ cands []limitCand }
+
+// LimitQueryFrom is LimitQuery over any frame source. It sweeps the clip
+// recording only (frame, minimum duration) per matching frame, ranks and
+// separates those, and then looks the at most limit chosen frames up
+// again for their boxes.
+func LimitQueryFrom(src FrameSource, pred FramePredicate, ctx Context, limit int, minSepFrames int, scratch *LimitScratch) []FrameMatch {
+	count, countOnly := pred.(CountPredicate)
+	cands := scratch.cands[:0]
 	for f := 0; f < ctx.Frames; f++ {
-		boxes, owners := visible(f)
+		if n := src.Advance(f); countOnly && n < count.N {
+			continue // too few visible: rejected without a box
+		}
+		boxes, owners := src.Boxes()
 		matched, ok := pred.Eval(boxes)
 		if !ok {
 			continue
 		}
 		minDur := math.MaxInt32
 		for i, b := range boxes {
-			for _, m := range matched {
-				if b == m {
-					if d := owners[i].LastFrame() - f; d < minDur {
-						minDur = d
-					}
-					break
+			// Does b equal some matched box? Try its own position first:
+			// a predicate that returns its input (CountPredicate) hits there.
+			hit := i < len(matched) && matched[i] == b
+			for k := 0; !hit && k < len(matched); k++ {
+				hit = matched[k] == b
+			}
+			if hit {
+				if d := owners[i].LastFrame() - f; d < minDur {
+					minDur = d
 				}
 			}
 		}
-		cands = append(cands, FrameMatch{FrameIdx: f, Boxes: matched, MinDuration: minDur})
+		cands = append(cands, limitCand{frame: int32(f), minDur: int32(minDur)})
 	}
-	// Rank by minimum visible-track duration, descending.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].MinDuration > cands[j].MinDuration })
+	scratch.cands = cands
+	// Rank by minimum visible-track duration, descending. sort.Slice is
+	// not stable: which of two equal durations comes first follows from
+	// the candidates' order and this comparator alone, and answers are
+	// pinned on it (TestGoldenQueries).
+	sort.Slice(cands, func(i, j int) bool { return cands[i].minDur > cands[j].minDur })
 	var out []FrameMatch
 	for _, c := range cands {
 		if len(out) >= limit {
@@ -340,16 +393,20 @@ func LimitQueryFrom(visible VisibleFunc, pred FramePredicate, ctx Context, limit
 		}
 		ok := true
 		for _, o := range out {
-			if absInt(o.FrameIdx-c.FrameIdx) < minSepFrames {
+			if absInt(o.FrameIdx-int(c.frame)) < minSepFrames {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			out = append(out, c)
+			out = append(out, FrameMatch{FrameIdx: int(c.frame), MinDuration: int(c.minDur)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FrameIdx < out[j].FrameIdx })
+	for i := range out {
+		boxes, _ := src.At(out[i].FrameIdx)
+		out[i].Boxes, _ = pred.Eval(boxes)
+	}
 	return out
 }
 
@@ -374,26 +431,23 @@ func maxDecel(t *Track, fps int) float64 {
 	if n < 3 {
 		return 0
 	}
-	speeds := make([]float64, 0, n-1)
-	times := make([]float64, 0, n-1)
+	var worst, prevSpeed, prevTime float64
+	havePrev := false
 	for i := 1; i < n; i++ {
 		dt := float64(t.Dets[i].FrameIdx-t.Dets[i-1].FrameIdx) / float64(fps)
 		if dt <= 0 {
 			continue
 		}
-		d := t.Dets[i].Box.Center().Dist(t.Dets[i-1].Box.Center())
-		speeds = append(speeds, d/dt)
-		times = append(times, float64(t.Dets[i].FrameIdx)/float64(fps))
-	}
-	var worst float64
-	for i := 1; i < len(speeds); i++ {
-		dt := times[i] - times[i-1]
-		if dt <= 0 {
-			continue
+		speed := t.Dets[i].Box.Center().Dist(t.Dets[i-1].Box.Center()) / dt
+		at := float64(t.Dets[i].FrameIdx) / float64(fps)
+		if havePrev {
+			if gap := at - prevTime; gap > 0 {
+				if dec := (prevSpeed - speed) / gap; dec > worst {
+					worst = dec
+				}
+			}
 		}
-		if dec := (speeds[i-1] - speeds[i]) / dt; dec > worst {
-			worst = dec
-		}
+		prevSpeed, prevTime, havePrev = speed, at, true
 	}
 	return worst
 }
@@ -401,20 +455,18 @@ func maxDecel(t *Track, fps int) float64 {
 // AvgVisible returns the average number of category objects visible per
 // frame over the clip (example query (3)).
 func AvgVisible(tracks []*Track, cat string, ctx Context) float64 {
-	return AvgVisibleFrom(func(f int) ([]geom.Rect, []*Track) {
-		return VisibleBoxes(tracks, cat, f)
-	}, ctx)
+	return AvgVisibleFrom(&scan{tracks: tracks, cat: cat}, ctx)
 }
 
-// AvgVisibleFrom is AvgVisible over any visible-boxes source.
-func AvgVisibleFrom(visible VisibleFunc, ctx Context) float64 {
+// AvgVisibleFrom is AvgVisible over any frame source. It only counts: no
+// box is materialised.
+func AvgVisibleFrom(src FrameSource, ctx Context) float64 {
 	if ctx.Frames == 0 {
 		return 0
 	}
 	var total int
 	for f := 0; f < ctx.Frames; f++ {
-		boxes, _ := visible(f)
-		total += len(boxes)
+		total += src.Advance(f)
 	}
 	return float64(total) / float64(ctx.Frames)
 }
@@ -423,25 +475,18 @@ func AvgVisibleFrom(visible VisibleFunc, ctx Context) float64 {
 // nB of catB (example query (2): "frames with at least three buses and
 // three cars").
 func BusyFrames(tracks []*Track, catA string, nA int, catB string, nB int, ctx Context) []int {
-	return BusyFramesFrom(func(f int) ([]geom.Rect, []*Track) {
-		return VisibleBoxes(tracks, catA, f)
-	}, nA, func(f int) ([]geom.Rect, []*Track) {
-		return VisibleBoxes(tracks, catB, f)
-	}, nB, ctx)
+	return BusyFramesFrom(&scan{tracks: tracks, cat: catA}, nA, &scan{tracks: tracks, cat: catB}, nB, ctx)
 }
 
-// BusyFramesFrom is BusyFrames over any pair of visible-boxes sources.
-// The catB source is only consulted on frames where catA qualifies,
-// matching the scan's short-circuit.
-func BusyFramesFrom(visA VisibleFunc, nA int, visB VisibleFunc, nB int, ctx Context) []int {
+// BusyFramesFrom is BusyFrames over any pair of frame sources, counting
+// only. The catB source is advanced only to frames where catA qualifies.
+func BusyFramesFrom(srcA FrameSource, nA int, srcB FrameSource, nB int, ctx Context) []int {
 	var out []int
 	for f := 0; f < ctx.Frames; f++ {
-		a, _ := visA(f)
-		if len(a) < nA {
+		if srcA.Advance(f) < nA {
 			continue
 		}
-		b, _ := visB(f)
-		if len(b) >= nB {
+		if srcB.Advance(f) >= nB {
 			out = append(out, f)
 		}
 	}

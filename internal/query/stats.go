@@ -90,19 +90,26 @@ func DwellTime(tracks []*Track, cat string, region geom.Polygon, ctx Context) ma
 // returns the total over the clip — a proximity analytics primitive
 // (e.g. near-miss counting).
 func CoOccurrences(tracks []*Track, cat string, dist float64, ctx Context) int {
-	return CoOccurrencesFrom(func(f int) ([]geom.Rect, []*Track) {
-		return VisibleBoxes(tracks, cat, f)
-	}, dist, ctx)
+	return CoOccurrencesFrom(&scan{tracks: tracks, cat: cat}, dist, ctx)
 }
 
-// CoOccurrencesFrom is CoOccurrences over any visible-boxes source.
-func CoOccurrencesFrom(visible VisibleFunc, dist float64, ctx Context) int {
+// CoOccurrencesFrom is CoOccurrences over any frame source. Each box's
+// centre is computed once per frame, not once per pair.
+func CoOccurrencesFrom(src FrameSource, dist float64, ctx Context) int {
 	total := 0
+	var centers []geom.Point
 	for f := 0; f < ctx.Frames; f++ {
-		boxes, _ := visible(f)
-		for i := 0; i < len(boxes); i++ {
-			for j := i + 1; j < len(boxes); j++ {
-				if boxes[i].Center().Dist(boxes[j].Center()) <= dist {
+		if src.Advance(f) < 2 {
+			continue // no pair to test
+		}
+		boxes, _ := src.Boxes()
+		centers = centers[:0]
+		for _, b := range boxes {
+			centers = append(centers, b.Center())
+		}
+		for i := range centers {
+			for j := i + 1; j < len(centers); j++ {
+				if centers[i].Dist(centers[j]) <= dist {
 					total++
 				}
 			}

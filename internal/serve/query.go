@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -195,17 +197,12 @@ type limitFrame struct {
 
 func (q *QueryAPI) handleLimit(w http.ResponseWriter, r *http.Request, s store.Querier) {
 	cat := r.FormValue("category")
-	n, err1 := intParam(r, "n", 1)
-	limit, err2 := intParam(r, "limit", 10)
-	minSepSec, err3 := floatParam(r, "minsep", 0)
-	for _, err := range []error{err1, err2, err3} {
-		if err != nil {
-			metQueryErrors.Inc()
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
+	n, limit, minSep, err := limitParams(r, s.Context())
+	if err != nil {
+		metQueryErrors.Inc()
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
-	minSep := int(minSepSec * float64(s.Context().FPS))
 	perClip := s.LimitQuery(cat, query.CountPredicate{N: n}, limit, minSep)
 	out := make([][]limitFrame, len(perClip))
 	for i, ms := range perClip {
@@ -219,6 +216,38 @@ func (q *QueryAPI) handleLimit(w http.ResponseWriter, r *http.Request, s store.Q
 		"n":        n,
 		"per_clip": out,
 	})
+}
+
+// limitParams reads the limit route's parameters and bounds them: n=0
+// would match every empty frame, limit=-1 silently returns nothing, and a
+// NaN or huge minsep makes the conversion to frames undefined.
+func limitParams(r *http.Request, ctx query.Context) (n, limit, minSep int, err error) {
+	// A clip cannot return more frames than it has; a store without clip
+	// geometry (Frames 0) still accepts the smallest request.
+	maxLimit := max(ctx.Frames, 1)
+	n, err = intParam(r, "n", 1)
+	if err == nil {
+		limit, err = intParam(r, "limit", min(10, maxLimit))
+	}
+	var sec float64
+	if err == nil {
+		sec, err = floatParam(r, "minsep", 0)
+	}
+	switch {
+	case err != nil:
+	case n < 1:
+		err = fmt.Errorf("n must be at least 1, got %d", n)
+	case limit < 1 || limit > maxLimit:
+		err = fmt.Errorf("limit must be between 1 and %d (the clip's frame count), got %d", maxLimit, limit)
+	case math.IsNaN(sec) || math.IsInf(sec, 0) || sec < 0:
+		err = fmt.Errorf("minsep must be a finite number of seconds, 0 or more, got %v", sec)
+	}
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	// Two frames of one clip are never ctx.Frames apart, so a larger
+	// separation asks for the same thing and the conversion stays defined.
+	return n, limit, int(min(sec*float64(ctx.FPS), float64(ctx.Frames))), nil
 }
 
 // dwellRequest is the POST /v1/query/dwell body: a category and a

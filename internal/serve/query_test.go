@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -133,10 +134,31 @@ func TestQueryLimit(t *testing.T) {
 }
 
 func TestQueryLimitBadParam(t *testing.T) {
-	srv, _ := queryFixture()
-	code, _ := doQueryJSON(t, srv, "GET", "/v1/query/limit?n=two", "")
-	if code != 400 {
-		t.Errorf("status for bad n = %d, want 400", code)
+	srv, st := queryFixture()
+	frames := st.Context().Frames
+	for _, q := range []string{
+		"n=two", "n=0", "n=-3",
+		"limit=0", "limit=-1", fmt.Sprintf("limit=%d", frames+1), "limit=1e3",
+		"minsep=-0.5", "minsep=NaN", "minsep=Inf", "minsep=-Inf", "minsep=soon",
+	} {
+		code, out := doQueryJSON(t, srv, "GET", "/v1/query/limit?category=car&"+q, "")
+		if code != 400 {
+			t.Errorf("%s: status = %d, want 400: %v", q, code, out)
+		}
+	}
+	// The bounds themselves are accepted, and a separation longer than the
+	// clip is the same request as one of the clip's length.
+	for _, q := range []string{"n=1&limit=1", fmt.Sprintf("limit=%d", frames), "minsep=0", "minsep=1e300"} {
+		if code, out := doQueryJSON(t, srv, "GET", "/v1/query/limit?category=car&"+q, ""); code != 200 {
+			t.Errorf("%s: status = %d, want 200: %v", q, code, out)
+		}
+	}
+	// A store loaded without clip geometry has no frames to return, but
+	// the route's defaults must not be a 400 there.
+	bare := store.NewRegistry()
+	bare.Register("bare", store.New([][]*query.Track{nil}, query.Context{}))
+	if code, out := doQueryJSON(t, &Server{Queries: &QueryAPI{Datasets: bare}}, "GET", "/v1/query/limit", ""); code != 200 {
+		t.Errorf("defaults on a store without geometry: status = %d, want 200: %v", code, out)
 	}
 }
 

@@ -82,3 +82,63 @@ func BenchmarkIndexBuild(b *testing.B) {
 		New(perClip, ctx)
 	}
 }
+
+// benchIndexed times one query over the benchWorkload store.
+func benchIndexed(b *testing.B, run func(s *Store)) {
+	perClip, ctx := benchWorkload()
+	s := New(perClip, ctx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(s)
+	}
+}
+
+// The other frame-level kinds through the sweep line.
+
+func BenchmarkAvgVisibleIndexed(b *testing.B) {
+	benchIndexed(b, func(s *Store) { s.AvgVisible("car") })
+}
+
+func BenchmarkBusyFramesIndexed(b *testing.B) {
+	benchIndexed(b, func(s *Store) { s.BusyFrames("car", 3, "bus", 1) })
+}
+
+func BenchmarkCoOccurrencesIndexed(b *testing.B) {
+	benchIndexed(b, func(s *Store) { s.CoOccurrences("car", 80) })
+}
+
+// TestFrameQueryAllocGate keeps the frame-level kinds off the allocator:
+// a sweep owns its buffers, so what a call allocates depends on how many
+// clips it answers for and on what it returns, not on how many frames it
+// sweeps. The workload is 4 clips of 1800 frames; the parent of the sweep
+// line allocated several times per frame and clip (about 30k a call).
+func TestFrameQueryAllocGate(t *testing.T) {
+	perClip, ctx := benchWorkload()
+	s := New(perClip, ctx)
+	perClipBudget := func(n int) float64 { return float64(n * len(perClip)) }
+	for _, g := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		// Per clip: nothing. Per call: the answer, the sweep and its
+		// active list growing to the clip's peak.
+		{"AvgVisible", perClipBudget(1) + 12, func() { s.AvgVisible("car") }},
+		// Per clip: the answer's frame list growing by doubling.
+		{"BusyFrames", perClipBudget(14) + 24, func() { s.BusyFrames("car", 3, "bus", 1) }},
+		// Per clip: the centres buffer growing to the peak visible count.
+		{"CoOccurrences", perClipBudget(16) + 16, func() { s.CoOccurrences("car", 80) }},
+		// Per clip: five matches with boxes and owners looked up again,
+		// each grown by append. (Region and hot spot predicates build
+		// their matched list inside Eval on every frame they look at;
+		// that is theirs, not the sweep's, and is not gated here.)
+		{"LimitQuery", perClipBudget(80) + 32, func() { s.LimitQuery("car", query.CountPredicate{N: 3}, 5, ctx.FPS) }},
+	} {
+		if got := testing.AllocsPerRun(5, g.run); got > g.max {
+			t.Errorf("%s: %.0f allocs per call, want at most %.0f", g.name, got, g.max)
+		} else {
+			t.Logf("%s: %.0f allocs per call (budget %.0f)", g.name, got, g.max)
+		}
+	}
+}

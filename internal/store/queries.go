@@ -8,85 +8,166 @@ import (
 	"otif/internal/query"
 )
 
-// sweep is the per-query execution state of one clip's frame sweep: lazy
-// per-track interpolators (so each visible track's detections are walked
-// once per sweep, not once per frame) plus pruning statistics. A sweep is
-// created per query call, so concurrent queries never share state.
+// sweep is one query call's sweep line over a clip, the store's
+// query.FrameSource. As the frame ascends it walks the clip's start-sorted
+// and end-sorted endpoint arrays once: a track enters the active list when
+// its first frame is reached and leaves when its last frame is passed, so a
+// whole sweep costs O(tracks + frames + boxes asked for) and a frame that
+// only needs the visible count costs two comparisons. The active list is
+// kept in ascending track index — the order the linear scan visits — and
+// each entry carries its own interpolator, so a track's detections are
+// walked once per sweep. Box and owner buffers are the sweep's and are
+// overwritten by the next frame.
+//
+// A query method makes one sweep and resets it per clip; sweeps are never
+// shared between calls, so concurrent queries share no state.
 type sweep struct {
-	ci      *clipIndex
-	cat     string
-	mask    []bool // spatial pre-prune; nil = no region constraint
-	interps []query.Interp
-	inited  []bool
-	scratch []int32
+	ci   *clipIndex
+	cat  string
+	mask []bool // spatial pre-prune; nil = no region constraint
 
-	examined, kept, pruned int64
+	f          int
+	nextStart  int // tracks before it in byStart have entered
+	nextEnd    int // tracks before it in byEnd have left
+	active     []activeTrack
+	boxes      []geom.Rect
+	owners     []*query.Track
+	candidates []int32 // point lookups' stabbing result
+
+	examined, kept, pruned, visited int64
 }
 
-func newSweep(ci *clipIndex, cat string, mask []bool) *sweep {
-	return &sweep{
-		ci:      ci,
-		cat:     cat,
-		mask:    mask,
-		interps: make([]query.Interp, len(ci.tracks)),
-		inited:  make([]bool, len(ci.tracks)),
+// activeTrack is one track visible at the sweep's frame.
+type activeTrack struct {
+	ti int32
+	ip query.Interp
+}
+
+// reset points the sweep at the start of a clip, keeping its buffers.
+func (sw *sweep) reset(ci *clipIndex, cat string, mask []bool) {
+	sw.retire()
+	sw.ci, sw.cat, sw.mask = ci, cat, mask
+	sw.nextStart, sw.nextEnd = 0, 0
+}
+
+// retire empties the active list, keeping count of the detections its
+// interpolators walked.
+func (sw *sweep) retire() {
+	for i := range sw.active {
+		sw.visited += sw.active[i].ip.Visited
 	}
+	sw.active = sw.active[:0]
 }
 
-// visible implements query.VisibleFunc over the temporal index: only
-// tracks whose frame interval covers f are touched, in ascending track
-// order so results are element-identical to the linear scan.
-func (sw *sweep) visible(f int) ([]geom.Rect, []*query.Track) {
-	cand, examined := sw.ci.active(f, sw.scratch[:0])
-	sw.scratch = cand
+// admits applies the category and region filters to a track in range.
+func (sw *sweep) admits(ti int32) bool {
+	if sw.cat != "" && sw.ci.tracks[ti].Category != sw.cat {
+		return false
+	}
+	if sw.mask != nil && !sw.mask[ti] {
+		sw.pruned++
+		return false
+	}
+	sw.kept++
+	return true
+}
+
+// Advance implements query.FrameSource.
+func (sw *sweep) Advance(f int) int {
+	ci := sw.ci
+	sw.f = f
+	f32 := int32(f)
+	for sw.nextEnd < len(ci.byEnd) && ci.sortedEnds[sw.nextEnd] < f32 {
+		ti := ci.byEnd[sw.nextEnd]
+		sw.nextEnd++
+		for i := range sw.active {
+			if sw.active[i].ti == ti {
+				sw.visited += sw.active[i].ip.Visited
+				sw.active = append(sw.active[:i], sw.active[i+1:]...)
+				break
+			}
+		}
+	}
+	for sw.nextStart < len(ci.byStart) && ci.sortedStarts[sw.nextStart] <= f32 {
+		ti := ci.byStart[sw.nextStart]
+		sw.nextStart++
+		sw.examined++
+		// Empty tracks (end -1) and tracks a skipped stretch of frames
+		// covered whole have ended already.
+		if ci.ends[ti] < f32 || !sw.admits(ti) {
+			continue
+		}
+		i := len(sw.active)
+		sw.active = append(sw.active, activeTrack{})
+		for ; i > 0 && sw.active[i-1].ti > ti; i-- {
+			sw.active[i] = sw.active[i-1]
+		}
+		sw.active[i] = activeTrack{ti: ti, ip: query.NewInterp(ci.tracks[ti])}
+	}
+	return len(sw.active)
+}
+
+// Boxes implements query.FrameSource over the sweep's own buffers.
+func (sw *sweep) Boxes() ([]geom.Rect, []*query.Track) {
+	if len(sw.active) == 0 {
+		return nil, nil // as the scan: nil, not empty
+	}
+	sw.boxes, sw.owners = sw.boxes[:0], sw.owners[:0]
+	for i := range sw.active {
+		a := &sw.active[i]
+		if b, ok := a.ip.BoxAt(sw.f); ok {
+			sw.boxes = append(sw.boxes, b)
+			sw.owners = append(sw.owners, sw.ci.tracks[a.ti])
+		}
+	}
+	return sw.boxes, sw.owners
+}
+
+// At implements query.FrameSource's point lookup, and is all of
+// VisibleBoxes: a stabbing query on the sorted endpoints (clipIndex.active)
+// instead of a sweep up to f, into fresh slices.
+func (sw *sweep) At(f int) ([]geom.Rect, []*query.Track) {
+	cand, examined := sw.ci.active(f, sw.candidates[:0])
+	sw.candidates = cand
 	sw.examined += int64(examined)
 	var boxes []geom.Rect
 	var owners []*query.Track
 	for _, ti := range cand {
+		if !sw.admits(ti) {
+			continue
+		}
 		t := sw.ci.tracks[ti]
-		if sw.cat != "" && t.Category != sw.cat {
-			continue
-		}
-		if sw.mask != nil && !sw.mask[ti] {
-			sw.pruned++
-			continue
-		}
-		sw.kept++
-		if !sw.inited[ti] {
-			sw.interps[ti] = query.NewInterp(t)
-			sw.inited[ti] = true
-		}
-		if b, ok := sw.interps[ti].BoxAt(f); ok {
+		ip := query.NewInterp(t)
+		if b, ok := ip.BoxAt(f); ok {
 			boxes = append(boxes, b)
 			owners = append(owners, t)
 		}
+		sw.visited += ip.Visited
 	}
 	return boxes, owners
 }
 
 // flush publishes the sweep's pruning and box-visit statistics.
 func (sw *sweep) flush() {
-	var boxes int64
-	for i := range sw.interps {
-		boxes += sw.interps[i].Visited
-	}
-	metIndexBoxes.Add(boxes)
+	sw.retire()
+	metIndexBoxes.Add(sw.visited)
 	metCandExamined.Add(sw.examined)
 	metCandKept.Add(sw.kept)
 	metGridPruned.Add(sw.pruned)
 }
 
-// catIndices returns the ascending track indices of one category (all
-// tracks when cat is empty).
-func (ci *clipIndex) catIndices(cat string) []int32 {
+// eachOfCategory calls fn with the track indices of one category (every
+// track when cat is empty), ascending.
+func (ci *clipIndex) eachOfCategory(cat string, fn func(ti int32)) {
 	if cat != "" {
-		return ci.cats[cat]
+		for _, ti := range ci.cats[cat] {
+			fn(ti)
+		}
+		return
 	}
-	all := make([]int32, len(ci.tracks))
-	for i := range all {
-		all[i] = int32(i)
+	for ti := range ci.tracks {
+		fn(int32(ti))
 	}
-	return all
 }
 
 // ---- Indexed queries (one result element per clip, like TrackSet) ----
@@ -123,11 +204,11 @@ func (s *Store) PathBreakdown(cat string, movements []query.Movement, maxEndpoin
 		for _, mv := range movements {
 			m[mv.Name] = 0
 		}
-		for _, ti := range ci.catIndices(cat) {
+		ci.eachOfCategory(cat, func(ti int32) {
 			if name := query.ClassifyPath(ci.tracks[ti].Path, movements, maxEndpointDist); name != "" {
 				m[name]++
 			}
-		}
+		})
 		out[i] = m
 	}
 	s.selfCheck("PathBreakdown", out, func() any {
@@ -144,8 +225,8 @@ func (s *Store) PathBreakdown(cat string, movements []query.Movement, maxEndpoin
 // clip, pruned through the temporal index.
 func (s *Store) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, []*query.Track) {
 	metQueries.Inc()
-	sw := newSweep(&s.clips[clip], cat, nil)
-	boxes, owners := sw.visible(frameIdx)
+	sw := sweep{ci: &s.clips[clip], cat: cat}
+	boxes, owners := sw.At(frameIdx)
 	sw.flush()
 	if s.SelfCheck {
 		chk, _ := query.VisibleBoxes(s.clips[clip].tracks, cat, frameIdx)
@@ -164,16 +245,18 @@ func (s *Store) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, [
 func (s *Store) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
 	metQueries.Inc()
 	out := make([][]query.FrameMatch, len(s.clips))
+	var sw sweep
+	var scratch query.LimitScratch
 	for i := range s.clips {
 		ci := &s.clips[i]
 		var mask []bool
 		if rp, ok := pred.(query.RegionPredicate); ok {
 			mask = ci.regionCandidates(rp.Region)
 		}
-		sw := newSweep(ci, cat, mask)
-		out[i] = query.LimitQueryFrom(sw.visible, pred, s.ctx, limit, minSepFrames)
-		sw.flush()
+		sw.reset(ci, cat, mask)
+		out[i] = query.LimitQueryFrom(&sw, pred, s.ctx, limit, minSepFrames, &scratch)
 	}
+	sw.flush()
 	s.selfCheck("LimitQuery", out, func() any {
 		chk := make([][]query.FrameMatch, len(s.clips))
 		for i := range s.clips {
@@ -188,11 +271,12 @@ func (s *Store) LimitQuery(cat string, pred query.FramePredicate, limit, minSepF
 func (s *Store) AvgVisible(cat string) []float64 {
 	metQueries.Inc()
 	out := make([]float64, len(s.clips))
+	var sw sweep
 	for i := range s.clips {
-		sw := newSweep(&s.clips[i], cat, nil)
-		out[i] = query.AvgVisibleFrom(sw.visible, s.ctx)
-		sw.flush()
+		sw.reset(&s.clips[i], cat, nil)
+		out[i] = query.AvgVisibleFrom(&sw, s.ctx)
 	}
+	sw.flush()
 	s.selfCheck("AvgVisible", out, func() any {
 		chk := make([]float64, len(s.clips))
 		for i := range s.clips {
@@ -208,13 +292,14 @@ func (s *Store) AvgVisible(cat string) []float64 {
 func (s *Store) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 	metQueries.Inc()
 	out := make([][]int, len(s.clips))
+	var swA, swB sweep
 	for i := range s.clips {
-		swA := newSweep(&s.clips[i], catA, nil)
-		swB := newSweep(&s.clips[i], catB, nil)
-		out[i] = query.BusyFramesFrom(swA.visible, nA, swB.visible, nB, s.ctx)
-		swA.flush()
-		swB.flush()
+		swA.reset(&s.clips[i], catA, nil)
+		swB.reset(&s.clips[i], catB, nil)
+		out[i] = query.BusyFramesFrom(&swA, nA, &swB, nB, s.ctx)
 	}
+	swA.flush()
+	swB.flush()
 	s.selfCheck("BusyFrames", out, func() any {
 		chk := make([][]int, len(s.clips))
 		for i := range s.clips {
@@ -229,11 +314,12 @@ func (s *Store) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 func (s *Store) CoOccurrences(cat string, dist float64) []int {
 	metQueries.Inc()
 	out := make([]int, len(s.clips))
+	var sw sweep
 	for i := range s.clips {
-		sw := newSweep(&s.clips[i], cat, nil)
-		out[i] = query.CoOccurrencesFrom(sw.visible, dist, s.ctx)
-		sw.flush()
+		sw.reset(&s.clips[i], cat, nil)
+		out[i] = query.CoOccurrencesFrom(&sw, dist, s.ctx)
 	}
+	sw.flush()
 	s.selfCheck("CoOccurrences", out, func() any {
 		chk := make([]int, len(s.clips))
 		for i := range s.clips {
@@ -261,10 +347,10 @@ func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 		}
 		mask := ci.regionCandidates(region)
 		var boxes, pruned int64
-		for _, ti := range ci.catIndices(cat) {
+		ci.eachOfCategory(cat, func(ti int32) {
 			if !mask[ti] {
 				pruned++
-				continue
+				return
 			}
 			t := ci.tracks[ti]
 			ip := query.NewInterp(t)
@@ -278,7 +364,7 @@ func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 			if frames > 0 {
 				m[t.ID] = float64(frames) / float64(s.ctx.FPS)
 			}
-		}
+		})
 		metIndexBoxes.Add(boxes)
 		metGridPruned.Add(pruned)
 	}

@@ -4,9 +4,12 @@
 //
 //   - a temporal interval index in a flat sorted-endpoints layout (track
 //     first/last frames sorted twice, by start and by end, as parallel
-//     int32 arrays) that answers "which tracks are visible at frame f" by
-//     enumerating the smaller of the start-prefix and the end-suffix
-//     instead of touching every track;
+//     int32 arrays). Frame-level queries walk both arrays once per clip as
+//     a sweep line (tracks enter at their first frame and leave after
+//     their last); the point lookup behind VisibleBoxes, and behind the
+//     few frames a limit query finally returns, answers "which tracks are
+//     visible at frame f" by enumerating the smaller of the start-prefix
+//     and the end-suffix (clipIndex.active);
 //
 //   - a coarse spatial grid over each track's bounding extent (the union
 //     of its detection boxes, which contains every interpolated box) in
@@ -17,10 +20,17 @@
 //     visit tracks of other categories.
 //
 // Query execution shares the scan implementations' cores (the query
-// package's *From variants and InterpBox arithmetic), so every indexed
-// result is bit-identical to the corresponding linear scan — the
-// differential tests in this package assert element-for-element equality,
-// and SelfCheck mode re-runs the scan on every query at runtime.
+// package's *From functions over a query.FrameSource, and InterpBox
+// arithmetic), so every indexed result is bit-identical to the
+// corresponding linear scan — the differential tests in this package assert
+// element-for-element equality, TestGoldenQueries pins the answers across
+// commits, and SelfCheck mode re-runs the scan on every query at runtime.
+//
+// The sweep (queries.go) hands the cores views into buffers it reuses for
+// the next frame: boxes are valid until the next Advance and whatever a
+// result keeps comes from the point lookup, in slices of its own.
+// AvgVisible, BusyFrames and the count test of a CountPredicate limit query
+// read only the size of the active list and never interpolate a box.
 //
 // The index arrays hold track indices, not pointers, and are immutable
 // after New returns; a Store is safe for concurrent queries.
@@ -35,9 +45,14 @@ import (
 )
 
 // Observability handles. index_boxes counts detection elements examined by
-// indexed queries (the same unit the scans record under query.scan_boxes);
-// candidates_examined / candidates_kept give the temporal index's pruning
-// hit ratio.
+// indexed queries' interpolators (the same unit the scans record under
+// query.scan_boxes; kinds that only count add nothing). Per sweep and clip,
+// candidates_examined counts the tracks whose first frame the sweep line
+// reached and candidates_kept those that also passed the category and
+// region filters and entered the active list — each track once per sweep,
+// not once per frame; a point lookup adds its stabbing query's candidates
+// to both in the same way. grid_pruned counts tracks the region mask
+// turned away. kept / examined is store.index_hit_ratio.
 var (
 	metQueries       = obs.Default.Counter("store.queries")
 	metIndexBoxes    = obs.Default.Counter("store.index_boxes")

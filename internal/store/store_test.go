@@ -152,7 +152,8 @@ func TestActiveMatchesBruteForce(t *testing.T) {
 }
 
 // TestConcurrentQueries runs many queries against one store from parallel
-// goroutines; under -race this asserts the store is read-safe.
+// goroutines; under -race this asserts the store is read-safe and that
+// sweeps (and their reused buffers) belong to one call each.
 func TestConcurrentQueries(t *testing.T) {
 	ctx := testCtx()
 	r := rand.New(rand.NewSource(3))
@@ -176,6 +177,7 @@ func TestConcurrentQueries(t *testing.T) {
 				s.CountTracks("bus")
 				s.AvgVisible("")
 				s.BusyFrames("car", 2, "bus", 1)
+				s.CoOccurrences("bus", 120)
 			}
 		}(g)
 	}
@@ -220,4 +222,121 @@ func TestIndexPruning(t *testing.T) {
 		t.Errorf("index visited %d boxes vs scan %d; want >= 5x pruning", idxCost, scanCost)
 	}
 	t.Logf("boxes visited: scan=%d indexed=%d (%.1fx)", scanCost, idxCost, float64(scanCost)/float64(idxCost))
+}
+
+// TestSweepCountsMatchVisibleBoxes is the count shortcut's property test:
+// at every frame the sweep's count-only Advance equals the number of boxes
+// the scan interpolates there, and Boxes hands back exactly the scan's
+// boxes and owners (nil when there are none) — on tracks with sampling
+// gaps, empty, single-detection and duplicate-frame tracks, tracks that
+// run past the clip, and sweeps that skip frames.
+func TestSweepCountsMatchVisibleBoxes(t *testing.T) {
+	ctx := testCtx()
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		perClip := [][]*query.Track{
+			genTracks(r, 5+r.Intn(40), ctx.Frames+30, ctx),
+			genTracks(r, r.Intn(4), ctx.Frames, ctx),
+			nil,
+		}
+		s := New(perClip, ctx)
+		var sw sweep // one sweep over every clip, as the query methods use it
+		for _, stride := range []int{1, 1 + r.Intn(6)} {
+			for _, cat := range []string{"", "car", "bus", "nosuch"} {
+				for c, tracks := range perClip {
+					sw.reset(&s.clips[c], cat, nil)
+					for f := 0; f < ctx.Frames+40; f += stride {
+						wantB, wantO := query.VisibleBoxes(tracks, cat, f)
+						if n := sw.Advance(f); n != len(wantB) {
+							t.Fatalf("seed %d clip %d cat %q frame %d stride %d: Advance = %d, scan sees %d boxes", seed, c, cat, f, stride, n, len(wantB))
+						}
+						gotB, gotO := sw.Boxes()
+						if !reflect.DeepEqual(gotB, wantB) || !reflect.DeepEqual(gotO, wantO) {
+							t.Fatalf("seed %d clip %d cat %q frame %d stride %d: Boxes diverged from the scan", seed, c, cat, f, stride)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLimitResultsOwnTheirBoxes guards the buffer-lifetime contract: a
+// sweep reuses its box buffer for every frame and clip, so a result that
+// kept a view into it would change under the next frame. Results must
+// equal the scan's (which allocates per frame) and must not move when
+// another query runs on the same store; a match on an empty frame keeps
+// Boxes nil, not empty.
+func TestLimitResultsOwnTheirBoxes(t *testing.T) {
+	ctx := testCtx()
+	r := rand.New(rand.NewSource(5))
+	perClip := [][]*query.Track{genTracks(r, 40, ctx.Frames, ctx), genTracks(r, 25, ctx.Frames, ctx), genTracks(r, 2, ctx.Frames, ctx)}
+	s := New(perClip, ctx)
+
+	first := s.LimitQuery("car", query.CountPredicate{N: 2}, 5, 10)
+	want := make([][]query.FrameMatch, len(perClip))
+	for c, tracks := range perClip {
+		want[c] = query.LimitQuery(tracks, "car", query.CountPredicate{N: 2}, ctx, 5, 10)
+	}
+	if len(first[0]) == 0 || len(first[0][0].Boxes) < 2 {
+		t.Fatal("fixture should match 2-car frames in clip 0")
+	}
+	s.LimitQuery("", query.CountPredicate{N: 1}, 8, 3)
+	s.CoOccurrences("car", 100)
+	if !reflect.DeepEqual(first, want) {
+		t.Errorf("limit result changed after later queries on the same store:\n got: %v\nwant: %v", first, want)
+	}
+
+	// No bus track covers every frame of the sparse clip, so N: 0 matches
+	// empty frames there, with nil Boxes and the untouched MaxInt32 rank.
+	empty := s.LimitQuery("bus", query.CountPredicate{N: 0}, ctx.Frames, 0)[2]
+	sawEmpty := false
+	for _, m := range empty {
+		if vis, _ := query.VisibleBoxes(perClip[2], "bus", m.FrameIdx); len(vis) == 0 {
+			sawEmpty = true
+			if m.Boxes != nil {
+				t.Fatalf("frame %d has no bus: Boxes = %#v, want nil", m.FrameIdx, m.Boxes)
+			}
+		}
+	}
+	if !sawEmpty {
+		t.Fatal("fixture should have a frame without a bus in clip 2")
+	}
+}
+
+// TestSweepTelemetry pins what the pruning counters mean under the sweep
+// line: candidates_examined counts tracks reaching their first frame,
+// candidates_kept those that also pass the category and region filters,
+// and index_boxes the detections interpolators walked — which is none for
+// the kinds that only count.
+func TestSweepTelemetry(t *testing.T) {
+	ctx := testCtx()
+	tracks := genTracks(rand.New(rand.NewSource(11)), 50, ctx.Frames, ctx)
+	s := New([][]*query.Track{tracks}, ctx)
+	var cars int64 // every non-empty track starts inside the clip
+	for _, tr := range tracks {
+		if len(tr.Dets) > 0 && tr.Category == "car" {
+			cars++
+		}
+	}
+	delta := func(run func()) (examined, kept, boxes int64) {
+		e0, k0, b0 := metCandExamined.Value(), metCandKept.Value(), metIndexBoxes.Value()
+		run()
+		return metCandExamined.Value() - e0, metCandKept.Value() - k0, metIndexBoxes.Value() - b0
+	}
+
+	examined, kept, boxes := delta(func() { s.AvgVisible("car") })
+	// Empty tracks sort first (start 0): examined, but never entered.
+	if want := int64(len(tracks)); examined != want || kept != cars || boxes != 0 {
+		t.Errorf("AvgVisible: examined %d kept %d boxes %d, want %d %d 0", examined, kept, boxes, want, cars)
+	}
+	if _, _, boxes := delta(func() { s.BusyFrames("car", 1, "bus", 1) }); boxes != 0 {
+		t.Errorf("BusyFrames interpolated %d detections, want 0", boxes)
+	}
+	if _, _, boxes := delta(func() { s.LimitQuery("car", query.CountPredicate{N: len(tracks) + 1}, 5, 0) }); boxes != 0 {
+		t.Errorf("LimitQuery interpolated %d detections on frames its count rejects, want 0", boxes)
+	}
+	if _, kept, boxes := delta(func() { s.LimitQuery("car", query.CountPredicate{N: 1}, 5, 0) }); kept < cars || boxes == 0 {
+		t.Errorf("LimitQuery: kept %d boxes %d, want at least %d kept and some boxes", kept, boxes, cars)
+	}
 }
