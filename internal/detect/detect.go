@@ -188,10 +188,12 @@ type Detector struct {
 
 // analyzeScratch holds the per-invocation buffers of analyze and
 // connectedComponents, reused across calls to keep the per-frame hot path
-// allocation-free. mask and diff are cleared at the start of every analyze
-// call: analyze only writes the region it inspects, while the component
-// scan reads the whole plane. dets and win carry each call's detections
-// until they are copied out (into the arena or the heap).
+// allocation-free. mask is cleared at the start of every analyze call:
+// analyze only writes the region it inspects, while the component scan
+// reads the whole plane. diff is not: it is read only under the mask and
+// inside component boxes, all within the region the call has just written.
+// dets and win carry each call's detections until they are copied out
+// (into the arena or the heap).
 type analyzeScratch struct {
 	mask   []bool
 	diff   []float64
@@ -200,6 +202,22 @@ type analyzeScratch struct {
 	comps  []component
 	dets   []Detection
 	win    []Detection
+
+	// tab is the difference table of tabOffset (valid once tabFilled).
+	// Every window of one frame has the frame's offset, so DetectWindows
+	// fills it once per frame, not once per window.
+	tab       video.DiffTable
+	tabOffset float64
+	tabFilled bool
+}
+
+// diffTable returns the difference table for a brightness offset.
+func (s *analyzeScratch) diffTable(offset float64) *video.DiffTable {
+	if !s.tabFilled || s.tabOffset != offset {
+		s.tab.Fill(offset)
+		s.tabOffset, s.tabFilled = offset, true
+	}
+	return &s.tab
 }
 
 // scratchFor returns the detector's analysis scratch, acquiring one from
@@ -344,32 +362,26 @@ func (d *Detector) analyze(dst []Detection, frame *video.Frame, frameIdx int, re
 	mask := growSlice(&s.mask, aw*ah)
 	clear(mask)
 	diff := growSlice(&s.diff, aw*ah)
-	clear(diff)
-	fillDiff(diff, mask, img, bg, offset, thresh, aw, x0, x1, y0, y1)
+	fillDiff(diff, mask, img, bg, s.diffTable(offset), thresh, aw, x0, x1, y0, y1)
 	return emitDetections(d, dst, s, mask, diff, frame, frameIdx, bounds, aw, ah)
 }
 
-// fillDiff computes the brightness-compensated difference plane inside the
-// analysis window and thresholds it into mask.
-//
-// The conditional negation is bit-identical to math.Abs here: the two only
-// differ on NaN and -0, and neither can occur (pixels are uint8, so the
-// difference is -0-free).
-func fillDiff(diff []float64, mask []bool, img, bg *video.Frame, offset, thresh float64, aw, x0, x1, y0, y1 int) {
+// fillDiff writes the brightness-compensated difference plane inside the
+// analysis window, read off the frame's difference table, and thresholds
+// it into mask, which arrives cleared.
+func fillDiff(diff []float64, mask []bool, img, bg *video.Frame, tab *video.DiffTable, thresh float64, aw, x0, x1, y0, y1 int) {
+	if x1 <= x0 {
+		return
+	}
 	for y := y0; y < y1; y++ {
-		ip := img.Pix[y*aw : (y+1)*aw]
-		bp := bg.Pix[y*aw : (y+1)*aw]
-		dr := diff[y*aw : (y+1)*aw]
-		mr := mask[y*aw : (y+1)*aw]
-		for x := x0; x < x1; x++ {
-			dv := float64(ip[x]) - float64(bp[x]) - offset
-			if dv < 0 {
-				dv = -dv
-			}
+		ip := img.Pix[y*aw+x0 : y*aw+x1]
+		bp := bg.Pix[y*aw+x0 : y*aw+x1]
+		dr := diff[y*aw+x0 : y*aw+x1]
+		mr := mask[y*aw+x0 : y*aw+x1]
+		for x, v := range ip {
+			dv := tab.At(v, bp[x])
 			dr[x] = dv
-			if dv > thresh {
-				mr[x] = true
-			}
+			mr[x] = dv > thresh
 		}
 	}
 }

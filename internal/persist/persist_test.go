@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -264,5 +265,53 @@ func TestLoadModelsRejectsWrongDataset(t *testing.T) {
 	sys2 := core.NewSystem(other)
 	if err := LoadModels(bytes.NewReader(buf.Bytes()), sys2); err == nil {
 		t.Error("loading a caldot1 bundle into tokyo must fail")
+	}
+}
+
+// TestHostileCountsAllocateLittle feeds track files that end right after a
+// header count of the largest accepted size. The counts precede the
+// checksum, so nothing vouches for them: the reader must fail on the
+// missing records having reserved next to nothing, not the gigabyte the
+// count asks for.
+func TestHostileCountsAllocateLittle(t *testing.T) {
+	build := func(fill func(w *writer)) []byte {
+		var buf bytes.Buffer
+		w := newWriter(&buf)
+		w.header(trackMagic)
+		fill(w)
+		if w.err != nil {
+			t.Fatal(w.err)
+		}
+		if err := w.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	track := func(w *writer) { // one clip, one track, up to its detection count
+		w.int(1)
+		w.int(1)
+		w.int(7)
+		w.str("car")
+	}
+	cases := map[string][]byte{
+		"clips":      build(func(w *writer) { w.int(1 << 20) }),
+		"tracks":     build(func(w *writer) { w.int(1); w.int(1 << 24) }),
+		"detections": build(func(w *writer) { track(w); w.int(1 << 24) }),
+		"path":       build(func(w *writer) { track(w); w.int(0); w.int(1 << 24) }),
+	}
+	for name, data := range cases {
+		if len(data) > 100 {
+			t.Fatalf("%s: hostile file is %d bytes; it should be a few dozen", name, len(data))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadTracks(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: truncated file read without error", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+			t.Errorf("%s: a %d-byte file made the reader allocate %d bytes", name, len(data), got)
+		}
 	}
 }

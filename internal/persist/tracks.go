@@ -135,25 +135,32 @@ func ReadTracksAuto(src io.Reader) ([][]*query.Track, *TrackMeta, error) {
 	return perClip, meta, nil
 }
 
+// maxPrealloc bounds the capacity a reader reserves on the strength of a
+// count it has only read, not yet verified: the counts sit before the
+// checksum, so a file of a few dozen bytes can claim 1<<24 records. Slices
+// start at most this long and grow as records actually arrive.
+const maxPrealloc = 1 << 10
+
 func readTrackBody(r *reader) ([][]*query.Track, error) {
 	nClips := r.int()
 	if r.err != nil || nClips < 0 || nClips > 1<<20 {
 		return nil, badLen(r, nClips)
 	}
-	out := make([][]*query.Track, nClips)
-	for c := range out {
+	out := make([][]*query.Track, 0, min(nClips, maxPrealloc))
+	for c := 0; c < nClips; c++ {
 		nTracks := r.int()
 		if r.err != nil || nTracks < 0 || nTracks > 1<<24 {
 			return nil, badLen(r, nTracks)
 		}
-		out[c] = make([]*query.Track, nTracks)
-		for i := range out[c] {
+		tracks := make([]*query.Track, 0, min(nTracks, maxPrealloc))
+		for i := 0; i < nTracks; i++ {
 			t, err := readTrack(r)
 			if err != nil {
 				return nil, err
 			}
-			out[c][i] = t
+			tracks = append(tracks, t)
 		}
+		out = append(out, tracks)
 	}
 	if err := r.verifyChecksum(); err != nil {
 		return nil, err
@@ -170,9 +177,9 @@ func readTrack(r *reader) (*query.Track, error) {
 	if r.err != nil || nDets < 0 || nDets > 1<<24 {
 		return nil, badLen(r, nDets)
 	}
-	t.Dets = make([]detect.Detection, nDets)
-	for i := range t.Dets {
-		t.Dets[i] = detect.Detection{
+	t.Dets = make([]detect.Detection, 0, min(nDets, maxPrealloc))
+	for i := 0; i < nDets; i++ {
+		d := detect.Detection{
 			FrameIdx: r.int(),
 			Box:      geom.Rect{X: r.f64(), Y: r.f64(), W: r.f64(), H: r.f64()},
 			Score:    r.f64(),
@@ -180,16 +187,24 @@ func readTrack(r *reader) (*query.Track, error) {
 			AppMean:  r.f64(),
 			AppStd:   r.f64(),
 		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		t.Dets = append(t.Dets, d)
 	}
 	nPath := r.int()
 	if r.err != nil || nPath < 0 || nPath > 1<<24 {
 		return nil, badLen(r, nPath)
 	}
-	t.Path = make(geom.Path, nPath)
-	for i := range t.Path {
-		t.Path[i] = geom.Point{X: r.f64(), Y: r.f64()}
+	t.Path = make(geom.Path, 0, min(nPath, maxPrealloc))
+	for i := 0; i < nPath; i++ {
+		p := geom.Point{X: r.f64(), Y: r.f64()}
+		if r.err != nil {
+			return nil, r.err
+		}
+		t.Path = append(t.Path, p)
 	}
-	return t, r.err
+	return t, nil
 }
 
 func badLen(r *reader, n int) error {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"otif/internal/costmodel"
 	"otif/internal/detect"
@@ -99,6 +100,8 @@ func TruthGrid(nomW, nomH int, boxes []geom.Rect) *Grid {
 type Model struct {
 	ResW, ResH int // nominal input resolution (cost accounting)
 	LR         *nn.LogReg
+
+	cells atomic.Pointer[cellSpans] // see spans
 }
 
 // NewModel creates an untrained proxy model for the given nominal input
@@ -122,65 +125,102 @@ func (m *Model) analysisSize(f *video.Frame) (int, int) {
 	return aw, ah
 }
 
+// cellSpans holds, for one analysis geometry, the analysis-pixel span of
+// every cell column and cell row. Adjacent spans share a pixel wherever a
+// cell edge falls inside one.
+type cellSpans struct {
+	aw, ah, nomW, nomH int
+	x0, x1             []int // per cell column
+	y0, y1             []int // per cell row
+}
+
+// spans returns the cell spans for analysis resolution aw x ah of a
+// nomW x nomH frame. A model sees one geometry for the whole of a dataset,
+// so the last table built is kept on the model; a racing first call builds
+// the same table twice and either copy serves.
+func (m *Model) spans(aw, ah, nomW, nomH int) *cellSpans {
+	if s := m.cells.Load(); s != nil && s.aw == aw && s.ah == ah && s.nomW == nomW && s.nomH == nomH {
+		return s
+	}
+	s := &cellSpans{aw: aw, ah: ah, nomW: nomW, nomH: nomH}
+	gw, gh := GridDims(nomW, nomH)
+	edges := func(cells, size, nom int) (lo, hi []int) {
+		scale := float64(size) / float64(nom) // analysis pixels per nominal pixel
+		lo, hi = make([]int, cells), make([]int, cells)
+		for c := range lo {
+			lo[c] = clampInt(int(float64(c*CellSize)*scale), 0, size-1)
+			hi[c] = clampInt(int(math.Ceil(float64((c+1)*CellSize)*scale)), lo[c]+1, size)
+		}
+		return lo, hi
+	}
+	s.x0, s.x1 = edges(gw, aw, nomW)
+	s.y0, s.y1 = edges(gh, ah, nomH)
+	m.cells.Store(s)
+	return s
+}
+
 // forEachCell streams the per-cell feature vectors of the frame at the
-// model's input resolution to visit, in row-major cell order. The feature
-// vector handed to visit lives in one reused buffer and is only valid for
-// the duration of the call; visit must copy it to retain it. The frame's
+// model's input resolution to visit, in row-major cell order. The frame's
 // downsample is served by the process-wide cache.
-func (m *Model) forEachCell(frame *video.Frame, bg *detect.BackgroundModel, visit func(cell int, feat nn.Vec)) {
+func (m *Model) forEachCell(frame *video.Frame, bg *detect.BackgroundModel, visit func(cell int, feat [featuresPerCell]float64)) {
 	aw, ah := m.analysisSize(frame)
 	img := video.CachedDownsample(frame, aw, ah)
-	var bgImg *video.Frame
-	var offset float64
+	// Without a background there is nothing to contrast against and both
+	// difference features are 0: the zero table read against the image
+	// itself gives exactly that.
+	var tab video.DiffTable
+	bgPix := img.Pix
 	if bg != nil {
-		// The brightness offset is only meaningful against a background;
-		// without one the full-frame mean would go unused, so skip the pass.
-		bgImg = bg.At(aw, ah)
+		bgImg := bg.At(aw, ah)
 		imgMean, _ := img.SharedMeanStd()
 		bgMean, _ := bgImg.SharedMeanStd()
-		offset = imgMean - bgMean
+		tab.Fill(imgMean - bgMean)
+		bgPix = bgImg.Pix
 	}
 
-	gw, gh := GridDims(frame.NomW, frame.NomH)
-	// Analysis pixels per nominal pixel.
-	sx := float64(aw) / float64(frame.NomW)
-	sy := float64(ah) / float64(frame.NomH)
-	var feat [featuresPerCell]float64
-	for cy := 0; cy < gh; cy++ {
-		y0 := clampInt(int(float64(cy*CellSize)*sy), 0, ah-1)
-		y1 := clampInt(int(math.Ceil(float64((cy+1)*CellSize)*sy)), y0+1, ah)
-		for cx := 0; cx < gw; cx++ {
-			x0 := clampInt(int(float64(cx*CellSize)*sx), 0, aw-1)
-			x1 := clampInt(int(math.Ceil(float64((cx+1)*CellSize)*sx)), x0+1, aw)
-			var sum, sum2, sumDiff, maxDiff float64
-			n := 0
-			for y := y0; y < y1; y++ {
-				for x := x0; x < x1; x++ {
-					v := float64(img.Pix[y*aw+x])
-					sum += v
-					sum2 += v * v
-					if bgImg != nil {
-						d := math.Abs(v - float64(bgImg.Pix[y*aw+x]) - offset)
-						sumDiff += d
-						if d > maxDiff {
-							maxDiff = d
-						}
-					}
-					n++
-				}
-			}
-			mean := sum / float64(n)
-			variance := sum2/float64(n) - mean*mean
+	s := m.spans(aw, ah, frame.NomW, frame.NomH)
+	gw := len(s.x0)
+	for cy, y0 := range s.y0 {
+		y1 := s.y1[cy]
+		for cx, x0 := range s.x0 {
+			x1 := s.x1[cx]
+			sum, sum2, sumDiff, maxDiff := cellStats(img.Pix[y0*aw+x0:], bgPix[y0*aw+x0:], aw, x1-x0, y1-y0, &tab)
+			n := float64((x1 - x0) * (y1 - y0))
+			mean := float64(sum) / n
+			variance := float64(sum2)/n - mean*mean
 			if variance < 0 {
 				variance = 0
 			}
-			feat[0] = math.Sqrt(variance) / 32
-			feat[1] = sumDiff / float64(n) / 48
-			feat[2] = maxDiff / 64
-			feat[3] = mean / 255
-			visit(cy*gw+cx, nn.Vec(feat[:]))
+			visit(cy*gw+cx, [featuresPerCell]float64{
+				math.Sqrt(variance) / 32,
+				sumDiff / n / 48,
+				maxDiff / 64,
+				mean / 255,
+			})
 		}
 	}
+}
+
+// cellStats accumulates one cell: w x h pixels of img and bg, both starting
+// at the cell's first pixel with the given row stride. The brightness sums
+// are integers, which is what the float sums of integer-valued pixels were
+// (exact below 2^53); the difference sum adds the table's values in
+// row-major order, so it rounds as it always has.
+func cellStats(img, bg []uint8, stride, w, h int, tab *video.DiffTable) (sum, sum2 uint64, sumDiff, maxDiff float64) {
+	for y := 0; y < h; y++ {
+		ip := img[y*stride : y*stride+w]
+		bp := bg[y*stride : y*stride+w]
+		for i, v := range ip {
+			sum += uint64(v)
+			sum2 += uint64(v) * uint64(v)
+			d := tab.At(v, bp[i])
+			sumDiff += d
+			if d > maxDiff {
+				maxDiff = d
+			}
+		}
+	}
+	return sum, sum2, sumDiff, maxDiff
 }
 
 // Features computes the per-cell feature matrix of the frame at the
@@ -196,8 +236,8 @@ func (m *Model) Features(frame *video.Frame, bg *detect.BackgroundModel, dst []f
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	m.forEachCell(frame, bg, func(cell int, feat nn.Vec) {
-		copy(dst[cell*featuresPerCell:(cell+1)*featuresPerCell], feat)
+	m.forEachCell(frame, bg, func(cell int, feat [featuresPerCell]float64) {
+		copy(dst[cell*featuresPerCell:(cell+1)*featuresPerCell], feat[:])
 	})
 	return dst
 }
@@ -215,8 +255,8 @@ func (m *Model) Score(frame *video.Frame, bg *detect.BackgroundModel, acct *cost
 	acct.Add(costmodel.OpProxy, costmodel.ProxyCost(m.ResW, m.ResH))
 	gw, gh := GridDims(frame.NomW, frame.NomH)
 	scores := make([]float64, gw*gh)
-	m.forEachCell(frame, bg, func(cell int, feat nn.Vec) {
-		scores[cell] = m.LR.Predict(feat)
+	m.forEachCell(frame, bg, func(cell int, feat [featuresPerCell]float64) {
+		scores[cell] = m.LR.Predict(feat[:])
 	})
 	return scores
 }

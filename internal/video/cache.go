@@ -10,14 +10,23 @@ import (
 // This file implements the bounded, sharded frame cache on the per-frame
 // hot path. Two kinds of derived buffers are cached:
 //
-//   - downsampled frames, keyed by (source frame identity, w, h): the five
-//     proxy resolutions, the detector's coarse analysis grid, and the
-//     background model's per-resolution buffers all re-request the same
-//     downsample of the same frame many times per processed frame;
-//   - rendered/decoded clip frames, keyed by (source identity, index):
-//     repeated tuner evaluations of the same clip re-read the same frames,
-//     and a stable frame identity is what makes the downsample cache hit
-//     across those evaluations.
+//   - downsampled frames, keyed by (source frame identity, w, h);
+//   - rendered/decoded clip frames, keyed by (source identity, index).
+//
+// What pays for it is repeated reading: the tuner evaluates many
+// configurations over one validation set (the benchmark's tune-warm), every
+// evaluation re-reads the same clip frames, and a stable frame identity is
+// what lets their downsamples hit too. The background model's
+// per-resolution planes live here for the same reason.
+//
+// What does not: a clip read once. One configuration asks for one proxy
+// resolution and one detector resolution, so a cold extraction
+// (extract-dense, extract-tuned) misses on every clip frame and on each
+// frame's downsamples. Its hits are the background model's planes, the
+// same buffers every frame, and the second and later windows of one frame
+// under DetectWindows: the 0.33-0.57 hit rate those workloads show, beside
+// tens of thousands of evictions. Whether single-pass readers should
+// bypass the cache is an open ROADMAP question.
 //
 // Cached frames are shared and MUST be treated as read-only by all
 // callers; every producer in this repository already does. Entries are
