@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -57,7 +58,7 @@ func main() {
 		return
 	}
 
-	// -query-tracks: the pure post-processing workflow. The v2 track
+	// -query-tracks: the pure post-processing workflow. The track
 	// format is self-describing, so no dataset, geometry or frame-rate
 	// arguments are needed — open the file and query.
 	if *queryF != "" {
@@ -76,19 +77,19 @@ func main() {
 		if *segsDir != "" {
 			exportSegments(ts, *segsDir, *segClips)
 		}
-		counts := ts.Query().Category("car").Count()
+		counts := ts.CountTracks("car")
 		total := 0
 		for _, c := range counts {
 			total += c
 		}
 		fmt.Printf("  unique cars per clip: %v (total %d)\n", counts, total)
-		frames := ts.Query().Category("car").MinCount(2).Limit(3).MinSep(1).Frames()
+		frames := ts.LimitQuery("car", otif.CountPredicate{N: 2}, 3, 1)
 		for clip, ms := range frames {
 			for _, m := range ms {
 				fmt.Printf("  clip %d frame %d: %d cars visible\n", clip, m.FrameIdx, len(m.Boxes))
 			}
 		}
-		fmt.Printf("  average visible cars per clip: %.1f...\n", mean(ts.Query().Category("car").AvgVisible()))
+		fmt.Printf("  average visible cars per clip: %.1f...\n", mean(ts.AvgVisible("car")))
 		finish(*metricsF, *traceOut, *traceFmt)
 		return
 	}
@@ -129,7 +130,7 @@ func main() {
 		fmt.Println("saved model bundle to", *saveTo)
 	}
 
-	points, err := pipe.Tune()
+	points, err := pipe.Tune(context.Background())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "otif:", err)
 		os.Exit(1)
@@ -149,7 +150,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("\nexecuting with %v\n", pick.Cfg)
-	ts, err := pipe.Extract(pick.Cfg, otif.Test)
+	ts, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "otif:", err)
 		os.Exit(1)

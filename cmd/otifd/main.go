@@ -19,7 +19,6 @@
 //	GET  /v1/debug/trace        flight-recorder spans (?format=otif|chrome)
 //	GET  /v1/debug/slow         slowest query requests with span subtrees
 //	GET  /v1/debug/bundle       one-shot tar.gz post-mortem artifact
-//	GET  /v1/debug/vars         expvar
 //	     /v1/debug/pprof/*      CPU/heap/goroutine profiling
 //	     /debug/pprof/*         the same, where go tool pprof expects it
 //
@@ -197,14 +196,15 @@ func main() {
 	// /readyz flips once the pipeline can take jobs.
 	go func() {
 		start := time.Now()
-		pipe, err := otif.OpenWith(*name,
-			otif.WithSeed(*seed), otif.WithClips(*clips), otif.WithClipSeconds(*seconds),
-			otif.WithProgress(d.relayProgress))
+		pipe, err := otif.Open(*name, otif.Options{
+			ClipsPerSet: *clips, ClipSeconds: *seconds, Seed: *seed,
+			Progress: d.relayProgress,
+		})
 		if err == nil {
 			pipe.Train()
 			d.mu.Lock()
 			d.pipe = pipe
-			d.curve, err = pipe.Tune()
+			d.curve, err = pipe.Tune(context.Background())
 			d.mu.Unlock()
 		}
 		if err != nil {
@@ -372,7 +372,7 @@ func (d *daemon) runTune(ctx context.Context, job *serve.Job, progress obs.Progr
 		return nil, err
 	}
 	defer release()
-	curve, err := d.pipe.TuneContext(ctx)
+	curve, err := d.pipe.Tune(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +405,7 @@ func (d *daemon) runExtract(ctx context.Context, job *serve.Job, progress obs.Pr
 	if err != nil {
 		return nil, err
 	}
-	ts, err := d.pipe.ExtractContext(ctx, pick.Cfg, set)
+	ts, err := d.pipe.Extract(ctx, pick.Cfg, set)
 	if err != nil {
 		return nil, err
 	}
@@ -444,8 +444,8 @@ func (d *daemon) runStream(ctx context.Context, job *serve.Job, progress obs.Pro
 	pipe := d.pipe
 	d.mu.Unlock()
 
-	opts := []otif.IngestOption{otif.WithStreamProgress(progress)}
 	v := job.View()
+	opts := otif.IngestOptions{Progress: progress, DropWhenFull: v.Params["drop"] == "true"}
 	atoi := func(key string) (int, error) {
 		s := v.Params[key]
 		if s == "" {
@@ -457,42 +457,28 @@ func (d *daemon) runStream(ctx context.Context, job *serve.Job, progress obs.Pro
 		}
 		return n, nil
 	}
-	cams, err := atoi("cameras")
-	if err != nil {
+	var err error
+	if opts.Cameras, err = atoi("cameras"); err != nil {
 		return nil, err
 	}
-	if cams > 0 {
-		opts = append(opts, otif.WithCameras(cams))
-	}
-	if n, err := atoi("clips"); err != nil {
+	if opts.ClipsPerCamera, err = atoi("clips"); err != nil {
 		return nil, err
-	} else if n > 0 {
-		opts = append(opts, otif.WithCameraClips(n))
 	}
-	if n, err := atoi("queue"); err != nil {
+	if opts.QueueDepth, err = atoi("queue"); err != nil {
 		return nil, err
-	} else if n > 0 {
-		opts = append(opts, otif.WithQueueDepth(n))
 	}
 	if s := v.Params["interval"]; s != "" {
-		iv, err := time.ParseDuration(s)
-		if err != nil {
+		if opts.Interval, err = time.ParseDuration(s); err != nil {
 			return nil, fmt.Errorf("otifd: bad interval %q: %w", s, err)
 		}
-		opts = append(opts, otif.WithStreamInterval(iv))
 	}
 	if s := v.Params["seconds"]; s != "" {
-		secs, err := strconv.ParseFloat(s, 64)
-		if err != nil {
+		if opts.ClipSeconds, err = strconv.ParseFloat(s, 64); err != nil {
 			return nil, fmt.Errorf("otifd: bad seconds %q: %w", s, err)
 		}
-		opts = append(opts, otif.WithStreamClipSeconds(secs))
-	}
-	if v.Params["drop"] == "true" {
-		opts = append(opts, otif.WithDropWhenFull(true))
 	}
 
-	sess, err := pipe.Ingest(ctx, opts...)
+	sess, err := pipe.Ingest(ctx, opts)
 	if err != nil {
 		return nil, err
 	}

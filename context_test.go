@@ -29,8 +29,7 @@ func ctxPipeline(t *testing.T) *otif.Pipeline {
 			(*fn)(e)
 		}
 	})
-	pipe, err := otif.OpenWith("caldot1",
-		otif.WithClips(2), otif.WithClipSeconds(2), otif.WithProgress(hook))
+	pipe, err := otif.Open("caldot1", otif.Options{ClipsPerSet: 2, ClipSeconds: 2, Progress: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func TestExtractContextPreCanceled(t *testing.T) {
 	pipe := ctxPipeline(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := pipe.ExtractContext(ctx, pipe.System().Best, otif.Test)
+	_, err := pipe.Extract(ctx, pipe.System().Best, otif.Test)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -75,7 +74,7 @@ func TestExtractContextCancelMidRun(t *testing.T) {
 			cancel()
 		}
 	})
-	_, err := pipe.ExtractContext(ctx, pipe.System().Best, otif.Test)
+	_, err := pipe.Extract(ctx, pipe.System().Best, otif.Test)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -103,7 +102,7 @@ func TestExtractContextDrainsWorkers(t *testing.T) {
 			cancel()
 		}
 	})
-	if _, err := pipe.ExtractContext(ctx, pipe.System().Best, otif.Test); !errors.Is(err, context.Canceled) {
+	if _, err := pipe.Extract(ctx, pipe.System().Best, otif.Test); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
@@ -129,7 +128,7 @@ func TestTuneContextCancelMidRun(t *testing.T) {
 			cancel()
 		}
 	})
-	curve, err := pipe.TuneContext(ctx)
+	curve, err := pipe.Tune(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -152,23 +151,8 @@ func TestTuneContextPreCanceledAfterTrain(t *testing.T) {
 	pipe := ctxPipeline(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pipe.TuneContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := pipe.Tune(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestExtractContextUncanceledMatchesExtract(t *testing.T) {
-	pipe := ctxPipeline(t)
-	a, err := pipe.Extract(pipe.System().Best, otif.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pipe.ExtractContext(context.Background(), pipe.System().Best, otif.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Runtime != b.Runtime {
-		t.Errorf("ExtractContext runtime %v != Extract runtime %v", b.Runtime, a.Runtime)
 	}
 }
 
@@ -180,7 +164,7 @@ func TestProgressEventsDelivered(t *testing.T) {
 			clips.Add(1)
 		}
 	})
-	if _, err := pipe.Extract(pipe.System().Best, otif.Test); err != nil {
+	if _, err := pipe.Extract(context.Background(), pipe.System().Best, otif.Test); err != nil {
 		t.Fatal(err)
 	}
 	if got := clips.Load(); got != 2 {

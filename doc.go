@@ -20,19 +20,18 @@
 //
 // # Quick start
 //
-//	pipe, err := otif.OpenWith("caldot1", otif.WithSeed(7))
+//	pipe, err := otif.Open("caldot1", otif.Options{Seed: 7})
 //	if err != nil { ... }
 //	pipe.Train()                    // theta_best, proxies, trackers, refiner
-//	curve, err := pipe.Tune()       // speed-accuracy curve on validation set
+//	curve, err := pipe.Tune(ctx)    // speed-accuracy curve on validation set
 //	cfg, err := otif.PickFastestWithin(curve, 0.05)
-//	ts, err := pipe.Extract(cfg.Cfg, otif.Test)
-//	counts := ts.PathBreakdown("car")
+//	ts, err := pipe.Extract(ctx, cfg.Cfg, otif.Test)
+//	counts := ts.PathBreakdown("car", pipe.Movements(), 100)
 //
-// Tune and Extract have context-aware variants (TuneContext,
-// ExtractContext) that cancel cooperatively at iteration/clip boundaries
-// and report partial progress via *PartialError. Structured progress
-// events are available with OpenWith(name, otif.WithProgress(fn)), and
-// per-stage metrics via otif.Snapshot() (see DESIGN.md §9).
+// Tune and Extract cancel cooperatively at iteration/clip boundaries and
+// report partial progress via *PartialError. Structured progress events
+// are available by setting Options.Progress, and per-stage metrics via
+// otif.Snapshot() (see DESIGN.md §9).
 //
 // Beyond batch extraction, Pipeline.Ingest streams clips from N
 // simulated cameras through the trained models into a live indexed

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,12 +20,13 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	pipe, err := otif.Open("caldot1", otif.Options{ClipsPerSet: 4, ClipSeconds: 6})
 	if err != nil {
 		log.Fatal(err)
 	}
 	pipe.Train()
-	curve, err := pipe.Tune()
+	curve, err := pipe.Tune(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tracks, err := pipe.Extract(pick.Cfg, otif.Test)
+	tracks, err := pipe.Extract(ctx, pick.Cfg, otif.Test)
 	if err != nil {
 		log.Fatal(err)
 	}

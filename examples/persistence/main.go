@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -16,13 +17,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// --- Training process -------------------------------------------------
 	pipe, err := otif.Open("caldot1", otif.Options{ClipsPerSet: 3, ClipSeconds: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
 	pipe.Train()
-	curve, err := pipe.Tune()
+	curve, err := pipe.Tune(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func main() {
 	}
 	fmt.Printf("model bundle: %d bytes\n", modelBundle.Len())
 
-	tracks, err := pipe.Extract(pick.Cfg, otif.Test)
+	tracks, err := pipe.Extract(ctx, pick.Cfg, otif.Test)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func main() {
 	if err := pipe2.LoadModels(bytes.NewReader(modelBundle.Bytes())); err != nil {
 		log.Fatal(err)
 	}
-	tracks2, err := pipe2.Extract(pick.Cfg, otif.Test)
+	tracks2, err := pipe2.Extract(ctx, pick.Cfg, otif.Test)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func main() {
 		tracks2.Runtime, tracks.Runtime, tracks2.Runtime == tracks.Runtime)
 
 	// --- Or skip extraction entirely: reload the stored tracks ------------
-	// WriteTo writes the self-describing v2 format, so the file reloads
+	// WriteTo writes a self-describing format, so the file reloads
 	// with zero positional arguments: frame rate, geometry, clip length
 	// and dataset name all come from the header.
 	stored, err := otif.ReadTrackSet(bytes.NewReader(trackFile.Bytes()))
@@ -80,9 +82,9 @@ func main() {
 		}
 	}
 
-	// Queries run through the indexed store via the fluent builder; the
-	// results are bit-identical to the linear scans over the same tracks.
-	busiest := stored.Query().Category("car").MinCount(2).Limit(3).MinSep(1).Frames()
+	// Queries run through the indexed store; the results are bit-identical
+	// to the linear scans over the same tracks.
+	busiest := stored.LimitQuery("car", otif.CountPredicate{N: 2}, 3, 1)
 	for clip, frames := range busiest {
 		for _, m := range frames {
 			fmt.Printf("clip %d frame %d: %d cars visible\n", clip, m.FrameIdx, len(m.Boxes))

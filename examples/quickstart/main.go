@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,8 +16,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. Sample the dataset (training/validation/test clip sets).
-	pipe, err := otif.OpenWith("caldot1", otif.WithClips(4), otif.WithClipSeconds(6))
+	pipe, err := otif.Open("caldot1", otif.Options{ClipsPerSet: 4, ClipSeconds: 6})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func main() {
 	fmt.Println("theta_best:", best)
 
 	// 3. Tune: the greedy joint tuner produces a speed-accuracy curve.
-	curve, err := pipe.Tune()
+	curve, err := pipe.Tune(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func main() {
 		pick.Cfg, curve[0].Runtime/pick.Runtime)
 
 	// 5. Extract all tracks from the test set.
-	tracks, err := pipe.Extract(pick.Cfg, otif.Test)
+	tracks, err := pipe.Extract(ctx, pick.Cfg, otif.Test)
 	if err != nil {
 		log.Fatal(err)
 	}

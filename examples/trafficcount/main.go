@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -19,13 +20,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	pipe, err := otif.Open("tokyo", otif.Options{ClipsPerSet: 3, ClipSeconds: 6})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("training on the tokyo junction analog (10 movements)...")
 	pipe.Train()
-	curve, err := pipe.Tune()
+	curve, err := pipe.Tune(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func main() {
 	fmt.Printf("tuned configuration: %v (%.2f simulated s over the validation set)\n\n",
 		pick.Cfg, pick.Runtime)
 
-	tracks, err := pipe.Extract(pick.Cfg, otif.Test)
+	tracks, err := pipe.Extract(ctx, pick.Cfg, otif.Test)
 	if err != nil {
 		log.Fatal(err)
 	}

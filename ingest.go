@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"otif/internal/ingest"
-	"otif/internal/obs"
 	"otif/internal/query"
 	"otif/internal/store"
 	"otif/internal/video"
@@ -17,87 +16,39 @@ import (
 // CacheStats is for the frame cache.
 type IngestStats = ingest.Stats
 
-// CameraIngestStats is one camera's slice of IngestStats.
-type CameraIngestStats = ingest.CameraStats
-
 // PublishedClip records one streamed clip's publication: which (camera,
 // clip) pair landed at which index of the live store.
 type PublishedClip = ingest.PublishedClip
 
-// ingestConfig collects the functional options accepted by Ingest.
-type ingestConfig struct {
-	cameras  int
-	limit    int
-	interval time.Duration
-	seconds  float64
-	depth    int
-	drop     bool
-	cfg      *Config
-	progress obs.Progress
-}
-
-// IngestOption configures Pipeline.Ingest.
-type IngestOption interface {
-	applyIngest(*ingestConfig)
-}
-
-// ingestOption adapts a plain function to IngestOption.
-type ingestOption func(*ingestConfig)
-
-func (f ingestOption) applyIngest(c *ingestConfig) { f(c) }
-
-// WithCameras sets how many simulated camera streams the session ingests
-// (default 1). Each camera is an independent deterministic feed over the
-// pipeline's scene, seeded disjointly from the train/val/test sets.
-func WithCameras(n int) IngestOption {
-	return ingestOption(func(c *ingestConfig) { c.cameras = n })
-}
-
-// WithCameraClips bounds how many clips each camera emits; the session
-// finishes naturally once every camera is exhausted and drained. The
-// default (0) streams until the context is canceled or Close is called.
-func WithCameraClips(n int) IngestOption {
-	return ingestOption(func(c *ingestConfig) { c.limit = n })
-}
-
-// WithStreamInterval paces each camera's clip emissions on a wall-clock
-// schedule. The default (0) emits on demand, as fast as queue backpressure
-// allows.
-func WithStreamInterval(d time.Duration) IngestOption {
-	return ingestOption(func(c *ingestConfig) { c.interval = d })
-}
-
-// WithStreamClipSeconds sets the duration of each streamed clip; the
-// default (0) uses the pipeline's sampled-set clip duration.
-func WithStreamClipSeconds(s float64) IngestOption {
-	return ingestOption(func(c *ingestConfig) { c.seconds = s })
-}
-
-// WithQueueDepth bounds the shared extraction queue; 0 selects twice the
-// worker count. A full queue blocks producers (backpressure) unless
-// WithDropWhenFull is set.
-func WithQueueDepth(n int) IngestOption {
-	return ingestOption(func(c *ingestConfig) { c.depth = n })
-}
-
-// WithDropWhenFull sheds clips instead of blocking producers when the
-// extraction queue is full; dropped clips are counted in IngestStats.
-func WithDropWhenFull(drop bool) IngestOption {
-	return ingestOption(func(c *ingestConfig) { c.drop = drop })
-}
-
-// WithStreamConfig sets the pipeline configuration streamed clips run
-// under, typically a point picked from the tuned speed-accuracy curve. The
-// default is the best-accuracy configuration selected by Train.
-func WithStreamConfig(cfg Config) IngestOption {
-	return ingestOption(func(c *ingestConfig) { c.cfg = &cfg })
-}
-
-// WithStreamProgress attaches a progress callback receiving one
-// EventIngestClip per published clip, overriding the pipeline's callback
-// from WithProgress. Events arrive concurrently from clip workers.
-func WithStreamProgress(fn ProgressFunc) IngestOption {
-	return ingestOption(func(c *ingestConfig) { c.progress = fn })
+// IngestOptions configures Pipeline.Ingest; the zero value is one camera
+// streaming the pipeline's clip length on demand until canceled.
+type IngestOptions struct {
+	// Cameras is how many simulated camera streams the session ingests
+	// (values below 1 mean 1). Each camera is an independent deterministic
+	// feed over the pipeline's scene, seeded disjointly from the
+	// train/val/test sets.
+	Cameras int
+	// ClipsPerCamera bounds how many clips each camera emits; the session
+	// finishes naturally once every camera is exhausted and drained. Zero
+	// streams until the context is canceled or Close is called.
+	ClipsPerCamera int
+	// Interval paces each camera's clip emissions on a wall-clock
+	// schedule. Zero emits on demand, as fast as queue backpressure allows.
+	Interval time.Duration
+	// ClipSeconds is the duration of each streamed clip; zero uses the
+	// pipeline's sampled-set clip duration.
+	ClipSeconds float64
+	// QueueDepth bounds the shared extraction queue; zero selects twice
+	// the worker count. A full queue blocks producers (backpressure) unless
+	// DropWhenFull is set.
+	QueueDepth int
+	// DropWhenFull sheds clips instead of blocking producers when the
+	// extraction queue is full; dropped clips are counted in IngestStats.
+	DropWhenFull bool
+	// Progress receives one EventIngestClip per published clip, in place
+	// of the pipeline's Options.Progress. Events arrive concurrently from
+	// clip workers.
+	Progress ProgressFunc
 }
 
 // IngestSession is one running streaming ingest over a pipeline's trained
@@ -118,34 +69,25 @@ type IngestSession struct {
 // Each (camera, clip) pair's extracted tracks are bit-identical to running
 // that clip through Extract's batch path; only the publication order
 // depends on worker timing.
-func (p *Pipeline) Ingest(ctx context.Context, options ...IngestOption) (*IngestSession, error) {
-	c := ingestConfig{cameras: 1}
-	for _, o := range options {
-		o.applyIngest(&c)
-	}
+func (p *Pipeline) Ingest(ctx context.Context, o IngestOptions) (*IngestSession, error) {
 	if p.sys.Recurrent == nil {
 		return nil, ErrNotTrained
 	}
-	if c.cameras < 1 {
-		c.cameras = 1
+	if o.Cameras < 1 {
+		o.Cameras = 1
 	}
-	cfg := p.sys.Best
-	if c.cfg != nil {
-		cfg = *c.cfg
-	}
-	progress := c.progress
-	if progress == nil {
-		progress = p.progress
+	if o.Progress == nil {
+		o.Progress = p.progress
 	}
 
-	cams := make([]ingest.Camera, c.cameras)
-	for i := 0; i < c.cameras; i++ {
-		gen := p.sys.DS.Camera(i, c.seconds)
+	cams := make([]ingest.Camera, o.Cameras)
+	for i := range cams {
+		gen := p.sys.DS.Camera(i, o.ClipSeconds)
 		cams[i] = ingest.Camera{
 			Name:     fmt.Sprintf("%s-cam%d", p.sys.DS.Name, i),
 			Clip:     func(j int) *video.Clip { return gen(j).Clip },
-			Limit:    c.limit,
-			Interval: c.interval,
+			Limit:    o.ClipsPerCamera,
+			Interval: o.Interval,
 		}
 	}
 	// Streamed clips may be longer or shorter than the sampled sets', so
@@ -153,15 +95,15 @@ func (p *Pipeline) Ingest(ctx context.Context, options ...IngestOption) (*Ingest
 	// (camera feeds are deterministic; probing clip 0 is free of side
 	// effects).
 	qctx := p.sys.Ctx()
-	qctx.Frames = p.sys.DS.Camera(0, c.seconds)(0).Clip.Len()
+	qctx.Frames = p.sys.DS.Camera(0, o.ClipSeconds)(0).Clip.Len()
 
 	s, err := ingest.Start(ctx, p.sys, ingest.Options{
 		Cameras:      cams,
-		Cfg:          cfg,
-		QueueDepth:   c.depth,
-		DropWhenFull: c.drop,
+		Cfg:          p.sys.Best,
+		QueueDepth:   o.QueueDepth,
+		DropWhenFull: o.DropWhenFull,
 		Ctx:          qctx,
-		Progress:     progress,
+		Progress:     o.Progress,
 	})
 	if err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 func TestIngestSessionEndToEnd(t *testing.T) {
 	pipe, _ := pipeline(t)
 	sess, err := pipe.Ingest(context.Background(),
-		otif.WithCameras(2), otif.WithCameraClips(2), otif.WithStreamClipSeconds(2))
+		otif.IngestOptions{Cameras: 2, ClipsPerCamera: 2, ClipSeconds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestIngestRequiresTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Ingest(context.Background()); !errors.Is(err, otif.ErrNotTrained) {
+	if _, err := pipe.Ingest(context.Background(), otif.IngestOptions{}); !errors.Is(err, otif.ErrNotTrained) {
 		t.Fatalf("Ingest before Train = %v, want ErrNotTrained", err)
 	}
 }

@@ -10,7 +10,6 @@ package baselines
 import (
 	"otif/internal/core"
 	"otif/internal/dataset"
-	"otif/internal/tuner"
 )
 
 // Candidate is one tuned parameter configuration of a baseline method,
@@ -34,20 +33,6 @@ type TrackMethod interface {
 	// Tune evaluates the method's candidate configurations on the
 	// validation set (its "parameter selection phase").
 	Tune(sys *core.System, metric core.Metric) []Candidate
-}
-
-// EvalCandidates measures each candidate on the given clips with the
-// metric, returning tuner points aligned with the candidates slice.
-func EvalCandidates(cands []Candidate, clips []*dataset.ClipTruth, metric core.Metric) []tuner.Point {
-	out := make([]tuner.Point, len(cands))
-	for i, c := range cands {
-		res := c.Run(clips)
-		out[i] = tuner.Point{
-			Runtime:  res.Runtime,
-			Accuracy: metric.Accuracy(res.PerClip, clips),
-		}
-	}
-	return out
 }
 
 // All returns the track-query baselines in the paper's order.

@@ -140,20 +140,6 @@ func hasSuffix(s, suf string) bool {
 	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }
 
-func TestEvalCandidates(t *testing.T) {
-	sys, metric := trainedSystem(t)
-	cands := NewNoScope().Tune(sys, metric)[:2]
-	pts := EvalCandidates(cands, sys.DS.Test, metric)
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
-		if p.Runtime <= 0 {
-			t.Error("zero test runtime")
-		}
-	}
-}
-
 func TestFrameQueryMachinery(t *testing.T) {
 	sys, _ := trainedSystem(t)
 	q := FrameQuery{

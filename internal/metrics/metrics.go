@@ -172,11 +172,3 @@ func PRCurve(scores []float64, labels []bool, thresholds []float64) []PRPoint {
 	}
 	return out
 }
-
-// F1 returns the harmonic mean of precision and recall.
-func F1(p PRPoint) float64 {
-	if p.Precision+p.Recall == 0 {
-		return 0
-	}
-	return 2 * p.Precision * p.Recall / (p.Precision + p.Recall)
-}

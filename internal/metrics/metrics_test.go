@@ -151,15 +151,3 @@ func TestPRCurveMonotoneRecall(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestF1(t *testing.T) {
-	if got := F1(PRPoint{Precision: 1, Recall: 1}); got != 1 {
-		t.Errorf("F1 = %v", got)
-	}
-	if got := F1(PRPoint{}); got != 0 {
-		t.Errorf("zero F1 = %v", got)
-	}
-	if got := F1(PRPoint{Precision: 0.5, Recall: 0.5}); got != 0.5 {
-		t.Errorf("F1 = %v", got)
-	}
-}

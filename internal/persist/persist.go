@@ -28,7 +28,7 @@ var (
 	ErrBadChecksum = errors.New("persist: checksum mismatch")
 )
 
-// version is the current format version for both file kinds.
+// version is the model bundle's format version.
 const version = 1
 
 // writer wraps a destination with checksumming and error latching.

@@ -70,17 +70,22 @@ func tracksEqual(a, b [][]*query.Track) bool {
 
 func TestTracksRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tracks := sampleTracks(rng, 3)
-	var buf bytes.Buffer
-	if err := WriteTracks(&buf, tracks); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTracks(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tracksEqual(tracks, got) {
-		t.Error("roundtrip mismatch")
+	// The zero header and the empty set are files too.
+	for _, tracks := range [][][]*query.Track{sampleTracks(rng, 3), {}} {
+		var buf bytes.Buffer
+		if err := WriteTracksV2(&buf, tracks, TrackMeta{}); err != nil {
+			t.Fatal(err)
+		}
+		got, meta, err := ReadTracksAuto(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *meta != (TrackMeta{}) {
+			t.Errorf("zero meta read back as %+v", meta)
+		}
+		if !tracksEqual(tracks, got) {
+			t.Errorf("roundtrip mismatch on %d clips", len(tracks))
+		}
 	}
 }
 
@@ -88,12 +93,13 @@ func TestTracksRoundtripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tracks := sampleTracks(rng, rng.Intn(3)+1)
+		meta := TrackMeta{FPS: rng.Intn(60), NomW: rng.Intn(4000), NomH: rng.Intn(3000), Frames: rng.Intn(2000), Dataset: "ds"}
 		var buf bytes.Buffer
-		if err := WriteTracks(&buf, tracks); err != nil {
+		if err := WriteTracksV2(&buf, tracks, meta); err != nil {
 			return false
 		}
-		got, err := ReadTracks(&buf)
-		return err == nil && tracksEqual(tracks, got)
+		got, gotMeta, err := ReadTracksAuto(&buf)
+		return err == nil && *gotMeta == meta && tracksEqual(tracks, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -120,22 +126,18 @@ func TestTracksV2Roundtrip(t *testing.T) {
 	}
 }
 
-func TestTracksAutoReadsV1(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	tracks := sampleTracks(rng, 2)
+// TestTracksV1MagicRejected pins that the retired headerless format is not
+// read: its magic is a bad magic like any other.
+func TestTracksV1MagicRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTracks(&buf, tracks); err != nil {
+	w := newWriter(&buf)
+	w.header("OTIFTRK1")
+	writeTrackBody(w, sampleTracks(rand.New(rand.NewSource(6)), 2))
+	if err := w.finish(); err != nil {
 		t.Fatal(err)
 	}
-	got, meta, err := ReadTracksAuto(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta != nil {
-		t.Errorf("v1 file produced meta %+v, want nil", meta)
-	}
-	if !tracksEqual(tracks, got) {
-		t.Error("v1-via-auto roundtrip mismatch")
+	if _, _, err := ReadTracksAuto(&buf); !errors.Is(err, ErrBadMagic) {
+		t.Errorf("OTIFTRK1 file: err = %v, want ErrBadMagic", err)
 	}
 }
 
@@ -163,7 +165,7 @@ func TestTracksV2CorruptionDetected(t *testing.T) {
 func TestTracksCorruptionDetected(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var buf bytes.Buffer
-	if err := WriteTracks(&buf, sampleTracks(rng, 2)); err != nil {
+	if err := WriteTracksV2(&buf, sampleTracks(rng, 2), TrackMeta{FPS: 10, Frames: 100}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -171,20 +173,36 @@ func TestTracksCorruptionDetected(t *testing.T) {
 	// Bad magic.
 	bad := append([]byte{}, data...)
 	bad[0] ^= 0xFF
-	if _, err := ReadTracks(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := ReadTracksAuto(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("bad magic error = %v", err)
 	}
 
+	// Bad version (the four bytes after the magic).
+	bad = append([]byte{}, data...)
+	bad[len(trackMagic)] = 3
+	if _, _, err := ReadTracksAuto(bytes.NewReader(bad)); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("bad version error = %v", err)
+	}
+
 	// Flipped payload byte -> checksum mismatch (or implausible length).
-	bad2 := append([]byte{}, data...)
-	bad2[len(bad2)/2] ^= 0x55
-	if _, err := ReadTracks(bytes.NewReader(bad2)); err == nil {
+	bad = append([]byte{}, data...)
+	bad[len(bad)/2] ^= 0x55
+	if _, _, err := ReadTracksAuto(bytes.NewReader(bad)); err == nil {
 		t.Error("corruption not detected")
 	}
 
-	// Truncation.
-	if _, err := ReadTracks(bytes.NewReader(data[:len(data)-6])); err == nil {
-		t.Error("truncation not detected")
+	// Flipped checksum byte.
+	bad = append([]byte{}, data...)
+	bad[len(bad)-1] ^= 0x01
+	if _, _, err := ReadTracksAuto(bytes.NewReader(bad)); !errors.Is(err, ErrBadChecksum) {
+		t.Errorf("bad checksum error = %v, want ErrBadChecksum", err)
+	}
+
+	// Truncation, at every length short of the whole file.
+	for n := 0; n < len(data); n++ {
+		if _, _, err := ReadTracksAuto(bytes.NewReader(data[:n])); err == nil {
+			t.Fatalf("truncation to %d of %d bytes not detected", n, len(data))
+		}
 	}
 }
 
@@ -268,16 +286,18 @@ func TestLoadModelsRejectsWrongDataset(t *testing.T) {
 	}
 }
 
-// TestHostileCountsAllocateLittle feeds track files that end right after a
-// header count of the largest accepted size. The counts precede the
-// checksum, so nothing vouches for them: the reader must fail on the
-// missing records having reserved next to nothing, not the gigabyte the
-// count asks for.
-func TestHostileCountsAllocateLittle(t *testing.T) {
+// hostileTrackFiles are track files that end right after a header count of
+// the largest accepted size: no records, no checksum.
+func hostileTrackFiles(t testing.TB) map[string][]byte {
 	build := func(fill func(w *writer)) []byte {
 		var buf bytes.Buffer
 		w := newWriter(&buf)
-		w.header(trackMagic)
+		w.bytes([]byte(trackMagic))
+		w.u32(trackVersion)
+		for i := 0; i < 4; i++ { // FPS, NomW, NomH, Frames
+			w.int(0)
+		}
+		w.str("")
 		fill(w)
 		if w.err != nil {
 			t.Fatal(w.err)
@@ -293,19 +313,27 @@ func TestHostileCountsAllocateLittle(t *testing.T) {
 		w.int(7)
 		w.str("car")
 	}
-	cases := map[string][]byte{
+	return map[string][]byte{
 		"clips":      build(func(w *writer) { w.int(1 << 20) }),
 		"tracks":     build(func(w *writer) { w.int(1); w.int(1 << 24) }),
 		"detections": build(func(w *writer) { track(w); w.int(1 << 24) }),
 		"path":       build(func(w *writer) { track(w); w.int(0); w.int(1 << 24) }),
 	}
-	for name, data := range cases {
-		if len(data) > 100 {
+}
+
+// TestHostileCountsAllocateLittle feeds track files that end right after a
+// header count of the largest accepted size. The counts precede the
+// checksum, so nothing vouches for them: the reader must fail on the
+// missing records having reserved next to nothing, not the gigabyte the
+// count asks for.
+func TestHostileCountsAllocateLittle(t *testing.T) {
+	for name, data := range hostileTrackFiles(t) {
+		if len(data) > 128 {
 			t.Fatalf("%s: hostile file is %d bytes; it should be a few dozen", name, len(data))
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ReadTracks(bytes.NewReader(data))
+		_, _, err := ReadTracksAuto(bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: truncated file read without error", name)
@@ -314,4 +342,50 @@ func TestHostileCountsAllocateLittle(t *testing.T) {
 			t.Errorf("%s: a %d-byte file made the reader allocate %d bytes", name, len(data), got)
 		}
 	}
+}
+
+// FuzzReadTracksAuto holds the track reader to its contract on arbitrary
+// bytes: it never panics, and it returns either an error or a track set
+// whose re-encoding reads back to the same bytes. Seeds are a valid file,
+// truncations of it, a copy with a flipped checksum and the hostile-count
+// headers; the committed corpus is in testdata/fuzz/FuzzReadTracksAuto.
+func FuzzReadTracksAuto(f *testing.F) {
+	var buf bytes.Buffer
+	meta := TrackMeta{FPS: 10, NomW: 640, NomH: 360, Frames: 100, Dataset: "caldot1"}
+	if err := WriteTracksV2(&buf, sampleTracks(rand.New(rand.NewSource(3)), 3), meta); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	for _, n := range []int{0, len(trackMagic), len(trackMagic) + 4, len(valid) / 2, len(valid) - 4, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	flipped := append([]byte{}, valid...)
+	flipped[len(flipped)-1] ^= 0x01
+	f.Add(flipped)
+	for _, data := range hostileTrackFiles(f) {
+		f.Add(data)
+	}
+
+	encode := func(t *testing.T, perClip [][]*query.Track, meta *TrackMeta) []byte {
+		var buf bytes.Buffer
+		if err := WriteTracksV2(&buf, perClip, *meta); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		perClip, meta, err := ReadTracksAuto(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first := encode(t, perClip, meta)
+		perClip, meta, err = ReadTracksAuto(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("re-encoding of an accepted file does not read back: %v", err)
+		}
+		if second := encode(t, perClip, meta); !bytes.Equal(first, second) {
+			t.Fatal("re-encoding of an accepted file does not round-trip")
+		}
+	})
 }

@@ -9,20 +9,16 @@ import (
 	"otif/internal/query"
 )
 
-// Track-set file magics. V1 files carry no clip geometry (loading needs
-// positional context from the caller); V2 files are self-describing: the
-// header records the frame rate, nominal geometry, frames per clip and
-// dataset name, so a V2 file loads with zero positional arguments.
+// The track-set file format: self-describing, so a file loads with zero
+// positional arguments. The header records the frame rate, nominal
+// geometry, frames per clip and dataset name.
 const (
-	trackMagic   = "OTIFTRK1"
-	trackMagicV2 = "OTIFTRK2"
-
-	trackVersion2 = 2
+	trackMagic   = "OTIFTRK2"
+	trackVersion = 2
 )
 
-// TrackMeta is the self-describing header of a V2 track file: everything a
-// loader needs to answer queries over the tracks without out-of-band
-// context.
+// TrackMeta is the header of a track file: everything a loader needs to
+// answer queries over the tracks without out-of-band context.
 type TrackMeta struct {
 	FPS        int
 	NomW, NomH int
@@ -30,23 +26,13 @@ type TrackMeta struct {
 	Dataset    string
 }
 
-// WriteTracks serializes per-clip track sets in the legacy V1 layout
-// (no header metadata). Kept so compatibility tests can produce V1 files;
-// new writers use WriteTracksV2.
-func WriteTracks(dst io.Writer, perClip [][]*query.Track) error {
-	w := newWriter(dst)
-	w.header(trackMagic)
-	writeTrackBody(w, perClip)
-	return w.finish()
-}
-
-// WriteTracksV2 serializes per-clip track sets in the self-describing V2
-// layout: magic, format version, clip geometry and dataset name, then the
-// same track body as V1, all covered by the trailing checksum.
+// WriteTracksV2 serializes per-clip track sets: magic, format version, clip
+// geometry and dataset name, then the track body, all covered by the
+// trailing checksum.
 func WriteTracksV2(dst io.Writer, perClip [][]*query.Track, meta TrackMeta) error {
 	w := newWriter(dst)
-	w.bytes([]byte(trackMagicV2))
-	w.u32(trackVersion2)
+	w.bytes([]byte(trackMagic))
+	w.u32(trackVersion)
 	w.int(meta.FPS)
 	w.int(meta.NomW)
 	w.int(meta.NomH)
@@ -88,43 +74,28 @@ func writeTrack(w *writer, t *query.Track) {
 	}
 }
 
-// ReadTracks loads a V1 track-set file written by WriteTracks, verifying
-// the checksum. New callers use ReadTracksAuto, which dispatches on the
-// magic and also understands V2.
-func ReadTracks(src io.Reader) ([][]*query.Track, error) {
-	perClip, _, err := ReadTracksAuto(src)
-	return perClip, err
-}
-
-// ReadTracksAuto loads a track-set file of either format, returning the
-// header metadata for V2 files and nil meta for V1 files (whose context
-// the caller must supply out of band).
+// ReadTracksAuto loads a track-set file written by WriteTracksV2, verifying
+// the checksum. Any other magic, the retired headerless format's included,
+// is ErrBadMagic.
 func ReadTracksAuto(src io.Reader) ([][]*query.Track, *TrackMeta, error) {
 	r := newReader(src)
 	magic := string(r.bytes(len(trackMagic)))
 	if r.err != nil {
 		return nil, nil, r.err
 	}
-	var meta *TrackMeta
-	switch magic {
-	case trackMagic:
-		if v := r.u32(); r.err == nil && v != 1 {
-			return nil, nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
-		}
-	case trackMagicV2:
-		if v := r.u32(); r.err == nil && v != trackVersion2 {
-			return nil, nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
-		}
-		meta = &TrackMeta{
-			FPS:  r.int(),
-			NomW: r.int(),
-			NomH: r.int(),
-		}
-		meta.Frames = r.int()
-		meta.Dataset = r.str()
-	default:
+	if magic != trackMagic {
 		return nil, nil, ErrBadMagic
 	}
+	if v := r.u32(); r.err == nil && v != trackVersion {
+		return nil, nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+	}
+	meta := &TrackMeta{
+		FPS:  r.int(),
+		NomW: r.int(),
+		NomH: r.int(),
+	}
+	meta.Frames = r.int()
+	meta.Dataset = r.str()
 	if r.err != nil {
 		return nil, nil, r.err
 	}

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math"
 	"sort"
 
 	"otif/internal/geom"
@@ -116,22 +115,4 @@ func CoOccurrencesFrom(src FrameSource, dist float64, ctx Context) int {
 		}
 	}
 	return total
-}
-
-// TrackLengthStats returns the distribution of track durations in seconds
-// (for data-quality dashboards over a pre-processed dataset).
-func TrackLengthStats(tracks []*Track, fps int) (mean, p50, maxV float64) {
-	if len(tracks) == 0 || fps <= 0 {
-		return 0, 0, 0
-	}
-	durs := make([]float64, 0, len(tracks))
-	var sum float64
-	for _, t := range tracks {
-		d := float64(t.LastFrame()-t.FirstFrame()) / float64(fps)
-		durs = append(durs, d)
-		sum += d
-		maxV = math.Max(maxV, d)
-	}
-	sort.Float64s(durs)
-	return sum / float64(len(durs)), durs[len(durs)/2], maxV
 }

@@ -62,21 +62,3 @@ func TestCoOccurrences(t *testing.T) {
 		t.Errorf("distant co-occurrences = %d, want 0", got)
 	}
 }
-
-func TestTrackLengthStats(t *testing.T) {
-	a := mkTrack(0, "car", 0, 11, 1, 0, 0, 1, 0)  // 10 frames = 1 s
-	b := mkTrack(1, "car", 0, 31, 1, 0, 50, 1, 0) // 30 frames = 3 s
-	mean, p50, maxV := TrackLengthStats([]*Track{a, b}, 10)
-	if math.Abs(mean-2) > 1e-9 {
-		t.Errorf("mean = %v", mean)
-	}
-	if maxV != 3 {
-		t.Errorf("max = %v", maxV)
-	}
-	if p50 != 3 { // median of [1,3] with len/2 index
-		t.Errorf("p50 = %v", p50)
-	}
-	if m, _, _ := TrackLengthStats(nil, 10); m != 0 {
-		t.Error("empty stats should be zero")
-	}
-}

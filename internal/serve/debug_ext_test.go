@@ -34,7 +34,7 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 
 	p, _ := testPipeline(t)
 	sess, err := p.Ingest(context.Background(),
-		otif.WithCameras(2), otif.WithCameraClips(3), otif.WithQueueDepth(1))
+		otif.IngestOptions{Cameras: 2, ClipsPerCamera: 3, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,9 +310,6 @@ func TestHealthAndReadiness(t *testing.T) {
 	if got := status("/readyz"); got != http.StatusOK {
 		t.Errorf("/readyz after ready = %d, want 200", got)
 	}
-	if got := status("/v1/debug/vars"); got != http.StatusOK {
-		t.Errorf("/v1/debug/vars = %d, want 200", got)
-	}
 	if got := status("/debug/pprof/"); got != http.StatusOK {
 		t.Errorf("/debug/pprof/ = %d, want 200", got)
 	}

@@ -21,7 +21,7 @@ func TestRouteKey(t *testing.T) {
 		"GET /metrics":          "metrics",
 		"GET /jobs/{id}/events": "jobs_id_events",
 		"/debug/pprof/":         "debug_pprof",
-		"GET /v1/debug/vars":    "v1_debug_vars",
+		"GET /v1/debug/slow":    "v1_debug_slow",
 		"GET /":                 "root",
 	}
 	for pattern, want := range cases {

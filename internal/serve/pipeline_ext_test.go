@@ -36,18 +36,19 @@ var (
 func testPipeline(t *testing.T) (*otif.Pipeline, otif.Config) {
 	t.Helper()
 	pipeOnce.Do(func() {
-		pipe, pipeErr = otif.OpenWith("caldot1",
-			otif.WithClips(2), otif.WithClipSeconds(2),
-			otif.WithProgress(func(e obs.Event) {
+		pipe, pipeErr = otif.Open("caldot1", otif.Options{
+			ClipsPerSet: 2, ClipSeconds: 2,
+			Progress: func(e obs.Event) {
 				if p := relay.Load(); p != nil {
 					(*p)(e)
 				}
-			}))
+			},
+		})
 		if pipeErr != nil {
 			return
 		}
 		pipe.Train()
-		curve, err := pipe.Tune()
+		curve, err := pipe.Tune(context.Background())
 		if err != nil {
 			pipeErr = err
 			return
@@ -76,7 +77,7 @@ func extractRunner(p *otif.Pipeline, cfg otif.Config, wrap func(obs.Progress) ob
 		}
 		relay.Store(&progress)
 		defer relay.Store(nil)
-		ts, err := p.ExtractContext(ctx, cfg, otif.Test)
+		ts, err := p.Extract(ctx, cfg, otif.Test)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +145,7 @@ func TestScrapeRacesWithExtractionJob(t *testing.T) {
 func TestExtractionBitIdenticalWithServingEnabled(t *testing.T) {
 	p, cfg := testPipeline(t)
 
-	baseline, err := p.Extract(cfg, otif.Test)
+	baseline, err := p.Extract(context.Background(), cfg, otif.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestExtractionBitIdenticalWithServingEnabled(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	served, err := p.Extract(cfg, otif.Test)
+	served, err := p.Extract(context.Background(), cfg, otif.Test)
 	close(stop)
 	wg.Wait()
 	if err != nil {

@@ -49,7 +49,6 @@ func TestUnversionedRoutesGone(t *testing.T) {
 		{"GET", "/streams", ""},
 		{"GET", "/debug/slow", ""},
 		{"GET", "/debug/bundle", ""},
-		{"GET", "/debug/vars", ""},
 	}
 	for _, c := range cases {
 		if got := status(c.method, c.path, c.body); got != 404 {

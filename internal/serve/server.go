@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -29,7 +28,6 @@ import (
 //	GET  /v1/debug/trace        flight-recorder spans (?format=otif|chrome)
 //	GET  /v1/debug/slow         the K slowest query requests with spans
 //	GET  /v1/debug/bundle       one-shot tar.gz post-mortem artifact
-//	GET  /v1/debug/vars         expvar
 //	     /v1/debug/pprof/*      CPU/heap/goroutine profiling
 //	     /debug/pprof/*         the same, where the stdlib and its tools expect it
 //
@@ -102,7 +100,6 @@ func (s *Server) Handler() http.Handler {
 	handleFunc("GET /v1/debug/trace", s.handleTrace)
 	handleFunc("GET /v1/debug/slow", s.handleSlow)
 	handleFunc("GET /v1/debug/bundle", s.handleBundle)
-	handle("GET /v1/debug/vars", expvar.Handler())
 	// The stdlib pprof handlers key on the hardcoded /debug/pprof/ prefix,
 	// so the /v1 mount strips its version prefix before delegating.
 	pprofRoutes := []struct {

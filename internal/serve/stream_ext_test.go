@@ -25,7 +25,7 @@ func TestQueriesDuringStreamingIngest(t *testing.T) {
 	p, _ := testPipeline(t)
 	const limit = 4
 	sess, err := p.Ingest(context.Background(),
-		otif.WithCameras(2), otif.WithCameraClips(limit), otif.WithQueueDepth(1))
+		otif.IngestOptions{Cameras: 2, ClipsPerCamera: limit, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

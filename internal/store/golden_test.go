@@ -88,7 +88,8 @@ func goldenWorld() ([][]*query.Track, query.Context) {
 // TestGoldenQueries pins the answers of all nine query kinds across
 // commits: the differential tests compare index and scan within one tree,
 // this one compares the tree with constants recorded on commit 50f3a92
-// (SelfCheck is on, so index and scan both stand behind each hash). A
+// (every answer comes through queryKinds' both, so index and scan both
+// stand behind each hash). A
 // change to the query cores that claims to leave answers alone, tie order
 // included, must leave these alone. amd64 only, like the extraction
 // golden: targets that fuse multiply-adds round differently.
@@ -98,7 +99,6 @@ func TestGoldenQueries(t *testing.T) {
 	}
 	perClip, ctx := goldenWorld()
 	s := New(perClip, ctx)
-	s.SelfCheck = true
 
 	// The limit hashes only pin tie order if ranking has ties to break.
 	seen, ties := map[int]bool{}, 0
@@ -127,6 +127,9 @@ func TestGoldenQueries(t *testing.T) {
 		{Name: "b", Path: geom.Path{{X: 640, Y: 0}, {X: 0, Y: 360}}},
 	}
 
+	// Each run hashes the answers ask returns; the loop below points ask at
+	// the run's own row of queryKinds, index checked against scan.
+	var ask func(p queryParams) any
 	kinds := []struct {
 		name string
 		want uint64
@@ -134,13 +137,13 @@ func TestGoldenQueries(t *testing.T) {
 	}{
 		{"count", 0x613265c11d66a56f, func(d *digest) {
 			for _, cat := range cats {
-				for _, n := range s.CountTracks(cat) {
+				for _, n := range ask(queryParams{cat: cat}).([]int) {
 					d.int(n)
 				}
 			}
 		}},
 		{"breakdown", 0x55c13a72b63567df, func(d *digest) {
-			for _, m := range s.PathBreakdown("car", movements, 200) {
+			for _, m := range ask(queryParams{cat: "car", movements: movements, dist: 200}).([]map[string]int) {
 				for _, mv := range movements {
 					d.str(mv.Name)
 					d.int(m[mv.Name])
@@ -159,14 +162,14 @@ func TestGoldenQueries(t *testing.T) {
 			for _, cat := range cats {
 				for _, pred := range preds {
 					for _, lm := range [][2]int{{0, 0}, {1, 0}, {3, 5}, {5, 0}, {10, 25}, {ctx.Frames, 0}} {
-						d.matches(s.LimitQuery(cat, pred, lm[0], lm[1]))
+						d.matches(ask(queryParams{cat: cat, pred: pred, limit: lm[0], minSep: lm[1]}).([][]query.FrameMatch))
 					}
 				}
 			}
 		}},
 		{"avgvisible", 0x55ff1cae97f25391, func(d *digest) {
 			for _, cat := range cats {
-				for _, v := range s.AvgVisible(cat) {
+				for _, v := range ask(queryParams{cat: cat}).([]float64) {
 					d.f64(v)
 				}
 			}
@@ -178,7 +181,7 @@ func TestGoldenQueries(t *testing.T) {
 				b  string
 				nB int
 			}{{"car", 2, "bus", 1}, {"car", 1, "", 3}, {"", 0, "nosuch", 0}, {"bus", 1, "nosuch", 1}} {
-				for _, frames := range s.BusyFrames(q.a, q.nA, q.b, q.nB) {
+				for _, frames := range ask(queryParams{cat: q.a, nA: q.nA, catB: q.b, nB: q.nB}).([][]int) {
 					if frames == nil {
 						d.int(-1)
 					}
@@ -192,7 +195,7 @@ func TestGoldenQueries(t *testing.T) {
 		{"cooc", 0xf4927eb46636b394, func(d *digest) {
 			for _, cat := range cats {
 				for _, dist := range []float64{0, 80, 250} {
-					for _, n := range s.CoOccurrences(cat, dist) {
+					for _, n := range ask(queryParams{cat: cat, dist: dist}).([]int) {
 						d.int(n)
 					}
 				}
@@ -200,7 +203,7 @@ func TestGoldenQueries(t *testing.T) {
 		}},
 		{"dwell", 0xba15853a0a119ae6, func(d *digest) {
 			for _, cat := range cats {
-				for _, m := range s.DwellTime(cat, region) {
+				for _, m := range ask(queryParams{cat: cat, region: region}).([]map[int]float64) {
 					ids := make([]int, 0, len(m))
 					for id := range m {
 						ids = append(ids, id)
@@ -216,16 +219,21 @@ func TestGoldenQueries(t *testing.T) {
 		}},
 		{"braking", 0x30d0de01555c0803, func(d *digest) {
 			for _, thr := range []float64{0, 250, 4000} {
-				d.tracks(s.HardBraking(thr))
+				d.tracks(ask(queryParams{threshold: thr}).([][]*query.Track))
 			}
 		}},
 		{"speeding", 0xd3389131202df30c, func(d *digest) {
 			for _, thr := range []float64{0, 800, 3000} {
-				d.tracks(s.Speeding(thr))
+				d.tracks(ask(queryParams{threshold: thr}).([][]*query.Track))
 			}
 		}},
 	}
-	for _, k := range kinds {
+	for i, k := range kinds {
+		row := queryKinds[i]
+		if row.name != k.name {
+			t.Fatalf("golden kind %d is %q, queryKinds has %q there", i, k.name, row.name)
+		}
+		ask = func(p queryParams) any { return row.both(t, s, perClip, p) }
 		d := newDigest()
 		k.run(d)
 		if got := d.h.Sum64(); got != k.want {

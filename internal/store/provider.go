@@ -70,7 +70,7 @@ type Registry struct {
 func NewRegistry() *Registry { return &Registry{m: make(map[string]Provider)} }
 
 // Register adds or replaces the provider for a dataset name. The first
-// registered dataset becomes the default unless SetDefault overrides it.
+// registered dataset becomes the default.
 func (r *Registry) Register(name string, p Provider) {
 	if name == "" {
 		panic("store: Register with empty dataset name")
@@ -84,13 +84,6 @@ func (r *Registry) Register(name string, p Provider) {
 		r.def = name
 	}
 	r.m[name] = p
-}
-
-// SetDefault names the dataset the empty selector resolves to.
-func (r *Registry) SetDefault(name string) {
-	r.mu.Lock()
-	r.def = name
-	r.mu.Unlock()
 }
 
 // Resolve returns a point-in-time Querier for the named dataset ("" means
@@ -129,18 +122,8 @@ func (r *Registry) Default() string {
 	return r.def
 }
 
-// Registry is itself a Provider: its snapshot is the default dataset's.
-func (r *Registry) Snapshot() Querier {
-	q, err := r.Resolve("")
-	if err != nil {
-		return nil
-	}
-	return q
-}
-
 var (
 	_ Querier  = (*Store)(nil)
 	_ Provider = (*Store)(nil)
 	_ Provider = ProviderFunc(nil)
-	_ Provider = (*Registry)(nil)
 )

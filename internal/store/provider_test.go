@@ -48,11 +48,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := reg.Resolve("nope"); !errors.Is(err, ErrUnknownDataset) {
 		t.Errorf("unknown name err = %v, want ErrUnknownDataset", err)
 	}
-
-	reg.SetDefault("alpha")
-	if def, err := reg.Resolve(""); err != nil || def.(*Sharded) != sh {
-		t.Errorf("after SetDefault: Resolve(\"\") = %v, %v", def, err)
-	}
 }
 
 // TestProviderFunc pins that a ProviderFunc snapshot is taken per call, so

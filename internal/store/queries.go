@@ -1,9 +1,6 @@
 package store
 
 import (
-	"fmt"
-	"reflect"
-
 	"otif/internal/geom"
 	"otif/internal/query"
 )
@@ -183,13 +180,6 @@ func (s *Store) CountTracks(cat string) []int {
 			out[i] = len(s.clips[i].cats[cat])
 		}
 	}
-	s.selfCheck("CountTracks", out, func() any {
-		chk := make([]int, len(s.clips))
-		for i := range s.clips {
-			chk[i] = query.CountTracks(s.clips[i].tracks, cat)
-		}
-		return chk
-	})
 	return out
 }
 
@@ -211,13 +201,6 @@ func (s *Store) PathBreakdown(cat string, movements []query.Movement, maxEndpoin
 		})
 		out[i] = m
 	}
-	s.selfCheck("PathBreakdown", out, func() any {
-		chk := make([]map[string]int, len(s.clips))
-		for i := range s.clips {
-			chk[i] = query.PathBreakdown(s.clips[i].tracks, cat, movements, maxEndpointDist)
-		}
-		return chk
-	})
 	return out
 }
 
@@ -228,13 +211,6 @@ func (s *Store) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, [
 	sw := sweep{ci: &s.clips[clip], cat: cat}
 	boxes, owners := sw.At(frameIdx)
 	sw.flush()
-	if s.SelfCheck {
-		chk, _ := query.VisibleBoxes(s.clips[clip].tracks, cat, frameIdx)
-		if !reflect.DeepEqual(boxes, chk) {
-			metSelfCheckFail.Inc()
-			panic(fmt.Sprintf("store: VisibleBoxes diverged from scan at clip %d frame %d: %v vs %v", clip, frameIdx, boxes, chk))
-		}
-	}
 	return boxes, owners
 }
 
@@ -257,13 +233,6 @@ func (s *Store) LimitQuery(cat string, pred query.FramePredicate, limit, minSepF
 		out[i] = query.LimitQueryFrom(&sw, pred, s.ctx, limit, minSepFrames, &scratch)
 	}
 	sw.flush()
-	s.selfCheck("LimitQuery", out, func() any {
-		chk := make([][]query.FrameMatch, len(s.clips))
-		for i := range s.clips {
-			chk[i] = query.LimitQuery(s.clips[i].tracks, cat, pred, s.ctx, limit, minSepFrames)
-		}
-		return chk
-	})
 	return out
 }
 
@@ -277,13 +246,6 @@ func (s *Store) AvgVisible(cat string) []float64 {
 		out[i] = query.AvgVisibleFrom(&sw, s.ctx)
 	}
 	sw.flush()
-	s.selfCheck("AvgVisible", out, func() any {
-		chk := make([]float64, len(s.clips))
-		for i := range s.clips {
-			chk[i] = query.AvgVisible(s.clips[i].tracks, cat, s.ctx)
-		}
-		return chk
-	})
 	return out
 }
 
@@ -300,13 +262,6 @@ func (s *Store) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 	}
 	swA.flush()
 	swB.flush()
-	s.selfCheck("BusyFrames", out, func() any {
-		chk := make([][]int, len(s.clips))
-		for i := range s.clips {
-			chk[i] = query.BusyFrames(s.clips[i].tracks, catA, nA, catB, nB, s.ctx)
-		}
-		return chk
-	})
 	return out
 }
 
@@ -320,13 +275,6 @@ func (s *Store) CoOccurrences(cat string, dist float64) []int {
 		out[i] = query.CoOccurrencesFrom(&sw, dist, s.ctx)
 	}
 	sw.flush()
-	s.selfCheck("CoOccurrences", out, func() any {
-		chk := make([]int, len(s.clips))
-		for i := range s.clips {
-			chk[i] = query.CoOccurrences(s.clips[i].tracks, cat, dist, s.ctx)
-		}
-		return chk
-	})
 	return out
 }
 
@@ -368,13 +316,6 @@ func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 		metIndexBoxes.Add(boxes)
 		metGridPruned.Add(pruned)
 	}
-	s.selfCheck("DwellTime", out, func() any {
-		chk := make([]map[int]float64, len(s.clips))
-		for i := range s.clips {
-			chk[i] = query.DwellTime(s.clips[i].tracks, cat, region, s.ctx)
-		}
-		return chk
-	})
 	return out
 }
 
@@ -399,18 +340,4 @@ func (s *Store) Speeding(threshold float64) [][]*query.Track {
 		out[i] = query.Speeding(s.clips[i].tracks, s.ctx, threshold)
 	}
 	return out
-}
-
-// selfCheck, in SelfCheck mode, compares an indexed result against the
-// scan recomputation and panics on divergence — the differential fallback
-// that verifies the indexes against the reference implementation.
-func (s *Store) selfCheck(name string, got any, scan func() any) {
-	if !s.SelfCheck {
-		return
-	}
-	want := scan()
-	if !reflect.DeepEqual(got, want) {
-		metSelfCheckFail.Inc()
-		panic(fmt.Sprintf("store: %s diverged from scan:\nindexed: %v\nscan:    %v", name, got, want))
-	}
 }

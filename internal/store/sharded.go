@@ -50,9 +50,6 @@ func NewSharded(dataset string, ctx query.Context, segs []*Segment, cache *Cache
 	return sh, nil
 }
 
-// Dataset returns the dataset name the shard set serves.
-func (sh *Sharded) Dataset() string { return sh.dataset }
-
 // Segments returns the ordered segment list (shared, read-only).
 func (sh *Sharded) Segments() []*Segment { return sh.segs }
 

@@ -23,8 +23,8 @@
 // package's *From functions over a query.FrameSource, and InterpBox
 // arithmetic), so every indexed result is bit-identical to the
 // corresponding linear scan — the differential tests in this package assert
-// element-for-element equality, TestGoldenQueries pins the answers across
-// commits, and SelfCheck mode re-runs the scan on every query at runtime.
+// element-for-element equality and TestGoldenQueries pins the answers across
+// commits.
 //
 // The sweep (queries.go) hands the cores views into buffers it reuses for
 // the next frame: boxes are valid until the next Advance and whatever a
@@ -54,12 +54,11 @@ import (
 // to both in the same way. grid_pruned counts tracks the region mask
 // turned away. kept / examined is store.index_hit_ratio.
 var (
-	metQueries       = obs.Default.Counter("store.queries")
-	metIndexBoxes    = obs.Default.Counter("store.index_boxes")
-	metCandExamined  = obs.Default.Counter("store.candidates_examined")
-	metCandKept      = obs.Default.Counter("store.candidates_kept")
-	metGridPruned    = obs.Default.Counter("store.grid_pruned")
-	metSelfCheckFail = obs.Default.Counter("store.selfcheck_mismatches")
+	metQueries      = obs.Default.Counter("store.queries")
+	metIndexBoxes   = obs.Default.Counter("store.index_boxes")
+	metCandExamined = obs.Default.Counter("store.candidates_examined")
+	metCandKept     = obs.Default.Counter("store.candidates_kept")
+	metGridPruned   = obs.Default.Counter("store.grid_pruned")
 )
 
 func init() {
@@ -81,12 +80,6 @@ const gridCells = 8
 type Store struct {
 	clips []clipIndex
 	ctx   query.Context
-
-	// SelfCheck, when set before querying, re-runs the linear-scan
-	// implementation alongside every indexed query and panics on any
-	// divergence. It is the differential fallback used by tests and
-	// debugging; production servers leave it off.
-	SelfCheck bool
 }
 
 // clipIndex holds one clip's flat indexes. All arrays are indexed by track
@@ -194,7 +187,7 @@ func buildClipIndex(tracks []*query.Track, ctx query.Context) clipIndex {
 func (ci *clipIndex) buildGrid(ctx query.Context) {
 	w, h := float64(ctx.NomW), float64(ctx.NomH)
 	if w <= 0 || h <= 0 {
-		// No geometry (e.g. a v1 file loaded without options): degenerate
+		// No geometry (e.g. a track file whose header carries none): degenerate
 		// single-cell grid, spatial pruning disabled.
 		w, h = 1, 1
 	}

@@ -76,12 +76,135 @@ func randRegion(r *rand.Rand, ctx query.Context) geom.Polygon {
 	return geom.Polygon{{X: x, Y: y}, {X: x + w, Y: y}, {X: x + w, Y: y + h}, {X: x, Y: y + h}}
 }
 
+// queryParams carries one call's parameters; each kind reads the fields it
+// takes and ignores the rest.
+type queryParams struct {
+	cat       string
+	pred      query.FramePredicate
+	limit     int
+	minSep    int
+	catB      string
+	nA, nB    int
+	dist      float64 // CoOccurrences radius, PathBreakdown endpoint tolerance
+	region    geom.Polygon
+	movements []query.Movement
+	threshold float64
+	frame     int
+}
+
+// visible is VisibleBoxes' answer for one clip.
+type visible struct {
+	Boxes  []geom.Rect
+	Owners []*query.Track
+}
+
+// queryKind is one row of the differential table: a query through the
+// store's indexes and the same query as a linear scan over every clip.
+type queryKind struct {
+	name    string
+	indexed func(s *Store, p queryParams) any
+	scan    func(perClip [][]*query.Track, ctx query.Context, p queryParams) any
+}
+
+func kind[E any](name string, indexed func(*Store, queryParams) []E, scan func([]*query.Track, query.Context, queryParams) E) queryKind {
+	return queryKind{
+		name:    name,
+		indexed: func(s *Store, p queryParams) any { return indexed(s, p) },
+		scan: func(perClip [][]*query.Track, ctx query.Context, p queryParams) any {
+			out := make([]E, len(perClip))
+			for i, tracks := range perClip {
+				out[i] = scan(tracks, ctx, p)
+			}
+			return out
+		},
+	}
+}
+
+// queryKinds is every query the store answers, each beside the internal/query
+// scan it must equal. The scans are the reference: TestDifferentialQueries
+// compares every row on random worlds and TestGoldenQueries hashes through
+// the rows, so a constant there vouches for index and scan alike.
+var queryKinds = []queryKind{
+	kind("count",
+		func(s *Store, p queryParams) []int { return s.CountTracks(p.cat) },
+		func(tr []*query.Track, _ query.Context, p queryParams) int { return query.CountTracks(tr, p.cat) }),
+	kind("breakdown",
+		func(s *Store, p queryParams) []map[string]int { return s.PathBreakdown(p.cat, p.movements, p.dist) },
+		func(tr []*query.Track, _ query.Context, p queryParams) map[string]int {
+			return query.PathBreakdown(tr, p.cat, p.movements, p.dist)
+		}),
+	kind("limit",
+		func(s *Store, p queryParams) [][]query.FrameMatch {
+			return s.LimitQuery(p.cat, p.pred, p.limit, p.minSep)
+		},
+		func(tr []*query.Track, ctx query.Context, p queryParams) []query.FrameMatch {
+			return query.LimitQuery(tr, p.cat, p.pred, ctx, p.limit, p.minSep)
+		}),
+	kind("avgvisible",
+		func(s *Store, p queryParams) []float64 { return s.AvgVisible(p.cat) },
+		func(tr []*query.Track, ctx query.Context, p queryParams) float64 {
+			return query.AvgVisible(tr, p.cat, ctx)
+		}),
+	kind("busy",
+		func(s *Store, p queryParams) [][]int { return s.BusyFrames(p.cat, p.nA, p.catB, p.nB) },
+		func(tr []*query.Track, ctx query.Context, p queryParams) []int {
+			return query.BusyFrames(tr, p.cat, p.nA, p.catB, p.nB, ctx)
+		}),
+	kind("cooc",
+		func(s *Store, p queryParams) []int { return s.CoOccurrences(p.cat, p.dist) },
+		func(tr []*query.Track, ctx query.Context, p queryParams) int {
+			return query.CoOccurrences(tr, p.cat, p.dist, ctx)
+		}),
+	kind("dwell",
+		func(s *Store, p queryParams) []map[int]float64 { return s.DwellTime(p.cat, p.region) },
+		func(tr []*query.Track, ctx query.Context, p queryParams) map[int]float64 {
+			return query.DwellTime(tr, p.cat, p.region, ctx)
+		}),
+	kind("braking",
+		func(s *Store, p queryParams) [][]*query.Track { return s.HardBraking(p.threshold) },
+		func(tr []*query.Track, ctx query.Context, p queryParams) []*query.Track {
+			return query.HardBraking(tr, ctx, p.threshold)
+		}),
+	kind("speeding",
+		func(s *Store, p queryParams) [][]*query.Track { return s.Speeding(p.threshold) },
+		func(tr []*query.Track, ctx query.Context, p queryParams) []*query.Track {
+			return query.Speeding(tr, ctx, p.threshold)
+		}),
+	kind("visibleboxes",
+		func(s *Store, p queryParams) []visible {
+			out := make([]visible, s.Clips())
+			for c := range out {
+				out[c].Boxes, out[c].Owners = s.VisibleBoxes(c, p.cat, p.frame)
+			}
+			return out
+		},
+		func(tr []*query.Track, _ query.Context, p queryParams) visible {
+			boxes, owners := query.VisibleBoxes(tr, p.cat, p.frame)
+			return visible{boxes, owners}
+		}),
+}
+
+// both answers one query through the index and through the scan, fails the
+// test unless the two are deeply equal (nil-ness and order included), and
+// returns the answer.
+func (k queryKind) both(t *testing.T, s *Store, perClip [][]*query.Track, p queryParams) any {
+	t.Helper()
+	got := k.indexed(s, p)
+	if want := k.scan(perClip, s.Context(), p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %+v diverged from the scan:\nindexed: %v\nscan:    %v", k.name, p, got, want)
+	}
+	return got
+}
+
 // TestDifferentialQueries asserts, across randomized track sets, that
-// every index-backed query returns element-for-element identical results
-// to the linear-scan implementation. SelfCheck doubles the coverage: the
-// store re-runs the scan internally and panics on divergence.
+// every row of queryKinds returns element-for-element identical results
+// from the indexes and from the linear scan.
 func TestDifferentialQueries(t *testing.T) {
 	ctx := testCtx()
+	movements := []query.Movement{
+		{Name: "a", Path: geom.Path{{X: 0, Y: 0}, {X: 640, Y: 360}}},
+		{Name: "b", Path: geom.Path{{X: 640, Y: 0}, {X: 0, Y: 360}}},
+	}
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		perClip := [][]*query.Track{
@@ -90,40 +213,23 @@ func TestDifferentialQueries(t *testing.T) {
 			nil, // empty clip
 		}
 		s := New(perClip, ctx)
-		s.SelfCheck = true
 
 		for _, cat := range []string{"", "car", "bus", "nosuch"} {
-			got := s.CountTracks(cat)
-			for i, tracks := range perClip {
-				if want := query.CountTracks(tracks, cat); got[i] != want {
-					t.Fatalf("seed %d: CountTracks(%q) clip %d = %d, want %d", seed, cat, i, got[i], want)
-				}
-			}
-			s.AvgVisible(cat)
-			s.CoOccurrences(cat, 40+r.Float64()*100)
-
 			for _, pred := range []query.FramePredicate{
 				query.CountPredicate{N: 1 + r.Intn(4)},
 				query.RegionPredicate{Region: randRegion(r, ctx), N: 1 + r.Intn(3)},
 				query.HotSpotPredicate{Radius: 30 + r.Float64()*80, N: 2},
 			} {
-				s.LimitQuery(cat, pred, 1+r.Intn(5), r.Intn(20))
-			}
-			s.DwellTime(cat, randRegion(r, ctx))
-		}
-		s.BusyFrames("car", 1+r.Intn(3), "bus", 1+r.Intn(2))
-
-		movements := []query.Movement{
-			{Name: "a", Path: geom.Path{{X: 0, Y: 0}, {X: 640, Y: 360}}},
-			{Name: "b", Path: geom.Path{{X: 640, Y: 0}, {X: 0, Y: 360}}},
-		}
-		s.PathBreakdown("car", movements, 200)
-
-		for f := 0; f < ctx.Frames; f += 7 {
-			boxes, owners := s.VisibleBoxes(0, "car", f)
-			wantB, wantO := query.VisibleBoxes(perClip[0], "car", f)
-			if !reflect.DeepEqual(boxes, wantB) || !reflect.DeepEqual(owners, wantO) {
-				t.Fatalf("seed %d: VisibleBoxes(0, car, %d) diverged", seed, f)
+				p := queryParams{
+					cat: cat, pred: pred, limit: 1 + r.Intn(5), minSep: r.Intn(20),
+					catB: "bus", nA: 1 + r.Intn(3), nB: 1 + r.Intn(2),
+					dist: 40 + r.Float64()*160, region: randRegion(r, ctx),
+					movements: movements, threshold: r.Float64() * 3000,
+					frame: r.Intn(ctx.Frames),
+				}
+				for _, k := range queryKinds {
+					k.both(t, s, perClip, p)
+				}
 			}
 		}
 	}

@@ -477,32 +477,6 @@ func nextTracking(cur core.Config, opts Options) (core.Config, bool) {
 	return next, true
 }
 
-// ParetoFilter returns the subset of points forming the Pareto frontier
-// (no other point is both faster and at least as accurate), sorted by
-// runtime descending (slowest, most accurate first).
-func ParetoFilter(points []Point) []Point {
-	var out []Point
-	for _, p := range points {
-		dominated := false
-		for _, q := range points {
-			if q.Runtime < p.Runtime-1e-12 && q.Accuracy >= p.Accuracy {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, p)
-		}
-	}
-	// Insertion sort by runtime descending (curves are short).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Runtime > out[j-1].Runtime; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // FastestWithin returns the fastest point whose accuracy is within tol of
 // the best accuracy among the points (the paper's Table 2 selection rule:
 // fastest configuration within 5% of best achieved accuracy).

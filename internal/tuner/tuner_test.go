@@ -109,21 +109,6 @@ func TestTuneModuleMask(t *testing.T) {
 	}
 }
 
-func TestParetoFilter(t *testing.T) {
-	pts := []Point{
-		{Runtime: 10, Accuracy: 0.9},
-		{Runtime: 5, Accuracy: 0.95}, // dominates the first
-		{Runtime: 2, Accuracy: 0.7},
-	}
-	out := ParetoFilter(pts)
-	if len(out) != 2 {
-		t.Fatalf("pareto kept %d, want 2", len(out))
-	}
-	if out[0].Runtime != 5 || out[1].Runtime != 2 {
-		t.Errorf("pareto order wrong: %v", out)
-	}
-}
-
 func TestFastestWithin(t *testing.T) {
 	pts := []Point{
 		{Runtime: 10, Accuracy: 0.90},

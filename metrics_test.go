@@ -2,6 +2,7 @@ package otif_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -42,7 +43,7 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		otif.SetParallelism(w)
 		otif.ResetMetrics()
-		ts, err := pipe.Extract(pick.Cfg, otif.Test)
+		ts, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestMetricsOffIdenticalResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	on, err := pipe.Extract(pick.Cfg, otif.Test)
+	on, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestMetricsOffIdenticalResults(t *testing.T) {
 	otif.SetMetricsEnabled(false)
 	defer otif.SetMetricsEnabled(true)
 	otif.ResetMetrics()
-	off, err := pipe.Extract(pick.Cfg, otif.Test)
+	off, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestSnapshotCostTotalMatchesRuntime(t *testing.T) {
 	// charged once per RunSet in sorted category order, the same fold the
 	// cost accountant uses.
 	otif.ResetMetrics()
-	ts, err := pipe.Extract(pick.Cfg, otif.Test)
+	ts, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	otif.ResetMetrics()
-	if _, err := pipe.Extract(pick.Cfg, otif.Test); err != nil {
+	if _, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test); err != nil {
 		t.Fatal(err)
 	}
 	snap := otif.Snapshot()

@@ -6,7 +6,6 @@ import (
 
 	"otif/internal/core"
 	"otif/internal/dataset"
-	"otif/internal/obs"
 	"otif/internal/parallel"
 	"otif/internal/query"
 	"otif/internal/tuner"
@@ -53,6 +52,8 @@ type Options struct {
 	ClipSeconds float64
 	// Seed drives all dataset sampling and model initialization.
 	Seed int64
+	// Progress, when set, receives tuning, extraction and ingest events.
+	Progress ProgressFunc
 }
 
 // Config is a pipeline parameter configuration theta.
@@ -68,32 +69,20 @@ type Pipeline struct {
 	sys      *core.System
 	metric   core.Metric
 	curve    []Point
-	progress obs.Progress
+	progress ProgressFunc
 }
 
 // Open samples the named dataset (one of Datasets()) and estimates the
-// detector background model. Call Train before Tune or Extract. It is
-// shorthand for OpenWith(name, WithOptions(opts)).
+// detector background model. Call Train before Tune or Extract.
 func Open(name string, opts Options) (*Pipeline, error) {
-	return OpenWith(name, WithOptions(opts))
-}
-
-// OpenWith is Open with functional options: WithSeed, WithClips,
-// WithClipSeconds, WithProgress, or a whole Options struct via
-// WithOptions.
-func OpenWith(name string, options ...Option) (*Pipeline, error) {
-	var c openConfig
-	for _, o := range options {
-		o.applyOpen(&c)
-	}
 	spec := dataset.DefaultSpec
-	if c.opts.ClipsPerSet > 0 {
-		spec.Clips = c.opts.ClipsPerSet
+	if opts.ClipsPerSet > 0 {
+		spec.Clips = opts.ClipsPerSet
 	}
-	if c.opts.ClipSeconds > 0 {
-		spec.ClipSeconds = c.opts.ClipSeconds
+	if opts.ClipSeconds > 0 {
+		spec.ClipSeconds = opts.ClipSeconds
 	}
-	seed := c.opts.Seed
+	seed := opts.Seed
 	if seed == 0 {
 		seed = 7
 	}
@@ -102,11 +91,11 @@ func OpenWith(name string, options ...Option) (*Pipeline, error) {
 		return nil, err
 	}
 	sys := core.NewSystem(ds)
-	sys.Progress = c.progress
+	sys.Progress = opts.Progress
 	return &Pipeline{
 		sys:      sys,
 		metric:   core.MetricFor(ds),
-		progress: c.progress,
+		progress: opts.Progress,
 	}, nil
 }
 
@@ -125,15 +114,10 @@ func (p *Pipeline) Train() Config {
 
 // Tune runs the greedy joint parameter tuner (§3.5) and returns the
 // speed-accuracy curve, slowest configuration first. It returns
-// ErrNotTrained if Train (or LoadModels) has not run.
-func (p *Pipeline) Tune() ([]Point, error) {
-	return p.TuneContext(context.Background())
-}
-
-// TuneContext is Tune with cooperative cancellation: the tuner checks ctx
-// at iteration boundaries and returns a *PartialError wrapping ctx.Err()
-// together with the curve points completed so far.
-func (p *Pipeline) TuneContext(ctx context.Context) ([]Point, error) {
+// ErrNotTrained if Train (or LoadModels) has not run. The tuner checks ctx
+// at iteration boundaries; a canceled run returns a *PartialError wrapping
+// ctx.Err() together with the curve points completed so far.
+func (p *Pipeline) Tune(ctx context.Context) ([]Point, error) {
 	if p.sys.Recurrent == nil {
 		return nil, ErrNotTrained
 	}
@@ -160,16 +144,11 @@ func PickFastestWithin(curve []Point, tol float64) (Point, error) {
 }
 
 // Extract runs the pipeline under cfg over the chosen clip set and returns
-// the extracted tracks together with the simulated execution cost.
-func (p *Pipeline) Extract(cfg Config, set SetName) (*TrackSet, error) {
-	return p.ExtractContext(context.Background(), cfg, set)
-}
-
-// ExtractContext is Extract with cooperative cancellation: clip workers
-// check ctx before starting each clip and the pool drains cleanly. A
-// canceled extraction returns a *PartialError wrapping ctx.Err() that
+// the extracted tracks together with the simulated execution cost. Clip
+// workers check ctx before starting each clip and the pool drains cleanly;
+// a canceled extraction returns a *PartialError wrapping ctx.Err() that
 // reports how many clips completed.
-func (p *Pipeline) ExtractContext(ctx context.Context, cfg Config, set SetName) (*TrackSet, error) {
+func (p *Pipeline) Extract(ctx context.Context, cfg Config, set SetName) (*TrackSet, error) {
 	clips, err := p.clips(set)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package otif_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -23,7 +24,7 @@ func pipeline(t *testing.T) (*otif.Pipeline, []otif.Point) {
 	}
 	pipe.Train()
 	trainedPipe = pipe
-	trainedCurve, err = pipe.Tune()
+	trainedCurve, err = pipe.Tune(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := pipe.Extract(pick.Cfg, otif.Test)
+	ts, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestTuneBeforeTrainErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Tune(); !errors.Is(err, otif.ErrNotTrained) {
+	if _, err := pipe.Tune(context.Background()); !errors.Is(err, otif.ErrNotTrained) {
 		t.Errorf("Tune before Train: err = %v, want ErrNotTrained", err)
 	}
 }
@@ -115,7 +116,7 @@ func TestCurveAccessor(t *testing.T) {
 
 func TestExtractBadSet(t *testing.T) {
 	pipe, curve := pipeline(t)
-	if _, err := pipe.Extract(curve[0].Cfg, otif.SetName("bogus")); err == nil {
+	if _, err := pipe.Extract(context.Background(), curve[0].Cfg, otif.SetName("bogus")); err == nil {
 		t.Error("bad set name must error")
 	}
 }

@@ -28,9 +28,9 @@ func (p *Pipeline) LoadModels(r io.Reader) error {
 }
 
 // WriteTo serializes the track set in OTIF's self-describing binary track
-// format (v2): the header records frame rate, nominal geometry, frames
-// per clip and dataset name, so the file reloads with ReadTrackSet and
-// zero positional arguments. n is the number of bytes written.
+// format: the header records frame rate, nominal geometry, frames per clip
+// and dataset name, so the file reloads with ReadTrackSet and no further
+// arguments. n is the number of bytes written.
 func (ts *TrackSet) WriteTo(w io.Writer) (n int64, err error) {
 	cw := &countWriter{w: w}
 	err = persist.WriteTracksV2(cw, ts.PerClip, persist.TrackMeta{
@@ -53,76 +53,20 @@ func (ts *TrackSet) ExportSegments(dir string, clipsPerSegment int) ([]string, e
 	return store.ExportSegments(dir, ts.Dataset, ts.ctx, ts.PerClip, clipsPerSegment)
 }
 
-// TrackSetOption adjusts how a stored track set is loaded. Options exist
-// for legacy v1 files, whose headers carry no clip geometry; v2 files are
-// self-describing and need none. An explicitly passed option overrides the
-// file header either way.
-type TrackSetOption func(*trackSetConfig)
-
-type trackSetConfig struct {
-	fps, nomW, nomH, frames int
-	dataset                 string
-}
-
-// WithFPS supplies the clip frame rate for files whose header lacks it.
-func WithFPS(fps int) TrackSetOption {
-	return func(c *trackSetConfig) { c.fps = fps }
-}
-
-// WithGeometry supplies the nominal frame dimensions.
-func WithGeometry(nomW, nomH int) TrackSetOption {
-	return func(c *trackSetConfig) { c.nomW, c.nomH = nomW, nomH }
-}
-
-// WithFramesPerClip supplies the clip length in frames.
-func WithFramesPerClip(frames int) TrackSetOption {
-	return func(c *trackSetConfig) { c.frames = frames }
-}
-
-// WithDatasetName labels the loaded set with its dataset name.
-func WithDatasetName(name string) TrackSetOption {
-	return func(c *trackSetConfig) { c.dataset = name }
-}
-
-// ReadTrackSet loads a stored track set. Files written by WriteTo (format
-// v2) are self-describing: the clip geometry comes from the file header
-// and no options are needed. Legacy v1 files carry no header metadata;
-// pass WithFPS / WithGeometry / WithFramesPerClip so frame-window and
-// region queries know the clip geometry (loading succeeds without them,
-// but frame sweeps see zero-length clips). Explicit options override the
-// header.
-func ReadTrackSet(r io.Reader, opts ...TrackSetOption) (*TrackSet, error) {
+// ReadTrackSet loads a track set written by WriteTo. The file is
+// self-describing: clip geometry and dataset name come from its header.
+func ReadTrackSet(r io.Reader) (*TrackSet, error) {
 	perClip, meta, err := persist.ReadTracksAuto(r)
 	if err != nil {
 		return nil, err
 	}
-	var cfg trackSetConfig
-	if meta != nil {
-		cfg = trackSetConfig{
-			fps: meta.FPS, nomW: meta.NomW, nomH: meta.NomH,
-			frames: meta.Frames, dataset: meta.Dataset,
-		}
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
 	return &TrackSet{
 		PerClip: perClip,
-		Dataset: cfg.dataset,
+		Dataset: meta.Dataset,
 		ctx: query.Context{
-			FPS: cfg.fps, NomW: cfg.nomW, NomH: cfg.nomH, Frames: cfg.frames,
+			FPS: meta.FPS, NomW: meta.NomW, NomH: meta.NomH, Frames: meta.Frames,
 		},
 	}, nil
-}
-
-// ReadTrackSetFor loads a stored track set with the pipeline's clip
-// geometry (overriding any file header, so the set always matches the
-// pipeline's datasets).
-func (p *Pipeline) ReadTrackSetFor(r io.Reader) (*TrackSet, error) {
-	ctx := p.sys.Ctx()
-	return ReadTrackSet(r,
-		WithFPS(ctx.FPS), WithGeometry(ctx.NomW, ctx.NomH),
-		WithFramesPerClip(ctx.Frames), WithDatasetName(p.sys.DS.Name))
 }
 
 type countWriter struct {

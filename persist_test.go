@@ -2,10 +2,12 @@ package otif_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
 	"otif"
+	"otif/internal/persist"
 )
 
 func TestPipelinePersistenceRoundtrip(t *testing.T) {
@@ -31,11 +33,11 @@ func TestPipelinePersistenceRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := pipe.Extract(pick.Cfg, otif.Test)
+	a, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pipe2.Extract(pick.Cfg, otif.Test)
+	b, err := pipe2.Extract(context.Background(), pick.Cfg, otif.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestTrackSetPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := pipe.Extract(pick.Cfg, otif.Test)
+	ts, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestTrackSetPersistence(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := pipe.ReadTrackSetFor(bytes.NewReader(buf.Bytes()))
+	got, err := otif.ReadTrackSet(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestTrackSetPersistence(t *testing.T) {
 	}
 }
 
-// TestTrackSetV2SelfDescribing asserts the format-v2 contract: a file
+// TestTrackSetV2SelfDescribing asserts the track format's contract: a file
 // written by WriteTo reloads with zero positional arguments, carrying its
 // clip geometry and dataset name in the header, and answers queries
 // identically to the original set.
@@ -116,7 +118,7 @@ func TestTrackSetV2SelfDescribing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := pipe.Extract(pick.Cfg, otif.Test)
+	ts, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestTrackSetV2SelfDescribing(t *testing.T) {
 	if _, err := ts.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := otif.ReadTrackSet(bytes.NewReader(buf.Bytes())) // no options
+	got, err := otif.ReadTrackSet(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,44 +150,13 @@ func TestTrackSetV2SelfDescribing(t *testing.T) {
 	}
 }
 
-// TestTrackSetV1Compat asserts a v1 track file (written by the pre-v2
-// positional format) still round-trips through the loader when the clip
-// geometry is passed as options.
-func TestTrackSetV1Compat(t *testing.T) {
-	pipe, curve := pipeline(t)
-	pick, err := otif.PickFastestWithin(curve, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := pipe.Extract(pick.Cfg, otif.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := otif.WriteTrackSetV1ForTest(&v1, ts); err != nil {
-		t.Fatal(err)
-	}
-	sys := pipe.System()
-	ctx := sys.Ctx()
-
-	got, err := otif.ReadTrackSet(bytes.NewReader(v1.Bytes()),
-		otif.WithFPS(ctx.FPS), otif.WithGeometry(ctx.NomW, ctx.NomH),
-		otif.WithFramesPerClip(ctx.Frames))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ts.CountTracks("")
-	for i, w := range want {
-		if got.CountTracks("")[i] != w {
-			t.Errorf("clip %d: v1 reload counts diverge", i)
-		}
-	}
-	la := ts.LimitQuery("car", otif.CountPredicate{N: 1}, 3, 1)
-	lb := got.LimitQuery("car", otif.CountPredicate{N: 1}, 3, 1)
-	for i := range la {
-		if len(la[i]) != len(lb[i]) {
-			t.Errorf("clip %d: v1 reload limit query diverges", i)
-		}
+// TestTrackSetV1Rejected asserts the retired headerless format is refused
+// by its magic rather than loaded with zero-length clips.
+func TestTrackSetV1Rejected(t *testing.T) {
+	v1 := append([]byte("OTIFTRK1"), 1, 0, 0, 0) // magic, version 1, then the body
+	v1 = append(v1, make([]byte, 12)...)         // zero clips and a checksum
+	if _, err := otif.ReadTrackSet(bytes.NewReader(v1)); !errors.Is(err, persist.ErrBadMagic) {
+		t.Errorf("OTIFTRK1 file: err = %v, want persist.ErrBadMagic", err)
 	}
 }
 
@@ -209,7 +180,7 @@ func TestAnalyticsQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := pipe.Extract(pick.Cfg, otif.Test)
+	ts, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,7 @@ type TrackSet struct {
 	// Runtime is the simulated extraction cost in seconds.
 	Runtime float64
 	// Dataset is the name of the dataset the tracks were extracted from
-	// (stored in the v2 file header; empty for v1 files loaded without
-	// WithDatasetName).
+	// (stored in the file header).
 	Dataset string
 
 	ctx query.Context
@@ -56,13 +55,13 @@ func (ts *TrackSet) Index() store.Querier {
 // CountTracks returns, per clip, the number of tracks of the category
 // (empty for all categories). This answers the paper's track count query.
 func (ts *TrackSet) CountTracks(category string) []int {
-	return ts.Query().Category(category).Count()
+	return ts.Index().CountTracks(category)
 }
 
 // PathBreakdown counts, per clip, the category tracks following each
 // movement (the turning-movement count query).
 func (ts *TrackSet) PathBreakdown(category string, movements []Movement, maxEndpointDist float64) []map[string]int {
-	return ts.Query().Category(category).Movements(movements, maxEndpointDist).Breakdown()
+	return ts.Index().PathBreakdown(category, movements, maxEndpointDist)
 }
 
 // HardBraking returns, per clip, the tracks whose maximum deceleration
@@ -75,7 +74,7 @@ func (ts *TrackSet) HardBraking(decelThreshold float64) [][]*Track {
 // AvgVisible returns, per clip, the average number of category objects
 // visible per frame (example exploratory query (3)).
 func (ts *TrackSet) AvgVisible(category string) []float64 {
-	return ts.Query().Category(category).AvgVisible()
+	return ts.Index().AvgVisible(category)
 }
 
 // BusyFrames returns, per clip, the frames with at least nA objects of
@@ -100,7 +99,7 @@ func (ts *TrackSet) Speeding(threshold float64) [][]*Track {
 // DwellTime returns, per clip, seconds each category track spends inside
 // the region (keyed by track ID).
 func (ts *TrackSet) DwellTime(category string, region geom.Polygon) []map[int]float64 {
-	return ts.Query().Category(category).InRegion(region).Dwell()
+	return ts.Index().DwellTime(category, region)
 }
 
 // CoOccurrences returns, per clip, the total count of frame-wise pairs of
