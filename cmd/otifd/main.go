@@ -232,7 +232,14 @@ func main() {
 		}
 	}()
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// A client that stalls sending its request, or holds an idle connection,
+	// is dropped; responses (SSE, profiles) may take as long as they need.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)

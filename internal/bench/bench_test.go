@@ -37,6 +37,13 @@ func TestSuiteMemoizesSystems(t *testing.T) {
 	if len(a.Curve) == 0 {
 		t.Error("no tuning curve")
 	}
+	// A failure is memoized like a result: the same error value, not a
+	// second attempt.
+	_, err1 := s.System("nosuch")
+	_, err2 := s.System("nosuch")
+	if err1 == nil || err1 != err2 {
+		t.Errorf("unknown dataset: errors %v and %v, want one memoized error", err1, err2)
+	}
 }
 
 func TestTrackCurvesIncludeAllMethods(t *testing.T) {

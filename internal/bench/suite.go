@@ -20,24 +20,39 @@ import (
 	"otif/internal/baselines"
 	"otif/internal/core"
 	"otif/internal/dataset"
-	"otif/internal/parallel"
+	"otif/internal/lru"
 	"otif/internal/tuner"
 )
 
 // Suite lazily builds and memoizes trained pipelines per dataset so tables
 // that share a dataset do not retrain.
 //
-// Memoization is per-dataset singleflight through parallel.Group (the
-// generalization of the entry-map-plus-sync.Once idiom this suite first
-// grew): concurrent callers asking for different datasets train them in
-// parallel while concurrent callers asking for the same dataset share one
-// training run, and completed results stay memoized.
+// Memoization is per dataset through lru.Cache, charging nothing so nothing
+// is ever evicted: concurrent callers asking for different datasets train
+// them in parallel while concurrent callers asking for the same dataset
+// share one training run, and completed results, errors included, stay
+// memoized.
 type Suite struct {
 	Spec dataset.SetSpec
 	Seed int64
 
-	systems parallel.Group[string, *trained]
-	curves  parallel.Group[string, []MethodCurve]
+	systems *lru.Cache[string, memo[*trained]]
+	curves  *lru.Cache[string, memo[[]MethodCurve]]
+}
+
+// memo is one memoized outcome.
+type memo[T any] struct {
+	v   T
+	err error
+}
+
+// memoize runs fn once per key of c.
+func memoize[T any](c *lru.Cache[string, memo[T]], key string, fn func() (T, error)) (T, error) {
+	m := c.Get(key, func() (memo[T], int64) {
+		v, err := fn()
+		return memo[T]{v, err}, 0
+	})
+	return m.v, m.err
 }
 
 // trained is a fully trained system plus its OTIF tuning curve.
@@ -49,14 +64,18 @@ type trained struct {
 
 // NewSuite creates a harness with the given set sizes.
 func NewSuite(spec dataset.SetSpec, seed int64) *Suite {
-	return &Suite{Spec: spec, Seed: seed}
+	return &Suite{
+		Spec: spec, Seed: seed,
+		systems: lru.New[string, memo[*trained]](0),
+		curves:  lru.New[string, memo[[]MethodCurve]](0),
+	}
 }
 
 // System returns the trained system (and OTIF curve) for a dataset,
 // training it on first use. Concurrent calls for the same dataset share
 // one training run; calls for different datasets do not block each other.
 func (s *Suite) System(name string) (*trained, error) {
-	t, err, _ := s.systems.Do(name, func() (*trained, error) {
+	return memoize(s.systems, name, func() (*trained, error) {
 		ds, err := dataset.Build(name, s.Spec, s.Seed)
 		if err != nil {
 			return nil, err
@@ -68,7 +87,6 @@ func (s *Suite) System(name string) (*trained, error) {
 		curve := tuner.Tune(sys, metric, tuner.DefaultOptions())
 		return &trained{Sys: sys, Metric: metric, Curve: curve}, nil
 	})
-	return t, err
 }
 
 // EquivScale converts set runtimes to paper-sized one-hour equivalents.
@@ -101,7 +119,7 @@ func testPointsOTIF(t *trained) []tuner.Point {
 // returning test-set speed-accuracy curves (Figure 5 data). Results are
 // memoized: Table 2 and Figure 5 share one evaluation.
 func (s *Suite) TrackCurves(name string) ([]MethodCurve, error) {
-	curves, err, _ := s.curves.Do(name, func() ([]MethodCurve, error) {
+	return memoize(s.curves, name, func() ([]MethodCurve, error) {
 		t, err := s.System(name)
 		if err != nil {
 			return nil, err
@@ -132,7 +150,6 @@ func (s *Suite) TrackCurves(name string) ([]MethodCurve, error) {
 		}
 		return out, nil
 	})
-	return curves, err
 }
 
 // onPareto reports whether point i is on the Pareto frontier of pts.

@@ -47,7 +47,7 @@ func (s *Suite) Table2(w io.Writer, datasets []string) ([]Table2Row, error) {
 	fprintf(w, "\n")
 
 	// Prefetch every dataset's curves on the worker pool: the per-dataset
-	// singleflight entries train concurrently, and the serial loop below
+	// memo entries train concurrently, and the serial loop below
 	// then reads memoized results, printing rows in dataset order.
 	parallel.For(len(datasets), func(i int) {
 		_, _ = s.TrackCurves(datasets[i])

@@ -129,14 +129,11 @@ func NewBackgroundModel(frame *video.Frame) *BackgroundModel {
 func (b *BackgroundModel) Frame() *video.Frame { return b.frame }
 
 // At returns the background downsampled to stored resolution w x h,
-// caching the result for reuse across frames. The returned frame is
-// shared and must be treated as read-only. When the process-wide frame
-// cache is enabled it holds these buffers (under its byte budget);
-// otherwise a per-model map keeps them for the model's lifetime.
+// keeping the result for the model's lifetime: a model is asked for a
+// handful of resolutions, every frame, and clip frames passing through the
+// shared frame cache must not evict them. The returned frame is shared and
+// must be treated as read-only.
 func (b *BackgroundModel) At(w, h int) *video.Frame {
-	if video.CacheEnabled() {
-		return video.CachedDownsample(b.frame, w, h)
-	}
 	key := w<<20 | h
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -104,12 +104,28 @@ type reader struct {
 	r   *bufio.Reader
 	crc uint32
 	err error
+	buf [8]byte // fixed-width fields are read through it, not the heap
 }
 
 func newReader(r io.Reader) *reader {
 	return &reader{r: bufio.NewReader(r)}
 }
 
+// read fills b from the source and checksums it; false after an error.
+func (r *reader) read(b []byte) bool {
+	if r.err != nil {
+		return false
+	}
+	if _, err := io.ReadFull(r.r, b); err != nil {
+		r.err = err
+		return false
+	}
+	r.crc = crc32.Update(r.crc, crc32.IEEETable, b)
+	return true
+}
+
+// bytes reads the next n bytes into a slice of their own (strings, magic,
+// pixel planes). It is nil after an error.
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -118,17 +134,23 @@ func (r *reader) bytes(n int) []byte {
 		r.err = fmt.Errorf("persist: implausible length %d", n)
 		return nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = err
-		return nil
+	if b := make([]byte, n); r.read(b) {
+		return b
 	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, b)
-	return b
+	return nil
+}
+
+// fixed reads the next n <= 8 bytes into the reader's own buffer; the
+// slice is valid until the next read. It is nil after an error.
+func (r *reader) fixed(n int) []byte {
+	if b := r.buf[:n]; r.read(b) {
+		return b
+	}
+	return nil
 }
 
 func (r *reader) u32() uint32 {
-	b := r.bytes(4)
+	b := r.fixed(4)
 	if b == nil {
 		return 0
 	}
@@ -136,7 +158,7 @@ func (r *reader) u32() uint32 {
 }
 
 func (r *reader) u64() uint64 {
-	b := r.bytes(8)
+	b := r.fixed(8)
 	if b == nil {
 		return 0
 	}
@@ -148,7 +170,7 @@ func (r *reader) int() int     { return int(r.i64()) }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 func (r *reader) boolean() bool {
-	b := r.bytes(1)
+	b := r.fixed(1)
 	return b != nil && b[0] != 0
 }
 

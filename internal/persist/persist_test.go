@@ -344,6 +344,36 @@ func TestHostileCountsAllocateLittle(t *testing.T) {
 	}
 }
 
+// TestReadAllocsPerDetection bounds the heap allocations of decoding one
+// detection: its category string and the slice the bytes were read into,
+// with the growth of the detection slice amortised over the rest. The nine
+// numbers of a detection are read through the reader's own buffer; when
+// each was a make([]byte, 8) this read 11 per detection.
+func TestReadAllocsPerDetection(t *testing.T) {
+	const dets = 2000
+	tr := &query.Track{ID: 1, Category: "car"}
+	for f := 0; f < dets; f++ {
+		tr.Dets = append(tr.Dets, detect.Detection{
+			FrameIdx: f, Box: geom.Rect{X: float64(f), Y: 10, W: 40, H: 20}, Score: 0.9, Category: "car",
+		})
+	}
+	var buf bytes.Buffer
+	if err := WriteTracksV2(&buf, [][]*query.Track{{tr}}, TrackMeta{FPS: 10}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := ReadTracksAuto(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / dets; per > 2.1 {
+		t.Errorf("%.2f allocations per decoded detection, want at most 2.1", per)
+	} else {
+		t.Logf("%.2f allocations per decoded detection", per)
+	}
+}
+
 // FuzzReadTracksAuto holds the track reader to its contract on arbitrary
 // bytes: it never panics, and it returns either an error or a track set
 // whose re-encoding reads back to the same bytes. Seeds are a valid file,

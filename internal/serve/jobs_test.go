@@ -263,6 +263,27 @@ func TestHTTPJobEndpoints(t *testing.T) {
 	}
 }
 
+// TestHTTPJobSubmitBodyTooLarge: POST /jobs refuses a body past
+// maxBodyBytes with 413 and submits nothing.
+func TestHTTPJobSubmitBodyTooLarge(t *testing.T) {
+	m := NewManager(0)
+	defer m.Close()
+	m.Register("noop", func(context.Context, *Job, obs.Progress) (any, error) { return nil, nil })
+	srv := newTestServer(t, m, nil)
+	body := `{"kind":"noop","params":{"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /jobs with a %d-byte body: status = %d, want 413", len(body), resp.StatusCode)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Errorf("an oversized submit created %d jobs", len(jobs))
+	}
+}
+
 func TestHTTPCancelEndpoint(t *testing.T) {
 	m := NewManager(0)
 	defer m.Close()

@@ -1,27 +1,14 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"otif/internal/geom"
-	"otif/internal/obs"
 	"otif/internal/query"
 	"otif/internal/store"
-)
-
-// Query serving metrics: request/error counters plus a latency histogram.
-// The paper's contract is millisecond query execution over stored tracks;
-// serve.query_seconds makes that observable per deployment.
-var (
-	metQueryRequests = obs.Default.Counter("serve.query_requests")
-	metQueryErrors   = obs.Default.Counter("serve.query_errors")
-	metQuerySeconds  = obs.Default.Histogram("serve.query_seconds",
-		0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1)
 )
 
 // QueryAPI serves the versioned query endpoints over the dataset registry:
@@ -56,10 +43,10 @@ func (q *QueryAPI) register(handle func(pattern string, h http.HandlerFunc)) {
 		method, name string
 		h            http.HandlerFunc
 	}{
-		{"GET", "count", q.instrument(q.handleCount)},
-		{"GET", "breakdown", q.instrument(q.handleBreakdown)},
-		{"GET", "limit", q.instrument(q.handleLimit)},
-		{"POST", "dwell", q.instrument(q.handleDwell)},
+		{"GET", "count", q.withStore(q.handleCount)},
+		{"GET", "breakdown", q.withStore(q.handleBreakdown)},
+		{"GET", "limit", q.withStore(q.handleLimit)},
+		{"POST", "dwell", q.withStore(q.handleDwell)},
 	}
 	for _, rt := range routes {
 		handle(rt.method+" /v1/query/"+rt.name, rt.h)
@@ -72,13 +59,11 @@ func (q *QueryAPI) resolve(w http.ResponseWriter, r *http.Request) (store.Querie
 	// URL query only: FormValue would consume a form-encoded POST body.
 	name := r.URL.Query().Get("dataset")
 	if q.Datasets == nil {
-		metQueryErrors.Inc()
 		writeError(w, http.StatusServiceUnavailable, "no dataset registry configured")
 		return nil, false
 	}
 	s, err := q.Datasets.Resolve(name)
 	if err != nil {
-		metQueryErrors.Inc()
 		if name == "" {
 			// No default registered yet: the deployment is still loading.
 			writeError(w, http.StatusServiceUnavailable, "no track set loaded (extract first, or start with -tracks)")
@@ -88,25 +73,19 @@ func (q *QueryAPI) resolve(w http.ResponseWriter, r *http.Request) (store.Querie
 		return nil, false
 	}
 	if s == nil {
-		metQueryErrors.Inc()
 		writeError(w, http.StatusServiceUnavailable, "no track set loaded (extract first, or start with -tracks)")
 		return nil, false
 	}
 	return s, true
 }
 
-// instrument wraps a query handler with dataset resolution, the request
-// counter and the latency histogram.
-func (q *QueryAPI) instrument(h func(w http.ResponseWriter, r *http.Request, s store.Querier)) http.HandlerFunc {
+// withStore wraps a query handler with dataset resolution. Requests, errors
+// and latency are the route middleware's serve.route.v1_query_* series.
+func (q *QueryAPI) withStore(h func(w http.ResponseWriter, r *http.Request, s store.Querier)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		metQueryRequests.Inc()
-		s, ok := q.resolve(w, r)
-		if !ok {
-			return
+		if s, ok := q.resolve(w, r); ok {
+			h(w, r, s)
 		}
-		start := time.Now()
-		h(w, r, s)
-		metQuerySeconds.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -163,14 +142,12 @@ func (q *QueryAPI) handleBreakdown(w http.ResponseWriter, r *http.Request, s sto
 		movements = q.Movements()
 	}
 	if len(movements) == 0 {
-		metQueryErrors.Inc()
 		writeError(w, http.StatusNotFound, "no movements available for this dataset")
 		return
 	}
 	cat := r.FormValue("category")
 	maxDist, err := floatParam(r, "maxdist", 0.22*float64(s.Context().NomW))
 	if err != nil {
-		metQueryErrors.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -199,7 +176,6 @@ func (q *QueryAPI) handleLimit(w http.ResponseWriter, r *http.Request, s store.Q
 	cat := r.FormValue("category")
 	n, limit, minSep, err := limitParams(r, s.Context())
 	if err != nil {
-		metQueryErrors.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -259,13 +235,10 @@ type dwellRequest struct {
 
 func (q *QueryAPI) handleDwell(w http.ResponseWriter, r *http.Request, s store.Querier) {
 	var req dwellRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		metQueryErrors.Inc()
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Region) < 3 {
-		metQueryErrors.Inc()
 		writeError(w, http.StatusBadRequest, "region needs at least 3 vertices")
 		return
 	}

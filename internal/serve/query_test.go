@@ -195,6 +195,17 @@ func TestQueryDwellBadRegion(t *testing.T) {
 	}
 }
 
+// TestQueryDwellBodyTooLarge: a body past maxBodyBytes is refused with 413
+// before it is decoded.
+func TestQueryDwellBodyTooLarge(t *testing.T) {
+	srv, _ := queryFixture()
+	body := `{"category":"` + strings.Repeat("x", maxBodyBytes) + `","region":[[0,0],[9,0],[9,9]]}`
+	code, out := doQueryJSON(t, srv, "POST", "/v1/query/dwell", body)
+	if code != 413 {
+		t.Errorf("status for a %d-byte body = %d, want 413: %v", len(body), code, out)
+	}
+}
+
 func TestQueryUnavailableStore(t *testing.T) {
 	datasets := store.NewRegistry()
 	datasets.Register("live", store.ProviderFunc(func() store.Querier { return nil }))

@@ -1,21 +1,16 @@
 package store
 
 import (
-	"sync/atomic"
+	"sync"
 
+	"otif/internal/lru"
 	"otif/internal/obs"
-	"otif/internal/parallel"
 )
 
-// Per-segment result cache observability. hits counts answers served from
-// memory, fills counts executions that computed and stored a result, dedup
-// counts callers that piggybacked on a concurrent fill (the singleflight
-// path).
-var (
-	metCacheHits  = obs.Default.Counter("store.cache.hits")
-	metCacheFills = obs.Default.Counter("store.cache.fills")
-	metCacheDedup = obs.Default.Counter("store.cache.dedup")
-)
+// cacheBudget bounds what one result cache holds, as charged by
+// resultBytes: the frame cache's default, enough for a few thousand
+// track-level answers over a paper-scale segment set.
+const cacheBudget int64 = 64 << 20
 
 // cacheKey identifies one memoized result: a sealed segment's id plus the
 // canonical string form of the query (method name and every parameter).
@@ -26,53 +21,77 @@ type cacheKey struct {
 	query   string
 }
 
-// CacheStats is a point-in-time snapshot of one cache's counters, for
-// deterministic test assertions (the obs counters are process-global and
-// shared across caches).
+// CacheStats is a point-in-time snapshot of one cache's counters: answers
+// served from memory, executions that computed and stored a result, and
+// callers that shared a concurrent fill.
 type CacheStats struct {
 	Hits, Fills, Dedup int64
 }
 
-// Cache memoizes per-segment query results with request coalescing: the
-// first caller for a (segment, query) pair computes, concurrent callers
-// for the same pair wait and share, later callers hit memory. Results are
-// shared read-only slices — callers must not mutate what a cached query
+// Cache memoizes per-segment query results under a byte budget with LRU
+// eviction and request coalescing (internal/lru): the first caller for a
+// (segment, query) pair computes, concurrent callers for the same pair wait
+// and share, later callers hit memory until the answer is evicted. Results
+// are shared read-only slices — callers must not mutate what a cached query
 // returns. Only sealed segments are cached (an open segment's content
 // changes on every append); Sharded enforces that at the call site.
 //
-// The zero value is ready to use. A nil *Cache disables caching: Get then
-// just runs fn.
+// Construct with NewCache. A nil *Cache disables caching: Get then just
+// runs fn.
 type Cache struct {
-	g parallel.Group[cacheKey, any]
+	lru *lru.Cache[cacheKey, any]
 
-	hits, fills, dedup atomic.Int64
+	mu        sync.Mutex
+	published lru.Stats // what the store.cache.* series have been told
 }
 
-// NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{} }
+// NewCache returns an empty cache of cacheBudget bytes.
+func NewCache() *Cache {
+	return &Cache{lru: lru.New[cacheKey, any](cacheBudget)}
+}
 
 // Get returns the memoized result for (segment, query), running fn to fill
-// it on first use. Errors are not part of the contract — query execution
-// over an in-memory segment cannot fail — so fn returns only a value.
+// it on first use and charging it resultBytes. Errors are not part of the
+// contract — query execution over an in-memory segment cannot fail — so fn
+// returns only a value.
 func (c *Cache) Get(segment, query string, fn func() any) any {
 	if c == nil {
 		return fn()
 	}
-	v, _, outcome := c.g.Do(cacheKey{segment, query}, func() (any, error) {
-		return fn(), nil
+	defer c.publish()
+	return c.lru.Get(cacheKey{segment, query}, func() (any, int64) {
+		v := fn()
+		return v, resultBytes(v)
 	})
-	switch outcome {
-	case parallel.DidRun:
-		c.fills.Add(1)
-		metCacheFills.Inc()
-	case parallel.Waited:
-		c.dedup.Add(1)
-		metCacheDedup.Inc()
-	case parallel.Cached:
-		c.hits.Add(1)
-		metCacheHits.Inc()
-	}
-	return v
+}
+
+// The store.cache.* series are process-wide sums over every cache: hits,
+// fills, dedup (callers that shared a concurrent fill) and evictions count
+// events; bytes and entries are what the caches hold. A cache dropped whole
+// (an ended ingest session's live store) is not subtracted from the last
+// two.
+var (
+	metCacheHits      = obs.Default.Counter("store.cache.hits")
+	metCacheFills     = obs.Default.Counter("store.cache.fills")
+	metCacheDedup     = obs.Default.Counter("store.cache.dedup")
+	metCacheEvictions = obs.Default.Counter("store.cache.evictions")
+	metCacheBytes     = obs.Default.Gauge("store.cache.bytes")
+	metCacheEntries   = obs.Default.Gauge("store.cache.entries")
+)
+
+// publish adds what changed in this cache since the last call to the
+// process-wide series.
+func (c *Cache) publish() {
+	c.mu.Lock()
+	s, p := c.lru.Stats(), c.published
+	c.published = s
+	c.mu.Unlock()
+	metCacheHits.Add(s.Hits - p.Hits)
+	metCacheFills.Add(s.Fills - p.Fills)
+	metCacheDedup.Add(s.Waits - p.Waits)
+	metCacheEvictions.Add(s.Evictions - p.Evictions)
+	metCacheBytes.Add(float64(s.Bytes - p.Bytes))
+	metCacheEntries.Add(float64(s.Entries - p.Entries))
 }
 
 // Stats snapshots the cache's own counters.
@@ -80,7 +99,8 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	return CacheStats{Hits: c.hits.Load(), Fills: c.fills.Load(), Dedup: c.dedup.Load()}
+	s := c.lru.Stats()
+	return CacheStats{Hits: s.Hits, Fills: s.Fills, Dedup: s.Waits}
 }
 
 // Len reports how many (segment, query) results are memoized or in flight.
@@ -88,5 +108,5 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	return c.g.Len()
+	return int(c.lru.Stats().Entries)
 }

@@ -3,12 +3,13 @@ package store
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"otif/internal/geom"
-	"otif/internal/parallel"
+	"otif/internal/lru"
 	"otif/internal/query"
 )
 
@@ -65,16 +66,14 @@ func TestCacheHammer(t *testing.T) {
 	}
 }
 
-// TestCacheDedupCounter deterministically drives the singleflight path
-// using the parallel.Group wait hook: waiters blocked behind an in-flight
-// fill must be counted as dedup, not as fills or hits.
+// TestCacheDedupCounter deterministically drives the coalescing path:
+// waiters blocked behind an in-flight fill must be counted as dedup, not as
+// fills or hits. A waiter is counted before it blocks, so the fill is
+// released once Stats shows all of them.
 func TestCacheDedupCounter(t *testing.T) {
 	const waiters = 4
 	c := NewCache()
 	release := make(chan struct{})
-	waiting := make(chan struct{}, waiters)
-	parallel.SetWaitHookForTest(func() { waiting <- struct{}{} })
-	defer parallel.SetWaitHookForTest(nil)
 
 	started := make(chan struct{})
 	var wg sync.WaitGroup
@@ -97,8 +96,8 @@ func TestCacheDedupCounter(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < waiters; i++ {
-		<-waiting
+	for c.Stats().Dedup < waiters {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
@@ -165,5 +164,72 @@ func TestCachePanickedFillNotMemoized(t *testing.T) {
 	want := mono.LimitQuery("", query.CountPredicate{N: 1}, 3, 5)
 	if got := sh.LimitQuery("", pred, 3, 5); !reflect.DeepEqual(got, want) {
 		t.Errorf("query after a panicked fill diverged from the monolithic store\n got: %v\nwant: %v", got, want)
+	}
+}
+
+// TestResultCacheBounded: an exploratory session, five hundred dwell
+// regions that never repeat, leaves the result cache within its budget,
+// while one region asked between them keeps being answered from memory and
+// every answer equals the uncached store's.
+func TestResultCacheBounded(t *testing.T) {
+	perClip, _, ctx, _ := shardedFixture(5)
+	segs := SplitSegments(perClip, ctx, 3)
+	cached, err := NewSharded("test", ctx, segs, NewCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewSharded("test", ctx, segs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cache that holds a few dozen dwell answers, so 500 regions turn it
+	// over many times; the production budget would take a far longer test.
+	c := cached.Cache()
+	c.lru = lru.New[cacheKey, any](64 << 10)
+
+	r := rand.New(rand.NewSource(11))
+	hot := randRegion(r, ctx)
+	wantHot := plain.DwellTime("car", hot)
+	cached.DwellTime("car", hot)
+	for i := 0; i < 500; i++ {
+		region := randRegion(r, ctx)
+		if got, want := cached.DwellTime("car", region), plain.DwellTime("car", region); !reflect.DeepEqual(got, want) {
+			t.Fatalf("region %d: cached answer differs from the uncached store", i)
+		}
+		hits := c.Stats().Hits
+		if got := cached.DwellTime("car", hot); !reflect.DeepEqual(got, wantHot) {
+			t.Fatalf("region %d: the repeated region's answer changed", i)
+		}
+		if got := c.Stats().Hits - hits; got != int64(len(segs)) {
+			t.Fatalf("region %d: the repeated region hit %d of %d segments", i, got, len(segs))
+		}
+		if s := c.lru.Stats(); s.Bytes > 64<<10 {
+			t.Fatalf("region %d: cache holds %d bytes, budget %d", i, s.Bytes, 64<<10)
+		}
+	}
+	if s := c.lru.Stats(); s.Evictions == 0 || c.Len() >= 500*len(segs) {
+		t.Errorf("500 distinct regions evicted nothing: %+v", s)
+	}
+}
+
+// TestResultBytesCoversEveryKind runs every kind the store answers through
+// resultBytes, so a kind added to the table without a case there fails here
+// and not as a panic in a serving process. Point lookups are not cached.
+func TestResultBytesCoversEveryKind(t *testing.T) {
+	perClip, _, ctx, _ := shardedFixture(3)
+	s := New(perClip, ctx)
+	p := queryParams{
+		cat: "car", pred: query.CountPredicate{N: 1}, limit: 3, minSep: 5,
+		catB: "bus", nA: 1, nB: 1, dist: 80, region: randRegion(rand.New(rand.NewSource(1)), ctx),
+		movements: []query.Movement{{Name: "a", Path: geom.Path{{X: 0, Y: 0}, {X: 640, Y: 360}}}},
+		threshold: 100,
+	}
+	for _, k := range queryKinds {
+		if k.name == "visibleboxes" {
+			continue
+		}
+		if n := resultBytes(k.indexed(s, p)); n < 24 {
+			t.Errorf("%s: resultBytes = %d, want at least a slice header", k.name, n)
+		}
 	}
 }

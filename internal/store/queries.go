@@ -150,7 +150,7 @@ func (sw *sweep) flush() {
 	metIndexBoxes.Add(sw.visited)
 	metCandExamined.Add(sw.examined)
 	metCandKept.Add(sw.kept)
-	metGridPruned.Add(sw.pruned)
+	metRegionPruned.Add(sw.pruned)
 }
 
 // eachOfCategory calls fn with the track indices of one category (every
@@ -215,8 +215,8 @@ func (s *Store) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, [
 }
 
 // LimitQuery runs a frame-level limit query per clip through the indexes.
-// RegionPredicate queries additionally pre-prune candidate tracks through
-// the spatial grid; the predicate then sees only boxes that could satisfy
+// RegionPredicate queries additionally pre-prune candidate tracks by their
+// bounding extents; the predicate then sees only boxes that could satisfy
 // it, which cannot change its matched set.
 func (s *Store) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
 	metQueries.Inc()
@@ -279,7 +279,7 @@ func (s *Store) CoOccurrences(cat string, dist float64) []int {
 }
 
 // DwellTime returns, per clip, seconds each category track's interpolated
-// center spends inside the region. The spatial grid prunes tracks whose
+// center spends inside the region. regionCandidates prunes tracks whose
 // bounding extent cannot reach the region; surviving tracks are walked
 // once with an incremental interpolator instead of the scan's
 // O(frames x detections) BoxAt loop.
@@ -314,7 +314,7 @@ func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 			}
 		})
 		metIndexBoxes.Add(boxes)
-		metGridPruned.Add(pruned)
+		metRegionPruned.Add(pruned)
 	}
 	return out
 }

@@ -123,6 +123,53 @@ func scatter[E any](sh *Sharded, key string, run func(*Store) []E) []E {
 	return out
 }
 
+// resultBytes is what the result cache charges one segment's answer: the
+// memory the answer itself holds, estimated from its lengths (24 bytes a
+// slice header, 48 a map plus 24 or 32 an entry beside its key's bytes, 8 a
+// number or a pointer). Tracks an answer points at belong to the segment
+// and are not charged. Every result type scatter is instantiated with needs
+// a case here; TestResultBytesCoversEveryKind runs the store's kinds
+// through it.
+func resultBytes(v any) int64 {
+	const sliceHdr, mapHdr, word = 24, 48, 8
+	n := int64(sliceHdr)
+	switch r := v.(type) {
+	case []int:
+		n += word * int64(len(r))
+	case []float64:
+		n += word * int64(len(r))
+	case [][]int:
+		for _, c := range r {
+			n += sliceHdr + word*int64(len(c))
+		}
+	case [][]*query.Track:
+		for _, c := range r {
+			n += sliceHdr + word*int64(len(c))
+		}
+	case []map[string]int:
+		for _, m := range r {
+			n += mapHdr
+			for k := range m {
+				n += 32 + int64(len(k))
+			}
+		}
+	case []map[int]float64:
+		for _, m := range r {
+			n += mapHdr + 24*int64(len(m))
+		}
+	case [][]query.FrameMatch:
+		for _, c := range r {
+			n += sliceHdr
+			for _, m := range c {
+				n += 2*word + sliceHdr + 4*word*int64(len(m.Boxes))
+			}
+		}
+	default:
+		panic(fmt.Sprintf("store: resultBytes has no case for %T", v))
+	}
+	return n
+}
+
 // Canonical query keys: method name plus every parameter, rendered with
 // %v (shortest float form — deterministic for identical values). Segment
 // ids are stable across processes, so replicas serving the same shipped

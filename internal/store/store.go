@@ -11,10 +11,10 @@
 //     visible at frame f" by enumerating the smaller of the start-prefix
 //     and the end-suffix (clipIndex.active);
 //
-//   - a coarse spatial grid over each track's bounding extent (the union
-//     of its detection boxes, which contains every interpolated box) in
-//     CSR layout, so region queries prune tracks that can never place a
-//     box center inside the region;
+//   - each track's bounding extent (the union of its detection boxes,
+//     which contains every interpolated box), so region queries prune
+//     tracks that can never place a box center inside the region with one
+//     rectangle test per track;
 //
 //   - per-category postings lists, so category-filtered queries never
 //     visit tracks of other categories.
@@ -51,14 +51,14 @@ import (
 // reached and candidates_kept those that also passed the category and
 // region filters and entered the active list — each track once per sweep,
 // not once per frame; a point lookup adds its stabbing query's candidates
-// to both in the same way. grid_pruned counts tracks the region mask
+// to both in the same way. region_pruned counts tracks the region mask
 // turned away. kept / examined is store.index_hit_ratio.
 var (
 	metQueries      = obs.Default.Counter("store.queries")
 	metIndexBoxes   = obs.Default.Counter("store.index_boxes")
 	metCandExamined = obs.Default.Counter("store.candidates_examined")
 	metCandKept     = obs.Default.Counter("store.candidates_kept")
-	metGridPruned   = obs.Default.Counter("store.grid_pruned")
+	metRegionPruned = obs.Default.Counter("store.region_pruned")
 )
 
 func init() {
@@ -70,11 +70,6 @@ func init() {
 		return float64(metCandKept.Value()) / float64(ex)
 	})
 }
-
-// gridCells is the spatial grid resolution per axis. Coarse on purpose:
-// the grid only has to separate far-apart regions, and 64 cells keep the
-// CSR postings small and build time linear.
-const gridCells = 8
 
 // Store indexes one track set for millisecond query execution.
 type Store struct {
@@ -101,13 +96,6 @@ type clipIndex struct {
 	// Per-category postings, track indices ascending.
 	cats map[string][]int32
 
-	// Spatial grid in CSR layout over the nominal frame: cellOff has
-	// gridCells*gridCells+1 entries; cellPost[cellOff[c]:cellOff[c+1]]
-	// lists the tracks whose bounding extent intersects cell c.
-	cellW, cellH float64
-	cellOff      []int32
-	cellPost     []int32
-
 	// bounds is each track's bounding extent (union of detection boxes).
 	bounds []geom.Rect
 }
@@ -117,7 +105,7 @@ type clipIndex struct {
 func New(perClip [][]*query.Track, ctx query.Context) *Store {
 	s := &Store{clips: make([]clipIndex, len(perClip)), ctx: ctx}
 	for c, tracks := range perClip {
-		s.clips[c] = buildClipIndex(tracks, ctx)
+		s.clips[c] = buildClipIndex(tracks)
 	}
 	return s
 }
@@ -131,7 +119,7 @@ func (s *Store) Clips() int { return len(s.clips) }
 // Tracks returns one clip's track slice (shared, read-only).
 func (s *Store) Tracks(clip int) []*query.Track { return s.clips[clip].tracks }
 
-func buildClipIndex(tracks []*query.Track, ctx query.Context) clipIndex {
+func buildClipIndex(tracks []*query.Track) clipIndex {
 	n := len(tracks)
 	ci := clipIndex{
 		tracks:  tracks,
@@ -179,72 +167,7 @@ func buildClipIndex(tracks []*query.Track, ctx query.Context) clipIndex {
 		ci.sortedStarts[i] = ci.starts[ci.byStart[i]]
 		ci.sortedEnds[i] = ci.ends[ci.byEnd[i]]
 	}
-	ci.buildGrid(ctx)
 	return ci
-}
-
-// buildGrid fills the CSR spatial grid from the track bounding extents.
-func (ci *clipIndex) buildGrid(ctx query.Context) {
-	w, h := float64(ctx.NomW), float64(ctx.NomH)
-	if w <= 0 || h <= 0 {
-		// No geometry (e.g. a track file whose header carries none): degenerate
-		// single-cell grid, spatial pruning disabled.
-		w, h = 1, 1
-	}
-	ci.cellW = w / gridCells
-	ci.cellH = h / gridCells
-	nc := gridCells * gridCells
-	counts := make([]int32, nc)
-	for i := range ci.tracks {
-		if ci.bounds[i].Empty() && len(ci.tracks[i].Dets) == 0 {
-			continue
-		}
-		x0, y0, x1, y1 := ci.cellRange(ci.bounds[i])
-		for cy := y0; cy <= y1; cy++ {
-			for cx := x0; cx <= x1; cx++ {
-				counts[cy*gridCells+cx]++
-			}
-		}
-	}
-	ci.cellOff = make([]int32, nc+1)
-	for c := 0; c < nc; c++ {
-		ci.cellOff[c+1] = ci.cellOff[c] + counts[c]
-	}
-	ci.cellPost = make([]int32, ci.cellOff[nc])
-	fill := make([]int32, nc)
-	for i := range ci.tracks {
-		if ci.bounds[i].Empty() && len(ci.tracks[i].Dets) == 0 {
-			continue
-		}
-		x0, y0, x1, y1 := ci.cellRange(ci.bounds[i])
-		for cy := y0; cy <= y1; cy++ {
-			for cx := x0; cx <= x1; cx++ {
-				c := cy*gridCells + cx
-				ci.cellPost[ci.cellOff[c]+fill[c]] = int32(i)
-				fill[c]++
-			}
-		}
-	}
-}
-
-// cellRange maps a rectangle to the inclusive grid cell range it touches,
-// clamped to the grid.
-func (ci *clipIndex) cellRange(r geom.Rect) (x0, y0, x1, y1 int) {
-	x0 = clampCell(int(r.X / ci.cellW))
-	y0 = clampCell(int(r.Y / ci.cellH))
-	x1 = clampCell(int(r.MaxX() / ci.cellW))
-	y1 = clampCell(int(r.MaxY() / ci.cellH))
-	return
-}
-
-func clampCell(c int) int {
-	if c < 0 {
-		return 0
-	}
-	if c >= gridCells {
-		return gridCells - 1
-	}
-	return c
 }
 
 // searchInt32 returns the smallest i in [0, len(a)) with a[i] >= v, or
@@ -309,23 +232,17 @@ func sortInt32(a []int32) {
 }
 
 // regionCandidates returns a per-track membership mask of tracks whose
-// bounding extent intersects the region's bounding rectangle, using the
-// spatial grid. Tracks outside the mask can never place an interpolated
-// box center inside the region (every interpolated box lies within the
-// union of the track's detection boxes).
+// bounding extent meets the region's bounding rectangle. Tracks outside the
+// mask can never place an interpolated box center inside the region (every
+// interpolated box lies within the union of the track's detection boxes);
+// a track with no detections has no extent and is never a candidate.
 func (ci *clipIndex) regionCandidates(region geom.Polygon) []bool {
 	mask := make([]bool, len(ci.tracks))
 	rb := region.Bounds()
-	x0, y0, x1, y1 := ci.cellRange(rb)
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			c := cy*gridCells + cx
-			for _, ti := range ci.cellPost[ci.cellOff[c]:ci.cellOff[c+1]] {
-				if !mask[ti] && overlapsClosed(ci.bounds[ti], rb) {
-					mask[ti] = true
-				}
-			}
-		}
+	for ti, b := range ci.bounds {
+		// ends < starts is the inverted interval of a track with no
+		// detections; read here so the loop touches no Track.
+		mask[ti] = ci.ends[ti] >= ci.starts[ti] && overlapsClosed(b, rb)
 	}
 	return mask
 }

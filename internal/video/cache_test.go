@@ -3,6 +3,7 @@ package video
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -74,49 +75,33 @@ func TestNilCacheComputes(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction drives one shard directly with synthetic keys and
-// checks least-recently-used entries fall out first.
+// TestCacheLRUEviction: with room for three downsamples, the one least
+// recently asked for is what a fourth evicts. (The list itself is pinned in
+// internal/lru; this pins that a frame is charged its pixels plus
+// cacheEntryOverhead and that a hit counts as a use.)
 func TestCacheLRUEviction(t *testing.T) {
-	entryBytes := int64(100 + cacheEntryOverhead)
-	// Budget for exactly 3 entries per shard.
-	c := NewCache(3 * entryBytes * cacheShardCount)
-	mk := func(i int) *Frame {
-		f := NewFrame(10, 10, 40, 40) // len(Pix) = 100
-		f.Pix[0] = uint8(i)
-		return f
+	c := NewCache(3 * (100 + cacheEntryOverhead))
+	frames := make([]*Frame, 4)
+	for i := range frames {
+		frames[i] = cacheTestFrame(20, 20, uint8(i))
 	}
-	// Synthetic keys all landing in one shard: vary b, fix owner/a, filter
-	// by shard index.
-	shard0 := cacheKey{owner: 1, a: 0, b: 0}.shard()
-	var keys []cacheKey
-	for b := 0; len(keys) < 4; b++ {
-		k := cacheKey{owner: 1, a: 0, b: b}
-		if k.shard() == shard0 {
-			keys = append(keys, k)
-		}
+	small := make([]*Frame, 4)
+	for i, f := range frames[:3] {
+		small[i] = c.Downsample(f, 10, 10) // len(Pix) = 100
 	}
-	for i, k := range keys[:3] {
-		c.get(k, func() *Frame { return mk(i) })
+	// Touch frames[0] so frames[1] becomes least recently used.
+	if c.Downsample(frames[0], 10, 10) != small[0] {
+		t.Fatal("frames[0] should be cached")
 	}
-	// Touch keys[0] so keys[1] becomes least recently used.
-	c.get(keys[0], func() *Frame { panic("should be cached") })
-	// Inserting a 4th entry must evict exactly keys[1].
-	c.get(keys[3], func() *Frame { return mk(3) })
-	if got := c.Stats().Evictions; got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
+	c.Downsample(frames[3], 10, 10)
+	if s := c.Stats(); s.Evictions != 1 || s.Entries != 3 || s.Bytes != 3*(100+cacheEntryOverhead) {
+		t.Fatalf("stats = %+v, want 1 eviction and 3 entries filling the budget", s)
 	}
-	sh := &c.shards[shard0]
-	sh.mu.Lock()
-	_, has1 := sh.entries[keys[1]]
-	_, has0 := sh.entries[keys[0]]
-	_, has2 := sh.entries[keys[2]]
-	_, has3 := sh.entries[keys[3]]
-	sh.mu.Unlock()
-	if has1 {
-		t.Error("least recently used entry survived eviction")
-	}
-	if !has0 || !has2 || !has3 {
+	if c.Downsample(frames[0], 10, 10) != small[0] || c.Downsample(frames[2], 10, 10) != small[2] {
 		t.Error("recently used entries were evicted")
+	}
+	if c.Downsample(frames[1], 10, 10) == small[1] {
+		t.Error("least recently used entry survived eviction")
 	}
 }
 
@@ -137,7 +122,7 @@ func TestCacheByteBudget(t *testing.T) {
 }
 
 func TestCacheOversizedEntryUncached(t *testing.T) {
-	c := NewCache(16 * cacheShardCount) // perShard far below any frame
+	c := NewCache(256) // far below any frame
 	f := cacheTestFrame(64, 36, 5)
 	got := c.Downsample(f, 32, 18)
 	want := f.Downsample(32, 18)
@@ -214,13 +199,48 @@ func TestCachedSourceMemoizes(t *testing.T) {
 
 	// Disabled cache degrades to pass-through.
 	SetCacheBudget(0)
-	if CacheEnabled() {
-		t.Fatal("cache should be disabled")
-	}
 	cs.Frame(2)
 	cs.Frame(2)
 	if src.calls != 3 {
 		t.Errorf("disabled cache: underlying source called %d times, want 3", src.calls)
+	}
+}
+
+// blockingSource renders its one frame when release closes.
+type blockingSource struct {
+	entered, release chan struct{}
+}
+
+func (s *blockingSource) Frame(idx int) *Frame {
+	close(s.entered)
+	<-s.release
+	return NewFrame(8, 8, 32, 32)
+}
+func (s *blockingSource) Len() int { return 1 }
+func (s *blockingSource) FPS() int { return 10 }
+
+// TestCacheWaitCountsAsMiss: readers arriving while a frame is being
+// rendered share that render, and each is one miss in CacheStats.
+func TestCacheWaitCountsAsMiss(t *testing.T) {
+	defer SetCacheBudget(DefaultCacheBytes)
+	SetCacheBudget(1 << 20)
+	src := &blockingSource{entered: make(chan struct{}), release: make(chan struct{})}
+	cs := NewCachedSource(src)
+	got := make(chan *Frame, 3)
+	go func() { got <- cs.Frame(0) }()
+	<-src.entered // a second render would close entered twice and panic
+	go func() { got <- cs.Frame(0) }()
+	go func() { got <- cs.Frame(0) }()
+	for GlobalCacheStats().Misses < 3 {
+		runtime.Gosched()
+	}
+	close(src.release)
+	a, b, c := <-got, <-got, <-got
+	if a != b || b != c {
+		t.Error("concurrent readers of one frame did not share one render")
+	}
+	if s := GlobalCacheStats(); s.Hits != 0 || s.Misses != 3 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 0 hits, 3 misses, 1 entry", s)
 	}
 }
 
