@@ -39,8 +39,6 @@ func main() {
 		seed     = flag.Int64("seed", 7, "sampling seed")
 		nworkers = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
-		metricsF = flag.Bool("metrics", false, "print the per-stage cost breakdown of one test-set extraction (next to BENCH JSON) and exit")
-		metricsO = flag.String("metrics-out", "", "write the per-stage cost breakdown as JSON to this file and exit (combines with -metrics)")
 		traceOut = flag.String("trace-out", "", "record spans in the flight recorder and write them to this file on exit")
 		traceFmt = flag.String("trace-format", "otif", "trace file format for -trace-out: otif (span JSON) or chrome (Perfetto-loadable trace events)")
 		traceCap = flag.Int("trace-spans", 0, "flight-recorder span capacity for -trace-out (0 = default); oldest spans are overwritten when full")
@@ -81,34 +79,6 @@ func main() {
 	var names []string
 	if *datasets != "" {
 		names = strings.Split(*datasets, ",")
-	}
-
-	if *metricsF || *metricsO != "" {
-		ds := "caldot1"
-		if len(names) > 0 {
-			ds = names[0]
-		}
-		if *metricsF {
-			if err := suite.Metrics(os.Stdout, ds); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-		}
-		if *metricsO != "" {
-			f, err := os.Create(*metricsO)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-			if err := suite.WriteMetricsJSON(f, ds); err != nil {
-				f.Close()
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Println("wrote metrics report to", *metricsO)
-		}
-		return
 	}
 
 	run := func(what string) error {

@@ -118,6 +118,10 @@ func (p *Pipeline) Ingest(ctx context.Context, o IngestOptions) (*IngestSession,
 // published clips.
 func (s *IngestSession) Store() store.Querier { return s.s.Store() }
 
+// Live returns the live store itself: a store.Provider whose snapshots grow
+// clip by clip and stay valid after the session ends.
+func (s *IngestSession) Live() *store.Live { return s.s.Live() }
+
 // Stats snapshots the session's counters: clips ingested and dropped,
 // current queue depth, and per-camera lag.
 func (s *IngestSession) Stats() IngestStats { return s.s.Stats() }

@@ -391,7 +391,7 @@ func (s *System) RunSetContext(ctx context.Context, cfg Config, clips []*dataset
 // registry's per-stage totals for a single run are bit-identical at any
 // worker count.
 func recordCosts(breakdown map[costmodel.Op]float64) {
-	if !obs.Enabled() || len(breakdown) == 0 {
+	if len(breakdown) == 0 {
 		return
 	}
 	keys := make([]string, 0, len(breakdown))

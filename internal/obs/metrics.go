@@ -10,21 +10,6 @@ import (
 	"sync/atomic"
 )
 
-// enabled gates all metric recording. Disabling lets the determinism
-// tests prove instrumentation never perturbs results; reads are a single
-// atomic load on the hot path.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns metric recording on or off process-wide. Handles stay
-// registered and readable either way; recording calls become no-ops when
-// disabled. Pipeline results are bit-for-bit identical in both states.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether metric recording is active.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing integer metric. Increments
 // commute, so counter values are identical at any worker count.
 type Counter struct {
@@ -33,7 +18,7 @@ type Counter struct {
 
 // Inc adds one.
 func (c *Counter) Inc() {
-	if c == nil || !enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.v.Add(1)
@@ -41,7 +26,7 @@ func (c *Counter) Inc() {
 
 // Add adds n.
 func (c *Counter) Add(n int64) {
-	if c == nil || !enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.v.Add(n)
@@ -68,7 +53,7 @@ type FloatCounter struct {
 
 // Add accumulates v into the counter.
 func (f *FloatCounter) Add(v float64) {
-	if f == nil || !enabled.Load() {
+	if f == nil {
 		return
 	}
 	for {
@@ -97,7 +82,7 @@ type Gauge struct {
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) {
-	if g == nil || !enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
@@ -106,7 +91,7 @@ func (g *Gauge) Set(v float64) {
 // Add accumulates delta into the gauge with a lock-free compare-and-swap
 // (for up/down values like in-flight request counts).
 func (g *Gauge) Add(delta float64) {
-	if g == nil || !enabled.Load() {
+	if g == nil {
 		return
 	}
 	for {
@@ -140,7 +125,7 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !enabled.Load() {
+	if h == nil {
 		return
 	}
 	i := 0

@@ -74,21 +74,6 @@ func TestResetKeepsHandles(t *testing.T) {
 	}
 }
 
-func TestSetEnabledStopsRecording(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("gated")
-	SetEnabled(false)
-	c.Inc()
-	SetEnabled(true)
-	if c.Value() != 0 {
-		t.Error("disabled counter recorded")
-	}
-	c.Inc()
-	if c.Value() != 1 {
-		t.Error("re-enabled counter did not record")
-	}
-}
-
 func TestGaugeFunc(t *testing.T) {
 	r := NewRegistry()
 	live := 1.25

@@ -16,8 +16,8 @@ import (
 // spans that overwrites oldest-first, so a long-running daemon always
 // holds the most recent window of activity under bounded memory. The
 // recorder is cheap enough to leave on permanently — recording a finished
-// span writes into a pre-allocated slot under a sharded mutex and
-// allocates nothing — and with no recorder installed StartSpan reads no
+// span writes into a pre-allocated slot under one mutex and allocates
+// nothing — and with no recorder installed StartSpan reads no
 // clock, allocates nothing, and returns a nil *Span whose End is a no-op.
 // Durations come from the monotonic clock and are recorded only; they
 // never feed back into pipeline computation.
@@ -26,12 +26,6 @@ import (
 // non-positive request. At ~128 bytes per slot the default ring holds the
 // recent history of a busy daemon in a few megabytes.
 const DefaultRecorderSpans = 1 << 14
-
-// recorderShards is the number of independently locked ring segments.
-// Sequential span ids round-robin across shards, so concurrent workers
-// contend on different locks and single-threaded runs still retain
-// exactly the newest spans overall.
-const recorderShards = 8
 
 // SpanRecord is one finished span. Camera, Clip, Stage and Err are the
 // attribute set every exporter understands: which camera and clip the
@@ -56,39 +50,33 @@ type SpanRecord struct {
 	Err   bool   `json:"err,omitempty"`
 }
 
-// recorderShard is one independently locked segment of the ring.
-type recorderShard struct {
+// Recorder is the flight recorder: a fixed-capacity, overwrite-oldest
+// ring of finished spans that holds exactly the newest Capacity of them.
+// All methods are safe for concurrent use, and every method tolerates a
+// nil receiver (reporting an empty trace), so exporters can run
+// unconditionally.
+//
+// The ring is one slice under one mutex: spans are per clip, per tuner
+// iteration and per HTTP request, never per frame, so a few hundred per
+// second at most contend for it.
+type Recorder struct {
+	start time.Time
+	ids   atomic.Uint64
+
 	mu    sync.Mutex
 	buf   []SpanRecord
 	next  int    // next write slot
-	n     int    // filled slots (≤ len(buf))
-	total uint64 // spans ever written through this shard
+	total uint64 // spans ever recorded
 }
 
-// Recorder is the flight recorder: a fixed-capacity, overwrite-oldest
-// ring of finished spans. All methods are safe for concurrent use, and
-// every method tolerates a nil receiver (reporting an empty trace), so
-// exporters can run unconditionally.
-type Recorder struct {
-	start  time.Time
-	ids    atomic.Uint64
-	shards [recorderShards]recorderShard
-}
-
-// NewRecorder creates a recorder retaining at most max spans, rounded up
-// to a multiple of the shard count (a non-positive max selects
-// DefaultRecorderSpans). Memory is allocated up front; recording never
-// allocates.
+// NewRecorder creates a recorder retaining at most max spans (a
+// non-positive max selects DefaultRecorderSpans). Memory is allocated up
+// front; recording never allocates.
 func NewRecorder(max int) *Recorder {
 	if max <= 0 {
 		max = DefaultRecorderSpans
 	}
-	per := (max + recorderShards - 1) / recorderShards
-	r := &Recorder{start: time.Now()}
-	for i := range r.shards {
-		r.shards[i].buf = make([]SpanRecord, per)
-	}
-	return r
+	return &Recorder{start: time.Now(), buf: make([]SpanRecord, max)}
 }
 
 // Capacity reports how many spans the ring retains before overwriting.
@@ -96,25 +84,20 @@ func (r *Recorder) Capacity() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.shards[0].buf) * recorderShards
+	return len(r.buf)
 }
 
-// record writes one finished span into its shard's ring slot, overwriting
-// the oldest span of that shard once full. Shard selection by span id
-// keeps concurrent workers on different locks.
+// record writes one finished span into the next ring slot, overwriting the
+// oldest span once full.
 func (r *Recorder) record(rec SpanRecord) {
-	sh := &r.shards[rec.ID%recorderShards]
-	sh.mu.Lock()
-	sh.buf[sh.next] = rec
-	sh.next++
-	if sh.next == len(sh.buf) {
-		sh.next = 0
+	r.mu.Lock()
+	r.buf[r.next] = rec
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
 	}
-	if sh.n < len(sh.buf) {
-		sh.n++
-	}
-	sh.total++
-	sh.mu.Unlock()
+	r.total++
+	r.mu.Unlock()
 }
 
 // RecorderStats is a point-in-time summary of the ring's occupancy.
@@ -136,13 +119,10 @@ func (r *Recorder) Stats() RecorderStats {
 	if r == nil {
 		return st
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		st.Retained += sh.n
-		st.Recorded += int64(sh.total)
-		sh.mu.Unlock()
-	}
+	r.mu.Lock()
+	st.Recorded = int64(r.total)
+	r.mu.Unlock()
+	st.Retained = int(min(st.Recorded, int64(st.Capacity)))
 	st.Overwritten = st.Recorded - int64(st.Retained)
 	if st.Capacity > 0 {
 		st.Utilization = float64(st.Retained) / float64(st.Capacity)
@@ -156,18 +136,14 @@ func (r *Recorder) Snapshot() []SpanRecord {
 	if r == nil {
 		return nil
 	}
-	out := make([]SpanRecord, 0, r.Capacity())
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		if sh.n == len(sh.buf) {
-			out = append(out, sh.buf[sh.next:]...)
-			out = append(out, sh.buf[:sh.next]...)
-		} else {
-			out = append(out, sh.buf[:sh.n]...)
-		}
-		sh.mu.Unlock()
+	r.mu.Lock()
+	var out []SpanRecord
+	if r.total >= uint64(len(r.buf)) {
+		out = append(append(make([]SpanRecord, 0, len(r.buf)), r.buf[r.next:]...), r.buf[:r.next]...)
+	} else {
+		out = append(out, r.buf[:r.next]...)
 	}
+	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].StartNS != out[j].StartNS {
 			return out[i].StartNS < out[j].StartNS

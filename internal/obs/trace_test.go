@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
 )
 
@@ -83,10 +84,10 @@ func TestSpanAttributes(t *testing.T) {
 // recent window (the old tracer kept startup spans and silently dropped
 // everything new).
 func TestRecorderOverwritesOldest(t *testing.T) {
-	tr := EnableTracing(8)
+	tr := EnableTracing(5) // not a multiple of anything: the ring holds what was asked for
 	defer SetRecorder(nil)
-	if tr.Capacity() != 8 {
-		t.Fatalf("capacity = %d, want 8", tr.Capacity())
+	if tr.Capacity() != 5 {
+		t.Fatalf("capacity = %d, want 5", tr.Capacity())
 	}
 	for i := 0; i < 20; i++ {
 		_, sp := StartSpan(context.Background(), "s")
@@ -94,20 +95,60 @@ func TestRecorderOverwritesOldest(t *testing.T) {
 		sp.End()
 	}
 	spans := tr.Snapshot()
-	if len(spans) != 8 {
-		t.Fatalf("retained %d spans, want 8", len(spans))
+	if len(spans) != 5 {
+		t.Fatalf("retained %d spans, want 5", len(spans))
 	}
 	for i, s := range spans {
-		if want := 12 + i; s.Clip != want {
+		if want := 15 + i; s.Clip != want {
 			t.Errorf("retained[%d].Clip = %d, want %d (newest spans must survive)", i, s.Clip, want)
 		}
 	}
 	st := tr.Stats()
-	if st.Recorded != 20 || st.Retained != 8 || st.Overwritten != 12 {
-		t.Errorf("stats = %+v, want recorded 20, retained 8, overwritten 12", st)
+	if st.Recorded != 20 || st.Retained != 5 || st.Overwritten != 15 {
+		t.Errorf("stats = %+v, want recorded 20, retained 5, overwritten 15", st)
 	}
 	if st.Utilization != 1 {
 		t.Errorf("utilization = %v, want 1", st.Utilization)
+	}
+}
+
+// TestRecorderConcurrentWritersExact has several goroutines record through
+// one small ring while a reader snapshots it: the ring ends holding exactly
+// the spans recorded last, which it could only promise "roughly" when it
+// was eight rings chosen by span id.
+func TestRecorderConcurrentWritersExact(t *testing.T) {
+	const writers, each, capacity = 4, 500, 37
+	tr := EnableTracing(capacity)
+	defer SetRecorder(nil)
+	var order []uint64 // span ids in the order their End returned
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				_, sp := StartSpan(context.Background(), "s")
+				mu.Lock() // End under the lock, so order is the ring's write order
+				sp.End()
+				order = append(order, sp.id)
+				mu.Unlock()
+				tr.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	if st := tr.Stats(); st.Recorded != writers*each || st.Retained != capacity {
+		t.Fatalf("stats = %+v, want %d recorded, %d retained", st, writers*each, capacity)
+	}
+	want := map[uint64]bool{}
+	for _, id := range order[len(order)-capacity:] {
+		want[id] = true
+	}
+	for _, s := range tr.Snapshot() {
+		if !want[s.ID] {
+			t.Errorf("span %d is retained but is not among the last %d recorded", s.ID, capacity)
+		}
 	}
 }
 

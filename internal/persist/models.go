@@ -105,8 +105,12 @@ func LoadModels(src io.Reader, sys *core.System) error {
 	if r.err != nil || bw <= 0 || bh <= 0 || bw*bh > 1<<26 {
 		return badLen(r, bw*bh)
 	}
+	pix := r.bytes(bw * bh)
+	if r.err != nil {
+		return r.err
+	}
 	frame := video.NewFrame(bw, bh, nomW, nomH)
-	copy(frame.Pix, r.bytes(bw*bh))
+	copy(frame.Pix, pix)
 	sys.Background = detect.NewBackgroundModel(frame)
 
 	nProxies := r.int()
@@ -147,18 +151,22 @@ func LoadModels(src io.Reader, sys *core.System) error {
 		if nClusters > 1<<20 {
 			return badLen(r, nClusters)
 		}
-		clusters := make([]*refine.Cluster, nClusters)
-		for i := range clusters {
+		clusters := make([]*refine.Cluster, 0, min(nClusters, maxPrealloc))
+		for i := 0; i < nClusters; i++ {
 			c := &refine.Cluster{Size: r.int()}
 			n := r.int()
 			if r.err != nil || n < 0 || n > 1<<16 {
 				return badLen(r, n)
 			}
-			c.Center = make(geom.Path, n)
-			for k := range c.Center {
-				c.Center[k] = geom.Point{X: r.f64(), Y: r.f64()}
+			c.Center = make(geom.Path, 0, min(n, maxPrealloc))
+			for k := 0; k < n; k++ {
+				p := geom.Point{X: r.f64(), Y: r.f64()}
+				if r.err != nil {
+					return r.err
+				}
+				c.Center = append(c.Center, p)
 			}
-			clusters[i] = c
+			clusters = append(clusters, c)
 		}
 		opts := refine.DefaultDBSCANOptions()
 		sys.Refiner = &refine.Refiner{
@@ -219,13 +227,13 @@ func readDense(r *reader) (*nn.Dense, error) {
 	if r.err != nil || in <= 0 || out <= 0 || in > 1<<16 || out > 1<<16 {
 		return nil, badLen(r, in*out)
 	}
-	d := &nn.Dense{In: in, Out: out, Act: act, W: nn.NewVec(in * out)}
+	d := &nn.Dense{In: in, Out: out, Act: act, W: make(nn.Vec, 0, min(in*out, maxPrealloc))}
 	for i := 0; i < out; i++ {
-		row := nn.Vec(r.floats())
-		if r.err == nil && len(row) != in {
+		row := r.floats()
+		if r.err != nil || len(row) != in {
 			return nil, badLen(r, len(row))
 		}
-		copy(d.Row(i), row)
+		d.W = append(d.W, row...)
 	}
 	d.B = nn.Vec(r.floats())
 	return d, r.err

@@ -125,7 +125,9 @@ func (r *reader) read(b []byte) bool {
 }
 
 // bytes reads the next n bytes into a slice of their own (strings, magic,
-// pixel planes). It is nil after an error.
+// pixel planes). It is nil after an error. n is a length the source states
+// ahead of the checksum, so the slice grows a chunk at a time as the bytes
+// arrive; a short string is still one allocation.
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -134,10 +136,19 @@ func (r *reader) bytes(n int) []byte {
 		r.err = fmt.Errorf("persist: implausible length %d", n)
 		return nil
 	}
-	if b := make([]byte, n); r.read(b) {
-		return b
+	const chunk = 64 << 10
+	b := make([]byte, min(n, chunk))
+	if !r.read(b) {
+		return nil
 	}
-	return nil
+	for len(b) < n {
+		m := min(n-len(b), chunk)
+		b = append(b, make([]byte, m)...)
+		if !r.read(b[len(b)-m:]) {
+			return nil
+		}
+	}
+	return b
 }
 
 // fixed reads the next n <= 8 bytes into the reader's own buffer; the
@@ -193,9 +204,13 @@ func (r *reader) floats() []float64 {
 		}
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.f64()
+	out := make([]float64, 0, min(n, maxPrealloc))
+	for i := 0; i < n; i++ {
+		v := r.f64()
+		if r.err != nil {
+			return nil
+		}
+		out = append(out, v)
 	}
 	return out
 }

@@ -289,15 +289,22 @@ func TestLoadModelsRejectsWrongDataset(t *testing.T) {
 // hostileTrackFiles are track files that end right after a header count of
 // the largest accepted size: no records, no checksum.
 func hostileTrackFiles(t testing.TB) map[string][]byte {
-	build := func(fill func(w *writer)) []byte {
-		var buf bytes.Buffer
-		w := newWriter(&buf)
+	return hostileFiles(t, func(w *writer) {
 		w.bytes([]byte(trackMagic))
 		w.u32(trackVersion)
 		for i := 0; i < 4; i++ { // FPS, NomW, NomH, Frames
 			w.int(0)
 		}
 		w.str("")
+	})
+}
+
+// hostileFiles writes head, then each hostile start of a track body.
+func hostileFiles(t testing.TB, head func(w *writer)) map[string][]byte {
+	build := func(fill func(w *writer)) []byte {
+		var buf bytes.Buffer
+		w := newWriter(&buf)
+		head(w)
 		fill(w)
 		if w.err != nil {
 			t.Fatal(w.err)
@@ -340,6 +347,83 @@ func TestHostileCountsAllocateLittle(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
 			t.Errorf("%s: a %d-byte file made the reader allocate %d bytes", name, len(data), got)
+		}
+	}
+}
+
+// TestHostileModelBundleAllocatesLittle is the same for model bundles: a
+// valid preamble, then a count of the largest accepted size — for the
+// background plane, a proxy's weights, a dense layer, the refinement
+// clusters — and nothing after it.
+func TestHostileModelBundleAllocatesLittle(t *testing.T) {
+	ds, err := dataset.Build("caldot1", dataset.SetSpec{Clips: 1, ClipSeconds: 2}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(fill func(w *writer)) []byte {
+		var buf bytes.Buffer
+		w := newWriter(&buf)
+		w.header(modelMagic)
+		w.str(ds.Name)
+		w.int(ds.Spec.Clips)
+		w.f64(ds.Spec.ClipSeconds)
+		writeConfig(w, core.Config{})
+		fill(w)
+		if w.err != nil {
+			t.Fatal(w.err)
+		}
+		if err := w.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	plane := func(w *writer) { // a 1x1 background, then nothing optional
+		for _, v := range []int{1, 1, 640, 360} {
+			w.int(v)
+		}
+		w.bytes([]byte{0})
+	}
+	bundles := map[string][]byte{
+		"plane": build(func(w *writer) { w.int(1 << 13); w.int(1 << 13); w.int(640); w.int(360) }),
+		"floats": build(func(w *writer) {
+			plane(w)
+			w.int(1) // one proxy: ResW, ResH, then its weight count
+			w.int(8)
+			w.int(8)
+			w.int(1 << 26)
+		}),
+		"dense": build(func(w *writer) {
+			plane(w)
+			w.int(0)  // proxies
+			w.int(0)  // window sizes
+			w.int(16) // recurrent model: hidden size, then Wz's in, out, act
+			w.int(1 << 16)
+			w.int(1 << 16)
+			w.int(0)
+		}),
+		"clusters": build(func(w *writer) {
+			plane(w)
+			w.int(0)
+			w.int(0)
+			w.int(-1) // no recurrent model
+			w.int(-1) // no pair model
+			w.int(1 << 20)
+		}),
+	}
+	for name, data := range bundles {
+		if len(data) > 256 {
+			t.Fatalf("%s: hostile bundle is %d bytes; it should be a few dozen", name, len(data))
+		}
+		sys := core.NewSystem(ds)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := LoadModels(bytes.NewReader(data), sys)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: truncated bundle loaded without error", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+			t.Errorf("%s: a %d-byte bundle made the loader allocate %d bytes", name, len(data), got)
 		}
 	}
 }
@@ -418,4 +502,77 @@ func FuzzReadTracksAuto(f *testing.F) {
 			t.Fatal("re-encoding of an accepted file does not round-trip")
 		}
 	})
+}
+
+// FuzzReadSegment holds the segment reader to the same contract: never a
+// panic, and an error or a segment whose re-encoding reads back byte-equal.
+// Seeds are a valid segment, truncations of it, a flipped checksum and the
+// hostile-count bodies behind a segment header; the committed corpus is in
+// testdata/fuzz/FuzzReadSegment.
+func FuzzReadSegment(f *testing.F) {
+	for _, data := range segmentSeeds(f) {
+		f.Add(data)
+	}
+	encode := func(t *testing.T, meta SegmentMeta, perClip [][]*query.Track) []byte {
+		var buf bytes.Buffer
+		if err := WriteSegment(&buf, meta, perClip); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, perClip, err := ReadSegment(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first := encode(t, meta, perClip)
+		meta, perClip, err = ReadSegment(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("re-encoding of an accepted segment does not read back: %v", err)
+		}
+		if second := encode(t, meta, perClip); !bytes.Equal(first, second) {
+			t.Fatal("re-encoding of an accepted segment does not round-trip")
+		}
+	})
+}
+
+// segmentSeeds are FuzzReadSegment's seeds, named as their copies in the
+// committed corpus are.
+func segmentSeeds(t testing.TB) map[string][]byte {
+	meta := SegmentMeta{Dataset: "caldot1", ID: "seg-00001", StartClip: 3, FPS: 10, NomW: 640, NomH: 360, Frames: 100}
+	var buf bytes.Buffer
+	if err := WriteSegment(&buf, meta, sampleTracks(rand.New(rand.NewSource(3)), 3)); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	seeds := map[string][]byte{"valid": valid}
+	for name, n := range map[string]int{
+		"empty": 0, "truncated_magic": len(segmentMagic), "truncated_in_header": len(segmentMagic) + 14,
+		"truncated_in_track": len(valid) / 2, "truncated_checksum": len(valid) - 1,
+	} {
+		seeds[name] = valid[:n]
+	}
+	flipped := append([]byte{}, valid...)
+	flipped[len(flipped)-1] ^= 0x01
+	seeds["flipped_crc"] = flipped
+	negative := meta
+	negative.StartClip = -1
+	buf.Reset()
+	if err := WriteSegment(&buf, negative, nil); err != nil {
+		t.Fatal(err)
+	}
+	seeds["negative_start_clip"] = append([]byte{}, buf.Bytes()...)
+	hostile := hostileFiles(t, func(w *writer) {
+		w.bytes([]byte(segmentMagic))
+		w.u32(segmentVersion)
+		w.str("d")
+		w.str("seg-00000")
+		for i := 0; i < 5; i++ { // StartClip, FPS, NomW, NomH, Frames
+			w.int(0)
+		}
+	})
+	for name, data := range hostile {
+		seeds["hostile_"+name+"_count"] = data
+	}
+	return seeds
 }

@@ -1,0 +1,415 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"os"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"otif"
+	"otif/internal/obs"
+	"otif/internal/query"
+	"otif/internal/store"
+)
+
+// Config is otifd's configuration: one field per flag that describes the
+// daemon rather than the process (address, logging and tracing stay in
+// main).
+type Config struct {
+	Dataset string  // -dataset
+	Clips   int     // -clips (0 = default)
+	Seconds float64 // -seconds (0 = default)
+	Seed    int64   // -seed
+
+	Events       int    // -events: progress events retained per job
+	SlowRequests int    // -slow-requests
+	Tracks       string // -tracks: stored track file to serve at start-up
+	SegmentsDir  string // -segments-dir: segment files to serve at start-up
+
+	Stream         bool          // -stream: submit a stream job once ready
+	StreamCameras  int           // -stream-cameras
+	StreamClips    int           // -stream-clips
+	StreamInterval time.Duration // -stream-interval
+	StreamQueue    int           // -stream-queue
+	StreamDrop     bool          // -stream-drop
+
+	// Flags reports every effective flag value for the debug bundle's
+	// config.json; nil omits that member.
+	Flags func() map[string]string
+}
+
+// Daemon is otifd's state: the pipeline behind the tune, extract and
+// stream jobs, and the dataset registry /v1/query/* answers from.
+//
+// One rule decides which tracks answer the default dataset: the last
+// publication. A source publishes by replacing the dataset's registry
+// entry (publish), in the order things happen — the -segments-dir shard
+// set, then the -tracks file, at start-up; every finished extract job;
+// a stream job's live store when its first clip lands. The live store
+// keeps growing behind its entry and stays registered after the session
+// ends, until something else publishes.
+type Daemon struct {
+	cfg      Config
+	datasets *store.Registry
+	jobs     *Manager
+	srv      *Server
+
+	// pipe is nil until Start has trained and tuned: jobs fail and
+	// /readyz answers 503 until then.
+	pipe atomic.Pointer[otif.Pipeline]
+	// mu serializes tune and extract (they share trained state) and
+	// guards curve; relay routes the pipeline's progress events to the
+	// job holding mu.
+	mu    sync.Mutex
+	curve []otif.Point
+	relay atomic.Pointer[obs.Progress]
+
+	// session is the running stream job's ingest session, for /v1/streams
+	// only; streaming admits one stream job at a time.
+	session   atomic.Pointer[otif.IngestSession]
+	streaming atomic.Bool
+}
+
+// fixed is the registry entry of a store that does not change; the zero
+// value holds the default dataset's slot before anything is published and
+// resolves to "not loaded".
+type fixed struct{ q store.Querier }
+
+func (f fixed) Snapshot() store.Querier { return f.q }
+
+// NewDaemon loads the start-up sources named by cfg and wires the job
+// runners and the HTTP surface. The pipeline is not touched until Start.
+func NewDaemon(cfg Config) (*Daemon, error) {
+	d := &Daemon{cfg: cfg, datasets: store.NewRegistry(), jobs: NewManager(cfg.Events)}
+	// Registered first, so the daemon's own dataset is the registry default.
+	d.publish(fixed{})
+	if cfg.SegmentsDir != "" {
+		shards, err := store.OpenSegmentsDir(cfg.SegmentsDir, store.NewCache())
+		if err != nil {
+			return nil, err
+		}
+		for ds, sh := range shards {
+			d.datasets.Register(ds, sh)
+			logInfo("otifd: segments loaded", "dataset", ds, "segments", len(sh.Segments()), "clips", sh.Clips())
+		}
+	}
+	if cfg.Tracks != "" {
+		// The track format is self-describing, so the file serves queries
+		// with no geometry arguments, and before the pipeline has trained.
+		f, err := os.Open(cfg.Tracks)
+		if err != nil {
+			return nil, err
+		}
+		ts, err := otif.ReadTrackSet(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", cfg.Tracks, err)
+		}
+		d.publish(fixed{ts.Index()})
+		logInfo("otifd: tracks loaded", "file", cfg.Tracks, "dataset", ts.Dataset, "clips", len(ts.PerClip))
+	}
+	d.jobs.Register("tune", d.runTune)
+	d.jobs.Register("extract", d.runExtract)
+	d.jobs.Register("stream", d.runStream)
+	d.srv = &Server{
+		Manager: d.jobs,
+		Ready:   func() bool { return d.pipe.Load() != nil },
+		Queries: &QueryAPI{Datasets: d.datasets, Movements: d.movements},
+		Streams: d.streams,
+		SlowK:   cfg.SlowRequests,
+		Config:  cfg.Flags,
+	}
+	return d, nil
+}
+
+// Handler returns the daemon's HTTP surface (see Server).
+func (d *Daemon) Handler() http.Handler { return d.srv.Handler() }
+
+// Start trains and tunes the pipeline, flips /readyz, and with -stream
+// submits the stream job. It blocks until then; /healthz, the debug
+// endpoints and queries over start-up sources answer meanwhile.
+func (d *Daemon) Start(ctx context.Context) error {
+	start := time.Now()
+	pipe, err := otif.Open(d.cfg.Dataset, otif.Options{
+		ClipsPerSet: d.cfg.Clips, ClipSeconds: d.cfg.Seconds, Seed: d.cfg.Seed,
+		Progress: d.relayProgress,
+	})
+	if err != nil {
+		return err
+	}
+	pipe.Train()
+	curve, err := pipe.Tune(ctx)
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.curve = curve
+	d.mu.Unlock()
+	d.pipe.Store(pipe)
+	logInfo("otifd: ready", "dataset", d.cfg.Dataset, "startup", time.Since(start).Round(time.Millisecond).String())
+	if !d.cfg.Stream {
+		return nil
+	}
+	// Through the job manager, so /jobs and the SSE event stream cover it
+	// like any submitted stream job.
+	job, err := d.jobs.Submit("stream", map[string]string{
+		"cameras":  strconv.Itoa(d.cfg.StreamCameras),
+		"clips":    strconv.Itoa(d.cfg.StreamClips),
+		"interval": d.cfg.StreamInterval.String(),
+		"queue":    strconv.Itoa(d.cfg.StreamQueue),
+		"drop":     strconv.FormatBool(d.cfg.StreamDrop),
+	})
+	if err != nil {
+		return err
+	}
+	logInfo("otifd: streaming", "job", job.ID(), "cameras", d.cfg.StreamCameras)
+	return nil
+}
+
+// Close cancels every running job and waits for their goroutines.
+func (d *Daemon) Close() { d.jobs.Close() }
+
+// Run serves a daemon built from cfg on ln. It returns nil after ctx is
+// done and running jobs and open connections have drained, or the error
+// that stopped it: a start-up source that does not load, a pipeline that
+// cannot start, a failed listener.
+func Run(ctx context.Context, ln net.Listener, cfg Config) error {
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		ln.Close()
+		return err
+	}
+	defer d.Close()
+	// A client that stalls sending its request, or holds an idle connection,
+	// is dropped; responses (SSE, profiles) may take as long as they need.
+	httpSrv := &http.Server{
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	defer httpSrv.Close()
+	failed := make(chan error, 2) // one send per goroutine below
+	go func() { failed <- httpSrv.Serve(ln) }()
+	// Training cannot be interrupted; on shutdown the process exits under it.
+	go func() {
+		if err := d.Start(ctx); err != nil {
+			failed <- err
+		}
+	}()
+	select {
+	case err := <-failed:
+		if ctx.Err() == nil {
+			return err
+		}
+	case <-ctx.Done():
+	}
+	logInfo("otifd: shutting down")
+	d.Close() // jobs first: an event stream ends with its job, so Shutdown is not left waiting on it
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	// Connections still open after the grace period are cut by the deferred Close.
+	_ = httpSrv.Shutdown(shutdownCtx)
+	return nil
+}
+
+func logInfo(msg string, args ...any) {
+	if l := obs.Log(); l != nil {
+		l.Info(msg, args...)
+	}
+}
+
+// publish makes p the answer to queries over the daemon's own dataset.
+func (d *Daemon) publish(p store.Provider) { d.datasets.Register(d.cfg.Dataset, p) }
+
+// streams reports the running stream job's stats for GET /v1/streams.
+func (d *Daemon) streams() (otif.IngestStats, bool) {
+	if s := d.session.Load(); s != nil {
+		return s.Stats(), true
+	}
+	return otif.IngestStats{}, false
+}
+
+// movements are the dataset's labeled movements for /v1/query/breakdown,
+// known once the pipeline is up (a track file carries none).
+func (d *Daemon) movements() []query.Movement {
+	if p := d.pipe.Load(); p != nil {
+		return p.Movements()
+	}
+	return nil
+}
+
+func (d *Daemon) relayProgress(e obs.Event) {
+	if p := d.relay.Load(); p != nil {
+		(*p)(e)
+	}
+}
+
+var errNotReady = errors.New("otifd: pipeline not ready (training or tuning still running)")
+
+// acquire locks the pipeline for one tune or extract job and routes its
+// progress events to that job.
+func (d *Daemon) acquire(progress obs.Progress) (pipe *otif.Pipeline, release func(), err error) {
+	if pipe = d.pipe.Load(); pipe == nil {
+		return nil, nil, errNotReady
+	}
+	d.mu.Lock()
+	d.relay.Store(&progress)
+	return pipe, func() {
+		d.relay.Store(nil)
+		d.mu.Unlock()
+	}, nil
+}
+
+// runTune re-runs the greedy joint tuner and replaces the speed-accuracy
+// curve extract jobs pick from.
+func (d *Daemon) runTune(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	pipe, release, err := d.acquire(progress)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	curve, err := pipe.Tune(ctx)
+	if err != nil {
+		return nil, err
+	}
+	d.curve = curve
+	return map[string]any{"points": len(curve)}, nil
+}
+
+// runExtract extracts one clip set under the configuration picked from
+// the current curve and publishes the tracks. Params: "set" (train, val or
+// test; default test) and "tolerance" (accuracy tolerance for the pick,
+// default 0.05).
+func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	params := job.View().Params
+	set := otif.SetName(params["set"])
+	if set == "" {
+		set = otif.Test
+	}
+	tol := 0.05
+	if s := params["tolerance"]; s != "" {
+		var err error
+		if tol, err = strconv.ParseFloat(s, 64); err != nil {
+			return nil, fmt.Errorf("otifd: bad tolerance %q: %w", s, err)
+		}
+	}
+	pipe, release, err := d.acquire(progress)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	pick, err := otif.PickFastestWithin(d.curve, tol)
+	if err != nil {
+		return nil, err
+	}
+	ts, err := pipe.Extract(ctx, pick.Cfg, set)
+	if err != nil {
+		return nil, err
+	}
+	acc, err := pipe.Accuracy(ts, set)
+	if err != nil {
+		return nil, err
+	}
+	d.publish(fixed{ts.Index()})
+	return map[string]any{
+		"set":      string(set),
+		"config":   fmt.Sprintf("%v", pick.Cfg),
+		"clips":    len(ts.PerClip),
+		"runtime":  ts.Runtime,
+		"accuracy": acc,
+	}, nil
+}
+
+// runStream runs one streaming ingest session until its cameras are
+// exhausted or the job is canceled. It does not hold mu: ingest only reads
+// trained state, so tune and extract jobs run beside it. One progress event
+// per published clip flows to the job's event stream; the first publishes
+// the session's live store. Params: "cameras", "clips" (per camera, 0 =
+// unbounded), "interval" (Go duration), "queue" (depth, 0 = default),
+// "drop" (true sheds clips when the queue is full), "seconds" (clip
+// duration, 0 = dataset default).
+func (d *Daemon) runStream(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	pipe := d.pipe.Load()
+	if pipe == nil {
+		return nil, errNotReady
+	}
+	if !d.streaming.CompareAndSwap(false, true) {
+		return nil, errors.New("otifd: a stream job is already running")
+	}
+	defer d.streaming.Store(false)
+
+	params := job.View().Params
+	first := make(chan struct{})
+	var once sync.Once
+	opts := otif.IngestOptions{
+		DropWhenFull: params["drop"] == "true",
+		Progress: func(e obs.Event) {
+			progress(e)
+			once.Do(func() { close(first) })
+		},
+	}
+	atoi := func(key string) (int, error) {
+		s := params[key]
+		if s == "" {
+			return 0, nil
+		}
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return 0, fmt.Errorf("otifd: bad %s %q: %w", key, s, err)
+		}
+		return n, nil
+	}
+	var err error
+	if opts.Cameras, err = atoi("cameras"); err != nil {
+		return nil, err
+	}
+	if opts.ClipsPerCamera, err = atoi("clips"); err != nil {
+		return nil, err
+	}
+	if opts.QueueDepth, err = atoi("queue"); err != nil {
+		return nil, err
+	}
+	if s := params["interval"]; s != "" {
+		if opts.Interval, err = time.ParseDuration(s); err != nil {
+			return nil, fmt.Errorf("otifd: bad interval %q: %w", s, err)
+		}
+	}
+	if s := params["seconds"]; s != "" {
+		if opts.ClipSeconds, err = strconv.ParseFloat(s, 64); err != nil {
+			return nil, fmt.Errorf("otifd: bad seconds %q: %w", s, err)
+		}
+	}
+
+	sess, err := pipe.Ingest(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	d.session.Store(sess)
+	defer d.session.Store(nil)
+	// An empty live store must not hide the tracks already published, so
+	// it takes the dataset's entry only once it has a clip.
+	select {
+	case <-first:
+	case <-sess.Done():
+	}
+	if sess.Live().Clips() > 0 {
+		d.publish(sess.Live())
+	}
+	waitErr := sess.Wait()
+	if waitErr != nil && !errors.Is(waitErr, context.Canceled) {
+		return nil, waitErr
+	}
+	st := sess.Stats()
+	return map[string]any{
+		"clips":   st.ClipsIngested,
+		"dropped": st.ClipsDropped,
+		"runtime": st.Runtime,
+	}, nil
+}

@@ -1,27 +1,22 @@
-package serve_test
+package serve
 
 import (
 	"archive/tar"
 	"compress/gzip"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"otif"
 	"otif/internal/obs"
-	"otif/internal/serve"
-	"otif/internal/store"
 )
 
 // TestDebugEndpointsDuringStreamingIngest hammers /v1/debug/trace (both
 // formats), /v1/debug/bundle and /v1/query/count from several goroutines while
-// a two-camera streaming ingest session records spans into the flight
+// the daemon's two-camera stream job records spans into the flight
 // recorder. Run under -race this proves the recorder's ring, the
 // per-route telemetry, the slow-request log and the bundle collectors
 // share no unsynchronized state with the pipeline. Afterwards it asserts
@@ -32,44 +27,11 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 	rec := otif.EnableTracing(1 << 12)
 	defer otif.DisableTracing()
 
-	p, _ := testPipeline(t)
-	sess, err := p.Ingest(context.Background(),
-		otif.IngestOptions{Cameras: 2, ClipsPerCamera: 3, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	datasets := store.NewRegistry()
-	datasets.Register("caldot1", store.ProviderFunc(func() store.Querier {
-		if s := sess.Store(); s.Clips() > 0 {
-			return s
-		}
-		return nil
-	}))
-	srv := httptest.NewServer((&serve.Server{
-		Queries: &serve.QueryAPI{Datasets: datasets},
-		Streams: func() (otif.IngestStats, bool) { return sess.Stats(), true },
-		Config: func() map[string]string {
-			return map[string]string{"dataset": "caldot1"}
-		},
-	}).Handler())
-	defer srv.Close()
-
-	get := func(path string) (int, []byte) {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Error(err)
-			return 0, nil
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Error(err)
-			return resp.StatusCode, nil
-		}
-		return resp.StatusCode, body
-	}
+	cfg := testConfig()
+	cfg.Flags = func() map[string]string { return map[string]string{"dataset": "caldot1"} }
+	d := readyTestDaemon(t, cfg)
+	get := d.get
+	job := d.submit("stream", map[string]string{"cameras": "2", "clips": "3", "queue": "1"})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -142,10 +104,8 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 		}()
 	}
 
-	if err := sess.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
+	waitState(t, job, JobDone)
+	get("/v1/query/count?category=car") // the slow log holds at least this one
 	close(stop)
 	wg.Wait()
 

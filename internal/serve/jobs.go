@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -213,15 +214,9 @@ func (j *Job) transition(state JobState, errMsg string) {
 		j.finished = now
 		j.errMsg = errMsg
 	}
-	terminal := state.Terminal()
 	j.mu.Unlock()
 	j.publish(JobEvent{Kind: "state", State: state, Error: errMsg})
-	if l := obs.Log(); l != nil {
-		l.Info("otifd: job state", "job", j.id, "kind", j.kind, "state", string(state), "error", errMsg)
-	}
-	if terminal {
-		close(j.done)
-	}
+	logInfo("otifd: job state", "job", j.id, "kind", j.kind, "state", string(state), "error", errMsg)
 }
 
 // progress adapts obs.Progress events into the job's event stream. It is
@@ -248,6 +243,11 @@ func (j *Job) progress(e obs.Event) {
 // any other error yields "failed". A *core.PartialError in the chain is
 // surfaced as the job's partial record either way.
 type Runner func(ctx context.Context, job *Job, progress obs.Progress) (any, error)
+
+// retainedJobs is how many finished jobs the manager remembers. Pending and
+// running jobs are always kept; of the terminal ones only the newest this
+// many, and an older one answers 404 like an id that never existed.
+const retainedJobs = 64
 
 // Manager owns job submission, lookup and cancellation.
 type Manager struct {
@@ -294,7 +294,7 @@ func (m *Manager) Kinds() []string {
 	for k := range m.runners {
 		out = append(out, k)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
@@ -335,6 +335,30 @@ func (m *Manager) Submit(kind string, params map[string]string) (*Job, error) {
 	return j, nil
 }
 
+// forgetOldLocked drops the oldest terminal jobs beyond retainedJobs. It
+// runs as each job finishes. Caller holds m.mu.
+func (m *Manager) forgetOldLocked() {
+	terminal := 0
+	for _, id := range m.order {
+		if m.jobs[id].State().Terminal() {
+			terminal++
+		}
+	}
+	if terminal <= retainedJobs {
+		return
+	}
+	kept := m.order[:0]
+	for _, id := range m.order {
+		if terminal > retainedJobs && m.jobs[id].State().Terminal() {
+			delete(m.jobs, id)
+			terminal--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	m.order = kept
+}
+
 // run drives one job through its lifecycle.
 func (m *Manager) run(ctx context.Context, cancel context.CancelFunc, j *Job, r Runner) {
 	defer m.wg.Done()
@@ -361,6 +385,10 @@ func (m *Manager) run(ctx context.Context, cancel context.CancelFunc, j *Job, r 
 	default:
 		j.transition(JobFailed, err.Error())
 	}
+	m.mu.Lock()
+	m.forgetOldLocked()
+	m.mu.Unlock()
+	close(j.done)
 }
 
 // Get returns the job with the given id.
@@ -410,14 +438,4 @@ func (m *Manager) Cancel(id string) error {
 func (m *Manager) Close() {
 	m.stop()
 	m.wg.Wait()
-}
-
-// sortStrings is an allocation-light insertion sort (kind lists are
-// tiny; avoids importing sort for one call site).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k] < s[k-1]; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
 }

@@ -123,6 +123,53 @@ func TestJobCancelBeforeRunObserved(t *testing.T) {
 	waitState(t, j, JobCanceled)
 }
 
+// TestFinishedJobsAreForgotten submits far more instant jobs than the
+// manager retains: the list stays bounded, the newest job is still there,
+// the oldest answers like an unknown id, and a job still running is kept
+// however old it is.
+func TestFinishedJobsAreForgotten(t *testing.T) {
+	m := NewManager(0)
+	defer m.Close()
+	m.Register("noop", func(ctx context.Context, j *Job, p obs.Progress) (any, error) { return nil, nil })
+	m.Register("block", func(ctx context.Context, j *Job, p obs.Progress) (any, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	running, err := m.Submit("block", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, last *Job
+	for i := 0; i < 200; i++ {
+		j, err := m.Submit("noop", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, j, JobDone)
+		if first == nil {
+			first = j
+		}
+		last = j
+	}
+	if got := len(m.List()); got > retainedJobs+1 {
+		t.Errorf("List holds %d jobs after 200 finished, want at most %d and the running one", got, retainedJobs)
+	}
+	if _, ok := m.Get(last.ID()); !ok {
+		t.Error("the newest finished job is gone")
+	}
+	if _, ok := m.Get(first.ID()); ok {
+		t.Error("the oldest finished job is still held")
+	}
+	if _, ok := m.Get(running.ID()); !ok || m.List()[0].ID != running.ID() {
+		t.Error("the running job was forgotten")
+	}
+	rec := httptest.NewRecorder()
+	(&Server{Manager: m}).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/jobs/"+first.ID(), nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("GET /jobs/%s = %d, want 404", first.ID(), rec.Code)
+	}
+}
+
 func TestSubmitUnknownKind(t *testing.T) {
 	m := NewManager(0)
 	defer m.Close()

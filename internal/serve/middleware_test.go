@@ -138,7 +138,7 @@ func TestDefaultSlowLogSize(t *testing.T) {
 // loaded) and asserts it appears in GET /v1/debug/slow with its parameters.
 func TestSlowEndpoint(t *testing.T) {
 	datasets := store.NewRegistry()
-	datasets.Register("live", store.ProviderFunc(func() store.Querier { return nil }))
+	datasets.Register("live", fixed{})
 	s := &Server{
 		Registry: obs.NewRegistry(),
 		Queries:  &QueryAPI{Datasets: datasets},

@@ -1,4 +1,4 @@
-package serve_test
+package serve
 
 import (
 	"context"
@@ -6,96 +6,26 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"otif"
 	"otif/internal/obs"
-	"otif/internal/serve"
 )
 
-// The tests in this file drive the exposition layer against a real
-// (tiny) pipeline: a trained and tuned caldot1 instance with 2 clips of
-// 2 seconds per set. They assert the acceptance contract of the serving
+// The tests in this file run the daemon's extract job against a real
+// (tiny) pipeline. They assert the acceptance contract of the serving
 // layer: concurrent scrapes race-free against a running extraction job,
 // bit-identical extraction results with scraping and logging enabled,
 // and cooperative cancellation landing at a clip boundary.
-
-var (
-	pipeOnce sync.Once
-	pipe     *otif.Pipeline
-	pipeCfg  otif.Config
-	pipeErr  error
-	// relay forwards pipeline progress events to the active job.
-	relay atomic.Pointer[obs.Progress]
-)
-
-func testPipeline(t *testing.T) (*otif.Pipeline, otif.Config) {
-	t.Helper()
-	pipeOnce.Do(func() {
-		pipe, pipeErr = otif.Open("caldot1", otif.Options{
-			ClipsPerSet: 2, ClipSeconds: 2,
-			Progress: func(e obs.Event) {
-				if p := relay.Load(); p != nil {
-					(*p)(e)
-				}
-			},
-		})
-		if pipeErr != nil {
-			return
-		}
-		pipe.Train()
-		curve, err := pipe.Tune(context.Background())
-		if err != nil {
-			pipeErr = err
-			return
-		}
-		pick, err := otif.PickFastestWithin(curve, 0.05)
-		if err != nil {
-			pipeErr = err
-			return
-		}
-		pipeCfg = pick.Cfg
-	})
-	if pipeErr != nil {
-		t.Fatal(pipeErr)
-	}
-	return pipe, pipeCfg
-}
-
-// extractRunner builds a job runner executing one test-set extraction,
-// with pipeline progress routed into the job while it runs. wrap, when
-// non-nil, decorates the job's progress hook (used to gate cancellation
-// deterministically).
-func extractRunner(p *otif.Pipeline, cfg otif.Config, wrap func(obs.Progress) obs.Progress) serve.Runner {
-	return func(ctx context.Context, job *serve.Job, progress obs.Progress) (any, error) {
-		if wrap != nil {
-			progress = wrap(progress)
-		}
-		relay.Store(&progress)
-		defer relay.Store(nil)
-		ts, err := p.Extract(ctx, cfg, otif.Test)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"clips": len(ts.PerClip), "runtime": ts.Runtime}, nil
-	}
-}
 
 // TestScrapeRacesWithExtractionJob scrapes /metrics (and reads job
 // views) continuously while an extraction job runs — under -race this
 // proves the exposition path shares no unsynchronized state with the
 // pipeline.
 func TestScrapeRacesWithExtractionJob(t *testing.T) {
-	p, cfg := testPipeline(t)
-	m := serve.NewManager(0)
-	defer m.Close()
-	m.Register("extract", extractRunner(p, cfg, nil))
-	srv := httptest.NewServer((&serve.Server{Manager: m}).Handler())
-	defer srv.Close()
+	d := readyTestDaemon(t, testConfig())
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -110,32 +40,18 @@ func TestScrapeRacesWithExtractionJob(t *testing.T) {
 				default:
 				}
 				for _, path := range []string{"/metrics", "/jobs", "/healthz"} {
-					resp, err := http.Get(srv.URL + path)
-					if err != nil {
-						t.Error(err)
+					if code, _ := d.get(path); code != http.StatusOK {
+						t.Errorf("GET %s = %d", path, code)
 						return
 					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
 				}
 			}
 		}()
 	}
 
-	j, err := m.Submit("extract", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-j.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatal("extraction job did not finish")
-	}
+	d.run("extract", nil, JobDone)
 	close(stop)
 	wg.Wait()
-	if got := j.State(); got != serve.JobDone {
-		t.Fatalf("job state = %q, want done (view %+v)", got, j.View())
-	}
 }
 
 // TestExtractionBitIdenticalWithServingEnabled runs the same extraction
@@ -143,7 +59,12 @@ func TestScrapeRacesWithExtractionJob(t *testing.T) {
 // /metrics scraped concurrently) and fully inactive, and requires
 // bit-identical runtimes and track counts.
 func TestExtractionBitIdenticalWithServingEnabled(t *testing.T) {
-	p, cfg := testPipeline(t)
+	d := readyTestDaemon(t, testConfig())
+	pick, err := otif.PickFastestWithin(d.curve, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, cfg := d.pipe.Load(), pick.Cfg
 
 	baseline, err := p.Extract(context.Background(), cfg, otif.Test)
 	if err != nil {
@@ -152,8 +73,6 @@ func TestExtractionBitIdenticalWithServingEnabled(t *testing.T) {
 
 	otif.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	defer otif.SetLogger(nil)
-	srv := httptest.NewServer((&serve.Server{}).Handler())
-	defer srv.Close()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -165,12 +84,7 @@ func TestExtractionBitIdenticalWithServingEnabled(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := http.Get(srv.URL + "/metrics")
-			if err != nil {
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			d.get("/metrics")
 		}
 	}()
 	served, err := p.Extract(context.Background(), cfg, otif.Test)
@@ -199,7 +113,7 @@ func TestExtractionBitIdenticalWithServingEnabled(t *testing.T) {
 // job must end canceled with a partial record showing at least one but
 // not all clips done.
 func TestCancelLandsAtClipBoundary(t *testing.T) {
-	p, cfg := testPipeline(t)
+	d := readyTestDaemon(t, testConfig())
 	prev := otif.Parallelism()
 	otif.SetParallelism(1) // serial clips: the gate blocks the only worker
 	defer otif.SetParallelism(prev)
@@ -207,38 +121,28 @@ func TestCancelLandsAtClipBoundary(t *testing.T) {
 	firstClip := make(chan struct{})
 	proceed := make(chan struct{})
 	var once sync.Once
-	wrap := func(next obs.Progress) obs.Progress {
-		return func(e obs.Event) {
-			next(e)
+	// The real runner, its progress hook decorated to hold the worker.
+	d.jobs.Register("extract", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+		return d.runExtract(ctx, job, func(e obs.Event) {
+			progress(e)
 			if e.Kind == obs.EventClip {
 				once.Do(func() {
 					close(firstClip)
 					<-proceed
 				})
 			}
-		}
-	}
+		})
+	})
 
-	m := serve.NewManager(0)
-	defer m.Close()
-	m.Register("extract", extractRunner(p, cfg, wrap))
-	srv := httptest.NewServer((&serve.Server{Manager: m}).Handler())
-	defer srv.Close()
-
-	j, err := m.Submit("extract", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := d.submit("extract", nil)
 	select {
 	case <-firstClip:
 	case <-time.After(60 * time.Second):
 		t.Fatal("no clip event")
 	}
-	resp, err := http.Post(srv.URL+"/jobs/"+j.ID()+"/cancel", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	if code, _ := d.do("POST", "/jobs/"+j.ID()+"/cancel", ""); code != http.StatusOK {
+		t.Errorf("cancel = %d", code)
 	}
-	resp.Body.Close()
 	close(proceed)
 
 	select {
@@ -247,7 +151,7 @@ func TestCancelLandsAtClipBoundary(t *testing.T) {
 		t.Fatal("job did not finish after cancel")
 	}
 	v := j.View()
-	if v.State != serve.JobCanceled {
+	if v.State != JobCanceled {
 		t.Fatalf("state = %q, want canceled (%+v)", v.State, v)
 	}
 	if v.Partial == nil {

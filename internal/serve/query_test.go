@@ -208,7 +208,7 @@ func TestQueryDwellBodyTooLarge(t *testing.T) {
 
 func TestQueryUnavailableStore(t *testing.T) {
 	datasets := store.NewRegistry()
-	datasets.Register("live", store.ProviderFunc(func() store.Querier { return nil }))
+	datasets.Register("live", fixed{})
 	srv := &Server{Queries: &QueryAPI{Datasets: datasets}}
 	for _, target := range []string{"/v1/query/count", "/v1/query/breakdown", "/v1/query/limit"} {
 		code, _ := doQueryJSON(t, srv, "GET", target, "")

@@ -30,11 +30,6 @@ func Snapshot() MetricsSnapshot { return obs.Default.Snapshot() }
 // snapshot's CostTotal() equals the extraction's Runtime bit-for-bit.
 func ResetMetrics() { obs.Default.Reset() }
 
-// SetMetricsEnabled turns metric recording on or off process-wide.
-// Recording is on by default; disabling it turns every record into a single
-// atomic load. Results are bit-identical either way.
-func SetMetricsEnabled(on bool) { obs.SetEnabled(on) }
-
 // SetLogger installs a process-wide structured logger (or removes it with
 // nil, the default). The pipeline logs only at coarse boundaries — a
 // RunSet finishing, a tuner iteration choosing its candidate, an otifd job

@@ -60,41 +60,6 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestMetricsOffIdenticalResults(t *testing.T) {
-	pipe, curve := pipeline(t)
-	pick, err := otif.PickFastestWithin(curve, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	on, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	otif.SetMetricsEnabled(false)
-	defer otif.SetMetricsEnabled(true)
-	otif.ResetMetrics()
-	off, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Metrics off must not perturb results: runtime and every extracted
-	// track bit-identical.
-	if on.Runtime != off.Runtime {
-		t.Errorf("runtime with metrics off %v != with metrics on %v", off.Runtime, on.Runtime)
-	}
-	if !reflect.DeepEqual(on.PerClip, off.PerClip) {
-		t.Error("extracted tracks differ with metrics disabled")
-	}
-	// And recording must actually have been off.
-	snap := otif.Snapshot()
-	if n := snap.Counters["run.clips"]; n != 0 {
-		t.Errorf("run.clips = %d while metrics disabled, want 0", n)
-	}
-}
-
 func TestSnapshotCostTotalMatchesRuntime(t *testing.T) {
 	pipe, curve := pipeline(t)
 	pick, err := otif.PickFastestWithin(curve, 0.05)
