@@ -46,28 +46,16 @@ func main() {
 	flag.Parse()
 	parallel.SetWorkers(*nworkers)
 	video.SetCacheBudget(int64(*cacheMB) << 20)
-	if *traceFmt != "otif" && *traceFmt != "chrome" {
-		fmt.Fprintf(os.Stderr, "benchtables: bad -trace-format %q (want otif or chrome)\n", *traceFmt)
+	writeTrace, err := obs.TraceFile(*traceOut, *traceFmt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(2)
 	}
 	if *traceOut != "" {
 		obs.EnableTracing(*traceCap)
 		defer func() {
-			f, err := os.Create(*traceOut)
-			if err != nil {
+			if err := writeTrace(); err != nil {
 				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				return
-			}
-			defer f.Close()
-			rec := obs.CurrentRecorder()
-			var werr error
-			if *traceFmt == "chrome" {
-				werr = rec.WriteChrome(f)
-			} else {
-				werr = rec.WriteJSON(f)
-			}
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", werr)
 				return
 			}
 			fmt.Printf("wrote span trace (%s format) to %s\n", *traceFmt, *traceOut)

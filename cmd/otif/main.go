@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"otif"
+	"otif/internal/obs"
 )
 
 func main() {
@@ -35,7 +36,7 @@ func main() {
 		segClips = flag.Int("segment-clips", 4, "clips per exported segment for -export-segments (<= 0 = one segment)")
 		nwork    = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
-		metricsF = flag.Bool("metrics", false, "print the metrics registry (text form) after the run")
+		metricsF = flag.Bool("metrics", false, "print the metrics registry (JSON) after the run")
 		traceOut = flag.String("trace-out", "", "record spans in the flight recorder and write them to this file")
 		traceFmt = flag.String("trace-format", "otif", "trace file format for -trace-out: otif (span JSON) or chrome (Perfetto-loadable trace events)")
 		traceCap = flag.Int("trace-spans", 0, "flight-recorder span capacity for -trace-out (0 = default); oldest spans are overwritten when full")
@@ -43,12 +44,28 @@ func main() {
 	flag.Parse()
 	otif.SetParallelism(*nwork)
 	otif.SetCacheMB(*cacheMB)
-	if *traceFmt != "otif" && *traceFmt != "chrome" {
-		fmt.Fprintf(os.Stderr, "otif: bad -trace-format %q (want otif or chrome)\n", *traceFmt)
+	writeTrace, err := obs.TraceFile(*traceOut, *traceFmt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "otif:", err)
 		os.Exit(2)
 	}
 	if *traceOut != "" {
 		otif.EnableTracing(*traceCap)
+	}
+	// finish emits the optional observability outputs: the metrics registry
+	// as JSON on stdout, and the flight recorder's spans to -trace-out.
+	finish := func() {
+		if *metricsF {
+			fmt.Println("\nmetrics:")
+			otif.Snapshot().WriteJSON(os.Stdout)
+		}
+		if err := writeTrace(); err != nil {
+			fmt.Fprintln(os.Stderr, "otif:", err)
+			os.Exit(1)
+		}
+		if *traceOut != "" {
+			fmt.Printf("wrote span trace (%s format) to %s\n", *traceFmt, *traceOut)
+		}
 	}
 
 	if *list {
@@ -73,7 +90,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "otif:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("loaded %s: dataset=%q clips=%d\n", *queryF, ts.Dataset, len(ts.PerClip))
+		fmt.Printf("loaded %s: dataset=%q clips=%d\n", *queryF, ts.Dataset, ts.Clips())
 		if *segsDir != "" {
 			exportSegments(ts, *segsDir, *segClips)
 		}
@@ -90,7 +107,7 @@ func main() {
 			}
 		}
 		fmt.Printf("  average visible cars per clip: %.1f...\n", mean(ts.AvgVisible("car")))
-		finish(*metricsF, *traceOut, *traceFmt)
+		finish()
 		return
 	}
 
@@ -140,7 +157,7 @@ func main() {
 		fmt.Printf("  %-55v rt=%8.2fs acc=%.3f\n", p.Cfg, p.Runtime, p.Accuracy)
 	}
 	if *curve {
-		finish(*metricsF, *traceOut, *traceFmt)
+		finish()
 		return
 	}
 
@@ -217,7 +234,7 @@ func main() {
 	avg := ts.AvgVisible("car")
 	fmt.Printf("  average visible cars per clip: %v\n", fmt.Sprintf("%.1f...", mean(avg)))
 
-	finish(*metricsF, *traceOut, *traceFmt)
+	finish()
 }
 
 // exportSegments writes the track set as segment files for serving from a
@@ -229,36 +246,6 @@ func exportSegments(ts *otif.TrackSet, dir string, clipsPerSeg int) {
 		os.Exit(1)
 	}
 	fmt.Printf("exported %d segment file(s) to %s\n", len(paths), dir)
-}
-
-// finish emits the optional observability outputs: the metrics registry in
-// text form on stdout, and the flight recorder's spans to a file in the
-// selected trace format.
-func finish(metrics bool, traceOut, traceFmt string) {
-	if metrics {
-		fmt.Println("\nmetrics:")
-		snap := otif.Snapshot()
-		snap.WriteText(os.Stdout)
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "otif:", err)
-			os.Exit(1)
-		}
-		var werr error
-		if traceFmt == "chrome" {
-			werr = otif.WriteChromeTrace(f)
-		} else {
-			werr = otif.WriteTrace(f)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "otif:", werr)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote span trace (%s format) to %s\n", traceFmt, traceOut)
-	}
 }
 
 func mean(v []float64) float64 {

@@ -100,8 +100,9 @@ func main() {
 	}
 	otif.SetParallelism(*nwork)
 	otif.SetCacheMB(*cacheMB)
-	if *traceFmt != "otif" && *traceFmt != "chrome" {
-		fmt.Fprintf(os.Stderr, "otifd: bad -trace-format %q (want otif or chrome)\n", *traceFmt)
+	writeTrace, err := obs.TraceFile(*traceOut, *traceFmt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "otifd:", err)
 		os.Exit(2)
 	}
 	// The flight recorder is on by default: recording a span is a ring-slot
@@ -130,34 +131,15 @@ func main() {
 	if err := serve.Run(ctx, ln, cfg); err != nil {
 		fatal(err)
 	}
-	if *traceOut != "" {
-		if err := writeTraceFile(*traceOut, *traceFmt); err != nil {
-			fatal(err)
-		}
+	// The flight recorder's retained spans, on graceful shutdown.
+	if err := writeTrace(); err != nil {
+		fatal(err)
 	}
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "otifd:", err)
 	os.Exit(1)
-}
-
-// writeTraceFile dumps the flight recorder's retained spans on graceful
-// shutdown in the selected format.
-func writeTraceFile(path, format string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if format == "chrome" {
-		err = otif.WriteChromeTrace(f)
-	} else {
-		err = otif.WriteTrace(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // buildLogger constructs the slog logger selected by -log/-log-level;

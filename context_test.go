@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"otif"
+	"otif/internal/obs"
 )
 
 // ctxPipe is a small trained pipeline with a swappable progress hook,
@@ -24,7 +25,7 @@ func ctxPipeline(t *testing.T) *otif.Pipeline {
 	if ctxPipe != nil {
 		return ctxPipe
 	}
-	hook := otif.ProgressFunc(func(e otif.ProgressEvent) {
+	hook := otif.ProgressFunc(func(e obs.Event) {
 		if fn := ctxHook.Load(); fn != nil {
 			(*fn)(e)
 		}
@@ -69,7 +70,7 @@ func TestExtractContextCancelMidRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	setHook(t, func(e otif.ProgressEvent) {
+	setHook(t, func(e obs.Event) {
 		if e.Kind == otif.EventClip {
 			cancel()
 		}
@@ -97,7 +98,7 @@ func TestExtractContextDrainsWorkers(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	setHook(t, func(e otif.ProgressEvent) {
+	setHook(t, func(e obs.Event) {
 		if e.Kind == otif.EventClip {
 			cancel()
 		}
@@ -123,7 +124,7 @@ func TestTuneContextCancelMidRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	setHook(t, func(e otif.ProgressEvent) {
+	setHook(t, func(e obs.Event) {
 		if e.Kind == otif.EventTuneIter && e.Iteration == 1 {
 			cancel()
 		}
@@ -159,7 +160,7 @@ func TestTuneContextPreCanceledAfterTrain(t *testing.T) {
 func TestProgressEventsDelivered(t *testing.T) {
 	pipe := ctxPipeline(t)
 	var clips atomic.Int64
-	setHook(t, func(e otif.ProgressEvent) {
+	setHook(t, func(e obs.Event) {
 		if e.Kind == otif.EventClip {
 			clips.Add(1)
 		}

@@ -28,6 +28,12 @@
 //	ts, err := pipe.Extract(ctx, cfg.Cfg, otif.Test)
 //	counts := ts.PathBreakdown("car", pipe.Movements(), 100)
 //
+// A TrackSet is the indexed track store (store.Querier) plus a header: the
+// query kinds, Clips, Tracks(i) and Context are the store's own methods,
+// and only LimitQuery is declared on top, to take its separation in
+// seconds. An IngestSession is likewise the ingest session itself plus
+// Tracks().
+//
 // Tune and Extract cancel cooperatively at iteration/clip boundaries and
 // report partial progress via *PartialError. Structured progress events
 // are available by setting Options.Progress, and per-stage metrics via

@@ -47,7 +47,7 @@ func main() {
 	if _, err := tracks.WriteTo(&trackFile); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("track set: %d bytes for %d clips\n", trackFile.Len(), len(tracks.PerClip))
+	fmt.Printf("track set: %d bytes for %d clips\n", trackFile.Len(), tracks.Clips())
 
 	// --- Fresh process: reload instead of retraining ----------------------
 	pipe2, err := otif.Open("caldot1", otif.Options{ClipsPerSet: 3, ClipSeconds: 5})
@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("header-described set: dataset=%q clips=%d\n", stored.Dataset, len(stored.PerClip))
+	fmt.Printf("header-described set: dataset=%q clips=%d\n", stored.Dataset, stored.Clips())
 	a := tracks.CountTracks("car")
 	b := stored.CountTracks("car")
 	fmt.Printf("car counts, extracted vs reloaded-from-disk: %v vs %v\n", a, b)

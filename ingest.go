@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"otif/internal/ingest"
-	"otif/internal/query"
-	"otif/internal/store"
 	"otif/internal/video"
 )
 
@@ -56,7 +54,7 @@ type IngestOptions struct {
 // results publish incrementally to a live indexed store. Create with
 // Pipeline.Ingest; stop with Close or by canceling the start context.
 type IngestSession struct {
-	s    *ingest.Session
+	*ingest.Session
 	name string
 }
 
@@ -108,57 +106,12 @@ func (p *Pipeline) Ingest(ctx context.Context, o IngestOptions) (*IngestSession,
 	if err != nil {
 		return nil, err
 	}
-	return &IngestSession{s: s, name: p.sys.DS.Name}, nil
+	return &IngestSession{Session: s, name: p.sys.DS.Name}, nil
 }
 
-// Store returns the current published snapshot of the live track store: a
-// segmented store whose sealed segments are shared across snapshots plus
-// one open tail segment. The snapshot is immutable and safe for concurrent
-// queries while ingest continues; call Store again to observe newly
-// published clips.
-func (s *IngestSession) Store() store.Querier { return s.s.Store() }
-
-// Live returns the live store itself: a store.Provider whose snapshots grow
-// clip by clip and stay valid after the session ends.
-func (s *IngestSession) Live() *store.Live { return s.s.Live() }
-
-// Stats snapshots the session's counters: clips ingested and dropped,
-// current queue depth, and per-camera lag.
-func (s *IngestSession) Stats() IngestStats { return s.s.Stats() }
-
-// Published returns a copy of the publication log, mapping each live-store
-// clip index back to its (camera, clip) origin.
-func (s *IngestSession) Published() []PublishedClip { return s.s.Published() }
-
-// Tracks materializes the session's published clips as a TrackSet, with
-// the live store's already-built index adopted as the set's query index.
-// The TrackSet is a snapshot: clips published after the call do not appear
-// in it.
+// Tracks returns the session's published clips as a TrackSet over the
+// live store's current snapshot: clips published after the call do not
+// appear in it.
 func (s *IngestSession) Tracks() *TrackSet {
-	snap := s.s.Store()
-	per := make([][]*query.Track, snap.Clips())
-	for i := range per {
-		per[i] = snap.Tracks(i)
-	}
-	ts := &TrackSet{
-		PerClip: per,
-		Runtime: s.s.Stats().Runtime,
-		Dataset: s.name,
-		ctx:     snap.Context(),
-	}
-	ts.idxOnce.Do(func() { ts.idx = snap })
-	return ts
+	return &TrackSet{Querier: s.Store(), Runtime: s.Stats().Runtime, Dataset: s.name}
 }
-
-// Done returns a channel closed when the session has fully stopped.
-func (s *IngestSession) Done() <-chan struct{} { return s.s.Done() }
-
-// Wait blocks until the session stops: every bounded camera exhausted and
-// drained (nil), or the start context canceled (its error). Published
-// clips remain queryable either way.
-func (s *IngestSession) Wait() error { return s.s.Wait() }
-
-// Close cancels the session and waits for workers to drain. Clips in
-// flight finish and publish; queued clips are abandoned. Close is
-// idempotent.
-func (s *IngestSession) Close() error { return s.s.Close() }

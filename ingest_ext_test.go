@@ -39,10 +39,10 @@ func TestIngestSessionEndToEnd(t *testing.T) {
 	if ts.Runtime <= 0 {
 		t.Error("TrackSet runtime not carried over from session")
 	}
-	// The TrackSet adopts the live store's already-built index rather than
-	// rebuilding it.
-	if ts.Index() != sess.Store() {
-		t.Error("TrackSet.Index rebuilt the index instead of adopting the live store snapshot")
+	// The TrackSet answers from the live store's snapshot rather than an
+	// index of its own.
+	if ts.Querier != sess.Store() {
+		t.Error("TrackSet does not answer from the live store snapshot")
 	}
 }
 

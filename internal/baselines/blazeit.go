@@ -62,13 +62,7 @@ func (b *BlazeIt) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset
 
 	// Query execution: detector in score order until limit reached.
 	acctQ := costmodel.NewAccountant()
-	detW, detH := sys.Best.DetRes(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH)
-	detector := &detect.Detector{
-		Cfg:        detect.Config{Arch: sys.Best.Arch, Width: detW, Height: detH, ConfThresh: sys.Best.DetConf},
-		Background: sys.Background,
-		Classify:   sys.Classifier,
-		Acct:       acctQ,
-	}
+	detector := sys.Detector(sys.Best, acctQ)
 	minSep := int(q.MinSepSec * float64(sys.DS.Cfg.FPS))
 	var outputs []frameRef
 	apps := 0
@@ -78,7 +72,7 @@ func (b *BlazeIt) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset
 		}
 		okSep := true
 		for _, o := range outputs {
-			if o.clip == cand.ref.clip && absInt(o.frame-cand.ref.frame) < minSep {
+			if o.clip == cand.ref.clip && max(o.frame-cand.ref.frame, cand.ref.frame-o.frame) < minSep {
 				okSep = false
 				break
 			}

@@ -63,13 +63,7 @@ func (c *CaTDet) runSet(sys *core.System, proposalScale float64, clips []*datase
 			Classify:   sys.Classifier,
 			Acct:       acct,
 		}
-		refW, refH := sys.Best.DetRes(nomW, nomH)
-		refiner := &detect.Detector{
-			Cfg:        detect.Config{Arch: sys.Best.Arch, Width: refW, Height: refH, ConfThresh: sys.Best.DetConf},
-			Background: sys.Background,
-			Classify:   sys.Classifier,
-			Acct:       acct,
-		}
+		refiner := sys.Detector(sys.Best, acct)
 		tracker := track.NewSORT()
 		var lastDets []detect.Detection
 		reader := video.NewReader(ct.Clip, 1, nomW, nomH, acct)
@@ -93,12 +87,7 @@ func (c *CaTDet) runSet(sys *core.System, proposalScale float64, clips []*datase
 			lastDets = dets
 			tracker.Update(&track.FrameContext{FrameIdx: idx, GapFrames: 1}, dets)
 		}
-		tracks := track.PruneShort(tracker.Finish(), 2)
-		qt := make([]*query.Track, len(tracks))
-		for k, t := range tracks {
-			qt[k] = &query.Track{ID: t.ID, Category: t.Category, Dets: t.Dets, Path: t.Path()}
-		}
-		out.PerClip[i] = qt
+		out.PerClip[i] = core.StoredTracks(track.PruneShort(tracker.Finish(), 2))
 	}
 	out.Runtime = acct.Total()
 	out.Breakdown = acct.Breakdown()

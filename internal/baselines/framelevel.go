@@ -37,13 +37,6 @@ type FrameLevelResult struct {
 	DetectorApps int
 }
 
-// TotalTime returns pre-processing plus nQueries query executions,
-// assuming the pre-processing is shared (BlazeIt's proxy is query-specific,
-// so its pre-processing also repeats; callers handle that).
-func (r FrameLevelResult) TotalTime(nQueries int) float64 {
-	return r.PreprocessTime + float64(nQueries)*r.QueryTime
-}
-
 // truthBoxes returns the ground-truth boxes of the category in one frame.
 func truthBoxes(ct *dataset.ClipTruth, cat string, frameIdx int) []geom.Rect {
 	var out []geom.Rect
@@ -144,7 +137,7 @@ func selectSeparated(cands []frameRef, limit, minSepFrames int) []frameRef {
 		}
 		okSep := true
 		for _, o := range out {
-			if o.clip == c.clip && absInt(o.frame-c.frame) < minSepFrames {
+			if o.clip == c.clip && max(o.frame-c.frame, c.frame-o.frame) < minSepFrames {
 				okSep = false
 				break
 			}
@@ -154,11 +147,4 @@ func selectSeparated(cands []frameRef, limit, minSepFrames int) []frameRef {
 		}
 	}
 	return out
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

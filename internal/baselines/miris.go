@@ -81,25 +81,13 @@ func (m *Miris) runClip(sys *core.System, gap int, ct *dataset.ClipTruth, acct *
 		Gap:      gap,
 		Tracker:  core.TrackerPair,
 	}
-	res := sys.RunClip(cfg, ct.Clip, acct)
-
-	detW, detH := cfg.DetRes(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH)
-	detector := &detect.Detector{
-		Cfg:        detect.Config{Arch: cfg.Arch, Width: detW, Height: detH, ConfThresh: cfg.DetConf},
-		Background: sys.Background,
-		Classify:   sys.Classifier,
-		Acct:       acct,
-	}
-
-	out := make([]*query.Track, 0, len(res.Tracks))
-	for _, t := range res.Tracks {
+	tracks := sys.RunClip(cfg, ct.Clip, acct, nil)
+	detector := sys.Detector(cfg, acct)
+	for _, t := range tracks {
 		m.refineEnd(sys, detector, ct.Clip, t, acct, false)
 		m.refineEnd(sys, detector, ct.Clip, t, acct, true)
-		out = append(out, &query.Track{
-			ID: t.ID, Category: t.Category, Dets: t.Dets, Path: t.Path(),
-		})
 	}
-	return out
+	return core.StoredTracks(tracks)
 }
 
 // refineEnd extends one end of a track by processing additional frames:

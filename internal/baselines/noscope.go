@@ -62,12 +62,7 @@ func (n *NoScope) runSet(sys *core.System, threshold float64, clips []*dataset.C
 	// threshold-zero candidate is exactly the naive fallback configuration.
 	detW, detH := sys.Best.DetRes(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH)
 	for i, ct := range clips {
-		detector := &detect.Detector{
-			Cfg:        detect.Config{Arch: sys.Best.Arch, Width: detW, Height: detH, ConfThresh: sys.Best.DetConf},
-			Background: sys.Background,
-			Classify:   sys.Classifier,
-			Acct:       acct,
-		}
+		detector := sys.Detector(sys.Best, acct)
 		tracker := track.NewSORT()
 		reader := video.NewReader(ct.Clip, 1, detW, detH, acct)
 		for {
@@ -88,12 +83,7 @@ func (n *NoScope) runSet(sys *core.System, threshold float64, clips []*dataset.C
 			}
 			tracker.Update(&track.FrameContext{FrameIdx: idx, GapFrames: 1}, dets)
 		}
-		tracks := track.PruneShort(tracker.Finish(), 2)
-		qt := make([]*query.Track, len(tracks))
-		for k, t := range tracks {
-			qt[k] = &query.Track{ID: t.ID, Category: t.Category, Dets: t.Dets, Path: t.Path()}
-		}
-		out.PerClip[i] = qt
+		out.PerClip[i] = core.StoredTracks(track.PruneShort(tracker.Finish(), 2))
 	}
 	out.Runtime = acct.Total()
 	out.Breakdown = acct.Breakdown()

@@ -7,7 +7,6 @@ import (
 	"otif/internal/core"
 	"otif/internal/costmodel"
 	"otif/internal/dataset"
-	"otif/internal/detect"
 	"otif/internal/nn"
 )
 
@@ -66,13 +65,7 @@ func (t *TASTI) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset.C
 	}
 
 	acctQ := costmodel.NewAccountant()
-	detW, detH := sys.Best.DetRes(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH)
-	detector := &detect.Detector{
-		Cfg:        detect.Config{Arch: sys.Best.Arch, Width: detW, Height: detH, ConfThresh: sys.Best.DetConf},
-		Background: sys.Background,
-		Classify:   sys.Classifier,
-		Acct:       acctQ,
-	}
+	detector := sys.Detector(sys.Best, acctQ)
 
 	// Train the query-specific scoring model on LabelFrames frames spread
 	// across the set, labeled by applying the detector (these detector
@@ -132,7 +125,7 @@ func (t *TASTI) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset.C
 		}
 		okSep := true
 		for _, o := range outputs {
-			if o.clip == cand.ref.clip && absInt(o.frame-cand.ref.frame) < minSep {
+			if o.clip == cand.ref.clip && max(o.frame-cand.ref.frame, cand.ref.frame-o.frame) < minSep {
 				okSep = false
 				break
 			}

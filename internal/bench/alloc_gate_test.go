@@ -11,7 +11,7 @@ import (
 // traffic. The PR-2 seed measured 10,756 allocs/op on the BENCH spec
 // (8 clips x 8 s = 64 clip-seconds, ~168 allocs per clip-second); the
 // pooled clip execution of PR 6 (tracker scratch pool, detection arena,
-// geometry-keyed analysis scratch, DetsByFrame skipped in RunSet) must
+// geometry-keyed analysis scratch, no per-frame detections retained) must
 // hold the rate to at most HALF that — and in practice sits near a
 // quarter. The gate runs on this package's tiny suite and scales the
 // bound by clip-seconds, so it needs no extra training.

@@ -63,14 +63,14 @@ func TestFinishTrainingProducesArtifacts(t *testing.T) {
 func TestRunClipProducesTracks(t *testing.T) {
 	sys := smallSystem(t)
 	acct := costmodel.NewAccountant()
-	res := sys.RunClip(sys.Best, sys.DS.Val[0].Clip, acct)
-	if len(res.Tracks) == 0 {
+	res := sys.RunClip(sys.Best, sys.DS.Val[0].Clip, acct, nil)
+	if len(res) == 0 {
 		t.Fatal("no tracks extracted")
 	}
 	if acct.Get(costmodel.OpDetect) <= 0 || acct.Get(costmodel.OpDecode) <= 0 {
 		t.Error("costs not charged")
 	}
-	for _, tr := range res.Tracks {
+	for _, tr := range res {
 		if len(tr.Dets) < 2 {
 			t.Error("length-1 track not pruned")
 		}
@@ -82,14 +82,14 @@ func TestProxyConfigReducesDetectorCost(t *testing.T) {
 	base := sys.Best
 	base.Gap = 2
 	noProxy := costmodel.NewAccountant()
-	sys.RunClip(base, sys.DS.Val[0].Clip, noProxy)
+	sys.RunClip(base, sys.DS.Val[0].Clip, noProxy, nil)
 
 	withProxy := base
 	withProxy.UseProxy = true
 	withProxy.ProxyIdx = 0
 	withProxy.ProxyThresh = 0.3
 	p := costmodel.NewAccountant()
-	sys.RunClip(withProxy, sys.DS.Val[0].Clip, p)
+	sys.RunClip(withProxy, sys.DS.Val[0].Clip, p, nil)
 	if p.Get(costmodel.OpDetect) > noProxy.Get(costmodel.OpDetect) {
 		t.Errorf("proxy increased detector cost: %v vs %v",
 			p.Get(costmodel.OpDetect), noProxy.Get(costmodel.OpDetect))
@@ -105,7 +105,7 @@ func TestGapReducesTotalCost(t *testing.T) {
 		cfg := sys.Best
 		cfg.Gap = gap
 		acct := costmodel.NewAccountant()
-		sys.RunClip(cfg, sys.DS.Val[0].Clip, acct)
+		sys.RunClip(cfg, sys.DS.Val[0].Clip, acct, nil)
 		return acct.Total()
 	}
 	if !(cost(8) < cost(2) && cost(2) < cost(1)) {

@@ -15,10 +15,8 @@ func TestRunClipClampsProxyIndex(t *testing.T) {
 	cfg.ProxyThresh = 0.5
 	for _, idx := range []int{-3, 99} {
 		cfg.ProxyIdx = idx
-		res := sys.RunClip(cfg, sys.DS.Val[0].Clip, costmodel.NewAccountant())
-		if res == nil {
-			t.Fatalf("proxy index %d crashed the pipeline", idx)
-		}
+		// An out-of-range index is clamped, not indexed with: no panic.
+		sys.RunClip(cfg, sys.DS.Val[0].Clip, costmodel.NewAccountant(), nil)
 	}
 }
 
@@ -26,8 +24,8 @@ func TestRunClipUnknownTrackerFallsBackToSORT(t *testing.T) {
 	sys := smallSystem(t)
 	cfg := sys.Best
 	cfg.Tracker = TrackerKind("bogus")
-	res := sys.RunClip(cfg, sys.DS.Val[0].Clip, costmodel.NewAccountant())
-	if len(res.Tracks) == 0 {
+	res := sys.RunClip(cfg, sys.DS.Val[0].Clip, costmodel.NewAccountant(), nil)
+	if len(res) == 0 {
 		t.Error("fallback tracker produced no tracks")
 	}
 }
@@ -39,11 +37,11 @@ func TestProxyThresholdOneSkipsDetector(t *testing.T) {
 	cfg.ProxyIdx = 0
 	cfg.ProxyThresh = 1.1 // nothing can exceed it: every frame is "empty"
 	acct := costmodel.NewAccountant()
-	res := sys.RunClip(cfg, sys.DS.Val[0].Clip, acct)
+	res := sys.RunClip(cfg, sys.DS.Val[0].Clip, acct, nil)
 	if acct.Get(costmodel.OpDetect) != 0 {
 		t.Error("detector ran despite an impossible proxy threshold")
 	}
-	if len(res.Tracks) != 0 {
+	if len(res) != 0 {
 		t.Error("tracks without any detections")
 	}
 }
@@ -54,10 +52,10 @@ func TestHighConfidenceThresholdYieldsFewerTracks(t *testing.T) {
 	loose.DetConf = 0
 	strict := sys.Best
 	strict.DetConf = 0.95
-	a := sys.RunClip(loose, sys.DS.Val[0].Clip, costmodel.NewAccountant())
-	b := sys.RunClip(strict, sys.DS.Val[0].Clip, costmodel.NewAccountant())
-	if len(b.Tracks) > len(a.Tracks) {
-		t.Errorf("strict confidence produced more tracks (%d > %d)", len(b.Tracks), len(a.Tracks))
+	a := sys.RunClip(loose, sys.DS.Val[0].Clip, costmodel.NewAccountant(), nil)
+	b := sys.RunClip(strict, sys.DS.Val[0].Clip, costmodel.NewAccountant(), nil)
+	if len(b) > len(a) {
+		t.Errorf("strict confidence produced more tracks (%d > %d)", len(b), len(a))
 	}
 }
 

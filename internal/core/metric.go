@@ -129,21 +129,11 @@ func clipPathToFrame(p geom.Path, cfg vidsim.Config) geom.Path {
 	out := make(geom.Path, len(p))
 	for i, pt := range p {
 		out[i] = geom.Point{
-			X: clampF(pt.X, bounds.X, bounds.MaxX()),
-			Y: clampF(pt.Y, bounds.Y, bounds.MaxY()),
+			X: min(max(pt.X, bounds.X), bounds.MaxX()),
+			Y: min(max(pt.Y, bounds.Y), bounds.MaxY()),
 		}
 	}
 	return out
-}
-
-func clampF(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // MetricFor returns the evaluation metric the paper uses for each dataset:

@@ -33,9 +33,9 @@ func gtIDTracks(sys *System, clipIdx, gap int) []*metrics.IDTrack {
 }
 
 func predIDTracks(sys *System, cfg Config, clipIdx int) []*metrics.IDTrack {
-	res := sys.RunClip(cfg, sys.DS.Val[clipIdx].Clip, costmodel.NewAccountant())
-	out := make([]*metrics.IDTrack, 0, len(res.Tracks))
-	for _, t := range res.Tracks {
+	res := sys.RunClip(cfg, sys.DS.Val[clipIdx].Clip, costmodel.NewAccountant(), nil)
+	out := make([]*metrics.IDTrack, 0, len(res))
+	for _, t := range res {
 		it := &metrics.IDTrack{ID: t.ID}
 		for _, d := range t.Dets {
 			it.Boxes = append(it.Boxes, metrics.TrackedBox{FrameIdx: d.FrameIdx, Box: d.Box})

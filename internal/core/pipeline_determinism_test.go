@@ -5,31 +5,53 @@ import (
 	"testing"
 
 	"otif/internal/costmodel"
+	"otif/internal/detect"
 )
 
-// TestRunClipPooledMatchesPublic pins the pooled clip-execution path used
-// by RunSet to the public RunClip: identical tracks and identical charged
-// costs, with pooling (and prefetch) only changing where buffers live.
-func TestRunClipPooledMatchesPublic(t *testing.T) {
+// TestRunClipObserverChangesNothing pins the one clip path's observer
+// contract: attaching a FrameObserver yields identical tracks and identical
+// charged cost, and the observer sees every processed frame exactly once,
+// in ascending order, with that frame's detections.
+func TestRunClipObserverChangesNothing(t *testing.T) {
 	sys := smallSystem(t)
-	for _, cfg := range []Config{sys.Best} {
-		pubAcct := costmodel.NewAccountant()
-		pub := sys.RunClip(cfg, sys.DS.Val[0].Clip, pubAcct)
+	variable := sys.Best
+	variable.Tracker, variable.Gap, variable.VariableGap = TrackerRecurrent, 8, true
+	for _, cfg := range []Config{sys.Best, variable} {
+		clip := sys.DS.Val[0].Clip
+		plainAcct := costmodel.NewAccountant()
+		plain := sys.RunClip(cfg, clip, plainAcct, nil)
 
-		pooledAcct := costmodel.NewAccountant()
-		pooled := sys.runClip(t.Context(), cfg, sys.DS.Val[0].Clip, pooledAcct, true)
+		var frames []int
+		boxes := 0
+		observedAcct := costmodel.NewAccountant()
+		observed := sys.RunClip(cfg, clip, observedAcct, func(idx int, dets []detect.Detection) {
+			frames = append(frames, idx)
+			for _, d := range dets {
+				if d.FrameIdx != idx {
+					t.Errorf("cfg=%v: frame %d was shown a detection of frame %d", cfg, idx, d.FrameIdx)
+				}
+			}
+			boxes += len(dets)
+		})
 
-		if pooled.DetsByFrame != nil {
-			t.Error("pooled run must not retain DetsByFrame")
+		if !reflect.DeepEqual(plain, observed) {
+			t.Errorf("cfg=%v: tracks differ with an observer attached", cfg)
 		}
-		if len(pub.DetsByFrame) == 0 {
-			t.Error("public run must retain DetsByFrame")
+		if plainAcct.Total() != observedAcct.Total() {
+			t.Errorf("cfg=%v: cost %v with an observer, %v without", cfg, observedAcct.Total(), plainAcct.Total())
 		}
-		if !reflect.DeepEqual(pub.Tracks, pooled.Tracks) {
-			t.Errorf("cfg=%v: pooled tracks differ from public RunClip", cfg)
+		if len(frames) == 0 || boxes == 0 {
+			t.Fatalf("cfg=%v: observer saw %d frames and %d detections", cfg, len(frames), boxes)
 		}
-		if pubAcct.Total() != pooledAcct.Total() {
-			t.Errorf("cfg=%v: pooled cost %v != public %v", cfg, pooledAcct.Total(), pubAcct.Total())
+		for i := 1; i < len(frames); i++ {
+			if frames[i] <= frames[i-1] {
+				t.Fatalf("cfg=%v: frames observed out of order or twice: %v", cfg, frames)
+			}
+		}
+		if !cfg.VariableGap {
+			if want := (clip.Len() + cfg.Gap - 1) / cfg.Gap; len(frames) != want {
+				t.Errorf("cfg=%v: observer saw %d frames, the reader processes %d", cfg, len(frames), want)
+			}
 		}
 	}
 }

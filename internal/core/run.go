@@ -26,80 +26,64 @@ var (
 	metTracksPerClip = obs.Default.Histogram("run.tracks_per_clip", 1, 2, 5, 10, 20, 50, 100)
 )
 
-// ClipResult is the output of running one configuration over one clip.
-type ClipResult struct {
-	Tracks []*track.Track
-	// DetsByFrame maps processed frame index -> detections (used when
-	// collecting theta_best outputs for training).
-	DetsByFrame map[int][]detect.Detection
-}
+// FrameObserver sees one processed frame's detections, before the tracker
+// does. dets is carved from the clip's pooled arena and is valid only
+// during the call: an observer that keeps anything copies it out.
+type FrameObserver func(frameIdx int, dets []detect.Detection)
 
-// RunClip executes the pipeline of Figure 2 under cfg over one clip: the
-// tracker's sampling gap selects frames; on each sampled frame the proxy
-// model (if enabled) chooses detector windows; the detector produces
-// detections; the tracker associates them into tracks. Costs are charged
-// to acct. The result's DetsByFrame retains every frame's detections (for
-// training-data collection); RunSet uses the pooled internal variant that
-// skips that retention and recycles per-clip buffers instead.
-func (s *System) RunClip(cfg Config, clip *video.Clip, acct *costmodel.Accountant) *ClipResult {
-	ctx, sp := obs.StartSpan(context.Background(), "run.clip")
-	sp.SetStage("extract")
-	defer sp.End()
-	return s.runClip(ctx, cfg, clip, acct, false)
-}
-
-// RunClipStream is the streaming-ingest entry point: it executes one clip
-// in pooled mode (detection arenas and scratch recycled, DetsByFrame not
-// retained).
-func (s *System) RunClipStream(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant) *ClipResult {
-	return s.runClip(ctx, cfg, clip, acct, true)
-}
-
-// runClip is RunClip with a context bounding the reader's decode-ahead
-// producer and an option to run in pooled mode. Pooled mode is for callers
-// that only need the tracks: detection slices are carved from a pooled
-// arena, analysis scratch is recycled, and DetsByFrame is not populated.
-// Pooling is safe because trackers copy Detection values into track-owned
-// slices — nothing in the returned result aliases pooled memory — and it
-// never changes results.
-func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant, pooled bool) *ClipResult {
-	detW, detH := cfg.DetRes(s.DS.Cfg.NomW, s.DS.Cfg.NomH)
-	detector := &detect.Detector{
-		Cfg: detect.Config{
-			Arch:  cfg.Arch,
-			Width: detW, Height: detH,
-			ConfThresh: cfg.DetConf,
-		},
+// Detector returns the detector of configuration cfg over this system's
+// background model and classifier, charging acct.
+func (s *System) Detector(cfg Config, acct *costmodel.Accountant) *detect.Detector {
+	w, h := cfg.DetRes(s.DS.Cfg.NomW, s.DS.Cfg.NomH)
+	return &detect.Detector{
+		Cfg:        detect.Config{Arch: cfg.Arch, Width: w, Height: h, ConfThresh: cfg.DetConf},
 		Background: s.Background,
 		Classify:   s.Classifier,
 		Acct:       acct,
 	}
-	if pooled {
-		detector.Arena = detect.GetArena()
-		defer detector.Arena.Release()
-		defer detector.Release()
-	}
+}
+
+// ExtractClip is the per-clip body RunSet and streaming ingest share: it
+// runs cfg over clip and returns the clip's stored tracks (QueryTracks of
+// what runClip tracked), charging acct. ctx bounds the reader's
+// decode-ahead producer.
+func (s *System) ExtractClip(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+	return s.QueryTracks(cfg, s.runClip(ctx, cfg, clip, acct, nil), clip.Len())
+}
+
+// RunClip executes the pipeline of Figure 2 under cfg over one clip and
+// returns the pipeline tracks, for callers that work on them before (or
+// instead of) storing them. Costs are charged to acct; observe may be nil.
+func (s *System) RunClip(cfg Config, clip *video.Clip, acct *costmodel.Accountant, observe FrameObserver) []*track.Track {
+	ctx, sp := obs.StartSpan(context.Background(), "run.clip")
+	sp.SetStage("extract")
+	defer sp.End()
+	return s.runClip(ctx, cfg, clip, acct, observe)
+}
+
+// runClip is the clip loop: the tracker's sampling gap selects frames; on
+// each sampled frame the proxy model (if enabled) chooses detector windows;
+// the detector produces detections; observe (if non-nil) sees them; the
+// tracker associates them into tracks. Detection slices are carved from a
+// pooled arena and analysis scratch is recycled, which is safe because
+// trackers copy Detection values into track-owned slices: nothing in the
+// returned tracks aliases pooled memory.
+func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant, observe FrameObserver) []*track.Track {
+	detector := s.Detector(cfg, acct)
+	detW, detH := detector.Cfg.Width, detector.Cfg.Height
+	detector.Arena = detect.GetArena()
+	defer detector.Arena.Release()
+	defer detector.Release()
 
 	var ws *proxy.WindowSet
 	var pm *proxy.Model
 	if cfg.UseProxy && len(s.Proxies) > 0 {
-		idx := cfg.ProxyIdx
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(s.Proxies) {
-			idx = len(s.Proxies) - 1
-		}
-		pm = s.Proxies[idx]
+		pm = s.Proxies[min(max(cfg.ProxyIdx, 0), len(s.Proxies)-1)]
 		ws = proxy.NewWindowSet(s.DS.Cfg.NomW, s.DS.Cfg.NomH,
 			cfg.Arch.PerPixelCost(), cfg.DetScale, s.WindowSizes)
 	}
 
 	tracker := s.newTracker(cfg, acct)
-	res := &ClipResult{}
-	if !pooled {
-		res.DetsByFrame = map[int][]detect.Detection{}
-	}
 
 	// One grid allocation per clip, reused by every processed frame.
 	var grid *proxy.Grid
@@ -119,8 +103,8 @@ func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct
 		} else {
 			dets = detector.Detect(frame, idx)
 		}
-		if res.DetsByFrame != nil {
-			res.DetsByFrame[idx] = dets
+		if observe != nil {
+			observe(idx, dets)
 		}
 		tracker.Update(&track.FrameContext{FrameIdx: idx, GapFrames: gapUsed}, dets)
 	}
@@ -142,13 +126,12 @@ func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct
 			processFrame(frame, idx, cfg.Gap)
 		}
 	}
-	tracks := tracker.Finish()
 	// Prune single-detection tracks: they mostly correspond to spurious
 	// detections (§3.4).
-	res.Tracks = track.PruneShort(tracks, 2)
+	tracks := track.PruneShort(tracker.Finish(), 2)
 	metClips.Inc()
-	metTracksPerClip.Observe(float64(len(res.Tracks)))
-	return res
+	metTracksPerClip.Observe(float64(len(tracks)))
+	return tracks
 }
 
 // runVariable executes the Miris-style variable-rate policy: after a
@@ -235,33 +218,41 @@ func maxMisses(fps, gap int) int {
 // count an object that never completed its movement within the clip — so
 // those endpoints are left alone.
 func (s *System) QueryTracks(cfg Config, tracks []*track.Track, clipLen int) []*query.Track {
-	out := make([]*query.Track, 0, len(tracks))
-	doRefine := cfg.Refine && s.Refiner != nil && s.DS.FixedCamera
+	out := StoredTracks(tracks)
+	if !cfg.Refine || s.Refiner == nil || !s.DS.FixedCamera {
+		return out
+	}
 	lastProcessed := 0
 	if clipLen > 0 {
 		lastProcessed = ((clipLen - 1) / cfg.Gap) * cfg.Gap
 	}
-	for _, t := range tracks {
-		qt := &query.Track{
-			ID:       t.ID,
-			Category: t.Category,
-			Dets:     t.Dets,
-			Path:     t.Path(),
+	for i, t := range tracks {
+		qt := out[i]
+		if len(qt.Path) < 2 {
+			continue
 		}
-		if doRefine && len(qt.Path) > 1 {
-			if start, end, ok := s.Refiner.RefineEndpoints(qt.Path); ok {
-				// Refinement extends tracks toward where the object
-				// entered and left the scene (Figure 4); it must never
-				// retract an endpoint the tracker already observed.
-				if t.FirstFrame() >= cfg.Gap && extendsBackward(qt.Path, start) {
-					qt.Path = append(geom.Path{start}, qt.Path...)
-				}
-				if t.LastFrame() <= lastProcessed-cfg.Gap && extendsForward(qt.Path, end) {
-					qt.Path = append(qt.Path, end)
-				}
+		if start, end, ok := s.Refiner.RefineEndpoints(qt.Path); ok {
+			// Refinement extends tracks toward where the object
+			// entered and left the scene (Figure 4); it must never
+			// retract an endpoint the tracker already observed.
+			if t.FirstFrame() >= cfg.Gap && extendsBackward(qt.Path, start) {
+				qt.Path = append(geom.Path{start}, qt.Path...)
+			}
+			if t.LastFrame() <= lastProcessed-cfg.Gap && extendsForward(qt.Path, end) {
+				qt.Path = append(qt.Path, end)
 			}
 		}
-		out = append(out, qt)
+	}
+	return out
+}
+
+// StoredTracks converts pipeline tracks into the query engine's stored-track
+// form: the track's detections (shared, not copied) plus the path through
+// their centers.
+func StoredTracks(tracks []*track.Track) []*query.Track {
+	out := make([]*query.Track, len(tracks))
+	for i, t := range tracks {
+		out[i] = &query.Track{ID: t.ID, Category: t.Category, Dets: t.Dets, Path: t.Path()}
 	}
 	return out
 }
@@ -347,13 +338,11 @@ func (s *System) RunSetContext(ctx context.Context, cfg Config, clips []*dataset
 	setSpan.SetStage("extract")
 	defer setSpan.End()
 	err := parallel.ForContext(ctx, len(clips), func(i int) {
-		ct := clips[i]
 		clipCtx, clipSpan := obs.StartSpan(ctx, "run.clip")
 		clipSpan.SetClip(i).SetStage("extract")
 		defer clipSpan.End()
 		acct := costmodel.NewAccountant()
-		res := s.runClip(clipCtx, cfg, ct.Clip, acct, true)
-		out.PerClip[i] = s.QueryTracks(cfg, res.Tracks, ct.Clip.Len())
+		out.PerClip[i] = s.ExtractClip(clipCtx, cfg, clips[i].Clip, acct)
 		shards[i] = acct
 		s.Progress.Emit(obs.Event{
 			Kind: obs.EventClip, Index: i, Total: len(clips), Runtime: acct.Total(),

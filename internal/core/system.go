@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"otif/internal/costmodel"
 	"otif/internal/dataset"
@@ -125,20 +124,12 @@ func (s *System) FinishTraining(best Config, seed int64) {
 	var detsPerFrame [][]geom.Rect
 	var proxyExamples []proxy.TrainExample
 	for i, ct := range s.DS.Train {
-		res := s.RunClip(best, ct.Clip, s.Acct)
-		s.SStar[i] = res.Tracks
 		// Collect per-frame detections for window selection and proxy
 		// training (a subsample keeps training costs low, like the
-		// paper's sampled training frames). Frames are visited in index
-		// order — not map order — so the SGD example order, and therefore
-		// the trained weights, are reproducible run to run.
-		frames := make([]int, 0, len(res.DetsByFrame))
-		for idx := range res.DetsByFrame {
-			frames = append(frames, idx)
-		}
-		sort.Ints(frames)
-		for _, idx := range frames {
-			dets := res.DetsByFrame[idx]
+		// paper's sampled training frames). The observer runs in frame
+		// order, so the SGD example order, and therefore the trained
+		// weights, are reproducible run to run.
+		s.SStar[i] = s.RunClip(best, ct.Clip, s.Acct, func(idx int, dets []detect.Detection) {
 			boxes := make([]geom.Rect, len(dets))
 			for k, d := range dets {
 				boxes[k] = d.Box
@@ -150,7 +141,7 @@ func (s *System) FinishTraining(best Config, seed int64) {
 					Boxes: boxes,
 				})
 			}
-		}
+		})
 	}
 
 	// Window-size selection W (k = 3 sizes including the full frame).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"otif/internal/costmodel"
+	"otif/internal/detect"
 )
 
 func TestVariableGapProducesTracks(t *testing.T) {
@@ -14,8 +15,8 @@ func TestVariableGapProducesTracks(t *testing.T) {
 	cfg.VariableGap = true
 
 	acct := costmodel.NewAccountant()
-	res := sys.RunClip(cfg, sys.DS.Val[0].Clip, acct)
-	if len(res.Tracks) == 0 {
+	res := sys.RunClip(cfg, sys.DS.Val[0].Clip, acct, nil)
+	if len(res) == 0 {
 		t.Fatal("variable-gap execution extracted no tracks")
 	}
 	if acct.Get(costmodel.OpDecode) <= 0 {
@@ -28,7 +29,7 @@ func TestVariableGapProducesTracks(t *testing.T) {
 	fixedCfg := cfg
 	fixedCfg.VariableGap = false
 	fAcct := costmodel.NewAccountant()
-	sys.RunClip(fixedCfg, sys.DS.Val[0].Clip, fAcct)
+	sys.RunClip(fixedCfg, sys.DS.Val[0].Clip, fAcct, nil)
 	if acct.Total() > 8*fAcct.Total() {
 		t.Errorf("variable gap cost %v explodes vs fixed %v", acct.Total(), fAcct.Total())
 	}
@@ -40,14 +41,12 @@ func TestVariableGapFallsBackForSORT(t *testing.T) {
 	cfg.Tracker = TrackerSORT
 	cfg.Gap = 4
 	cfg.VariableGap = true // only meaningful for the recurrent tracker
-	acct := costmodel.NewAccountant()
-	res := sys.RunClip(cfg, sys.DS.Val[0].Clip, acct)
 	// Must behave like fixed-gap SORT (no panic, frames at the fixed gap).
-	for idx := range res.DetsByFrame {
+	sys.RunClip(cfg, sys.DS.Val[0].Clip, costmodel.NewAccountant(), func(idx int, _ []detect.Detection) {
 		if idx%4 != 0 {
 			t.Fatalf("frame %d processed despite fixed gap 4", idx)
 		}
-	}
+	})
 }
 
 func TestRunSetAggregates(t *testing.T) {

@@ -10,7 +10,6 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 
 	"otif/internal/geom"
 	"otif/internal/video"
@@ -87,21 +86,6 @@ func (in *Instance) Camera(cam int, clipSeconds float64) func(i int) *ClipTruth 
 			World: w,
 		}
 	}
-}
-
-// LaneNames returns the distinct lane (movement) names of the dataset in
-// sorted order; path breakdown queries report one count per name.
-func (in *Instance) LaneNames() []string {
-	seen := map[string]bool{}
-	for _, l := range in.Cfg.Lanes {
-		seen[l.Name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Names lists the seven datasets in the paper's order.

@@ -345,10 +345,10 @@ func (d *Detector) analyze(dst []Detection, frame *video.Frame, frameIdx int, re
 		y0 = int(region.Y * sy)
 		x1 = int(math.Ceil(region.MaxX() * sx))
 		y1 = int(math.Ceil(region.MaxY() * sy))
-		x0 = clampInt(x0, 0, aw)
-		x1 = clampInt(x1, 0, aw)
-		y0 = clampInt(y0, 0, ah)
-		y1 = clampInt(y1, 0, ah)
+		x0 = min(max(x0, 0), aw)
+		x1 = min(max(x1, 0), aw)
+		y0 = min(max(y0, 0), ah)
+		y1 = min(max(y1, 0), ah)
 	}
 
 	thresh := d.diffThreshold()
@@ -566,14 +566,4 @@ func dedupeInto(dst, dets []Detection) []Detection {
 		}
 	}
 	return dst
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -140,7 +140,7 @@ func TestDetectWindowsOnlyDetectsInside(t *testing.T) {
 		dets := det.DetectWindows(frame, f, []geom.Rect{win})
 		found := false
 		for _, d := range dets {
-			if !win.ContainsRect(d.Box.Intersect(win)) {
+			if d.Box.Intersect(win).Empty() {
 				t.Error("window detection outside window")
 			}
 			if d.Box.IoU(target) > 0.3 {

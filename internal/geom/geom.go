@@ -81,14 +81,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.X && p.X < r.MaxX() && p.Y >= r.Y && p.Y < r.MaxY()
 }
 
-// ContainsRect reports whether q lies entirely within r.
-func (r Rect) ContainsRect(q Rect) bool {
-	if q.Empty() {
-		return true
-	}
-	return q.X >= r.X && q.Y >= r.Y && q.MaxX() <= r.MaxX() && q.MaxY() <= r.MaxY()
-}
-
 // Intersect returns the intersection of r and q (possibly empty).
 func (r Rect) Intersect(q Rect) Rect {
 	x0 := math.Max(r.X, q.X)

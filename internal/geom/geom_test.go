@@ -142,8 +142,8 @@ func TestIoUProperties(t *testing.T) {
 	}
 }
 
-// containsApprox is ContainsRect with a small tolerance for floating-point
-// rounding in Union/Intersect (which store width = x1-x0, so MaxX can be a
+// containsApprox reports whether q lies within r, with a small tolerance
+// for floating-point rounding in Union/Intersect (which store width = x1-x0, so MaxX can be a
 // few ULPs off x1).
 func containsApprox(r, q Rect) bool {
 	const eps = 1e-9

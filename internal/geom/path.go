@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // Path is an ordered polyline through frame space. Paths represent both the
 // lanes that simulated objects travel along and the spatial trajectory of an
 // extracted object track.
@@ -55,20 +53,6 @@ func (p Path) Resample(n int) Path {
 		out[i] = p.PointAt(float64(i) / float64(n-1))
 	}
 	return out
-}
-
-// DirectionAt returns the unit direction vector of the path at fraction t,
-// or the zero vector for degenerate paths.
-func (p Path) DirectionAt(t float64) Point {
-	const eps = 1e-3
-	a := p.PointAt(math.Max(0, t-eps))
-	b := p.PointAt(math.Min(1, t+eps))
-	d := b.Sub(a)
-	n := d.Norm()
-	if n == 0 {
-		return Point{}
-	}
-	return d.Scale(1 / n)
 }
 
 // PathDist returns the mean distance between corresponding evenly spaced

@@ -82,17 +82,6 @@ func TestResampleEndpointsProperty(t *testing.T) {
 	}
 }
 
-func TestDirectionAt(t *testing.T) {
-	p := Path{{0, 0}, {10, 0}}
-	d := p.DirectionAt(0.5)
-	if d.Dist(Point{1, 0}) > 1e-6 {
-		t.Errorf("DirectionAt = %v, want (1,0)", d)
-	}
-	if (Path{{1, 1}}).DirectionAt(0.5) != (Point{}) {
-		t.Error("degenerate path direction should be zero")
-	}
-}
-
 func TestPathDist(t *testing.T) {
 	a := Path{{0, 0}, {10, 0}}
 	b := Path{{0, 5}, {10, 5}}

@@ -296,8 +296,7 @@ func (s *Session) work(it workItem) {
 	span.SetStage("ingest").SetCamera(s.cams[it.cam].name).SetClip(it.idx)
 	defer span.End()
 	acct := costmodel.NewAccountant()
-	res := s.sys.RunClipStream(clipCtx, s.cfg, it.clip, acct)
-	tracks := s.sys.QueryTracks(s.cfg, res.Tracks, it.clip.Len())
+	tracks := s.sys.ExtractClip(clipCtx, s.cfg, it.clip, acct)
 	rt := acct.Total()
 
 	idx := s.live.Append(tracks)

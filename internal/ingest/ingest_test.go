@@ -90,8 +90,7 @@ func TestSessionPublishesEveryClipBitIdentically(t *testing.T) {
 		seen[[2]int{p.Camera, p.CamClip}] = true
 		clip := gens[p.Camera](p.CamClip).Clip
 		acct := costmodel.NewAccountant()
-		res := sys.RunClipStream(context.Background(), cfg, clip, acct)
-		want := sys.QueryTracks(cfg, res.Tracks, clip.Len())
+		want := sys.ExtractClip(context.Background(), cfg, clip, acct)
 		got := snap.Tracks(p.StoreClip)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("camera %d clip %d: streamed tracks diverge from batch extraction", p.Camera, p.CamClip)

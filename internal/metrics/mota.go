@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"sort"
+
 	"otif/internal/geom"
 )
 
@@ -73,7 +75,7 @@ func EvaluateMOTA(gt, pred []*IDTrack, iouThresh float64) MOTAResult {
 	for f := range frames {
 		ordered = append(ordered, f)
 	}
-	sortInts(ordered)
+	sort.Ints(ordered)
 
 	var res MOTAResult
 	lastMatch := map[int]int{} // gt id -> last matched pred id
@@ -126,14 +128,4 @@ func EvaluateMOTA(gt, pred []*IDTrack, iouThresh float64) MOTAResult {
 		}
 	}
 	return res
-}
-
-// sortInts is a tiny insertion sort (frame lists are small and already
-// mostly ordered; avoids pulling in the sort package comparator noise).
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

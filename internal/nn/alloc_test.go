@@ -78,7 +78,7 @@ func TestScratchKernelsBitIdentical(t *testing.T) {
 		g := NewGRUCell(6, 8, rng)
 		h := randVec(rng, 8)
 		xg := randVec(rng, 6)
-		wantH := g.StepInfer(h, xg)
+		wantH, _ := g.Step(h, xg)
 		var s Scratch
 		gotH := g.StepInferInto(NewVec(8), h, xg, &s)
 		requireEqualVecs(t, "GRUCell.StepInferInto", gotH, wantH)
@@ -89,7 +89,7 @@ func TestScratchKernelsBitIdentical(t *testing.T) {
 		requireEqualVecs(t, "GRUCell.StepInferInto in-place", hc, wantH)
 
 		xs := []Vec{randVec(rng, 6), randVec(rng, 6), randVec(rng, 6), randVec(rng, 6)}
-		wantSeq := g.RunSequenceInfer(xs)
+		wantSeq, _ := g.RunSequence(xs)
 		gotSeq := g.RunSequenceInferInto(NewVec(8), xs, &s)
 		requireEqualVecs(t, "GRUCell.RunSequenceInferInto", gotSeq, wantSeq)
 
@@ -154,18 +154,6 @@ func BenchmarkDenseApplyInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.ApplyInto(dst, x)
-	}
-}
-
-func BenchmarkGRUStepInfer(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := NewGRUCell(7, 16, rng)
-	x := randVec(rng, 7)
-	h := NewVec(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.StepInfer(h, x)
 	}
 }
 

@@ -35,7 +35,7 @@ type gruStep struct {
 
 // Step advances the hidden state by one input. It returns the new hidden
 // state and an opaque record for StepBackward. Not safe for concurrent
-// use (the gate layers retain backward state); inference uses StepInfer.
+// use (the gate layers retain backward state); inference uses StepInferInto.
 func (g *GRUCell) Step(h, x Vec) (Vec, *gruStep) {
 	hx := Concat(h, x)
 	z := g.Wz.Forward(hx)
@@ -52,19 +52,12 @@ func (g *GRUCell) Step(h, x Vec) (Vec, *gruStep) {
 	return hNew, &gruStep{h: h.Clone(), x: x.Clone(), z: z, r: r, c: c, hNew: hNew}
 }
 
-// StepInfer advances the hidden state by one input without retaining any
-// backward state, so concurrent inference on a shared cell is safe. The
-// returned state is bit-identical to Step's.
-func (g *GRUCell) StepInfer(h, x Vec) Vec {
-	var s Scratch
-	return g.StepInferInto(NewVec(g.HiddenSize), h, x, &s)
-}
-
-// StepInferInto advances the hidden state by one input, writing the new
-// state into dst (len HiddenSize) and returning dst. All intermediates
-// live in the scratch, so steady-state calls allocate nothing. dst may
-// alias h (the common in-place update), but must not alias a scratch
-// buffer. Output is bit-identical to StepInfer's.
+// StepInferInto advances the hidden state by one input without retaining
+// any backward state, so concurrent inference on a shared cell is safe. It
+// writes the new state into dst (len HiddenSize) and returns dst. All
+// intermediates live in the scratch, so steady-state calls allocate
+// nothing. dst may alias h (the common in-place update), but must not alias
+// a scratch buffer. Output is bit-identical to Step's.
 func (g *GRUCell) StepInferInto(dst, h, x Vec, s *Scratch) Vec {
 	n := g.HiddenSize
 	hx := growVec(&s.hx, n+len(x))
@@ -160,14 +153,6 @@ func (g *GRUCell) RunSequence(xs []Vec) (Vec, []*gruStep) {
 		steps = append(steps, s)
 	}
 	return h, steps
-}
-
-// RunSequenceInfer folds the cell over a sequence of inputs starting from
-// the zero hidden state without retaining backward state (safe for
-// concurrent inference on a shared cell).
-func (g *GRUCell) RunSequenceInfer(xs []Vec) Vec {
-	var s Scratch
-	return g.RunSequenceInferInto(NewVec(g.HiddenSize), xs, &s)
 }
 
 // RunSequenceInferInto folds the cell over a sequence of inputs starting

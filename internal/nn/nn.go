@@ -5,18 +5,18 @@
 //
 // It deliberately supports only what those components need: dense layers,
 // a gated recurrent cell, sigmoid/tanh/ReLU activations, binary cross
-// entropy and squared-error losses, and plain SGD with gradient clipping.
+// entropy loss, and plain SGD with gradient clipping.
 // All math is float64 and all randomness flows through an explicit
 // *rand.Rand so training is deterministic given a seed.
 //
-// Inference has two tiers. The allocating kernels (Apply, StepInfer,
-// RunSequenceInfer) return fresh vectors and are convenient for training
-// and one-off probes. The zero-allocation kernels (ApplyInto, ApplyWith,
-// StepInferInto, RunSequenceInferInto) write into caller-owned buffers or
-// a reusable Scratch and run without heap allocations in steady state —
-// they are what the per-frame hot path uses. Both tiers perform the exact
-// same float64 operations in the same order, so their outputs are
-// bit-identical.
+// Inference has two tiers. The allocating kernels (Dense.Apply, MLP.Apply)
+// return fresh vectors and are convenient for training and one-off probes.
+// The zero-allocation kernels (ApplyInto, ApplyWith, StepInferInto,
+// RunSequenceInferInto) write into caller-owned buffers or a reusable
+// Scratch and run without heap allocations in steady state — they are what
+// the per-frame hot path uses. They perform the exact float64 operations of
+// the allocating and training kernels (Apply, GRUCell.Step) in the same
+// order, so their outputs are bit-identical.
 package nn
 
 import (
@@ -48,13 +48,6 @@ func (v Vec) Dot(w Vec) float64 {
 		s += x * w[i]
 	}
 	return s
-}
-
-// AddScaled adds f*w to v in place.
-func (v Vec) AddScaled(w Vec, f float64) {
-	for i := range v {
-		v[i] += f * w[i]
-	}
 }
 
 // Concat returns the concatenation of the given vectors.
@@ -330,10 +323,4 @@ func BCELoss(p, t float64) (loss, grad float64) {
 	loss = -(t*math.Log(p) + (1-t)*math.Log(1-p))
 	grad = (p - t) / (p * (1 - p))
 	return loss, grad
-}
-
-// SquaredLoss returns 0.5*(p-t)^2 and its gradient with respect to p.
-func SquaredLoss(p, t float64) (loss, grad float64) {
-	d := p - t
-	return 0.5 * d * d, d
 }

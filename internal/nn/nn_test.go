@@ -75,8 +75,7 @@ func TestDenseGradient(t *testing.T) {
 		y := d.Forward(x)
 		var l float64
 		for i := range y {
-			li, _ := SquaredLoss(y[i], target[i])
-			l += li
+			l += 0.5 * (y[i] - target[i]) * (y[i] - target[i])
 		}
 		return l
 	}
@@ -96,8 +95,7 @@ func TestDenseGradient(t *testing.T) {
 	y := d.Forward(x)
 	dOut := NewVec(2)
 	for i := range y {
-		_, g := SquaredLoss(y[i], target[i])
-		dOut[i] = g
+		dOut[i] = y[i] - target[i] // d/dy of 0.5*(y-t)^2
 	}
 	const lr = 1e-3
 	before := d.W[1]

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"regexp"
 	"testing"
 
 	// Importing the root package transitively registers every
@@ -9,6 +10,9 @@ import (
 	_ "otif"
 	"otif/internal/obs"
 )
+
+// promNameRE is the Prometheus metric-name grammar.
+var promNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // Every pre-registered handle must normalize to a valid, unique
 // Prometheus identifier — the exposition layer exports all of them, so a
@@ -34,7 +38,7 @@ func TestAllRegisteredHandlesNormalizeValidAndUnique(t *testing.T) {
 	seen := map[string]string{}
 	for _, n := range names {
 		p := obs.PromName(n)
-		if !obs.ValidPromName(p) {
+		if !promNameRE.MatchString(p) {
 			t.Errorf("handle %q normalizes to invalid Prometheus name %q", n, p)
 		}
 		if prev, dup := seen[p]; dup {

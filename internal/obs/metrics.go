@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -185,53 +184,6 @@ func (s MetricsSnapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteText writes the snapshot as aligned, sorted text lines.
-func (s MetricsSnapshot) WriteText(w io.Writer) error {
-	var keys []string
-	for k := range s.Costs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%-32s %14.6fs\n", k, s.Costs[k]); err != nil {
-			return err
-		}
-	}
-	keys = keys[:0]
-	for k := range s.Counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%-32s %15d\n", k, s.Counters[k]); err != nil {
-			return err
-		}
-	}
-	keys = keys[:0]
-	for k := range s.Gauges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%-32s %15.4f\n", k, s.Gauges[k]); err != nil {
-			return err
-		}
-	}
-	keys = keys[:0]
-	for k := range s.Histograms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h := s.Histograms[k]
-		if _, err := fmt.Fprintf(w, "%-32s n=%d sum=%.4f buckets=%v counts=%v\n",
-			k, h.Count, h.Sum, h.Bounds, h.Counts); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Registry holds named metrics. Registration (Counter, Cost, Gauge,

@@ -11,8 +11,8 @@ import "strings"
 // PromName converts a registry metric name into a valid Prometheus
 // identifier: every character outside [a-zA-Z0-9_:] (dots, slashes,
 // dashes, spaces, ...) becomes an underscore, and a leading digit is
-// prefixed with an underscore. The result always satisfies
-// ValidPromName; an empty input yields "_".
+// prefixed with an underscore. The result always matches the Prometheus
+// metric-name grammar [a-zA-Z_:][a-zA-Z0-9_:]*; an empty input yields "_".
 func PromName(name string) string {
 	if name == "" {
 		return "_"
@@ -34,21 +34,4 @@ func PromName(name string) string {
 		}
 	}
 	return b.String()
-}
-
-// ValidPromName reports whether name matches the Prometheus metric-name
-// grammar [a-zA-Z_:][a-zA-Z0-9_:]*.
-func ValidPromName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		valid := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' || c == ':' ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !valid {
-			return false
-		}
-	}
-	return true
 }

@@ -3,7 +3,9 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -188,6 +190,36 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// TraceFile serves the CLIs' -trace-out / -trace-format pair: it rejects an
+// unknown format now, before the run, and returns the function that writes
+// the installed recorder's spans to path in that format once the run is
+// over. With an empty path that function does nothing.
+func TraceFile(path, format string) (write func() error, err error) {
+	var render func(*Recorder, io.Writer) error
+	switch format {
+	case "otif":
+		render = (*Recorder).WriteJSON
+	case "chrome":
+		render = (*Recorder).WriteChrome
+	default:
+		return nil, fmt.Errorf("bad -trace-format %q (want otif or chrome)", format)
+	}
+	return func() error {
+		if path == "" {
+			return nil
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		err = render(CurrentRecorder(), f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }
 
 // globalRecorder is the installed flight recorder; nil means tracing is

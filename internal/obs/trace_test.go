@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -197,6 +199,51 @@ func TestTraceJSON(t *testing.T) {
 	}
 	if out.Stats.Recorded != 1 || out.Stats.Capacity != 8 {
 		t.Errorf("trace stats = %+v", out.Stats)
+	}
+}
+
+// TestTraceFile pins the CLIs' shared -trace-out / -trace-format handling:
+// an unknown format fails before the run, an empty path writes nothing, and
+// each format lands in the file as its own exporter renders it.
+func TestTraceFile(t *testing.T) {
+	if _, err := TraceFile("x", "perfetto"); err == nil {
+		t.Error("unknown format accepted")
+	}
+	write, err := TraceFile("", "otif")
+	if err != nil || write() != nil {
+		t.Errorf("empty path: err = %v, want a no-op writer", err)
+	}
+
+	tr := EnableTracing(8)
+	defer SetRecorder(nil)
+	_, sp := StartSpan(context.Background(), "one")
+	sp.End()
+	for format, render := range map[string]func(*bytes.Buffer) error{
+		"otif":   func(b *bytes.Buffer) error { return tr.WriteJSON(b) },
+		"chrome": func(b *bytes.Buffer) error { return tr.WriteChrome(b) },
+	} {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		write, err := TraceFile(path, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := render(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: file differs from the exporter's output", format)
+		}
+	}
+	if write, _ := TraceFile(filepath.Join(t.TempDir(), "no", "such", "dir"), "otif"); write() == nil {
+		t.Error("unwritable path reported no error")
 	}
 }
 

@@ -34,11 +34,11 @@ func referenceFeatures(m *Model, frame *video.Frame, bg *detect.BackgroundModel)
 	sy := float64(ah) / float64(frame.NomH)
 	out := make([]float64, 0, gw*gh*featuresPerCell)
 	for cy := 0; cy < gh; cy++ {
-		y0 := clampInt(int(float64(cy*CellSize)*sy), 0, ah-1)
-		y1 := clampInt(int(math.Ceil(float64((cy+1)*CellSize)*sy)), y0+1, ah)
+		y0 := min(max(int(float64(cy*CellSize)*sy), 0), ah-1)
+		y1 := min(max(int(math.Ceil(float64((cy+1)*CellSize)*sy)), y0+1), ah)
 		for cx := 0; cx < gw; cx++ {
-			x0 := clampInt(int(float64(cx*CellSize)*sx), 0, aw-1)
-			x1 := clampInt(int(math.Ceil(float64((cx+1)*CellSize)*sx)), x0+1, aw)
+			x0 := min(max(int(float64(cx*CellSize)*sx), 0), aw-1)
+			x1 := min(max(int(math.Ceil(float64((cx+1)*CellSize)*sx)), x0+1), aw)
 			var sum, sum2, sumDiff, maxDiff float64
 			n := 0
 			for y := y0; y < y1; y++ {

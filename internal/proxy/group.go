@@ -97,8 +97,8 @@ func (ws *WindowSet) makeCluster(minX, minY, maxX, maxY int) cluster {
 }
 
 func mergeBounds(a, b cluster) (int, int, int, int) {
-	return minInt(a.minX, b.minX), minInt(a.minY, b.minY),
-		maxInt(a.maxX, b.maxX), maxInt(a.maxY, b.maxY)
+	return min(a.minX, b.minX), min(a.minY, b.minY),
+		max(a.maxX, b.maxX), max(a.maxY, b.maxY)
 }
 
 // Group covers the positive cells of g with rectangular windows from ws
@@ -208,10 +208,10 @@ func connectedCellClusters(g *Grid, ws *WindowSet) []cluster {
 			p := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			x, y := p%g.W, p/g.W
-			minX = minInt(minX, x)
-			minY = minInt(minY, y)
-			maxX = maxInt(maxX, x)
-			maxY = maxInt(maxY, y)
+			minX = min(minX, x)
+			minY = min(minY, y)
+			maxX = max(maxX, x)
+			maxY = max(maxY, y)
 			for dy := -1; dy <= 1; dy++ {
 				for dx := -1; dx <= 1; dx++ {
 					nx, ny := x+dx, y+dy
@@ -229,18 +229,4 @@ func connectedCellClusters(g *Grid, ws *WindowSet) []cluster {
 		out = append(out, ws.makeCluster(minX, minY, maxX, maxY))
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -83,10 +83,10 @@ func CellRect(x, y int) geom.Rect {
 func TruthGrid(nomW, nomH int, boxes []geom.Rect) *Grid {
 	g := NewGrid(nomW, nomH)
 	for _, b := range boxes {
-		x0 := clampInt(int(b.X)/CellSize, 0, g.W-1)
-		y0 := clampInt(int(b.Y)/CellSize, 0, g.H-1)
-		x1 := clampInt(int(math.Ceil(b.MaxX()-1e-9))/CellSize, 0, g.W-1)
-		y1 := clampInt(int(math.Ceil(b.MaxY()-1e-9))/CellSize, 0, g.H-1)
+		x0 := min(max(int(b.X)/CellSize, 0), g.W-1)
+		y0 := min(max(int(b.Y)/CellSize, 0), g.H-1)
+		x1 := min(max(int(math.Ceil(b.MaxX()-1e-9))/CellSize, 0), g.W-1)
+		y1 := min(max(int(math.Ceil(b.MaxY()-1e-9))/CellSize, 0), g.H-1)
 		for y := y0; y <= y1; y++ {
 			for x := x0; x <= x1; x++ {
 				g.Set(x, y, true)
@@ -148,8 +148,8 @@ func (m *Model) spans(aw, ah, nomW, nomH int) *cellSpans {
 		scale := float64(size) / float64(nom) // analysis pixels per nominal pixel
 		lo, hi = make([]int, cells), make([]int, cells)
 		for c := range lo {
-			lo[c] = clampInt(int(float64(c*CellSize)*scale), 0, size-1)
-			hi[c] = clampInt(int(math.Ceil(float64((c+1)*CellSize)*scale)), lo[c]+1, size)
+			lo[c] = min(max(int(float64(c*CellSize)*scale), 0), size-1)
+			hi[c] = min(max(int(math.Ceil(float64((c+1)*CellSize)*scale)), lo[c]+1), size)
 		}
 		return lo, hi
 	}
@@ -344,14 +344,4 @@ func roundEven(v float64) int {
 		n = 2
 	}
 	return n
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

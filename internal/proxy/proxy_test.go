@@ -63,8 +63,8 @@ func TestTruthGridCoversBoxesProperty(t *testing.T) {
 		// Every box center cell must be positive.
 		for _, b := range boxes {
 			c := b.Center()
-			cx := clampInt(int(c.X)/CellSize, 0, g.W-1)
-			cy := clampInt(int(c.Y)/CellSize, 0, g.H-1)
+			cx := min(max(int(c.X)/CellSize, 0), g.W-1)
+			cy := min(max(int(c.Y)/CellSize, 0), g.H-1)
 			if !g.At(cx, cy) {
 				return false
 			}

@@ -393,7 +393,7 @@ func LimitQueryFrom(src FrameSource, pred FramePredicate, ctx Context, limit int
 		}
 		ok := true
 		for _, o := range out {
-			if absInt(o.FrameIdx-int(c.frame)) < minSepFrames {
+			if f := int(c.frame); max(o.FrameIdx-f, f-o.FrameIdx) < minSepFrames {
 				ok = false
 				break
 			}
@@ -491,11 +491,4 @@ func BusyFramesFrom(srcA FrameSource, nA int, srcB FrameSource, nB int, ctx Cont
 		}
 	}
 	return out
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

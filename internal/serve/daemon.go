@@ -76,19 +76,13 @@ type Daemon struct {
 	streaming atomic.Bool
 }
 
-// fixed is the registry entry of a store that does not change; the zero
-// value holds the default dataset's slot before anything is published and
-// resolves to "not loaded".
-type fixed struct{ q store.Querier }
-
-func (f fixed) Snapshot() store.Querier { return f.q }
-
 // NewDaemon loads the start-up sources named by cfg and wires the job
 // runners and the HTTP surface. The pipeline is not touched until Start.
 func NewDaemon(cfg Config) (*Daemon, error) {
 	d := &Daemon{cfg: cfg, datasets: store.NewRegistry(), jobs: NewManager(cfg.Events)}
-	// Registered first, so the daemon's own dataset is the registry default.
-	d.publish(fixed{})
+	// Registered first, so the daemon's own dataset is the registry default;
+	// an empty track set resolves to "not loaded" until something publishes.
+	d.publish(&otif.TrackSet{})
 	if cfg.SegmentsDir != "" {
 		shards, err := store.OpenSegmentsDir(cfg.SegmentsDir, store.NewCache())
 		if err != nil {
@@ -111,8 +105,8 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfg.Tracks, err)
 		}
-		d.publish(fixed{ts.Index()})
-		logInfo("otifd: tracks loaded", "file", cfg.Tracks, "dataset", ts.Dataset, "clips", len(ts.PerClip))
+		d.publish(ts)
+		logInfo("otifd: tracks loaded", "file", cfg.Tracks, "dataset", ts.Dataset, "clips", ts.Clips())
 	}
 	d.jobs.Register("tune", d.runTune)
 	d.jobs.Register("extract", d.runExtract)
@@ -317,11 +311,11 @@ func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress
 	if err != nil {
 		return nil, err
 	}
-	d.publish(fixed{ts.Index()})
+	d.publish(ts)
 	return map[string]any{
 		"set":      string(set),
 		"config":   fmt.Sprintf("%v", pick.Cfg),
-		"clips":    len(ts.PerClip),
+		"clips":    ts.Clips(),
 		"runtime":  ts.Runtime,
 		"accuracy": acc,
 	}, nil

@@ -17,6 +17,8 @@ import (
 
 	"otif"
 	"otif/internal/persist"
+	"otif/internal/query"
+	"otif/internal/store"
 )
 
 // These tests drive the daemon the way otifd's CI smoke script used to:
@@ -227,6 +229,15 @@ func TestStartFailures(t *testing.T) {
 	if _, err := NewDaemon(cfg); err == nil {
 		t.Error("NewDaemon with a truncated segment file succeeded")
 	}
+	// A well-formed segment whose header names no dataset has no registry
+	// entry to go under (Registry.Register panics on "").
+	cfg.SegmentsDir = t.TempDir()
+	if _, err := store.ExportSegments(cfg.SegmentsDir, "", query.Context{FPS: 10, Frames: 10}, [][]*query.Track{nil}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDaemon(cfg); err == nil || !strings.Contains(err.Error(), "seg-00000.otifseg") {
+		t.Errorf("NewDaemon with an unnamed dataset's segment: err = %v, want one naming the file", err)
+	}
 	cfg = testConfig()
 	cfg.Dataset = "no-such-dataset"
 	d := newTestDaemon(t, cfg)
@@ -390,14 +401,14 @@ func TestSegmentReplicaAnswersByteEqual(t *testing.T) {
 	if paths, err := ts.ExportSegments(cfg.SegmentsDir, 1); err != nil || len(paths) != 2 {
 		t.Fatalf("ExportSegments = %v, %v; want 2 files", paths, err)
 	}
-	qctx := ts.Index().Context()
+	qctx := ts.Context()
 	other, err := os.Create(filepath.Join(cfg.SegmentsDir, "other"+".otifseg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = persist.WriteSegment(other, persist.SegmentMeta{
 		Dataset: "other", ID: "seg-00000", FPS: qctx.FPS, NomW: qctx.NomW, NomH: qctx.NomH, Frames: qctx.Frames,
-	}, ts.PerClip[:1])
+	}, [][]*query.Track{ts.Tracks(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,8 +428,8 @@ func TestSegmentReplicaAnswersByteEqual(t *testing.T) {
 	if err := json.Unmarshal(replica.ok("/v1/query/count?dataset=other"), &otherCount); err != nil {
 		t.Fatal(err)
 	}
-	if len(otherCount.PerClip) != 1 || otherCount.PerClip[0] != len(ts.PerClip[0]) {
-		t.Errorf("count over dataset other = %+v, want one clip of %d tracks", otherCount, len(ts.PerClip[0]))
+	if len(otherCount.PerClip) != 1 || otherCount.PerClip[0] != len(ts.Tracks(0)) {
+		t.Errorf("count over dataset other = %+v, want one clip of %d tracks", otherCount, len(ts.Tracks(0)))
 	}
 
 	same := func(path string) {

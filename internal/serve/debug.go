@@ -98,7 +98,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 	snap := s.registry().Snapshot()
 	addJSON("metrics.json", snap)
 	add("metrics.prom", func(buf *bytes.Buffer) error {
-		return WritePrometheus(buf, snap, s.Prefix)
+		return WritePrometheus(buf, snap)
 	})
 	rec := obs.CurrentRecorder()
 	add("trace.json", func(buf *bytes.Buffer) error { return rec.WriteJSON(buf) })

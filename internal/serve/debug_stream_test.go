@@ -25,7 +25,7 @@ import (
 // /metrics exports the trace.* and serve.route.* series.
 func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 	rec := otif.EnableTracing(1 << 12)
-	defer otif.DisableTracing()
+	defer obs.SetRecorder(nil)
 
 	cfg := testConfig()
 	cfg.Flags = func() map[string]string { return map[string]string{"dataset": "caldot1"} }

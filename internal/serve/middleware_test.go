@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"otif"
 	"otif/internal/obs"
 	"otif/internal/store"
 )
@@ -138,7 +139,7 @@ func TestDefaultSlowLogSize(t *testing.T) {
 // loaded) and asserts it appears in GET /v1/debug/slow with its parameters.
 func TestSlowEndpoint(t *testing.T) {
 	datasets := store.NewRegistry()
-	datasets.Register("live", fixed{})
+	datasets.Register("live", &otif.TrackSet{})
 	s := &Server{
 		Registry: obs.NewRegistry(),
 		Queries:  &QueryAPI{Datasets: datasets},

@@ -12,6 +12,7 @@ import (
 
 	"otif"
 	"otif/internal/obs"
+	"otif/internal/parallel"
 )
 
 // The tests in this file run the daemon's extract job against a real
@@ -97,13 +98,13 @@ func TestExtractionBitIdenticalWithServingEnabled(t *testing.T) {
 	if math.Float64bits(baseline.Runtime) != math.Float64bits(served.Runtime) {
 		t.Errorf("runtime changed under serving: %v vs %v", baseline.Runtime, served.Runtime)
 	}
-	if len(baseline.PerClip) != len(served.PerClip) {
-		t.Fatalf("clip count changed: %d vs %d", len(baseline.PerClip), len(served.PerClip))
+	if baseline.Clips() != served.Clips() {
+		t.Fatalf("clip count changed: %d vs %d", baseline.Clips(), served.Clips())
 	}
-	for i := range baseline.PerClip {
-		if len(baseline.PerClip[i]) != len(served.PerClip[i]) {
+	for i := 0; i < baseline.Clips(); i++ {
+		if len(baseline.Tracks(i)) != len(served.Tracks(i)) {
 			t.Errorf("clip %d track count changed: %d vs %d",
-				i, len(baseline.PerClip[i]), len(served.PerClip[i]))
+				i, len(baseline.Tracks(i)), len(served.Tracks(i)))
 		}
 	}
 }
@@ -114,9 +115,9 @@ func TestExtractionBitIdenticalWithServingEnabled(t *testing.T) {
 // not all clips done.
 func TestCancelLandsAtClipBoundary(t *testing.T) {
 	d := readyTestDaemon(t, testConfig())
-	prev := otif.Parallelism()
-	otif.SetParallelism(1) // serial clips: the gate blocks the only worker
-	defer otif.SetParallelism(prev)
+	prev := parallel.Workers()
+	parallel.SetWorkers(1) // serial clips: the gate blocks the only worker
+	defer parallel.SetWorkers(prev)
 
 	firstClip := make(chan struct{})
 	proceed := make(chan struct{})

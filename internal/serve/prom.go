@@ -24,24 +24,20 @@ const DefaultPrefix = "otif"
 
 // WritePrometheus renders a metrics snapshot in the Prometheus text
 // exposition format (version 0.0.4). Registry names are normalized with
-// obs.PromName and namespaced under prefix (empty selects
-// DefaultPrefix):
+// obs.PromName and namespaced under DefaultPrefix:
 //
-//   - integer counters export as `<prefix>_<name>_total` counter series;
+//   - integer counters export as `otif_<name>_total` counter series;
 //   - float cost counters (simulated seconds) export as
-//     `<prefix>_<name>_seconds_total` counter series;
-//   - gauges export as `<prefix>_<name>` gauge series;
+//     `otif_<name>_seconds_total` counter series;
+//   - gauges export as `otif_<name>` gauge series;
 //   - histograms export with cumulative `_bucket{le="..."}` series
 //     (including the mandatory `le="+Inf"`), `_sum` and `_count`.
 //
 // Output is sorted by metric name, so equal snapshots render
 // byte-identically — the golden test pins the exact format.
-func WritePrometheus(w io.Writer, s obs.MetricsSnapshot, prefix string) error {
-	if prefix == "" {
-		prefix = DefaultPrefix
-	}
+func WritePrometheus(w io.Writer, s obs.MetricsSnapshot) error {
 	name := func(raw, suffix string) string {
-		return prefix + "_" + obs.PromName(raw) + suffix
+		return DefaultPrefix + "_" + obs.PromName(raw) + suffix
 	}
 
 	var keys []string

@@ -146,7 +146,7 @@ func (q *QueryAPI) handleBreakdown(w http.ResponseWriter, r *http.Request, s sto
 		return
 	}
 	cat := r.FormValue("category")
-	maxDist, err := floatParam(r, "maxdist", 0.22*float64(s.Context().NomW))
+	maxDist, err := nonNegParam(r, "maxdist", 0.22*float64(s.Context().NomW))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -196,7 +196,7 @@ func (q *QueryAPI) handleLimit(w http.ResponseWriter, r *http.Request, s store.Q
 
 // limitParams reads the limit route's parameters and bounds them: n=0
 // would match every empty frame, limit=-1 silently returns nothing, and a
-// NaN or huge minsep makes the conversion to frames undefined.
+// huge minsep makes the conversion to frames undefined.
 func limitParams(r *http.Request, ctx query.Context) (n, limit, minSep int, err error) {
 	// A clip cannot return more frames than it has; a store without clip
 	// geometry (Frames 0) still accepts the smallest request.
@@ -207,7 +207,7 @@ func limitParams(r *http.Request, ctx query.Context) (n, limit, minSep int, err 
 	}
 	var sec float64
 	if err == nil {
-		sec, err = floatParam(r, "minsep", 0)
+		sec, err = nonNegParam(r, "minsep", 0)
 	}
 	switch {
 	case err != nil:
@@ -215,8 +215,6 @@ func limitParams(r *http.Request, ctx query.Context) (n, limit, minSep int, err 
 		err = fmt.Errorf("n must be at least 1, got %d", n)
 	case limit < 1 || limit > maxLimit:
 		err = fmt.Errorf("limit must be between 1 and %d (the clip's frame count), got %d", maxLimit, limit)
-	case math.IsNaN(sec) || math.IsInf(sec, 0) || sec < 0:
-		err = fmt.Errorf("minsep must be a finite number of seconds, 0 or more, got %v", sec)
 	}
 	if err != nil {
 		return 0, 0, 0, err
@@ -225,6 +223,11 @@ func limitParams(r *http.Request, ctx query.Context) (n, limit, minSep int, err 
 	// separation asks for the same thing and the conversion stays defined.
 	return n, limit, int(min(sec*float64(ctx.FPS), float64(ctx.Frames))), nil
 }
+
+// maxRegionVertices bounds a dwell region: DwellTime tests the polygon,
+// linear in its vertices, once per track per frame, and a body of
+// maxBodyBytes holds tens of thousands of vertices.
+const maxRegionVertices = 1024
 
 // dwellRequest is the POST /v1/query/dwell body: a category and a
 // polygonal region as [x, y] vertex pairs in nominal frame coordinates.
@@ -238,8 +241,8 @@ func (q *QueryAPI) handleDwell(w http.ResponseWriter, r *http.Request, s store.Q
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if len(req.Region) < 3 {
-		writeError(w, http.StatusBadRequest, "region needs at least 3 vertices")
+	if len(req.Region) < 3 || len(req.Region) > maxRegionVertices {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("region needs 3 to %d vertices, got %d", maxRegionVertices, len(req.Region)))
 		return
 	}
 	region := make(geom.Polygon, len(req.Region))
@@ -268,10 +271,17 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return strconv.Atoi(s)
 }
 
-func floatParam(r *http.Request, name string, def float64) (float64, error) {
+// nonNegParam reads a distance or a duration: finite and 0 or more. NaN and
+// Inf parse as floats, compare false with everything (or match everything)
+// and cannot be encoded as JSON; a negative value can match nothing.
+func nonNegParam(r *http.Request, name string, def float64) (float64, error) {
 	s := r.FormValue(name)
 	if s == "" {
 		return def, nil
 	}
-	return strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0) || v < 0) {
+		err = fmt.Errorf("%s must be a finite number, 0 or more, got %v", name, v)
+	}
+	return v, err
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"otif"
 	"otif/internal/detect"
 	"otif/internal/geom"
 	"otif/internal/query"
@@ -108,6 +109,24 @@ func TestQueryBreakdownNoMovements(t *testing.T) {
 	}
 }
 
+// TestQueryBreakdownBadParam: NaN and Inf parse as floats but cannot be
+// encoded as JSON, so unbounded they fail after the 200 header is out (an
+// empty body); a negative distance matches nothing.
+func TestQueryBreakdownBadParam(t *testing.T) {
+	srv, _ := queryFixture()
+	for _, q := range []string{"maxdist=NaN", "maxdist=Inf", "maxdist=-Inf", "maxdist=-1", "maxdist=far"} {
+		code, out := doQueryJSON(t, srv, "GET", "/v1/query/breakdown?category=car&"+q, "")
+		if code != 400 || out["error"] == nil {
+			t.Errorf("%s: status = %d, want 400 with a message: %v", q, code, out)
+		}
+	}
+	for _, q := range []string{"maxdist=0", "maxdist=1e300"} {
+		if code, out := doQueryJSON(t, srv, "GET", "/v1/query/breakdown?category=car&"+q, ""); code != 200 {
+			t.Errorf("%s: status = %d, want 200: %v", q, code, out)
+		}
+	}
+}
+
 func TestQueryLimit(t *testing.T) {
 	srv, st := queryFixture()
 	code, out := doQueryJSON(t, srv, "GET", "/v1/query/limit?category=car&n=2&limit=3&minsep=1", "")
@@ -193,6 +212,16 @@ func TestQueryDwellBadRegion(t *testing.T) {
 	if code != 400 {
 		t.Errorf("status for invalid JSON = %d, want 400", code)
 	}
+	// A polygon costs its vertex count per track per frame.
+	ring := func(n int) string {
+		return `{"category":"car","region":[` + strings.TrimSuffix(strings.Repeat("[0,0],", n), ",") + `]}`
+	}
+	if code, out := doQueryJSON(t, srv, "POST", "/v1/query/dwell", ring(maxRegionVertices+1)); code != 400 {
+		t.Errorf("status for a %d-vertex region = %d, want 400: %v", maxRegionVertices+1, code, out)
+	}
+	if code, out := doQueryJSON(t, srv, "POST", "/v1/query/dwell", ring(maxRegionVertices)); code != 200 {
+		t.Errorf("status for a %d-vertex region = %d, want 200: %v", maxRegionVertices, code, out)
+	}
 }
 
 // TestQueryDwellBodyTooLarge: a body past maxBodyBytes is refused with 413
@@ -208,7 +237,7 @@ func TestQueryDwellBodyTooLarge(t *testing.T) {
 
 func TestQueryUnavailableStore(t *testing.T) {
 	datasets := store.NewRegistry()
-	datasets.Register("live", fixed{})
+	datasets.Register("live", &otif.TrackSet{})
 	srv := &Server{Queries: &QueryAPI{Datasets: datasets}}
 	for _, target := range []string{"/v1/query/count", "/v1/query/breakdown", "/v1/query/limit"} {
 		code, _ := doQueryJSON(t, srv, "GET", target, "")

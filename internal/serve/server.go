@@ -51,8 +51,6 @@ type Server struct {
 	// Config reports the effective configuration (flag values) for the
 	// debug bundle; nil omits the bundle's config.json member.
 	Config func() map[string]string
-	// Prefix namespaces exported metric names; empty selects DefaultPrefix.
-	Prefix string
 	// SlowK caps the slow-request log (0 selects DefaultSlowRequests).
 	SlowK int
 
@@ -129,7 +127,7 @@ func (s *Server) registry() *obs.Registry {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := WritePrometheus(w, s.registry().Snapshot(), s.Prefix); err != nil && obs.Log() != nil {
+	if err := WritePrometheus(w, s.registry().Snapshot()); err != nil && obs.Log() != nil {
 		obs.Log().Warn("otifd: metrics write failed", "error", err)
 	}
 }

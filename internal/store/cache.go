@@ -51,9 +51,11 @@ func NewCache() *Cache {
 }
 
 // Get returns the memoized result for (segment, query), running fn to fill
-// it on first use and charging it resultBytes. Errors are not part of the
-// contract — query execution over an in-memory segment cannot fail — so fn
-// returns only a value.
+// it on first use and charging it resultBytes plus the key's own bytes: the
+// query string carries request parameters verbatim (a category, a region),
+// so a key can be far larger than the answer it maps to. Errors are not
+// part of the contract — query execution over an in-memory segment cannot
+// fail — so fn returns only a value.
 func (c *Cache) Get(segment, query string, fn func() any) any {
 	if c == nil {
 		return fn()
@@ -61,7 +63,7 @@ func (c *Cache) Get(segment, query string, fn func() any) any {
 	defer c.publish()
 	return c.lru.Get(cacheKey{segment, query}, func() (any, int64) {
 		v := fn()
-		return v, resultBytes(v)
+		return v, resultBytes(v) + int64(len(segment)+len(query))
 	})
 }
 

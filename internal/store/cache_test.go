@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -209,6 +210,36 @@ func TestResultCacheBounded(t *testing.T) {
 	}
 	if s := c.lru.Stats(); s.Evictions == 0 || c.Len() >= 500*len(segs) {
 		t.Errorf("500 distinct regions evicted nothing: %+v", s)
+	}
+}
+
+// TestResultCacheChargesKeys: a cache key holds the request's category
+// verbatim, so four hundred counts over distinct kilobyte-long categories
+// are four hundred kilobyte-long keys per segment beside 40-byte answers.
+// The cache must charge what it holds for them and evict; charging the
+// answers alone it would report 64,000 bytes for 1.6 MB and never evict.
+func TestResultCacheChargesKeys(t *testing.T) {
+	perClip, _, ctx, _ := shardedFixture(8)
+	sh, err := NewSharded("test", ctx, SplitSegments(perClip, ctx, 2), NewCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		budget   = 64 << 10 // as TestResultCacheBounded: the production budget at test scale
+		catBytes = 1 << 10
+	)
+	c := sh.Cache()
+	c.lru = lru.New[cacheKey, any](budget)
+	for i := 0; i < 400; i++ {
+		sh.CountTracks(fmt.Sprintf("%0*d", catBytes, i))
+		if s := c.lru.Stats(); s.Bytes > budget || s.Bytes < s.Entries*catBytes {
+			t.Fatalf("call %d: %d entries, each keyed by %d bytes of category, are charged %d bytes (budget %d)",
+				i, s.Entries, catBytes, s.Bytes, budget)
+		}
+	}
+	if s := c.lru.Stats(); s.Entries > budget/catBytes || s.Evictions == 0 {
+		t.Errorf("400 distinct %d-byte categories over %d segments left %+v in a %d-byte cache",
+			catBytes, len(sh.Segments()), s, budget)
 	}
 }
 

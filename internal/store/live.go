@@ -89,10 +89,6 @@ func (l *Live) assemble() *Sharded {
 // further clips append. Live implements Provider.
 func (l *Live) Snapshot() Querier { return l.cur.Load() }
 
-// Shards returns the current snapshot with its concrete type, for callers
-// that need manifest or segment access.
-func (l *Live) Shards() *Sharded { return l.cur.Load() }
-
 // Clips returns the number of clips in the current snapshot.
 func (l *Live) Clips() int { return l.cur.Load().Clips() }
 

@@ -45,7 +45,7 @@ func TestLiveIncrementalMatchesFullRebuild(t *testing.T) {
 				t.Fatalf("seed %d: Append returned clip index %d, want %d", seed, got, k)
 			}
 			full := New(perClip[:k+1], ctx)
-			snap := l.Shards()
+			snap := l.Snapshot().(*Sharded)
 			if !reflect.DeepEqual(flatClips(snap), full.clips) {
 				t.Fatalf("seed %d: after %d appends, incremental indexes diverge from full rebuild", seed, k+1)
 			}
@@ -69,7 +69,7 @@ func TestLiveSealsSegments(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Append(genTracks(r, 8, ctx.Frames, ctx))
 	}
-	sh := l.Shards()
+	sh := l.Snapshot().(*Sharded)
 	segs := sh.Segments()
 	if len(segs) != 3 {
 		t.Fatalf("after 5 appends at sealEvery=2: %d segments, want 3 (2 sealed + open)", len(segs))
@@ -86,17 +86,11 @@ func TestLiveSealsSegments(t *testing.T) {
 	if m.Dataset != "cam0" || m.Clips != 5 {
 		t.Fatalf("manifest = %+v, want dataset cam0 with 5 clips", m)
 	}
-	next := 0
-	for _, si := range m.Segments {
-		if si.StartClip != next {
-			t.Fatalf("manifest segment %q starts at %d, want %d", si.ID, si.StartClip, next)
-		}
-		next += si.Clips
-	}
+	requireTiling(t, m)
 	// Sealed segments are shared by identity across snapshots.
 	l.Append(genTracks(r, 4, ctx.Frames, ctx))
 	for i := 0; i < 2; i++ {
-		if l.Shards().Segments()[i] != segs[i] {
+		if l.Snapshot().(*Sharded).Segments()[i] != segs[i] {
 			t.Errorf("sealed segment %d was rebuilt on append; want shared", i)
 		}
 	}

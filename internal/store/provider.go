@@ -12,25 +12,49 @@ import (
 
 // Querier is the read-side query surface shared by a single *Store and a
 // segmented *Sharded: one result element per clip for every dataset-wide
-// query, exactly the shape TrackSet's scan queries produce. Everything
-// above the store (the public TrackSet facade, serve.QueryAPI, the otifd
+// query, exactly the shape the scan queries produce. Everything above the
+// store (the public TrackSet, which embeds one, serve.QueryAPI, the otifd
 // daemon) speaks Querier, so callers cannot tell a monolithic index from a
 // scatter-gather over segments — the differential tests pin the answers
 // bit-identical.
 type Querier interface {
+	// Context is the clip geometry: frame rate, nominal size, frames per clip.
 	Context() query.Context
+	// Clips is the number of clips; Tracks is one clip's tracks (shared,
+	// read-only).
 	Clips() int
 	Tracks(clip int) []*query.Track
 
+	// CountTracks returns, per clip, the number of tracks of the category
+	// (empty for all categories): the paper's track count query.
 	CountTracks(cat string) []int
+	// PathBreakdown counts, per clip, the category tracks following each
+	// movement (the turning-movement count query).
 	PathBreakdown(cat string, movements []query.Movement, maxEndpointDist float64) []map[string]int
+	// VisibleBoxes returns the category boxes visible at one frame of one
+	// clip, with the tracks that own them.
 	VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, []*query.Track)
+	// LimitQuery returns, per clip, up to limit frames satisfying pred, at
+	// least minSepFrames apart.
 	LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch
+	// AvgVisible returns, per clip, the average number of category objects
+	// visible per frame (example exploratory query (3) of §3).
 	AvgVisible(cat string) []float64
+	// BusyFrames returns, per clip, the frames with at least nA objects of
+	// catA and nB objects of catB visible (example exploratory query (2)).
 	BusyFrames(catA string, nA int, catB string, nB int) [][]int
+	// CoOccurrences returns, per clip, the total count of frame-wise pairs
+	// of category objects within dist of each other.
 	CoOccurrences(cat string, dist float64) []int
+	// DwellTime returns, per clip, the seconds each category track spends
+	// inside the region, keyed by track ID.
 	DwellTime(cat string, region geom.Polygon) []map[int]float64
+	// HardBraking returns, per clip, the tracks whose maximum deceleration
+	// exceeds the threshold in nominal pixels per second squared (example
+	// exploratory query (1)).
 	HardBraking(decelThreshold float64) [][]*query.Track
+	// Speeding returns, per clip, the tracks whose median speed exceeds the
+	// threshold in nominal pixels per second.
 	Speeding(threshold float64) [][]*query.Track
 }
 

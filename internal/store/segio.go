@@ -87,6 +87,10 @@ func OpenSegmentsDir(dir string, cache *Cache) (map[string]*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("read segment %s: %w", path, err)
 		}
+		if meta.Dataset == "" {
+			// A registry entry needs a name; "" selects the default dataset.
+			return nil, fmt.Errorf("read segment %s: header carries no dataset name", path)
+		}
 		byDataset[meta.Dataset] = append(byDataset[meta.Dataset], loaded{meta, perClip})
 	}
 	out := make(map[string]*Sharded, len(byDataset))

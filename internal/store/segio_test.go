@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"otif/internal/persist"
 	"otif/internal/query"
 )
 
@@ -155,5 +158,109 @@ func TestOpenSegmentsDirEmpty(t *testing.T) {
 	}
 	if len(byDataset) != 0 {
 		t.Errorf("empty dir produced datasets %v", byDataset)
+	}
+}
+
+// TestOpenSegmentsDirRejectsUnnamedDataset: a segment whose header names no
+// dataset has no registry entry to go under; the error names the file.
+func TestOpenSegmentsDirRejectsUnnamedDataset(t *testing.T) {
+	perClip, _, ctx, _ := shardedFixture(9)
+	dir := t.TempDir()
+	paths, err := ExportSegments(dir, "", ctx, perClip, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSegmentsDir(dir, nil); err == nil || !strings.Contains(err.Error(), paths[0]) {
+		t.Errorf("OpenSegmentsDir over an unnamed dataset's segment: err = %v, want one naming %s", err, paths[0])
+	}
+}
+
+// FuzzOpenSegmentsDir holds the directory loader to its contract on
+// arbitrary files: never a panic, and an error or a map with no unnamed
+// dataset in which every shard set tiles its clip range. The two inputs are
+// written as a.otifseg and (when not empty) b.otifseg. Seeds are valid and
+// broken pairs; the committed corpus is in testdata/fuzz/FuzzOpenSegmentsDir.
+func FuzzOpenSegmentsDir(f *testing.F) {
+	for _, pair := range segmentsDirSeeds(f) {
+		f.Add(pair[0], pair[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "a"+SegmentExt), a, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > 0 {
+			if err := os.WriteFile(filepath.Join(dir, "b"+SegmentExt), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		byDataset, err := OpenSegmentsDir(dir, nil)
+		if err != nil {
+			return
+		}
+		for name, sh := range byDataset {
+			if name == "" {
+				t.Fatal("a dataset without a name was accepted")
+			}
+			requireTiling(t, sh.Manifest())
+		}
+	})
+}
+
+// requireTiling fails unless the manifest's segments tile [0, Clips) in
+// order.
+func requireTiling(t *testing.T, m Manifest) {
+	t.Helper()
+	next := 0
+	for _, si := range m.Segments {
+		if si.StartClip != next {
+			t.Fatalf("dataset %q: segment %q starts at clip %d, want %d", m.Dataset, si.ID, si.StartClip, next)
+		}
+		next += si.Clips
+	}
+	if m.Clips != next {
+		t.Fatalf("dataset %q: %d clips reported, segments cover %d", m.Dataset, m.Clips, next)
+	}
+}
+
+// segmentsDirSeeds are FuzzOpenSegmentsDir's seeds, named as their copies in
+// the committed corpus are.
+func segmentsDirSeeds(t testing.TB) map[string][2][]byte {
+	// Four clips of one to three short tracks: the corpus holds each seed
+	// twice over, so the files stay around a kilobyte.
+	ctx := testCtx()
+	r := rand.New(rand.NewSource(10))
+	perClip := make([][]*query.Track, 4)
+	for c := range perClip {
+		perClip[c] = genTracks(r, 1+c%3, 12, ctx)
+	}
+	encode := func(meta persist.SegmentMeta, clips [][]*query.Track) []byte {
+		meta.FPS, meta.NomW, meta.NomH = ctx.FPS, ctx.NomW, ctx.NomH
+		if meta.Frames == 0 {
+			meta.Frames = ctx.Frames
+		}
+		var buf bytes.Buffer
+		if err := persist.WriteSegment(&buf, meta, clips); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0)}, perClip[:2])
+	second := encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(1), StartClip: 2}, perClip[2:])
+	return map[string][2][]byte{
+		"one_segment":       {first, nil},
+		"two_tile":          {first, second},
+		"two_tile_reversed": {second, first},
+		"two_datasets":      {first, encode(persist.SegmentMeta{Dataset: "cam1", ID: SegmentID(0)}, perClip[2:])},
+		"gap":               {first, encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(1), StartClip: 3}, perClip[2:])},
+		"overlap":           {first, first},
+		"starts_late":       {second, nil},
+		"negative_start":    {encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0), StartClip: -1}, perClip[:2]), nil},
+		"context_differs":   {first, encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(1), StartClip: 2, Frames: ctx.Frames + 1}, perClip[2:])},
+		"unnamed_dataset":   {encode(persist.SegmentMeta{ID: SegmentID(0)}, perClip[:2]), nil},
+		"no_clips":          {encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0)}, nil), nil},
+		"truncated":         {first[:len(first)/2], second},
+		"not_a_segment":     {[]byte("OTIFTRK2"), nil},
+		"empty_file":        {nil, nil},
 	}
 }

@@ -188,7 +188,7 @@ func sampleNegatives(tracks []*Track, exclude *Track, frameIdx, n int, rng *rand
 			continue
 		}
 		for _, d := range t.Dets {
-			if abs(d.FrameIdx-frameIdx) <= 2 {
+			if max(d.FrameIdx-frameIdx, frameIdx-d.FrameIdx) <= 2 {
 				cands = append(cands, d)
 			}
 		}
@@ -198,11 +198,4 @@ func sampleNegatives(tracks []*Track, exclude *Track, frameIdx, n int, rng *rand
 		cands = cands[:n]
 	}
 	return cands
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

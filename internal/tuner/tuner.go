@@ -287,17 +287,8 @@ func buildCache(sys *core.System, metric core.Metric, opts Options) *cache {
 			scores: make([][][]float64, len(sys.Proxies)),
 			acct:   costmodel.NewAccountant(),
 		}
-		detW, detH := sys.Best.DetRes(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH)
-		reader := video.NewReader(ct.Clip, sys.Best.Gap, detW, detH, cc.acct)
-		detector := &detect.Detector{
-			Cfg: detect.Config{
-				Arch: sys.Best.Arch, Width: detW, Height: detH,
-				ConfThresh: sys.Best.DetConf,
-			},
-			Background: sys.Background,
-			Classify:   sys.Classifier,
-			Acct:       cc.acct,
-		}
+		detector := sys.Detector(sys.Best, cc.acct)
+		reader := video.NewReader(ct.Clip, sys.Best.Gap, detector.Cfg.Width, detector.Cfg.Height, cc.acct)
 		for {
 			frame, idx := reader.Next()
 			if frame == nil {

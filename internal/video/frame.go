@@ -102,13 +102,6 @@ func (f *Frame) ScaleToStored(r geom.Rect) geom.Rect {
 	return geom.Rect{X: r.X * sx, Y: r.Y * sy, W: r.W * sx, H: r.H * sy}
 }
 
-// ScaleToNominal converts a stored-pixel rectangle to nominal coordinates.
-func (f *Frame) ScaleToNominal(r geom.Rect) geom.Rect {
-	sx := float64(f.NomW) / float64(f.W)
-	sy := float64(f.NomH) / float64(f.H)
-	return geom.Rect{X: r.X * sx, Y: r.Y * sy, W: r.W * sx, H: r.H * sy}
-}
-
 // Downsample returns the frame box-filtered to stored resolution w x h.
 // The nominal resolution is preserved, so geometry remains comparable
 // across resolutions. Upsampling requests are served by nearest-neighbor.
@@ -227,34 +220,6 @@ func spanMeans[T uint32 | uint64](dst []uint8, prefix, lo, hi []T, rows T) {
 		l, h := lo[x], hi[x]
 		dst[x] = uint8((prefix[h] - prefix[l]) / ((h - l) * rows))
 	}
-}
-
-// Crop returns the sub-frame covering the given nominal-coordinate
-// rectangle, clipped to the frame. The crop keeps the same pixel density
-// and its nominal size matches the (clipped) requested region.
-func (f *Frame) Crop(r geom.Rect) *Frame {
-	r = r.Clip(f.Bounds())
-	s := f.ScaleToStored(r)
-	x0, y0 := int(s.X), int(s.Y)
-	x1, y1 := int(s.MaxX()+0.5), int(s.MaxY()+0.5)
-	if x1 <= x0 {
-		x1 = x0 + 1
-	}
-	if y1 <= y0 {
-		y1 = y0 + 1
-	}
-	if x1 > f.W {
-		x1 = f.W
-	}
-	if y1 > f.H {
-		y1 = f.H
-	}
-	w, h := x1-x0, y1-y0
-	out := NewFrame(w, h, int(r.W+0.5), int(r.H+0.5))
-	for y := 0; y < h; y++ {
-		copy(out.Pix[y*w:(y+1)*w], f.Pix[(y0+y)*f.W+x0:(y0+y)*f.W+x1])
-	}
-	return out
 }
 
 // SharedMeanStd returns the full-frame mean and standard deviation,

@@ -2,7 +2,6 @@ package video
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"otif/internal/geom"
@@ -92,34 +91,10 @@ func TestDownsamplePanicsOnBadSize(t *testing.T) {
 	testFrame(4, 4).Downsample(0, 4)
 }
 
-func TestScaleRoundtrip(t *testing.T) {
+func TestScaleToStored(t *testing.T) {
 	f := NewFrame(100, 50, 400, 200)
-	r := geom.Rect{X: 40, Y: 20, W: 80, H: 40}
-	s := f.ScaleToStored(r)
-	back := f.ScaleToNominal(s)
-	if math.Abs(back.X-r.X) > 1e-9 || math.Abs(back.W-r.W) > 1e-9 {
-		t.Errorf("scale roundtrip %v -> %v", r, back)
-	}
-}
-
-func TestCrop(t *testing.T) {
-	f := NewFrame(10, 10, 100, 100)
-	for y := 0; y < 10; y++ {
-		for x := 0; x < 10; x++ {
-			f.Set(x, y, uint8(y*10+x))
-		}
-	}
-	c := f.Crop(geom.Rect{X: 20, Y: 30, W: 30, H: 20})
-	if c.W != 3 || c.H != 2 {
-		t.Fatalf("crop size %dx%d, want 3x2", c.W, c.H)
-	}
-	if c.At(0, 0) != f.At(2, 3) {
-		t.Errorf("crop content mismatch: %d vs %d", c.At(0, 0), f.At(2, 3))
-	}
-	// Crop clipped to bounds never panics and stays non-empty.
-	c2 := f.Crop(geom.Rect{X: 90, Y: 90, W: 50, H: 50})
-	if c2.W < 1 || c2.H < 1 {
-		t.Error("clipped crop must be non-empty")
+	if got, want := f.ScaleToStored(geom.Rect{X: 40, Y: 20, W: 80, H: 40}), (geom.Rect{X: 10, Y: 5, W: 20, H: 10}); got != want {
+		t.Errorf("ScaleToStored = %v, want %v", got, want)
 	}
 }
 

@@ -287,23 +287,3 @@ func (w *World) VisibleAt(frameIdx int) []GroundTruth {
 func (w *World) FrameCount() int {
 	return int(w.Duration * float64(w.Cfg.FPS))
 }
-
-// TrueTrack returns the ground-truth trajectory of object id sampled once
-// per frame, along with the frame indices at which it is visible. The
-// second return is nil if the object is never visible.
-func (w *World) TrueTrack(id int) (geom.Path, []int) {
-	if id < 0 || id >= len(w.Objects) {
-		return nil, nil
-	}
-	o := &w.Objects[id]
-	var path geom.Path
-	var frames []int
-	for f := 0; f < w.FrameCount(); f++ {
-		t := float64(f) / float64(w.Cfg.FPS)
-		if box, ok := w.stateAt(o, t); ok {
-			path = append(path, box.Center())
-			frames = append(frames, f)
-		}
-	}
-	return path, frames
-}

@@ -206,27 +206,6 @@ func TestRenderObjectsAreVisible(t *testing.T) {
 	t.Skip("no visible objects in any frame")
 }
 
-func TestTrueTrack(t *testing.T) {
-	w := NewWorld(testConfig(), 20, 17)
-	if len(w.Objects) == 0 {
-		t.Skip("no objects")
-	}
-	for id := range w.Objects {
-		path, frames := w.TrueTrack(id)
-		if len(path) != len(frames) {
-			t.Fatalf("path/frames length mismatch: %d vs %d", len(path), len(frames))
-		}
-		for i := 1; i < len(frames); i++ {
-			if frames[i] <= frames[i-1] {
-				t.Fatal("frames not increasing")
-			}
-		}
-	}
-	if p, f := w.TrueTrack(-1); p != nil || f != nil {
-		t.Error("invalid id should return nil")
-	}
-}
-
 func TestFrameCount(t *testing.T) {
 	w := NewWorld(testConfig(), 6, 1)
 	if w.FrameCount() != 60 {

@@ -1,7 +1,6 @@
 package otif
 
 import (
-	"io"
 	"log/slog"
 
 	"otif/internal/obs"
@@ -21,14 +20,11 @@ type MetricsSnapshot = obs.MetricsSnapshot
 // Snapshot captures the current state of the metrics registry. Integer
 // counters and per-op cost totals are deterministic for a given sequence of
 // operations at any worker count; cache gauges depend on worker
-// interleaving and are observational only.
+// interleaving and are observational only. Bracketing one extraction
+// between Metrics().Reset() and Snapshot yields that extraction's exact
+// per-stage cost breakdown: the snapshot's CostTotal() equals the
+// extraction's Runtime bit-for-bit.
 func Snapshot() MetricsSnapshot { return obs.Default.Snapshot() }
-
-// ResetMetrics zeroes every registered metric while keeping the registered
-// handles valid. Bracketing one extraction between ResetMetrics and
-// Snapshot yields that extraction's exact per-stage cost breakdown: the
-// snapshot's CostTotal() equals the extraction's Runtime bit-for-bit.
-func ResetMetrics() { obs.Default.Reset() }
 
 // SetLogger installs a process-wide structured logger (or removes it with
 // nil, the default). The pipeline logs only at coarse boundaries — a
@@ -49,22 +45,3 @@ func SetLogger(l *slog.Logger) { obs.SetLogger(l) }
 // sites read no clocks and do not allocate, keeping deterministic paths
 // clock-free.
 func EnableTracing(max int) *obs.Recorder { return obs.EnableTracing(max) }
-
-// DisableTracing removes the process-wide flight recorder.
-func DisableTracing() { obs.SetRecorder(nil) }
-
-// WriteTrace writes the flight recorder's retained spans and ring
-// statistics as JSON (the "otif" trace format); with tracing disabled it
-// writes an empty span list.
-func WriteTrace(w io.Writer) error {
-	return obs.CurrentRecorder().WriteJSON(w)
-}
-
-// WriteChromeTrace writes the flight recorder's retained spans in Chrome
-// trace-event JSON, loadable directly in Perfetto (ui.perfetto.dev) or
-// chrome://tracing: one lane per worker or camera, span attributes in
-// each event's args. With tracing disabled it writes an empty (but valid)
-// trace.
-func WriteChromeTrace(w io.Writer) error {
-	return obs.CurrentRecorder().WriteChrome(w)
-}

@@ -2,17 +2,14 @@ package otif
 
 import "otif/internal/obs"
 
-// ProgressFunc receives structured progress events from tuning and
-// extraction: one event per finished clip of an extraction, one per tuner
-// iteration, one per evaluated candidate, and cache hit-rate snapshots.
+// ProgressFunc receives structured progress events (obs.Event; see the kind
+// constants re-exported below) from tuning and extraction: one event per
+// finished clip of an extraction, one per tuner iteration, one per
+// evaluated candidate, and cache hit-rate snapshots.
 // Events are observational only — they never change results — and may be
 // delivered concurrently from parallel clip workers, so the callback must
 // be safe for concurrent use.
 type ProgressFunc = obs.Progress
-
-// ProgressEvent is one structured progress event; see the obs.Event* kind
-// constants re-exported below.
-type ProgressEvent = obs.Event
 
 // EventKind names a progress event type.
 type EventKind = obs.EventKind

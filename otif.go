@@ -8,6 +8,7 @@ import (
 	"otif/internal/dataset"
 	"otif/internal/parallel"
 	"otif/internal/query"
+	"otif/internal/store"
 	"otif/internal/tuner"
 	"otif/internal/video"
 )
@@ -17,9 +18,6 @@ import (
 // are bit-for-bit identical at any worker count; SetParallelism(1) forces
 // the serial reference path.
 func SetParallelism(n int) { parallel.SetWorkers(n) }
-
-// Parallelism reports the current worker count.
-func Parallelism() int { return parallel.Workers() }
 
 // SetCacheMB sets the byte budget (in MiB) of the process-wide frame cache
 // that serves repeated downsamples and clip-frame reads on the per-frame
@@ -158,10 +156,9 @@ func (p *Pipeline) Extract(ctx context.Context, cfg Config, set SetName) (*Track
 		return nil, err
 	}
 	return &TrackSet{
-		PerClip: res.PerClip,
+		Querier: store.New(res.PerClip, p.sys.Ctx()),
 		Runtime: res.Runtime,
 		Dataset: p.sys.DS.Name,
-		ctx:     p.sys.Ctx(),
 	}, nil
 }
 
@@ -172,10 +169,10 @@ func (p *Pipeline) Accuracy(ts *TrackSet, set SetName) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(clips) != len(ts.PerClip) {
-		return 0, fmt.Errorf("otif: track set has %d clips, %s set has %d", len(ts.PerClip), set, len(clips))
+	if len(clips) != ts.Clips() {
+		return 0, fmt.Errorf("otif: track set has %d clips, %s set has %d", ts.Clips(), set, len(clips))
 	}
-	return p.metric.Accuracy(ts.PerClip, clips), nil
+	return p.metric.Accuracy(ts.perClip(), clips), nil
 }
 
 // Movements returns the dataset's labeled spatial movements (for path

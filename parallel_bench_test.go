@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"otif"
 	"otif/internal/bench"
 	"otif/internal/core"
 	"otif/internal/dataset"
@@ -112,7 +111,6 @@ func BenchmarkSuiteParallel(b *testing.B) {
 // extraction over the test set with the default worker pool.
 func BenchmarkPipelineExtractParallel(b *testing.B) {
 	sys := benchSystem(b)
-	_ = otif.Parallelism() // exercise the public accessor
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.RunSet(sys.Best, sys.DS.Test)

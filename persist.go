@@ -33,11 +33,12 @@ func (p *Pipeline) LoadModels(r io.Reader) error {
 // arguments. n is the number of bytes written.
 func (ts *TrackSet) WriteTo(w io.Writer) (n int64, err error) {
 	cw := &countWriter{w: w}
-	err = persist.WriteTracksV2(cw, ts.PerClip, persist.TrackMeta{
-		FPS:     ts.ctx.FPS,
-		NomW:    ts.ctx.NomW,
-		NomH:    ts.ctx.NomH,
-		Frames:  ts.ctx.Frames,
+	ctx := ts.Context()
+	err = persist.WriteTracksV2(cw, ts.perClip(), persist.TrackMeta{
+		FPS:     ctx.FPS,
+		NomW:    ctx.NomW,
+		NomH:    ctx.NomH,
+		Frames:  ctx.Frames,
 		Dataset: ts.Dataset,
 	})
 	return cw.n, err
@@ -50,7 +51,7 @@ func (ts *TrackSet) WriteTo(w io.Writer) (n int64, err error) {
 // answers every /v1/query/* request byte-identically to the exporting
 // process. It returns the written paths in segment order.
 func (ts *TrackSet) ExportSegments(dir string, clipsPerSegment int) ([]string, error) {
-	return store.ExportSegments(dir, ts.Dataset, ts.ctx, ts.PerClip, clipsPerSegment)
+	return store.ExportSegments(dir, ts.Dataset, ts.Context(), ts.perClip(), clipsPerSegment)
 }
 
 // ReadTrackSet loads a track set written by WriteTo. The file is
@@ -60,13 +61,8 @@ func ReadTrackSet(r io.Reader) (*TrackSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TrackSet{
-		PerClip: perClip,
-		Dataset: meta.Dataset,
-		ctx: query.Context{
-			FPS: meta.FPS, NomW: meta.NomW, NomH: meta.NomH, Frames: meta.Frames,
-		},
-	}, nil
+	ctx := query.Context{FPS: meta.FPS, NomW: meta.NomW, NomH: meta.NomH, Frames: meta.Frames}
+	return &TrackSet{Querier: store.New(perClip, ctx), Dataset: meta.Dataset}, nil
 }
 
 type countWriter struct {

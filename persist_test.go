@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"otif"
 	"otif/internal/persist"
+	"otif/internal/store"
 )
 
 func TestPipelinePersistenceRoundtrip(t *testing.T) {
@@ -150,6 +152,89 @@ func TestTrackSetV2SelfDescribing(t *testing.T) {
 	}
 }
 
+// nineKinds answers every query kind from one store, the limit query with
+// its separation in frames (the store's own method, the same for every
+// source).
+func nineKinds(q store.Querier, movements []otif.Movement) map[string]any {
+	ctx := q.Context()
+	w, h := float64(ctx.NomW), float64(ctx.NomH)
+	region := otif.Polygon{{X: 0.1 * w, Y: 0.1 * h}, {X: 0.9 * w, Y: 0.1 * h}, {X: 0.9 * w, Y: 0.9 * h}, {X: 0.1 * w, Y: 0.9 * h}}
+	return map[string]any{
+		"count":      q.CountTracks("car"),
+		"breakdown":  q.PathBreakdown("car", movements, 0.22*w),
+		"limit":      q.LimitQuery("car", otif.CountPredicate{N: 1}, 3, ctx.FPS),
+		"avgvisible": q.AvgVisible("car"),
+		"busy":       q.BusyFrames("car", 1, "", 2),
+		"cooccur":    q.CoOccurrences("", 0.3*w),
+		"dwell":      q.DwellTime("car", region),
+		"braking":    q.HardBraking(50),
+		"speeding":   q.Speeding(10),
+	}
+}
+
+// TestTrackSetRoundTripsAnswerEveryKind pins both ways a track set leaves
+// the process: Extract -> WriteTo -> ReadTrackSet and Extract ->
+// ExportSegments -> OpenSegmentsDir answer all nine query kinds exactly as
+// the extracted set does.
+func TestTrackSetRoundTripsAnswerEveryKind(t *testing.T) {
+	pipe, curve := pipeline(t)
+	pick, err := otif.PickFastestWithin(curve, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := nineKinds(ts.Querier, pipe.Movements())
+	for kind, v := range want {
+		if reflect.ValueOf(v).Len() != ts.Clips() {
+			t.Fatalf("%s answered %d clips, the set has %d", kind, reflect.ValueOf(v).Len(), ts.Clips())
+		}
+	}
+	cars := 0
+	for _, n := range want["count"].([]int) {
+		cars += n
+	}
+	if cars == 0 {
+		t.Fatal("extraction found no car: every comparison below would be vacuous")
+	}
+	check := func(source string, q store.Querier) {
+		t.Helper()
+		for kind, got := range nineKinds(q, pipe.Movements()) {
+			if !reflect.DeepEqual(got, want[kind]) {
+				t.Errorf("%s: %s = %v, extracted set answers %v", source, kind, got, want[kind])
+			}
+		}
+	}
+
+	var buf bytes.Buffer
+	if _, err := ts.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reread, err := otif.ReadTrackSet(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reread.Dataset != ts.Dataset || reread.Context() != ts.Context() {
+		t.Errorf("reread header = %q %+v, want %q %+v", reread.Dataset, reread.Context(), ts.Dataset, ts.Context())
+	}
+	check("track file", reread.Querier)
+
+	dir := t.TempDir()
+	if paths, err := ts.ExportSegments(dir, 2); err != nil || len(paths) != 2 {
+		t.Fatalf("ExportSegments = %v, %v; want 2 files for 3 clips", paths, err)
+	}
+	shards, err := store.OpenSegmentsDir(dir, store.NewCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 1 || shards[ts.Dataset] == nil {
+		t.Fatalf("OpenSegmentsDir found datasets %v, want only %q", shards, ts.Dataset)
+	}
+	check("segment files", shards[ts.Dataset])
+}
+
 // TestTrackSetV1Rejected asserts the retired headerless format is refused
 // by its magic rather than loaded with zero-length clips.
 func TestTrackSetV1Rejected(t *testing.T) {
@@ -225,13 +310,7 @@ func TestAnalyticsQueries(t *testing.T) {
 	}
 
 	// TrackSpeed on a real track is positive.
-	for _, clip := range ts.PerClip {
-		for _, tr := range clip {
-			if st := ts.TrackSpeed(tr); st.Mean <= 0 {
-				t.Error("zero mean speed for a moving track")
-			}
-			break
-		}
-		break
+	if st := ts.TrackSpeed(ts.Tracks(0)[0]); st.Mean <= 0 {
+		t.Error("zero mean speed for a moving track")
 	}
 }
