@@ -3,8 +3,10 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -428,6 +430,62 @@ func TestHostileModelBundleAllocatesLittle(t *testing.T) {
 	}
 }
 
+// framesTrack is track 7 with one detection per given frame index.
+func framesTrack(frames ...int) [][]*query.Track {
+	tr := &query.Track{ID: 7, Category: "car"}
+	for _, f := range frames {
+		tr.Dets = append(tr.Dets, detect.Detection{FrameIdx: f, Box: geom.Rect{X: 10, Y: 10, W: 40, H: 20}, Score: 1, Category: "car"})
+	}
+	return [][]*query.Track{{tr}}
+}
+
+// hostileFrameIndexTracks is the file the frame-index rule exists for: two
+// detections, at frames 0 and 1<<40, under a header that gives no clip
+// length. The store keeps frame indices as int32 and DwellTime loops from a
+// track's first frame to its last.
+func hostileFrameIndexTracks() [][]*query.Track { return framesTrack(0, 1<<40) }
+
+// TestReadersRejectHostileFrameIndices: both readers refuse a detection
+// whose frame index is negative, below its predecessor's, at or past the
+// header's clip length, or past the int32 range when the header gives no
+// length, with an error that names the track; equal neighbours and the last
+// frame of the clip are accepted.
+func TestReadersRejectHostileFrameIndices(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		frames   int // header's clip length
+		dets     []int
+		accepted bool
+	}{
+		{"negative", 100, []int{-1, 3}, false},
+		{"decreasing", 100, []int{5, 4}, false},
+		{"at clip length", 100, []int{0, 100}, false},
+		{"past int32 without a clip length", 0, []int{0, math.MaxInt32 + 1}, false},
+		{"1<<40 without a clip length", 0, []int{0, 1 << 40}, false},
+		{"repeated and last frame", 100, []int{0, 0, 99, 99}, true},
+		{"int32 range without a clip length", 0, []int{0, math.MaxInt32}, true},
+	} {
+		perClip := framesTrack(tc.dets...)
+		var trk, seg bytes.Buffer
+		if err := WriteTracksV2(&trk, perClip, TrackMeta{FPS: 10, Frames: tc.frames, Dataset: "d"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteSegment(&seg, SegmentMeta{Dataset: "d", ID: "seg-00000", FPS: 10, Frames: tc.frames}, perClip); err != nil {
+			t.Fatal(err)
+		}
+		_, _, trkErr := ReadTracksAuto(bytes.NewReader(trk.Bytes()))
+		_, _, segErr := ReadSegment(bytes.NewReader(seg.Bytes()))
+		for reader, err := range map[string]error{"ReadTracksAuto": trkErr, "ReadSegment": segErr} {
+			switch {
+			case tc.accepted && err != nil:
+				t.Errorf("%s: %s refused the file: %v", tc.name, reader, err)
+			case !tc.accepted && (err == nil || !strings.Contains(err.Error(), "track 7")):
+				t.Errorf("%s: %s returned %v, want an error naming track 7", tc.name, reader, err)
+			}
+		}
+	}
+}
+
 // TestReadAllocsPerDetection bounds the heap allocations of decoding one
 // detection: its category string and the slice the bytes were read into,
 // with the growth of the detection slice amortised over the rest. The nine
@@ -461,8 +519,9 @@ func TestReadAllocsPerDetection(t *testing.T) {
 // FuzzReadTracksAuto holds the track reader to its contract on arbitrary
 // bytes: it never panics, and it returns either an error or a track set
 // whose re-encoding reads back to the same bytes. Seeds are a valid file,
-// truncations of it, a copy with a flipped checksum and the hostile-count
-// headers; the committed corpus is in testdata/fuzz/FuzzReadTracksAuto.
+// truncations of it, a copy with a flipped checksum, the hostile-count
+// headers and a detection at frame 1<<40; the committed corpus is in
+// testdata/fuzz/FuzzReadTracksAuto.
 func FuzzReadTracksAuto(f *testing.F) {
 	var buf bytes.Buffer
 	meta := TrackMeta{FPS: 10, NomW: 640, NomH: 360, Frames: 100, Dataset: "caldot1"}
@@ -480,6 +539,11 @@ func FuzzReadTracksAuto(f *testing.F) {
 	for _, data := range hostileTrackFiles(f) {
 		f.Add(data)
 	}
+	buf = bytes.Buffer{}
+	if err := WriteTracksV2(&buf, hostileFrameIndexTracks(), TrackMeta{FPS: 10, Dataset: "d"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 
 	encode := func(t *testing.T, perClip [][]*query.Track, meta *TrackMeta) []byte {
 		var buf bytes.Buffer
@@ -506,9 +570,9 @@ func FuzzReadTracksAuto(f *testing.F) {
 
 // FuzzReadSegment holds the segment reader to the same contract: never a
 // panic, and an error or a segment whose re-encoding reads back byte-equal.
-// Seeds are a valid segment, truncations of it, a flipped checksum and the
-// hostile-count bodies behind a segment header; the committed corpus is in
-// testdata/fuzz/FuzzReadSegment.
+// Seeds are a valid segment, truncations of it, a flipped checksum, the
+// hostile-count bodies behind a segment header and a detection at frame
+// 1<<40; the committed corpus is in testdata/fuzz/FuzzReadSegment.
 func FuzzReadSegment(f *testing.F) {
 	for _, data := range segmentSeeds(f) {
 		f.Add(data)
@@ -574,5 +638,10 @@ func segmentSeeds(t testing.TB) map[string][]byte {
 	for name, data := range hostile {
 		seeds["hostile_"+name+"_count"] = data
 	}
+	buf = bytes.Buffer{}
+	if err := WriteSegment(&buf, SegmentMeta{Dataset: "d", ID: "seg-00000", FPS: 10}, hostileFrameIndexTracks()); err != nil {
+		t.Fatal(err)
+	}
+	seeds["hostile_frame_index"] = buf.Bytes()
 	return seeds
 }

@@ -81,7 +81,7 @@ func ReadSegment(src io.Reader) (SegmentMeta, [][]*query.Track, error) {
 	if meta.StartClip < 0 {
 		return meta, nil, fmt.Errorf("%w (negative start clip %d)", ErrBadChecksum, meta.StartClip)
 	}
-	perClip, err := readTrackBody(r)
+	perClip, err := readTrackBody(r, meta.Frames)
 	if err != nil {
 		return meta, nil, err
 	}

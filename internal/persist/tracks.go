@@ -3,6 +3,7 @@ package persist
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"otif/internal/detect"
 	"otif/internal/geom"
@@ -99,7 +100,7 @@ func ReadTracksAuto(src io.Reader) ([][]*query.Track, *TrackMeta, error) {
 	if r.err != nil {
 		return nil, nil, r.err
 	}
-	perClip, err := readTrackBody(r)
+	perClip, err := readTrackBody(r, meta.Frames)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -112,7 +113,9 @@ func ReadTracksAuto(src io.Reader) ([][]*query.Track, *TrackMeta, error) {
 // start at most this long and grow as records actually arrive.
 const maxPrealloc = 1 << 10
 
-func readTrackBody(r *reader) ([][]*query.Track, error) {
+// readTrackBody reads the clips of a file whose header gave frames as the
+// clip length.
+func readTrackBody(r *reader, frames int) ([][]*query.Track, error) {
 	nClips := r.int()
 	if r.err != nil || nClips < 0 || nClips > 1<<20 {
 		return nil, badLen(r, nClips)
@@ -125,7 +128,7 @@ func readTrackBody(r *reader) ([][]*query.Track, error) {
 		}
 		tracks := make([]*query.Track, 0, min(nTracks, maxPrealloc))
 		for i := 0; i < nTracks; i++ {
-			t, err := readTrack(r)
+			t, err := readTrack(r, frames)
 			if err != nil {
 				return nil, err
 			}
@@ -139,7 +142,12 @@ func readTrackBody(r *reader) ([][]*query.Track, error) {
 	return out, nil
 }
 
-func readTrack(r *reader) (*query.Track, error) {
+// readTrack reads one track. Frame indices are held to what every reader of
+// a track assumes: they start at 0 or later, never decrease along the
+// track, stay inside the clip when the header gives its length, and fit the
+// store's 32-bit interval index either way. A per-frame loop over a track
+// is thereby bounded by the file's own header, not by one hostile number.
+func readTrack(r *reader, frames int) (*query.Track, error) {
 	t := &query.Track{
 		ID:       r.int(),
 		Category: r.str(),
@@ -149,6 +157,10 @@ func readTrack(r *reader) (*query.Track, error) {
 		return nil, badLen(r, nDets)
 	}
 	t.Dets = make([]detect.Detection, 0, min(nDets, maxPrealloc))
+	lowest, highest := 0, math.MaxInt32
+	if frames > 0 {
+		highest = min(frames-1, highest)
+	}
 	for i := 0; i < nDets; i++ {
 		d := detect.Detection{
 			FrameIdx: r.int(),
@@ -161,6 +173,11 @@ func readTrack(r *reader) (*query.Track, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
+		if d.FrameIdx < lowest || d.FrameIdx > highest {
+			return nil, fmt.Errorf("%w (track %d: detection %d is at frame %d, outside [%d, %d])",
+				ErrBadChecksum, t.ID, i, d.FrameIdx, lowest, highest)
+		}
+		lowest = d.FrameIdx
 		t.Dets = append(t.Dets, d)
 	}
 	nPath := r.int()

@@ -307,6 +307,10 @@ type FrameSource interface {
 	// belong to the source and are valid only until the next Advance:
 	// whatever outlives the frame must be copied.
 	Boxes() ([]geom.Rect, []*Track)
+	// MinLastFrame returns the smallest LastFrame among the tracks visible
+	// at the frame last advanced to: all a count-only limit query needs to
+	// rank the frame. It is asked only when Advance returned at least one.
+	MinLastFrame() int
 	// At is the point lookup: the boxes and owners visible at any frame,
 	// wherever the sweep stands, in fresh slices the caller may keep.
 	At(f int) ([]geom.Rect, []*Track)
@@ -327,6 +331,14 @@ func (s *scan) Advance(f int) int {
 }
 
 func (s *scan) Boxes() ([]geom.Rect, []*Track) { return s.boxes, s.owners }
+
+func (s *scan) MinLastFrame() int {
+	last := s.owners[0].LastFrame()
+	for _, t := range s.owners[1:] {
+		last = min(last, t.LastFrame())
+	}
+	return last
+}
 
 func (s *scan) At(f int) ([]geom.Rect, []*Track) { return VisibleBoxes(s.tracks, s.cat, f) }
 
@@ -351,30 +363,40 @@ type LimitScratch struct{ cands []limitCand }
 // LimitQueryFrom is LimitQuery over any frame source. It sweeps the clip
 // recording only (frame, minimum duration) per matching frame, ranks and
 // separates those, and then looks the at most limit chosen frames up
-// again for their boxes.
+// again for their boxes. A CountPredicate matches every visible box, so its
+// frames are ranked from the source's count and MinLastFrame alone, without
+// a box.
 func LimitQueryFrom(src FrameSource, pred FramePredicate, ctx Context, limit int, minSepFrames int, scratch *LimitScratch) []FrameMatch {
 	count, countOnly := pred.(CountPredicate)
 	cands := scratch.cands[:0]
 	for f := 0; f < ctx.Frames; f++ {
-		if n := src.Advance(f); countOnly && n < count.N {
-			continue // too few visible: rejected without a box
-		}
-		boxes, owners := src.Boxes()
-		matched, ok := pred.Eval(boxes)
-		if !ok {
-			continue
-		}
+		n := src.Advance(f)
+		// A frame nothing matched on (N <= 0 on an empty frame) keeps this.
 		minDur := math.MaxInt32
-		for i, b := range boxes {
-			// Does b equal some matched box? Try its own position first:
-			// a predicate that returns its input (CountPredicate) hits there.
-			hit := i < len(matched) && matched[i] == b
-			for k := 0; !hit && k < len(matched); k++ {
-				hit = matched[k] == b
+		if countOnly {
+			if n < count.N {
+				continue
 			}
-			if hit {
-				if d := owners[i].LastFrame() - f; d < minDur {
-					minDur = d
+			if n > 0 {
+				minDur = src.MinLastFrame() - f
+			}
+		} else {
+			boxes, owners := src.Boxes()
+			matched, ok := pred.Eval(boxes)
+			if !ok {
+				continue
+			}
+			for i, b := range boxes {
+				// Does b equal some matched box? Try its own position first:
+				// a predicate that keeps a prefix of its input hits there.
+				hit := i < len(matched) && matched[i] == b
+				for k := 0; !hit && k < len(matched); k++ {
+					hit = matched[k] == b
+				}
+				if hit {
+					if d := owners[i].LastFrame() - f; d < minDur {
+						minDur = d
+					}
 				}
 			}
 		}
@@ -417,16 +439,16 @@ func LimitQueryFrom(src FrameSource, pred FramePredicate, ctx Context, limit int
 func HardBraking(tracks []*Track, ctx Context, decelThreshold float64) []*Track {
 	var out []*Track
 	for _, t := range tracks {
-		if maxDecel(t, ctx.FPS) >= decelThreshold {
+		if MaxDecel(t, ctx.FPS) >= decelThreshold {
 			out = append(out, t)
 		}
 	}
 	return out
 }
 
-// maxDecel estimates the largest speed decrease rate along the track using
+// MaxDecel estimates the largest speed decrease rate along the track using
 // a smoothed finite-difference of consecutive segment speeds.
-func maxDecel(t *Track, fps int) float64 {
+func MaxDecel(t *Track, fps int) float64 {
 	n := len(t.Dets)
 	if n < 3 {
 		return 0

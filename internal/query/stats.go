@@ -16,11 +16,19 @@ type SpeedStats struct {
 // TrackSpeed computes per-segment speeds over a track and summarizes them.
 // Tracks with fewer than two detections have zero stats.
 func TrackSpeed(t *Track, fps int) SpeedStats {
+	scratch := make([]float64, 0, max(len(t.Dets)-1, 0))
+	return TrackSpeedScratch(t, fps, &scratch)
+}
+
+// TrackSpeedScratch is TrackSpeed with the per-segment speeds kept in
+// *scratch, so summarizing many tracks allocates only when one is longer
+// than every track before it.
+func TrackSpeedScratch(t *Track, fps int, scratch *[]float64) SpeedStats {
 	n := len(t.Dets)
 	if n < 2 || fps <= 0 {
 		return SpeedStats{}
 	}
-	speeds := make([]float64, 0, n-1)
+	speeds := (*scratch)[:0]
 	for i := 1; i < n; i++ {
 		dt := float64(t.Dets[i].FrameIdx-t.Dets[i-1].FrameIdx) / float64(fps)
 		if dt <= 0 {
@@ -29,6 +37,7 @@ func TrackSpeed(t *Track, fps int) SpeedStats {
 		d := t.Dets[i].Box.Center().Dist(t.Dets[i-1].Box.Center())
 		speeds = append(speeds, d/dt)
 	}
+	*scratch = speeds
 	if len(speeds) == 0 {
 		return SpeedStats{}
 	}

@@ -45,8 +45,8 @@ func BenchmarkLimitQueryScan(b *testing.B) {
 	}
 }
 
-// BenchmarkDwellIndexed measures region dwell through the grid-pruned
-// incremental interpolator.
+// BenchmarkDwellIndexed measures region dwell through the extent mask and
+// the pair walk.
 func BenchmarkDwellIndexed(b *testing.B) {
 	perClip, ctx := benchWorkload()
 	s := New(perClip, ctx)
@@ -73,6 +73,25 @@ func BenchmarkDwellScan(b *testing.B) {
 	}
 }
 
+// The track-level kinds: one comparison per track over a column of the
+// index, against the scan that derives the number from every detection.
+
+func BenchmarkSpeedingIndexed(b *testing.B) {
+	benchIndexed(b, func(s *Store) { s.Speeding(800) })
+}
+
+func BenchmarkSpeedingScan(b *testing.B) {
+	benchScan(b, func(tracks []*query.Track, ctx query.Context) { query.Speeding(tracks, ctx, 800) })
+}
+
+func BenchmarkHardBrakingIndexed(b *testing.B) {
+	benchIndexed(b, func(s *Store) { s.HardBraking(250) })
+}
+
+func BenchmarkHardBrakingScan(b *testing.B) {
+	benchScan(b, func(tracks []*query.Track, ctx query.Context) { query.HardBraking(tracks, ctx, 250) })
+}
+
 // BenchmarkIndexBuild measures the one-time cost the index amortizes.
 func BenchmarkIndexBuild(b *testing.B) {
 	perClip, ctx := benchWorkload()
@@ -91,6 +110,18 @@ func benchIndexed(b *testing.B, run func(s *Store)) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(s)
+	}
+}
+
+// benchScan times one linear scan over every clip of the benchWorkload.
+func benchScan(b *testing.B, run func(tracks []*query.Track, ctx query.Context)) {
+	perClip, ctx := benchWorkload()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tracks := range perClip {
+			run(tracks, ctx)
+		}
 	}
 }
 
@@ -134,6 +165,38 @@ func TestFrameQueryAllocGate(t *testing.T) {
 		// their matched list inside Eval on every frame they look at;
 		// that is theirs, not the sweep's, and is not gated here.)
 		{"LimitQuery", perClipBudget(80) + 32, func() { s.LimitQuery("car", query.CountPredicate{N: 3}, 5, ctx.FPS) }},
+	} {
+		if got := testing.AllocsPerRun(5, g.run); got > g.max {
+			t.Errorf("%s: %.0f allocs per call, want at most %.0f", g.name, got, g.max)
+		} else {
+			t.Logf("%s: %.0f allocs per call (budget %.0f)", g.name, got, g.max)
+		}
+	}
+}
+
+// TestTrackQueryAllocGate keeps the track-level kinds off the allocator.
+// Speeding and HardBraking read a column: they allocate the answer (one
+// slice per call, and per clip its track list growing by doubling) and
+// nothing per track; as scans they allocated a speeds slice per track,
+// 2000 a call here. DwellTime allocates, per call, the answer, one mask
+// that grows to the largest clip and the region's edge boxes, and per clip
+// its map growing with the tracks that dwell; nothing per track, pair or
+// frame.
+func TestTrackQueryAllocGate(t *testing.T) {
+	perClip, ctx := benchWorkload()
+	s := New(perClip, ctx)
+	region := randRegion(rand.New(rand.NewSource(1)), ctx)
+	perClipBudget := func(n int) float64 { return float64(n * len(perClip)) }
+	for _, g := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		// 500 tracks a clip: about ten doublings of the track list.
+		{"Speeding", perClipBudget(12) + 1, func() { s.Speeding(800) }},
+		{"HardBraking", perClipBudget(12) + 1, func() { s.HardBraking(250) }},
+		// A map of up to 500 entries is about twenty allocations.
+		{"DwellTime", perClipBudget(24) + 4, func() { s.DwellTime("car", region) }},
 	} {
 		if got := testing.AllocsPerRun(5, g.run); got > g.max {
 			t.Errorf("%s: %.0f allocs per call, want at most %.0f", g.name, got, g.max)

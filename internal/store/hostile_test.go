@@ -1,0 +1,182 @@
+package store
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"otif/internal/detect"
+	"otif/internal/geom"
+	"otif/internal/query"
+)
+
+// hostileWorld is one seed's 7-clip fixture for TestDifferentialHostile:
+// genTracks' mix (empty, single-detection and repeated-frame tracks among
+// the ordinary ones) plus, in clip 0, one track of a single detection and
+// one of two detections on the same frame.
+func hostileWorld(r *rand.Rand, ctx query.Context) [][]*query.Track {
+	perClip := [][]*query.Track{
+		genTracks(r, 10+r.Intn(25), ctx.Frames, ctx),
+		genTracks(r, r.Intn(8), ctx.Frames, ctx),
+		nil,
+		genTracks(r, 12, ctx.Frames, ctx),
+		genTracks(r, 1, ctx.Frames, ctx),
+		genTracks(r, 5+r.Intn(10), ctx.Frames, ctx),
+		genTracks(r, 6, ctx.Frames, ctx),
+	}
+	f := r.Intn(ctx.Frames)
+	perClip[0] = append(perClip[0],
+		&query.Track{ID: 1000, Category: "car", Dets: []detect.Detection{randDet(r, f, ctx)}},
+		&query.Track{ID: 1001, Category: "car", Dets: []detect.Detection{randDet(r, f, ctx), randDet(r, f, ctx)}},
+	)
+	return perClip
+}
+
+// hostileRegions is the list of regions TestDifferentialHostile asks about:
+// every shape geom.Polygon.Contains accepts without complaint, placed where
+// the pair walk's rectangle tests are most likely to disagree with it.
+func hostileRegions(r *rand.Rand, ctx query.Context, tracks []*query.Track) []geom.Polygon {
+	w, h := float64(ctx.NomW), float64(ctx.NomH)
+	pt := func() geom.Point { return geom.Point{X: r.Float64() * w, Y: r.Float64() * h} }
+	// A track with at least two detections, to aim regions at.
+	var aim *query.Track
+	for _, t := range tracks {
+		if len(t.Dets) >= 2 && (aim == nil || r.Intn(3) == 0) {
+			aim = t
+		}
+	}
+	c0, c1 := aim.Dets[0].Box.Center(), aim.Dets[1].Box.Center()
+	var ext geom.Rect
+	for _, d := range aim.Dets {
+		ext = ext.Union(d.Box)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	a, b, c, d := pt(), pt(), pt(), pt()
+	return []geom.Polygon{
+		randRegion(r, ctx),
+		// Concave (an arrowhead) and self-intersecting (a bow tie).
+		{{X: a.X, Y: a.Y}, {X: a.X + 200, Y: a.Y + 80}, {X: a.X, Y: a.Y + 160}, {X: a.X + 60, Y: a.Y + 80}},
+		{{X: b.X, Y: b.Y}, {X: b.X + 180, Y: b.Y + 120}, {X: b.X + 180, Y: b.Y}, {X: b.X, Y: b.Y + 120}},
+		{a, b, c, d, pt(), pt(), pt()}, // seven random vertices: usually both
+		// Fewer than three vertices.
+		nil,
+		{a},
+		{a, b},
+		// Zero area: one point three times, three collinear points.
+		{a, a, a},
+		{a, {X: (a.X + b.X) / 2, Y: (a.Y + b.Y) / 2}, b},
+		// A vertex exactly on a detection centre; an edge through two.
+		{c0, {X: c0.X + 90, Y: c0.Y}, {X: c0.X, Y: c0.Y + 90}},
+		{c0, c1, {X: (c0.X + c1.X) / 2, Y: (c0.Y+c1.Y)/2 + 70}},
+		// Touching the track's extent only along its right and bottom edges.
+		{{X: ext.MaxX(), Y: ext.Y}, {X: ext.MaxX() + 50, Y: ext.Y}, {X: ext.MaxX() + 50, Y: ext.MaxY()}, {X: ext.MaxX(), Y: ext.MaxY()}},
+		{{X: ext.X, Y: ext.MaxY()}, {X: ext.MaxX(), Y: ext.MaxY()}, {X: ext.MaxX(), Y: ext.MaxY() + 40}, {X: ext.X, Y: ext.MaxY() + 40}},
+		// Wholly outside and wholly covering the frame.
+		{{X: 10 * w, Y: 10 * h}, {X: 11 * w, Y: 10 * h}, {X: 11 * w, Y: 11 * h}, {X: 10 * w, Y: 11 * h}},
+		{{X: -100, Y: -100}, {X: w + 100, Y: -100}, {X: w + 100, Y: h + 100}, {X: -100, Y: h + 100}},
+		// Coordinates that are not finite: the ray cast drops the edges
+		// they end, and what is left still accepts points.
+		{{X: 0, Y: 0}, {X: w, Y: 0}, {X: w, Y: h}, {X: nan, Y: h}},
+		{{X: 0, Y: 0}, {X: w, Y: nan}, {X: w, Y: h}, {X: 0, Y: h}},
+		{{X: a.X, Y: a.Y}, {X: inf, Y: a.Y}, {X: inf, Y: a.Y + 150}, {X: a.X, Y: a.Y + 150}},
+		{{X: 0, Y: 0}, {X: w, Y: 0}, {X: w, Y: h}, {X: 0, Y: inf}},
+		{{X: -inf, Y: -inf}, {X: inf, Y: -inf}, {X: inf, Y: inf}, {X: -inf, Y: inf}},
+		{{X: b.X, Y: -inf}, {X: b.X + 120, Y: b.Y}, {X: b.X, Y: inf}, {X: b.X - 120, Y: b.Y}},
+	}
+}
+
+// TestDifferentialHostile is the randomized differential test of the kinds
+// that answer from the index alone or from the pair walk: over 200 worlds,
+// DwellTime, Speeding, HardBraking and the count-only LimitQuery must equal
+// the internal/query scans through a monolithic Store, and equal that Store
+// through Sharded splits of 1, 2, 3 and 7 segments, on the regions of
+// hostileRegions, on thresholds of 0, below 0, NaN, both infinities and
+// exactly one track's own column value, on N of 0, 1 and above any clip's
+// peak, and (every eighth world) at a frame rate of 0.
+func TestDifferentialHostile(t *testing.T) {
+	kinds := map[string]queryKind{}
+	for _, k := range queryKinds {
+		kinds[k.name] = k
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(1000 + seed))
+		ctx := testCtx()
+		if seed%8 == 7 {
+			ctx.FPS = 0
+		}
+		perClip := hostileWorld(r, ctx)
+		mono := New(perClip, ctx)
+		var shards []*Sharded
+		for _, clipsPerSeg := range []int{7, 4, 3, 1} {
+			sh, err := NewSharded("test", ctx, SplitSegments(perClip, ctx, clipsPerSeg), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards = append(shards, sh)
+		}
+		sharded := func(what string, want any, run func(q Querier) any) {
+			t.Helper()
+			for _, sh := range shards {
+				if got := run(sh); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, %d segments: %s diverged from the monolithic store\n got: %v\nwant: %v", seed, len(sh.Segments()), what, got, want)
+				}
+			}
+		}
+
+		for _, cat := range []string{"", "car"} {
+			for _, region := range hostileRegions(r, ctx, perClip[0]) {
+				p := queryParams{cat: cat, region: region}
+				want := kinds["dwell"].both(t, mono, perClip, p)
+				sharded("DwellTime", want, func(q Querier) any { return q.DwellTime(cat, region) })
+			}
+			for _, n := range []int{0, 1, 1 + r.Intn(4), 2000, -1} {
+				p := queryParams{cat: cat, pred: query.CountPredicate{N: n}, limit: 1 + r.Intn(6), minSep: r.Intn(12)}
+				want := kinds["limit"].both(t, mono, perClip, p)
+				sharded("LimitQuery", want, func(q Querier) any { return q.LimitQuery(cat, p.pred, p.limit, p.minSep) })
+			}
+		}
+
+		own := perClip[0][r.Intn(len(perClip[0]))] // its column values are thresholds below
+		thresholds := []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), r.Float64() * 3000,
+			query.TrackSpeed(own, ctx.FPS).P50, query.MaxDecel(own, ctx.FPS)}
+		for _, th := range thresholds {
+			p := queryParams{threshold: th}
+			want := kinds["speeding"].both(t, mono, perClip, p)
+			sharded("Speeding", want, func(q Querier) any { return q.Speeding(th) })
+			want = kinds["braking"].both(t, mono, perClip, p)
+			sharded("HardBraking", want, func(q Querier) any { return q.HardBraking(th) })
+		}
+	}
+}
+
+// TestDwellPairWalkSkipsAndSettles pins the pair walk's useful-work ratio on
+// a case with a known answer: a track crossing the frame left to right in
+// steps of four frames, and a rectangle over the middle third. Pairs left
+// and right of the rectangle are skipped as apart, pairs well inside it are
+// settled without interpolating, and only the pairs that straddle its two
+// vertical edges are walked frame by frame; every detection is visited once.
+func TestDwellPairWalkSkipsAndSettles(t *testing.T) {
+	ctx := query.Context{FPS: 10, NomW: 600, NomH: 300, Frames: 121}
+	tr := &query.Track{ID: 1, Category: "car"}
+	for f := 0; f <= 120; f += 4 {
+		tr.Dets = append(tr.Dets, detect.Detection{FrameIdx: f, Box: geom.Rect{X: float64(5*f) - 10, Y: 140, W: 20, H: 20}})
+	}
+	perClip := [][]*query.Track{{tr}}
+	s := New(perClip, ctx)
+	region := geom.Polygon{{X: 203, Y: 100}, {X: 397, Y: 100}, {X: 397, Y: 200}, {X: 203, Y: 200}}
+
+	w0, s0, b0 := metPairsWalked.Value(), metPairsSkipped.Value(), metIndexBoxes.Value()
+	got := s.DwellTime("car", region)
+	walked, skipped, boxes := metPairsWalked.Value()-w0, metPairsSkipped.Value()-s0, metIndexBoxes.Value()-b0
+	if want := query.DwellTime(perClip[0], "car", region, ctx); !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("DwellTime = %v, scan says %v", got[0], want)
+	}
+	// Centres sit at x = 5f: frames 41..79 are inside, 3.9 s.
+	if got[0][1] != 3.9 {
+		t.Errorf("dwell = %v s, want 3.9", got[0][1])
+	}
+	if pairs := int64(len(tr.Dets) - 1); walked != pairs || skipped != pairs-2 || boxes != pairs+1 {
+		t.Errorf("walked %d pairs, skipped %d, visited %d detections; want %d, %d, %d", walked, skipped, boxes, pairs, pairs-2, pairs+1)
+	}
+}

@@ -99,7 +99,7 @@ func (l *Live) Clips() int { return l.cur.Load().Clips() }
 func (l *Live) Append(tracks []*query.Track) int {
 	// The index build is the expensive part; run it outside the lock so
 	// concurrent appenders only serialize on the seal check and swap.
-	ci := buildClipIndex(tracks)
+	ci := buildClipIndex(tracks, l.ctx.FPS)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()

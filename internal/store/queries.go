@@ -104,6 +104,18 @@ func (sw *sweep) Advance(f int) int {
 	return len(sw.active)
 }
 
+// MinLastFrame implements query.FrameSource from the interval index: the
+// active list is exactly the visible tracks, and ends holds their last
+// frames.
+func (sw *sweep) MinLastFrame() int {
+	ends := sw.ci.ends
+	last := ends[sw.active[0].ti]
+	for i := 1; i < len(sw.active); i++ {
+		last = min(last, ends[sw.active[i].ti])
+	}
+	return int(last)
+}
+
 // Boxes implements query.FrameSource over the sweep's own buffers.
 func (sw *sweep) Boxes() ([]geom.Rect, []*query.Track) {
 	if len(sw.active) == 0 {
@@ -223,11 +235,13 @@ func (s *Store) LimitQuery(cat string, pred query.FramePredicate, limit, minSepF
 	out := make([][]query.FrameMatch, len(s.clips))
 	var sw sweep
 	var scratch query.LimitScratch
+	rp, regional := pred.(query.RegionPredicate)
+	ext := regionExtent(rp.Region)
+	var mask []bool // nil unless regional; one buffer for every clip
 	for i := range s.clips {
 		ci := &s.clips[i]
-		var mask []bool
-		if rp, ok := pred.(query.RegionPredicate); ok {
-			mask = ci.regionCandidates(rp.Region)
+		if regional {
+			mask = ci.regionCandidates(ext, mask)
 		}
 		sw.reset(ci, cat, mask)
 		out[i] = query.LimitQueryFrom(&sw, pred, s.ctx, limit, minSepFrames, &scratch)
@@ -280,12 +294,17 @@ func (s *Store) CoOccurrences(cat string, dist float64) []int {
 
 // DwellTime returns, per clip, seconds each category track's interpolated
 // center spends inside the region. regionCandidates prunes tracks whose
-// bounding extent cannot reach the region; surviving tracks are walked
-// once with an incremental interpolator instead of the scan's
-// O(frames x detections) BoxAt loop.
+// bounding extent cannot reach the region; a surviving track is walked one
+// detection pair at a time (dwellWalk), and only pairs that come near one
+// of the region's edges are interpolated frame by frame.
 func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 	metQueries.Inc()
 	out := make([]map[int]float64, len(s.clips))
+	w := dwellWalk{region: region, ext: regionExtent(region)}
+	if w.ext != everywhere {
+		w.edges = edgeExtents(region)
+	}
+	var mask []bool // one buffer for every clip
 	for i := range s.clips {
 		ci := &s.clips[i]
 		m := map[int]float64{}
@@ -293,51 +312,145 @@ func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 		if s.ctx.FPS <= 0 {
 			continue
 		}
-		mask := ci.regionCandidates(region)
-		var boxes, pruned int64
+		mask = ci.regionCandidates(w.ext, mask)
+		var pruned int64
 		ci.eachOfCategory(cat, func(ti int32) {
 			if !mask[ti] {
 				pruned++
 				return
 			}
 			t := ci.tracks[ti]
-			ip := query.NewInterp(t)
-			frames := 0
-			for f := t.FirstFrame(); f >= 0 && f <= t.LastFrame(); f++ {
-				if b, ok := ip.BoxAt(f); ok && region.Contains(b.Center()) {
-					frames++
-				}
-			}
-			boxes += ip.Visited
-			if frames > 0 {
+			if frames := w.frames(t); frames > 0 {
 				m[t.ID] = float64(frames) / float64(s.ctx.FPS)
 			}
 		})
-		metIndexBoxes.Add(boxes)
 		metRegionPruned.Add(pruned)
+	}
+	metIndexBoxes.Add(w.visited)
+	metPairsWalked.Add(w.walked)
+	metPairsSkipped.Add(w.skipped)
+	return out
+}
+
+// dwellWalk counts, track by track, the frames on which the interpolated
+// box centre lies in one region, and what that cost.
+type dwellWalk struct {
+	region geom.Polygon
+	ext    extent
+	edges  []extent // nil when ext is everywhere
+
+	visited, walked, skipped int64
+}
+
+// contains is region.Contains behind the extent's cheap rejection.
+func (w *dwellWalk) contains(p geom.Point) bool {
+	return w.ext.holds(p) && w.region.Contains(p)
+}
+
+// settled reports that no edge of the region comes near the span, so
+// region.Contains has one value for every point in it: the even-odd parity
+// is constant on a connected set no edge touches, and the ray cast computes
+// it exactly for a point further from every edge it crosses than the
+// crossing abscissa's rounding, which the edge boxes' margin covers.
+func (w *dwellWalk) settled(span extent) bool {
+	if w.edges == nil {
+		return false
+	}
+	for _, e := range w.edges {
+		if !span.apart(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// frames is the scan's loop over [FirstFrame, LastFrame] regrouped by the
+// detection pair that serves each frame: as in Track.BoxAt, a frame belongs
+// to the first pair whose second detection is at or past it, so pair i
+// serves the frames after pair i-1's up to its second detection's (none,
+// when a frame index repeats). A pair whose span is apart from the region's
+// extent, or settled, has one answer for all its frames and is not
+// interpolated; the answer at a settled pair's second centre is also the
+// answer at the next pair's first. The track has at least one detection.
+func (w *dwellWalk) frames(t *query.Track) int {
+	dets := t.Dets
+	w.visited += int64(len(dets))
+	from := pairEndOf(&dets[0])
+	if len(dets) == 1 {
+		if w.contains(from.c) {
+			return 1
+		}
+		return 0
+	}
+	frames := 0
+	last := dets[len(dets)-1].FrameIdx
+	next := dets[0].FrameIdx      // the first frame no earlier pair serves
+	known, inside := false, false // whether, and what, the region answers at from.c
+	var to pairEnd
+	for i := 1; i < len(dets); i, from = i+1, to {
+		to = pairEndOf(&dets[i])
+		lo, hi := next, min(dets[i].FrameIdx, last)
+		if hi < lo {
+			known = false
+			continue
+		}
+		next = hi + 1
+		w.walked++
+		switch span := from.span(to); {
+		case span.apart(w.ext):
+			known, inside = true, false
+		case w.settled(span):
+			if !known {
+				known, inside = true, w.contains(from.c)
+			}
+		default:
+			known = false
+			for f := lo; f <= hi; f++ {
+				if w.contains(query.InterpBox(&dets[i-1], &dets[i], f).Center()) {
+					frames++
+				}
+			}
+			continue
+		}
+		w.skipped++
+		if inside {
+			frames += hi - lo + 1
+		}
+	}
+	return frames
+}
+
+// atLeast returns the tracks whose column value reaches the threshold, in
+// track order and nil when there are none, as the scans append them: the
+// same >= on the same number, NaN and infinities included.
+func (ci *clipIndex) atLeast(column []float64, threshold float64) []*query.Track {
+	var out []*query.Track
+	for ti, v := range column {
+		if v >= threshold {
+			out = append(out, ci.tracks[ti])
+		}
 	}
 	return out
 }
 
 // HardBraking returns, per clip, tracks exceeding the deceleration
-// threshold. Track-level queries have no frame sweep to prune, so this
-// delegates to the scan.
+// threshold, from the maximum-deceleration column.
 func (s *Store) HardBraking(decelThreshold float64) [][]*query.Track {
 	metQueries.Inc()
 	out := make([][]*query.Track, len(s.clips))
 	for i := range s.clips {
-		out[i] = query.HardBraking(s.clips[i].tracks, s.ctx, decelThreshold)
+		out[i] = s.clips[i].atLeast(s.clips[i].maxDecel, decelThreshold)
 	}
 	return out
 }
 
-// Speeding returns, per clip, tracks whose median speed exceeds the
-// threshold (delegated to the scan; track-level).
+// Speeding returns, per clip, tracks whose median speed reaches the
+// threshold, from the median-speed column.
 func (s *Store) Speeding(threshold float64) [][]*query.Track {
 	metQueries.Inc()
 	out := make([][]*query.Track, len(s.clips))
 	for i := range s.clips {
-		out[i] = query.Speeding(s.clips[i].tracks, s.ctx, threshold)
+		out[i] = s.clips[i].atLeast(s.clips[i].p50Speed, threshold)
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"otif/internal/detect"
 	"otif/internal/persist"
 	"otif/internal/query"
 )
@@ -179,7 +180,8 @@ func TestOpenSegmentsDirRejectsUnnamedDataset(t *testing.T) {
 // arbitrary files: never a panic, and an error or a map with no unnamed
 // dataset in which every shard set tiles its clip range. The two inputs are
 // written as a.otifseg and (when not empty) b.otifseg. Seeds are valid and
-// broken pairs; the committed corpus is in testdata/fuzz/FuzzOpenSegmentsDir.
+// broken pairs and a track ending at frame 1<<40; the committed corpus is in
+// testdata/fuzz/FuzzOpenSegmentsDir.
 func FuzzOpenSegmentsDir(f *testing.F) {
 	for _, pair := range segmentsDirSeeds(f) {
 		f.Add(pair[0], pair[1])
@@ -248,19 +250,45 @@ func segmentsDirSeeds(t testing.TB) map[string][2][]byte {
 	first := encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0)}, perClip[:2])
 	second := encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(1), StartClip: 2}, perClip[2:])
 	return map[string][2][]byte{
-		"one_segment":       {first, nil},
-		"two_tile":          {first, second},
-		"two_tile_reversed": {second, first},
-		"two_datasets":      {first, encode(persist.SegmentMeta{Dataset: "cam1", ID: SegmentID(0)}, perClip[2:])},
-		"gap":               {first, encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(1), StartClip: 3}, perClip[2:])},
-		"overlap":           {first, first},
-		"starts_late":       {second, nil},
-		"negative_start":    {encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0), StartClip: -1}, perClip[:2]), nil},
-		"context_differs":   {first, encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(1), StartClip: 2, Frames: ctx.Frames + 1}, perClip[2:])},
-		"unnamed_dataset":   {encode(persist.SegmentMeta{ID: SegmentID(0)}, perClip[:2]), nil},
-		"no_clips":          {encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0)}, nil), nil},
-		"truncated":         {first[:len(first)/2], second},
-		"not_a_segment":     {[]byte("OTIFTRK2"), nil},
-		"empty_file":        {nil, nil},
+		"one_segment":         {first, nil},
+		"two_tile":            {first, second},
+		"two_tile_reversed":   {second, first},
+		"two_datasets":        {first, encode(persist.SegmentMeta{Dataset: "cam1", ID: SegmentID(0)}, perClip[2:])},
+		"gap":                 {first, encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(1), StartClip: 3}, perClip[2:])},
+		"overlap":             {first, first},
+		"starts_late":         {second, nil},
+		"negative_start":      {encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0), StartClip: -1}, perClip[:2]), nil},
+		"context_differs":     {first, encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(1), StartClip: 2, Frames: ctx.Frames + 1}, perClip[2:])},
+		"unnamed_dataset":     {encode(persist.SegmentMeta{ID: SegmentID(0)}, perClip[:2]), nil},
+		"no_clips":            {encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0)}, nil), nil},
+		"truncated":           {first[:len(first)/2], second},
+		"not_a_segment":       {[]byte("OTIFTRK2"), nil},
+		"empty_file":          {nil, nil},
+		"hostile_frame_index": {encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0)}, hostileFrameIndexClip(ctx)), nil},
+	}
+}
+
+// hostileFrameIndexClip is one clip holding track 7 with detections at
+// frames 0 and 1<<40.
+func hostileFrameIndexClip(ctx query.Context) [][]*query.Track {
+	r := rand.New(rand.NewSource(1))
+	return [][]*query.Track{{{ID: 7, Category: "car", Dets: []detect.Detection{randDet(r, 0, ctx), randDet(r, 1<<40, ctx)}}}}
+}
+
+// TestOpenSegmentsDirRejectsHostileFrameIndex: a segment whose one track
+// runs from frame 0 to frame 1<<40 used to open; its last frame then
+// truncated to 0 in the int32 interval index (AvgVisible read 0.01) and a
+// DwellTime over it looped a trillion times. The file is refused when read,
+// with an error naming the file and the track.
+func TestOpenSegmentsDirRejectsHostileFrameIndex(t *testing.T) {
+	ctx := testCtx()
+	dir := t.TempDir()
+	paths, err := ExportSegments(dir, "cam0", ctx, hostileFrameIndexClip(ctx), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenSegmentsDir(dir, nil)
+	if err == nil || !strings.Contains(err.Error(), paths[0]) || !strings.Contains(err.Error(), "track 7") {
+		t.Fatalf("OpenSegmentsDir over a track ending at frame 1<<40: err = %v, want one naming %s and track 7", err, paths[0])
 	}
 }

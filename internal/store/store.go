@@ -1,6 +1,6 @@
 // Package store is OTIF's indexed track store: the query-side counterpart
 // of the pre-processing pipeline. A Store wraps one loaded track set with
-// three read-only indexes built once per clip —
+// four read-only indexes built once per clip —
 //
 //   - a temporal interval index in a flat sorted-endpoints layout (track
 //     first/last frames sorted twice, by start and by end, as parallel
@@ -17,7 +17,11 @@
 //     rectangle test per track;
 //
 //   - per-category postings lists, so category-filtered queries never
-//     visit tracks of other categories.
+//     visit tracks of other categories;
+//
+//   - two columns of per-track summaries, the median speed and the maximum
+//     deceleration, so Speeding and HardBraking are one comparison per track
+//     over a contiguous []float64 and never visit a detection.
 //
 // Query execution shares the scan implementations' cores (the query
 // package's *From functions over a query.FrameSource, and InterpBox
@@ -29,8 +33,9 @@
 // The sweep (queries.go) hands the cores views into buffers it reuses for
 // the next frame: boxes are valid until the next Advance and whatever a
 // result keeps comes from the point lookup, in slices of its own.
-// AvgVisible, BusyFrames and the count test of a CountPredicate limit query
-// read only the size of the active list and never interpolate a box.
+// AvgVisible, BusyFrames and a CountPredicate limit query's ranking read
+// only the active list (its size, and the last frames the interval index
+// holds) and never interpolate a box.
 //
 // The index arrays hold track indices, not pointers, and are immutable
 // after New returns; a Store is safe for concurrent queries.
@@ -46,19 +51,26 @@ import (
 
 // Observability handles. index_boxes counts detection elements examined by
 // indexed queries' interpolators (the same unit the scans record under
-// query.scan_boxes; kinds that only count add nothing). Per sweep and clip,
-// candidates_examined counts the tracks whose first frame the sweep line
-// reached and candidates_kept those that also passed the category and
-// region filters and entered the active list — each track once per sweep,
-// not once per frame; a point lookup adds its stabbing query's candidates
-// to both in the same way. region_pruned counts tracks the region mask
-// turned away. kept / examined is store.index_hit_ratio.
+// query.scan_boxes; kinds that only count add nothing). For DwellTime it is
+// the detections of the tracks the pair walk visited, each once, whether the
+// pair test then skipped the pair or not: dwell_pairs_walked counts those
+// pairs and dwell_pairs_skipped the ones whose frames were never
+// interpolated, so skipped / walked is what the pair test removed.
+//
+// Per sweep and clip, candidates_examined counts the tracks whose first
+// frame the sweep line reached and candidates_kept those that also passed
+// the category and region filters and entered the active list — each track
+// once per sweep, not once per frame; a point lookup adds its stabbing
+// query's candidates to both in the same way. region_pruned counts tracks
+// the region mask turned away. kept / examined is store.index_hit_ratio.
 var (
 	metQueries      = obs.Default.Counter("store.queries")
 	metIndexBoxes   = obs.Default.Counter("store.index_boxes")
 	metCandExamined = obs.Default.Counter("store.candidates_examined")
 	metCandKept     = obs.Default.Counter("store.candidates_kept")
 	metRegionPruned = obs.Default.Counter("store.region_pruned")
+	metPairsWalked  = obs.Default.Counter("store.dwell_pairs_walked")
+	metPairsSkipped = obs.Default.Counter("store.dwell_pairs_skipped")
 )
 
 func init() {
@@ -98,6 +110,11 @@ type clipIndex struct {
 
 	// bounds is each track's bounding extent (union of detection boxes).
 	bounds []geom.Rect
+
+	// Track columns: what the track-level kinds compare with a threshold,
+	// query.TrackSpeed's median and query.MaxDecel at the store's frame
+	// rate. Not persisted; 16 bytes a track.
+	p50Speed, maxDecel []float64
 }
 
 // New builds the indexes over a loaded track set. perClip is retained (not
@@ -105,7 +122,7 @@ type clipIndex struct {
 func New(perClip [][]*query.Track, ctx query.Context) *Store {
 	s := &Store{clips: make([]clipIndex, len(perClip)), ctx: ctx}
 	for c, tracks := range perClip {
-		s.clips[c] = buildClipIndex(tracks)
+		s.clips[c] = buildClipIndex(tracks, ctx.FPS)
 	}
 	return s
 }
@@ -119,17 +136,20 @@ func (s *Store) Clips() int { return len(s.clips) }
 // Tracks returns one clip's track slice (shared, read-only).
 func (s *Store) Tracks(clip int) []*query.Track { return s.clips[clip].tracks }
 
-func buildClipIndex(tracks []*query.Track) clipIndex {
+func buildClipIndex(tracks []*query.Track, fps int) clipIndex {
 	n := len(tracks)
 	ci := clipIndex{
-		tracks:  tracks,
-		starts:  make([]int32, n),
-		ends:    make([]int32, n),
-		byStart: make([]int32, n),
-		byEnd:   make([]int32, n),
-		cats:    make(map[string][]int32),
-		bounds:  make([]geom.Rect, n),
+		tracks:   tracks,
+		starts:   make([]int32, n),
+		ends:     make([]int32, n),
+		byStart:  make([]int32, n),
+		byEnd:    make([]int32, n),
+		cats:     make(map[string][]int32),
+		bounds:   make([]geom.Rect, n),
+		p50Speed: make([]float64, n),
+		maxDecel: make([]float64, n),
 	}
+	var speeds []float64 // TrackSpeedScratch's buffer, shared by the clip's tracks
 	for i, t := range tracks {
 		if len(t.Dets) == 0 {
 			// Inverted interval: never enumerated as visible.
@@ -146,6 +166,8 @@ func buildClipIndex(tracks []*query.Track) clipIndex {
 			b = b.Union(d.Box)
 		}
 		ci.bounds[i] = b
+		ci.p50Speed[i] = query.TrackSpeedScratch(t, fps, &speeds).P50
+		ci.maxDecel[i] = query.MaxDecel(t, fps)
 	}
 	sort.Slice(ci.byStart, func(a, b int) bool {
 		sa, sb := ci.starts[ci.byStart[a]], ci.starts[ci.byStart[b]]
@@ -231,25 +253,21 @@ func sortInt32(a []int32) {
 	}
 }
 
-// regionCandidates returns a per-track membership mask of tracks whose
-// bounding extent meets the region's bounding rectangle. Tracks outside the
-// mask can never place an interpolated box center inside the region (every
-// interpolated box lies within the union of the track's detection boxes);
-// a track with no detections has no extent and is never a candidate.
-func (ci *clipIndex) regionCandidates(region geom.Polygon) []bool {
-	mask := make([]bool, len(ci.tracks))
-	rb := region.Bounds()
+// regionCandidates fills mask (reused when large enough) with per-track
+// membership: tracks whose bounding extent meets the region's, contact and
+// degenerate rectangles included. Tracks outside the mask can never place
+// an interpolated box center inside the region (every interpolated box lies
+// within the union of the track's detection boxes); a track with no
+// detections has no extent and is never a candidate.
+func (ci *clipIndex) regionCandidates(e extent, mask []bool) []bool {
+	if cap(mask) < len(ci.tracks) {
+		mask = make([]bool, len(ci.tracks))
+	}
+	mask = mask[:len(ci.tracks)]
 	for ti, b := range ci.bounds {
 		// ends < starts is the inverted interval of a track with no
 		// detections; read here so the loop touches no Track.
-		mask[ti] = ci.ends[ti] >= ci.starts[ti] && overlapsClosed(b, rb)
+		mask[ti] = ci.ends[ti] >= ci.starts[ti] && !e.apart(extent{b.X, b.Y, b.MaxX(), b.MaxY()})
 	}
 	return mask
-}
-
-// overlapsClosed reports closed-interval rectangle overlap. Unlike
-// Rect.Intersects it admits zero-area contact (touching edges, degenerate
-// boxes), which the pruning mask needs to stay strictly conservative.
-func overlapsClosed(a, b geom.Rect) bool {
-	return a.X <= b.MaxX() && b.X <= a.MaxX() && a.Y <= b.MaxY() && b.Y <= a.MaxY()
 }

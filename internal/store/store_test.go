@@ -414,7 +414,7 @@ func TestLimitResultsOwnTheirBoxes(t *testing.T) {
 // line: candidates_examined counts tracks reaching their first frame,
 // candidates_kept those that also pass the category and region filters,
 // and index_boxes the detections interpolators walked — which is none for
-// the kinds that only count.
+// the kinds that only count, a limit query's ranking included.
 func TestSweepTelemetry(t *testing.T) {
 	ctx := testCtx()
 	tracks := genTracks(rand.New(rand.NewSource(11)), 50, ctx.Frames, ctx)
@@ -442,7 +442,16 @@ func TestSweepTelemetry(t *testing.T) {
 	if _, _, boxes := delta(func() { s.LimitQuery("car", query.CountPredicate{N: len(tracks) + 1}, 5, 0) }); boxes != 0 {
 		t.Errorf("LimitQuery interpolated %d detections on frames its count rejects, want 0", boxes)
 	}
-	if _, kept, boxes := delta(func() { s.LimitQuery("car", query.CountPredicate{N: 1}, 5, 0) }); kept < cars || boxes == 0 {
-		t.Errorf("LimitQuery: kept %d boxes %d, want at least %d kept and some boxes", kept, boxes, cars)
+	// A count-accepted limit query ranks its frames from the interval index
+	// and interpolates only what the point lookup fetches for its survivors.
+	var matches []query.FrameMatch
+	_, kept, boxes = delta(func() { matches = s.LimitQuery("car", query.CountPredicate{N: 1}, 5, 0)[0] })
+	_, _, lookups := delta(func() {
+		for _, m := range matches {
+			s.VisibleBoxes(0, "car", m.FrameIdx)
+		}
+	})
+	if len(matches) != 5 || kept < cars || boxes == 0 || boxes != lookups {
+		t.Errorf("LimitQuery: %d matches, kept %d, interpolated %d detections; want 5, at least %d, and the %d its five point lookups cost", len(matches), kept, boxes, cars, lookups)
 	}
 }
