@@ -25,7 +25,6 @@ import (
 	"otif/internal/dataset"
 	"otif/internal/obs"
 	"otif/internal/parallel"
-	"otif/internal/video"
 )
 
 func main() {
@@ -38,27 +37,18 @@ func main() {
 		seconds  = flag.Float64("seconds", dataset.DefaultSpec.ClipSeconds, "seconds per clip")
 		seed     = flag.Int64("seed", 7, "sampling seed")
 		nworkers = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
-		traceOut = flag.String("trace-out", "", "record spans in the flight recorder and write them to this file on exit")
-		traceFmt = flag.String("trace-format", "otif", "trace file format for -trace-out: otif (span JSON) or chrome (Perfetto-loadable trace events)")
-		traceCap = flag.Int("trace-spans", 0, "flight-recorder span capacity for -trace-out (0 = default); oldest spans are overwritten when full")
+		traceOut = flag.String("trace-out", "", "record spans in the flight recorder and write them to this file on exit (Chrome trace-event JSON, loads in Perfetto)")
 	)
 	flag.Parse()
 	parallel.SetWorkers(*nworkers)
-	video.SetCacheBudget(int64(*cacheMB) << 20)
-	writeTrace, err := obs.TraceFile(*traceOut, *traceFmt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchtables:", err)
-		os.Exit(2)
-	}
 	if *traceOut != "" {
-		obs.EnableTracing(*traceCap)
+		obs.EnableTracing(obs.DefaultRecorderSpans)
 		defer func() {
-			if err := writeTrace(); err != nil {
+			if err := obs.WriteTraceFile(*traceOut); err != nil {
 				fmt.Fprintln(os.Stderr, "benchtables:", err)
 				return
 			}
-			fmt.Printf("wrote span trace (%s format) to %s\n", *traceFmt, *traceOut)
+			fmt.Printf("wrote span trace to %s\n", *traceOut)
 		}()
 	}
 

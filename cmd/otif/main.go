@@ -35,22 +35,13 @@ func main() {
 		segsDir  = flag.String("export-segments", "", "export the track set as shippable segment files (OTIFSEG1) into this directory")
 		segClips = flag.Int("segment-clips", 4, "clips per exported segment for -export-segments (<= 0 = one segment)")
 		nwork    = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
 		metricsF = flag.Bool("metrics", false, "print the metrics registry (JSON) after the run")
-		traceOut = flag.String("trace-out", "", "record spans in the flight recorder and write them to this file")
-		traceFmt = flag.String("trace-format", "otif", "trace file format for -trace-out: otif (span JSON) or chrome (Perfetto-loadable trace events)")
-		traceCap = flag.Int("trace-spans", 0, "flight-recorder span capacity for -trace-out (0 = default); oldest spans are overwritten when full")
+		traceOut = flag.String("trace-out", "", "record spans in the flight recorder and write them to this file (Chrome trace-event JSON, loads in Perfetto)")
 	)
 	flag.Parse()
 	otif.SetParallelism(*nwork)
-	otif.SetCacheMB(*cacheMB)
-	writeTrace, err := obs.TraceFile(*traceOut, *traceFmt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "otif:", err)
-		os.Exit(2)
-	}
 	if *traceOut != "" {
-		otif.EnableTracing(*traceCap)
+		otif.EnableTracing()
 	}
 	// finish emits the optional observability outputs: the metrics registry
 	// as JSON on stdout, and the flight recorder's spans to -trace-out.
@@ -59,12 +50,12 @@ func main() {
 			fmt.Println("\nmetrics:")
 			otif.Snapshot().WriteJSON(os.Stdout)
 		}
-		if err := writeTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "otif:", err)
-			os.Exit(1)
-		}
 		if *traceOut != "" {
-			fmt.Printf("wrote span trace (%s format) to %s\n", *traceFmt, *traceOut)
+			if err := obs.WriteTraceFile(*traceOut); err != nil {
+				fmt.Fprintln(os.Stderr, "otif:", err)
+				os.Exit(1)
+			}
+			fmt.Printf("wrote span trace to %s\n", *traceOut)
 		}
 	}
 

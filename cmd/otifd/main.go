@@ -17,18 +17,17 @@
 //	GET  /v1/query/limit        own): counts, path breakdown, frame-level
 //	POST /v1/query/dwell        limit queries, dwell times (503 until loaded)
 //	GET  /v1/streams            streaming ingest status (JSON)
-//	GET  /v1/debug/trace        flight-recorder spans (?format=otif|chrome)
+//	GET  /v1/debug/trace        flight-recorder spans (Chrome trace-event JSON)
 //	GET  /v1/debug/slow         slowest query requests with span subtrees
 //	GET  /v1/debug/bundle       one-shot tar.gz post-mortem artifact
 //	     /v1/debug/pprof/*      CPU/heap/goroutine profiling
 //	     /debug/pprof/*         the same, where go tool pprof expects it
 //
-// The flight recorder is on by default: a fixed-capacity ring of spans
-// (-trace-spans, default 16384) overwrites oldest-first, so the daemon
-// always holds its most recent window of activity under bounded memory.
-// -trace-out writes the retained spans to a file on graceful shutdown in
-// the -trace-format of choice; GET /v1/debug/trace serves the same data
-// live, and format=chrome loads directly in Perfetto.
+// The flight recorder is always on: a ring of the newest 16384 spans
+// overwrites oldest-first, so the daemon always holds its most recent
+// window of activity under bounded memory. GET /v1/debug/trace serves it
+// live and -trace-out writes it to a file on graceful shutdown, both as
+// Chrome trace-event JSON that loads directly in Perfetto.
 //
 // The query endpoints answer from the indexed track store of whichever
 // source published last: the -segments-dir shard set and then the -tracks
@@ -36,13 +35,17 @@
 // finished extract job, or a stream job from its first clip on — /v1/query/*
 // then answers from the live store's latest immutable snapshot, so results
 // grow clip by clip without ever exposing a torn index, and stay served
-// after the stream ends.
+// after the stream ends. A stream starts like any job, once /readyz says so:
+//
+//	curl -XPOST localhost:8080/jobs -d '{"kind":"stream","params":{"cameras":"2"}}'
+//
+// Flags name only where the daemon runs and what it reads; every size it
+// keeps (job event rings, the slow-request log, caches) is a constant.
 //
 //	otifd -dataset caldot1                        # default address :8080
 //	otifd -addr 127.0.0.1:0 -clips 2 -seconds 2   # tiny instance, random port
 //	otifd -tracks caldot1.tracks                  # serve queries from a stored file
 //	otifd -segments-dir ./segs                    # replica over shipped segment files
-//	otifd -stream -stream-cameras 2               # stream 2 simulated cameras once ready
 //	otifd -log json -log-level debug              # structured logs on stderr
 //
 // Scraping, streaming and logging never change pipeline results:
@@ -71,25 +74,14 @@ func main() {
 	flag.IntVar(&cfg.Clips, "clips", 0, "clips per set (0 = default)")
 	flag.Float64Var(&cfg.Seconds, "seconds", 0, "seconds per clip (0 = default)")
 	flag.Int64Var(&cfg.Seed, "seed", 7, "sampling seed")
-	flag.IntVar(&cfg.Events, "events", 256, "buffered progress events retained per job")
 	flag.StringVar(&cfg.Tracks, "tracks", "", "serve /v1/query/* from this stored track file at startup")
 	flag.StringVar(&cfg.SegmentsDir, "segments-dir", "", "serve /v1/query/* from the segment files (*.otifseg) in this directory; each dataset found becomes a registry entry")
-	flag.IntVar(&cfg.SlowRequests, "slow-requests", serve.DefaultSlowRequests, "slowest /v1/query/* requests retained for GET /v1/debug/slow")
-	flag.BoolVar(&cfg.Stream, "stream", false, "start streaming ingest once the pipeline is ready")
-	flag.IntVar(&cfg.StreamCameras, "stream-cameras", 2, "simulated camera count for -stream")
-	flag.IntVar(&cfg.StreamClips, "stream-clips", 0, "clips per camera for -stream (0 = unbounded)")
-	flag.DurationVar(&cfg.StreamInterval, "stream-interval", 0, "per-camera clip emission interval for -stream (0 = as fast as backpressure allows)")
-	flag.IntVar(&cfg.StreamQueue, "stream-queue", 0, "shared ingest queue depth (0 = twice the worker count)")
-	flag.BoolVar(&cfg.StreamDrop, "stream-drop", false, "shed clips instead of blocking cameras when the ingest queue is full")
 	var (
 		addr     = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		nwork    = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
 		logMode  = flag.String("log", "text", "structured log format: off, text, json")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		traceCap = flag.Int("trace-spans", obs.DefaultRecorderSpans, "flight-recorder span capacity (<= 0 disables tracing); oldest spans are overwritten when full")
-		traceOut = flag.String("trace-out", "", "write the flight recorder's spans to this file on graceful shutdown")
-		traceFmt = flag.String("trace-format", "otif", "trace format for -trace-out: otif (span JSON) or chrome (Perfetto-loadable trace events)")
+		traceOut = flag.String("trace-out", "", "write the flight recorder's spans to this file on graceful shutdown (Chrome trace-event JSON)")
 	)
 	flag.Parse()
 	// The effective flag values, for the debug bundle's config.json.
@@ -99,18 +91,10 @@ func main() {
 		return m
 	}
 	otif.SetParallelism(*nwork)
-	otif.SetCacheMB(*cacheMB)
-	writeTrace, err := obs.TraceFile(*traceOut, *traceFmt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "otifd:", err)
-		os.Exit(2)
-	}
-	// The flight recorder is on by default: recording a span is a ring-slot
+	// The flight recorder is always on: recording a span is a ring-slot
 	// write and the ring bounds memory, so a live daemon can always answer
 	// /v1/debug/trace.
-	if *traceCap > 0 {
-		otif.EnableTracing(*traceCap)
-	}
+	otif.EnableTracing()
 	logger, err := buildLogger(*logMode, *logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "otifd:", err)
@@ -132,8 +116,10 @@ func main() {
 		fatal(err)
 	}
 	// The flight recorder's retained spans, on graceful shutdown.
-	if err := writeTrace(); err != nil {
-		fatal(err)
+	if *traceOut != "" {
+		if err := obs.WriteTraceFile(*traceOut); err != nil {
+			fatal(err)
+		}
 	}
 }
 

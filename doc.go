@@ -46,10 +46,10 @@
 //
 // # Performance knobs
 //
-// Worker count and frame cache budget are process-wide settings
-// (SetParallelism, SetCacheMB; the CLIs call them once at startup from
-// their flags). Neither changes results: extracted tracks, simulated
-// runtimes and tuning curves are bit-identical at any setting.
+// Worker count is the one process-wide setting (SetParallelism; the CLIs
+// call it once at startup from -parallel). It does not change results:
+// extracted tracks, simulated runtimes and tuning curves are bit-identical
+// at any setting.
 //
 // GPU inference and real video are replaced by a deterministic simulation
 // substrate (see DESIGN.md); all runtimes the library reports are simulated

@@ -10,8 +10,7 @@ import (
 )
 
 // IngestStats is a consistent point-in-time snapshot of a streaming ingest
-// session — the typed counterpart of scraping the metrics registry, as
-// CacheStats is for the frame cache.
+// session — the typed counterpart of scraping the metrics registry.
 type IngestStats = ingest.Stats
 
 // PublishedClip records one streamed clip's publication: which (camera,

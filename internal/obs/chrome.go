@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -57,9 +58,11 @@ func (l *chromeLane) place(start, end int64) {
 }
 
 // WriteChrome writes the retained spans in Chrome trace-event JSON (the
-// {"traceEvents": [...]} object form). The output loads in Perfetto and
-// chrome://tracing; span attributes ride along in each event's args. A
-// nil recorder writes an empty (but valid) trace.
+// {"traceEvents": [...], "otherData": {...}} object form), the recorder's
+// one trace format. The output loads in Perfetto and chrome://tracing; span
+// attributes ride along in each event's args, and the ring's Stats (capacity,
+// overwritten spans) under otherData. A nil recorder writes an empty (but
+// valid) trace.
 func (r *Recorder) WriteChrome(w io.Writer) error {
 	spans := r.Snapshot()
 	byID := make(map[uint64]int, len(spans))
@@ -166,8 +169,22 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 			PID: 1, TID: tidOf[laneOf[s.ID]], Args: args,
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
+	return json.NewEncoder(w).Encode(struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{TraceEvents: events})
+		OtherData   RecorderStats `json:"otherData"`
+	}{TraceEvents: events, OtherData: r.Stats()})
+}
+
+// WriteTraceFile writes the installed recorder's spans to path with
+// WriteChrome (an empty trace when tracing is off).
+func WriteTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = CurrentRecorder().WriteChrome(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -2,10 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -177,51 +173,6 @@ func (r *Recorder) Subtree(root uint64) []SpanRecord {
 	return out
 }
 
-// WriteJSON writes the retained spans plus ring statistics as indented
-// JSON (the "otif" trace format). A nil recorder writes an empty trace.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	out := struct {
-		Spans []SpanRecord  `json:"spans"`
-		Stats RecorderStats `json:"stats"`
-	}{Spans: r.Snapshot(), Stats: r.Stats()}
-	if out.Spans == nil {
-		out.Spans = []SpanRecord{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// TraceFile serves the CLIs' -trace-out / -trace-format pair: it rejects an
-// unknown format now, before the run, and returns the function that writes
-// the installed recorder's spans to path in that format once the run is
-// over. With an empty path that function does nothing.
-func TraceFile(path, format string) (write func() error, err error) {
-	var render func(*Recorder, io.Writer) error
-	switch format {
-	case "otif":
-		render = (*Recorder).WriteJSON
-	case "chrome":
-		render = (*Recorder).WriteChrome
-	default:
-		return nil, fmt.Errorf("bad -trace-format %q (want otif or chrome)", format)
-	}
-	return func() error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		err = render(CurrentRecorder(), f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}, nil
-}
-
 // globalRecorder is the installed flight recorder; nil means tracing is
 // disabled.
 var globalRecorder atomic.Pointer[Recorder]
@@ -243,8 +194,7 @@ func EnableTracing(max int) *Recorder {
 func CurrentRecorder() *Recorder { return globalRecorder.Load() }
 
 func init() {
-	// Ring occupancy is always scrapeable: before this group, overwritten
-	// span counts were only visible through WriteJSON.
+	// Ring occupancy is scrapeable, not only read from a trace's otherData.
 	Default.GaugeGroup(func() map[string]float64 {
 		r := CurrentRecorder()
 		if r == nil {

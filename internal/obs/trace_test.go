@@ -163,86 +163,109 @@ func TestRecorderNilSafe(t *testing.T) {
 		t.Errorf("nil recorder stats = %+v", st)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
 	if err := r.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var chrome struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &chrome); err != nil {
-		t.Fatalf("nil recorder chrome trace invalid: %v", err)
+	if tr := decodeChrome(t, buf.Bytes()); len(tr.TraceEvents) != 1 || tr.OtherData != (RecorderStats{}) {
+		t.Errorf("nil recorder trace = %+v, want the process_name event and zero stats", tr)
 	}
 }
 
-func TestTraceJSON(t *testing.T) {
-	tr := EnableTracing(8)
-	defer SetRecorder(nil)
-	_, sp := StartSpan(context.Background(), "one")
-	sp.End()
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Spans []SpanRecord  `json:"spans"`
-		Stats RecorderStats `json:"stats"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Spans) != 1 || out.Spans[0].Name != "one" {
-		t.Errorf("trace JSON = %+v", out)
-	}
-	if out.Stats.Recorded != 1 || out.Stats.Capacity != 8 {
-		t.Errorf("trace stats = %+v", out.Stats)
-	}
+// chromeTrace is the shape every trace the recorder writes decodes to.
+type chromeTrace struct {
+	TraceEvents []json.RawMessage `json:"traceEvents"`
+	OtherData   RecorderStats     `json:"otherData"`
 }
 
-// TestTraceFile pins the CLIs' shared -trace-out / -trace-format handling:
-// an unknown format fails before the run, an empty path writes nothing, and
-// each format lands in the file as its own exporter renders it.
-func TestTraceFile(t *testing.T) {
-	if _, err := TraceFile("x", "perfetto"); err == nil {
-		t.Error("unknown format accepted")
+func decodeChrome(t *testing.T, b []byte) chromeTrace {
+	t.Helper()
+	var tr chromeTrace
+	if err := json.Unmarshal(b, &tr); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
-	write, err := TraceFile("", "otif")
-	if err != nil || write() != nil {
-		t.Errorf("empty path: err = %v, want a no-op writer", err)
+	if tr.TraceEvents == nil {
+		t.Fatalf("chrome trace has no traceEvents list: %s", b)
 	}
+	return tr
+}
 
-	tr := EnableTracing(8)
-	defer SetRecorder(nil)
-	_, sp := StartSpan(context.Background(), "one")
-	sp.End()
-	for format, render := range map[string]func(*bytes.Buffer) error{
-		"otif":   func(b *bytes.Buffer) error { return tr.WriteJSON(b) },
-		"chrome": func(b *bytes.Buffer) error { return tr.WriteChrome(b) },
+// goldenRecorder is a ring of 7 that has recorded 9 fixed spans: two
+// overwritten, a run.set with two clips that need two worker lanes, two
+// cameras (one span nested under a camera span) and two error spans.
+func goldenRecorder() *Recorder {
+	r := NewRecorder(7)
+	for _, s := range []SpanRecord{
+		{ID: 1, Name: "old", StartNS: 0, DurNS: 10, Clip: -1},
+		{ID: 2, Name: "old", StartNS: 5, DurNS: 10, Clip: -1},
+		{ID: 3, Name: "run.set", StartNS: 100, DurNS: 5000, Clip: -1, Stage: "extract"},
+		{ID: 4, Parent: 3, Name: "run.clip", StartNS: 200, DurNS: 2000, Clip: 0, Stage: "extract"},
+		{ID: 5, Parent: 3, Name: "run.clip", StartNS: 300, DurNS: 2500, Clip: 1, Stage: "extract"},
+		{ID: 6, Name: "ingest.clip", StartNS: 400, DurNS: 1500, Camera: "cam1", Clip: 0, Stage: "ingest"},
+		{ID: 7, Name: "ingest.clip", StartNS: 450, DurNS: 1200, Camera: "cam0", Clip: 0, Stage: "ingest", Err: true},
+		{ID: 8, Parent: 7, Name: "detect", StartNS: 500, DurNS: 100, Clip: -1},
+		{ID: 9, Name: "http.v1_query_count", StartNS: 1234567, DurNS: 891, Clip: -1, Stage: "serve", Err: true},
 	} {
-		path := filepath.Join(t.TempDir(), "trace.json")
-		write, err := TraceFile(path, format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		if err := render(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s: file differs from the exporter's output", format)
-		}
+		r.record(s)
 	}
-	if write, _ := TraceFile(filepath.Join(t.TempDir(), "no", "such", "dir"), "otif"); write() == nil {
+	return r
+}
+
+// TestChromeGolden pins the one trace format: over fixed records, the
+// traceEvents array is byte-identical to testdata/chrome.golden.json (what
+// WriteChrome wrote before it carried otherData), and otherData is the
+// ring's Stats.
+func TestChromeGolden(t *testing.T) {
+	r := goldenRecorder()
+	var buf bytes.Buffer
+	if err := r.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "chrome.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := func(b []byte) json.RawMessage {
+		var v struct {
+			TraceEvents json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(b, &v); err != nil {
+			t.Fatal(err)
+		}
+		return v.TraceEvents
+	}
+	if got, want := events(buf.Bytes()), events(golden); !bytes.Equal(got, want) {
+		t.Errorf("traceEvents differ from the golden file:\n got %s\nwant %s", got, want)
+	}
+	got := decodeChrome(t, buf.Bytes())
+	if st := r.Stats(); got.OtherData != st || st.Overwritten != 2 {
+		t.Errorf("otherData = %+v, want Stats() %+v with 2 overwritten", got.OtherData, st)
+	}
+}
+
+// TestTraceFile pins the CLIs' -trace-out file: the installed recorder as
+// WriteChrome renders it, and an error for a path that cannot be created.
+func TestTraceFile(t *testing.T) {
+	SetRecorder(goldenRecorder())
+	defer SetRecorder(nil)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := WriteTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := CurrentRecorder().WriteChrome(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("trace file differs from WriteChrome:\n got %s\nwant %s", got, want.Bytes())
+	}
+	if tr := decodeChrome(t, got); tr.OtherData.Capacity != 7 {
+		t.Errorf("trace file otherData = %+v", tr.OtherData)
+	}
+	if err := WriteTraceFile(filepath.Join(t.TempDir(), "no", "such", "dir")); err == nil {
 		t.Error("unwritable path reported no error")
 	}
 }
@@ -344,7 +367,7 @@ func TestSubtree(t *testing.T) {
 
 // TestTraceGauges asserts the satellite contract: ring occupancy and
 // overwritten-span counts are visible as trace.* gauges in any registry
-// snapshot, not only via WriteJSON.
+// snapshot, not only in a trace's otherData.
 func TestTraceGauges(t *testing.T) {
 	EnableTracing(8)
 	defer SetRecorder(nil)

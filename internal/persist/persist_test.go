@@ -95,7 +95,9 @@ func TestTracksRoundtripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tracks := sampleTracks(rng, rng.Intn(3)+1)
-		meta := TrackMeta{FPS: rng.Intn(60), NomW: rng.Intn(4000), NomH: rng.Intn(3000), Frames: rng.Intn(2000), Dataset: "ds"}
+		// Frames stays past every sampled detection (frame 12 at most): the
+		// reader rejects a detection at or past a positive Frames.
+		meta := TrackMeta{FPS: rng.Intn(60), NomW: rng.Intn(4000), NomH: rng.Intn(3000), Frames: 13 + rng.Intn(2000), Dataset: "ds"}
 		var buf bytes.Buffer
 		if err := WriteTracksV2(&buf, tracks, meta); err != nil {
 			return false

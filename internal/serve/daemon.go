@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -20,24 +21,15 @@ import (
 
 // Config is otifd's configuration: one field per flag that describes the
 // daemon rather than the process (address, logging and tracing stay in
-// main).
+// main). A stream is started by submitting a stream job, not configured.
 type Config struct {
 	Dataset string  // -dataset
 	Clips   int     // -clips (0 = default)
 	Seconds float64 // -seconds (0 = default)
 	Seed    int64   // -seed
 
-	Events       int    // -events: progress events retained per job
-	SlowRequests int    // -slow-requests
-	Tracks       string // -tracks: stored track file to serve at start-up
-	SegmentsDir  string // -segments-dir: segment files to serve at start-up
-
-	Stream         bool          // -stream: submit a stream job once ready
-	StreamCameras  int           // -stream-cameras
-	StreamClips    int           // -stream-clips
-	StreamInterval time.Duration // -stream-interval
-	StreamQueue    int           // -stream-queue
-	StreamDrop     bool          // -stream-drop
+	Tracks      string // -tracks: stored track file to serve at start-up
+	SegmentsDir string // -segments-dir: segment files to serve at start-up
 
 	// Flags reports every effective flag value for the debug bundle's
 	// config.json; nil omits that member.
@@ -79,7 +71,7 @@ type Daemon struct {
 // NewDaemon loads the start-up sources named by cfg and wires the job
 // runners and the HTTP surface. The pipeline is not touched until Start.
 func NewDaemon(cfg Config) (*Daemon, error) {
-	d := &Daemon{cfg: cfg, datasets: store.NewRegistry(), jobs: NewManager(cfg.Events)}
+	d := &Daemon{cfg: cfg, datasets: store.NewRegistry(), jobs: NewManager()}
 	// Registered first, so the daemon's own dataset is the registry default;
 	// an empty track set resolves to "not loaded" until something publishes.
 	d.publish(&otif.TrackSet{})
@@ -116,7 +108,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		Ready:   func() bool { return d.pipe.Load() != nil },
 		Queries: &QueryAPI{Datasets: d.datasets, Movements: d.movements},
 		Streams: d.streams,
-		SlowK:   cfg.SlowRequests,
 		Config:  cfg.Flags,
 	}
 	return d, nil
@@ -125,9 +116,9 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 // Handler returns the daemon's HTTP surface (see Server).
 func (d *Daemon) Handler() http.Handler { return d.srv.Handler() }
 
-// Start trains and tunes the pipeline, flips /readyz, and with -stream
-// submits the stream job. It blocks until then; /healthz, the debug
-// endpoints and queries over start-up sources answer meanwhile.
+// Start trains and tunes the pipeline and flips /readyz. It blocks until
+// then; /healthz, the debug endpoints and queries over start-up sources
+// answer meanwhile.
 func (d *Daemon) Start(ctx context.Context) error {
 	start := time.Now()
 	pipe, err := otif.Open(d.cfg.Dataset, otif.Options{
@@ -147,22 +138,6 @@ func (d *Daemon) Start(ctx context.Context) error {
 	d.mu.Unlock()
 	d.pipe.Store(pipe)
 	logInfo("otifd: ready", "dataset", d.cfg.Dataset, "startup", time.Since(start).Round(time.Millisecond).String())
-	if !d.cfg.Stream {
-		return nil
-	}
-	// Through the job manager, so /jobs and the SSE event stream cover it
-	// like any submitted stream job.
-	job, err := d.jobs.Submit("stream", map[string]string{
-		"cameras":  strconv.Itoa(d.cfg.StreamCameras),
-		"clips":    strconv.Itoa(d.cfg.StreamClips),
-		"interval": d.cfg.StreamInterval.String(),
-		"queue":    strconv.Itoa(d.cfg.StreamQueue),
-		"drop":     strconv.FormatBool(d.cfg.StreamDrop),
-	})
-	if err != nil {
-		return err
-	}
-	logInfo("otifd: streaming", "job", job.ID(), "cameras", d.cfg.StreamCameras)
 	return nil
 }
 
@@ -262,8 +237,11 @@ func (d *Daemon) acquire(progress obs.Progress) (pipe *otif.Pipeline, release fu
 }
 
 // runTune re-runs the greedy joint tuner and replaces the speed-accuracy
-// curve extract jobs pick from.
+// curve extract jobs pick from. It takes no parameters.
 func (d *Daemon) runTune(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	if err := paramsOf(job).check(); err != nil {
+		return nil, err
+	}
 	pipe, release, err := d.acquire(progress)
 	if err != nil {
 		return nil, err
@@ -280,19 +258,16 @@ func (d *Daemon) runTune(ctx context.Context, job *Job, progress obs.Progress) (
 // runExtract extracts one clip set under the configuration picked from
 // the current curve and publishes the tracks. Params: "set" (train, val or
 // test; default test) and "tolerance" (accuracy tolerance for the pick,
-// default 0.05).
+// 0 to 1, default 0.05).
 func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
-	params := job.View().Params
-	set := otif.SetName(params["set"])
-	if set == "" {
-		set = otif.Test
+	p := paramsOf(job)
+	set := otif.Test
+	if s, ok := p.get("set"); ok {
+		set = otif.SetName(s)
 	}
-	tol := 0.05
-	if s := params["tolerance"]; s != "" {
-		var err error
-		if tol, err = strconv.ParseFloat(s, 64); err != nil {
-			return nil, fmt.Errorf("otifd: bad tolerance %q: %w", s, err)
-		}
+	tol := num(p, "tolerance", 0.05, 0, 1, parseFloat)
+	if err := p.check(); err != nil {
+		return nil, err
 	}
 	pipe, release, err := d.acquire(progress)
 	if err != nil {
@@ -325,11 +300,24 @@ func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress
 // exhausted or the job is canceled. It does not hold mu: ingest only reads
 // trained state, so tune and extract jobs run beside it. One progress event
 // per published clip flows to the job's event stream; the first publishes
-// the session's live store. Params: "cameras", "clips" (per camera, 0 =
-// unbounded), "interval" (Go duration), "queue" (depth, 0 = default),
-// "drop" (true sheds clips when the queue is full), "seconds" (clip
-// duration, 0 = dataset default).
+// the session's live store. Params: "cameras" (1 to 64, default 1),
+// "clips" (per camera, 0 = unbounded), "interval" (Go duration, 0 or
+// more), "queue" (depth 0 to 1024, 0 = default), "drop" (a bool: shed clips
+// when the queue is full), "seconds" (clip duration up to 600, 0 = dataset
+// default).
 func (d *Daemon) runStream(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	p := paramsOf(job)
+	opts := otif.IngestOptions{
+		Cameras:        num(p, "cameras", 1, 1, maxStreamCameras, strconv.Atoi),
+		ClipsPerCamera: num(p, "clips", 0, 0, math.MaxInt, strconv.Atoi),
+		Interval:       num(p, "interval", 0, 0, math.MaxInt64, time.ParseDuration),
+		ClipSeconds:    num(p, "seconds", 0, 0, maxClipSeconds, parseFloat),
+		QueueDepth:     num(p, "queue", 0, 0, maxStreamQueue, strconv.Atoi),
+		DropWhenFull:   p.bool("drop"),
+	}
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	pipe := d.pipe.Load()
 	if pipe == nil {
 		return nil, errNotReady
@@ -339,48 +327,12 @@ func (d *Daemon) runStream(ctx context.Context, job *Job, progress obs.Progress)
 	}
 	defer d.streaming.Store(false)
 
-	params := job.View().Params
 	first := make(chan struct{})
 	var once sync.Once
-	opts := otif.IngestOptions{
-		DropWhenFull: params["drop"] == "true",
-		Progress: func(e obs.Event) {
-			progress(e)
-			once.Do(func() { close(first) })
-		},
+	opts.Progress = func(e obs.Event) {
+		progress(e)
+		once.Do(func() { close(first) })
 	}
-	atoi := func(key string) (int, error) {
-		s := params[key]
-		if s == "" {
-			return 0, nil
-		}
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return 0, fmt.Errorf("otifd: bad %s %q: %w", key, s, err)
-		}
-		return n, nil
-	}
-	var err error
-	if opts.Cameras, err = atoi("cameras"); err != nil {
-		return nil, err
-	}
-	if opts.ClipsPerCamera, err = atoi("clips"); err != nil {
-		return nil, err
-	}
-	if opts.QueueDepth, err = atoi("queue"); err != nil {
-		return nil, err
-	}
-	if s := params["interval"]; s != "" {
-		if opts.Interval, err = time.ParseDuration(s); err != nil {
-			return nil, fmt.Errorf("otifd: bad interval %q: %w", s, err)
-		}
-	}
-	if s := params["seconds"]; s != "" {
-		if opts.ClipSeconds, err = strconv.ParseFloat(s, 64); err != nil {
-			return nil, fmt.Errorf("otifd: bad seconds %q: %w", s, err)
-		}
-	}
-
 	sess, err := pipe.Ingest(ctx, opts)
 	if err != nil {
 		return nil, err

@@ -507,6 +507,48 @@ func TestStreamJob(t *testing.T) {
 	}
 }
 
+// TestHostileJobParams holds every job parameter that arrives over the
+// socket to a bound: each hostile value ends its job failed with an error
+// naming the parameter and starts no stream, and a valid stream job runs
+// afterwards. The huge queue and cameras values used to panic in make
+// inside the job goroutine, which took the daemon down.
+func TestHostileJobParams(t *testing.T) {
+	d := readyTestDaemon(t, testConfig())
+	const huge = "9000000000000000000"
+	for _, c := range []struct{ kind, key, value string }{
+		{"stream", "queue", huge},
+		{"stream", "queue", "-1"},
+		{"stream", "queue", "1025"},
+		{"stream", "cameras", huge},
+		{"stream", "cameras", "0"},
+		{"stream", "cameras", "65"},
+		{"stream", "clips", "-1"},
+		{"stream", "interval", "-5ms"},
+		{"stream", "seconds", "NaN"},
+		{"stream", "seconds", "+Inf"},
+		{"stream", "seconds", "-Inf"},
+		{"stream", "seconds", "-1"},
+		{"stream", "seconds", "601"},
+		{"stream", "drop", "yes"},
+		{"stream", "camera", "2"},
+		{"extract", "tolerance", "NaN"},
+		{"extract", "tolerance", "-0.1"},
+		{"extract", "tolerance", "1.5"},
+		{"extract", "tolerance", "+Inf"},
+		{"extract", "sets", "val"},
+		{"tune", "iterations", "3"},
+	} {
+		v := d.run(c.kind, map[string]string{c.key: c.value}, JobFailed)
+		if !strings.Contains(v.Error, c.key) {
+			t.Errorf("%s %s=%q: error %q does not name the parameter", c.kind, c.key, c.value, v.Error)
+		}
+		if body := d.ok("/v1/streams"); !bytes.Contains(body, []byte(`"streaming": false`)) {
+			t.Fatalf("%s %s=%q: /v1/streams = %s", c.kind, c.key, c.value, body)
+		}
+	}
+	d.run("stream", map[string]string{"cameras": "1", "clips": "1", "seconds": "1", "drop": "true"}, JobDone)
+}
+
 // TestLastPublicationAnswers is the publication rule: whichever source
 // published last answers the default dataset. Where the rule differs from
 // the priority chain it replaced — an extract finishing while a stream is
@@ -561,16 +603,14 @@ func TestLastPublicationAnswers(t *testing.T) {
 	}
 }
 
-// TestStreamFlagAndClose covers -stream (Start submits the stream job
-// through the manager) and Close (running jobs are canceled and waited for).
-func TestStreamFlagAndClose(t *testing.T) {
-	cfg := testConfig()
-	cfg.Stream, cfg.StreamCameras, cfg.StreamInterval, cfg.StreamQueue = true, 2, 10*time.Millisecond, 1
-	d := readyTestDaemon(t, cfg)
-	jobs := d.jobs.List()
-	if len(jobs) != 1 || jobs[0].Kind != "stream" || jobs[0].Params["cameras"] != "2" || jobs[0].Params["drop"] != "false" {
-		t.Fatalf("jobs after Start with -stream = %+v", jobs)
+// TestStreamJobAndClose starts an unbounded stream the one way there is,
+// POST /jobs, and covers Close (running jobs are canceled and waited for).
+func TestStreamJobAndClose(t *testing.T) {
+	d := readyTestDaemon(t, testConfig())
+	if jobs := d.jobs.List(); len(jobs) != 0 {
+		t.Fatalf("jobs after Start = %+v, want none", jobs)
 	}
+	d.submit("stream", map[string]string{"cameras": "2", "interval": "10ms", "queue": "1", "drop": "false"})
 	eventually(t, "two streamed clips", func() bool { return d.clipsServed() >= 2 })
 	d.submit("tune", nil)
 

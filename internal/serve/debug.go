@@ -16,34 +16,23 @@ import (
 
 // Debug endpoints: one-shot introspection of a live daemon.
 //
-//	GET /v1/debug/trace?format=otif|chrome   the flight recorder's spans
-//	GET /v1/debug/slow                       the K slowest /v1/query/* requests
-//	GET /v1/debug/bundle                     tar.gz post-mortem artifact
+//	GET /v1/debug/trace    the flight recorder's spans
+//	GET /v1/debug/slow     the K slowest /v1/query/* requests
+//	GET /v1/debug/bundle   tar.gz post-mortem artifact
 //
-// /v1/debug/trace answers 404 while tracing is disabled. The chrome format
-// loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// /v1/debug/trace answers 404 while tracing is disabled. Its Chrome
+// trace-event JSON loads directly in Perfetto (ui.perfetto.dev) or
+// chrome://tracing.
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec := obs.CurrentRecorder()
 	if rec == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled (start otifd with -trace-spans > 0)")
+		writeError(w, http.StatusNotFound, "tracing disabled")
 		return
 	}
-	format := r.FormValue("format")
-	if format == "" {
-		format = "otif"
-	}
-	switch format {
-	case "otif":
-		w.Header().Set("Content-Type", "application/json")
-		rec.WriteJSON(w)
-	case "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Disposition", `attachment; filename="otif-trace.chrome.json"`)
-		rec.WriteChrome(w)
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad format %q (want otif or chrome)", format))
-	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Disposition", `attachment; filename="otif-trace.chrome.json"`)
+	rec.WriteChrome(w)
 }
 
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
@@ -60,8 +49,8 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBundle streams one tar.gz carrying everything a post-mortem
-// needs: the metrics registry (JSON and Prometheus text), both trace
-// formats, the slow-request log, goroutine and heap profiles, build
+// needs: the metrics registry (JSON and Prometheus text), the flight
+// recorder's trace, the slow-request log, goroutine and heap profiles, build
 // info, the effective configuration, and streaming-ingest status. Every
 // member is built in memory first so a failing collector degrades to a
 // missing member instead of a truncated archive.
@@ -100,9 +89,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 	add("metrics.prom", func(buf *bytes.Buffer) error {
 		return WritePrometheus(buf, snap)
 	})
-	rec := obs.CurrentRecorder()
-	add("trace.json", func(buf *bytes.Buffer) error { return rec.WriteJSON(buf) })
-	add("trace.chrome.json", func(buf *bytes.Buffer) error { return rec.WriteChrome(buf) })
+	add("trace.chrome.json", func(buf *bytes.Buffer) error { return obs.CurrentRecorder().WriteChrome(buf) })
 	slow := []slowRequest{}
 	if s.slow != nil {
 		slow = s.slow.snapshot()

@@ -14,8 +14,8 @@ import (
 	"otif/internal/obs"
 )
 
-// TestDebugEndpointsDuringStreamingIngest hammers /v1/debug/trace (both
-// formats), /v1/debug/bundle and /v1/query/count from several goroutines while
+// TestDebugEndpointsDuringStreamingIngest hammers /v1/debug/trace,
+// /v1/debug/bundle and /v1/query/count from several goroutines while
 // the daemon's two-camera stream job records spans into the flight
 // recorder. Run under -race this proves the recorder's ring, the
 // per-route telemetry, the slow-request log and the bundle collectors
@@ -24,7 +24,7 @@ import (
 // attributes, the slow log holds query requests with span subtrees, and
 // /metrics exports the trace.* and serve.route.* series.
 func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
-	rec := otif.EnableTracing(1 << 12)
+	rec := otif.EnableTracing()
 	defer obs.SetRecorder(nil)
 
 	cfg := testConfig()
@@ -46,28 +46,12 @@ func TestDebugEndpointsDuringStreamingIngest(t *testing.T) {
 				default:
 				}
 				if code, body := get("/v1/debug/trace"); code == http.StatusOK {
-					var tr struct {
-						Spans []obs.SpanRecord  `json:"spans"`
-						Stats obs.RecorderStats `json:"stats"`
-					}
-					if err := json.Unmarshal(body, &tr); err != nil {
-						t.Errorf("otif trace: %v", err)
+					if _, err := decodeTrace(body); err != nil {
+						t.Errorf("trace: %v", err)
 						return
 					}
 				} else {
 					t.Errorf("/v1/debug/trace = %d", code)
-					return
-				}
-				if code, body := get("/v1/debug/trace?format=chrome"); code == http.StatusOK {
-					var chrome struct {
-						TraceEvents []json.RawMessage `json:"traceEvents"`
-					}
-					if err := json.Unmarshal(body, &chrome); err != nil {
-						t.Errorf("chrome trace: %v", err)
-						return
-					}
-				} else {
-					t.Errorf("/v1/debug/trace?format=chrome = %d", code)
 					return
 				}
 				if code, body := get("/v1/debug/bundle"); code == http.StatusOK {

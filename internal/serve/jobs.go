@@ -111,8 +111,7 @@ type Job struct {
 	cancel    context.CancelFunc
 	cancelled bool // cancel was requested by a client
 
-	ring    []JobEvent // bounded backlog, oldest first
-	ringCap int
+	ring    []JobEvent // bounded backlog of at most jobEvents, oldest first
 	seq     int64
 	dropped int64
 	subs    map[chan JobEvent]struct{}
@@ -170,7 +169,7 @@ func (j *Job) publish(e JobEvent) {
 	j.mu.Lock()
 	j.seq++
 	e.Seq = j.seq
-	if len(j.ring) >= j.ringCap {
+	if len(j.ring) >= jobEvents {
 		n := copy(j.ring, j.ring[1:])
 		j.ring = j.ring[:n]
 		j.dropped++
@@ -189,7 +188,7 @@ func (j *Job) publish(e JobEvent) {
 // receiving subsequent events. Call the returned cancel function to
 // unsubscribe.
 func (j *Job) Subscribe() (backlog []JobEvent, ch <-chan JobEvent, cancel func()) {
-	c := make(chan JobEvent, j.ringCap)
+	c := make(chan JobEvent, jobEvents)
 	j.mu.Lock()
 	backlog = append([]JobEvent(nil), j.ring...)
 	j.subs[c] = struct{}{}
@@ -249,12 +248,17 @@ type Runner func(ctx context.Context, job *Job, progress obs.Progress) (any, err
 // many, and an older one answers 404 like an id that never existed.
 const retainedJobs = 64
 
+// jobEvents is how many events each job's ring retains for late
+// subscribers, and the depth of a subscriber's channel: a tune job emits
+// a few dozen, a stream job one per clip, so a reader that falls further
+// behind sees a gap in Seq rather than holding the daemon's memory.
+const jobEvents = 256
+
 // Manager owns job submission, lookup and cancellation.
 type Manager struct {
-	ctx     context.Context
-	stop    context.CancelFunc
-	wg      sync.WaitGroup
-	ringCap int
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 
 	mu      sync.Mutex
 	runners map[string]Runner
@@ -263,17 +267,12 @@ type Manager struct {
 	next    int64
 }
 
-// NewManager returns a manager whose jobs buffer up to ringCap events
-// each (non-positive selects 256).
-func NewManager(ringCap int) *Manager {
-	if ringCap <= 0 {
-		ringCap = 256
-	}
+// NewManager returns a manager with no job kinds registered.
+func NewManager() *Manager {
 	ctx, stop := context.WithCancel(context.Background())
 	return &Manager{
 		ctx:     ctx,
 		stop:    stop,
-		ringCap: ringCap,
 		runners: map[string]Runner{},
 		jobs:    map[string]*Job{},
 	}
@@ -322,7 +321,6 @@ func (m *Manager) Submit(kind string, params map[string]string) (*Job, error) {
 		state:   JobPending,
 		created: time.Now(),
 		cancel:  cancel,
-		ringCap: m.ringCap,
 		subs:    map[chan JobEvent]struct{}{},
 		done:    make(chan struct{}),
 	}

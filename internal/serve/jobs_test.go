@@ -29,7 +29,7 @@ func waitState(t *testing.T, j *Job, want JobState) {
 }
 
 func TestJobLifecycleDone(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	m.Register("ok", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
 		for i := 0; i < 3; i++ {
@@ -66,7 +66,7 @@ func TestJobLifecycleDone(t *testing.T) {
 }
 
 func TestJobFailureSurfacesPartialError(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	m.Register("partial", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
 		return nil, &core.PartialError{Stage: "extract", Done: 2, Total: 5, Err: errors.New("disk on fire")}
@@ -83,7 +83,7 @@ func TestJobFailureSurfacesPartialError(t *testing.T) {
 }
 
 func TestJobCancel(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	started := make(chan struct{})
 	m.Register("slow", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
@@ -108,7 +108,7 @@ func TestJobCancel(t *testing.T) {
 }
 
 func TestJobCancelBeforeRunObserved(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	m.Register("ctx", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
 		// The runner sees an already-canceled context if cancel arrived
@@ -128,7 +128,7 @@ func TestJobCancelBeforeRunObserved(t *testing.T) {
 // the oldest answers like an unknown id, and a job still running is kept
 // however old it is.
 func TestFinishedJobsAreForgotten(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	m.Register("noop", func(ctx context.Context, j *Job, p obs.Progress) (any, error) { return nil, nil })
 	m.Register("block", func(ctx context.Context, j *Job, p obs.Progress) (any, error) {
@@ -171,7 +171,7 @@ func TestFinishedJobsAreForgotten(t *testing.T) {
 }
 
 func TestSubmitUnknownKind(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	if _, err := m.Submit("nope", nil); err == nil {
 		t.Fatal("submitting an unknown kind succeeded")
@@ -179,12 +179,12 @@ func TestSubmitUnknownKind(t *testing.T) {
 }
 
 func TestEventRingBounded(t *testing.T) {
-	const ringCap = 8
-	m := NewManager(ringCap)
+	const clips = jobEvents + 100
+	m := NewManager()
 	defer m.Close()
 	m.Register("chatty", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
-		for i := 0; i < 100; i++ {
-			progress.Emit(obs.Event{Kind: obs.EventClip, Index: i, Total: 100})
+		for i := 0; i < clips; i++ {
+			progress.Emit(obs.Event{Kind: obs.EventClip, Index: i, Total: clips})
 		}
 		return nil, nil
 	})
@@ -192,22 +192,22 @@ func TestEventRingBounded(t *testing.T) {
 	waitState(t, j, JobDone)
 	backlog, _, unsub := j.Subscribe()
 	unsub()
-	if len(backlog) != ringCap {
-		t.Fatalf("backlog holds %d events, want ring capacity %d", len(backlog), ringCap)
+	if len(backlog) != jobEvents {
+		t.Fatalf("backlog holds %d events, want ring capacity %d", len(backlog), jobEvents)
 	}
 	v := j.View()
-	if v.Events != 102 { // running + 100 clips + done
-		t.Errorf("total events = %d, want 102", v.Events)
+	if v.Events != clips+2 { // running + clips + done
+		t.Errorf("total events = %d, want %d", v.Events, clips+2)
 	}
-	if v.Dropped != 102-ringCap {
-		t.Errorf("dropped = %d, want %d", v.Dropped, 102-ringCap)
+	if v.Dropped != clips+2-jobEvents {
+		t.Errorf("dropped = %d, want %d", v.Dropped, clips+2-jobEvents)
 	}
 	// The retained tail is the newest events, ending in the done state.
 	if last := backlog[len(backlog)-1]; last.State != JobDone {
 		t.Errorf("last retained event = %+v, want done state", last)
 	}
-	if backlog[0].Seq != v.Events-int64(ringCap)+1 {
-		t.Errorf("oldest retained seq = %d, want %d", backlog[0].Seq, v.Events-int64(ringCap)+1)
+	if backlog[0].Seq != v.Events-jobEvents+1 {
+		t.Errorf("oldest retained seq = %d, want %d", backlog[0].Seq, v.Events-jobEvents+1)
 	}
 }
 
@@ -220,7 +220,7 @@ func newTestServer(t *testing.T, m *Manager, ready func() bool) *httptest.Server
 }
 
 func TestHTTPJobEndpoints(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	release := make(chan struct{})
 	m.Register("gated", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
@@ -313,7 +313,7 @@ func TestHTTPJobEndpoints(t *testing.T) {
 // TestHTTPJobSubmitBodyTooLarge: POST /jobs refuses a body past
 // maxBodyBytes with 413 and submits nothing.
 func TestHTTPJobSubmitBodyTooLarge(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	m.Register("noop", func(context.Context, *Job, obs.Progress) (any, error) { return nil, nil })
 	srv := newTestServer(t, m, nil)
@@ -332,7 +332,7 @@ func TestHTTPJobSubmitBodyTooLarge(t *testing.T) {
 }
 
 func TestHTTPCancelEndpoint(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	started := make(chan struct{})
 	m.Register("slow", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
@@ -356,7 +356,7 @@ func TestHTTPCancelEndpoint(t *testing.T) {
 
 func TestHealthAndReadiness(t *testing.T) {
 	ready := false
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	srv := newTestServer(t, m, func() bool { return ready })
 
@@ -384,7 +384,7 @@ func TestHealthAndReadiness(t *testing.T) {
 }
 
 func TestMetricsEndpointServesRegistry(t *testing.T) {
-	m := NewManager(0)
+	m := NewManager()
 	defer m.Close()
 	reg := obs.NewRegistry()
 	reg.Counter("run.clips").Add(4)

@@ -187,9 +187,9 @@ func (t *bodyTee) Read(p []byte) (int, error) {
 
 func (t *bodyTee) Close() error { return t.rc.Close() }
 
-// DefaultSlowRequests is how many slow requests the Server retains when
-// SlowK is zero.
-const DefaultSlowRequests = 16
+// slowRequests is how many slow requests the Server retains: enough to
+// see the slow kinds side by side, each entry holding its span subtree.
+const slowRequests = 16
 
 // slowRequest is one retained entry of the slow-request log: the request
 // identity and parameters plus the span subtree the request produced in
@@ -207,19 +207,12 @@ type slowRequest struct {
 	Spans   []obs.SpanRecord `json:"spans,omitempty"`
 }
 
-// slowLog retains the K slowest query requests seen so far, slowest
-// first.
+// slowLog retains the slowest query requests seen so far, at most max of
+// them, slowest first.
 type slowLog struct {
 	mu      sync.Mutex
 	max     int
 	entries []slowRequest
-}
-
-func newSlowLog(k int) *slowLog {
-	if k <= 0 {
-		k = DefaultSlowRequests
-	}
-	return &slowLog{max: k}
 }
 
 // offer inserts e if it ranks among the K slowest. The span subtree is

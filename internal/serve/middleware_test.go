@@ -4,6 +4,7 @@ import (
 	"archive/tar"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -99,7 +100,7 @@ func TestStatusWriterDefaultsTo200(t *testing.T) {
 // slowest entries, slowest first, and materializes the span subtree only
 // for qualifying entries.
 func TestSlowLog(t *testing.T) {
-	l := newSlowLog(3)
+	l := &slowLog{max: 3}
 	captures := 0
 	spans := func() []obs.SpanRecord {
 		captures++
@@ -126,12 +127,6 @@ func TestSlowLog(t *testing.T) {
 	// captures; only 0.05 was rejected without materializing spans.
 	if captures != 5 {
 		t.Errorf("span subtrees materialized %d times, want 5", captures)
-	}
-}
-
-func TestDefaultSlowLogSize(t *testing.T) {
-	if l := newSlowLog(0); l.max != DefaultSlowRequests {
-		t.Errorf("default slow log size = %d, want %d", l.max, DefaultSlowRequests)
 	}
 }
 
@@ -168,8 +163,8 @@ func TestSlowEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.K != DefaultSlowRequests {
-		t.Errorf("k = %d, want %d", out.K, DefaultSlowRequests)
+	if out.K != slowRequests {
+		t.Errorf("k = %d, want %d", out.K, slowRequests)
 	}
 	if len(out.Requests) != 1 {
 		t.Fatalf("slow log has %d entries, want 1: %+v", len(out.Requests), out.Requests)
@@ -180,9 +175,27 @@ func TestSlowEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceEndpoint covers the three /v1/debug/trace answers: 404 with
-// tracing disabled, span JSON by default, Chrome trace events on
-// format=chrome, 400 on anything else.
+// chromeTrace is the one shape the flight recorder is served in, by
+// /v1/debug/trace and as the bundle's trace.chrome.json.
+type chromeTrace struct {
+	TraceEvents []json.RawMessage `json:"traceEvents"`
+	OtherData   obs.RecorderStats `json:"otherData"`
+}
+
+func decodeTrace(b []byte) (chromeTrace, error) {
+	var tr chromeTrace
+	if err := json.Unmarshal(b, &tr); err != nil {
+		return tr, err
+	}
+	if tr.TraceEvents == nil {
+		return tr, fmt.Errorf("no traceEvents list in %.200s", b)
+	}
+	return tr, nil
+}
+
+// TestTraceEndpoint covers the two /v1/debug/trace answers: 404 with
+// tracing disabled, else the recorder's Chrome trace with its ring stats
+// under otherData, whatever the query string says.
 func TestTraceEndpoint(t *testing.T) {
 	s := &Server{Registry: obs.NewRegistry()}
 	srv := httptest.NewServer(s.Handler())
@@ -200,47 +213,31 @@ func TestTraceEndpoint(t *testing.T) {
 
 	obs.EnableTracing(64)
 	defer obs.SetRecorder(nil)
-	resp, err = http.Get(srv.URL + "/v1/debug/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var otifTrace struct {
-		Spans []obs.SpanRecord  `json:"spans"`
-		Stats obs.RecorderStats `json:"stats"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&otifTrace); err != nil {
-		t.Fatalf("otif trace: %v", err)
-	}
-	resp.Body.Close()
-	if otifTrace.Stats.Capacity != 64 {
-		t.Errorf("trace stats = %+v", otifTrace.Stats)
-	}
-
-	resp, err = http.Get(srv.URL + "/v1/debug/trace?format=chrome")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chrome struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&chrome); err != nil {
-		t.Fatalf("chrome trace: %v", err)
-	}
-	resp.Body.Close()
-
-	resp, err = http.Get(srv.URL + "/v1/debug/trace?format=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad format = %d, want 400", resp.StatusCode)
+	for _, path := range []string{"/v1/debug/trace", "/v1/debug/trace?format=spans"} {
+		resp, err = http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := decodeTrace(body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d: %v", path, resp.StatusCode, err)
+		}
+		if tr.OtherData.Capacity != 64 {
+			t.Errorf("%s: otherData = %+v", path, tr.OtherData)
+		}
 	}
 }
 
 // TestBundleMembers downloads /v1/debug/bundle and asserts the expected
 // archive member set.
 func TestBundleMembers(t *testing.T) {
+	obs.EnableTracing(8)
+	defer obs.SetRecorder(nil)
 	s := &Server{
 		Registry: obs.NewRegistry(),
 		Config: func() map[string]string {
@@ -279,15 +276,20 @@ func TestBundleMembers(t *testing.T) {
 		members[hdr.Name] = data
 	}
 	for _, want := range []string{
-		"metrics.json", "metrics.prom", "trace.json", "trace.chrome.json",
+		"metrics.json", "metrics.prom", "trace.chrome.json",
 		"slow.json", "goroutines.txt", "heap.pprof", "buildinfo.txt", "config.json",
 	} {
 		if _, ok := members[want]; !ok {
 			t.Errorf("bundle missing member %q (have %d members)", want, len(members))
 		}
 	}
-	if _, ok := members["streams.json"]; ok {
-		t.Error("bundle has streams.json with no Streams source configured")
+	for _, gone := range []string{"streams.json", "trace.json"} {
+		if _, ok := members[gone]; ok {
+			t.Errorf("bundle has %s", gone)
+		}
+	}
+	if tr, err := decodeTrace(members["trace.chrome.json"]); err != nil || tr.OtherData.Capacity != 8 {
+		t.Errorf("trace.chrome.json = %+v, %v", tr, err)
 	}
 	var cfg map[string]string
 	if err := json.Unmarshal(members["config.json"], &cfg); err != nil {

@@ -26,7 +26,7 @@ import (
 //	GET  /v1/datasets           registered datasets + segment manifests
 //	     /v1/query/*            indexed track queries (see QueryAPI)
 //	GET  /v1/streams            streaming ingest status (JSON)
-//	GET  /v1/debug/trace        flight-recorder spans (?format=otif|chrome)
+//	GET  /v1/debug/trace        flight-recorder spans (Chrome trace-event JSON)
 //	GET  /v1/debug/slow         the K slowest query requests with spans
 //	GET  /v1/debug/bundle       one-shot tar.gz post-mortem artifact
 //	     /v1/debug/pprof/*      CPU/heap/goroutine profiling
@@ -51,10 +51,9 @@ type Server struct {
 	// Config reports the effective configuration (flag values) for the
 	// debug bundle; nil omits the bundle's config.json member.
 	Config func() map[string]string
-	// SlowK caps the slow-request log (0 selects DefaultSlowRequests).
-	SlowK int
 
-	// slow retains the K slowest /v1/query/* requests; built by Handler.
+	// slow retains the slowRequests slowest /v1/query/* requests; built by
+	// Handler.
 	slow *slowLog
 }
 
@@ -63,7 +62,7 @@ type Server struct {
 // wrapper.
 func (s *Server) Handler() http.Handler {
 	if s.slow == nil {
-		s.slow = newSlowLog(s.SlowK)
+		s.slow = &slowLog{max: slowRequests}
 	}
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.Handler) {

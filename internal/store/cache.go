@@ -12,11 +12,13 @@ import (
 // track-level answers over a paper-scale segment set.
 const cacheBudget int64 = 64 << 20
 
-// cacheKey identifies one memoized result: a sealed segment's id plus the
-// canonical string form of the query (method name and every parameter).
-// Segment ids are stable across processes, so two replicas computing the
-// same query over the same shipped segment key identically.
+// cacheKey identifies one memoized result: a sealed segment, named by its
+// dataset and id, plus the canonical string form of the query (method name
+// and every parameter). The dataset is part of the key because one cache
+// serves every dataset of a segment directory, and each dataset numbers
+// its segments from seg-00000.
 type cacheKey struct {
+	dataset string
 	segment string
 	query   string
 }
@@ -50,20 +52,20 @@ func NewCache() *Cache {
 	return &Cache{lru: lru.New[cacheKey, any](cacheBudget)}
 }
 
-// Get returns the memoized result for (segment, query), running fn to fill
-// it on first use and charging it resultBytes plus the key's own bytes: the
-// query string carries request parameters verbatim (a category, a region),
-// so a key can be far larger than the answer it maps to. Errors are not
-// part of the contract — query execution over an in-memory segment cannot
-// fail — so fn returns only a value.
-func (c *Cache) Get(segment, query string, fn func() any) any {
+// Get returns the memoized result for (dataset, segment, query), running fn
+// to fill it on first use and charging it resultBytes plus the key's own
+// bytes: the query string carries request parameters verbatim (a category,
+// a region), so a key can be far larger than the answer it maps to. Errors
+// are not part of the contract — query execution over an in-memory segment
+// cannot fail — so fn returns only a value.
+func (c *Cache) Get(dataset, segment, query string, fn func() any) any {
 	if c == nil {
 		return fn()
 	}
 	defer c.publish()
-	return c.lru.Get(cacheKey{segment, query}, func() (any, int64) {
+	return c.lru.Get(cacheKey{dataset, segment, query}, func() (any, int64) {
 		v := fn()
-		return v, resultBytes(v) + int64(len(segment)+len(query))
+		return v, resultBytes(v) + int64(len(dataset)+len(segment)+len(query))
 	})
 }
 

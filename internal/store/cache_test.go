@@ -37,7 +37,7 @@ func TestCacheHammer(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				k := r.Intn(keys)
 				seg, q := SegmentID(k/2), []string{"count|car", "avgvisible|bus", "dwell|"}[k%3]
-				v := c.Get(seg, q, func() any {
+				v := c.Get("test", seg, q, func() any {
 					computed[k]++
 					return []int{k, k * k}
 				}).([]int)
@@ -81,7 +81,7 @@ func TestCacheDedupCounter(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Get("seg-00000", "count|car", func() any {
+		c.Get("test", "seg-00000", "count|car", func() any {
 			close(started)
 			<-release
 			return []int{42}
@@ -92,7 +92,7 @@ func TestCacheDedupCounter(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if v := c.Get("seg-00000", "count|car", func() any { return nil }).([]int); v[0] != 42 {
+			if v := c.Get("test", "seg-00000", "count|car", func() any { return nil }).([]int); v[0] != 42 {
 				t.Errorf("waiter got %v, want [42]", v)
 			}
 		}()
@@ -107,7 +107,7 @@ func TestCacheDedupCounter(t *testing.T) {
 	if st.Fills != 1 || st.Dedup != waiters || st.Hits != 0 {
 		t.Errorf("stats = %+v, want fills=1 dedup=%d hits=0", st, waiters)
 	}
-	if v := c.Get("seg-00000", "count|car", func() any { return nil }).([]int); v[0] != 42 {
+	if v := c.Get("test", "seg-00000", "count|car", func() any { return nil }).([]int); v[0] != 42 {
 		t.Errorf("post-fill Get = %v, want [42]", v)
 	}
 	if st := c.Stats(); st.Hits != 1 {
@@ -120,7 +120,7 @@ func TestCacheNil(t *testing.T) {
 	var c *Cache
 	n := 0
 	for i := 0; i < 3; i++ {
-		if v := c.Get("s", "q", func() any { n++; return n }).(int); v != i+1 {
+		if v := c.Get("d", "s", "q", func() any { n++; return n }).(int); v != i+1 {
 			t.Fatalf("nil cache memoized: got %d on call %d", v, i+1)
 		}
 	}

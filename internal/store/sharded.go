@@ -111,7 +111,7 @@ func scatter[E any](sh *Sharded, key string, run func(*Store) []E) []E {
 	parallel.For(len(sh.segs), func(i int) {
 		sg := sh.segs[i]
 		if sg.sealed && sh.cache != nil {
-			parts[i] = sh.cache.Get(sg.id, key, func() any { return run(sg.s) }).([]E)
+			parts[i] = sh.cache.Get(sh.dataset, sg.id, key, func() any { return run(sg.s) }).([]E)
 		} else {
 			parts[i] = run(sg.s)
 		}
@@ -170,53 +170,56 @@ func resultBytes(v any) int64 {
 	return n
 }
 
-// Canonical query keys: method name plus every parameter, rendered with
-// %v (shortest float form — deterministic for identical values). Segment
-// ids are stable across processes, so replicas serving the same shipped
-// segments share key space.
+// Canonical query keys: method name plus every parameter rendered with %#v,
+// which quotes strings and names types, so no parameter can spell a
+// separator and two distinct calls never share a key
+// (TestCacheKeysInjective). Floats render in their shortest form, which is
+// deterministic for identical values.
 
 func (sh *Sharded) CountTracks(cat string) []int {
-	return scatter(sh, "count|"+cat, func(s *Store) []int { return s.CountTracks(cat) })
+	key := fmt.Sprintf("count|%#v", cat)
+	return scatter(sh, key, func(s *Store) []int { return s.CountTracks(cat) })
 }
 
 func (sh *Sharded) PathBreakdown(cat string, movements []query.Movement, maxEndpointDist float64) []map[string]int {
-	key := fmt.Sprintf("breakdown|%s|%v|%v", cat, maxEndpointDist, movements)
+	key := fmt.Sprintf("breakdown|%#v|%#v|%#v", cat, maxEndpointDist, movements)
 	return scatter(sh, key, func(s *Store) []map[string]int { return s.PathBreakdown(cat, movements, maxEndpointDist) })
 }
 
 func (sh *Sharded) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
 	// Limit semantics are per clip (each clip's sweep stops at limit), so
 	// per-segment execution matches the single store exactly.
-	key := fmt.Sprintf("limit|%s|%T%+v|%d|%d", cat, pred, pred, limit, minSepFrames)
+	key := fmt.Sprintf("limit|%#v|%#v|%#v|%#v", cat, pred, limit, minSepFrames)
 	return scatter(sh, key, func(s *Store) [][]query.FrameMatch { return s.LimitQuery(cat, pred, limit, minSepFrames) })
 }
 
 func (sh *Sharded) AvgVisible(cat string) []float64 {
-	return scatter(sh, "avgvisible|"+cat, func(s *Store) []float64 { return s.AvgVisible(cat) })
+	key := fmt.Sprintf("avgvisible|%#v", cat)
+	return scatter(sh, key, func(s *Store) []float64 { return s.AvgVisible(cat) })
 }
 
 func (sh *Sharded) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
-	key := fmt.Sprintf("busy|%s|%d|%s|%d", catA, nA, catB, nB)
+	key := fmt.Sprintf("busy|%#v|%#v|%#v|%#v", catA, nA, catB, nB)
 	return scatter(sh, key, func(s *Store) [][]int { return s.BusyFrames(catA, nA, catB, nB) })
 }
 
 func (sh *Sharded) CoOccurrences(cat string, dist float64) []int {
-	key := fmt.Sprintf("cooccur|%s|%v", cat, dist)
+	key := fmt.Sprintf("cooccur|%#v|%#v", cat, dist)
 	return scatter(sh, key, func(s *Store) []int { return s.CoOccurrences(cat, dist) })
 }
 
 func (sh *Sharded) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
-	key := fmt.Sprintf("dwell|%s|%v", cat, region)
+	key := fmt.Sprintf("dwell|%#v|%#v", cat, region)
 	return scatter(sh, key, func(s *Store) []map[int]float64 { return s.DwellTime(cat, region) })
 }
 
 func (sh *Sharded) HardBraking(decelThreshold float64) [][]*query.Track {
-	key := fmt.Sprintf("braking|%v", decelThreshold)
+	key := fmt.Sprintf("braking|%#v", decelThreshold)
 	return scatter(sh, key, func(s *Store) [][]*query.Track { return s.HardBraking(decelThreshold) })
 }
 
 func (sh *Sharded) Speeding(threshold float64) [][]*query.Track {
-	key := fmt.Sprintf("speeding|%v", threshold)
+	key := fmt.Sprintf("speeding|%#v", threshold)
 	return scatter(sh, key, func(s *Store) [][]*query.Track { return s.Speeding(threshold) })
 }
 

@@ -105,6 +105,100 @@ func TestShardedDifferential(t *testing.T) {
 	}
 }
 
+// TestCacheKeysInjective asks a cached Sharded, at every split K ∈
+// {1,2,3,7}, queries whose parameters could spell each other's cache keys,
+// and requires each answer to equal the same query over an uncached
+// Sharded. Categories and movement names come from an alphabet holding the
+// characters a key puts between and around parameters. Before keys quoted
+// their parameters, BusyFrames("a|1|b", 2, "c", 1) and
+// BusyFrames("a", 1, "b|2|c", 1) rendered one key and the second got the
+// first's answer; a movement name could forge a breakdown key the same way.
+// Last, two datasets that share a cache and their segment ids must not
+// answer for each other.
+func TestCacheKeysInjective(t *testing.T) {
+	const alphabet = `ab12|{}%"c`
+	ctx := testCtx()
+	r := rand.New(rand.NewSource(1))
+	randCat := func() string {
+		b := make([]byte, 1+r.Intn(4))
+		for i := range b {
+			b[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	cats := []string{"a|1|b", "c", "a", "b|2|c", "x"}
+	for len(cats) < 10 {
+		cats = append(cats, randCat())
+	}
+	world := func() [][]*query.Track {
+		perClip := make([][]*query.Track, 7)
+		for i := range perClip {
+			perClip[i] = genTracks(r, 60, ctx.Frames, ctx)
+			for _, tr := range perClip[i] {
+				tr.Category = cats[r.Intn(len(cats))]
+			}
+		}
+		return perClip
+	}
+	perClip := world()
+	path := geom.Path{{X: 0, Y: 0}, {X: 640, Y: 360}}
+	type call func(sh *Sharded) any
+	calls := []call{
+		func(sh *Sharded) any { return sh.BusyFrames("a|1|b", 2, "c", 1) },
+		func(sh *Sharded) any { return sh.BusyFrames("a", 1, "b|2|c", 1) },
+		func(sh *Sharded) any {
+			return sh.PathBreakdown("x", []query.Movement{{Name: "a|900|[{m", Path: path}}, 500)
+		},
+		func(sh *Sharded) any {
+			return sh.PathBreakdown("x|500|[{a", []query.Movement{{Name: "m", Path: path}}, 900)
+		},
+	}
+	for i := 0; i < 40; i++ {
+		catA, catB, nA, nB, name := randCat(), randCat(), r.Intn(3), r.Intn(3), randCat()
+		calls = append(calls,
+			func(sh *Sharded) any { return sh.BusyFrames(catA, nA, catB, nB) },
+			func(sh *Sharded) any { return sh.CountTracks(catA) },
+			func(sh *Sharded) any { return sh.AvgVisible(catB) },
+			func(sh *Sharded) any { return sh.CoOccurrences(catA, 80) },
+			func(sh *Sharded) any { return sh.LimitQuery(catB, query.CountPredicate{N: nA}, 3, nB) },
+			func(sh *Sharded) any {
+				return sh.PathBreakdown(catA, []query.Movement{{Name: name, Path: path}}, 400)
+			},
+		)
+	}
+	for _, clipsPerSeg := range []int{7, 4, 3, 1} {
+		segs := SplitSegments(perClip, ctx, clipsPerSeg)
+		cached, err := NewSharded("test", ctx, segs, NewCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := NewSharded("test", ctx, segs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range calls {
+			if got, want := c(cached), c(plain); !reflect.DeepEqual(got, want) {
+				t.Fatalf("clipsPerSeg=%d: call %d answered from another query's cache entry\n got: %v\nwant: %v", clipsPerSeg, i, got, want)
+			}
+		}
+	}
+
+	other := world()
+	cache := NewCache()
+	for _, w := range []struct {
+		name    string
+		perClip [][]*query.Track
+	}{{"first", perClip}, {"second", other}} {
+		sh, err := NewSharded(w.name, ctx, SplitSegments(w.perClip, ctx, 3), cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sh.CountTracks("c"), New(w.perClip, ctx).CountTracks("c"); !reflect.DeepEqual(got, want) {
+			t.Errorf("dataset %s answered from another dataset's segments: got %v, want %v", w.name, got, want)
+		}
+	}
+}
+
 // TestNewShardedValidation pins the tiling and context invariants: segments
 // that leave a gap, overlap, or disagree on clip geometry are rejected.
 func TestNewShardedValidation(t *testing.T) {

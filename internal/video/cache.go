@@ -113,8 +113,8 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// DefaultCacheBytes is the default byte budget of the process-wide frame
-// cache (the -cache-mb flag of the command-line tools overrides it).
+// DefaultCacheBytes is the byte budget of the process-wide frame cache.
+// Only tests set another, through SetCacheBudget.
 const DefaultCacheBytes int64 = 64 << 20
 
 // globalCache is the process-wide cache consulted by CachedDownsample and

@@ -35,8 +35,8 @@ func Snapshot() MetricsSnapshot { return obs.Default.Snapshot() }
 // atomic load, keeping deterministic benchmarks allocation-free.
 func SetLogger(l *slog.Logger) { obs.SetLogger(l) }
 
-// EnableTracing installs a process-wide flight recorder capturing up to
-// max attributed spans (a cap <= 0 selects a default) and returns it. The
+// EnableTracing installs a process-wide flight recorder capturing the
+// newest obs.DefaultRecorderSpans attributed spans and returns it. The
 // recorder is a fixed-capacity ring that overwrites oldest-first, so a
 // long-running process always retains the most recent window of spans
 // under bounded memory; ring occupancy and overwritten-span counts are
@@ -44,4 +44,4 @@ func SetLogger(l *slog.Logger) { obs.SetLogger(l) }
 // default in the library (otifd turns it on); when off, span start/end
 // sites read no clocks and do not allocate, keeping deterministic paths
 // clock-free.
-func EnableTracing(max int) *obs.Recorder { return obs.EnableTracing(max) }
+func EnableTracing() *obs.Recorder { return obs.EnableTracing(obs.DefaultRecorderSpans) }

@@ -10,7 +10,6 @@ import (
 	"otif/internal/query"
 	"otif/internal/store"
 	"otif/internal/tuner"
-	"otif/internal/video"
 )
 
 // SetParallelism fixes the worker count used by clip execution, tuning and
@@ -18,18 +17,6 @@ import (
 // are bit-for-bit identical at any worker count; SetParallelism(1) forces
 // the serial reference path.
 func SetParallelism(n int) { parallel.SetWorkers(n) }
-
-// SetCacheMB sets the byte budget (in MiB) of the process-wide frame cache
-// that serves repeated downsamples and clip-frame reads on the per-frame
-// hot path. mb <= 0 disables caching. The cache only affects wall-clock
-// speed: extracted tracks, simulated runtimes and tuning curves are
-// bit-for-bit identical at any budget, including zero. The default is
-// 64 MiB.
-func SetCacheMB(mb int) { video.SetCacheBudget(int64(mb) << 20) }
-
-// CacheStats reports the process-wide frame cache counters (all zero when
-// caching is disabled).
-func CacheStats() video.CacheStats { return video.GlobalCacheStats() }
 
 // SetName selects one of a pipeline's clip sets.
 type SetName string
