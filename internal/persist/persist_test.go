@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -488,6 +489,39 @@ func TestReadersRejectHostileFrameIndices(t *testing.T) {
 	}
 }
 
+// hostileClipLength is the clip length no header may give: every
+// frame-level query loops over the clip's frames.
+const hostileClipLength = 1 << 40
+
+// TestReadersRejectHostileClipLength: both readers refuse a header whose
+// clip length is negative or above maxFrames, with an error that names the
+// value, and accept no length (0) and maxFrames itself. The files hold one
+// empty clip, so no detection's frame index can refuse them instead.
+func TestReadersRejectHostileClipLength(t *testing.T) {
+	for _, tc := range []struct {
+		frames   int
+		accepted bool
+	}{{-1, false}, {maxFrames + 1, false}, {hostileClipLength, false}, {0, true}, {maxFrames, true}} {
+		var trk, seg bytes.Buffer
+		if err := WriteTracksV2(&trk, [][]*query.Track{nil}, TrackMeta{FPS: 10, Frames: tc.frames, Dataset: "d"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteSegment(&seg, SegmentMeta{Dataset: "d", ID: "seg-00000", FPS: 10, Frames: tc.frames}, [][]*query.Track{nil}); err != nil {
+			t.Fatal(err)
+		}
+		_, _, trkErr := ReadTracksAuto(bytes.NewReader(trk.Bytes()))
+		_, _, segErr := ReadSegment(bytes.NewReader(seg.Bytes()))
+		for reader, err := range map[string]error{"ReadTracksAuto": trkErr, "ReadSegment": segErr} {
+			switch {
+			case tc.accepted && err != nil:
+				t.Errorf("%d frames: %s refused the file: %v", tc.frames, reader, err)
+			case !tc.accepted && (err == nil || !strings.Contains(err.Error(), fmt.Sprint(tc.frames))):
+				t.Errorf("%d frames: %s returned %v, want an error naming the clip length", tc.frames, reader, err)
+			}
+		}
+	}
+}
+
 // TestReadAllocsPerDetection bounds the heap allocations of decoding one
 // detection: its category string and the slice the bytes were read into,
 // with the growth of the detection slice amortised over the rest. The nine
@@ -522,8 +556,8 @@ func TestReadAllocsPerDetection(t *testing.T) {
 // bytes: it never panics, and it returns either an error or a track set
 // whose re-encoding reads back to the same bytes. Seeds are a valid file,
 // truncations of it, a copy with a flipped checksum, the hostile-count
-// headers and a detection at frame 1<<40; the committed corpus is in
-// testdata/fuzz/FuzzReadTracksAuto.
+// headers, a detection at frame 1<<40 and a header clip length of 1<<40;
+// the committed corpus is in testdata/fuzz/FuzzReadTracksAuto.
 func FuzzReadTracksAuto(f *testing.F) {
 	var buf bytes.Buffer
 	meta := TrackMeta{FPS: 10, NomW: 640, NomH: 360, Frames: 100, Dataset: "caldot1"}
@@ -543,6 +577,11 @@ func FuzzReadTracksAuto(f *testing.F) {
 	}
 	buf = bytes.Buffer{}
 	if err := WriteTracksV2(&buf, hostileFrameIndexTracks(), TrackMeta{FPS: 10, Dataset: "d"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	buf = bytes.Buffer{}
+	if err := WriteTracksV2(&buf, [][]*query.Track{nil}, TrackMeta{FPS: 10, Frames: hostileClipLength, Dataset: "d"}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -573,8 +612,9 @@ func FuzzReadTracksAuto(f *testing.F) {
 // FuzzReadSegment holds the segment reader to the same contract: never a
 // panic, and an error or a segment whose re-encoding reads back byte-equal.
 // Seeds are a valid segment, truncations of it, a flipped checksum, the
-// hostile-count bodies behind a segment header and a detection at frame
-// 1<<40; the committed corpus is in testdata/fuzz/FuzzReadSegment.
+// hostile-count bodies behind a segment header, a detection at frame 1<<40
+// and a header clip length of 1<<40; the committed corpus is in
+// testdata/fuzz/FuzzReadSegment.
 func FuzzReadSegment(f *testing.F) {
 	for _, data := range segmentSeeds(f) {
 		f.Add(data)
@@ -645,5 +685,10 @@ func segmentSeeds(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	seeds["hostile_frame_index"] = buf.Bytes()
+	buf = bytes.Buffer{}
+	if err := WriteSegment(&buf, SegmentMeta{Dataset: "d", ID: "seg-00000", FPS: 10, Frames: hostileClipLength}, [][]*query.Track{nil}); err != nil {
+		t.Fatal(err)
+	}
+	seeds["hostile_clip_length"] = buf.Bytes()
 	return seeds
 }

@@ -81,6 +81,9 @@ func ReadSegment(src io.Reader) (SegmentMeta, [][]*query.Track, error) {
 	if meta.StartClip < 0 {
 		return meta, nil, fmt.Errorf("%w (negative start clip %d)", ErrBadChecksum, meta.StartClip)
 	}
+	if err := checkFrames(meta.Frames); err != nil {
+		return meta, nil, err
+	}
 	perClip, err := readTrackBody(r, meta.Frames)
 	if err != nil {
 		return meta, nil, err

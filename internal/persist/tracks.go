@@ -100,11 +100,28 @@ func ReadTracksAuto(src io.Reader) ([][]*query.Track, *TrackMeta, error) {
 	if r.err != nil {
 		return nil, nil, r.err
 	}
+	if err := checkFrames(meta.Frames); err != nil {
+		return nil, nil, err
+	}
 	perClip, err := readTrackBody(r, meta.Frames)
 	if err != nil {
 		return nil, nil, err
 	}
 	return perClip, meta, nil
+}
+
+// maxFrames bounds a header's clip length: 9.7 hours at 30 fps. Every
+// frame-level query loops up to it, so a few bytes claiming 1<<40 frames
+// would otherwise hold a query for hours.
+const maxFrames = 1 << 20
+
+// checkFrames refuses a header clip length below 0 (0 gives none) or above
+// maxFrames.
+func checkFrames(frames int) error {
+	if frames < 0 || frames > maxFrames {
+		return fmt.Errorf("%w (clip length %d frames, outside [0, %d])", ErrBadChecksum, frames, maxFrames)
+	}
+	return nil
 }
 
 // maxPrealloc bounds the capacity a reader reserves on the strength of a

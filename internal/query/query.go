@@ -83,37 +83,73 @@ func InterpBox(a, b *detect.Detection, frameIdx int) geom.Rect {
 
 // Interp walks one track's detections forward, interpolating boxes at
 // non-decreasing frame indices in O(dets + frames) amortized instead of
-// BoxAt's O(dets) per call. It returns exactly what BoxAt would: the
-// segment chosen for any frame is the first detection pair whose second
-// endpoint is at or past the frame, and the arithmetic is shared.
+// BoxAt's O(dets) per call. It returns exactly what BoxAt would: the pair
+// chosen for any frame is the first detection pair whose second endpoint is
+// at or past the frame, and the arithmetic is InterpBox's.
+//
+// The pair serving the current frames is held by value — its first box,
+// the per-coordinate difference to its second, and both frames — so that
+// the frames up to the second detection's touch no Detection; the walk
+// loads the next pair only when a frame passes it.
 type Interp struct {
 	t *Track
-	i int
-	// Visited counts detection elements examined, in the same unit as the
-	// query.scan_boxes / store.index_boxes counters.
-	Visited int64
+	// loaded is the number of detections the walk has read, 0 before the
+	// first BoxAt; the pair is Dets[loaded-2] and Dets[loaded-1] (just
+	// Dets[0] for a single-detection track).
+	loaded   int
+	from, to int       // the pair's frames; it serves frames up to to
+	span     float64   // to - from; 0 when the pair answers its first box
+	a, d     geom.Rect // the first box and the second box minus it
 }
 
 // NewInterp starts an interpolating walk over t.
 func NewInterp(t *Track) Interp { return Interp{t: t} }
 
+// Visited counts the detections the walk has loaded, in the same unit as
+// the query.scan_boxes / store.index_boxes counters.
+func (ip *Interp) Visited() int64 { return int64(ip.loaded) }
+
 // BoxAt returns the same box as t.BoxAt(frameIdx). Frame indices must be
 // non-decreasing across calls on one Interp.
 func (ip *Interp) BoxAt(frameIdx int) (geom.Rect, bool) {
-	t := ip.t
-	n := len(t.Dets)
-	ip.Visited++
-	if n == 0 || frameIdx < t.Dets[0].FrameIdx || frameIdx > t.Dets[n-1].FrameIdx {
+	if (ip.loaded == 0 || frameIdx > ip.to) && !ip.load(frameIdx) {
 		return geom.Rect{}, false
 	}
-	for ip.i+1 < n && frameIdx > t.Dets[ip.i+1].FrameIdx {
-		ip.i++
-		ip.Visited++
+	if ip.span == 0 {
+		return ip.a, true
 	}
-	if ip.i+1 >= n {
-		return t.Dets[n-1].Box, true
+	// InterpBox's operations on the same operands: a + (b-a)*f.
+	f := float64(frameIdx-ip.from) / ip.span
+	return geom.Rect{
+		X: ip.a.X + ip.d.X*f,
+		Y: ip.a.Y + ip.d.Y*f,
+		W: ip.a.W + ip.d.W*f,
+		H: ip.a.H + ip.d.H*f,
+	}, true
+}
+
+// load moves the walk to the pair serving frameIdx, or reports that the
+// track is not visible there.
+func (ip *Interp) load(frameIdx int) bool {
+	dets := ip.t.Dets
+	n := len(dets)
+	if n == 0 || frameIdx < dets[0].FrameIdx || frameIdx > dets[n-1].FrameIdx {
+		return false
 	}
-	return InterpBox(&t.Dets[ip.i], &t.Dets[ip.i+1], frameIdx), true
+	j := max(ip.loaded, min(n-1, 1)) // the pair's second detection
+	for frameIdx > dets[j].FrameIdx {
+		j++
+	}
+	a, b := &dets[max(j-1, 0)], &dets[j]
+	ip.loaded = j + 1
+	ip.from, ip.to = a.FrameIdx, b.FrameIdx
+	ip.a = a.Box
+	ip.span = 0
+	if b.FrameIdx != a.FrameIdx {
+		ip.span = float64(b.FrameIdx - a.FrameIdx)
+		ip.d = geom.Rect{X: b.Box.X - a.Box.X, Y: b.Box.Y - a.Box.Y, W: b.Box.W - a.Box.W, H: b.Box.H - a.Box.H}
+	}
+	return true
 }
 
 // Context carries the clip geometry queries need.
@@ -298,10 +334,12 @@ func VisibleBoxes(tracks []*Track, cat string, frameIdx int) ([]geom.Rect, []*Tr
 // are identical by construction.
 type FrameSource interface {
 	// Advance moves the sweep to frame f and returns how many objects are
-	// visible there. Across the calls of one sweep f only ascends (it may
-	// skip frames). A track is visible exactly on [FirstFrame, LastFrame],
-	// so a source can count without interpolating a box.
-	Advance(f int) int
+	// visible there, n, and the first frame after f at which the visible set
+	// may change, next: every frame in [f, next) sees the same tracks, so n
+	// holds for the whole run. Across the calls of one sweep f only ascends
+	// (it may skip frames). A track is visible exactly on [FirstFrame,
+	// LastFrame], so a source can count without interpolating a box.
+	Advance(f int) (n, next int)
 	// Boxes materialises the boxes and owning tracks of the frame last
 	// advanced to, in track order, nil when nothing is visible. The slices
 	// belong to the source and are valid only until the next Advance:
@@ -309,7 +347,8 @@ type FrameSource interface {
 	Boxes() ([]geom.Rect, []*Track)
 	// MinLastFrame returns the smallest LastFrame among the tracks visible
 	// at the frame last advanced to: all a count-only limit query needs to
-	// rank the frame. It is asked only when Advance returned at least one.
+	// rank the frames of its run. It is asked only when Advance returned at
+	// least one.
 	MinLastFrame() int
 	// At is the point lookup: the boxes and owners visible at any frame,
 	// wherever the sweep stands, in fresh slices the caller may keep.
@@ -317,7 +356,8 @@ type FrameSource interface {
 }
 
 // scan is the linear-scan FrameSource, the reference the indexed store is
-// compared against: every frame interpolates every track of the category.
+// compared against: every frame interpolates every track of the category,
+// and no run is longer than its frame.
 type scan struct {
 	tracks []*Track
 	cat    string
@@ -325,9 +365,9 @@ type scan struct {
 	owners []*Track
 }
 
-func (s *scan) Advance(f int) int {
+func (s *scan) Advance(f int) (int, int) {
 	s.boxes, s.owners = VisibleBoxes(s.tracks, s.cat, f)
-	return len(s.boxes)
+	return len(s.boxes), f + 1
 }
 
 func (s *scan) Boxes() ([]geom.Rect, []*Track) { return s.boxes, s.owners }
@@ -363,44 +403,39 @@ type LimitScratch struct{ cands []limitCand }
 // LimitQueryFrom is LimitQuery over any frame source. It sweeps the clip
 // recording only (frame, minimum duration) per matching frame, ranks and
 // separates those, and then looks the at most limit chosen frames up
-// again for their boxes. A CountPredicate matches every visible box, so its
+// again for their boxes. A CountPredicate matches every visible box, so it
+// is decided once per run of frames with one visible set, and the run's
 // frames are ranked from the source's count and MinLastFrame alone, without
-// a box.
+// a box; other predicates see the boxes of every frame.
 func LimitQueryFrom(src FrameSource, pred FramePredicate, ctx Context, limit int, minSepFrames int, scratch *LimitScratch) []FrameMatch {
 	count, countOnly := pred.(CountPredicate)
 	cands := scratch.cands[:0]
-	for f := 0; f < ctx.Frames; f++ {
-		n := src.Advance(f)
-		// A frame nothing matched on (N <= 0 on an empty frame) keeps this.
-		minDur := math.MaxInt32
-		if countOnly {
-			if n < count.N {
-				continue
+	for f := 0; f < ctx.Frames; {
+		n, next := src.Advance(f)
+		if !countOnly {
+			if minDur, ok := matchedMinDur(src, pred, f); ok {
+				cands = append(cands, limitCand{frame: int32(f), minDur: int32(minDur)})
 			}
-			if n > 0 {
-				minDur = src.MinLastFrame() - f
-			}
-		} else {
-			boxes, owners := src.Boxes()
-			matched, ok := pred.Eval(boxes)
-			if !ok {
-				continue
-			}
-			for i, b := range boxes {
-				// Does b equal some matched box? Try its own position first:
-				// a predicate that keeps a prefix of its input hits there.
-				hit := i < len(matched) && matched[i] == b
-				for k := 0; !hit && k < len(matched); k++ {
-					hit = matched[k] == b
-				}
-				if hit {
-					if d := owners[i].LastFrame() - f; d < minDur {
-						minDur = d
-					}
-				}
-			}
+			f++
+			continue
 		}
-		cands = append(cands, limitCand{frame: int32(f), minDur: int32(minDur)})
+		end := min(next, ctx.Frames)
+		if n < count.N {
+			f = end
+			continue
+		}
+		// A run nothing is visible on (N <= 0) keeps the untouched rank.
+		last := 0
+		if n > 0 {
+			last = src.MinLastFrame()
+		}
+		for ; f < end; f++ {
+			minDur := math.MaxInt32
+			if n > 0 {
+				minDur = last - f
+			}
+			cands = append(cands, limitCand{frame: int32(f), minDur: int32(minDur)})
+		}
 	}
 	scratch.cands = cands
 	// Rank by minimum visible-track duration, descending. sort.Slice is
@@ -430,6 +465,32 @@ func LimitQueryFrom(src FrameSource, pred FramePredicate, ctx Context, limit int
 		out[i].Boxes, _ = pred.Eval(boxes)
 	}
 	return out
+}
+
+// matchedMinDur evaluates pred on the boxes of frame f, the frame src was
+// last advanced to, and returns the smallest remaining duration among the
+// tracks of the boxes it matched (math.MaxInt32 when it matched none).
+func matchedMinDur(src FrameSource, pred FramePredicate, f int) (int, bool) {
+	boxes, owners := src.Boxes()
+	matched, ok := pred.Eval(boxes)
+	if !ok {
+		return 0, false
+	}
+	minDur := math.MaxInt32
+	for i, b := range boxes {
+		// Does b equal some matched box? Try its own position first: a
+		// predicate that keeps a prefix of its input hits there.
+		hit := i < len(matched) && matched[i] == b
+		for k := 0; !hit && k < len(matched); k++ {
+			hit = matched[k] == b
+		}
+		if hit {
+			if d := owners[i].LastFrame() - f; d < minDur {
+				minDur = d
+			}
+		}
+	}
+	return minDur, true
 }
 
 // ---- Exploratory analytics queries (§3, example queries) ----
@@ -480,15 +541,18 @@ func AvgVisible(tracks []*Track, cat string, ctx Context) float64 {
 	return AvgVisibleFrom(&scan{tracks: tracks, cat: cat}, ctx)
 }
 
-// AvgVisibleFrom is AvgVisible over any frame source. It only counts: no
-// box is materialised.
+// AvgVisibleFrom is AvgVisible over any frame source. It only counts, once
+// per run of frames with one visible set: no box is materialised.
 func AvgVisibleFrom(src FrameSource, ctx Context) float64 {
 	if ctx.Frames == 0 {
 		return 0
 	}
 	var total int
-	for f := 0; f < ctx.Frames; f++ {
-		total += src.Advance(f)
+	for f := 0; f < ctx.Frames; {
+		n, next := src.Advance(f)
+		end := min(next, ctx.Frames)
+		total += n * (end - f)
+		f = end
 	}
 	return float64(total) / float64(ctx.Frames)
 }
@@ -501,16 +565,22 @@ func BusyFrames(tracks []*Track, catA string, nA int, catB string, nB int, ctx C
 }
 
 // BusyFramesFrom is BusyFrames over any pair of frame sources, counting
-// only. The catB source is advanced only to frames where catA qualifies.
+// only, once per run of frames on which neither visible set changes. The
+// catB source is advanced only to frames where catA qualifies.
 func BusyFramesFrom(srcA FrameSource, nA int, srcB FrameSource, nB int, ctx Context) []int {
 	var out []int
-	for f := 0; f < ctx.Frames; f++ {
-		if srcA.Advance(f) < nA {
-			continue
+	for f := 0; f < ctx.Frames; {
+		a, next := srcA.Advance(f)
+		busy := a >= nA
+		if busy {
+			b, nextB := srcB.Advance(f)
+			busy, next = b >= nB, min(next, nextB)
 		}
-		if srcB.Advance(f) >= nB {
+		end := min(next, ctx.Frames)
+		for ; busy && f < end; f++ {
 			out = append(out, f)
 		}
+		f = end
 	}
 	return out
 }

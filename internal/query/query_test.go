@@ -1,6 +1,10 @@
 package query
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"otif/internal/detect"
@@ -218,5 +222,137 @@ func TestBusyFrames(t *testing.T) {
 	// Frames with 2 cars (5..14) AND 1 bus (8..11): 8..11.
 	if len(out) != 4 || out[0] != 8 || out[3] != 11 {
 		t.Errorf("BusyFrames = %v", out)
+	}
+}
+
+// runSource is a FrameSource whose visible count is a step function of the
+// frame: counts[i] holds from changes[i-1] (or frame 0) up to changes[i].
+// It counts its Advance calls, and can report runs of one frame, as the
+// scan does, to give the per-frame answer for comparison.
+type runSource struct {
+	changes  []int // ascending
+	counts   []int // len(changes)+1
+	perFrame bool
+	calls    int
+	run      int // the run of the frame last advanced to
+}
+
+func (s *runSource) runOf(f int) int { return sort.SearchInts(s.changes, f+1) }
+
+func (s *runSource) Advance(f int) (int, int) {
+	s.calls++
+	s.run = s.runOf(f)
+	next := math.MaxInt
+	if s.run < len(s.changes) {
+		next = s.changes[s.run]
+	}
+	if s.perFrame {
+		next = f + 1
+	}
+	return s.counts[s.run], next
+}
+
+func (s *runSource) Boxes() ([]geom.Rect, []*Track) { panic("a count-only core asked for boxes") }
+
+// MinLastFrame is some frame past the run's end, fixed per run.
+func (s *runSource) MinLastFrame() int { return 1000 + 37*s.run }
+
+func (s *runSource) At(f int) ([]geom.Rect, []*Track) {
+	return make([]geom.Rect, s.counts[s.runOf(f)]), nil
+}
+
+// newRunSources returns a source whose count changes at the given frames,
+// or at k random frames of [1, frames) when changes is nil, and the same
+// source reporting one frame at a time.
+func newRunSources(r *rand.Rand, changes []int, k, frames int) (runs, perFrame *runSource) {
+	if changes == nil {
+		at := map[int]bool{}
+		for len(at) < k {
+			at[1+r.Intn(frames-1)] = true
+		}
+		for f := range at {
+			changes = append(changes, f)
+		}
+		sort.Ints(changes)
+	}
+	runs = &runSource{changes: changes, counts: make([]int, len(changes)+1)}
+	for i := range runs.counts {
+		runs.counts[i] = r.Intn(5)
+	}
+	return runs, &runSource{changes: changes, counts: runs.counts, perFrame: true}
+}
+
+// TestCountCoresAdvancePerRun pins that the count-only cores do their work
+// once per run of frames with one visible set, not once per frame: over a
+// source whose count changes at k frames, AvgVisibleFrom, BusyFramesFrom
+// (on each of two sources that change at the same k frames) and a
+// CountPredicate LimitQueryFrom call Advance
+// at most k + 1 times, and answer what they answer one frame at a time.
+func TestCountCoresAdvancePerRun(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	ctx := Context{FPS: 10, Frames: 1500}
+	for trial := 0; trial < 50; trial++ {
+		k := 1 + r.Intn(40)
+		runs, perFrame := newRunSources(r, nil, k, ctx.Frames)
+		bRuns, bPerFrame := newRunSources(r, runs.changes, k, ctx.Frames)
+		check := func(kind string, got, want any, srcs ...*runSource) {
+			t.Helper()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %s per run = %v, per frame = %v", trial, kind, got, want)
+			}
+			for _, s := range srcs {
+				if s.calls > k+1 {
+					t.Fatalf("trial %d: %s called Advance %d times on a source with %d changes", trial, kind, s.calls, k)
+				}
+				s.calls = 0
+			}
+		}
+		check("AvgVisibleFrom", AvgVisibleFrom(runs, ctx), AvgVisibleFrom(perFrame, ctx), runs)
+		nA, nB := r.Intn(4), r.Intn(4)
+		check("BusyFramesFrom", BusyFramesFrom(runs, nA, bRuns, nB, ctx), BusyFramesFrom(perFrame, nA, bPerFrame, nB, ctx), runs, bRuns)
+		pred, limit, minSep := CountPredicate{N: r.Intn(5) - 1}, 1+r.Intn(6), r.Intn(30)
+		var scratch LimitScratch
+		got := LimitQueryFrom(runs, pred, ctx, limit, minSep, &scratch)
+		check("LimitQueryFrom", got, LimitQueryFrom(perFrame, pred, ctx, limit, minSep, &scratch), runs)
+	}
+}
+
+// TestInterpMatchesBoxAt: the pair-keeping walk returns Track.BoxAt's box
+// bit for bit, at ascending frames with gaps, on tracks with repeated frame
+// indices, a single detection, and coordinates that are negative zero, not
+// finite or huge; and it loads no detection before its first BoxAt and
+// never more than the track has.
+func TestInterpMatchesBoxAt(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	odd := []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, 5e-324}
+	coord := func() float64 {
+		if r.Intn(8) == 0 {
+			return odd[r.Intn(len(odd))]
+		}
+		return r.Float64()*600 - 100
+	}
+	same := func(a, b geom.Rect) bool {
+		return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+			math.Float64bits(a.W) == math.Float64bits(b.W) && math.Float64bits(a.H) == math.Float64bits(b.H)
+	}
+	for trial := 0; trial < 500; trial++ {
+		tr := &Track{ID: trial}
+		for f, n := r.Intn(20), r.Intn(12); len(tr.Dets) < n; f += r.Intn(4) { // steps of 0 repeat a frame
+			tr.Dets = append(tr.Dets, detect.Detection{FrameIdx: f, Box: geom.Rect{X: coord(), Y: coord(), W: coord(), H: coord()}})
+		}
+		ip := NewInterp(tr)
+		if ip.Visited() != 0 {
+			t.Fatalf("trial %d: a fresh walk loaded %d detections", trial, ip.Visited())
+		}
+		for f := 0; f < 60; f += 1 + r.Intn(3) {
+			got, gotOK := ip.BoxAt(f)
+			want, wantOK := tr.BoxAt(f)
+			if gotOK != wantOK || !same(got, want) {
+				t.Fatalf("trial %d frame %d: Interp.BoxAt = %v %v, Track.BoxAt = %v %v", trial, f, got, gotOK, want, wantOK)
+			}
+		}
+		if ip.Visited() > int64(len(tr.Dets)) {
+			t.Fatalf("trial %d: loaded %d of %d detections", trial, ip.Visited(), len(tr.Dets))
+		}
 	}
 }

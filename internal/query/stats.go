@@ -96,21 +96,17 @@ func DwellTime(tracks []*Track, cat string, region geom.Polygon, ctx Context) ma
 // CoOccurrences counts, per frame, how many distinct pairs of category
 // objects are simultaneously visible within dist of each other, and
 // returns the total over the clip — a proximity analytics primitive
-// (e.g. near-miss counting).
+// (e.g. near-miss counting). Each box's centre is computed once per frame,
+// not once per pair. This linear scan is the reference the indexed store's
+// sweep is compared against.
 func CoOccurrences(tracks []*Track, cat string, dist float64, ctx Context) int {
-	return CoOccurrencesFrom(&scan{tracks: tracks, cat: cat}, dist, ctx)
-}
-
-// CoOccurrencesFrom is CoOccurrences over any frame source. Each box's
-// centre is computed once per frame, not once per pair.
-func CoOccurrencesFrom(src FrameSource, dist float64, ctx Context) int {
 	total := 0
 	var centers []geom.Point
 	for f := 0; f < ctx.Frames; f++ {
-		if src.Advance(f) < 2 {
+		boxes, _ := VisibleBoxes(tracks, cat, f)
+		if len(boxes) < 2 {
 			continue // no pair to test
 		}
-		boxes, _ := src.Boxes()
 		centers = centers[:0]
 		for _, b := range boxes {
 			centers = append(centers, b.Center())

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"otif/internal/detect"
+	"otif/internal/geom"
 	"otif/internal/query"
 )
 
@@ -19,21 +21,9 @@ func benchWorkload() ([][]*query.Track, query.Context) {
 	return perClip, ctx
 }
 
-// BenchmarkLimitQueryIndexed measures the limit query through the interval
-// index; compare with BenchmarkLimitQueryScan for the pruning payoff.
-func BenchmarkLimitQueryIndexed(b *testing.B) {
-	perClip, ctx := benchWorkload()
-	s := New(perClip, ctx)
-	s.LimitQuery("car", query.CountPredicate{N: 3}, 5, ctx.FPS) // build cost out of the loop
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.LimitQuery("car", query.CountPredicate{N: 3}, 5, ctx.FPS)
-	}
-}
-
-// BenchmarkLimitQueryScan is the same query as the linear scan over every
-// track at every frame (the pre-index implementation).
+// BenchmarkLimitQueryScan is BenchmarkLimitQueryIndexed/random as the
+// linear scan over every track at every frame (the pre-index
+// implementation).
 func BenchmarkLimitQueryScan(b *testing.B) {
 	perClip, ctx := benchWorkload()
 	b.ReportAllocs()
@@ -125,18 +115,71 @@ func benchScan(b *testing.B, run func(tracks []*query.Track, ctx query.Context))
 	}
 }
 
-// The other frame-level kinds through the sweep line.
+// The frame-level kinds through the sweep line, each on two workloads:
+// "random" is benchWorkload; "querymix" is queryMixWorkload, the shape of
+// the benchmark's query-mix archive, where a run of frames with one
+// visible set lasts about four frames and interpolation dominates.
+
+func BenchmarkLimitQueryIndexed(b *testing.B) {
+	benchFrameKind(b, func(s *Store) { s.LimitQuery("car", query.CountPredicate{N: 3}, 5, s.Context().FPS) })
+}
 
 func BenchmarkAvgVisibleIndexed(b *testing.B) {
-	benchIndexed(b, func(s *Store) { s.AvgVisible("car") })
+	benchFrameKind(b, func(s *Store) { s.AvgVisible("car") })
 }
 
 func BenchmarkBusyFramesIndexed(b *testing.B) {
-	benchIndexed(b, func(s *Store) { s.BusyFrames("car", 3, "bus", 1) })
+	benchFrameKind(b, func(s *Store) { s.BusyFrames("car", 3, "bus", 1) })
 }
 
 func BenchmarkCoOccurrencesIndexed(b *testing.B) {
-	benchIndexed(b, func(s *Store) { s.CoOccurrences("car", 80) })
+	benchFrameKind(b, func(s *Store) { s.CoOccurrences("car", 80) })
+}
+
+// benchFrameKind times one query on each workload as a sub-benchmark.
+func benchFrameKind(b *testing.B, run func(s *Store)) {
+	for _, w := range []struct {
+		name string
+		load func() ([][]*query.Track, query.Context)
+	}{{"random", benchWorkload}, {"querymix", queryMixWorkload}} {
+		b.Run(w.name, func(b *testing.B) {
+			s := New(w.load())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(s)
+			}
+		})
+	}
+}
+
+// queryMixWorkload is four clips of the query-mix archive's shape: 1500
+// frames, about 190 straight-line tracks a clip with a detection every 4
+// frames, 8 visible per frame on average, one in ten a bus.
+func queryMixWorkload() ([][]*query.Track, query.Context) {
+	ctx := query.Context{FPS: 25, NomW: 1280, NomH: 720, Frames: 1500}
+	r := rand.New(rand.NewSource(7))
+	perClip := make([][]*query.Track, 4)
+	for c := range perClip {
+		for id := 0; id < 190; id++ {
+			t := &query.Track{ID: id, Category: "car"}
+			if r.Intn(10) == 0 {
+				t.Category = "bus"
+			}
+			length := 4 * (8 + r.Intn(16)) // 32..124 frames, 63 on average
+			start := 4 * r.Intn((ctx.Frames-length)/4)
+			x, y := r.Float64()*float64(ctx.NomW), r.Float64()*float64(ctx.NomH)
+			vx, vy := r.Float64()*8-4, r.Float64()*4-2
+			for f := start; f <= start+length; f += 4 {
+				dt := float64(f - start)
+				box := geom.Rect{X: x + vx*dt, Y: y + vy*dt, W: 60, H: 40}
+				t.Dets = append(t.Dets, detect.Detection{FrameIdx: f, Box: box, Score: 1, Category: t.Category})
+				t.Path = append(t.Path, box.Center())
+			}
+			perClip[c] = append(perClip[c], t)
+		}
+	}
+	return perClip, ctx
 }
 
 // TestFrameQueryAllocGate keeps the frame-level kinds off the allocator:
@@ -158,8 +201,12 @@ func TestFrameQueryAllocGate(t *testing.T) {
 		{"AvgVisible", perClipBudget(1) + 12, func() { s.AvgVisible("car") }},
 		// Per clip: the answer's frame list growing by doubling.
 		{"BusyFrames", perClipBudget(14) + 24, func() { s.BusyFrames("car", 3, "bus", 1) }},
-		// Per clip: the centres buffer growing to the peak visible count.
-		{"CoOccurrences", perClipBudget(16) + 16, func() { s.CoOccurrences("car", 80) }},
+		// Per clip: nothing. Per call: the answer, the interpolators sized to
+		// the largest clip's tracks, and the active list and the centres
+		// buffer growing to the peak visible count: 17, and 29 under -race,
+		// where the two slices grow in twice as many steps. (Through the
+		// shared frame core it was 58: centres and boxes per clip.)
+		{"CoOccurrences", 32, func() { s.CoOccurrences("car", 80) }},
 		// Per clip: five matches with boxes and owners looked up again,
 		// each grown by append. (Region and hot spot predicates build
 		// their matched list inside Eval on every frame they look at;

@@ -87,13 +87,15 @@ func hostileRegions(r *rand.Rand, ctx query.Context, tracks []*query.Track) []ge
 }
 
 // TestDifferentialHostile is the randomized differential test of the kinds
-// that answer from the index alone or from the pair walk: over 200 worlds,
-// DwellTime, Speeding, HardBraking and the count-only LimitQuery must equal
-// the internal/query scans through a monolithic Store, and equal that Store
+// that answer from the index alone, from the pair walk or a run at a time:
+// over 200 worlds, DwellTime, Speeding, HardBraking, the count-only
+// LimitQuery, CoOccurrences, AvgVisible and BusyFrames must equal the
+// internal/query scans through a monolithic Store, and equal that Store
 // through Sharded splits of 1, 2, 3 and 7 segments, on the regions of
 // hostileRegions, on thresholds of 0, below 0, NaN, both infinities and
-// exactly one track's own column value, on N of 0, 1 and above any clip's
-// peak, and (every eighth world) at a frame rate of 0.
+// exactly one track's own column value, on the distances of coocDists, on N
+// of -1, 0, 1, a clip's peak and above it, and (every eighth world) at a
+// frame rate of 0.
 func TestDifferentialHostile(t *testing.T) {
 	kinds := map[string]queryKind{}
 	for _, k := range queryKinds {
@@ -137,6 +139,25 @@ func TestDifferentialHostile(t *testing.T) {
 			}
 		}
 
+		for _, dist := range coocDists(r, perClip[0]) {
+			for _, cat := range []string{"", "car"} {
+				want := kinds["cooc"].both(t, mono, perClip, queryParams{cat: cat, dist: dist})
+				sharded("CoOccurrences", want, func(q Querier) any { return q.CoOccurrences(cat, dist) })
+			}
+		}
+		cats := []string{"", "car", "nosuch"}
+		for i, cat := range cats {
+			want := kinds["avgvisible"].both(t, mono, perClip, queryParams{cat: cat})
+			sharded("AvgVisible", want, func(q Querier) any { return q.AvgVisible(cat) })
+			peak := peakVisible(perClip, cat, ctx)
+			ns := []int{-1, 0, 1, peak, peak + 1}
+			for j, n := range ns {
+				p := queryParams{cat: cat, nA: n, catB: cats[(i+1)%len(cats)], nB: ns[len(ns)-1-j]}
+				want := kinds["busy"].both(t, mono, perClip, p)
+				sharded("BusyFrames", want, func(q Querier) any { return q.BusyFrames(p.cat, p.nA, p.catB, p.nB) })
+			}
+		}
+
 		own := perClip[0][r.Intn(len(perClip[0]))] // its column values are thresholds below
 		thresholds := []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), r.Float64() * 3000,
 			query.TrackSpeed(own, ctx.FPS).P50, query.MaxDecel(own, ctx.FPS)}
@@ -148,6 +169,34 @@ func TestDifferentialHostile(t *testing.T) {
 			sharded("HardBraking", want, func(q Querier) any { return q.HardBraking(th) })
 		}
 	}
+}
+
+// coocDists are the CoOccurrences distances TestDifferentialHostile asks
+// about: both zeros, below zero, NaN, both infinities, the smallest and the
+// largest float, a random one, and exactly the centre distance of one pair
+// of boxes visible together in the clip, which Dist <= dist must count.
+func coocDists(r *rand.Rand, tracks []*query.Track) []float64 {
+	dists := []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, math.MaxFloat64, r.Float64() * 200}
+	for f := r.Intn(20); f < 150; f++ {
+		if boxes, _ := query.VisibleBoxes(tracks, "", f); len(boxes) >= 2 {
+			return append(dists, boxes[0].Center().Dist(boxes[len(boxes)-1].Center()))
+		}
+	}
+	return dists
+}
+
+// peakVisible is the largest number of category tracks any clip shows in
+// one frame.
+func peakVisible(perClip [][]*query.Track, cat string, ctx query.Context) int {
+	peak := 0
+	for _, tracks := range perClip {
+		for f := 0; f < ctx.Frames; f++ {
+			boxes, _ := query.VisibleBoxes(tracks, cat, f)
+			peak = max(peak, len(boxes))
+		}
+	}
+	return peak
 }
 
 // TestDwellPairWalkSkipsAndSettles pins the pair walk's useful-work ratio on

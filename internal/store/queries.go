@@ -1,6 +1,9 @@
 package store
 
 import (
+	"math"
+	"slices"
+
 	"otif/internal/geom"
 	"otif/internal/query"
 )
@@ -10,23 +13,27 @@ import (
 // and end-sorted endpoint arrays once: a track enters the active list when
 // its first frame is reached and leaves when its last frame is passed, so a
 // whole sweep costs O(tracks + frames + boxes asked for) and a frame that
-// only needs the visible count costs two comparisons. The active list is
-// kept in ascending track index — the order the linear scan visits — and
-// each entry carries its own interpolator, so a track's detections are
-// walked once per sweep. Box and owner buffers are the sweep's and are
+// only needs the visible count costs two comparisons. The active list holds
+// track indices in ascending order — the order the linear scan visits — so
+// entering and leaving move four bytes a track. A sweep that is asked for
+// boxes (walks) also starts an interpolator per entering track, kept by
+// track index, so a track's detections are walked once per sweep; the kinds
+// that only count touch none. Box and owner buffers are the sweep's and are
 // overwritten by the next frame.
 //
 // A query method makes one sweep and resets it per clip; sweeps are never
 // shared between calls, so concurrent queries share no state.
 type sweep struct {
-	ci   *clipIndex
-	cat  string
-	mask []bool // spatial pre-prune; nil = no region constraint
+	ci    *clipIndex
+	cat   string
+	mask  []bool // spatial pre-prune; nil = no region constraint
+	walks bool   // the call asks for boxes: active tracks carry interpolators
 
 	f          int
-	nextStart  int // tracks before it in byStart have entered
-	nextEnd    int // tracks before it in byEnd have left
-	active     []activeTrack
+	nextStart  int            // tracks before it in byStart have entered
+	nextEnd    int            // tracks before it in byEnd have left
+	active     []int32        // the visible tracks' indices, ascending
+	interps    []query.Interp // by track index, valid for active tracks when walks
 	boxes      []geom.Rect
 	owners     []*query.Track
 	candidates []int32 // point lookups' stabbing result
@@ -34,26 +41,30 @@ type sweep struct {
 	examined, kept, pruned, visited int64
 }
 
-// activeTrack is one track visible at the sweep's frame.
-type activeTrack struct {
-	ti int32
-	ip query.Interp
-}
-
 // reset points the sweep at the start of a clip, keeping its buffers.
 func (sw *sweep) reset(ci *clipIndex, cat string, mask []bool) {
 	sw.retire()
 	sw.ci, sw.cat, sw.mask = ci, cat, mask
 	sw.nextStart, sw.nextEnd = 0, 0
+	if sw.walks && len(sw.interps) < len(ci.tracks) {
+		sw.interps = make([]query.Interp, len(ci.tracks))
+	}
 }
 
 // retire empties the active list, keeping count of the detections its
 // interpolators walked.
 func (sw *sweep) retire() {
-	for i := range sw.active {
-		sw.visited += sw.active[i].ip.Visited
+	for _, ti := range sw.active {
+		sw.leave(ti)
 	}
 	sw.active = sw.active[:0]
+}
+
+// leave counts the detections a departing track's interpolator walked.
+func (sw *sweep) leave(ti int32) {
+	if sw.walks {
+		sw.visited += sw.interps[ti].Visited()
+	}
 }
 
 // admits applies the category and region filters to a track in range.
@@ -69,39 +80,44 @@ func (sw *sweep) admits(ti int32) bool {
 	return true
 }
 
-// Advance implements query.FrameSource.
-func (sw *sweep) Advance(f int) int {
+// Advance implements query.FrameSource. The visible set changes only where
+// a track starts or where one has ended, so the run it reports lasts until
+// the smaller of the next start and the next end + 1 in the sorted-endpoint
+// arrays (of any category: a conservative bound, never a late one).
+func (sw *sweep) Advance(f int) (int, int) {
 	ci := sw.ci
 	sw.f = f
-	f32 := int32(f)
-	for sw.nextEnd < len(ci.byEnd) && ci.sortedEnds[sw.nextEnd] < f32 {
+	for sw.nextEnd < len(ci.byEnd) && int(ci.sortedEnds[sw.nextEnd]) < f {
 		ti := ci.byEnd[sw.nextEnd]
 		sw.nextEnd++
-		for i := range sw.active {
-			if sw.active[i].ti == ti {
-				sw.visited += sw.active[i].ip.Visited
-				sw.active = append(sw.active[:i], sw.active[i+1:]...)
-				break
-			}
+		if i := slices.Index(sw.active, ti); i >= 0 {
+			sw.leave(ti)
+			sw.active = slices.Delete(sw.active, i, i+1)
 		}
 	}
-	for sw.nextStart < len(ci.byStart) && ci.sortedStarts[sw.nextStart] <= f32 {
+	for sw.nextStart < len(ci.byStart) && int(ci.sortedStarts[sw.nextStart]) <= f {
 		ti := ci.byStart[sw.nextStart]
 		sw.nextStart++
 		sw.examined++
 		// Empty tracks (end -1) and tracks a skipped stretch of frames
 		// covered whole have ended already.
-		if ci.ends[ti] < f32 || !sw.admits(ti) {
+		if int(ci.ends[ti]) < f || !sw.admits(ti) {
 			continue
 		}
-		i := len(sw.active)
-		sw.active = append(sw.active, activeTrack{})
-		for ; i > 0 && sw.active[i-1].ti > ti; i-- {
-			sw.active[i] = sw.active[i-1]
+		i, _ := slices.BinarySearch(sw.active, ti)
+		sw.active = slices.Insert(sw.active, i, ti)
+		if sw.walks {
+			sw.interps[ti] = query.NewInterp(ci.tracks[ti])
 		}
-		sw.active[i] = activeTrack{ti: ti, ip: query.NewInterp(ci.tracks[ti])}
 	}
-	return len(sw.active)
+	next := math.MaxInt
+	if sw.nextStart < len(ci.sortedStarts) {
+		next = int(ci.sortedStarts[sw.nextStart])
+	}
+	if sw.nextEnd < len(ci.sortedEnds) {
+		next = min(next, int(ci.sortedEnds[sw.nextEnd])+1)
+	}
+	return len(sw.active), next
 }
 
 // MinLastFrame implements query.FrameSource from the interval index: the
@@ -109,24 +125,24 @@ func (sw *sweep) Advance(f int) int {
 // frames.
 func (sw *sweep) MinLastFrame() int {
 	ends := sw.ci.ends
-	last := ends[sw.active[0].ti]
-	for i := 1; i < len(sw.active); i++ {
-		last = min(last, ends[sw.active[i].ti])
+	last := ends[sw.active[0]]
+	for _, ti := range sw.active[1:] {
+		last = min(last, ends[ti])
 	}
 	return int(last)
 }
 
-// Boxes implements query.FrameSource over the sweep's own buffers.
+// Boxes implements query.FrameSource over the sweep's own buffers. Only a
+// sweep that walks may be asked.
 func (sw *sweep) Boxes() ([]geom.Rect, []*query.Track) {
 	if len(sw.active) == 0 {
 		return nil, nil // as the scan: nil, not empty
 	}
 	sw.boxes, sw.owners = sw.boxes[:0], sw.owners[:0]
-	for i := range sw.active {
-		a := &sw.active[i]
-		if b, ok := a.ip.BoxAt(sw.f); ok {
+	for _, ti := range sw.active {
+		if b, ok := sw.interps[ti].BoxAt(sw.f); ok {
 			sw.boxes = append(sw.boxes, b)
-			sw.owners = append(sw.owners, sw.ci.tracks[a.ti])
+			sw.owners = append(sw.owners, sw.ci.tracks[ti])
 		}
 	}
 	return sw.boxes, sw.owners
@@ -151,7 +167,7 @@ func (sw *sweep) At(f int) ([]geom.Rect, []*query.Track) {
 			boxes = append(boxes, b)
 			owners = append(owners, t)
 		}
-		sw.visited += ip.Visited
+		sw.visited += ip.Visited()
 	}
 	return boxes, owners
 }
@@ -233,7 +249,8 @@ func (s *Store) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, [
 func (s *Store) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
 	metQueries.Inc()
 	out := make([][]query.FrameMatch, len(s.clips))
-	var sw sweep
+	_, countOnly := pred.(query.CountPredicate) // ranked without a box
+	sw := sweep{walks: !countOnly}
 	var scratch query.LimitScratch
 	rp, regional := pred.(query.RegionPredicate)
 	ext := regionExtent(rp.Region)
@@ -279,14 +296,43 @@ func (s *Store) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 	return out
 }
 
-// CoOccurrences totals frame-wise close pairs per clip.
+// CoOccurrences totals frame-wise close pairs per clip: query.CoOccurrences
+// over the sweep's active list, one run of frames with one visible set at a
+// time. Runs with fewer than two visible tracks are skipped whole; on the
+// frames of the others each active track's interpolator gives its centre,
+// into one buffer for the call, and every pair is tested with the scan's
+// Dist <= dist.
 func (s *Store) CoOccurrences(cat string, dist float64) []int {
 	metQueries.Inc()
 	out := make([]int, len(s.clips))
-	var sw sweep
+	sw := sweep{walks: true}
+	var centers []geom.Point
 	for i := range s.clips {
 		sw.reset(&s.clips[i], cat, nil)
-		out[i] = query.CoOccurrencesFrom(&sw, dist, s.ctx)
+		total := 0
+		for f := 0; f < s.ctx.Frames; {
+			n, next := sw.Advance(f)
+			end := min(next, s.ctx.Frames)
+			if n < 2 {
+				f = end
+				continue
+			}
+			centers = slices.Grow(centers[:0], n)[:n]
+			for ; f < end; f++ {
+				for k, ti := range sw.active {
+					b, _ := sw.interps[ti].BoxAt(f)
+					centers[k] = b.Center()
+				}
+				for a, c := range centers {
+					for _, o := range centers[a+1:] {
+						if c.Dist(o) <= dist {
+							total++
+						}
+					}
+				}
+			}
+		}
+		out[i] = total
 	}
 	sw.flush()
 	return out

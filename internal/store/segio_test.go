@@ -180,8 +180,8 @@ func TestOpenSegmentsDirRejectsUnnamedDataset(t *testing.T) {
 // arbitrary files: never a panic, and an error or a map with no unnamed
 // dataset in which every shard set tiles its clip range. The two inputs are
 // written as a.otifseg and (when not empty) b.otifseg. Seeds are valid and
-// broken pairs and a track ending at frame 1<<40; the committed corpus is in
-// testdata/fuzz/FuzzOpenSegmentsDir.
+// broken pairs, a track ending at frame 1<<40 and a header clip length of
+// 1<<40; the committed corpus is in testdata/fuzz/FuzzOpenSegmentsDir.
 func FuzzOpenSegmentsDir(f *testing.F) {
 	for _, pair := range segmentsDirSeeds(f) {
 		f.Add(pair[0], pair[1])
@@ -265,6 +265,7 @@ func segmentsDirSeeds(t testing.TB) map[string][2][]byte {
 		"not_a_segment":       {[]byte("OTIFTRK2"), nil},
 		"empty_file":          {nil, nil},
 		"hostile_frame_index": {encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0)}, hostileFrameIndexClip(ctx)), nil},
+		"hostile_clip_length": {encode(persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0), Frames: 1 << 40}, [][]*query.Track{nil}), nil},
 	}
 }
 
@@ -290,5 +291,24 @@ func TestOpenSegmentsDirRejectsHostileFrameIndex(t *testing.T) {
 	_, err = OpenSegmentsDir(dir, nil)
 	if err == nil || !strings.Contains(err.Error(), paths[0]) || !strings.Contains(err.Error(), "track 7") {
 		t.Fatalf("OpenSegmentsDir over a track ending at frame 1<<40: err = %v, want one naming %s and track 7", err, paths[0])
+	}
+}
+
+// TestOpenSegmentsDirRejectsHostileClipLength: a segment of one empty clip
+// whose header gives a clip length of 1<<40 frames used to open, and every
+// frame-level query over it then looped to that length (AvgVisible was
+// still running after 5 s). The file is refused when read, with an error
+// naming the file and the length.
+func TestOpenSegmentsDirRejectsHostileClipLength(t *testing.T) {
+	ctx := testCtx()
+	ctx.Frames = 1 << 40
+	dir := t.TempDir()
+	paths, err := ExportSegments(dir, "cam0", ctx, [][]*query.Track{nil}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenSegmentsDir(dir, nil)
+	if err == nil || !strings.Contains(err.Error(), paths[0]) || !strings.Contains(err.Error(), "1099511627776") {
+		t.Fatalf("OpenSegmentsDir over a segment of 1<<40 frames: err = %v, want one naming %s and the length", err, paths[0])
 	}
 }

@@ -28,14 +28,20 @@
 // arithmetic), so every indexed result is bit-identical to the
 // corresponding linear scan — the differential tests in this package assert
 // element-for-element equality and TestGoldenQueries pins the answers across
-// commits.
+// commits. CoOccurrences and DwellTime have loops of their own, held to
+// their scans by those tests alone.
 //
 // The sweep (queries.go) hands the cores views into buffers it reuses for
 // the next frame: boxes are valid until the next Advance and whatever a
-// result keeps comes from the point lookup, in slices of its own.
+// result keeps comes from the point lookup, in slices of its own. Advance
+// also reports where its run ends — the next start or one past the next
+// end — and the visible set is the same on every frame of the run.
 // AvgVisible, BusyFrames and a CountPredicate limit query's ranking read
 // only the active list (its size, and the last frames the interval index
-// holds) and never interpolate a box.
+// holds), once per run, and never interpolate a box. CoOccurrences skips
+// runs with fewer than two visible and reads each active track's centre
+// straight from its interpolator, which keeps its detection pair between
+// frames.
 //
 // The index arrays hold track indices, not pointers, and are immutable
 // after New returns; a Store is safe for concurrent queries.
@@ -51,7 +57,10 @@ import (
 
 // Observability handles. index_boxes counts detection elements examined by
 // indexed queries' interpolators (the same unit the scans record under
-// query.scan_boxes; kinds that only count add nothing). For DwellTime it is
+// query.scan_boxes; kinds that only count add nothing). A sweep's
+// interpolator loads each detection of its track at most once, however
+// many frames the pair it belongs to serves, so for the frame-level kinds
+// it is the detections loaded, not one per frame. For DwellTime it is
 // the detections of the tracks the pair walk visited, each once, whether the
 // pair test then skipped the pair or not: dwell_pairs_walked counts those
 // pairs and dwell_pairs_skipped the ones whose frames were never

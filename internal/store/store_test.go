@@ -332,10 +332,11 @@ func TestIndexPruning(t *testing.T) {
 
 // TestSweepCountsMatchVisibleBoxes is the count shortcut's property test:
 // at every frame the sweep's count-only Advance equals the number of boxes
-// the scan interpolates there, and Boxes hands back exactly the scan's
-// boxes and owners (nil when there are none) — on tracks with sampling
-// gaps, empty, single-detection and duplicate-frame tracks, tracks that
-// run past the clip, and sweeps that skip frames.
+// the scan interpolates there, and on every frame of the run it reports,
+// up to its next; and Boxes hands back exactly the scan's boxes and owners
+// (nil when there are none) — on tracks with sampling gaps, empty,
+// single-detection and duplicate-frame tracks, tracks that run past the
+// clip, and sweeps that skip frames.
 func TestSweepCountsMatchVisibleBoxes(t *testing.T) {
 	ctx := testCtx()
 	for seed := int64(0); seed < 6; seed++ {
@@ -346,15 +347,24 @@ func TestSweepCountsMatchVisibleBoxes(t *testing.T) {
 			nil,
 		}
 		s := New(perClip, ctx)
-		var sw sweep // one sweep over every clip, as the query methods use it
+		sw := sweep{walks: true} // one sweep over every clip, as the query methods use it
 		for _, stride := range []int{1, 1 + r.Intn(6)} {
 			for _, cat := range []string{"", "car", "bus", "nosuch"} {
 				for c, tracks := range perClip {
 					sw.reset(&s.clips[c], cat, nil)
-					for f := 0; f < ctx.Frames+40; f += stride {
+					for end, f := ctx.Frames+40, 0; f < end; f += stride {
 						wantB, wantO := query.VisibleBoxes(tracks, cat, f)
-						if n := sw.Advance(f); n != len(wantB) {
+						n, next := sw.Advance(f)
+						if n != len(wantB) {
 							t.Fatalf("seed %d clip %d cat %q frame %d stride %d: Advance = %d, scan sees %d boxes", seed, c, cat, f, stride, n, len(wantB))
+						}
+						if next <= f {
+							t.Fatalf("seed %d clip %d cat %q frame %d: Advance reports next %d", seed, c, cat, f, next)
+						}
+						for g := f + 1; g < min(next, end); g++ {
+							if vis, _ := query.VisibleBoxes(tracks, cat, g); len(vis) != n {
+								t.Fatalf("seed %d clip %d cat %q: Advance(%d) = %d until %d, scan sees %d boxes at %d", seed, c, cat, f, n, next, len(vis), g)
+							}
 						}
 						gotB, gotO := sw.Boxes()
 						if !reflect.DeepEqual(gotB, wantB) || !reflect.DeepEqual(gotO, wantO) {
