@@ -15,6 +15,7 @@ package detect
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -184,37 +185,91 @@ type Detector struct {
 }
 
 // analyzeScratch holds the per-invocation buffers of analyze and
-// connectedComponents, reused across calls to keep the per-frame hot path
-// allocation-free. mask is cleared at the start of every analyze call:
-// analyze only writes the region it inspects, while the component scan
-// reads the whole plane. diff is not: it is read only under the mask and
-// inside component boxes, all within the region the call has just written.
+// connectedComponentsInto, reused across calls to keep the per-frame hot
+// path allocation-free. Per-pixel work touches only the call's region and
+// its foreground: mark lists the region's foreground pixels in fg, in
+// row-major order, and the component pass starts from that list and reads
+// differences off the table, so there is no difference plane, no mask, and
+// no plane-sized clear or scan.
+//
+// Invariant: labels is all zero, over its whole length, between calls.
+// mark sets -1 ("foreground, not yet labelled") at each index it appends
+// to fg, labelling overwrites only those, and connectedComponentsInto
+// zeroes exactly the fg indices before it returns.
+//
 // dets and win carry each call's detections until they are copied out
 // (into the arena or the heap).
 type analyzeScratch struct {
-	mask   []bool
-	diff   []float64
 	labels []int32
+	fg     []int32
 	stack  []int
 	comps  []component
 	dets   []Detection
 	win    []Detection
 
-	// tab is the difference table of tabOffset (valid once tabFilled).
-	// Every window of one frame has the frame's offset, so DetectWindows
-	// fills it once per frame, not once per window.
-	tab       video.DiffTable
-	tabOffset float64
-	tabFilled bool
+	// tab is the difference table of tabOffset (valid once tabFilled),
+	// and the pixel differences v - b whose tab entry is at most tabThresh
+	// (background) are the bgSpan integers from bgLo: |d - offset| rounds
+	// monotonically on either side of offset, so they are one interval.
+	// Every window of one frame shares them, so a frame fills them once.
+	tab          video.DiffTable
+	bgLo, bgSpan int
+	tabOffset    float64
+	tabThresh    float64
+	tabFilled    bool
 }
 
-// diffTable returns the difference table for a brightness offset.
-func (s *analyzeScratch) diffTable(offset float64) *video.DiffTable {
-	if !s.tabFilled || s.tabOffset != offset {
-		s.tab.Fill(offset)
-		s.tabOffset, s.tabFilled = offset, true
+// fillTables makes tab and the background interval those of a brightness
+// offset and threshold.
+func (s *analyzeScratch) fillTables(offset, thresh float64) {
+	if s.tabFilled && s.tabOffset == offset && s.tabThresh == thresh {
+		return
 	}
-	return &s.tab
+	s.tab.Fill(offset)
+	lo, hi := -255, 255
+	for lo <= hi && s.tab[lo+255] > thresh {
+		lo++
+	}
+	for hi >= lo && s.tab[hi+255] > thresh {
+		hi--
+	}
+	s.bgLo, s.bgSpan = lo, hi-lo+1
+	s.tabOffset, s.tabThresh, s.tabFilled = offset, thresh, true
+}
+
+// mark lists the foreground pixels of the region [x0,x1)×[y0,y1) of an
+// aw-wide plane in fg, in row-major order, and labels each -1.
+func (s *analyzeScratch) mark(img, bg []uint8, aw, x0, x1, y0, y1 int) {
+	if len(s.labels) < len(img) {
+		s.labels = make([]int32, len(img))
+	}
+	fg := s.fg[:0]
+	for y := y0; y < y1 && x0 < x1; y++ {
+		row := y*aw + x0
+		fg = slices.Grow(fg, x1-x0)
+		fg = markRow(fg, s.labels, img[row:y*aw+x1], bg[row:y*aw+x1], s.bgLo, s.bgSpan, row)
+	}
+	s.fg = fg
+}
+
+// markRow is mark on one row that starts at plane index base; the caller
+// reserves room in fg for the whole row. It is a leaf with no append so
+// that the loop keeps its values in registers: with an append inside it,
+// the compiler spilled them on every pixel.
+//
+//go:noinline
+func markRow(fg, labels []int32, ip, bp []uint8, lo, span, base int) []int32 {
+	bp = bp[:len(ip)]
+	n := len(fg)
+	fg = fg[:cap(fg)]
+	for x, v := range ip {
+		if uint(int(v)-int(bp[x])-lo) >= uint(span) {
+			fg[n] = int32(base + x)
+			labels[base+x] = -1
+			n++
+		}
+	}
+	return fg[:n]
 }
 
 // scratchFor returns the detector's analysis scratch, acquiring one from
@@ -258,10 +313,12 @@ func (d *Detector) Detect(frame *video.Frame, frameIdx int) []Detection {
 	metInvocations.Inc()
 	d.Acct.Add(costmodel.OpDetect,
 		costmodel.DetectCost(d.Cfg.Arch.PerPixelCost(), d.Cfg.Width, d.Cfg.Height))
-	dets := d.analyze(nil, frame, frameIdx, geom.Rect{}, frame.Bounds())
-	if d.scratch != nil {
-		d.scratch.dets = dets[:0]
+	if d.Background == nil {
+		return nil
 	}
+	s, img, bg := d.prepare(frame)
+	dets := d.analyze(s.dets[:0], s, img, bg, frame, frameIdx, geom.Rect{}, frame.Bounds())
+	s.dets = dets[:0]
 	metDetections.Add(int64(len(dets)))
 	return d.Arena.take(dets)
 }
@@ -275,7 +332,6 @@ func (d *Detector) DetectWindows(frame *video.Frame, frameIdx int, windows []geo
 	metWindows.Add(int64(len(windows)))
 	scaleX := float64(d.Cfg.Width) / float64(frame.NomW)
 	scaleY := float64(d.Cfg.Height) / float64(frame.NomH)
-	var all []Detection
 	for _, win := range windows {
 		w := int(win.W*scaleX + 0.5)
 		h := int(win.H*scaleY + 0.5)
@@ -286,29 +342,27 @@ func (d *Detector) DetectWindows(frame *video.Frame, frameIdx int, windows []geo
 			h = 1
 		}
 		d.Acct.Add(costmodel.OpDetect, costmodel.DetectCost(d.Cfg.Arch.PerPixelCost(), w, h))
-		all = d.analyze(all, frame, frameIdx, win, win)
 	}
-	var out []Detection
-	if d.scratch != nil {
-		out = dedupeInto(d.scratch.win[:0], all)
-		d.scratch.win = out[:0]
-		d.scratch.dets = all[:0]
-	} else {
-		out = dedupeInto(nil, all)
+	if d.Background == nil || len(windows) == 0 {
+		return nil
 	}
+	s, img, bg := d.prepare(frame)
+	all := s.dets[:0]
+	for _, win := range windows {
+		all = d.analyze(all, s, img, bg, frame, frameIdx, win, win)
+	}
+	out := dedupeInto(s.win[:0], all)
+	s.win = out[:0]
+	s.dets = all[:0]
 	metDetections.Add(int64(len(out)))
 	return d.Arena.take(out)
 }
 
-// analyze performs background subtraction inside region (nominal coords;
-// empty means full frame) at the detector's effective analysis resolution,
-// appending detections to dst. When dst is nil the scratch's detection
-// buffer is used, so the result is only valid until the next detector
-// call; Detect/DetectWindows copy it out before returning.
-func (d *Detector) analyze(dst []Detection, frame *video.Frame, frameIdx int, region, bounds geom.Rect) []Detection {
-	if d.Background == nil {
-		return dst
-	}
+// prepare returns the detector's scratch and the frame's image and
+// background at the effective analysis resolution, with the scratch's
+// tables filled for the frame's brightness offset. Every window of a frame
+// shares them.
+func (d *Detector) prepare(frame *video.Frame) (s *analyzeScratch, img, bg *video.Frame) {
 	// Effective stored analysis resolution: the detector input resolution
 	// expressed as a fraction of nominal, applied to the stored buffer.
 	fx := float64(d.Cfg.Width) / float64(frame.NomW)
@@ -326,16 +380,24 @@ func (d *Detector) analyze(dst []Detection, frame *video.Frame, frameIdx int, re
 	if ah < 2 {
 		ah = 2
 	}
-	img := video.CachedDownsample(frame, aw, ah)
-	bg := d.Background.At(aw, ah)
+	img = video.CachedDownsample(frame, aw, ah)
+	bg = d.Background.At(aw, ah)
 
 	// Compensate the global brightness flicker. img and bg are shared
 	// read-only planes (cached downsample, background model), so their
 	// full-frame stats memoize on the frame.
 	imgMean, _ := img.SharedMeanStd()
 	bgMean, _ := bg.SharedMeanStd()
-	offset := imgMean - bgMean
+	s = d.scratchFor(aw * ah)
+	s.fillTables(imgMean-bgMean, d.diffThreshold())
+	return s, img, bg
+}
 
+// analyze performs background subtraction inside region (nominal coords;
+// empty means full frame) of the frame's analysis planes, appending
+// detections to dst.
+func (d *Detector) analyze(dst []Detection, s *analyzeScratch, img, bg, frame *video.Frame, frameIdx int, region, bounds geom.Rect) []Detection {
+	aw, ah := img.W, img.H
 	// Restrict analysis to the region (in analysis pixels).
 	x0, y0, x1, y1 := 0, 0, aw, ah
 	if !region.Empty() {
@@ -351,42 +413,8 @@ func (d *Detector) analyze(dst []Detection, frame *video.Frame, frameIdx int, re
 		y1 = min(max(y1, 0), ah)
 	}
 
-	thresh := d.diffThreshold()
-	s := d.scratchFor(aw * ah)
-	if dst == nil {
-		dst = s.dets[:0]
-	}
-	mask := growSlice(&s.mask, aw*ah)
-	clear(mask)
-	diff := growSlice(&s.diff, aw*ah)
-	fillDiff(diff, mask, img, bg, s.diffTable(offset), thresh, aw, x0, x1, y0, y1)
-	return emitDetections(d, dst, s, mask, diff, frame, frameIdx, bounds, aw, ah)
-}
-
-// fillDiff writes the brightness-compensated difference plane inside the
-// analysis window, read off the frame's difference table, and thresholds
-// it into mask, which arrives cleared.
-func fillDiff(diff []float64, mask []bool, img, bg *video.Frame, tab *video.DiffTable, thresh float64, aw, x0, x1, y0, y1 int) {
-	if x1 <= x0 {
-		return
-	}
-	for y := y0; y < y1; y++ {
-		ip := img.Pix[y*aw+x0 : y*aw+x1]
-		bp := bg.Pix[y*aw+x0 : y*aw+x1]
-		dr := diff[y*aw+x0 : y*aw+x1]
-		mr := mask[y*aw+x0 : y*aw+x1]
-		for x, v := range ip {
-			dv := tab.At(v, bp[x])
-			dr[x] = dv
-			mr[x] = dv > thresh
-		}
-	}
-}
-
-// emitDetections runs the component scan over the difference plane and
-// appends the surviving detections to dst.
-func emitDetections(d *Detector, dst []Detection, s *analyzeScratch, mask []bool, diff []float64, frame *video.Frame, frameIdx int, bounds geom.Rect, aw, ah int) []Detection {
-	comps := connectedComponentsInto(s, mask, diff, aw, ah)
+	s.mark(img.Pix, bg.Pix, aw, x0, x1, y0, y1)
+	comps := connectedComponentsInto(s, img.Pix, bg.Pix, aw, ah)
 	sxN := float64(frame.NomW) / float64(aw)
 	syN := float64(frame.NomH) / float64(ah)
 	for _, c := range comps {
@@ -396,7 +424,7 @@ func emitDetections(d *Detector, dst []Detection, s *analyzeScratch, mask []bool
 		box := geom.RectFromBounds(float64(c.minX)*sxN, float64(c.minY)*syN,
 			float64(c.maxX+1)*sxN, float64(c.maxY+1)*syN)
 		if d.Cfg.Arch == ArchRCNN {
-			box = refineBox(diff, aw, ah, c, sxN, syN)
+			box = refineBox(&s.tab, img.Pix, bg.Pix, aw, c, sxN, syN)
 		}
 		box = box.Clip(bounds)
 		if box.Empty() {
@@ -432,11 +460,11 @@ func scoreOf(c component) float64 {
 
 // refineBox recomputes the box as a diff-weighted extent around the
 // component, giving the two-stage architecture tighter boxes.
-func refineBox(diff []float64, w, h int, c component, sx, sy float64) geom.Rect {
+func refineBox(tab *video.DiffTable, img, bg []uint8, w int, c component, sx, sy float64) geom.Rect {
 	var sumW, sumX, sumY, sumXX, sumYY float64
 	for y := c.minY; y <= c.maxY; y++ {
 		for x := c.minX; x <= c.maxX; x++ {
-			d := diff[y*w+x]
+			d := tab.At(img[y*w+x], bg[y*w+x])
 			if d <= 0 {
 				continue
 			}
@@ -466,46 +494,32 @@ type component struct {
 	sumDiff                float64
 }
 
-// growSlice resizes *s to length n, reallocating only when capacity is
-// insufficient. Contents are unspecified.
-func growSlice[T bool | float64 | int32 | int](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// connectedComponents labels 4-connected regions of the mask, accumulating
-// per-component extents and difference mass.
-func connectedComponents(mask []bool, diff []float64, w, h int) []component {
-	var s analyzeScratch
-	return connectedComponentsInto(&s, mask, diff, w, h)
-}
-
-// connectedComponentsInto is connectedComponents with all working storage
-// (labels, DFS stack, component list) drawn from the scratch. The returned
-// slice aliases s.comps and is valid until the next call with the same
-// scratch.
-func connectedComponentsInto(s *analyzeScratch, mask []bool, diff []float64, w, h int) []component {
-	labels := growSlice(&s.labels, w*h)
-	clear(labels)
+// connectedComponentsInto labels the 4-connected regions of the foreground
+// that mark listed, accumulating per-component extents and difference
+// mass, with all working storage (DFS stack, component list) drawn from
+// the scratch. Components start in fg order, which is the row-major order
+// of a scan over the plane, so they come out in the same order and with
+// their pixels visited in the same order as such a scan would. Before it
+// returns it zeroes the labels it touched. The returned slice aliases
+// s.comps and is valid until the next call with the same scratch.
+func connectedComponentsInto(s *analyzeScratch, img, bg []uint8, w, h int) []component {
+	labels := s.labels
 	comps := s.comps[:0]
 	stack := s.stack
-	for start := 0; start < w*h; start++ {
-		if !mask[start] || labels[start] != 0 {
+	for _, start := range s.fg {
+		if labels[start] != -1 {
 			continue
 		}
 		id := int32(len(comps) + 1)
 		c := component{minX: w, minY: h, maxX: -1, maxY: -1}
-		stack = append(stack[:0], start)
+		stack = append(stack[:0], int(start))
 		labels[start] = id
 		for len(stack) > 0 {
 			p := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			x, y := p%w, p/w
 			c.count++
-			c.sumDiff += diff[p]
+			c.sumDiff += s.tab.At(img[p], bg[p])
 			if x < c.minX {
 				c.minX = x
 			}
@@ -518,28 +532,43 @@ func connectedComponentsInto(s *analyzeScratch, mask []bool, diff []float64, w, 
 			if y > c.maxY {
 				c.maxY = y
 			}
-			if x > 0 && mask[p-1] && labels[p-1] == 0 {
+			if x > 0 && labels[p-1] == -1 {
 				labels[p-1] = id
 				stack = append(stack, p-1)
 			}
-			if x+1 < w && mask[p+1] && labels[p+1] == 0 {
+			if x+1 < w && labels[p+1] == -1 {
 				labels[p+1] = id
 				stack = append(stack, p+1)
 			}
-			if y > 0 && mask[p-w] && labels[p-w] == 0 {
+			if y > 0 && labels[p-w] == -1 {
 				labels[p-w] = id
 				stack = append(stack, p-w)
 			}
-			if y+1 < h && mask[p+w] && labels[p+w] == 0 {
+			if y+1 < h && labels[p+w] == -1 {
 				labels[p+w] = id
 				stack = append(stack, p+w)
 			}
 		}
 		comps = append(comps, c)
 	}
+	for _, p := range s.fg {
+		labels[p] = 0
+	}
 	s.stack = stack
 	s.comps = comps
 	return comps
+}
+
+// byScoreDesc orders detections by descending score: it is negative
+// exactly where sort.Slice's less, a.Score > b.Score, is true.
+func byScoreDesc(a, b Detection) int {
+	if a.Score > b.Score {
+		return -1
+	}
+	if a.Score < b.Score {
+		return 1
+	}
+	return 0
 }
 
 // dedupe merges detections from overlapping windows: boxes with IoU > 0.5
@@ -549,9 +578,11 @@ func dedupe(dets []Detection) []Detection {
 }
 
 // dedupeInto is dedupe appending the surviving detections to dst (dets is
-// sorted in place by score).
+// sorted in place by score). slices.SortFunc runs the same pattern-defeating
+// quicksort as sort.Slice, so equal scores keep sort.Slice's order, without
+// the allocations of its reflection-based swapper.
 func dedupeInto(dst, dets []Detection) []Detection {
-	sort.Slice(dets, func(i, j int) bool { return dets[i].Score > dets[j].Score })
+	slices.SortFunc(dets, byScoreDesc)
 	base := len(dst)
 	for _, d := range dets {
 		dup := false

@@ -1,6 +1,9 @@
 package detect
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"otif/internal/costmodel"
@@ -221,20 +224,19 @@ func TestTrainBackgroundEmpty(t *testing.T) {
 }
 
 func TestConnectedComponents(t *testing.T) {
-	// Two separate blobs.
+	// Two separate blobs, 10 grey levels above the background.
 	w, h := 6, 4
-	mask := make([]bool, w*h)
-	diff := make([]float64, w*h)
-	set := func(x, y int) {
-		mask[y*w+x] = true
-		diff[y*w+x] = 10
-	}
+	img, bg := video.NewFrame(w, h, w, h), video.NewFrame(w, h, w, h)
+	set := func(x, y int) { img.Pix[y*w+x] = 10 }
 	set(0, 0)
 	set(1, 0)
 	set(0, 1)
 	set(4, 2)
 	set(5, 2)
-	comps := connectedComponents(mask, diff, w, h)
+	var s analyzeScratch
+	s.fillTables(0, 5)
+	s.mark(img.Pix, bg.Pix, w, 0, w, 0, h)
+	comps := connectedComponentsInto(&s, img.Pix, bg.Pix, w, h)
 	if len(comps) != 2 {
 		t.Fatalf("components = %d, want 2", len(comps))
 	}
@@ -256,5 +258,30 @@ func TestDedupe(t *testing.T) {
 	}
 	if out[0].Score != 0.9 {
 		t.Error("dedupe must keep the higher-scoring duplicate")
+	}
+}
+
+// TestDedupeSortKeepsSortSliceOrder holds the dedupe sort to sort.Slice's
+// order, which it replaced: detections of equal score must come out in the
+// same order, since dedupe keeps the first of two overlapping ones and the
+// tracker sees them in that order. Scores repeat heavily (the confidence
+// clamps at 1).
+func TestDedupeSortKeepsSortSliceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	scores := []float64{0.3, 0.5, 0.5, 0.8, 1, 1, 1, 1}
+	for n := 0; n < 300; n++ {
+		dets := make([]Detection, n)
+		for i := range dets {
+			dets[i] = Detection{FrameIdx: i, Score: scores[rng.Intn(len(scores))]}
+		}
+		want := append([]Detection(nil), dets...)
+		sort.Slice(want, func(i, j int) bool { return want[i].Score > want[j].Score })
+		got := append([]Detection(nil), dets...)
+		slices.SortFunc(got, byScoreDesc)
+		for i := range want {
+			if got[i].FrameIdx != want[i].FrameIdx {
+				t.Fatalf("n=%d: position %d holds detection %d, sort.Slice puts %d there", n, i, got[i].FrameIdx, want[i].FrameIdx)
+			}
+		}
 	}
 }

@@ -9,10 +9,10 @@ import (
 
 // This file implements pooled per-clip allocation for the detector: an
 // arena for the detection slices the hot path returns every processed
-// frame, and a geometry-keyed pool for the analysis scratch (whose buffers
-// are sized by the clip's analysis plane). Clip execution creates one
-// Detector per clip; without pooling every clip re-grows the same mask,
-// diff and label planes and every frame heap-allocates its detection
+// frame, and a size-class pool for the analysis scratch (whose label plane
+// is sized by the clip's analysis plane). Clip execution creates one
+// Detector per clip; without pooling every clip re-grows the same label
+// plane and foreground list and every frame heap-allocates its detection
 // slice. Pool traffic is observable through the detect.pool.* counters;
 // pooling never changes results.
 
@@ -132,8 +132,8 @@ func classPool(class int) *sync.Pool {
 
 // getAnalyzeScratch returns analysis scratch suitable for a plane of the
 // given pixel count, reusing pooled scratch of the same size class when
-// available. Buffer contents are unspecified; analyze sizes and clears
-// what it reads.
+// available. A pooled label plane comes back all zero (analyzeScratch's
+// invariant); mark grows it when a plane is larger.
 func getAnalyzeScratch(pixels int) *analyzeScratch {
 	if v := classPool(scratchClass(pixels)).Get(); v != nil {
 		metScratchHit.Inc()

@@ -91,7 +91,7 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 func TestDetectorReleaseRecyclesScratch(t *testing.T) {
 	miss0 := metScratchMiss.Value()
 	s1 := getAnalyzeScratch(64 * 64)
-	growSlice(&s1.labels, 64*64)
+	s1.labels = make([]int32, 64*64)
 	putAnalyzeScratch(s1)
 	// Same size class: should usually come back (sync.Pool may drop).
 	reused := false
@@ -105,5 +105,25 @@ func TestDetectorReleaseRecyclesScratch(t *testing.T) {
 	}
 	if metScratchMiss.Value() == miss0 && miss0 == 0 {
 		t.Error("pool counters did not move")
+	}
+}
+
+// TestDetectWindowsSteadyStateZeroAlloc pins the windowed detector, once
+// its scratch and arena have grown, to no allocation per call: no plane,
+// no list, no sort closure.
+func TestDetectWindowsSteadyStateZeroAlloc(t *testing.T) {
+	frame, bg, windows := benchScene()
+	d := &Detector{Cfg: Config{Arch: ArchYOLO, Width: 2 * frame.NomW, Height: 2 * frame.NomH, ConfThresh: 0.25},
+		Background: bg, Classify: SizeClassifier{BusMinArea: 3000}, Arena: GetArena()}
+	defer d.Arena.Release()
+	defer d.Release()
+	if len(d.DetectWindows(frame, 0, windows)) == 0 {
+		t.Fatal("the scene yields no detection; the gate is vacuous")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		d.Arena.slabs[0], d.Arena.cur = d.Arena.slabs[0][:0], 0
+		d.DetectWindows(frame, 0, windows)
+	}); n != 0 {
+		t.Errorf("steady-state DetectWindows allocates %v per call, want 0", n)
 	}
 }

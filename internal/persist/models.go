@@ -3,6 +3,7 @@ package persist
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"otif/internal/core"
 	"otif/internal/detect"
@@ -117,9 +118,18 @@ func LoadModels(src io.Reader, sys *core.System) error {
 	if r.err != nil || nProxies < 0 || nProxies > 64 {
 		return badLen(r, nProxies)
 	}
+	if best.UseProxy && (best.ProxyIdx < 0 || best.ProxyIdx >= nProxies) {
+		return fmt.Errorf("persist: theta_best ProxyIdx %d is not one of the bundle's %d proxies", best.ProxyIdx, nProxies)
+	}
+	// A proxy's resolution and a window's size are nominal pixel extents:
+	// at least one pixel and at most the frame.
+	fits := func(w, h int) bool { return w >= 1 && h >= 1 && w <= nomW && h <= nomH }
 	sys.Proxies = make([]*proxy.Model, nProxies)
 	for i := range sys.Proxies {
 		m := &proxy.Model{ResW: r.int(), ResH: r.int(), LR: &nn.LogReg{}}
+		if r.err == nil && !fits(m.ResW, m.ResH) {
+			return fmt.Errorf("persist: proxy %d resolution %dx%d outside 1x1..%dx%d", i, m.ResW, m.ResH, nomW, nomH)
+		}
 		m.LR.W = nn.Vec(r.floats())
 		m.LR.B = r.f64()
 		sys.Proxies[i] = m
@@ -132,6 +142,9 @@ func LoadModels(src io.Reader, sys *core.System) error {
 	sys.WindowSizes = make([][2]int, nSizes)
 	for i := range sys.WindowSizes {
 		sys.WindowSizes[i] = [2]int{r.int(), r.int()}
+		if ws := sys.WindowSizes[i]; r.err == nil && !fits(ws[0], ws[1]) {
+			return fmt.Errorf("persist: window size %d is %dx%d, outside 1x1..%dx%d", i, ws[0], ws[1], nomW, nomH)
+		}
 	}
 
 	if sys.Recurrent, err = readRecurrent(r, sys); err != nil {
@@ -206,7 +219,35 @@ func readConfig(r *reader) (core.Config, error) {
 		VariableGap: r.boolean(),
 		Refine:      r.boolean(),
 	}
-	return c, r.err
+	if r.err != nil {
+		return c, r.err
+	}
+	return c, checkConfig(c)
+}
+
+// maxGap bounds a stored sampling gap; the tuner's ladder stops at 32.
+const maxGap = 64
+
+// checkConfig refuses a theta_best no pipeline can run: loaded, it would
+// panic later inside a clip worker. ProxyIdx is checked by LoadModels, once
+// it knows how many proxies the bundle holds.
+func checkConfig(c core.Config) error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case c.Arch != detect.ArchYOLO && c.Arch != detect.ArchRCNN:
+		return fmt.Errorf("persist: theta_best Arch %q is not a detector architecture", c.Arch)
+	case c.Tracker != core.TrackerSORT && c.Tracker != core.TrackerRecurrent && c.Tracker != core.TrackerPair:
+		return fmt.Errorf("persist: theta_best Tracker %q is not a tracker", c.Tracker)
+	case c.Gap < 1 || c.Gap > maxGap:
+		return fmt.Errorf("persist: theta_best Gap %d outside [1, %d]", c.Gap, maxGap)
+	case !(c.DetScale > 0 && c.DetScale <= 1):
+		return fmt.Errorf("persist: theta_best DetScale %v outside (0, 1]", c.DetScale)
+	case !finite(c.DetConf):
+		return fmt.Errorf("persist: theta_best DetConf %v is not finite", c.DetConf)
+	case !finite(c.ProxyThresh):
+		return fmt.Errorf("persist: theta_best ProxyThresh %v is not finite", c.ProxyThresh)
+	}
+	return nil
 }
 
 func writeDense(w *writer, d *nn.Dense) {

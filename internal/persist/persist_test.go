@@ -291,6 +291,69 @@ func TestLoadModelsRejectsWrongDataset(t *testing.T) {
 	}
 }
 
+// TestLoadModelsRejectsInvalidTheta saves complete, checksummed bundles
+// whose theta_best, proxy resolutions or window sizes no pipeline can run,
+// one field per case. Each used to load without error; a Gap of 0 then
+// panicked inside a tuner worker ("video: invalid sampling gap 0").
+func TestLoadModelsRejectsInvalidTheta(t *testing.T) {
+	ds, err := dataset.Build("caldot1", dataset.SetSpec{Clips: 1, ClipSeconds: 2}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := core.NewSystem(ds)
+	valid := core.Config{Arch: detect.ArchYOLO, DetScale: 1, DetConf: 0.25, Gap: 1, Tracker: core.TrackerSORT}
+	sys.FinishTraining(valid, 42)
+	nomW, nomH := ds.Cfg.NomW, ds.Cfg.NomH
+	theta := func(edit func(c *core.Config)) func(*core.System) {
+		return func(s *core.System) { edit(&s.Best) }
+	}
+	cases := []struct {
+		name, field string
+		edit        func(*core.System)
+	}{
+		{"arch", "Arch", theta(func(c *core.Config) { c.Arch = "ssd" })},
+		{"tracker", "Tracker", theta(func(c *core.Config) { c.Tracker = "kalman" })},
+		{"gap_zero", "Gap", theta(func(c *core.Config) { c.Gap = 0 })},
+		{"gap_large", "Gap", theta(func(c *core.Config) { c.Gap = 65 })},
+		{"det_scale_zero", "DetScale", theta(func(c *core.Config) { c.DetScale = 0 })},
+		{"det_scale_above_one", "DetScale", theta(func(c *core.Config) { c.DetScale = 1.5 })},
+		{"det_scale_nan", "DetScale", theta(func(c *core.Config) { c.DetScale = math.NaN() })},
+		{"det_conf_nan", "DetConf", theta(func(c *core.Config) { c.DetConf = math.NaN() })},
+		{"det_conf_inf", "DetConf", theta(func(c *core.Config) { c.DetConf = math.Inf(-1) })},
+		{"proxy_thresh_inf", "ProxyThresh", theta(func(c *core.Config) { c.ProxyThresh = math.Inf(1) })},
+		{"proxy_idx_past_end", "ProxyIdx", theta(func(c *core.Config) { c.UseProxy, c.ProxyIdx = true, len(sys.Proxies) })},
+		{"proxy_idx_negative", "ProxyIdx", theta(func(c *core.Config) { c.UseProxy, c.ProxyIdx = true, -1 })},
+		{"proxy_res_zero", "proxy 0 resolution", func(s *core.System) { s.Proxies[0].ResW = 0 }},
+		{"proxy_res_large", "proxy 0 resolution", func(s *core.System) { s.Proxies[0].ResH = nomH + 1 }},
+		{"window_zero", "window size 0", func(s *core.System) { s.WindowSizes = [][2]int{{0, 40}} }},
+		{"window_large", "window size 1", func(s *core.System) { s.WindowSizes = [][2]int{{64, 64}, {nomW + 1, 64}} }},
+	}
+	save := func(edit func(*core.System)) []byte {
+		best, res, sizes := sys.Best, [2]int{sys.Proxies[0].ResW, sys.Proxies[0].ResH}, sys.WindowSizes
+		defer func() {
+			sys.Best, sys.Proxies[0].ResW, sys.Proxies[0].ResH, sys.WindowSizes = best, res[0], res[1], sizes
+		}()
+		if edit != nil {
+			edit(sys)
+		}
+		var buf bytes.Buffer
+		if err := SaveModels(&buf, sys); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// The unedited bundle loads: every failure below is the edit's.
+	if err := LoadModels(bytes.NewReader(save(nil)), core.NewSystem(ds)); err != nil {
+		t.Fatalf("valid bundle: %v", err)
+	}
+	for _, tc := range cases {
+		err := LoadModels(bytes.NewReader(save(tc.edit)), core.NewSystem(ds))
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: LoadModels = %v, want an error naming %s", tc.name, err, tc.field)
+		}
+	}
+}
+
 // hostileTrackFiles are track files that end right after a header count of
 // the largest accepted size: no records, no checksum.
 func hostileTrackFiles(t testing.TB) map[string][]byte {
@@ -372,7 +435,7 @@ func TestHostileModelBundleAllocatesLittle(t *testing.T) {
 		w.str(ds.Name)
 		w.int(ds.Spec.Clips)
 		w.f64(ds.Spec.ClipSeconds)
-		writeConfig(w, core.Config{})
+		writeConfig(w, core.Config{Arch: detect.ArchYOLO, DetScale: 1, Gap: 1, Tracker: core.TrackerSORT})
 		fill(w)
 		if w.err != nil {
 			t.Fatal(w.err)
