@@ -46,7 +46,8 @@ func clipDigest(res *SetResult, clip int) goldenClip {
 
 // TestGoldenExtraction pins extraction output across commits: the other
 // differential tests compare two runs of one tree, this one compares the
-// tree with constants recorded on commit 588826d. A refactor that claims
+// tree with constants recorded on commit 588826d (the first two cases) and
+// 9bc8d65 (the pair and variable-gap cases). A refactor that claims
 // to leave results alone must leave these alone. The constants hold on
 // amd64 only; targets that fuse multiply-adds round differently.
 func TestGoldenExtraction(t *testing.T) {
@@ -83,6 +84,36 @@ func TestGoldenExtraction(t *testing.T) {
 			clips: []goldenClip{
 				{31, 781, 0x4a95f3447cbcc5bf},
 				{16, 575, 0x953676a78756b5cc},
+			},
+		},
+		{
+			// The pairwise matcher of the Miris and CenterTrack baselines
+			// at a reduced rate. Recorded on commit 9bc8d65.
+			dataset: "caldot1",
+			cfg: func(sys *System) Config {
+				cfg := sys.Best
+				cfg.Gap, cfg.Tracker = 4, TrackerPair
+				return cfg
+			},
+			runtime: 0x3fd3a3a34f6c9673,
+			clips: []goldenClip{
+				{5, 26, 0x7c65f6bd92f875d},
+				{2, 25, 0xa09e5723bbfedbc8},
+			},
+		},
+		{
+			// The variable-rate policy, steered by the recurrent
+			// tracker's LastConfidence. Recorded on commit 9bc8d65.
+			dataset: "warsaw",
+			cfg: func(sys *System) Config {
+				cfg := sys.Best
+				cfg.Gap, cfg.Tracker, cfg.VariableGap = 8, TrackerRecurrent, true
+				return cfg
+			},
+			runtime: 0x3fed3c7f63cd0f25,
+			clips: []goldenClip{
+				{21, 117, 0x2f8017d98acc304b},
+				{12, 67, 0xd2b594f4cb145137},
 			},
 		},
 	}

@@ -132,6 +132,12 @@ func LoadModels(src io.Reader, sys *core.System) error {
 		}
 		m.LR.W = nn.Vec(r.floats())
 		m.LR.B = r.f64()
+		if r.err != nil {
+			return r.err
+		}
+		if err := m.Validate(); err != nil {
+			return fmt.Errorf("persist: proxy %d: %w", i, err)
+		}
 		sys.Proxies[i] = m
 	}
 
@@ -342,6 +348,9 @@ func readRecurrent(r *reader, sys *core.System) (*track.RecurrentModel, error) {
 	if m.Match, err = readMLP(r); err != nil {
 		return nil, err
 	}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
 	return m, nil
 }
 
@@ -370,6 +379,9 @@ func readPair(r *reader, sys *core.System) (*track.PairModel, error) {
 	var err error
 	if m.Match, err = readMLP(r); err != nil {
 		return nil, err
+	}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
 	}
 	return m, nil
 }

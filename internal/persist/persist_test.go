@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,10 @@ import (
 	"otif/internal/dataset"
 	"otif/internal/detect"
 	"otif/internal/geom"
+	"otif/internal/nn"
+	"otif/internal/proxy"
 	"otif/internal/query"
+	"otif/internal/track"
 	"otif/internal/tuner"
 )
 
@@ -292,9 +296,12 @@ func TestLoadModelsRejectsWrongDataset(t *testing.T) {
 }
 
 // TestLoadModelsRejectsInvalidTheta saves complete, checksummed bundles
-// whose theta_best, proxy resolutions or window sizes no pipeline can run,
-// one field per case. Each used to load without error; a Gap of 0 then
-// panicked inside a tuner worker ("video: invalid sampling gap 0").
+// whose theta_best, proxy models, window sizes or tracker models no
+// pipeline can run, one field per case. Each used to load without error;
+// a Gap of 0 then panicked inside a tuner worker ("video: invalid sampling
+// gap 0"), and a recurrent matcher one bias entry short panicked in
+// RunClip on the first frame with detections ("index out of range [23]
+// with length 23").
 func TestLoadModelsRejectsInvalidTheta(t *testing.T) {
 	ds, err := dataset.Build("caldot1", dataset.SetSpec{Clips: 1, ClipSeconds: 2}, 5)
 	if err != nil {
@@ -307,6 +314,38 @@ func TestLoadModelsRejectsInvalidTheta(t *testing.T) {
 	theta := func(edit func(c *core.Config)) func(*core.System) {
 		return func(s *core.System) { edit(&s.Best) }
 	}
+	// The model edits work on deep copies, which save swaps back out.
+	cloneDense := func(d *nn.Dense) *nn.Dense {
+		c := *d
+		c.W, c.B = slices.Clone(d.W), slices.Clone(d.B)
+		return &c
+	}
+	cloneMLP := func(m *nn.MLP) *nn.MLP {
+		c := &nn.MLP{}
+		for _, l := range m.Layers {
+			c.Layers = append(c.Layers, cloneDense(l))
+		}
+		return c
+	}
+	recurrent := func(edit func(m *track.RecurrentModel)) func(*core.System) {
+		return func(s *core.System) {
+			m, g := *s.Recurrent, *s.Recurrent.GRU
+			g.Wz, g.Wr, g.Wc = cloneDense(g.Wz), cloneDense(g.Wr), cloneDense(g.Wc)
+			m.GRU, m.Match = &g, cloneMLP(m.Match)
+			edit(&m)
+			s.Recurrent = &m
+		}
+	}
+	pair := func(edit func(m *track.PairModel)) func(*core.System) {
+		return func(s *core.System) {
+			m := *s.Pair
+			m.Match = cloneMLP(m.Match)
+			edit(&m)
+			s.Pair = &m
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	const wide = 257 // a hidden size past the bound, with every shape consistent
 	cases := []struct {
 		name, field string
 		edit        func(*core.System)
@@ -327,11 +366,49 @@ func TestLoadModelsRejectsInvalidTheta(t *testing.T) {
 		{"proxy_res_large", "proxy 0 resolution", func(s *core.System) { s.Proxies[0].ResH = nomH + 1 }},
 		{"window_zero", "window size 0", func(s *core.System) { s.WindowSizes = [][2]int{{0, 40}} }},
 		{"window_large", "window size 1", func(s *core.System) { s.WindowSizes = [][2]int{{64, 64}, {nomW + 1, 64}} }},
+		{"proxy_weights_short", "proxy 0", func(s *core.System) {
+			lr := s.Proxies[0].LR
+			s.Proxies = append([]*proxy.Model{{ResW: s.Proxies[0].ResW, ResH: s.Proxies[0].ResH,
+				LR: &nn.LogReg{W: lr.W[:len(lr.W)-1], B: lr.B}}}, s.Proxies[1:]...)
+		}},
+		{"recurrent_bias_short", "recurrent matcher: layer 0", recurrent(func(m *track.RecurrentModel) {
+			l := m.Match.Layers[0]
+			l.B = l.B[:len(l.B)-1]
+		})},
+		{"recurrent_hidden_narrow", "recurrent GRU", recurrent(func(m *track.RecurrentModel) { m.Hidden = 4 })},
+		{"recurrent_hidden_wide", "Hidden", recurrent(func(m *track.RecurrentModel) {
+			m.Hidden = wide
+			m.GRU = nn.NewGRUCell(track.FeatDim, wide, rng)
+			m.Match = nn.NewMLP([]int{wide + track.FeatDim + track.MotionDim, 24, 1}, nn.ReLUAct, nn.SigmoidAct, rng)
+		})},
+		{"recurrent_gate_shape", "gate Wr", recurrent(func(m *track.RecurrentModel) {
+			m.GRU.Wr = nn.NewDense(m.Hidden+track.FeatDim, m.Hidden-1, nn.SigmoidAct, rng)
+		})},
+		{"recurrent_gate_inf", "gate Wc", recurrent(func(m *track.RecurrentModel) { m.GRU.Wc.W[0] = math.Inf(1) })},
+		{"recurrent_match_input", "recurrent matcher: layer 0: input", recurrent(func(m *track.RecurrentModel) {
+			m.Match.Layers[0] = nn.NewDense(m.Hidden+track.FeatDim, 24, nn.ReLUAct, rng)
+		})},
+		{"recurrent_activation", "recurrent matcher: layer 1: unknown activation", recurrent(func(m *track.RecurrentModel) {
+			m.Match.Layers[1].Act = 7
+		})},
+		{"pair_bias_empty", "pair matcher: layer 1", pair(func(m *track.PairModel) { m.Match.Layers[1].B = nil })},
+		{"pair_input", "pair matcher: layer 0: input", pair(func(m *track.PairModel) {
+			m.Match.Layers[0] = nn.NewDense(9, 16, nn.ReLUAct, rng)
+		})},
+		{"pair_chain", "pair matcher: layer 1: input", pair(func(m *track.PairModel) {
+			m.Match.Layers[1] = nn.NewDense(15, 1, nn.SigmoidAct, rng)
+		})},
+		{"pair_two_outputs", "pair matcher: layer 1: output", pair(func(m *track.PairModel) {
+			m.Match.Layers[1] = nn.NewDense(16, 2, nn.SigmoidAct, rng)
+		})},
+		{"pair_weight_nan", "not finite", pair(func(m *track.PairModel) { m.Match.Layers[0].W[3] = math.NaN() })},
 	}
 	save := func(edit func(*core.System)) []byte {
 		best, res, sizes := sys.Best, [2]int{sys.Proxies[0].ResW, sys.Proxies[0].ResH}, sys.WindowSizes
+		proxies, rec, pm := sys.Proxies, sys.Recurrent, sys.Pair
 		defer func() {
 			sys.Best, sys.Proxies[0].ResW, sys.Proxies[0].ResH, sys.WindowSizes = best, res[0], res[1], sizes
+			sys.Proxies, sys.Recurrent, sys.Pair = proxies, rec, pm
 		}()
 		if edit != nil {
 			edit(sys)

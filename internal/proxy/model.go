@@ -246,6 +246,15 @@ func (m *Model) Features(frame *video.Frame, bg *detect.BackgroundModel, dst []f
 // stride of the matrix Features fills).
 const FeatureDim = featuresPerCell
 
+// Validate reports why m cannot score a frame, or nil: its logistic
+// readout must weigh FeatureDim finite features.
+func (m *Model) Validate() error {
+	if err := m.LR.Validate(FeatureDim); err != nil {
+		return fmt.Errorf("proxy: readout: %w", err)
+	}
+	return nil
+}
+
 // Score runs the proxy model on a frame, charging simulated proxy cost, and
 // returns the per-cell positive-class probabilities. Feature computation
 // and the logistic readout are fused per cell, so the only allocation is

@@ -53,6 +53,17 @@ func trainedRecurrent(t *testing.T, seed int64) (*RecurrentModel, []TrainClip) {
 	return model, clips
 }
 
+func trainedPair(t *testing.T, seed int64) *PairModel {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	clips := syntheticClips(rng, 4, 3, 60)
+	model := NewPairModel(testNomW, testNomH, testFPS, rng)
+	opts := DefaultTrainOptions()
+	opts.Examples = 2500
+	TrainPair(model, clips, opts, costmodel.NewAccountant())
+	return model
+}
+
 func TestRecurrentModelScoresContinuationsHigh(t *testing.T) {
 	model, _ := trainedRecurrent(t, 3)
 	rng := rand.New(rand.NewSource(77))
@@ -138,13 +149,7 @@ func TestRecurrentTrackerReassemblesTracks(t *testing.T) {
 }
 
 func TestPairTrackerChainsMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	clips := syntheticClips(rng, 4, 3, 60)
-	model := NewPairModel(testNomW, testNomH, testFPS, rng)
-	opts := DefaultTrainOptions()
-	opts.Examples = 2500
-	TrainPair(model, clips, opts, costmodel.NewAccountant())
-
+	model := trainedPair(t, 9)
 	eval := syntheticClips(rand.New(rand.NewSource(55)), 1, 3, 60)
 	const gap = 4
 	tracker := NewPairTracker(model, costmodel.NewAccountant())

@@ -1,9 +1,9 @@
 package track
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"otif/internal/costmodel"
 	"otif/internal/detect"
@@ -32,122 +32,37 @@ func NewPairModel(nomW, nomH, fps int, rng *rand.Rand) *PairModel {
 	}
 }
 
-// PairTracker applies a PairModel online, forming tracks as chains of
-// frame-to-frame matches.
-type PairTracker struct {
-	Model     *PairModel
-	MinProb   float64
-	MaxMisses int
-	MaxSpeed  float64
-	Acct      *costmodel.Accountant
-
-	active []*pairTrack
-	done   []*Track
-
-	// scratch makes each Update round allocation-free; it also means a
-	// tracker instance must be driven by a single goroutine. It is drawn
-	// from the scratch pool on first Update and released by Finish.
-	scratch *matchScratch
+// Validate reports why m cannot run on the tracker, or nil: its matcher
+// must map the pair features to one probability.
+func (m *PairModel) Validate() error {
+	if err := m.Match.Validate(pairFeatDim, 1); err != nil {
+		return fmt.Errorf("track: pair matcher: %w", err)
+	}
+	return nil
 }
 
-type pairTrack struct {
-	track  Track
-	misses int
+// PairTracker applies a PairModel online, forming tracks as chains of
+// frame-to-frame matches. It keeps no state beyond the tracks themselves.
+type PairTracker struct {
+	online[struct{}]
+	model *PairModel
+	acct  *costmodel.Accountant // charged TrackerPerAssoc per scored pair
 }
 
 // NewPairTracker wraps a trained pair model with default inference
 // settings.
 func NewPairTracker(model *PairModel, acct *costmodel.Accountant) *PairTracker {
-	return &PairTracker{Model: model, MinProb: 0.5, MaxMisses: 2, MaxSpeed: 500, Acct: acct}
+	return &PairTracker{online: online[struct{}]{MaxMisses: 2}, model: model, acct: acct}
 }
 
 // Update implements Tracker.
 func (p *PairTracker) Update(ctx *FrameContext, dets []detect.Detection) {
-	metUpdates.Inc()
-	if len(p.active) == 0 {
-		for _, d := range dets {
-			p.start(d)
-		}
-		return
-	}
-	m := p.Model
-	if p.scratch == nil {
-		p.scratch = getScratch()
-	}
-	s := p.scratch
-	const blocked = 1e6
-	maxDisp := p.MaxSpeed*float64(ctx.GapFrames)/float64(m.FPS) + 0.08*float64(m.NomW)
-	cost := growMatrix(&s.cost, &s.costBuf, len(p.active), len(dets))
-	scored := 0
-	for i, tr := range p.active {
-		last := tr.track.Dets[len(tr.track.Dets)-1]
-		for j, d := range dets {
-			if last.Box.Center().Dist(d.Box.Center()) > maxDisp {
-				cost[i][j] = blocked
-				continue
-			}
-			scored++
-			s.featBuf = AppendPairFeatures(s.featBuf[:0], last, d, m.NomW, m.NomH, m.FPS, ctx.GapFrames)
-			prob := m.Match.ApplyWith(&s.nn, nn.Vec(s.featBuf))[0]
-			cost[i][j] = -math.Log(math.Max(prob, 1e-9))
-		}
-	}
-	// One accountant charge per association round rather than per scored
-	// pair keeps the accountant out of the innermost loop.
-	if scored > 0 {
-		p.Acct.Add(costmodel.OpTrack, costmodel.TrackerPerAssoc*float64(scored))
-	}
-	assign := s.assign.AssignWithThreshold(cost, -math.Log(p.MinProb), blocked)
-
-	usedDet := grow(&s.usedDet, len(dets))
-	clear(usedDet)
-	active := p.active
-	remaining := p.active[:0] // in-place filter; reads stay ahead of writes
-	for i, tr := range active {
-		j := assign[i]
-		if j < 0 {
-			tr.misses++
-			if tr.misses > p.MaxMisses {
-				p.done = append(p.done, cloneTrack(&tr.track))
-			} else {
-				remaining = append(remaining, tr)
-			}
-			continue
-		}
-		usedDet[j] = true
-		tr.track.Dets = append(tr.track.Dets, dets[j])
-		tr.misses = 0
-		remaining = append(remaining, tr)
-	}
-	for i := len(remaining); i < len(active); i++ {
-		active[i] = nil
-	}
-	p.active = remaining
-	for j, d := range dets {
-		if !usedDet[j] {
-			p.start(d)
-		}
-	}
-}
-
-func (p *PairTracker) start(d detect.Detection) {
-	p.active = append(p.active, &pairTrack{track: Track{Dets: []detect.Detection{d}}})
-}
-
-// Finish implements Tracker.
-func (p *PairTracker) Finish() []*Track {
-	for _, tr := range p.active {
-		p.done = append(p.done, cloneTrack(&tr.track))
-	}
-	p.active = nil
-	out := p.done
-	p.done = nil
-	putScratch(p.scratch)
-	p.scratch = nil
-	sort.Slice(out, func(i, j int) bool { return out[i].FirstFrame() < out[j].FirstFrame() })
-	for i, t := range out {
-		t.ID = i
-		t.Category = t.MajorityCategory()
-	}
-	return out
+	m := p.model
+	cost := p.costs(len(dets))
+	s := p.scratch // nil only with no active track, when nothing is scored
+	p.scoreReachable(cost, dets, reach(ctx.GapFrames, m.FPS, m.NomW), p.acct, func(l *live[struct{}], j int) float64 {
+		s.featBuf = AppendPairFeatures(s.featBuf[:0], l.track.Dets[len(l.track.Dets)-1], dets[j], m.NomW, m.NomH, m.FPS, ctx.GapFrames)
+		return m.Match.ApplyWith(&s.nn, nn.Vec(s.featBuf))[0]
+	})
+	p.associate(cost, -math.Log(minProb), dets, nil, nil)
 }

@@ -1,9 +1,9 @@
 package track
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"otif/internal/costmodel"
 	"otif/internal/detect"
@@ -37,6 +37,29 @@ func NewRecurrentModel(nomW, nomH, fps int, rng *rand.Rand) *RecurrentModel {
 	}
 }
 
+// maxHidden bounds a loaded model's hidden size, sixteen times the
+// trained one: the tracker holds one hidden vector per live track.
+const maxHidden = 256
+
+// Validate reports why m cannot run on the tracker, or nil: a hidden size
+// out of bounds, a GRU that does not step FeatDim features through Hidden
+// units, or a matcher that does not map [h, f, motion] to one probability.
+func (m *RecurrentModel) Validate() error {
+	if m.Hidden < 1 || m.Hidden > maxHidden {
+		return fmt.Errorf("track: recurrent model Hidden %d outside [1, %d]", m.Hidden, maxHidden)
+	}
+	if m.GRU.InSize != FeatDim || m.GRU.HiddenSize != m.Hidden {
+		return fmt.Errorf("track: recurrent GRU is %d→%d, want %d→%d", m.GRU.InSize, m.GRU.HiddenSize, FeatDim, m.Hidden)
+	}
+	if err := m.GRU.Validate(); err != nil {
+		return fmt.Errorf("track: recurrent GRU: %w", err)
+	}
+	if err := m.Match.Validate(m.Hidden+FeatDim+MotionDim, 1); err != nil {
+		return fmt.Errorf("track: recurrent matcher: %w", err)
+	}
+	return nil
+}
+
 // Score returns the matching probability p_{i,j} between the track-level
 // features (GRU state h plus motion-delta features) and a detection
 // feature vector f. It is read-only on the model, so concurrent clip
@@ -49,27 +72,15 @@ func (m *RecurrentModel) Score(h, f, motion nn.Vec) float64 {
 // sampling gap: on each processed frame it scores every (active track,
 // detection) pair, solves the assignment, extends matched tracks, starts
 // new tracks from unmatched detections, and terminates tracks that go
-// unmatched for MaxMisses consecutive processed frames.
+// unmatched for MaxMisses consecutive processed frames. A track's state is
+// its GRU hidden vector.
 type RecurrentTracker struct {
-	Model *RecurrentModel
-	// MinProb is the minimum matching probability for a valid
-	// association.
-	MinProb float64
-	// MaxMisses is how many processed frames a track survives unmatched.
-	MaxMisses int
-	// MaxSpeed (nominal px/sec) gates implausible associations: a
-	// detection further from the track's last box than MaxSpeed * dt
-	// plus a slack term can never match. This mirrors the spatial
-	// locality that a learned CNN matcher absorbs from data.
-	MaxSpeed float64
-	// Acct is charged TrackerPerAssoc per scored pair.
-	Acct *costmodel.Accountant
+	online[nn.Vec]
+	model *RecurrentModel
+	acct  *costmodel.Accountant // charged TrackerPerAssoc per scored pair
 	// Prec is named by benchmark/replay.go; delete with the next benchmark
 	// PR. Nothing reads it.
 	Prec nn.Precision
-
-	active []*recTrack
-	done   []*Track
 
 	// lastConf is the minimum matching probability among the previous
 	// Update's accepted associations (1 when there were none). The
@@ -77,118 +88,33 @@ type RecurrentTracker struct {
 	// grow (§3.4 of the paper discusses this Miris-style policy; OTIF
 	// defaults to a fixed gap after finding the two comparable).
 	lastConf float64
-
-	// scratch makes each Update round allocation-free; it also means a
-	// tracker instance must be driven by a single goroutine. It is drawn
-	// from the scratch pool on first Update and released by Finish.
-	scratch *matchScratch
-}
-
-type recTrack struct {
-	track  Track
-	hidden nn.Vec
-	misses int
 }
 
 // NewRecurrentTracker wraps a trained model with the default inference
 // settings.
 func NewRecurrentTracker(model *RecurrentModel, acct *costmodel.Accountant) *RecurrentTracker {
-	return &RecurrentTracker{
-		Model:     model,
-		MinProb:   0.5,
-		MaxMisses: 2,
-		MaxSpeed:  500,
-		Acct:      acct,
-	}
-}
-
-// scratchRef returns the tracker's scratch, acquiring one from the pool
-// on first use.
-func (r *RecurrentTracker) scratchRef() *matchScratch {
-	if r.scratch == nil {
-		r.scratch = getScratch()
-	}
-	return r.scratch
+	return &RecurrentTracker{online: online[nn.Vec]{MaxMisses: 2}, model: model, acct: acct}
 }
 
 // Update implements Tracker.
 func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
-	metUpdates.Inc()
-	m := r.Model
+	m := r.model
 	s := r.scratchRef()
 	r.lastConf = 1
+	// Every candidate's t_elapsed is the round's gap, even against a track
+	// that missed rounds; training uses the real distance (DESIGN §5).
 	feats := s.detFeatureRows(dets, m.NomW, m.NomH, m.FPS, ctx.GapFrames)
-	if len(r.active) == 0 {
-		r.startAll(dets, nil)
-		return
-	}
-
-	const blocked = 1e6
-	maxDisp := r.MaxSpeed*float64(ctx.GapFrames)/float64(m.FPS) + 0.08*float64(m.NomW)
-	cost := growMatrix(&s.cost, &s.costBuf, len(r.active), len(dets))
-	scored := 0
-	for i, tr := range r.active {
-		last := tr.track.Dets[len(tr.track.Dets)-1].Box.Center()
-		for j, d := range dets {
-			if last.Dist(d.Box.Center()) > maxDisp {
-				cost[i][j] = blocked
-				continue
-			}
-			scored++
-			s.motion = AppendMotionFeatures(s.motion[:0], tr.track.Dets, d, m.NomW, m.NomH)
-			p := m.scoreWith(s, tr.hidden, feats[j], nn.Vec(s.motion))
-			cost[i][j] = -math.Log(math.Max(p, 1e-9))
-		}
-	}
-	// One accountant charge per association round rather than per scored
-	// pair keeps the accountant out of the innermost loop.
-	if scored > 0 {
-		r.Acct.Add(costmodel.OpTrack, costmodel.TrackerPerAssoc*float64(scored))
-	}
-	maxCost := -math.Log(r.MinProb)
-	assign := s.assign.AssignWithThreshold(cost, maxCost, blocked)
-
-	usedDet := grow(&s.usedDet, len(dets))
-	clear(usedDet)
-	active := r.active
-	remaining := r.active[:0] // in-place filter; reads stay ahead of writes
-	for i, tr := range active {
-		j := assign[i]
-		if j < 0 {
-			tr.misses++
-			if tr.misses > r.MaxMisses {
-				r.done = append(r.done, cloneTrack(&tr.track))
-			} else {
-				remaining = append(remaining, tr)
-			}
-			continue
-		}
-		usedDet[j] = true
-		if p := math.Exp(-cost[i][j]); p < r.lastConf {
+	cost := r.costs(len(dets))
+	r.scoreReachable(cost, dets, reach(ctx.GapFrames, m.FPS, m.NomW), r.acct, func(l *live[nn.Vec], j int) float64 {
+		s.motion = AppendMotionFeatures(s.motion[:0], l.track.Dets, dets[j], m.NomW, m.NomH)
+		return m.scoreWith(s, l.state, feats[j], nn.Vec(s.motion))
+	})
+	r.associate(cost, -math.Log(minProb), dets, func(l *live[nn.Vec], j int, c float64) {
+		if p := math.Exp(-c); p < r.lastConf {
 			r.lastConf = p
 		}
-		tr.track.Dets = append(tr.track.Dets, dets[j])
-		m.GRU.StepInferInto(tr.hidden, tr.hidden, feats[j], &s.nn)
-		tr.misses = 0
-		remaining = append(remaining, tr)
-	}
-	// Drop dangling pointers in the filtered-out suffix so dead tracks can
-	// be collected.
-	for i := len(remaining); i < len(active); i++ {
-		active[i] = nil
-	}
-	r.active = remaining
-	r.startAll(dets, usedDet)
-}
-
-// startAll opens a track for every unmatched detection (usedDet == nil
-// means all detections are unmatched).
-func (r *RecurrentTracker) startAll(dets []detect.Detection, usedDet []bool) {
-	for j, d := range dets {
-		if usedDet == nil || !usedDet[j] {
-			r.start(d)
-		}
-	}
+		m.GRU.StepInferInto(l.state, l.state, feats[j], &s.nn)
+	}, r.start)
 }
 
 // scoreWith is Score evaluated through the tracker scratch: the inputs are
@@ -202,19 +128,16 @@ func (m *RecurrentModel) scoreWith(s *matchScratch, h, f, motion nn.Vec) float64
 	return m.Match.ApplyWith(&s.nn, in)[0]
 }
 
-// start opens a new track. The first detection's feature uses
-// t_elapsed = 0, matching how training prefixes begin. The hidden vector
-// is retained state owned by the track, drawn from the scratch arena
-// (tracks never outlive their tracker's Finish).
-func (r *RecurrentTracker) start(d detect.Detection) {
+// start returns a new track's hidden vector. The first detection's
+// feature uses t_elapsed = 0, matching how training prefixes begin. The
+// vector is drawn from the scratch arena (tracks never outlive their
+// tracker's Finish).
+func (r *RecurrentTracker) start(d detect.Detection) nn.Vec {
 	s := r.scratchRef()
-	s.startFeat = AppendDetFeatures(s.startFeat[:0], d, r.Model.NomW, r.Model.NomH, r.Model.FPS, 0)
-	h := s.arena.alloc(r.Model.Hidden)
-	r.Model.GRU.StepInferInto(h, h, nn.Vec(s.startFeat), &s.nn)
-	r.active = append(r.active, &recTrack{
-		track:  Track{Dets: []detect.Detection{d}},
-		hidden: h,
-	})
+	s.startFeat = AppendDetFeatures(s.startFeat[:0], d, r.model.NomW, r.model.NomH, r.model.FPS, 0)
+	h := s.arena.alloc(r.model.Hidden)
+	r.model.GRU.StepInferInto(h, h, nn.Vec(s.startFeat), &s.nn)
+	return h
 }
 
 // LastConfidence returns the minimum accepted matching probability of the
@@ -224,24 +147,4 @@ func (r *RecurrentTracker) LastConfidence() float64 {
 		return 1
 	}
 	return r.lastConf
-}
-
-// Finish implements Tracker.
-func (r *RecurrentTracker) Finish() []*Track {
-	for _, tr := range r.active {
-		r.done = append(r.done, cloneTrack(&tr.track))
-	}
-	r.active = nil
-	out := r.done
-	r.done = nil
-	// All tracks are cloned; nothing references the scratch arena's hidden
-	// vectors anymore, so the scratch can recycle.
-	putScratch(r.scratch)
-	r.scratch = nil
-	sort.Slice(out, func(i, j int) bool { return out[i].FirstFrame() < out[j].FirstFrame() })
-	for i, t := range out {
-		t.ID = i
-		t.Category = t.MajorityCategory()
-	}
-	return out
 }

@@ -2,10 +2,8 @@ package track
 
 import (
 	"math"
-	"sort"
 
 	"otif/internal/detect"
-	"otif/internal/geom"
 )
 
 // SORT is the heuristic Simple Online and Realtime Tracking baseline
@@ -15,143 +13,46 @@ import (
 // matches predictions to new detections by IoU with a Hungarian
 // assignment.
 type SORT struct {
-	// MinIoU is the minimum predicted-box IoU for a valid match.
-	MinIoU float64
-	// MaxMisses is the number of consecutive processed frames a track may
-	// go unmatched before it is terminated.
-	MaxMisses int
-
-	active []*sortTrack
-	done   []*Track
-
-	// scratch makes each Update round allocation-free; it also means a
-	// tracker instance must be driven by a single goroutine. It is drawn
-	// from the scratch pool on first Update and released by Finish.
-	scratch *matchScratch
+	online[velocity]
 }
 
-type sortTrack struct {
-	track  Track
-	vx, vy float64 // nominal px per frame
-	misses int
-}
+// velocity is a SORT track's smoothed velocity in nominal px per frame.
+type velocity struct{ vx, vy float64 }
 
 // NewSORT returns a SORT tracker with the standard defaults.
-func NewSORT() *SORT { return &SORT{MinIoU: 0.05, MaxMisses: 2} }
-
-// predict returns the track's box extrapolated gapFrames ahead.
-func (s *sortTrack) predict(gapFrames int) geom.Rect {
-	last := s.track.Dets[len(s.track.Dets)-1].Box
-	dt := float64(gapFrames)
-	return last.Translate(s.vx*dt, s.vy*dt)
-}
-
-// scratchRef returns the tracker's scratch, acquiring one from the pool
-// on first use.
-func (s *SORT) scratchRef() *matchScratch {
-	if s.scratch == nil {
-		s.scratch = getScratch()
-	}
-	return s.scratch
-}
+func NewSORT() *SORT { return &SORT{online[velocity]{MaxMisses: 2}} }
 
 // Update implements Tracker.
 func (s *SORT) Update(ctx *FrameContext, dets []detect.Detection) {
-	metUpdates.Inc()
-	if len(s.active) == 0 {
-		for _, d := range dets {
-			s.start(d)
-		}
-		return
-	}
-	sc := s.scratchRef()
-	const blocked = 1e6
-	cost := growMatrix(&sc.cost, &sc.costBuf, len(s.active), len(dets))
-	for i, tr := range s.active {
-		pred := tr.predict(ctx.GapFrames)
+	cost := s.costs(len(dets))
+	dt := float64(ctx.GapFrames)
+	for i, l := range s.active {
+		pred := l.track.Dets[len(l.track.Dets)-1].Box.Translate(l.state.vx*dt, l.state.vy*dt)
 		for j, d := range dets {
 			iou := pred.IoU(d.Box)
-			if iou < s.MinIoU {
+			if iou < minIoU {
 				cost[i][j] = blocked
 			} else {
 				cost[i][j] = 1 - iou
 			}
 		}
 	}
-	assign := sc.assign.AssignWithThreshold(cost, 1-s.MinIoU, blocked)
-
-	usedDet := grow(&sc.usedDet, len(dets))
-	clear(usedDet)
-	active := s.active
-	remaining := s.active[:0] // in-place filter; reads stay ahead of writes
-	for i, tr := range active {
-		j := assign[i]
-		if j < 0 {
-			tr.misses++
-			if tr.misses > s.MaxMisses {
-				s.done = append(s.done, cloneTrack(&tr.track))
-			} else {
-				remaining = append(remaining, tr)
-			}
-			continue
-		}
-		usedDet[j] = true
-		tr.absorb(dets[j], ctx.GapFrames)
-		remaining = append(remaining, tr)
-	}
-	// Drop dangling pointers in the filtered-out suffix so dead tracks can
-	// be collected.
-	for i := len(remaining); i < len(active); i++ {
-		active[i] = nil
-	}
-	s.active = remaining
-	for j, d := range dets {
-		if !usedDet[j] {
-			s.start(d)
-		}
-	}
+	s.associate(cost, 1-minIoU, dets, func(l *live[velocity], j int, _ float64) {
+		l.state.absorb(l.track.Dets, dets[j])
+	}, nil)
 }
 
-func (s *sortTrack) absorb(d detect.Detection, gapFrames int) {
-	last := s.track.Dets[len(s.track.Dets)-1]
+// absorb folds the step from the track's last detection to d into the
+// exponentially smoothed velocity.
+func (v *velocity) absorb(prev []detect.Detection, d detect.Detection) {
+	last := prev[len(prev)-1]
 	dt := math.Max(1, float64(d.FrameIdx-last.FrameIdx))
-	// Exponentially smoothed velocity.
 	nvx := (d.Box.X - last.Box.X) / dt
 	nvy := (d.Box.Y - last.Box.Y) / dt
-	if len(s.track.Dets) == 1 {
-		s.vx, s.vy = nvx, nvy
+	if len(prev) == 1 {
+		v.vx, v.vy = nvx, nvy
 	} else {
-		s.vx = 0.6*s.vx + 0.4*nvx
-		s.vy = 0.6*s.vy + 0.4*nvy
+		v.vx = 0.6*v.vx + 0.4*nvx
+		v.vy = 0.6*v.vy + 0.4*nvy
 	}
-	s.track.Dets = append(s.track.Dets, d)
-	s.misses = 0
-}
-
-func (s *SORT) start(d detect.Detection) {
-	s.active = append(s.active, &sortTrack{track: Track{Dets: []detect.Detection{d}}})
-}
-
-// Finish implements Tracker.
-func (s *SORT) Finish() []*Track {
-	for _, tr := range s.active {
-		s.done = append(s.done, cloneTrack(&tr.track))
-	}
-	s.active = nil
-	out := s.done
-	s.done = nil
-	putScratch(s.scratch)
-	s.scratch = nil
-	sort.Slice(out, func(i, j int) bool { return out[i].FirstFrame() < out[j].FirstFrame() })
-	for i, t := range out {
-		t.ID = i
-		t.Category = t.MajorityCategory()
-	}
-	return out
-}
-
-func cloneTrack(t *Track) *Track {
-	c := &Track{ID: t.ID, Category: t.Category, Dets: make([]detect.Detection, len(t.Dets))}
-	copy(c.Dets, t.Dets)
-	return c
 }

@@ -48,33 +48,6 @@ func (t *Track) Path() geom.Path {
 	return p
 }
 
-// BoxAt returns the interpolated bounding box at the given frame index and
-// whether the track spans that frame. Between detections the box is
-// linearly interpolated; outside the detection range ok is false.
-func (t *Track) BoxAt(frameIdx int) (geom.Rect, bool) {
-	n := len(t.Dets)
-	if n == 0 || frameIdx < t.Dets[0].FrameIdx || frameIdx > t.Dets[n-1].FrameIdx {
-		return geom.Rect{}, false
-	}
-	for i := 0; i+1 < n; i++ {
-		a, b := t.Dets[i], t.Dets[i+1]
-		if frameIdx < a.FrameIdx || frameIdx > b.FrameIdx {
-			continue
-		}
-		if b.FrameIdx == a.FrameIdx {
-			return a.Box, true
-		}
-		f := float64(frameIdx-a.FrameIdx) / float64(b.FrameIdx-a.FrameIdx)
-		return geom.Rect{
-			X: a.Box.X + (b.Box.X-a.Box.X)*f,
-			Y: a.Box.Y + (b.Box.Y-a.Box.Y)*f,
-			W: a.Box.W + (b.Box.W-a.Box.W)*f,
-			H: a.Box.H + (b.Box.H-a.Box.H)*f,
-		}, true
-	}
-	return t.Dets[n-1].Box, true
-}
-
 // MajorityCategory returns the most frequent detection category of the
 // track (tracks inherit their category from their detections). Count
 // ties break to the lexicographically smallest category, not map

@@ -38,24 +38,6 @@ func TestTrackFrameBounds(t *testing.T) {
 	}
 }
 
-func TestBoxAtInterpolation(t *testing.T) {
-	tr := &Track{Dets: []detect.Detection{det(0, 0, 0, 10, 10), det(10, 100, 0, 10, 10)}}
-	b, ok := tr.BoxAt(5)
-	if !ok || b.X != 50 {
-		t.Errorf("BoxAt(5) = %v, %v", b, ok)
-	}
-	if _, ok := tr.BoxAt(11); ok {
-		t.Error("BoxAt past end should be false")
-	}
-	if _, ok := tr.BoxAt(-1); ok {
-		t.Error("BoxAt before start should be false")
-	}
-	b0, _ := tr.BoxAt(0)
-	if b0.X != 0 {
-		t.Errorf("BoxAt(0) = %v", b0)
-	}
-}
-
 func TestPath(t *testing.T) {
 	tr := linearTrack(0, 3, 1, 0, 0, 10, 0)
 	p := tr.Path()
