@@ -43,6 +43,45 @@ func TestRunSetDeterministicAcrossCacheBudgets(t *testing.T) {
 	}
 }
 
+// TestProxiedRunSetDeterministicWithCachedScores runs two proxy models
+// over the same clips twice with the frame cache on, so the second pass
+// reads scores the first left in the cache, and checks every run against
+// the cache-off run: same runtime, breakdown and tracks.
+func TestProxiedRunSetDeterministicWithCachedScores(t *testing.T) {
+	defer video.SetCacheBudget(video.DefaultCacheBytes)
+
+	sys := smallSystem(t)
+	var cfgs []Config
+	var uncached []*SetResult
+	video.SetCacheBudget(0)
+	for _, idx := range []int{0, len(sys.Proxies) - 1} {
+		cfg := sys.Best
+		cfg.UseProxy = true
+		cfg.ProxyIdx = idx
+		cfg.ProxyThresh = 0.3
+		cfgs = append(cfgs, cfg)
+		uncached = append(uncached, sys.RunSet(cfg, sys.DS.Val))
+	}
+	video.SetCacheBudget(video.DefaultCacheBytes)
+	for pass := 0; pass < 2; pass++ {
+		for i, cfg := range cfgs {
+			cached := sys.RunSet(cfg, sys.DS.Val)
+			if cached.Runtime != uncached[i].Runtime {
+				t.Errorf("pass %d proxy %d: runtime %v != uncached %v", pass, cfg.ProxyIdx, cached.Runtime, uncached[i].Runtime)
+			}
+			if !reflect.DeepEqual(cached.Breakdown, uncached[i].Breakdown) {
+				t.Errorf("pass %d proxy %d: breakdown %v != uncached %v", pass, cfg.ProxyIdx, cached.Breakdown, uncached[i].Breakdown)
+			}
+			if !reflect.DeepEqual(cached.PerClip, uncached[i].PerClip) {
+				t.Errorf("pass %d proxy %d: per-clip tracks differ from uncached run", pass, cfg.ProxyIdx)
+			}
+		}
+	}
+	if reflect.DeepEqual(uncached[0].PerClip, uncached[1].PerClip) {
+		t.Error("the two proxy models give the same tracks; the test cannot tell their scores apart")
+	}
+}
+
 // TestRunSetRepeatableWithScratchReuse runs the same configuration twice
 // through the same system. The second run reuses every warmed scratch
 // buffer (tracker match scratch, detector analysis scratch, assignment

@@ -126,15 +126,15 @@ func LoadModels(src io.Reader, sys *core.System) error {
 	fits := func(w, h int) bool { return w >= 1 && h >= 1 && w <= nomW && h <= nomH }
 	sys.Proxies = make([]*proxy.Model, nProxies)
 	for i := range sys.Proxies {
-		m := &proxy.Model{ResW: r.int(), ResH: r.int(), LR: &nn.LogReg{}}
-		if r.err == nil && !fits(m.ResW, m.ResH) {
-			return fmt.Errorf("persist: proxy %d resolution %dx%d outside 1x1..%dx%d", i, m.ResW, m.ResH, nomW, nomH)
+		resW, resH := r.int(), r.int()
+		if r.err == nil && !fits(resW, resH) {
+			return fmt.Errorf("persist: proxy %d resolution %dx%d outside 1x1..%dx%d", i, resW, resH, nomW, nomH)
 		}
-		m.LR.W = nn.Vec(r.floats())
-		m.LR.B = r.f64()
+		lr := &nn.LogReg{W: nn.Vec(r.floats()), B: r.f64()}
 		if r.err != nil {
 			return r.err
 		}
+		m := proxy.FromWeights(resW, resH, lr)
 		if err := m.Validate(); err != nil {
 			return fmt.Errorf("persist: proxy %d: %w", i, err)
 		}

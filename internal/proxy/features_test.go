@@ -135,32 +135,44 @@ func scoreFixture() (*Model, *video.Frame, *detect.BackgroundModel) {
 	return m, frame, bg
 }
 
-// TestScoreAllocGate pins Score to the one allocation it returns. The
-// cell-span tables live on the model and the difference table on the
-// stack; a second allocation means one of them is being rebuilt per frame.
+// TestScoreAllocGate pins the two halves of Score. A cache hit allocates
+// nothing. The fill allocates exactly the slice it returns: the cell-span
+// tables live on the model and the difference table on the stack, so a
+// second allocation means one of them is being rebuilt per frame.
 func TestScoreAllocGate(t *testing.T) {
 	m, frame, bg := scoreFixture()
 	acct := costmodel.NewAccountant()
 	m.Score(frame, bg, acct) // fill the frame cache and the span table
-	if n := testing.AllocsPerRun(50, func() { m.Score(frame, bg, acct) }); n != 1 {
-		t.Errorf("Score allocates %v times per frame, want 1 (the returned scores)", n)
+	if n := testing.AllocsPerRun(50, func() { m.Score(frame, bg, acct) }); n != 0 {
+		t.Errorf("a cached Score allocates %v times per frame, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { m.score(frame, bg) }); n != 1 {
+		t.Errorf("scoring a frame allocates %v times, want 1 (the returned scores)", n)
 	}
 }
 
 var sinkScores []float64
 
 // BenchmarkProxyScore scores one 240x160 frame at extract-tuned's proxy
-// resolution with the downsamples already cached: the feature loop and
-// the logistic readout.
+// resolution with the downsamples already cached. fill is the feature loop
+// and the logistic readout, what a frame scored for the first time costs;
+// hit is Score answering a frame it has scored before from the frame cache.
 func BenchmarkProxyScore(b *testing.B) {
 	m, frame, bg := scoreFixture()
 	acct := costmodel.NewAccountant()
 	m.Score(frame, bg, acct)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkScores = m.Score(frame, bg, acct)
-	}
+	b.Run("fill", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkScores = m.score(frame, bg)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkScores = m.Score(frame, bg, acct)
+		}
+	})
 }
 
 // TestSpansConcurrent scores frames of two geometries from several

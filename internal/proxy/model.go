@@ -97,17 +97,31 @@ func TruthGrid(nomW, nomH int, boxes []geom.Rect) *Grid {
 }
 
 // Model is one trained proxy model at a fixed input resolution.
+//
+// Score caches its outputs under the model's identity, so the weights in
+// LR may change only through Train, which issues a new identity. A Model
+// built as a struct literal has no identity and scores uncached.
 type Model struct {
 	ResW, ResH int // nominal input resolution (cost accounting)
 	LR         *nn.LogReg
 
+	id    uint64                    // process-unique; see Score
 	cells atomic.Pointer[cellSpans] // see spans
 }
+
+// modelIDs issues process-unique model identities; see Model.id.
+var modelIDs atomic.Uint64
 
 // NewModel creates an untrained proxy model for the given nominal input
 // resolution.
 func NewModel(resW, resH int, rng *rand.Rand) *Model {
-	return &Model{ResW: resW, ResH: resH, LR: nn.NewLogReg(featuresPerCell, rng)}
+	return FromWeights(resW, resH, nn.NewLogReg(featuresPerCell, rng))
+}
+
+// FromWeights returns a model at the given nominal input resolution with
+// the readout lr, as loaded from disk. It takes ownership of lr.
+func FromWeights(resW, resH int, lr *nn.LogReg) *Model {
+	return &Model{ResW: resW, ResH: resH, LR: lr, id: modelIDs.Add(1)}
 }
 
 // analysisSize returns the stored-buffer resolution at which this model
@@ -256,12 +270,26 @@ func (m *Model) Validate() error {
 }
 
 // Score runs the proxy model on a frame, charging simulated proxy cost, and
-// returns the per-cell positive-class probabilities. Feature computation
-// and the logistic readout are fused per cell, so the only allocation is
-// the returned score slice (which is always fresh: callers retain it).
+// returns the per-cell positive-class probabilities. Scores are kept in
+// the process-wide frame cache under (frame, model, background), so a
+// frame scored again by the same model is a lookup; the cost and the
+// proxy.invocations count are charged on every call, hit or miss, so
+// simulated runtimes do not depend on the cache. The returned slice is
+// shared with other callers and MUST be treated as read-only.
 func (m *Model) Score(frame *video.Frame, bg *detect.BackgroundModel, acct *costmodel.Accountant) []float64 {
 	metInvocations.Inc()
 	acct.Add(costmodel.OpProxy, costmodel.ProxyCost(m.ResW, m.ResH))
+	var bgFrame *video.Frame
+	if bg != nil {
+		bgFrame = bg.Frame()
+	}
+	return video.CachedScores(frame, m.id, bgFrame, func() []float64 { return m.score(frame, bg) })
+}
+
+// score computes what Score returns. Feature computation and the logistic
+// readout are fused per cell, so the only allocation is the returned
+// slice.
+func (m *Model) score(frame *video.Frame, bg *detect.BackgroundModel) []float64 {
 	gw, gh := GridDims(frame.NomW, frame.NomH)
 	scores := make([]float64, gw*gh)
 	m.forEachCell(frame, bg, func(cell int, feat [featuresPerCell]float64) {
@@ -304,8 +332,10 @@ type TrainExample struct {
 // Train fits the model on the examples' cells using SGD, charging simulated
 // training cost. Per the paper, only frames with at least one detection are
 // used (the caller may pre-filter; Train also skips empty ones), and labels
-// are 1 for cells intersecting a detection.
+// are 1 for cells intersecting a detection. The model gets a new identity,
+// so no score cached under the old weights is served again.
 func (m *Model) Train(examples []TrainExample, bg *detect.BackgroundModel, epochs int, rng *rand.Rand, acct *costmodel.Accountant) {
+	defer func() { m.id = modelIDs.Add(1) }()
 	var xs []nn.Vec
 	var ts []float64
 	for _, ex := range examples {

@@ -8,9 +8,10 @@ import (
 
 // TestTuneDeterministicAcrossCacheBudgets asserts the tuner returns an
 // identical curve — same configurations, bit-identical runtimes and
-// accuracies — with the process-wide frame cache enabled or disabled. The
-// cache serves repeated clip-frame reads and downsamples during candidate
-// evaluation; it must never change what is computed.
+// accuracies — with the process-wide frame cache disabled, cold, warm from
+// an earlier Tune, or thrashing. The cache serves repeated clip-frame
+// reads, downsamples and proxy scores during candidate evaluation; it must
+// never change what is computed.
 func TestTuneDeterministicAcrossCacheBudgets(t *testing.T) {
 	defer video.SetCacheBudget(video.DefaultCacheBytes)
 
@@ -22,20 +23,43 @@ func TestTuneDeterministicAcrossCacheBudgets(t *testing.T) {
 	if len(uncached) == 0 {
 		t.Fatal("empty uncached curve")
 	}
-	video.SetCacheBudget(video.DefaultCacheBytes)
-	cached := Tune(sys, metric, opts)
-	if len(cached) != len(uncached) {
-		t.Fatalf("curve length %d != uncached %d", len(cached), len(uncached))
+	same := func(label string, cached []Point) {
+		t.Helper()
+		if len(cached) != len(uncached) {
+			t.Fatalf("%s: curve length %d != uncached %d", label, len(cached), len(uncached))
+		}
+		for i := range uncached {
+			if cached[i].Cfg != uncached[i].Cfg {
+				t.Errorf("%s: point %d: cfg %v != uncached %v", label, i, cached[i].Cfg, uncached[i].Cfg)
+			}
+			if cached[i].Runtime != uncached[i].Runtime {
+				t.Errorf("%s: point %d: runtime %v != uncached %v", label, i, cached[i].Runtime, uncached[i].Runtime)
+			}
+			if cached[i].Accuracy != uncached[i].Accuracy {
+				t.Errorf("%s: point %d: accuracy %v != uncached %v", label, i, cached[i].Accuracy, uncached[i].Accuracy)
+			}
+		}
 	}
-	for i := range uncached {
-		if cached[i].Cfg != uncached[i].Cfg {
-			t.Errorf("point %d: cfg %v != uncached %v", i, cached[i].Cfg, uncached[i].Cfg)
-		}
-		if cached[i].Runtime != uncached[i].Runtime {
-			t.Errorf("point %d: runtime %v != uncached %v", i, cached[i].Runtime, uncached[i].Runtime)
-		}
-		if cached[i].Accuracy != uncached[i].Accuracy {
-			t.Errorf("point %d: accuracy %v != uncached %v", i, cached[i].Accuracy, uncached[i].Accuracy)
-		}
+
+	video.SetCacheBudget(video.DefaultCacheBytes)
+	same("cold cache", Tune(sys, metric, opts))
+
+	// A second Tune over the same validation set finds every clip frame,
+	// downsample and proxy score where the first left them.
+	before := video.GlobalCacheStats()
+	same("warm cache", Tune(sys, metric, opts))
+	after := video.GlobalCacheStats()
+	if misses := after.Misses - before.Misses; misses != 0 || after.Hits == before.Hits {
+		t.Errorf("warm Tune: %d hits, %d misses; want only hits", after.Hits-before.Hits, misses)
+	}
+
+	// 16 KiB holds no 240x160 clip frame (38,400 bytes) but a few proxy
+	// downsamples and score vectors (345 cells, 2,920 bytes charged); each
+	// frame's five proxy models alone overflow it, so score entries are
+	// evicted while the Tune still needs them.
+	video.SetCacheBudget(16 << 10)
+	same("thrashing cache", Tune(sys, metric, opts))
+	if s := video.GlobalCacheStats(); s.Evictions == 0 {
+		t.Errorf("thrashing Tune evicted nothing: %+v", s)
 	}
 }

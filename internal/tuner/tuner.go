@@ -147,7 +147,13 @@ func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts
 	defer tuneSpan.End()
 	_, cacheSpan := obs.StartSpan(ctx, "tune.cache")
 	cacheSpan.SetStage("tune")
-	c := buildCache(sys, metric, opts)
+	// evals holds every evaluation of this call by configuration: theta_best
+	// is also a cell of the detection grid, and the detection module's first
+	// candidate is another. Evaluate is a deterministic function of the
+	// configuration, so a repeat is looked up; it is still charged to
+	// sys.Acct and still reported as a candidate.
+	evals := map[core.Config]Point{}
+	c := buildCache(sys, metric, opts, evals)
 	cacheSpan.End()
 	opts.Progress.Emit(obs.Event{
 		Kind: obs.EventCacheSnapshot, CacheHitRate: video.GlobalCacheStats().HitRate(),
@@ -162,7 +168,11 @@ func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts
 	if !opts.UseTracking {
 		cfg.Gap = 1
 	}
-	cur := Evaluate(sys, cfg, sys.DS.Val, metric)
+	cur, ok := evals[cfg]
+	if !ok {
+		cur = Evaluate(sys, cfg, sys.DS.Val, metric)
+		evals[cfg] = cur
+	}
 	sys.Acct.Add(costmodel.OpTune, cur.Runtime)
 	curve := []Point{cur}
 
@@ -202,7 +212,10 @@ func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts
 		// independent of the worker count.
 		metCandidates.Add(int64(len(cands)))
 		points := parallel.Map(len(cands), func(i int) Point {
-			p := Evaluate(sys, cands[i], sys.DS.Val, metric)
+			p, ok := evals[cands[i]]
+			if !ok {
+				p = Evaluate(sys, cands[i], sys.DS.Val, metric)
+			}
 			if opts.Progress != nil {
 				opts.Progress(obs.Event{
 					Kind: obs.EventCandidate, Iteration: iter, Index: i,
@@ -213,6 +226,7 @@ func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts
 		})
 		best := Point{Accuracy: -1}
 		for _, p := range points {
+			evals[p.Cfg] = p
 			sys.Acct.Add(costmodel.OpTune, p.Runtime)
 			if p.Accuracy > best.Accuracy {
 				best = p
@@ -237,8 +251,9 @@ func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts
 // evaluations, and the per-clip proxy-score extraction is independent per
 // clip — with all reductions (map fills, accountant charges, frame
 // concatenation) performed in grid/clip order afterwards so the cache is
-// identical at any worker count.
-func buildCache(sys *core.System, metric core.Metric, opts Options) *cache {
+// identical at any worker count. The grid's evaluations are recorded in
+// evals.
+func buildCache(sys *core.System, metric core.Metric, opts Options, evals map[core.Config]Point) *cache {
 	c := &cache{
 		detTime:  map[detKey]float64{},
 		detAcc:   map[detKey]float64{},
@@ -265,6 +280,7 @@ func buildCache(sys *core.System, metric core.Metric, opts Options) *cache {
 		return Evaluate(sys, cfg, sys.DS.Val, metric)
 	})
 	for i, k := range keys {
+		evals[gridPts[i].Cfg] = gridPts[i]
 		sys.Acct.Add(costmodel.OpTune, gridPts[i].Runtime)
 		c.detTime[k] = gridPts[i].Runtime
 		c.detAcc[k] = gridPts[i].Accuracy

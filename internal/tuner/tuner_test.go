@@ -1,10 +1,14 @@
 package tuner
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"otif/internal/core"
 	"otif/internal/dataset"
+	"otif/internal/obs"
 )
 
 var cachedSys *core.System
@@ -106,6 +110,57 @@ func TestTuneModuleMask(t *testing.T) {
 		if p.Cfg.Tracker != core.TrackerSORT {
 			t.Errorf("tracker = %s, want sort", p.Cfg.Tracker)
 		}
+	}
+}
+
+// TestTuneEvaluatesEachConfigOnce: one Tune runs RunSet once per distinct
+// configuration among the detection grid, theta_best and the candidates,
+// and still reports every candidate. theta_best is itself a grid cell, so
+// without the memo it runs twice.
+func TestTuneEvaluatesEachConfigOnce(t *testing.T) {
+	sys, metric := trainedSystem(t)
+	var runSets atomic.Int64
+	prev := sys.Progress
+	defer func() { sys.Progress = prev }()
+	sys.Progress = func(e obs.Event) {
+		if e.Kind == obs.EventClip && e.Index == 0 {
+			runSets.Add(1)
+		}
+	}
+	opts := DefaultOptions()
+	var mu sync.Mutex
+	candidates := 0
+	distinct := map[string]bool{}
+	opts.Progress = func(e obs.Event) {
+		if e.Kind == obs.EventCandidate {
+			mu.Lock()
+			candidates++
+			distinct[e.Config] = true
+			mu.Unlock()
+		}
+	}
+	curve := Tune(sys, metric, opts)
+
+	grid := 0
+	for _, arch := range opts.Archs {
+		for _, scale := range core.DetScaleLadder {
+			cfg := curve[0].Cfg
+			cfg.Arch, cfg.DetScale = arch, scale
+			distinct[fmt.Sprintf("%v", cfg)] = true
+			grid++
+		}
+	}
+	if !distinct[fmt.Sprintf("%v", curve[0].Cfg)] {
+		t.Fatalf("theta_best %v is not a detection-grid cell", curve[0].Cfg)
+	}
+	if got := runSets.Load(); got != int64(len(distinct)) {
+		t.Errorf("%d RunSets for %d distinct configurations (%d grid cells, theta_best, %d candidates)",
+			got, len(distinct), grid, candidates)
+	}
+	// Every point after theta_best is the best of its iteration's
+	// candidates, each of which is reported, memoised or not.
+	if candidates < len(curve)-1 {
+		t.Errorf("%d candidate events for a curve of %d points", candidates, len(curve))
 	}
 }
 

@@ -8,33 +8,40 @@ import (
 )
 
 // This file implements the bounded frame cache on the per-frame hot path.
-// Two kinds of derived buffers are cached:
+// Three kinds of derived buffers are cached:
 //
 //   - downsampled frames, keyed by (source frame identity, w, h);
-//   - rendered/decoded clip frames, keyed by (source identity, index).
+//   - rendered/decoded clip frames, keyed by (source identity, index);
+//   - proxy score vectors, keyed by (frame identity, model identity,
+//     background identity).
 //
 // What pays for it is repeated reading: the tuner evaluates many
 // configurations over one validation set (the benchmark's tune-warm), every
 // evaluation re-reads the same clip frames, and a stable frame identity is
-// what lets their downsamples hit too.
+// what lets their downsamples and their proxy scores hit too. The tuner's
+// caching phase scores every validation frame under every proxy model, and
+// each candidate that runs a proxy, and every later RunSet of the pick over
+// the same clips, reads those scores back instead of recomputing them.
 //
 // What does not: a clip read once. One configuration asks for one proxy
 // resolution and one detector resolution, so a cold extraction
-// (extract-dense, extract-tuned) misses on every clip frame and on each
-// frame's downsamples. Its hits are the second and later windows of one
-// frame under DetectWindows, beside tens of thousands of evictions. Whether
-// single-pass readers should bypass the cache is an open ROADMAP question.
+// (extract-dense, extract-tuned) misses on every clip frame, on each
+// frame's downsamples and, with a proxy, on each frame's scores: a scored
+// cold frame adds one more entry, which is evicted unread. Its hits are the
+// second and later windows of one frame under DetectWindows, beside tens of
+// thousands of evictions. Whether single-pass readers should bypass the
+// cache is an open ROADMAP question, separate from what is cached.
 //
 // The mechanism is internal/lru, shared with the store's result cache: one
 // LRU list under one mutex, fills coalesced per key. This file chooses the
-// keys and what a frame is charged. Cached frames are shared and MUST be
-// treated as read-only by all callers; every producer in this repository
-// already does. Entries are keyed by process-unique uint64 identities
-// rather than pointers, so the cache never pins a source frame and a
-// recycled allocation can never be confused with the object the entry was
-// built from. All cached computations are deterministic functions of their
-// key, so results are bit-identical with the cache enabled, disabled, or
-// thrashing.
+// keys and what an entry is charged. Cached frames and score vectors are
+// shared and MUST be treated as read-only by all callers; every caller in
+// this repository already does. Entries are keyed by process-unique uint64
+// identities rather than pointers, so the cache never pins a source object
+// and a recycled allocation can never be confused with the object the
+// entry was built from. All cached computations are deterministic functions
+// of their key, so results are bit-identical with the cache enabled,
+// disabled, or thrashing.
 
 // CacheStats is a snapshot of cache effectiveness counters. A lookup that
 // waited for another goroutine's fill of the same key counts as a miss.
@@ -53,35 +60,70 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // cacheEntryOverhead approximates the bookkeeping bytes per entry (entry
-// struct, map slot, frame header) charged against the budget on top of
-// the pixel payload.
+// struct, map slot, frame or slice header) charged against the budget on
+// top of the payload.
 const cacheEntryOverhead = 160
 
+// keyKind says which kind of derived buffer a cacheKey names, so keys of
+// different kinds never compare equal whatever their identities.
+type keyKind uint8
+
+const (
+	kindDownsample keyKind = iota + 1
+	kindClipFrame
+	kindScores
+)
+
 // cacheKey identifies one derived buffer. owner is the process-unique id
-// of the source object (a Frame for downsamples, a CachedSource for clip
-// frames); ids are drawn from one shared counter and never reused, so keys
-// of different kinds cannot collide.
+// of the source object: a Frame for downsamples and scores, a CachedSource
+// for clip frames.
 type cacheKey struct {
+	kind  keyKind
 	owner uint64
-	a, b  int // (w, h) for downsamples; (frame index, -1) for clip frames
+	a, b  uint64 // (w, h), (frame index, 0) or (model id, background frame id)
+}
+
+func downsampleKey(frame uint64, w, h int) cacheKey {
+	return cacheKey{kind: kindDownsample, owner: frame, a: uint64(w), b: uint64(h)}
+}
+
+func clipFrameKey(source uint64, idx int) cacheKey {
+	return cacheKey{kind: kindClipFrame, owner: source, a: uint64(idx)}
+}
+
+func scoresKey(frame, model, bg uint64) cacheKey {
+	return cacheKey{kind: kindScores, owner: frame, a: model, b: bg}
+}
+
+// cached is the one value type the LRU holds: a frame (downsamples and clip
+// frames) or a score vector, as the key's kind says.
+type cached struct {
+	frame  *Frame
+	scores []float64
 }
 
 // Cache is a bounded LRU frame cache. Construct with NewCache; a nil *Cache
 // is a valid "disabled" cache whose lookups always compute.
 type Cache struct {
-	lru *lru.Cache[cacheKey, *Frame]
+	lru *lru.Cache[cacheKey, cached]
 }
 
-// NewCache creates a cache with the given byte budget. A frame larger than
+// NewCache creates a cache with the given byte budget. An entry larger than
 // the whole budget is returned uncached.
 func NewCache(budgetBytes int64) *Cache {
-	return &Cache{lru: lru.New[cacheKey, *Frame](budgetBytes)}
+	return &Cache{lru: lru.New[cacheKey, cached](budgetBytes)}
 }
 
-// charged is what a fill hands the LRU: the frame and its cost, the pixels
-// plus cacheEntryOverhead.
-func charged(f *Frame) (*Frame, int64) {
-	return f, int64(len(f.Pix)) + cacheEntryOverhead
+// frameEntry is what a frame fill hands the LRU: the frame and its cost,
+// the pixels plus cacheEntryOverhead.
+func frameEntry(f *Frame) (cached, int64) {
+	return cached{frame: f}, int64(len(f.Pix)) + cacheEntryOverhead
+}
+
+// scoresEntry is what a score fill hands the LRU: the scores and their
+// cost, 8 bytes per cell plus cacheEntryOverhead.
+func scoresEntry(s []float64) (cached, int64) {
+	return cached{scores: s}, 8*int64(len(s)) + cacheEntryOverhead
 }
 
 // Downsample returns f box-filtered to stored resolution w x h, serving
@@ -94,8 +136,26 @@ func (c *Cache) Downsample(f *Frame, w, h int) *Frame {
 	if c == nil || f.id == 0 {
 		return f.Downsample(w, h)
 	}
-	return c.lru.Get(cacheKey{owner: f.id, a: w, b: h},
-		func() (*Frame, int64) { return charged(f.Downsample(w, h)) })
+	return c.lru.Get(downsampleKey(f.id, w, h),
+		func() (cached, int64) { return frameEntry(f.Downsample(w, h)) }).frame
+}
+
+// Scores returns fill's per-cell proxy scores for frame f under the model
+// with process-unique identity model and the background frame bg (nil for
+// none), serving repeats from the cache. fill must be a deterministic
+// function of those three identities. A zero model id, or a frame or
+// background without an identity, is computed uncached. The result is
+// shared: callers must not mutate it.
+func (c *Cache) Scores(f *Frame, model uint64, bg *Frame, fill func() []float64) []float64 {
+	var bgID uint64
+	if bg != nil {
+		bgID = bg.id
+	}
+	if c == nil || f.id == 0 || model == 0 || (bg != nil && bgID == 0) {
+		return fill()
+	}
+	return c.lru.Get(scoresKey(f.id, model, bgID),
+		func() (cached, int64) { return scoresEntry(fill()) }).scores
 }
 
 // Stats returns one consistent snapshot of all cache counters.
@@ -172,6 +232,12 @@ func CachedDownsample(f *Frame, w, h int) *Frame {
 	return globalCache.Load().Downsample(f, w, h)
 }
 
+// CachedScores is Cache.Scores through the process-wide cache (computing
+// directly when caching is disabled).
+func CachedScores(f *Frame, model uint64, bg *Frame, fill func() []float64) []float64 {
+	return globalCache.Load().Scores(f, model, bg, fill)
+}
+
 // CachedSource wraps a FrameSource, memoizing its frames in the
 // process-wide cache. Sources that render or decode on demand (the
 // simulator worlds, codec streams) produce a fresh buffer per Frame call;
@@ -196,8 +262,8 @@ func (s *CachedSource) Frame(idx int) *Frame {
 	if c == nil {
 		return s.src.Frame(idx)
 	}
-	return c.lru.Get(cacheKey{owner: s.id, a: idx, b: -1},
-		func() (*Frame, int64) { return charged(s.src.Frame(idx)) })
+	return c.lru.Get(clipFrameKey(s.id, idx),
+		func() (cached, int64) { return frameEntry(s.src.Frame(idx)) }).frame
 }
 
 // Len implements FrameSource.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func cacheTestFrame(w, h int, fill uint8) *Frame {
@@ -266,6 +267,78 @@ func TestFrameIDsUnique(t *testing.T) {
 			t.Fatalf("frame id %d reused or zero", f.id)
 		}
 		seen[f.id] = true
+	}
+}
+
+// TestScoreKeysNeverCollide: a score key differs from every downsample and
+// clip-frame key, whatever the identities and sizes involved.
+func TestScoreKeysNeverCollide(t *testing.T) {
+	collides := func(frame, model, bg uint64, owner uint64, w, h, idx int) bool {
+		s := scoresKey(frame, model, bg)
+		return s == downsampleKey(owner, w, h) || s == clipFrameKey(owner, idx)
+	}
+	// The identities of one object shared across kinds are the likeliest
+	// collision: owner == frame, (w, h) == (model, bg), idx == model.
+	for _, v := range []uint64{0, 1, 2, 1 << 31, 1<<63 - 1} {
+		if collides(v, v, v, v, int(v), int(v), int(v)) || collides(v, v, 0, v, int(v), 0, int(v)) {
+			t.Errorf("a score key with identities %d equals a frame key", v)
+		}
+	}
+	if err := quick.Check(func(frame, model, bg, owner uint64, w, h, idx int) bool {
+		return !collides(frame, model, bg, owner, w, h, idx)
+	}, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCacheScores: a score vector is charged 8 bytes per cell plus the
+// entry overhead, repeats hit, and each (frame, model, background) triple
+// is its own entry, no background included.
+func TestCacheScores(t *testing.T) {
+	c := NewCache(1 << 20)
+	f := cacheTestFrame(16, 16, 1)
+	bgs := []*Frame{nil, cacheTestFrame(16, 16, 2), cacheTestFrame(16, 16, 3)}
+	fills := 0
+	fill := func(model uint64, bg int) func() []float64 {
+		return func() []float64 {
+			fills++
+			return []float64{float64(model), float64(bg), 0}
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for model := uint64(1); model <= 2; model++ {
+			for i, bg := range bgs {
+				got := c.Scores(f, model, bg, fill(model, i))
+				if got[0] != float64(model) || got[1] != float64(i) {
+					t.Fatalf("round %d model %d background %d: got %v", round, model, i, got)
+				}
+			}
+		}
+	}
+	s := c.Stats()
+	if fills != 6 || s.Entries != 6 || s.Misses != 6 || s.Hits != 6 {
+		t.Errorf("%d fills, stats %+v: want 6 fills, 6 entries, 6 misses, 6 hits", fills, s)
+	}
+	if want := int64(6 * (3*8 + cacheEntryOverhead)); s.Bytes != want {
+		t.Errorf("charged %d bytes, want %d", s.Bytes, want)
+	}
+}
+
+// TestCacheScoresWithoutIdentityUncached: a model id of 0, or a frame or
+// background built without NewFrame, has no identity to key on.
+func TestCacheScoresWithoutIdentityUncached(t *testing.T) {
+	c := NewCache(1 << 20)
+	f := cacheTestFrame(16, 16, 1)
+	anon := &Frame{W: 16, H: 16, NomW: 64, NomH: 64, Pix: make([]uint8, 256)}
+	fills := 0
+	fill := func() []float64 { fills++; return []float64{1} }
+	for i := 0; i < 2; i++ {
+		c.Scores(f, 0, nil, fill)
+		c.Scores(anon, 1, nil, fill)
+		c.Scores(f, 1, anon, fill)
+	}
+	if s := c.Stats(); fills != 6 || s.Entries != 0 || s.Hits+s.Misses != 0 {
+		t.Errorf("%d fills, stats %+v: want 6 fills and an untouched cache", fills, s)
 	}
 }
 
