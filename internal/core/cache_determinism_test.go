@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"otif/internal/detect"
 	"otif/internal/video"
 )
 
@@ -12,6 +14,9 @@ import (
 // bit-for-bit identical simulated runtimes, cost breakdowns and query
 // tracks whether the process-wide frame cache is enabled, tiny (thrashing)
 // or disabled — the cache only changes wall-clock speed, never results.
+// Each budget runs every configuration twice, so the second run reads the
+// first one's entries; the full-frame SORT configurations are the ones
+// whose detections are cached.
 func TestRunSetDeterministicAcrossCacheBudgets(t *testing.T) {
 	defer video.SetCacheBudget(video.DefaultCacheBytes)
 
@@ -21,23 +26,28 @@ func TestRunSetDeterministicAcrossCacheBudgets(t *testing.T) {
 	proxied.ProxyIdx = 0
 	proxied.ProxyThresh = 0.3
 	proxied.Gap = 2
+	fullFrame := Config{Arch: detect.ArchRCNN, DetScale: 0.7, DetConf: DetConfDefault, Gap: 1, Tracker: TrackerSORT}
+	fullFrameGap4 := fullFrame
+	fullFrameGap4.Gap = 4
 
-	for _, cfg := range []Config{sys.Best, proxied} {
+	for _, cfg := range []Config{sys.Best, proxied, fullFrame, fullFrameGap4} {
 		video.SetCacheBudget(0)
 		uncached := sys.RunSet(cfg, sys.DS.Val)
-		for _, budget := range []int64{video.DefaultCacheBytes, 64 << 10} {
+		for _, budget := range []int64{video.DefaultCacheBytes, 64 << 10, 16 << 10} {
 			video.SetCacheBudget(budget)
-			cached := sys.RunSet(cfg, sys.DS.Val)
-			if cached.Runtime != uncached.Runtime {
-				t.Errorf("budget=%d cfg=%v: runtime %v != uncached %v",
-					budget, cfg, cached.Runtime, uncached.Runtime)
-			}
-			if !reflect.DeepEqual(cached.Breakdown, uncached.Breakdown) {
-				t.Errorf("budget=%d cfg=%v: breakdown %v != uncached %v",
-					budget, cfg, cached.Breakdown, uncached.Breakdown)
-			}
-			if !reflect.DeepEqual(cached.PerClip, uncached.PerClip) {
-				t.Errorf("budget=%d cfg=%v: per-clip tracks differ from uncached run", budget, cfg)
+			for pass := 0; pass < 2; pass++ {
+				cached := sys.RunSet(cfg, sys.DS.Val)
+				if math.Float64bits(cached.Runtime) != math.Float64bits(uncached.Runtime) {
+					t.Errorf("budget=%d pass %d cfg=%v: runtime %v != uncached %v",
+						budget, pass, cfg, cached.Runtime, uncached.Runtime)
+				}
+				if !reflect.DeepEqual(cached.Breakdown, uncached.Breakdown) {
+					t.Errorf("budget=%d pass %d cfg=%v: breakdown %v != uncached %v",
+						budget, pass, cfg, cached.Breakdown, uncached.Breakdown)
+				}
+				if !reflect.DeepEqual(cached.PerClip, uncached.PerClip) {
+					t.Errorf("budget=%d pass %d cfg=%v: per-clip tracks differ from uncached run", budget, pass, cfg)
+				}
 			}
 		}
 	}

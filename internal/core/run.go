@@ -85,8 +85,9 @@ func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct
 
 	tracker := s.newTracker(cfg, acct)
 
-	// One grid allocation per clip, reused by every processed frame.
+	// One grid and one grouper per clip, reused by every processed frame.
 	var grid *proxy.Grid
+	var grouper proxy.Grouper
 	if pm != nil {
 		grid = proxy.NewGrid(s.DS.Cfg.NomW, s.DS.Cfg.NomH)
 	}
@@ -96,7 +97,7 @@ func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct
 		if pm != nil {
 			scores := pm.Score(frame, s.Background, acct)
 			proxy.ThresholdInto(grid, scores, cfg.ProxyThresh)
-			wins := proxy.Group(grid, ws)
+			wins := grouper.Group(grid, ws)
 			if len(wins) > 0 {
 				dets = detector.DetectWindows(frame, idx, wins)
 			}

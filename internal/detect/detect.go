@@ -15,9 +15,11 @@ package detect
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"otif/internal/costmodel"
 	"otif/internal/geom"
@@ -99,7 +101,20 @@ type BackgroundModel struct {
 	// cache of the background downsampled to previously requested stored
 	// resolutions, keyed by w<<20|h
 	cache map[int]*video.Frame
+	// detectors holds the identity of each detector (configuration and
+	// classifier) that has run over this background; see detectorID.
+	detectors map[detectorKey]uint64
 }
+
+// detectorKey is what, beside the background, decides a full-frame
+// detection: the configuration and the classifier.
+type detectorKey struct {
+	cfg      Config
+	classify Classifier
+}
+
+// detectorIDs issues process-unique detector identities; see detectorID.
+var detectorIDs atomic.Uint64
 
 // TrainBackground estimates the background as the per-pixel median over
 // the given frames. All frames must share the same stored resolution.
@@ -144,6 +159,36 @@ func (b *BackgroundModel) At(w, h int) *video.Frame {
 	f := b.frame.Downsample(w, h)
 	b.cache[key] = f
 	return f
+}
+
+// detectorID returns the process-unique identity of a detector with
+// configuration cfg and classifier cls over this background, issuing one
+// the first time the pair is asked for. The table lives and dies with the
+// background, so it holds one entry per distinct configuration ever run
+// over it, and a new background (even with equal pixels) issues new
+// identities. A classifier that cannot be a map key, or a key that is not
+// equal to itself (a NaN threshold), has no identity: 0, which the frame
+// cache computes uncached. A classifier is keyed by its value, so one held
+// by pointer must not change what it answers.
+func (b *BackgroundModel) detectorID(cfg Config, cls Classifier) uint64 {
+	if cls != nil && !reflect.ValueOf(cls).Comparable() {
+		return 0
+	}
+	k := detectorKey{cfg, cls}
+	if k != k {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	id, ok := b.detectors[k]
+	if !ok {
+		if b.detectors == nil {
+			b.detectors = map[detectorKey]uint64{}
+		}
+		id = detectorIDs.Add(1)
+		b.detectors[k] = id
+	}
+	return id
 }
 
 // Config parameterizes a detector instance. Width/Height is the nominal
@@ -309,6 +354,12 @@ func (d *Detector) diffThreshold() float64 {
 // slice is arena-owned when the detector has an Arena (valid until its
 // Release), and a fresh heap slice otherwise; empty results are nil either
 // way.
+//
+// Detections are kept in the process-wide frame cache under (frame,
+// detector identity), so a frame detected again by an equal detector over
+// the same background is a copy out of the cache. The cost and the
+// detect.invocations and detect.detections counts are charged on every
+// call, hit or miss, so simulated runtimes do not depend on the cache.
 func (d *Detector) Detect(frame *video.Frame, frameIdx int) []Detection {
 	metInvocations.Inc()
 	d.Acct.Add(costmodel.OpDetect,
@@ -316,11 +367,24 @@ func (d *Detector) Detect(frame *video.Frame, frameIdx int) []Detection {
 	if d.Background == nil {
 		return nil
 	}
-	s, img, bg := d.prepare(frame)
-	dets := d.analyze(s.dets[:0], s, img, bg, frame, frameIdx, geom.Rect{}, frame.Bounds())
-	s.dets = dets[:0]
+	dets := video.CachedDetections(frame, d.Background.detectorID(d.Cfg, d.Classify),
+		func() []Detection { return d.detect(frame) })
 	metDetections.Add(int64(len(dets)))
-	return d.Arena.take(dets)
+	out := d.Arena.take(dets)
+	for i := range out {
+		out[i].FrameIdx = frameIdx
+	}
+	return out
+}
+
+// detect computes what the frame cache keeps for Detect: the frame's
+// detections, with FrameIdx 0, in a heap slice of their own (nil when
+// there are none), which is its only allocation.
+func (d *Detector) detect(frame *video.Frame) []Detection {
+	s, img, bg := d.prepare(frame)
+	dets := d.analyze(s.dets[:0], s, img, bg, frame, 0, geom.Rect{}, frame.Bounds())
+	s.dets = dets[:0]
+	return append([]Detection(nil), dets...)
 }
 
 // DetectWindows runs the detector inside each window (nominal coordinates),

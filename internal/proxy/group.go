@@ -112,7 +112,23 @@ func mergeBounds(a, b cluster) (int, int, int, int) {
 // The returned windows are in nominal coordinates, sized exactly at one of
 // ws.Sizes, clamped inside the frame, and cover every positive cell.
 func Group(g *Grid, ws *WindowSet) []geom.Rect {
-	clusters := connectedCellClusters(g, ws)
+	var gr Grouper
+	return gr.Group(g, ws)
+}
+
+// Grouper is Group with its working storage (the visited plane, the
+// search stack and the cluster list) kept between calls, so a caller that
+// groups frame after frame allocates only the windows it is returned. The
+// zero value is ready to use; a Grouper is owned by one goroutine.
+type Grouper struct {
+	visited  []bool
+	stack    []int
+	clusters []cluster
+}
+
+// Group is the package-level Group, drawing its scratch from gr.
+func (gr *Grouper) Group(g *Grid, ws *WindowSet) []geom.Rect {
+	clusters := gr.connectedCellClusters(g, ws)
 	if len(clusters) == 0 {
 		return nil
 	}
@@ -192,11 +208,16 @@ func EstCost(g *Grid, ws *WindowSet) float64 {
 }
 
 // connectedCellClusters builds one cluster per 8-connected component of
-// positive cells.
-func connectedCellClusters(g *Grid, ws *WindowSet) []cluster {
-	visited := make([]bool, len(g.Pos))
-	var out []cluster
-	var stack []int
+// positive cells. The returned slice is gr's scratch, valid until its next
+// call.
+func (gr *Grouper) connectedCellClusters(g *Grid, ws *WindowSet) []cluster {
+	if cap(gr.visited) < len(g.Pos) {
+		gr.visited = make([]bool, len(g.Pos))
+	}
+	visited := gr.visited[:len(g.Pos)]
+	clear(visited)
+	out := gr.clusters[:0]
+	stack := gr.stack
 	for start := range g.Pos {
 		if !g.Pos[start] || visited[start] {
 			continue
@@ -228,5 +249,7 @@ func connectedCellClusters(g *Grid, ws *WindowSet) []cluster {
 		}
 		out = append(out, ws.makeCluster(minX, minY, maxX, maxY))
 	}
+	gr.stack = stack
+	gr.clusters = out
 	return out
 }

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -228,5 +229,58 @@ func TestSelectWindowSizesMonotoneInK(t *testing.T) {
 			t.Errorf("k=%d cost %v exceeds k-1 cost %v", k, total, prev)
 		}
 		prev = total
+	}
+}
+
+// TestGrouperReuseMatchesGroup: one Grouper reused over grids of two
+// geometries and many densities returns, bit for bit, the windows a fresh
+// Group returns, so nothing leaks from one call's scratch into the next.
+func TestGrouperReuseMatchesGroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var gr Grouper
+	for i := 0; i < 300; i++ {
+		nomW, nomH := 640, 480
+		if i%3 == 0 {
+			nomW, nomH = 320, 240
+		}
+		ws := NewWindowSet(nomW, nomH, costmodel.YOLOPerPixel, 1.0, [][2]int{{128, 96}, {256, 192}})
+		g := NewGrid(nomW, nomH)
+		for k := rng.Intn(60); k > 0; k-- {
+			g.Set(rng.Intn(g.W), rng.Intn(g.H), true)
+		}
+		if want, got := Group(g, ws), gr.Group(g, ws); !reflect.DeepEqual(got, want) {
+			t.Fatalf("grid %d (%d positive cells): reused Grouper gave %v, Group %v", i, g.Count(), got, want)
+		}
+	}
+}
+
+// TestGroupAllocGate pins a warm Grouper to the windows it returns: one
+// allocation for a grid with positive cells, whether it is covered by
+// windows or falls back to the full frame, and none for an empty grid.
+func TestGroupAllocGate(t *testing.T) {
+	ws := testWindowSet()
+	sparse, dense := NewGrid(640, 480), NewGrid(640, 480)
+	sparse.Set(2, 2, true)
+	sparse.Set(3, 3, true)
+	sparse.Set(16, 12, true)
+	for i := 0; i < len(dense.Pos); i += 3 {
+		dense.Pos[i] = true
+	}
+	var gr Grouper
+	for _, c := range []struct {
+		name string
+		g    *Grid
+		want float64
+	}{{"empty", NewGrid(640, 480), 0}, {"sparse", sparse, 1}, {"dense", dense, 1}} {
+		gr.Group(c.g, ws)
+		if n := testing.AllocsPerRun(50, func() { gr.Group(c.g, ws) }); n != c.want {
+			t.Errorf("%s grid: a warm Grouper allocates %v times, want %v", c.name, n, c.want)
+		}
+	}
+	if wins := gr.Group(sparse, ws); len(wins) < 2 || wins[0].W == 640 {
+		t.Errorf("sparse grid grouped into %v; want windows smaller than the frame", wins)
+	}
+	if wins := gr.Group(dense, ws); len(wins) != 1 || wins[0].W != 640 {
+		t.Errorf("dense grid grouped into %v; want the full frame", wins)
 	}
 }

@@ -3,6 +3,8 @@ package tuner
 import (
 	"testing"
 
+	"otif/internal/core"
+	"otif/internal/costmodel"
 	"otif/internal/video"
 )
 
@@ -10,8 +12,8 @@ import (
 // identical curve — same configurations, bit-identical runtimes and
 // accuracies — with the process-wide frame cache disabled, cold, warm from
 // an earlier Tune, or thrashing. The cache serves repeated clip-frame
-// reads, downsamples and proxy scores during candidate evaluation; it must
-// never change what is computed.
+// reads, downsamples, proxy scores and full-frame detections during
+// candidate evaluation; it must never change what is computed.
 func TestTuneDeterministicAcrossCacheBudgets(t *testing.T) {
 	defer video.SetCacheBudget(video.DefaultCacheBytes)
 
@@ -45,12 +47,36 @@ func TestTuneDeterministicAcrossCacheBudgets(t *testing.T) {
 	same("cold cache", Tune(sys, metric, opts))
 
 	// A second Tune over the same validation set finds every clip frame,
-	// downsample and proxy score where the first left them.
+	// downsample, proxy score and full-frame detection where the first left
+	// them.
 	before := video.GlobalCacheStats()
 	same("warm cache", Tune(sys, metric, opts))
 	after := video.GlobalCacheStats()
 	if misses := after.Misses - before.Misses; misses != 0 || after.Hits == before.Hits {
 		t.Errorf("warm Tune: %d hits, %d misses; want only hits", after.Hits-before.Hits, misses)
+	}
+	// Those hits include the detections: every cell of the detection grid,
+	// run over the validation frames once more, is answered by the cache
+	// alone, so no warm Tune detection missed.
+	before = video.GlobalCacheStats()
+	calls := 0
+	for _, arch := range opts.Archs {
+		for _, scale := range core.DetScaleLadder {
+			cfg := sys.Best
+			cfg.Arch, cfg.DetScale = arch, scale
+			det := sys.Detector(cfg, costmodel.NewAccountant())
+			for _, ct := range sys.DS.Val {
+				for idx := 0; idx < ct.Clip.Len(); idx += cfg.Gap {
+					det.Detect(ct.Clip.Frame(idx), idx)
+					calls++
+				}
+			}
+		}
+	}
+	after = video.GlobalCacheStats()
+	if misses := after.Misses - before.Misses; misses != 0 || after.Hits-before.Hits != uint64(2*calls) {
+		t.Errorf("grid detections after the warm Tune: %d hits, %d misses; want %d hits (a clip frame and its detections per call)",
+			after.Hits-before.Hits, misses, 2*calls)
 	}
 
 	// 16 KiB holds no 240x160 clip frame (38,400 bytes) but a few proxy

@@ -1,8 +1,11 @@
 package tuner
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"otif/internal/core"
 	"otif/internal/parallel"
 )
 
@@ -37,5 +40,53 @@ func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Errorf("workers=%d point %d: accuracy %v != serial %v", workers, i, par[i].Accuracy, serial[i].Accuracy)
 			}
 		}
+	}
+}
+
+// TestProxyEstimatesSameAtAnyWorkerCount fills the proxy-estimate memo
+// from one caching phase with one worker and with four, for every detector
+// setting of the detection grid: the memo must hold the same entries, bit
+// for bit, and nextProxy must pick the same candidate.
+func TestProxyEstimatesSameAtAnyWorkerCount(t *testing.T) {
+	sys, metric := trainedSystem(t)
+	opts := DefaultOptions()
+	defer parallel.SetWorkers(0)
+	built := buildCache(sys, metric, opts, map[core.Config]Point{})
+
+	type run struct {
+		memo  map[proxyEstKey]proxyEstVal
+		picks []core.Config
+	}
+	fill := func(workers int) run {
+		parallel.SetWorkers(workers)
+		c := *built
+		c.proxyEst = map[proxyEstKey]proxyEstVal{}
+		var r run
+		for _, arch := range opts.Archs {
+			for _, scale := range core.DetScaleLadder {
+				cur := sys.Best
+				cur.Arch, cur.DetScale = arch, scale
+				next, _ := c.nextProxy(sys, cur, opts)
+				r.picks = append(r.picks, next)
+			}
+		}
+		r.memo = c.proxyEst
+		return r
+	}
+	serial, par := fill(1), fill(4)
+	if want := len(opts.Archs) * len(core.DetScaleLadder) * len(sys.Proxies) * len(core.ProxyThreshLadder); len(serial.memo) != want {
+		t.Fatalf("serial memo holds %d estimates, want %d", len(serial.memo), want)
+	}
+	if len(par.memo) != len(serial.memo) {
+		t.Fatalf("4 workers: memo holds %d estimates, serial %d", len(par.memo), len(serial.memo))
+	}
+	for k, s := range serial.memo {
+		p, ok := par.memo[k]
+		if !ok || math.Float64bits(p.est) != math.Float64bits(s.est) || math.Float64bits(p.recall) != math.Float64bits(s.recall) {
+			t.Errorf("%+v: 4 workers %+v (present %v), serial %+v", k, p, ok, s)
+		}
+	}
+	if !reflect.DeepEqual(par.picks, serial.picks) {
+		t.Errorf("4 workers picked %v, serial %v", par.picks, serial.picks)
 	}
 }

@@ -84,7 +84,9 @@ type cache struct {
 	// immutable after buildCache, so a proxy setting's estimate depends
 	// only on the key; without the memo every tuning iteration re-ran
 	// Threshold+Group over all cached frames for the full (model x
-	// threshold) grid.
+	// threshold) grid. nextProxy fills the grid's missing entries on the
+	// worker pool and stores them in grid order; only the tuning goroutine
+	// reads or writes the map.
 	proxyEst map[proxyEstKey]proxyEstVal
 }
 
@@ -379,12 +381,33 @@ func (c *cache) nextDetection(cur core.Config, opts Options) (core.Config, bool)
 // pair with highest recall among those whose estimated per-frame runtime
 // (proxy inference plus windowed detector execution) is at least C faster
 // than the current configuration's estimated per-frame runtime (§3.5.2).
+//
+// The grid's estimates that are not yet memoized are computed on the
+// worker pool; each is a pure function of the cached scores and theta_best
+// boxes, and the memo is filled and the winner picked in grid order
+// afterwards, so the candidate is the same at any worker count.
 func (c *cache) nextProxy(sys *core.System, cur core.Config, opts Options) (core.Config, bool) {
 	if len(sys.Proxies) == 0 || c.frameCount == 0 {
 		return core.Config{}, false
 	}
 	ws := proxy.NewWindowSet(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH,
 		cur.Arch.PerPixelCost(), cur.DetScale, sys.WindowSizes)
+
+	var missing []proxyEstKey
+	for mi := range sys.Proxies {
+		for _, th := range core.ProxyThreshLadder {
+			key := proxyEstKey{model: mi, thresh: th, arch: cur.Arch, scale: cur.DetScale}
+			if _, ok := c.proxyEst[key]; !ok {
+				missing = append(missing, key)
+			}
+		}
+	}
+	vals := parallel.Map(len(missing), func(i int) proxyEstVal {
+		return c.proxyEstimate(sys, missing[i], ws)
+	})
+	for i, key := range missing {
+		c.proxyEst[key] = vals[i]
+	}
 
 	curCost := c.estConfigCost(sys, cur, ws)
 	limit := (1 - opts.C) * curCost
@@ -430,16 +453,26 @@ func (c *cache) estConfigCost(sys *core.System, cur core.Config, ws *proxy.Windo
 // the window set built for cur's detector arch and scale.
 func (c *cache) estProxyCost(sys *core.System, cur core.Config, modelIdx int, thresh float64, ws *proxy.WindowSet) (est, recall float64) {
 	key := proxyEstKey{model: modelIdx, thresh: thresh, arch: cur.Arch, scale: cur.DetScale}
-	if v, ok := c.proxyEst[key]; ok {
-		return v.est, v.recall
+	v, ok := c.proxyEst[key]
+	if !ok {
+		v = c.proxyEstimate(sys, key, ws)
+		c.proxyEst[key] = v
 	}
-	m := sys.Proxies[modelIdx]
+	return v.est, v.recall
+}
+
+// proxyEstimate computes the estimate estProxyCost memoizes for key. It
+// only reads the cache, so estimates of different keys may run
+// concurrently; ws must be the window set of key's arch and scale.
+func (c *cache) proxyEstimate(sys *core.System, key proxyEstKey, ws *proxy.WindowSet) proxyEstVal {
+	m := sys.Proxies[key.model]
 	var totalCost float64
 	covered, totalDets := 0, 0
 	grid := proxy.NewGrid(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH)
+	var grouper proxy.Grouper
 	for fi := 0; fi < c.frameCount; fi++ {
-		proxy.ThresholdInto(grid, c.proxyScores[modelIdx][fi], thresh)
-		wins := proxy.Group(grid, ws)
+		proxy.ThresholdInto(grid, c.proxyScores[key.model][fi], key.thresh)
+		wins := grouper.Group(grid, ws)
 		totalCost += costmodel.ProxyCost(m.ResW, m.ResH)
 		for _, w := range wins {
 			idx, ok := ws.IndexOf(int(w.W), int(w.H))
@@ -462,14 +495,11 @@ func (c *cache) estProxyCost(sys *core.System, cur core.Config, modelIdx int, th
 			}
 		}
 	}
-	est = totalCost / float64(c.frameCount)
-	if totalDets == 0 {
-		recall = 1
-	} else {
-		recall = float64(covered) / float64(totalDets)
+	v := proxyEstVal{est: totalCost / float64(c.frameCount), recall: 1}
+	if totalDets > 0 {
+		v.recall = float64(covered) / float64(totalDets)
 	}
-	c.proxyEst[key] = proxyEstVal{est: est, recall: recall}
-	return est, recall
+	return v
 }
 
 // nextTracking returns the tracking-module candidate: the next sampling gap

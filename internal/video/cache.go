@@ -2,46 +2,53 @@ package video
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"otif/internal/lru"
 	"otif/internal/obs"
 )
 
 // This file implements the bounded frame cache on the per-frame hot path.
-// Three kinds of derived buffers are cached:
+// Four kinds of derived data are cached:
 //
 //   - downsampled frames, keyed by (source frame identity, w, h);
 //   - rendered/decoded clip frames, keyed by (source identity, index);
 //   - proxy score vectors, keyed by (frame identity, model identity,
-//     background identity).
+//     background identity);
+//   - full-frame detections, keyed by (frame identity, detector identity),
+//     where the detector identity stands for its configuration, background
+//     model and classifier.
 //
 // What pays for it is repeated reading: the tuner evaluates many
 // configurations over one validation set (the benchmark's tune-warm), every
 // evaluation re-reads the same clip frames, and a stable frame identity is
-// what lets their downsamples and their proxy scores hit too. The tuner's
-// caching phase scores every validation frame under every proxy model, and
-// each candidate that runs a proxy, and every later RunSet of the pick over
-// the same clips, reads those scores back instead of recomputing them.
+// what lets their downsamples, their proxy scores and their detections hit
+// too. The tuner's caching phase scores every validation frame under every
+// proxy model and runs every detection-grid cell over it; each candidate
+// that runs a proxy or the same full-frame detector, and every later RunSet
+// of the pick over the same clips, reads those back instead of recomputing
+// them.
 //
 // What does not: a clip read once. One configuration asks for one proxy
 // resolution and one detector resolution, so a cold extraction
 // (extract-dense, extract-tuned) misses on every clip frame, on each
-// frame's downsamples and, with a proxy, on each frame's scores: a scored
-// cold frame adds one more entry, which is evicted unread. Its hits are the
-// second and later windows of one frame under DetectWindows, beside tens of
-// thousands of evictions. Whether single-pass readers should bypass the
-// cache is an open ROADMAP question, separate from what is cached.
+// frame's downsamples and on each frame's scores (with a proxy) or
+// detections (without one): a cold frame adds one more small entry, which
+// is evicted unread. Its hits are the second and later windows of one frame
+// under DetectWindows, beside tens of thousands of evictions. Whether
+// single-pass readers should bypass the cache is an open ROADMAP question,
+// separate from what is cached.
 //
 // The mechanism is internal/lru, shared with the store's result cache: one
 // LRU list under one mutex, fills coalesced per key. This file chooses the
-// keys and what an entry is charged. Cached frames and score vectors are
-// shared and MUST be treated as read-only by all callers; every caller in
-// this repository already does. Entries are keyed by process-unique uint64
-// identities rather than pointers, so the cache never pins a source object
-// and a recycled allocation can never be confused with the object the
-// entry was built from. All cached computations are deterministic functions
-// of their key, so results are bit-identical with the cache enabled,
-// disabled, or thrashing.
+// keys and what an entry is charged. Cached frames, score vectors and
+// detections are shared and MUST be treated as read-only by all callers;
+// every caller in this repository already does. Entries are keyed by
+// process-unique uint64 identities rather than pointers, so the cache never
+// pins a source object and a recycled allocation can never be confused with
+// the object the entry was built from. All cached computations are
+// deterministic functions of their key, so results are bit-identical with
+// the cache enabled, disabled, or thrashing.
 
 // CacheStats is a snapshot of cache effectiveness counters. A lookup that
 // waited for another goroutine's fill of the same key counts as a miss.
@@ -72,15 +79,16 @@ const (
 	kindDownsample keyKind = iota + 1
 	kindClipFrame
 	kindScores
+	kindDetections
 )
 
 // cacheKey identifies one derived buffer. owner is the process-unique id
-// of the source object: a Frame for downsamples and scores, a CachedSource
-// for clip frames.
+// of the source object: a Frame for downsamples, scores and detections, a
+// CachedSource for clip frames.
 type cacheKey struct {
 	kind  keyKind
 	owner uint64
-	a, b  uint64 // (w, h), (frame index, 0) or (model id, background frame id)
+	a, b  uint64 // (w, h), (frame index, 0), (model id, background frame id) or (detector id, 0)
 }
 
 func downsampleKey(frame uint64, w, h int) cacheKey {
@@ -95,11 +103,18 @@ func scoresKey(frame, model, bg uint64) cacheKey {
 	return cacheKey{kind: kindScores, owner: frame, a: model, b: bg}
 }
 
+func detectionsKey(frame, detector uint64) cacheKey {
+	return cacheKey{kind: kindDetections, owner: frame, a: detector}
+}
+
 // cached is the one value type the LRU holds: a frame (downsamples and clip
-// frames) or a score vector, as the key's kind says.
+// frames), a score vector or a detection slice, as the key's kind says.
+// video cannot name the detector's Detection type, so detections are held
+// as an any that detections asserts back.
 type cached struct {
 	frame  *Frame
 	scores []float64
+	dets   any
 }
 
 // Cache is a bounded LRU frame cache. Construct with NewCache; a nil *Cache
@@ -156,6 +171,26 @@ func (c *Cache) Scores(f *Frame, model uint64, bg *Frame, fill func() []float64)
 	}
 	return c.lru.Get(scoresKey(f.id, model, bgID),
 		func() (cached, int64) { return scoresEntry(fill()) }).scores
+}
+
+// detections is Scores for full-frame detections: it returns fill's
+// detections of frame f under the detector with process-unique identity
+// detector, serving repeats from c. fill must be a deterministic function
+// of the two identities. A zero detector id, or a frame without an
+// identity, is computed uncached. An entry is charged the size of its items
+// plus cacheEntryOverhead. The result is shared: callers must not mutate
+// it. Go has no generic methods, hence a function of c.
+func detections[T any](c *Cache, f *Frame, detector uint64, fill func() []T) []T {
+	if c == nil || f.id == 0 || detector == 0 {
+		return fill()
+	}
+	v := c.lru.Get(detectionsKey(f.id, detector), func() (cached, int64) {
+		d := fill()
+		return cached{dets: d}, int64(unsafe.Sizeof(*new(T)))*int64(len(d)) + cacheEntryOverhead
+	})
+	// A waiter on a fill that panicked gets the zero value: no slice.
+	d, _ := v.dets.([]T)
+	return d
 }
 
 // Stats returns one consistent snapshot of all cache counters.
@@ -236,6 +271,14 @@ func CachedDownsample(f *Frame, w, h int) *Frame {
 // directly when caching is disabled).
 func CachedScores(f *Frame, model uint64, bg *Frame, fill func() []float64) []float64 {
 	return globalCache.Load().Scores(f, model, bg, fill)
+}
+
+// CachedDetections returns fill's full-frame detections of f under the
+// detector with process-unique identity detector through the process-wide
+// cache (computing directly when caching is disabled). The result is
+// shared: callers must not mutate it.
+func CachedDetections[T any](f *Frame, detector uint64, fill func() []T) []T {
+	return detections(globalCache.Load(), f, detector, fill)
 }
 
 // CachedSource wraps a FrameSource, memoizing its frames in the

@@ -270,18 +270,25 @@ func TestFrameIDsUnique(t *testing.T) {
 	}
 }
 
-// TestScoreKeysNeverCollide: a score key differs from every downsample and
-// clip-frame key, whatever the identities and sizes involved.
+// TestScoreKeysNeverCollide: score and detection keys differ from every
+// downsample and clip-frame key, and from each other, whatever the
+// identities and sizes involved.
 func TestScoreKeysNeverCollide(t *testing.T) {
 	collides := func(frame, model, bg uint64, owner uint64, w, h, idx int) bool {
-		s := scoresKey(frame, model, bg)
-		return s == downsampleKey(owner, w, h) || s == clipFrameKey(owner, idx)
+		s, d := scoresKey(frame, model, bg), detectionsKey(frame, model)
+		for _, k := range []cacheKey{downsampleKey(owner, w, h), clipFrameKey(owner, idx)} {
+			if s == k || d == k {
+				return true
+			}
+		}
+		return s == d || d == scoresKey(owner, uint64(w), uint64(h))
 	}
 	// The identities of one object shared across kinds are the likeliest
-	// collision: owner == frame, (w, h) == (model, bg), idx == model.
+	// collision: owner == frame, (w, h) == (model, bg), idx == model, and a
+	// detector id equal to a model id with no background.
 	for _, v := range []uint64{0, 1, 2, 1 << 31, 1<<63 - 1} {
 		if collides(v, v, v, v, int(v), int(v), int(v)) || collides(v, v, 0, v, int(v), 0, int(v)) {
-			t.Errorf("a score key with identities %d equals a frame key", v)
+			t.Errorf("a score or detection key with identities %d equals another kind's key", v)
 		}
 	}
 	if err := quick.Check(func(frame, model, bg, owner uint64, w, h, idx int) bool {
@@ -339,6 +346,63 @@ func TestCacheScoresWithoutIdentityUncached(t *testing.T) {
 	}
 	if s := c.Stats(); fills != 6 || s.Entries != 0 || s.Hits+s.Misses != 0 {
 		t.Errorf("%d fills, stats %+v: want 6 fills and an untouched cache", fills, s)
+	}
+}
+
+// detItem stands in for a detection: 80 bytes, as detect.Detection is.
+type detItem [10]float64
+
+// TestCacheDetections: a detection slice is charged its items' size plus
+// the entry overhead (an empty one only the overhead), repeats hit, and
+// each (frame, detector) pair is its own entry.
+func TestCacheDetections(t *testing.T) {
+	c := NewCache(1 << 20)
+	frames := []*Frame{cacheTestFrame(16, 16, 1), cacheTestFrame(16, 16, 2)}
+	fills := 0
+	fill := func(det uint64, n int) func() []detItem {
+		return func() []detItem {
+			fills++
+			var out []detItem
+			for i := 0; i < n; i++ {
+				out = append(out, detItem{float64(det), float64(i)})
+			}
+			return out
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for _, f := range frames {
+			for det := uint64(1); det <= 3; det++ {
+				n := int(det) - 1 // detector 1 finds nothing
+				got := detections(c, f, det, fill(det, n))
+				if len(got) != n || (n > 0 && got[n-1] != detItem{float64(det), float64(n - 1)}) {
+					t.Fatalf("round %d detector %d: got %v", round, det, got)
+				}
+			}
+		}
+	}
+	s := c.Stats()
+	if fills != 6 || s.Entries != 6 || s.Misses != 6 || s.Hits != 6 {
+		t.Errorf("%d fills, stats %+v: want 6 fills, 6 entries, 6 misses, 6 hits", fills, s)
+	}
+	if want := int64(2 * ((0+1+2)*80 + 3*cacheEntryOverhead)); s.Bytes != want {
+		t.Errorf("charged %d bytes, want %d", s.Bytes, want)
+	}
+}
+
+// TestCacheDetectionsWithoutIdentityUncached: a detector id of 0, or a
+// frame built without NewFrame, has no identity to key on.
+func TestCacheDetectionsWithoutIdentityUncached(t *testing.T) {
+	c := NewCache(1 << 20)
+	f := cacheTestFrame(16, 16, 1)
+	anon := &Frame{W: 16, H: 16, NomW: 64, NomH: 64, Pix: make([]uint8, 256)}
+	fills := 0
+	fill := func() []detItem { fills++; return []detItem{{1}} }
+	for i := 0; i < 2; i++ {
+		detections(c, f, 0, fill)
+		detections(c, anon, 1, fill)
+	}
+	if s := c.Stats(); fills != 4 || s.Entries != 0 || s.Hits+s.Misses != 0 {
+		t.Errorf("%d fills, stats %+v: want 4 fills and an untouched cache", fills, s)
 	}
 }
 
