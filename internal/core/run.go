@@ -96,8 +96,8 @@ func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct
 		var dets []detect.Detection
 		if pm != nil {
 			scores := pm.Score(frame, s.Background, acct)
-			proxy.ThresholdInto(grid, scores, cfg.ProxyThresh)
-			wins := grouper.Group(grid, ws)
+			pos := proxy.ThresholdInto(grid, scores, cfg.ProxyThresh)
+			wins := grouper.Group(grid, pos, ws)
 			if len(wins) > 0 {
 				dets = detector.DetectWindows(frame, idx, wins)
 			}

@@ -40,17 +40,36 @@ func (p Path) PointAt(t float64) Point {
 
 // Resample returns n points evenly spaced by arc length along the path.
 // This is the P(s) operation from the paper's track-distance metric (§3.4).
+// Point i is PointAt(i/(n-1)) bit for bit, but the path is walked once:
+// the targets grow with i, so each point resumes at the segment where the
+// previous one was found, with the arc length travelled so far summed in
+// the same order PointAt sums it.
 func (p Path) Resample(n int) Path {
 	if n <= 0 {
 		return nil
 	}
 	out := make(Path, n)
-	if n == 1 {
-		out[0] = p.PointAt(0)
+	if len(p) == 0 {
 		return out
 	}
-	for i := 0; i < n; i++ {
-		out[i] = p.PointAt(float64(i) / float64(n-1))
+	out[0] = p[0]
+	if n == 1 {
+		return out
+	}
+	out[n-1] = p[len(p)-1]
+	length := p.Length()
+	k, traveled := 1, 0.0 // segment p[k-1]→p[k] starts traveled along the path
+	for i := 1; i < n-1; i++ {
+		target := float64(i) / float64(n-1) * length
+		out[i] = p[len(p)-1]
+		for ; k < len(p); k++ {
+			seg := p[k].Dist(p[k-1])
+			if traveled+seg >= target && seg > 0 {
+				out[i] = p[k-1].Lerp(p[k], (target-traveled)/seg)
+				break
+			}
+			traveled += seg
+		}
 	}
 	return out
 }

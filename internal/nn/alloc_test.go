@@ -145,18 +145,6 @@ func BenchmarkDenseApply(b *testing.B) {
 	}
 }
 
-func BenchmarkDenseApplyInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	d := NewDense(32, 32, ReLUAct, rng)
-	x := randVec(rng, 32)
-	dst := NewVec(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.ApplyInto(dst, x)
-	}
-}
-
 func BenchmarkGRUStepInferInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := NewGRUCell(7, 16, rng)

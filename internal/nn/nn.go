@@ -17,6 +17,11 @@
 // the per-frame hot path uses. They perform the exact float64 operations of
 // the allocating and training kernels (Apply, GRUCell.Step) in the same
 // order, so their outputs are bit-identical.
+//
+// Every dense layer runs through one kernel, Dense.ApplyInto. Each output
+// row sums its products in ascending input order; rows interleave four at
+// a time, so the independent sums overlap in the floating-point adder, and
+// the result is the one-row-at-a-time loop's bit for bit.
 package nn
 
 import (
@@ -150,8 +155,9 @@ func growVec(v *Vec, n int) Vec {
 // Dense is a fully connected layer with bias: y = act(W x + b). Weights
 // are stored as one flat row-major vector — row i occupies
 // W[i*In : (i+1)*In] — so the inference kernels stream memory linearly and
-// allocate nothing. Row dot products accumulate in the same index order as
-// a slice-of-rows layout would, so results are bit-identical to it.
+// allocate nothing. Each row's dot product accumulates in ascending index
+// order, as a slice-of-rows layout would, so results are bit-identical to
+// it however the rows interleave.
 type Dense struct {
 	In, Out int
 	W       Vec // flat row-major weights, len Out*In
@@ -205,13 +211,51 @@ func (d *Dense) ApplyInto(dst, x Vec) Vec {
 	if len(dst) != d.Out {
 		panic(fmt.Sprintf("nn: dense expected output buffer %d, got %d", d.Out, len(dst)))
 	}
-	for i := 0; i < d.Out; i++ {
-		row := d.W[i*d.In : (i+1)*d.In]
-		var s float64
-		for j, w := range row {
-			s += w * x[j]
+	// Four rows per pass: each keeps its own accumulator and sums over j in
+	// ascending order, so every output is the one-row loop's bit for bit,
+	// while the four independent add chains hide the add latency that
+	// bounds a single chain.
+	n := len(x)
+	b := d.B[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		w0 := d.W[i*n:][:n]
+		w1 := d.W[(i+1)*n:][:n]
+		w2 := d.W[(i+2)*n:][:n]
+		w3 := d.W[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += w0[j] * xj
+			s1 += w1[j] * xj
+			s2 += w2[j] * xj
+			s3 += w3[j] * xj
 		}
-		dst[i] = d.Act.apply(s + d.B[i])
+		dst[i] = s0 + b[i]
+		dst[i+1] = s1 + b[i+1]
+		dst[i+2] = s2 + b[i+2]
+		dst[i+3] = s3 + b[i+3]
+	}
+	for ; i < len(dst); i++ {
+		w0 := d.W[i*n:][:n]
+		var s0 float64
+		for j, xj := range x {
+			s0 += w0[j] * xj
+		}
+		dst[i] = s0 + b[i]
+	}
+	switch d.Act {
+	case SigmoidAct:
+		for i, v := range dst {
+			dst[i] = Sigmoid(v)
+		}
+	case TanhAct:
+		for i, v := range dst {
+			dst[i] = Tanh(v)
+		}
+	case ReLUAct:
+		for i, v := range dst {
+			dst[i] = ReLU(v)
+		}
 	}
 	return dst
 }

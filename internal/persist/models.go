@@ -185,16 +185,12 @@ func LoadModels(src io.Reader, sys *core.System) error {
 				}
 				c.Center = append(c.Center, p)
 			}
+			if err := c.Validate(); err != nil {
+				return fmt.Errorf("persist: refinement cluster %d: %w", i, err)
+			}
 			clusters = append(clusters, c)
 		}
-		opts := refine.DefaultDBSCANOptions()
-		sys.Refiner = &refine.Refiner{
-			Clusters:     clusters,
-			Idx:          refine.NewIndex(clusters, 64),
-			K:            10,
-			SearchRadius: 160,
-			MaxDist:      2.5 * opts.Eps,
-		}
+		sys.Refiner = refine.FromClusters(clusters, refine.DefaultDBSCANOptions())
 	}
 	return r.verifyChecksum()
 }

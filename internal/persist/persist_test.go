@@ -19,6 +19,7 @@ import (
 	"otif/internal/nn"
 	"otif/internal/proxy"
 	"otif/internal/query"
+	"otif/internal/refine"
 	"otif/internal/track"
 	"otif/internal/tuner"
 )
@@ -301,7 +302,8 @@ func TestLoadModelsRejectsWrongDataset(t *testing.T) {
 // a Gap of 0 then panicked inside a tuner worker ("video: invalid sampling
 // gap 0"), and a recurrent matcher one bias entry short panicked in
 // RunClip on the first frame with detections ("index out of range [23]
-// with length 23").
+// with length 23"). A refinement cluster with a NaN center point made
+// RefineEndpoints return a NaN endpoint as a refinement.
 func TestLoadModelsRejectsInvalidTheta(t *testing.T) {
 	ds, err := dataset.Build("caldot1", dataset.SetSpec{Clips: 1, ClipSeconds: 2}, 5)
 	if err != nil {
@@ -342,6 +344,16 @@ func TestLoadModelsRejectsInvalidTheta(t *testing.T) {
 			m.Match = cloneMLP(m.Match)
 			edit(&m)
 			s.Pair = &m
+		}
+	}
+	// The refinement edits replace the clusters with two valid copies of a
+	// lane's center, then break the second.
+	clusters := func(edit func(c *refine.Cluster)) func(*core.System) {
+		return func(s *core.System) {
+			lane := geom.Path{{X: 0, Y: 100}, {X: float64(nomW), Y: 120}}.Resample(refine.PathSamples)
+			cs := []*refine.Cluster{{Center: lane, Size: 3}, {Center: slices.Clone(lane), Size: 2}}
+			edit(cs[1])
+			s.Refiner = refine.FromClusters(cs, refine.DefaultDBSCANOptions())
 		}
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -402,13 +414,20 @@ func TestLoadModelsRejectsInvalidTheta(t *testing.T) {
 			m.Match.Layers[1] = nn.NewDense(16, 2, nn.SigmoidAct, rng)
 		})},
 		{"pair_weight_nan", "not finite", pair(func(m *track.PairModel) { m.Match.Layers[0].W[3] = math.NaN() })},
+		// A NaN first center X made RefineEndpoints return a NaN start
+		// with ok true.
+		{"cluster_center_nan", "refinement cluster 1: center point 0", clusters(func(c *refine.Cluster) { c.Center[0].X = math.NaN() })},
+		{"cluster_center_inf", "refinement cluster 1: center point 7", clusters(func(c *refine.Cluster) { c.Center[7].Y = math.Inf(-1) })},
+		{"cluster_size_zero", "refinement cluster 1: size", clusters(func(c *refine.Cluster) { c.Size = 0 })},
+		{"cluster_center_short", "refinement cluster 1: center has", clusters(func(c *refine.Cluster) { c.Center = c.Center[:refine.PathSamples-1] })},
+		{"cluster_center_long", "refinement cluster 1: center has", clusters(func(c *refine.Cluster) { c.Center = append(c.Center, c.Center[0]) })},
 	}
 	save := func(edit func(*core.System)) []byte {
 		best, res, sizes := sys.Best, [2]int{sys.Proxies[0].ResW, sys.Proxies[0].ResH}, sys.WindowSizes
-		proxies, rec, pm := sys.Proxies, sys.Recurrent, sys.Pair
+		proxies, rec, pm, ref := sys.Proxies, sys.Recurrent, sys.Pair, sys.Refiner
 		defer func() {
 			sys.Best, sys.Proxies[0].ResW, sys.Proxies[0].ResH, sys.WindowSizes = best, res[0], res[1], sizes
-			sys.Proxies, sys.Recurrent, sys.Pair = proxies, rec, pm
+			sys.Proxies, sys.Recurrent, sys.Pair, sys.Refiner = proxies, rec, pm, ref
 		}()
 		if edit != nil {
 			edit(sys)

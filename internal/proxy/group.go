@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"math"
+	"sync"
 
 	"otif/internal/costmodel"
 	"otif/internal/geom"
@@ -112,23 +113,46 @@ func mergeBounds(a, b cluster) (int, int, int, int) {
 // The returned windows are in nominal coordinates, sized exactly at one of
 // ws.Sizes, clamped inside the frame, and cover every positive cell.
 func Group(g *Grid, ws *WindowSet) []geom.Rect {
-	var gr Grouper
-	return gr.Group(g, ws)
+	gr := groupers.Get().(*Grouper)
+	defer groupers.Put(gr)
+	gr.pos = gr.pos[:0]
+	for i, on := range g.Pos {
+		if on {
+			gr.pos = append(gr.pos, i)
+		}
+	}
+	return gr.Group(g, gr.pos, ws)
 }
+
+// groupers lends Group a warm Grouper: window-size selection groups every
+// training frame once per candidate size set.
+var groupers = sync.Pool{New: func() any { return new(Grouper) }}
 
 // Grouper is Group with its working storage (the visited plane, the
 // search stack and the cluster list) kept between calls, so a caller that
 // groups frame after frame allocates only the windows it is returned. The
 // zero value is ready to use; a Grouper is owned by one goroutine.
 type Grouper struct {
-	visited  []bool
+	visited  []uint32 // cell -> the call that visited it; see gen
+	gen      uint32   // this call's stamp, so no call clears the plane
 	stack    []int
 	clusters []cluster
+	pos      []int // the package-level Group's positive-cell list
 }
 
-// Group is the package-level Group, drawing its scratch from gr.
-func (gr *Grouper) Group(g *Grid, ws *WindowSet) []geom.Rect {
-	clusters := gr.connectedCellClusters(g, ws)
+// Group is the package-level Group for a grid whose positive cells are
+// pos, in ascending order — the list ThresholdInto returns. Components
+// are started only from pos, in its order, which is the order a scan of
+// the whole grid would meet them in, so the windows are Group's. The cost
+// of a call follows the positive cells, not the size of the grid.
+func (gr *Grouper) Group(g *Grid, pos []int, ws *WindowSet) []geom.Rect {
+	return ws.windows(gr.connectedCellClusters(g, pos, ws))
+}
+
+// windows merges the connected-component clusters greedily and places a
+// window for each cluster left (the full frame if that is cheaper). It
+// reorders and shortens clusters in place.
+func (ws *WindowSet) windows(clusters []cluster) []geom.Rect {
 	if len(clusters) == 0 {
 		return nil
 	}
@@ -208,23 +232,28 @@ func EstCost(g *Grid, ws *WindowSet) float64 {
 }
 
 // connectedCellClusters builds one cluster per 8-connected component of
-// positive cells. The returned slice is gr's scratch, valid until its next
-// call.
-func (gr *Grouper) connectedCellClusters(g *Grid, ws *WindowSet) []cluster {
+// positive cells, starting a component at each cell of pos not yet
+// visited. The returned slice is gr's scratch, valid until its next call.
+func (gr *Grouper) connectedCellClusters(g *Grid, pos []int, ws *WindowSet) []cluster {
 	if cap(gr.visited) < len(g.Pos) {
-		gr.visited = make([]bool, len(g.Pos))
+		gr.visited = make([]uint32, len(g.Pos))
 	}
 	visited := gr.visited[:len(g.Pos)]
-	clear(visited)
+	gr.gen++
+	if gr.gen == 0 { // the stamp wrapped: forget every earlier call
+		clear(gr.visited[:cap(gr.visited)])
+		gr.gen = 1
+	}
+	gen := gr.gen
 	out := gr.clusters[:0]
 	stack := gr.stack
-	for start := range g.Pos {
-		if !g.Pos[start] || visited[start] {
+	for _, start := range pos {
+		if visited[start] == gen {
 			continue
 		}
 		minX, minY, maxX, maxY := g.W, g.H, -1, -1
 		stack = append(stack[:0], start)
-		visited[start] = true
+		visited[start] = gen
 		for len(stack) > 0 {
 			p := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -233,15 +262,13 @@ func (gr *Grouper) connectedCellClusters(g *Grid, ws *WindowSet) []cluster {
 			minY = min(minY, y)
 			maxX = max(maxX, x)
 			maxY = max(maxY, y)
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					nx, ny := x+dx, y+dy
-					if nx < 0 || ny < 0 || nx >= g.W || ny >= g.H {
-						continue
-					}
-					q := ny*g.W + nx
-					if g.Pos[q] && !visited[q] {
-						visited[q] = true
+			// The 3x3 neighborhood clipped to the grid. A component's
+			// bounds do not depend on the order its cells are visited in.
+			x0, x1 := max(x-1, 0), min(x+1, g.W-1)
+			for ny := max(y-1, 0); ny <= min(y+1, g.H-1); ny++ {
+				for q := ny*g.W + x0; q <= ny*g.W+x1; q++ {
+					if g.Pos[q] && visited[q] != gen {
+						visited[q] = gen
 						stack = append(stack, q)
 					}
 				}

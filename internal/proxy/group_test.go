@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -232,24 +233,105 @@ func TestSelectWindowSizesMonotoneInK(t *testing.T) {
 	}
 }
 
+// scanClusters is the component search Grouper.Group replaced: it scans
+// the whole grid for positive cells not yet visited, with a visited plane
+// cleared on every call. Started from every positive cell in grid order,
+// it is the oracle for the order Group's components come out in.
+func scanClusters(g *Grid, ws *WindowSet) []cluster {
+	visited := make([]bool, len(g.Pos))
+	var out []cluster
+	for start := range g.Pos {
+		if !g.Pos[start] || visited[start] {
+			continue
+		}
+		minX, minY, maxX, maxY := g.W, g.H, -1, -1
+		stack := []int{start}
+		visited[start] = true
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			x, y := p%g.W, p/g.W
+			minX, minY = min(minX, x), min(minY, y)
+			maxX, maxY = max(maxX, x), max(maxY, y)
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					nx, ny := x+dx, y+dy
+					if nx < 0 || ny < 0 || nx >= g.W || ny >= g.H {
+						continue
+					}
+					q := ny*g.W + nx
+					if g.Pos[q] && !visited[q] {
+						visited[q] = true
+						stack = append(stack, q)
+					}
+				}
+			}
+		}
+		out = append(out, ws.makeCluster(minX, minY, maxX, maxY))
+	}
+	return out
+}
+
+// positives lists g's positive cells in ascending order.
+func positives(g *Grid) []int {
+	var pos []int
+	for i, on := range g.Pos {
+		if on {
+			pos = append(pos, i)
+		}
+	}
+	return pos
+}
+
 // TestGrouperReuseMatchesGroup: one Grouper reused over grids of two
-// geometries and many densities returns, bit for bit, the windows a fresh
-// Group returns, so nothing leaks from one call's scratch into the next.
+// geometries and many densities returns, bit for bit, the windows the
+// whole-grid scan gives and the windows a fresh Group returns, so the
+// positive-cell list starts components in the scan's order and nothing
+// leaks from one call's scratch into the next. The grids come from
+// ThresholdInto, whose list must be the grid's positive cells.
 func TestGrouperReuseMatchesGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var gr Grouper
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 600; i++ {
 		nomW, nomH := 640, 480
 		if i%3 == 0 {
 			nomW, nomH = 320, 240
 		}
 		ws := NewWindowSet(nomW, nomH, costmodel.YOLOPerPixel, 1.0, [][2]int{{128, 96}, {256, 192}})
 		g := NewGrid(nomW, nomH)
+		scores := make([]float64, len(g.Pos))
 		for k := rng.Intn(60); k > 0; k-- {
-			g.Set(rng.Intn(g.W), rng.Intn(g.H), true)
+			scores[rng.Intn(len(scores))] = rng.Float64()
 		}
-		if want, got := Group(g, ws), gr.Group(g, ws); !reflect.DeepEqual(got, want) {
-			t.Fatalf("grid %d (%d positive cells): reused Grouper gave %v, Group %v", i, g.Count(), got, want)
+		pos := ThresholdInto(g, scores, 0.2+0.6*rng.Float64())
+		if want := positives(g); !reflect.DeepEqual(pos, want) && len(want)+len(pos) > 0 {
+			t.Fatalf("grid %d: ThresholdInto listed %v, positive cells are %v", i, pos, want)
+		}
+		want := ws.windows(scanClusters(g, ws))
+		if got := gr.Group(g, pos, ws); !reflect.DeepEqual(got, want) {
+			t.Fatalf("grid %d (%d positive cells): reused Grouper gave %v, the scan %v", i, g.Count(), got, want)
+		}
+		if got := Group(g, ws); !reflect.DeepEqual(got, want) {
+			t.Fatalf("grid %d (%d positive cells): Group gave %v, the scan %v", i, g.Count(), got, want)
+		}
+	}
+}
+
+// TestGrouperStampWraps runs a Grouper across the wrap of its visit
+// stamp: a plane left over from 2^32 calls ago must not read as visited.
+func TestGrouperStampWraps(t *testing.T) {
+	ws := testWindowSet()
+	g := NewGrid(640, 480)
+	g.Set(2, 2, true)
+	g.Set(10, 8, true)
+	pos := positives(g)
+	want := Group(g, ws)
+	var gr Grouper
+	gr.Group(g, pos, ws)
+	gr.gen = math.MaxUint32 - 1
+	for i := 0; i < 4; i++ {
+		if got := gr.Group(g, pos, ws); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d past stamp %d: %v, want %v", i, gr.gen, got, want)
 		}
 	}
 }
@@ -272,15 +354,16 @@ func TestGroupAllocGate(t *testing.T) {
 		g    *Grid
 		want float64
 	}{{"empty", NewGrid(640, 480), 0}, {"sparse", sparse, 1}, {"dense", dense, 1}} {
-		gr.Group(c.g, ws)
-		if n := testing.AllocsPerRun(50, func() { gr.Group(c.g, ws) }); n != c.want {
+		pos := positives(c.g)
+		gr.Group(c.g, pos, ws)
+		if n := testing.AllocsPerRun(50, func() { gr.Group(c.g, pos, ws) }); n != c.want {
 			t.Errorf("%s grid: a warm Grouper allocates %v times, want %v", c.name, n, c.want)
 		}
 	}
-	if wins := gr.Group(sparse, ws); len(wins) < 2 || wins[0].W == 640 {
+	if wins := gr.Group(sparse, positives(sparse), ws); len(wins) < 2 || wins[0].W == 640 {
 		t.Errorf("sparse grid grouped into %v; want windows smaller than the frame", wins)
 	}
-	if wins := gr.Group(dense, ws); len(wins) != 1 || wins[0].W != 640 {
+	if wins := gr.Group(dense, positives(dense), ws); len(wins) != 1 || wins[0].W != 640 {
 		t.Errorf("dense grid grouped into %v; want the full frame", wins)
 	}
 }

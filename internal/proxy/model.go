@@ -42,6 +42,8 @@ const featuresPerCell = 4
 type Grid struct {
 	W, H int
 	Pos  []bool
+
+	pos []int // ThresholdInto's positive-cell list, reused
 }
 
 // GridDims returns the cell-grid dimensions for a nominal frame size.
@@ -313,14 +315,28 @@ func Threshold(nomW, nomH int, scores []float64, bProxy float64) *Grid {
 }
 
 // ThresholdInto writes the thresholded scores into an existing grid of the
-// same cell count, letting per-frame loops reuse one grid allocation.
-func ThresholdInto(g *Grid, scores []float64, bProxy float64) {
+// same cell count, letting per-frame loops reuse one grid allocation. It
+// returns the positive cells in ascending order, the list Grouper.Group
+// takes; the list is the grid's and is valid until its next ThresholdInto.
+func ThresholdInto(g *Grid, scores []float64, bProxy float64) []int {
 	if len(scores) != len(g.Pos) {
 		panic(fmt.Sprintf("proxy: %d scores for a %dx%d grid", len(scores), g.W, g.H))
 	}
-	for i, s := range scores {
-		g.Pos[i] = s >= bProxy
+	if cap(g.pos) < len(g.Pos) {
+		g.pos = make([]int, len(g.Pos))
 	}
+	pos := g.pos[:len(g.Pos)]
+	n := 0
+	for i, s := range scores {
+		on := s >= bProxy
+		g.Pos[i] = on
+		pos[n] = i // kept only if on: n advances past it
+		if on {
+			n++
+		}
+	}
+	g.pos = pos[:n]
+	return g.pos
 }
 
 // TrainExample is one frame's worth of proxy training data.

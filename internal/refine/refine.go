@@ -10,7 +10,9 @@
 package refine
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"otif/internal/geom"
@@ -54,13 +56,7 @@ func DBSCAN(paths []geom.Path, opts DBSCANOptions) []*Cluster {
 	for i, p := range paths {
 		resampled[i] = p.Resample(PathSamples)
 	}
-	dist := func(i, j int) float64 {
-		var total float64
-		for k := 0; k < PathSamples; k++ {
-			total += resampled[i][k].Dist(resampled[j][k])
-		}
-		return total / PathSamples
-	}
+	dist := func(i, j int) float64 { return meanDist(resampled[i], resampled[j]) }
 
 	const (
 		unvisited = 0
@@ -137,6 +133,24 @@ func DBSCAN(paths []geom.Path, opts DBSCANOptions) []*Cluster {
 	return clusters
 }
 
+// Validate reports why a cluster read from a file cannot inform
+// refinement, or nil: DBSCAN writes centers of exactly PathSamples finite
+// points for groups of at least one track.
+func (c *Cluster) Validate() error {
+	if c.Size < 1 {
+		return fmt.Errorf("size %d, want at least 1", c.Size)
+	}
+	if len(c.Center) != PathSamples {
+		return fmt.Errorf("center has %d points, want %d", len(c.Center), PathSamples)
+	}
+	for i, p := range c.Center {
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return fmt.Errorf("center point %d is %v, not finite", i, p)
+		}
+	}
+	return nil
+}
+
 // Index is a uniform-grid spatial index over cluster centers, used to find
 // clusters passing near a track's first and last detections without
 // computing distances to every cluster.
@@ -151,12 +165,12 @@ type Index struct {
 func NewIndex(clusters []*Cluster, cellSize float64) *Index {
 	idx := &Index{clusters: clusters, cellSize: cellSize, cells: map[[2]int][]int{}}
 	for ci, c := range clusters {
-		seen := map[[2]int]bool{}
 		for _, p := range c.Center {
 			cell := [2]int{int(math.Floor(p.X / cellSize)), int(math.Floor(p.Y / cellSize))}
-			if !seen[cell] {
-				seen[cell] = true
-				idx.cells[cell] = append(idx.cells[cell], ci)
+			// A cluster is listed once per cell. Clusters are indexed one
+			// after another, so a cell already holding ci holds it last.
+			if l := idx.cells[cell]; len(l) == 0 || l[len(l)-1] != ci {
+				idx.cells[cell] = append(l, ci)
 			}
 		}
 	}
@@ -166,25 +180,30 @@ func NewIndex(clusters []*Cluster, cellSize float64) *Index {
 // Near returns the indices of clusters whose center passes within roughly
 // radius of p (via grid cells; a superset filter, not an exact test).
 func (idx *Index) Near(p geom.Point, radius float64) []int {
+	return idx.appendNear(nil, make([]bool, len(idx.clusters)), p, radius)
+}
+
+// appendNear appends to dst the clusters near p, in Near's order, that
+// seen (one flag per cluster) does not hold yet, and marks them in seen.
+func (idx *Index) appendNear(dst []int, seen []bool, p geom.Point, radius float64) []int {
 	r := int(math.Ceil(radius / idx.cellSize))
 	cx := int(math.Floor(p.X / idx.cellSize))
 	cy := int(math.Floor(p.Y / idx.cellSize))
-	seen := map[int]bool{}
-	var out []int
 	for dy := -r; dy <= r; dy++ {
 		for dx := -r; dx <= r; dx++ {
 			for _, ci := range idx.cells[[2]int{cx + dx, cy + dy}] {
 				if !seen[ci] {
 					seen[ci] = true
-					out = append(out, ci)
+					dst = append(dst, ci)
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-// Refiner refines track endpoints against an indexed cluster set.
+// Refiner refines track endpoints against an indexed cluster set. Build
+// one with NewRefiner or FromClusters.
 type Refiner struct {
 	Clusters []*Cluster
 	Idx      *Index
@@ -195,38 +214,58 @@ type Refiner struct {
 	// MaxDist is the largest mean path distance at which a cluster may
 	// inform refinement.
 	MaxDist float64
+
+	// centers[i] is Clusters[i].Center resampled to PathSamples points,
+	// the form every track is compared with.
+	centers []geom.Path
 }
 
 // NewRefiner clusters the training tracks and builds the index.
 func NewRefiner(trainPaths []geom.Path, opts DBSCANOptions) *Refiner {
-	clusters := DBSCAN(trainPaths, opts)
-	return &Refiner{
+	return FromClusters(DBSCAN(trainPaths, opts), opts)
+}
+
+// FromClusters builds the refiner over clusters that DBSCAN produced with
+// opts: it indexes the centers and resamples each once.
+func FromClusters(clusters []*Cluster, opts DBSCANOptions) *Refiner {
+	r := &Refiner{
 		Clusters:     clusters,
 		Idx:          NewIndex(clusters, 64),
 		K:            10,
 		SearchRadius: 160,
 		MaxDist:      2.5 * opts.Eps,
+		centers:      make([]geom.Path, len(clusters)),
 	}
+	for i, c := range clusters {
+		r.centers[i] = c.Center.Resample(PathSamples)
+	}
+	return r
+}
+
+// meanDist is geom.PathDist over two paths already resampled to the same
+// number of points.
+func meanDist(a, b geom.Path) float64 {
+	var total float64
+	for i := range a {
+		total += a[i].Dist(b[i])
+	}
+	return total / float64(len(a))
 }
 
 // RefineEndpoints returns the estimated true start and end points for a
 // track captured at a reduced rate: the size-weighted median of the start
 // and end points of the K nearest clusters (by mean path distance) among
 // clusters passing near the track's endpoints. ok is false when no cluster
-// is close enough to inform refinement.
+// is close enough to inform refinement. The track is resampled once per
+// call and compared with every candidate's pre-resampled center, so the
+// allocations of a call do not grow with the number of candidates.
 func (r *Refiner) RefineEndpoints(track geom.Path) (start, end geom.Point, ok bool) {
 	if len(r.Clusters) == 0 || len(track) == 0 {
 		return geom.Point{}, geom.Point{}, false
 	}
-	first := track[0]
-	last := track[len(track)-1]
-	cand := map[int]bool{}
-	for _, ci := range r.Idx.Near(first, r.SearchRadius) {
-		cand[ci] = true
-	}
-	for _, ci := range r.Idx.Near(last, r.SearchRadius) {
-		cand[ci] = true
-	}
+	seen := make([]bool, len(r.Clusters))
+	cand := r.Idx.appendNear(make([]int, 0, len(r.Clusters)), seen, track[0], r.SearchRadius)
+	cand = r.Idx.appendNear(cand, seen, track[len(track)-1], r.SearchRadius)
 	if len(cand) == 0 {
 		return geom.Point{}, geom.Point{}, false
 	}
@@ -234,18 +273,21 @@ func (r *Refiner) RefineEndpoints(track geom.Path) (start, end geom.Point, ok bo
 		ci   int
 		dist float64
 	}
-	var scoredList []scored
-	for ci := range cand {
-		d := geom.PathDist(track, r.Clusters[ci].Center, PathSamples)
-		scoredList = append(scoredList, scored{ci, d})
+	resampled := track.Resample(PathSamples)
+	scoredList := make([]scored, len(cand))
+	for i, ci := range cand {
+		scoredList[i] = scored{ci, meanDist(resampled, r.centers[ci])}
 	}
-	// Ties break on cluster index so the K-nearest cut does not depend on
-	// map iteration order.
-	sort.Slice(scoredList, func(i, j int) bool {
-		if scoredList[i].dist != scoredList[j].dist {
-			return scoredList[i].dist < scoredList[j].dist
+	// Ties break on cluster index, so the order is total and the K-nearest
+	// cut does not depend on the order candidates were found in.
+	slices.SortFunc(scoredList, func(a, b scored) int {
+		switch {
+		case a.dist < b.dist, a.dist == b.dist && a.ci < b.ci:
+			return -1
+		case b.dist < a.dist, a.dist == b.dist && b.ci < a.ci:
+			return 1
 		}
-		return scoredList[i].ci < scoredList[j].ci
+		return 0
 	})
 	// Keep only clusters genuinely similar to the track: a cluster whose
 	// path runs in the opposite direction (or through a different part of
@@ -266,13 +308,14 @@ func (r *Refiner) RefineEndpoints(track geom.Path) (start, end geom.Point, ok bo
 		scoredList = scoredList[:r.K]
 	}
 
-	var starts, ends []geom.Point
-	var weights []float64
-	for _, s := range scoredList {
+	starts := make([]geom.Point, len(scoredList))
+	ends := make([]geom.Point, len(scoredList))
+	weights := make([]float64, len(scoredList))
+	for i, s := range scoredList {
 		c := r.Clusters[s.ci]
-		starts = append(starts, c.Center[0])
-		ends = append(ends, c.Center[len(c.Center)-1])
-		weights = append(weights, float64(c.Size))
+		starts[i] = c.Center[0]
+		ends[i] = c.Center[len(c.Center)-1]
+		weights[i] = float64(c.Size)
 	}
 	start = geom.Point{
 		X: weightedMedian(xs(starts), weights),
@@ -310,7 +353,15 @@ func weightedMedian(vals, weights []float64) float64 {
 		ps[i] = pair{vals[i], weights[i]}
 		total += weights[i]
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
+	slices.SortFunc(ps, func(a, b pair) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case b.v < a.v:
+			return 1
+		}
+		return 0
+	})
 	var cum float64
 	for _, p := range ps {
 		cum += p.w

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"otif/internal/core"
 	"otif/internal/costmodel"
@@ -76,9 +77,13 @@ type cache struct {
 	detTime map[detKey]float64
 	detAcc  map[detKey]float64
 
-	proxyScores [][][]float64 // [model][frame][cell]
-	bestBoxes   [][]geom.Rect // [frame] theta_best detections
-	frameCount  int
+	// proxyCells keeps, per model and frame, the cells scoring at least
+	// the lowest threshold an estimate can ask for (the ladder's, or
+	// theta_best's if lower), in ascending cell order: every cell a
+	// threshold can make positive, and none of the rest.
+	proxyCells [][][]cellScore // [model][frame]
+	bestBoxes  [][]geom.Rect   // [frame] theta_best detections
+	frameCount int
 
 	// proxyEst memoizes estProxyCost results. The cached frames are
 	// immutable after buildCache, so a proxy setting's estimate depends
@@ -88,6 +93,12 @@ type cache struct {
 	// worker pool and stores them in grid order; only the tuning goroutine
 	// reads or writes the map.
 	proxyEst map[proxyEstKey]proxyEstVal
+}
+
+// cellScore is one proxy cell and its score.
+type cellScore struct {
+	cell  int
+	score float64
 }
 
 type detKey struct {
@@ -291,19 +302,23 @@ func buildCache(sys *core.System, metric core.Metric, opts Options, evals map[co
 	if !opts.UseProxy {
 		return c
 	}
-	// Proxy cache: per-cell scores for each trained resolution on the
-	// validation frames sampled at theta_best's gap, plus theta_best
-	// detections for recall measurement.
+	// Proxy cache: the cells each trained resolution scores at or above
+	// the lowest threshold on the validation frames sampled at
+	// theta_best's gap, plus theta_best detections for recall measurement.
+	floor := slices.Min(core.ProxyThreshLadder)
+	if sys.Best.UseProxy && sys.Best.ProxyThresh < floor {
+		floor = sys.Best.ProxyThresh
+	}
 	type clipCache struct {
-		boxes  [][]geom.Rect
-		scores [][][]float64 // [model][frame][cell]
-		acct   *costmodel.Accountant
+		boxes [][]geom.Rect
+		cells [][][]cellScore // [model][frame]
+		acct  *costmodel.Accountant
 	}
 	perClip := parallel.Map(len(sys.DS.Val), func(i int) clipCache {
 		ct := sys.DS.Val[i]
 		cc := clipCache{
-			scores: make([][][]float64, len(sys.Proxies)),
-			acct:   costmodel.NewAccountant(),
+			cells: make([][][]cellScore, len(sys.Proxies)),
+			acct:  costmodel.NewAccountant(),
 		}
 		detector := sys.Detector(sys.Best, cc.acct)
 		reader := video.NewReader(ct.Clip, sys.Best.Gap, detector.Cfg.Width, detector.Cfg.Height, cc.acct)
@@ -319,18 +334,24 @@ func buildCache(sys *core.System, metric core.Metric, opts Options, evals map[co
 			}
 			cc.boxes = append(cc.boxes, boxes)
 			for mi, m := range sys.Proxies {
-				cc.scores[mi] = append(cc.scores[mi], m.Score(frame, sys.Background, cc.acct))
+				var cells []cellScore
+				for cell, score := range m.Score(frame, sys.Background, cc.acct) {
+					if score >= floor {
+						cells = append(cells, cellScore{cell, score})
+					}
+				}
+				cc.cells[mi] = append(cc.cells[mi], cells)
 			}
 		}
 		return cc
 	})
 	acct := costmodel.NewAccountant() // cache-phase cost kept off runtime
-	c.proxyScores = make([][][]float64, len(sys.Proxies))
+	c.proxyCells = make([][][]cellScore, len(sys.Proxies))
 	for _, cc := range perClip {
 		acct.Merge(cc.acct)
 		c.bestBoxes = append(c.bestBoxes, cc.boxes...)
 		for mi := range sys.Proxies {
-			c.proxyScores[mi] = append(c.proxyScores[mi], cc.scores[mi]...)
+			c.proxyCells[mi] = append(c.proxyCells[mi], cc.cells[mi]...)
 		}
 		c.frameCount += len(cc.boxes)
 	}
@@ -464,15 +485,29 @@ func (c *cache) estProxyCost(sys *core.System, cur core.Config, modelIdx int, th
 // proxyEstimate computes the estimate estProxyCost memoizes for key. It
 // only reads the cache, so estimates of different keys may run
 // concurrently; ws must be the window set of key's arch and scale.
+//
+// Each frame marks the cached cells scoring at least key.thresh on an
+// empty grid, groups them, and unmarks them: the grid and the positive
+// list are exactly what ThresholdInto gives over the frame's full scores.
 func (c *cache) proxyEstimate(sys *core.System, key proxyEstKey, ws *proxy.WindowSet) proxyEstVal {
 	m := sys.Proxies[key.model]
 	var totalCost float64
 	covered, totalDets := 0, 0
 	grid := proxy.NewGrid(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH)
 	var grouper proxy.Grouper
+	pos := make([]int, 0, len(grid.Pos))
 	for fi := 0; fi < c.frameCount; fi++ {
-		proxy.ThresholdInto(grid, c.proxyScores[key.model][fi], key.thresh)
-		wins := grouper.Group(grid, ws)
+		pos = pos[:0]
+		for _, cs := range c.proxyCells[key.model][fi] {
+			if cs.score >= key.thresh {
+				grid.Pos[cs.cell] = true
+				pos = append(pos, cs.cell)
+			}
+		}
+		wins := grouper.Group(grid, pos, ws)
+		for _, cell := range pos {
+			grid.Pos[cell] = false
+		}
 		totalCost += costmodel.ProxyCost(m.ResW, m.ResH)
 		for _, w := range wins {
 			idx, ok := ws.IndexOf(int(w.W), int(w.H))

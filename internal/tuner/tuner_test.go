@@ -14,7 +14,7 @@ import (
 var cachedSys *core.System
 var cachedMetric core.Metric
 
-func trainedSystem(t *testing.T) (*core.System, core.Metric) {
+func trainedSystem(t testing.TB) (*core.System, core.Metric) {
 	t.Helper()
 	if cachedSys != nil {
 		return cachedSys, cachedMetric
