@@ -5,19 +5,25 @@
 // (detectors, trackers, proxy models, cost model) so comparisons measure
 // algorithmic differences, not implementation quality — mirroring §4.6,
 // where the authors re-implement Miris/BlazeIt/NoScope for the same reason.
+//
+// A baseline keeps only its policy. A track-query baseline is a per-clip
+// body (core.ClipFunc) per candidate configuration, run over clip sets by
+// core's clip-set runner, the one OTIF's own extraction uses, and scored
+// by Candidate.Evaluate. The frame-level methods rank frames their own way
+// and share one separated, verified selection (selectSeparated).
 package baselines
 
 import (
+	"context"
+
 	"otif/internal/core"
 	"otif/internal/dataset"
+	"otif/internal/tuner"
 )
 
 // Candidate is one tuned parameter configuration of a baseline method,
 // with its validation performance and an executor for fresh clip sets.
 type Candidate struct {
-	Label string
-	// Run executes the candidate over a clip set (typically the test set).
-	Run func(clips []*dataset.ClipTruth) *core.SetResult
 	// ValAccuracy and ValRuntime are measured on the validation set.
 	ValAccuracy float64
 	ValRuntime  float64
@@ -25,6 +31,32 @@ type Candidate struct {
 	// for each additional query (1 for fully query-driven methods like
 	// Miris, 0 for query-agnostic pre-processors).
 	QueryFraction float64
+
+	sys  *core.System
+	body core.ClipFunc
+}
+
+// newCandidate is the candidate that runs body on sys, measured on the
+// validation set.
+func newCandidate(sys *core.System, metric core.Metric, body core.ClipFunc) Candidate {
+	c := Candidate{sys: sys, body: body}
+	val := c.Evaluate(sys.DS.Val, metric)
+	c.ValAccuracy, c.ValRuntime = val.Accuracy, val.Runtime
+	return c
+}
+
+// Run executes the candidate over a clip set (typically the test set) on
+// core's clip-set runner.
+func (c Candidate) Run(clips []*dataset.ClipTruth) *core.SetResult {
+	// context.Background is never canceled, so the error is always nil.
+	res, _ := c.sys.RunClips(context.Background(), clips, c.body)
+	return res
+}
+
+// Evaluate runs the candidate over clips and scores its tracks with metric.
+func (c Candidate) Evaluate(clips []*dataset.ClipTruth, metric core.Metric) tuner.Point {
+	res := c.Run(clips)
+	return tuner.Point{Runtime: res.Runtime, Accuracy: metric.Accuracy(res.PerClip, clips)}
 }
 
 // TrackMethod is a baseline for the object track queries of §4.1.

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"sync"
 	"testing"
 
 	"otif/internal/core"
@@ -37,12 +38,12 @@ func TestAllBaselinesProduceCandidates(t *testing.T) {
 			t.Errorf("%s produced no candidates", m.Name())
 			continue
 		}
-		for _, c := range cands {
+		for i, c := range cands {
 			if c.ValRuntime <= 0 {
-				t.Errorf("%s candidate %s has zero runtime", m.Name(), c.Label)
+				t.Errorf("%s candidate %d has zero runtime", m.Name(), i)
 			}
 			if c.ValAccuracy < 0 || c.ValAccuracy > 1 {
-				t.Errorf("%s candidate %s accuracy out of range: %v", m.Name(), c.Label, c.ValAccuracy)
+				t.Errorf("%s candidate %d accuracy out of range: %v", m.Name(), i, c.ValAccuracy)
 			}
 		}
 		// Candidates run on a fresh set.
@@ -97,9 +98,9 @@ func TestNoScopeThresholdZeroEqualsFullDetection(t *testing.T) {
 	cands := ns.Tune(sys, metric)
 	// Threshold 0 processes everything -> best accuracy of the sweep.
 	first := cands[0]
-	for _, c := range cands[1:] {
+	for i, c := range cands[1:] {
 		if c.ValAccuracy > first.ValAccuracy+0.1 {
-			t.Errorf("higher threshold (%s) beat full detection by a lot", c.Label)
+			t.Errorf("higher threshold (%v) beat full detection by a lot", ns.Thresholds[i+1])
 		}
 	}
 	// The extreme threshold should be cheaper than full detection.
@@ -115,14 +116,15 @@ func TestCenterTrackPerformsPoorlyAtReducedRate(t *testing.T) {
 	cands := ct.Tune(sys, metric)
 	// Find its best native-rate accuracy and its best gap-4 accuracy;
 	// without gap augmentation the reduced-rate accuracy should drop.
+	// Candidates sweep every gap for each scale.
 	var nativeBest, gap4Best float64
-	for _, c := range cands {
-		switch {
-		case hasSuffix(c.Label, "-g1"):
+	for i, c := range cands {
+		switch ct.Gaps[i%len(ct.Gaps)] {
+		case 1:
 			if c.ValAccuracy > nativeBest {
 				nativeBest = c.ValAccuracy
 			}
-		case hasSuffix(c.Label, "-g4"):
+		case 4:
 			if c.ValAccuracy > gap4Best {
 				gap4Best = c.ValAccuracy
 			}
@@ -134,10 +136,6 @@ func TestCenterTrackPerformsPoorlyAtReducedRate(t *testing.T) {
 	if gap4Best > nativeBest+0.05 {
 		t.Errorf("native-rate tracker unexpectedly better at gap 4 (%v vs %v)", gap4Best, nativeBest)
 	}
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }
 
 func TestFrameQueryMachinery(t *testing.T) {
@@ -159,7 +157,7 @@ func TestFrameQueryMachinery(t *testing.T) {
 		t.Skip("no cars in clip")
 	}
 	refs := []frameRef{{0, 0}, {0, 5}, {0, 100}, {1, 0}}
-	out := selectSeparated(refs, 3, 50)
+	out := selectSeparated(refs, 3, 50, nil)
 	if len(out) != 3 {
 		t.Fatalf("selectSeparated = %v", out)
 	}
@@ -237,5 +235,48 @@ func TestOTIFFramesReusesTracks(t *testing.T) {
 	}
 	if r2.QueryTime >= r1.PreprocessTime/10 {
 		t.Errorf("query time %v should be far below pre-processing %v", r2.QueryTime, r1.PreprocessTime)
+	}
+}
+
+// TestCenterTrackLeavesSystemUntouched: CenterTrack runs its native-rate
+// matching model without writing the shared System, so a Miris candidate
+// running at the same time on the same System (Miris tracks with the
+// System's own pair model) tracks exactly as it does alone, and sys.Pair
+// never changes.
+func TestCenterTrackLeavesSystemUntouched(t *testing.T) {
+	sys, metric := trainedSystem(t)
+	pair := sys.Pair
+	centerTrack := NewCenterTrack().Tune(sys, metric)
+	miris := NewMiris().Tune(sys, metric)[2]
+	want := tracksDigest(miris.Run(sys.DS.Test).PerClip)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, c := range centerTrack[len(centerTrack)-2:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					c.Run(sys.DS.Test)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		if got := tracksDigest(miris.Run(sys.DS.Test).PerClip); got != want {
+			t.Errorf("run %d: Miris tracks %#x beside CenterTrack, %#x alone", i, got, want)
+		}
+		if sys.Pair != pair {
+			t.Errorf("run %d: sys.Pair changed while CenterTrack ran", i)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if sys.Pair != pair {
+		t.Error("sys.Pair changed after CenterTrack ran")
 	}
 }

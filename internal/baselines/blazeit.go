@@ -1,13 +1,9 @@
 package baselines
 
 import (
-	"sort"
-
 	"otif/internal/core"
 	"otif/internal/costmodel"
 	"otif/internal/dataset"
-	"otif/internal/detect"
-	"otif/internal/geom"
 )
 
 // BlazeIt is our implementation of the BlazeIt video query engine (Kang et
@@ -43,10 +39,6 @@ func (b *BlazeIt) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset
 	acctPre := costmodel.NewAccountant()
 	pm := sys.Proxies[len(sys.Proxies)-1]
 
-	type scored struct {
-		ref   frameRef
-		score float64
-	}
 	var frames []scored
 	for ci, ct := range clips {
 		for f := 0; f < ct.Clip.Len(); f++ {
@@ -58,36 +50,12 @@ func (b *BlazeIt) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset
 				QueryScore(q, scores, sys.DS.Cfg.NomW, sys.DS.Cfg.NomH)})
 		}
 	}
-	sort.SliceStable(frames, func(i, j int) bool { return frames[i].score > frames[j].score })
 
 	// Query execution: detector in score order until limit reached.
 	acctQ := costmodel.NewAccountant()
-	detector := sys.Detector(sys.Best, acctQ)
-	minSep := int(q.MinSepSec * float64(sys.DS.Cfg.FPS))
-	var outputs []frameRef
 	apps := 0
-	for _, cand := range frames {
-		if len(outputs) >= q.Limit {
-			break
-		}
-		okSep := true
-		for _, o := range outputs {
-			if o.clip == cand.ref.clip && max(o.frame-cand.ref.frame, cand.ref.frame-o.frame) < minSep {
-				okSep = false
-				break
-			}
-		}
-		if !okSep {
-			continue
-		}
-		frame := clips[cand.ref.clip].Clip.Frame(cand.ref.frame)
-		dets := detector.Detect(frame, cand.ref.frame)
-		apps++
-		boxes := boxesOf(dets, q.Category)
-		if _, ok := q.Pred.Eval(boxes); ok {
-			outputs = append(outputs, cand.ref)
-		}
-	}
+	check := detectorCheck(sys.Detector(sys.Best, acctQ), clips, q, &apps)
+	outputs := selectSeparated(ranked(frames), q.Limit, int(q.MinSepSec*float64(sys.DS.Cfg.FPS)), check)
 
 	return FrameLevelResult{
 		PreprocessTime: acctPre.Total(),
@@ -96,15 +64,4 @@ func (b *BlazeIt) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset
 		Returned:       len(outputs),
 		DetectorApps:   apps,
 	}
-}
-
-// boxesOf extracts the boxes of the category from detections.
-func boxesOf(dets []detect.Detection, cat string) []geom.Rect {
-	var out []geom.Rect
-	for _, d := range dets {
-		if cat == "" || d.Category == cat {
-			out = append(out, d.Box)
-		}
-	}
-	return out
 }

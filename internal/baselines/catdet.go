@@ -1,11 +1,10 @@
 package baselines
 
 import (
-	"fmt"
+	"context"
 
 	"otif/internal/core"
 	"otif/internal/costmodel"
-	"otif/internal/dataset"
 	"otif/internal/detect"
 	"otif/internal/geom"
 	"otif/internal/query"
@@ -35,63 +34,51 @@ func (c *CaTDet) Name() string { return "CaTDet" }
 func (c *CaTDet) Tune(sys *core.System, metric core.Metric) []Candidate {
 	var out []Candidate
 	for _, scale := range c.ProposalScales {
-		scale := scale
-		run := func(clips []*dataset.ClipTruth) *core.SetResult {
-			return c.runSet(sys, scale, clips)
-		}
-		res := run(sys.DS.Val)
-		out = append(out, Candidate{
-			Label:       fmt.Sprintf("catdet@%.2f", scale),
-			Run:         run,
-			ValAccuracy: metric.Accuracy(res.PerClip, sys.DS.Val),
-			ValRuntime:  res.Runtime,
-		})
+		out = append(out, newCandidate(sys, metric, func(_ context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+			return c.runClip(sys, scale, clip, acct)
+		}))
 	}
 	return out
 }
 
-func (c *CaTDet) runSet(sys *core.System, proposalScale float64, clips []*dataset.ClipTruth) *core.SetResult {
-	acct := costmodel.NewAccountant()
-	out := &core.SetResult{PerClip: make([][]*query.Track, len(clips))}
+// runClip runs the refinement detector on every frame of clip inside the
+// regions of interest and tracks its detections with SORT.
+func (c *CaTDet) runClip(sys *core.System, proposalScale float64, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
 	nomW, nomH := sys.DS.Cfg.NomW, sys.DS.Cfg.NomH
-	propW := int(float64(nomW) * proposalScale)
-	propH := int(float64(nomH) * proposalScale)
-	for i, ct := range clips {
-		proposal := &detect.Detector{
-			Cfg:        detect.Config{Arch: detect.ArchYOLO, Width: propW, Height: propH, ConfThresh: 0.1},
-			Background: sys.Background,
-			Classify:   sys.Classifier,
-			Acct:       acct,
-		}
-		refiner := sys.Detector(sys.Best, acct)
-		tracker := track.NewSORT()
-		var lastDets []detect.Detection
-		reader := video.NewReader(ct.Clip, 1, nomW, nomH, acct)
-		for {
-			frame, idx := reader.Next()
-			if frame == nil {
-				break
-			}
-			// Regions of interest: cheap proposals plus last frame's
-			// tracked objects, dilated.
-			props := proposal.Detect(frame, idx)
-			var rois []geom.Rect
-			for _, p := range props {
-				rois = append(rois, dilate(p.Box, 1.6).Clip(frame.Bounds()))
-			}
-			for _, d := range lastDets {
-				rois = append(rois, dilate(d.Box, 1.8).Clip(frame.Bounds()))
-			}
-			rois = mergeROIs(rois)
-			dets := refiner.DetectWindows(frame, idx, rois)
-			lastDets = dets
-			tracker.Update(&track.FrameContext{FrameIdx: idx, GapFrames: 1}, dets)
-		}
-		out.PerClip[i] = core.StoredTracks(track.PruneShort(tracker.Finish(), 2))
+	proposal := &detect.Detector{
+		Cfg: detect.Config{
+			Arch: detect.ArchYOLO, ConfThresh: 0.1,
+			Width: int(float64(nomW) * proposalScale), Height: int(float64(nomH) * proposalScale),
+		},
+		Background: sys.Background,
+		Classify:   sys.Classifier,
+		Acct:       acct,
 	}
-	out.Runtime = acct.Total()
-	out.Breakdown = acct.Breakdown()
-	return out
+	refiner := sys.Detector(sys.Best, acct)
+	tracker := track.NewSORT()
+	var lastDets []detect.Detection
+	reader := video.NewReader(clip, 1, nomW, nomH, acct)
+	for {
+		frame, idx := reader.Next()
+		if frame == nil {
+			break
+		}
+		// Regions of interest: cheap proposals plus last frame's
+		// tracked objects, dilated.
+		props := proposal.Detect(frame, idx)
+		var rois []geom.Rect
+		for _, p := range props {
+			rois = append(rois, dilate(p.Box, 1.6).Clip(frame.Bounds()))
+		}
+		for _, d := range lastDets {
+			rois = append(rois, dilate(d.Box, 1.8).Clip(frame.Bounds()))
+		}
+		rois = mergeROIs(rois)
+		dets := refiner.DetectWindows(frame, idx, rois)
+		lastDets = dets
+		tracker.Update(&track.FrameContext{FrameIdx: idx, GapFrames: 1}, dets)
+	}
+	return core.StoredTracks(track.PruneShort(tracker.Finish(), 2))
 }
 
 func dilate(r geom.Rect, f float64) geom.Rect {

@@ -1,11 +1,9 @@
 package baselines
 
 import (
-	"fmt"
 	"math/rand"
 
 	"otif/internal/core"
-	"otif/internal/dataset"
 	"otif/internal/track"
 )
 
@@ -51,37 +49,23 @@ func (c *CenterTrack) Tune(sys *core.System, metric core.Metric) []Candidate {
 		track.TrainPair(c.model, clips, opts, sys.Acct)
 	}
 
+	// CenterTrack runs on a shallow copy of the system whose pair model
+	// is the native-rate one, so the pipeline machinery is reused while
+	// the matching behaviour is CenterTrack's, and the shared system is
+	// never written.
+	native := *sys
+	native.Pair = c.model
 	var out []Candidate
 	for _, scale := range c.Scales {
 		for _, gap := range c.Gaps {
-			cfg := core.Config{
+			out = append(out, newCandidate(sys, metric, native.Extractor(core.Config{
 				Arch:     sys.Best.Arch,
 				DetScale: scale,
 				DetConf:  core.DetConfDefault,
 				Gap:      gap,
 				Tracker:  core.TrackerPair,
-			}
-			run := c.runner(sys, cfg)
-			res := run(sys.DS.Val)
-			out = append(out, Candidate{
-				Label:       fmt.Sprintf("ctrack@%.2f-g%d", scale, gap),
-				Run:         run,
-				ValAccuracy: metric.Accuracy(res.PerClip, sys.DS.Val),
-				ValRuntime:  res.Runtime,
-			})
+			})))
 		}
 	}
 	return out
-}
-
-// runner swaps the system's gap-augmented pair model for the native-rate
-// one around each execution so the pipeline machinery can be reused while
-// the matching behaviour is CenterTrack's.
-func (c *CenterTrack) runner(sys *core.System, cfg core.Config) func([]*dataset.ClipTruth) *core.SetResult {
-	return func(clips []*dataset.ClipTruth) *core.SetResult {
-		saved := sys.Pair
-		sys.Pair = c.model
-		defer func() { sys.Pair = saved }()
-		return sys.RunSet(cfg, clips)
-	}
 }

@@ -1,10 +1,7 @@
 package baselines
 
 import (
-	"fmt"
-
 	"otif/internal/core"
-	"otif/internal/dataset"
 	"otif/internal/detect"
 	"otif/internal/tuner"
 )
@@ -45,16 +42,12 @@ func (c *Chameleon) Tune(sys *core.System, metric core.Metric) []Candidate {
 			Arch: k.arch, DetScale: k.scale, DetConf: core.DetConfDefault,
 			Gap: k.gap, Tracker: core.TrackerSORT,
 		}
-		run := func(clips []*dataset.ClipTruth) *core.SetResult {
-			return sys.RunSet(cfg, clips)
-		}
-		res := run(sys.DS.Val)
-		p := tuner.Point{Cfg: cfg, Runtime: res.Runtime, Accuracy: metric.Accuracy(res.PerClip, sys.DS.Val)}
+		p := tuner.Evaluate(sys, cfg, sys.DS.Val, metric)
 		return Candidate{
-			Label:       fmt.Sprintf("cham-%s@%.2f-g%d", k.arch, k.scale, k.gap),
-			Run:         run,
 			ValAccuracy: p.Accuracy,
 			ValRuntime:  p.Runtime,
+			sys:         sys,
+			body:        sys.Extractor(cfg),
 		}, p
 	}
 

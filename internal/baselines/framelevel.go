@@ -2,8 +2,10 @@ package baselines
 
 import (
 	"math"
+	"sort"
 
 	"otif/internal/dataset"
+	"otif/internal/detect"
 	"otif/internal/geom"
 	"otif/internal/proxy"
 	"otif/internal/query"
@@ -127,9 +129,27 @@ func measureAccuracy(clips []*dataset.ClipTruth, q FrameQuery, outputs []frameRe
 	return float64(ok) / float64(len(outputs))
 }
 
-// selectSeparated walks candidate frames in order and keeps up to limit of
-// them subject to the per-clip minimum separation.
-func selectSeparated(cands []frameRef, limit, minSepFrames int) []frameRef {
+// scored is a candidate frame with its rank score.
+type scored struct {
+	ref   frameRef
+	score float64
+}
+
+// ranked returns the frames by descending score, ties in input order.
+func ranked(frames []scored) []frameRef {
+	sort.SliceStable(frames, func(i, j int) bool { return frames[i].score > frames[j].score })
+	refs := make([]frameRef, len(frames))
+	for i, f := range frames {
+		refs[i] = f.ref
+	}
+	return refs
+}
+
+// selectSeparated walks candidate frames in rank order and keeps up to
+// limit of them: a frame within minSepFrames of a kept frame of the same
+// clip is skipped, and any other is kept if accept (nil accepts every
+// frame) says so.
+func selectSeparated(cands []frameRef, limit, minSepFrames int, accept func(frameRef) bool) []frameRef {
 	var out []frameRef
 	for _, c := range cands {
 		if len(out) >= limit {
@@ -142,8 +162,31 @@ func selectSeparated(cands []frameRef, limit, minSepFrames int) []frameRef {
 				break
 			}
 		}
-		if okSep {
+		if okSep && (accept == nil || accept(c)) {
 			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// detectorCheck returns the query-execution check of BlazeIt and TASTI: it
+// applies detector to the frame, counting the application in apps, and
+// reports whether the detections satisfy q.
+func detectorCheck(detector *detect.Detector, clips []*dataset.ClipTruth, q FrameQuery, apps *int) func(frameRef) bool {
+	return func(r frameRef) bool {
+		*apps++
+		dets := detector.Detect(clips[r.clip].Clip.Frame(r.frame), r.frame)
+		_, ok := q.Pred.Eval(boxesOf(dets, q.Category))
+		return ok
+	}
+}
+
+// boxesOf extracts the boxes of the category from detections.
+func boxesOf(dets []detect.Detection, cat string) []geom.Rect {
+	var out []geom.Rect
+	for _, d := range dets {
+		if cat == "" || d.Category == cat {
+			out = append(out, d.Box)
 		}
 	}
 	return out

@@ -1,12 +1,11 @@
 package baselines
 
 import (
-	"fmt"
+	"context"
 	"math"
 
 	"otif/internal/core"
 	"otif/internal/costmodel"
-	"otif/internal/dataset"
 	"otif/internal/detect"
 	"otif/internal/geom"
 	"otif/internal/query"
@@ -42,30 +41,12 @@ func (m *Miris) Name() string { return "Miris" }
 func (m *Miris) Tune(sys *core.System, metric core.Metric) []Candidate {
 	var out []Candidate
 	for _, gap := range m.Gaps {
-		gap := gap
-		run := func(clips []*dataset.ClipTruth) *core.SetResult {
-			return m.runSet(sys, gap, clips)
-		}
-		res := run(sys.DS.Val)
-		out = append(out, Candidate{
-			Label:         fmt.Sprintf("miris-g%d", gap),
-			Run:           run,
-			ValAccuracy:   metric.Accuracy(res.PerClip, sys.DS.Val),
-			ValRuntime:    res.Runtime,
-			QueryFraction: 1,
+		c := newCandidate(sys, metric, func(_ context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+			return m.runClip(sys, gap, clip, acct)
 		})
+		c.QueryFraction = 1
+		out = append(out, c)
 	}
-	return out
-}
-
-func (m *Miris) runSet(sys *core.System, gap int, clips []*dataset.ClipTruth) *core.SetResult {
-	acct := costmodel.NewAccountant()
-	out := &core.SetResult{PerClip: make([][]*query.Track, len(clips))}
-	for i, ct := range clips {
-		out.PerClip[i] = m.runClip(sys, gap, ct, acct)
-	}
-	out.Runtime = acct.Total()
-	out.Breakdown = acct.Breakdown()
 	return out
 }
 
@@ -73,7 +54,7 @@ func (m *Miris) runSet(sys *core.System, gap int, clips []*dataset.ClipTruth) *c
 // refines each track's start and end by decoding intermediate frames and
 // detecting in a window around the extrapolated position, halving the
 // lookback gap until the entry/exit frame is pinned down.
-func (m *Miris) runClip(sys *core.System, gap int, ct *dataset.ClipTruth, acct *costmodel.Accountant) []*query.Track {
+func (m *Miris) runClip(sys *core.System, gap int, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
 	cfg := core.Config{
 		Arch:     sys.Best.Arch,
 		DetScale: sys.Best.DetScale,
@@ -81,11 +62,11 @@ func (m *Miris) runClip(sys *core.System, gap int, ct *dataset.ClipTruth, acct *
 		Gap:      gap,
 		Tracker:  core.TrackerPair,
 	}
-	tracks := sys.RunClip(cfg, ct.Clip, acct, nil)
+	tracks := sys.RunClip(cfg, clip, acct, nil)
 	detector := sys.Detector(cfg, acct)
 	for _, t := range tracks {
-		m.refineEnd(sys, detector, ct.Clip, t, acct, false)
-		m.refineEnd(sys, detector, ct.Clip, t, acct, true)
+		m.refineEnd(detector, clip, t, acct, false)
+		m.refineEnd(detector, clip, t, acct, true)
 	}
 	return core.StoredTracks(tracks)
 }
@@ -95,7 +76,7 @@ func (m *Miris) runClip(sys *core.System, gap int, ct *dataset.ClipTruth, acct *
 // runs the detector in a window around the velocity-extrapolated box, and
 // keeps stepping outward (halving on misses) until the object is no longer
 // found or the clip boundary is reached.
-func (m *Miris) refineEnd(sys *core.System, detector *detect.Detector, clip *video.Clip, t *track.Track, acct *costmodel.Accountant, forward bool) {
+func (m *Miris) refineEnd(detector *detect.Detector, clip *video.Clip, t *track.Track, acct *costmodel.Accountant, forward bool) {
 	if len(t.Dets) < 2 {
 		return
 	}

@@ -1,11 +1,10 @@
 package baselines
 
 import (
-	"fmt"
+	"context"
 
 	"otif/internal/core"
 	"otif/internal/costmodel"
-	"otif/internal/dataset"
 	"otif/internal/detect"
 	"otif/internal/query"
 	"otif/internal/track"
@@ -39,53 +38,39 @@ func (n *NoScope) Name() string { return "NoScope" }
 func (n *NoScope) Tune(sys *core.System, metric core.Metric) []Candidate {
 	var out []Candidate
 	for _, th := range n.Thresholds {
-		th := th
-		run := func(clips []*dataset.ClipTruth) *core.SetResult {
-			return n.runSet(sys, th, clips)
-		}
-		res := run(sys.DS.Val)
-		out = append(out, Candidate{
-			Label:       fmt.Sprintf("noscope@%.2f", th),
-			Run:         run,
-			ValAccuracy: metric.Accuracy(res.PerClip, sys.DS.Val),
-			ValRuntime:  res.Runtime,
-		})
+		out = append(out, newCandidate(sys, metric, func(_ context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+			return n.runClip(sys, th, clip, acct)
+		}))
 	}
 	return out
 }
 
-func (n *NoScope) runSet(sys *core.System, threshold float64, clips []*dataset.ClipTruth) *core.SetResult {
-	acct := costmodel.NewAccountant()
-	out := &core.SetResult{PerClip: make([][]*query.Track, len(clips))}
+// runClip runs the detector on every frame of clip whose frame score
+// reaches threshold and tracks the detections with SORT.
+func (n *NoScope) runClip(sys *core.System, threshold float64, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
 	proxyModel := sys.Proxies[len(sys.Proxies)-1] // lowest resolution
 	// The detector uses theta_best's architecture and resolution, so the
 	// threshold-zero candidate is exactly the naive fallback configuration.
-	detW, detH := sys.Best.DetRes(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH)
-	for i, ct := range clips {
-		detector := sys.Detector(sys.Best, acct)
-		tracker := track.NewSORT()
-		reader := video.NewReader(ct.Clip, 1, detW, detH, acct)
-		for {
-			frame, idx := reader.Next()
-			if frame == nil {
-				break
-			}
-			scores := proxyModel.Score(frame, sys.Background, acct)
-			frameScore := 0.0
-			for _, s := range scores {
-				if s > frameScore {
-					frameScore = s
-				}
-			}
-			var dets []detect.Detection
-			if frameScore >= threshold {
-				dets = detector.Detect(frame, idx)
-			}
-			tracker.Update(&track.FrameContext{FrameIdx: idx, GapFrames: 1}, dets)
+	detector := sys.Detector(sys.Best, acct)
+	tracker := track.NewSORT()
+	reader := video.NewReader(clip, 1, detector.Cfg.Width, detector.Cfg.Height, acct)
+	for {
+		frame, idx := reader.Next()
+		if frame == nil {
+			break
 		}
-		out.PerClip[i] = core.StoredTracks(track.PruneShort(tracker.Finish(), 2))
+		scores := proxyModel.Score(frame, sys.Background, acct)
+		frameScore := 0.0
+		for _, s := range scores {
+			if s > frameScore {
+				frameScore = s
+			}
+		}
+		var dets []detect.Detection
+		if frameScore >= threshold {
+			dets = detector.Detect(frame, idx)
+		}
+		tracker.Update(&track.FrameContext{FrameIdx: idx, GapFrames: 1}, dets)
 	}
-	out.Runtime = acct.Total()
-	out.Breakdown = acct.Breakdown()
-	return out
+	return core.StoredTracks(track.PruneShort(tracker.Finish(), 2))
 }

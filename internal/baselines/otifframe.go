@@ -45,29 +45,15 @@ func (o *OTIFFrames) RunFrameQuery(sys *core.System, q FrameQuery, clips []*data
 
 	// Gather per-clip matches ranked by the minimum duration of their
 	// visible tracks (§4.2), then interleave clips preserving rank order.
-	type ranked struct {
-		ref frameRef
-		dur int
-	}
-	var cands []ranked
+	var cands []scored
 	for ci, tracks := range o.tracksPerClip {
 		ctx.Frames = clips[ci].Clip.Len()
 		acct.Add(costmodel.OpQuery, perFrameScanCost*float64(ctx.Frames)*float64(1+len(tracks)))
 		for _, m := range query.LimitQuery(tracks, q.Category, q.Pred, ctx, q.Limit, minSep) {
-			cands = append(cands, ranked{frameRef{ci, m.FrameIdx}, m.MinDuration})
+			cands = append(cands, scored{frameRef{ci, m.FrameIdx}, float64(m.MinDuration)})
 		}
 	}
-	// Sort by duration descending (stable on clip/frame for determinism).
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].dur > cands[j-1].dur; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	refs := make([]frameRef, len(cands))
-	for i, c := range cands {
-		refs[i] = c.ref
-	}
-	outputs := selectSeparated(refs, q.Limit, minSep)
+	outputs := selectSeparated(ranked(cands), q.Limit, minSep, nil)
 
 	return FrameLevelResult{
 		PreprocessTime: o.preprocess,

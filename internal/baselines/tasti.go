@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"math/rand"
-	"sort"
 
 	"otif/internal/core"
 	"otif/internal/costmodel"
@@ -65,7 +64,8 @@ func (t *TASTI) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset.C
 	}
 
 	acctQ := costmodel.NewAccountant()
-	detector := sys.Detector(sys.Best, acctQ)
+	apps := 0
+	check := detectorCheck(sys.Detector(sys.Best, acctQ), clips, q, &apps)
 
 	// Train the query-specific scoring model on LabelFrames frames spread
 	// across the set, labeled by applying the detector (these detector
@@ -75,7 +75,6 @@ func (t *TASTI) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset.C
 	scorer := nn.NewLogReg(dim, rng)
 	var xs []nn.Vec
 	var labels []float64
-	apps := 0
 	total := 0
 	for _, ct := range clips {
 		total += ct.Clip.Len()
@@ -88,12 +87,8 @@ func (t *TASTI) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset.C
 	for ci, ct := range clips {
 		for f := 0; f < ct.Clip.Len(); f++ {
 			if k%step == 0 {
-				frame := ct.Clip.Frame(f)
-				dets := detector.Detect(frame, f)
-				apps++
-				boxes := boxesOf(dets, q.Category)
 				xs = append(xs, embeddings[ci][f])
-				if _, ok := q.Pred.Eval(boxes); ok {
+				if check(frameRef{ci, f}) {
 					labels = append(labels, 1)
 				} else {
 					labels = append(labels, 0)
@@ -104,43 +99,14 @@ func (t *TASTI) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset.C
 	}
 	scorer.TrainEpochs(xs, labels, 30, 0.3, 1e-4, rng)
 
-	// Rank every frame by the scorer.
-	type scored struct {
-		ref   frameRef
-		score float64
-	}
+	// Rank every frame by the scorer and verify in that order.
 	var frames []scored
 	for ci := range clips {
 		for f, emb := range embeddings[ci] {
 			frames = append(frames, scored{frameRef{ci, f}, scorer.Predict(emb)})
 		}
 	}
-	sort.SliceStable(frames, func(i, j int) bool { return frames[i].score > frames[j].score })
-
-	minSep := int(q.MinSepSec * float64(sys.DS.Cfg.FPS))
-	var outputs []frameRef
-	for _, cand := range frames {
-		if len(outputs) >= q.Limit {
-			break
-		}
-		okSep := true
-		for _, o := range outputs {
-			if o.clip == cand.ref.clip && max(o.frame-cand.ref.frame, cand.ref.frame-o.frame) < minSep {
-				okSep = false
-				break
-			}
-		}
-		if !okSep {
-			continue
-		}
-		frame := clips[cand.ref.clip].Clip.Frame(cand.ref.frame)
-		dets := detector.Detect(frame, cand.ref.frame)
-		apps++
-		boxes := boxesOf(dets, q.Category)
-		if _, ok := q.Pred.Eval(boxes); ok {
-			outputs = append(outputs, cand.ref)
-		}
-	}
+	outputs := selectSeparated(ranked(frames), q.Limit, int(q.MinSepSec*float64(sys.DS.Cfg.FPS)), check)
 
 	return FrameLevelResult{
 		PreprocessTime: preprocessTime,

@@ -83,12 +83,7 @@ func (s *Suite) Table4(w io.Writer, datasets []string) ([]Table4Row, error) {
 		for i, v := range variants {
 			valCurve := tuner.Tune(t.Sys, t.Metric, v.opts())
 			for _, p := range valCurve {
-				res := t.Sys.RunSet(p.Cfg, t.Sys.DS.Test)
-				tp := tuner.Point{
-					Cfg:      p.Cfg,
-					Runtime:  res.Runtime,
-					Accuracy: t.Metric.Accuracy(res.PerClip, t.Sys.DS.Test),
-				}
+				tp := tuner.Evaluate(t.Sys, p.Cfg, t.Sys.DS.Test, t.Metric)
 				curves[i].pts = append(curves[i].pts, tp)
 				if tp.Accuracy > bestAcc {
 					bestAcc = tp.Accuracy

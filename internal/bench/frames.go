@@ -92,20 +92,13 @@ func buildFrameQuery(t *trained, kind string) baselines.FrameQuery {
 func (s *Suite) Table3(w io.Writer, datasets []string) (*Table3Result, error) {
 	pairs := frameQueryDatasets
 	if len(datasets) > 0 {
-		var filtered []struct{ ds, kind string }
-		for _, p := range pairs {
+		pairs = nil
+		for _, p := range frameQueryDatasets {
 			for _, d := range datasets {
 				if p.ds == d {
-					filtered = append(filtered, struct{ ds, kind string }{p.ds, p.kind})
+					pairs = append(pairs, p)
 				}
 			}
-		}
-		pairs = nil
-		for _, f := range filtered {
-			pairs = append(pairs, struct {
-				ds   string
-				kind string
-			}{f.ds, f.kind})
 		}
 	}
 	scale := s.EquivScale()

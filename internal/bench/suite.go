@@ -100,17 +100,12 @@ type MethodCurve struct {
 	QueryFraction float64
 }
 
-// testPoint re-evaluates one validation-chosen configuration on the test
-// set.
+// testPointsOTIF re-evaluates each validation-chosen configuration on the
+// test set.
 func testPointsOTIF(t *trained) []tuner.Point {
 	pts := make([]tuner.Point, 0, len(t.Curve))
 	for _, p := range t.Curve {
-		res := t.Sys.RunSet(p.Cfg, t.Sys.DS.Test)
-		pts = append(pts, tuner.Point{
-			Cfg:      p.Cfg,
-			Runtime:  res.Runtime,
-			Accuracy: t.Metric.Accuracy(res.PerClip, t.Sys.DS.Test),
-		})
+		pts = append(pts, tuner.Evaluate(t.Sys, p.Cfg, t.Sys.DS.Test, t.Metric))
 	}
 	return pts
 }
@@ -139,11 +134,7 @@ func (s *Suite) TrackCurves(name string) ([]MethodCurve, error) {
 				if !onPareto(valPts, i) {
 					continue
 				}
-				res := c.Run(t.Sys.DS.Test)
-				pts = append(pts, tuner.Point{
-					Runtime:  res.Runtime,
-					Accuracy: t.Metric.Accuracy(res.PerClip, t.Sys.DS.Test),
-				})
+				pts = append(pts, c.Evaluate(t.Sys.DS.Test, t.Metric))
 				qf = c.QueryFraction
 			}
 			out = append(out, MethodCurve{Method: m.Name(), Points: pts, QueryFraction: qf})

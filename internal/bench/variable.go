@@ -35,11 +35,10 @@ func (s *Suite) VariableGap(w io.Writer, name string) (*VariableGapResult, error
 	varCfg := pt.Cfg
 	varCfg.VariableGap = true
 
-	res := &VariableGapResult{}
-	fr := t.Sys.RunSet(fixedCfg, t.Sys.DS.Test)
-	res.Fixed = tuner.Point{Cfg: fixedCfg, Runtime: fr.Runtime, Accuracy: t.Metric.Accuracy(fr.PerClip, t.Sys.DS.Test)}
-	vr := t.Sys.RunSet(varCfg, t.Sys.DS.Test)
-	res.Variable = tuner.Point{Cfg: varCfg, Runtime: vr.Runtime, Accuracy: t.Metric.Accuracy(vr.PerClip, t.Sys.DS.Test)}
+	res := &VariableGapResult{
+		Fixed:    tuner.Evaluate(t.Sys, fixedCfg, t.Sys.DS.Test, t.Metric),
+		Variable: tuner.Evaluate(t.Sys, varCfg, t.Sys.DS.Test, t.Metric),
+	}
 
 	fprintf(w, "Variable-rate ablation [%s] (config %v):\n", name, pt.Cfg)
 	fprintf(w, "  fixed gap:    %7.1f s  accuracy %.3f\n", res.Fixed.Runtime*scale, res.Fixed.Accuracy)

@@ -73,9 +73,6 @@ func TestQueryTracksWithoutRefinerIsIdentity(t *testing.T) {
 func TestClassifierForAllDatasets(t *testing.T) {
 	sys := smallSystem(t)
 	c := ClassifierFor(sys.DS)
-	if c == nil {
-		t.Fatal("nil classifier")
-	}
 	// Caldot has buses configured, so very large boxes are buses.
 	if got := c.Classify(geom.Rect{W: 300, H: 120}); got != "bus" {
 		t.Errorf("large box classified as %s", got)

@@ -321,6 +321,28 @@ func (s *System) RunSet(cfg Config, clips []*dataset.ClipTruth) *SetResult {
 }
 
 // RunSetContext is RunSet with cooperative cancellation at clip
+// boundaries; it is RunClips applied to ExtractClip under cfg.
+func (s *System) RunSetContext(ctx context.Context, cfg Config, clips []*dataset.ClipTruth) (*SetResult, error) {
+	return s.RunClips(ctx, clips, s.Extractor(cfg))
+}
+
+// ClipFunc is the per-clip body of a clip-set run: it processes one clip,
+// charging acct, and returns the clip's stored tracks. ctx carries the
+// clip's span and bounds any decode-ahead producer. The runner calls it
+// from parallel workers, one clip per call.
+type ClipFunc func(ctx context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track
+
+// Extractor returns ExtractClip under cfg as a per-clip body.
+func (s *System) Extractor(cfg Config) ClipFunc {
+	return func(ctx context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+		return s.ExtractClip(ctx, cfg, clip, acct)
+	}
+}
+
+// RunClips is the clip-set runner every method's clips go through: it
+// runs body over each clip on the parallel worker pool, each clip under
+// its own span and charging its own accountant, then merges the
+// accountants in clip order. Cancellation is cooperative at clip
 // boundaries: once ctx is canceled no new clips start, in-flight clips
 // run to completion and the workers drain cleanly. On cancellation it
 // returns the partial result (completed clips' tracks at their indices,
@@ -329,10 +351,9 @@ func (s *System) RunSet(cfg Config, clips []*dataset.ClipTruth) *SetResult {
 //
 // After the clip-order merge the per-category costs are also charged to
 // the process metrics registry ("cost.<op>" float counters) in sorted
-// category order, so a registry snapshot bracketing a single RunSet
-// reproduces the run's Runtime bit-for-bit via
-// MetricsSnapshot.CostTotal.
-func (s *System) RunSetContext(ctx context.Context, cfg Config, clips []*dataset.ClipTruth) (*SetResult, error) {
+// category order, so a registry snapshot bracketing a single run
+// reproduces its Runtime bit-for-bit via MetricsSnapshot.CostTotal.
+func (s *System) RunClips(ctx context.Context, clips []*dataset.ClipTruth, body ClipFunc) (*SetResult, error) {
 	out := &SetResult{PerClip: make([][]*query.Track, len(clips))}
 	shards := make([]*costmodel.Accountant, len(clips))
 	ctx, setSpan := obs.StartSpan(ctx, "run.set")
@@ -343,7 +364,7 @@ func (s *System) RunSetContext(ctx context.Context, cfg Config, clips []*dataset
 		clipSpan.SetClip(i).SetStage("extract")
 		defer clipSpan.End()
 		acct := costmodel.NewAccountant()
-		out.PerClip[i] = s.ExtractClip(clipCtx, cfg, clips[i].Clip, acct)
+		out.PerClip[i] = body(clipCtx, clips[i].Clip, acct)
 		shards[i] = acct
 		s.Progress.Emit(obs.Event{
 			Kind: obs.EventClip, Index: i, Total: len(clips), Runtime: acct.Total(),
@@ -362,7 +383,7 @@ func (s *System) RunSetContext(ctx context.Context, cfg Config, clips []*dataset
 	out.Breakdown = acct.Breakdown()
 	recordCosts(out.Breakdown)
 	setSpan.SetErr(err != nil)
-	// Boundary-level structured logging: one line per RunSet, only when a
+	// Boundary-level structured logging: one line per run, only when a
 	// logger is installed (the nil default keeps deterministic benchmarks
 	// and the hot path quiet and allocation-free).
 	if l := obs.Log(); l != nil {

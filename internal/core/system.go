@@ -34,7 +34,7 @@ const (
 // endpoint refiner built from the training tracks S*.
 type System struct {
 	DS         *dataset.Instance
-	Classifier detect.Classifier
+	Classifier detect.SizeClassifier
 
 	Background  *detect.BackgroundModel
 	Proxies     []*proxy.Model
@@ -77,7 +77,7 @@ func NewSystem(ds *dataset.Instance) *System {
 
 // ClassifierFor derives the size-based category classifier from the
 // dataset's object size specification.
-func ClassifierFor(ds *dataset.Instance) detect.Classifier {
+func ClassifierFor(ds *dataset.Instance) detect.SizeClassifier {
 	var c detect.SizeClassifier
 	if ped, ok := ds.Cfg.Sizes[vidsim.Pedestrian]; ok {
 		c.PedMaxArea = ped.W * ped.H * 1.8

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"otif/internal/costmodel"
-	"otif/internal/geom"
 	"otif/internal/video"
 )
 
@@ -104,14 +103,8 @@ func TestDetectStampsEachIndex(t *testing.T) {
 	}
 }
 
-// funcClassifier is a classifier that cannot be a map key.
-type funcClassifier func(geom.Rect) string
-
-func (f funcClassifier) Classify(box geom.Rect) string { return f(box) }
-
-// TestDetectUncachedWithoutIdentity: a classifier that is not comparable,
-// or a NaN confidence threshold, gives the detector no identity; Detect
-// computes every call and adds no entry.
+// TestDetectUncachedWithoutIdentity: a NaN confidence threshold gives the
+// detector no identity; Detect computes every call and adds no entry.
 func TestDetectUncachedWithoutIdentity(t *testing.T) {
 	defer video.SetCacheBudget(video.DefaultCacheBytes)
 	video.SetCacheBudget(video.DefaultCacheBytes)
@@ -121,8 +114,7 @@ func TestDetectUncachedWithoutIdentity(t *testing.T) {
 	nan := cfg
 	nan.ConfThresh = math.NaN()
 	for name, d := range map[string]*Detector{
-		"func classifier": {Cfg: cfg, Background: bg, Classify: funcClassifier(func(geom.Rect) string { return "bus" })},
-		"NaN threshold":   {Cfg: nan, Background: bg},
+		"NaN threshold": {Cfg: nan, Background: bg},
 	} {
 		if id := bg.detectorID(d.Cfg, d.Classify); id != 0 {
 			t.Errorf("%s: identity %d, want 0", name, id)

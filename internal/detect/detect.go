@@ -15,7 +15,6 @@ package detect
 
 import (
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -67,20 +66,15 @@ func (a Arch) PerPixelCost() float64 {
 	return costmodel.YOLOPerPixel
 }
 
-// Classifier assigns a category to a detection box.
-type Classifier interface {
-	Classify(box geom.Rect) string
-}
-
 // SizeClassifier classifies detections by nominal box area and aspect
 // ratio: tall small boxes are pedestrians, very large boxes are buses,
-// everything else is a car.
+// everything else is a car. The zero value calls every box a car.
 type SizeClassifier struct {
 	PedMaxArea float64 // boxes under this area with H > W are pedestrians
 	BusMinArea float64 // boxes over this area are buses
 }
 
-// Classify implements Classifier.
+// Classify assigns a category to a detection box.
 func (c SizeClassifier) Classify(box geom.Rect) string {
 	area := box.Area()
 	if c.BusMinArea > 0 && area >= c.BusMinArea {
@@ -110,7 +104,7 @@ type BackgroundModel struct {
 // detection: the configuration and the classifier.
 type detectorKey struct {
 	cfg      Config
-	classify Classifier
+	classify SizeClassifier
 }
 
 // detectorIDs issues process-unique detector identities; see detectorID.
@@ -166,14 +160,9 @@ func (b *BackgroundModel) At(w, h int) *video.Frame {
 // the first time the pair is asked for. The table lives and dies with the
 // background, so it holds one entry per distinct configuration ever run
 // over it, and a new background (even with equal pixels) issues new
-// identities. A classifier that cannot be a map key, or a key that is not
-// equal to itself (a NaN threshold), has no identity: 0, which the frame
-// cache computes uncached. A classifier is keyed by its value, so one held
-// by pointer must not change what it answers.
-func (b *BackgroundModel) detectorID(cfg Config, cls Classifier) uint64 {
-	if cls != nil && !reflect.ValueOf(cls).Comparable() {
-		return 0
-	}
+// identities. A key that is not equal to itself (a NaN threshold) has no
+// identity: 0, which the frame cache computes uncached.
+func (b *BackgroundModel) detectorID(cfg Config, cls SizeClassifier) uint64 {
 	k := detectorKey{cfg, cls}
 	if k != k {
 		return 0
@@ -214,7 +203,7 @@ type Config struct {
 type Detector struct {
 	Cfg        Config
 	Background *BackgroundModel
-	Classify   Classifier
+	Classify   SizeClassifier
 	Acct       *costmodel.Accountant
 	// Prec is named by benchmark/replay.go; delete with the next benchmark
 	// PR. Nothing reads it.
@@ -498,10 +487,7 @@ func (d *Detector) analyze(dst []Detection, s *analyzeScratch, img, bg, frame *v
 		if score < d.Cfg.ConfThresh {
 			continue
 		}
-		cat := "car"
-		if d.Classify != nil {
-			cat = d.Classify.Classify(box)
-		}
+		cat := d.Classify.Classify(box)
 		mean, std := frame.MeanStd(box)
 		dst = append(dst, Detection{
 			FrameIdx: frameIdx, Box: box, Score: score, Category: cat,

@@ -51,18 +51,6 @@ func TestMLPApplyWithZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestRunSequenceInferIntoZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	g := NewGRUCell(7, 16, rng)
-	xs := []Vec{randVec(rng, 7), randVec(rng, 7), randVec(rng, 7)}
-	dst := NewVec(16)
-	var s Scratch
-	g.RunSequenceInferInto(dst, xs, &s) // warm the scratch buffers
-	if n := testing.AllocsPerRun(100, func() { g.RunSequenceInferInto(dst, xs, &s) }); n != 0 {
-		t.Errorf("GRUCell.RunSequenceInferInto allocates %v per op, want 0", n)
-	}
-}
-
 // TestScratchKernelsBitIdentical proves the scratch/into kernels compute
 // exactly what the allocating kernels do (the determinism contract: the
 // hot path may not change a single bit of any result).
@@ -87,11 +75,6 @@ func TestScratchKernelsBitIdentical(t *testing.T) {
 		hc := h.Clone()
 		g.StepInferInto(hc, hc, xg, &s)
 		requireEqualVecs(t, "GRUCell.StepInferInto in-place", hc, wantH)
-
-		xs := []Vec{randVec(rng, 6), randVec(rng, 6), randVec(rng, 6), randVec(rng, 6)}
-		wantSeq, _ := g.RunSequence(xs)
-		gotSeq := g.RunSequenceInferInto(NewVec(8), xs, &s)
-		requireEqualVecs(t, "GRUCell.RunSequenceInferInto", gotSeq, wantSeq)
 
 		m := NewMLP([]int{7, 11, 3}, ReLUAct, SigmoidAct, rng)
 		xm := randVec(rng, 7)

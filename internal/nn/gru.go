@@ -155,20 +155,6 @@ func (g *GRUCell) RunSequence(xs []Vec) (Vec, []*gruStep) {
 	return h, steps
 }
 
-// RunSequenceInferInto folds the cell over a sequence of inputs starting
-// from the zero hidden state, accumulating in dst (len HiddenSize) and
-// returning dst. dst is zeroed first; all intermediates live in the
-// scratch, so steady-state calls allocate nothing.
-func (g *GRUCell) RunSequenceInferInto(dst Vec, xs []Vec, s *Scratch) Vec {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, x := range xs {
-		g.StepInferInto(dst, dst, x, s)
-	}
-	return dst
-}
-
 // SequenceBackward backpropagates dL/dhFinal through a RunSequence call,
 // applying SGD updates. Gradients with respect to the inputs are discarded
 // (detection features are not trained through in OTIF's tracker).

@@ -11,10 +11,9 @@
 //
 // Inference has two tiers. The allocating kernels (Dense.Apply, MLP.Apply)
 // return fresh vectors and are convenient for training and one-off probes.
-// The zero-allocation kernels (ApplyInto, ApplyWith, StepInferInto,
-// RunSequenceInferInto) write into caller-owned buffers or a reusable
-// Scratch and run without heap allocations in steady state — they are what
-// the per-frame hot path uses. They perform the exact float64 operations of
+// The zero-allocation kernels (ApplyInto, ApplyWith, StepInferInto) write
+// into caller-owned buffers or a reusable Scratch and run without heap
+// allocations in steady state — they are what the per-frame hot path uses. They perform the exact float64 operations of
 // the allocating and training kernels (Apply, GRUCell.Step) in the same
 // order, so their outputs are bit-identical.
 //
