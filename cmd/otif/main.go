@@ -6,6 +6,8 @@
 //	otif -dataset caldot1                 # full workflow, fastest-within-5% config
 //	otif -dataset tokyo -tolerance 0.02   # pick a more accurate configuration
 //	otif -dataset jackson -curve          # print the whole tuned curve and exit
+//	otif -tracks ./segs                   # also save the track set as segment files
+//	otif -query-tracks ./segs             # answer queries from saved segments only
 package main
 
 import (
@@ -30,10 +32,8 @@ func main() {
 		seconds  = flag.Float64("seconds", 0, "seconds per clip (0 = default)")
 		saveTo   = flag.String("save", "", "save the trained model bundle to this file")
 		loadFm   = flag.String("load", "", "load a trained model bundle instead of training")
-		tracksF  = flag.String("tracks", "", "write the extracted track set to this file (self-describing v2 format)")
-		queryF   = flag.String("query-tracks", "", "load a stored track file and answer queries from it, skipping the pipeline entirely")
-		segsDir  = flag.String("export-segments", "", "export the track set as shippable segment files (OTIFSEG1) into this directory")
-		segClips = flag.Int("segment-clips", 4, "clips per exported segment for -export-segments (<= 0 = one segment)")
+		tracksD  = flag.String("tracks", "", "save the extracted track set as segment files (*.otifseg) in this directory")
+		queryD   = flag.String("query-tracks", "", "load the track sets saved in this segment directory and answer queries from them, skipping the pipeline entirely")
 		nwork    = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		metricsF = flag.Bool("metrics", false, "print the metrics registry (JSON) after the run")
 		traceOut = flag.String("trace-out", "", "record spans in the flight recorder and write them to this file (Chrome trace-event JSON, loads in Perfetto)")
@@ -66,38 +66,33 @@ func main() {
 		return
 	}
 
-	// -query-tracks: the pure post-processing workflow. The track
-	// format is self-describing, so no dataset, geometry or frame-rate
-	// arguments are needed — open the file and query.
-	if *queryF != "" {
-		f, err := os.Open(*queryF)
+	// -query-tracks: the pure post-processing workflow. Segment files are
+	// self-describing, so no dataset, geometry or frame-rate arguments are
+	// needed — open the directory and query.
+	if *queryD != "" {
+		sets, err := otif.LoadTrackSets(*queryD)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "otif:", err)
 			os.Exit(1)
 		}
-		ts, err := otif.ReadTrackSet(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "otif:", err)
-			os.Exit(1)
+		names := make([]string, 0, len(sets))
+		for name := range sets {
+			names = append(names, name)
 		}
-		fmt.Printf("loaded %s: dataset=%q clips=%d\n", *queryF, ts.Dataset, ts.Clips())
-		if *segsDir != "" {
-			exportSegments(ts, *segsDir, *segClips)
-		}
-		counts := ts.CountTracks("car")
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		fmt.Printf("  unique cars per clip: %v (total %d)\n", counts, total)
-		frames := ts.LimitQuery("car", otif.CountPredicate{N: 2}, 3, 1)
-		for clip, ms := range frames {
-			for _, m := range ms {
-				fmt.Printf("  clip %d frame %d: %d cars visible\n", clip, m.FrameIdx, len(m.Boxes))
+		sort.Strings(names)
+		for _, name := range names {
+			ts := sets[name]
+			fmt.Printf("loaded %s: dataset=%q clips=%d\n", *queryD, ts.Dataset, ts.Clips())
+			counts := ts.CountTracks("car")
+			fmt.Printf("  unique cars per clip: %v (total %d)\n", counts, sum(counts))
+			frames := ts.LimitQuery("car", otif.CountPredicate{N: 2}, 3, 1)
+			for clip, ms := range frames {
+				for _, m := range ms {
+					fmt.Printf("  clip %d frame %d: %d cars visible\n", clip, m.FrameIdx, len(m.Boxes))
+				}
 			}
+			fmt.Printf("  average visible cars per clip: %.1f...\n", mean(ts.AvgVisible("car")))
 		}
-		fmt.Printf("  average visible cars per clip: %.1f...\n", mean(ts.AvgVisible("car")))
 		finish()
 		return
 	}
@@ -170,32 +165,19 @@ func main() {
 	}
 	fmt.Printf("test-set extraction: %.2f simulated s, accuracy %.3f (wall %v)\n",
 		ts.Runtime, acc, time.Since(start).Round(time.Millisecond))
-	if *tracksF != "" {
-		f, err := os.Create(*tracksF)
+	if *tracksD != "" {
+		paths, err := ts.ExportSegments(*tracksD)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "otif:", err)
 			os.Exit(1)
 		}
-		if n, err := ts.WriteTo(f); err != nil {
-			fmt.Fprintln(os.Stderr, "otif:", err)
-			os.Exit(1)
-		} else {
-			fmt.Printf("stored tracks in %s (%d bytes)\n", *tracksF, n)
-		}
-		f.Close()
-	}
-	if *segsDir != "" {
-		exportSegments(ts, *segsDir, *segClips)
+		fmt.Printf("stored tracks in %s (%d segment files)\n", *tracksD, len(paths))
 	}
 
 	// A few exploratory queries over the stored tracks.
 	counts := ts.CountTracks("car")
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
 	fmt.Printf("\nqueries over stored tracks (no further decoding or inference):\n")
-	fmt.Printf("  unique cars per clip: %v (total %d)\n", counts, total)
+	fmt.Printf("  unique cars per clip: %v (total %d)\n", counts, sum(counts))
 
 	if movements := pipe.Movements(); len(movements) > 0 {
 		agg := map[string]int{}
@@ -228,15 +210,12 @@ func main() {
 	finish()
 }
 
-// exportSegments writes the track set as segment files for serving from a
-// replica (otifd -segments-dir).
-func exportSegments(ts *otif.TrackSet, dir string, clipsPerSeg int) {
-	paths, err := ts.ExportSegments(dir, clipsPerSeg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "otif:", err)
-		os.Exit(1)
+func sum(v []int) int {
+	s := 0
+	for _, x := range v {
+		s += x
 	}
-	fmt.Printf("exported %d segment file(s) to %s\n", len(paths), dir)
+	return s
 }
 
 func mean(v []float64) float64 {

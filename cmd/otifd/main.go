@@ -30,12 +30,13 @@
 // Chrome trace-event JSON that loads directly in Perfetto.
 //
 // The query endpoints answer from the indexed track store of whichever
-// source published last: the -segments-dir shard set and then the -tracks
-// file at start-up (queries work before the pipeline finishes training), a
-// finished extract job, or a stream job from its first clip on — /v1/query/*
-// then answers from the live store's latest immutable snapshot, so results
-// grow clip by clip without ever exposing a torn index, and stay served
-// after the stream ends. A stream starts like any job, once /readyz says so:
+// source published last: the -segments-dir track sets at start-up, each
+// under the dataset name in its segment headers (queries work before the
+// pipeline finishes training), a finished extract job, or a stream job
+// from its first clip on — /v1/query/* then answers from the live store's
+// latest immutable snapshot, so results grow clip by clip without ever
+// exposing a torn index, and stay served after the stream ends. A stream
+// starts like any job, once /readyz says so:
 //
 //	curl -XPOST localhost:8080/jobs -d '{"kind":"stream","params":{"cameras":"2"}}'
 //
@@ -44,8 +45,7 @@
 //
 //	otifd -dataset caldot1                        # default address :8080
 //	otifd -addr 127.0.0.1:0 -clips 2 -seconds 2   # tiny instance, random port
-//	otifd -tracks caldot1.tracks                  # serve queries from a stored file
-//	otifd -segments-dir ./segs                    # replica over shipped segment files
+//	otifd -segments-dir ./segs                    # serve queries from saved segment files
 //	otifd -log json -log-level debug              # structured logs on stderr
 //
 // Scraping, streaming and logging never change pipeline results:
@@ -74,7 +74,6 @@ func main() {
 	flag.IntVar(&cfg.Clips, "clips", 0, "clips per set (0 = default)")
 	flag.Float64Var(&cfg.Seconds, "seconds", 0, "seconds per clip (0 = default)")
 	flag.Int64Var(&cfg.Seed, "seed", 7, "sampling seed")
-	flag.StringVar(&cfg.Tracks, "tracks", "", "serve /v1/query/* from this stored track file at startup")
 	flag.StringVar(&cfg.SegmentsDir, "segments-dir", "", "serve /v1/query/* from the segment files (*.otifseg) in this directory; each dataset found becomes a registry entry")
 	var (
 		addr     = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")

@@ -15,6 +15,10 @@ var (
 	// ErrEmptyCurve is returned by PickFastestWithin for an empty curve
 	// (Tune not run, or it produced no points).
 	ErrEmptyCurve = errors.New("otif: empty tuning curve")
+
+	// ErrNoSegments is returned by LoadTrackSets for a directory that
+	// holds no segment file.
+	ErrNoSegments = errors.New("otif: no segment file")
 )
 
 // PartialError reports an operation canceled partway through. It wraps the

@@ -1,8 +1,8 @@
 // Persistence: the deployment workflow — train the models once, persist
-// the model bundle and the extracted tracks to disk, then reload both in a
-// "fresh process" and answer queries without any retraining or
-// re-processing. The reloaded pipeline reproduces extraction results
-// bit-for-bit.
+// the model bundle and the extracted tracks (as segment files in a
+// directory), then reload both in a "fresh process" and answer queries
+// without any retraining or re-processing. The reloaded pipeline
+// reproduces extraction results bit-for-bit.
 //
 //	go run ./examples/persistence
 package main
@@ -12,6 +12,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
+	"slices"
 
 	"otif"
 )
@@ -43,11 +45,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var trackFile bytes.Buffer
-	if _, err := tracks.WriteTo(&trackFile); err != nil {
+	dir, err := os.MkdirTemp("", "otif-segments-")
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("track set: %d bytes for %d clips\n", trackFile.Len(), tracks.Clips())
+	defer os.RemoveAll(dir)
+	if _, err := tracks.ExportSegments(dir); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("track set: %d clips saved as segment files in %s\n", tracks.Clips(), dir)
 
 	// --- Fresh process: reload instead of retraining ----------------------
 	pipe2, err := otif.Open("caldot1", otif.Options{ClipsPerSet: 3, ClipSeconds: 5})
@@ -65,21 +71,19 @@ func main() {
 		tracks2.Runtime, tracks.Runtime, tracks2.Runtime == tracks.Runtime)
 
 	// --- Or skip extraction entirely: reload the stored tracks ------------
-	// WriteTo writes a self-describing format, so the file reloads
-	// with zero positional arguments: frame rate, geometry, clip length
-	// and dataset name all come from the header.
-	stored, err := otif.ReadTrackSet(bytes.NewReader(trackFile.Bytes()))
+	// Segment files are self-describing, so the directory reloads with no
+	// other argument: frame rate, geometry, clip length and dataset name
+	// all come from the headers.
+	sets, err := otif.LoadTrackSets(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("header-described set: dataset=%q clips=%d\n", stored.Dataset, stored.Clips())
-	a := tracks.CountTracks("car")
-	b := stored.CountTracks("car")
-	fmt.Printf("car counts, extracted vs reloaded-from-disk: %v vs %v\n", a, b)
-	for i := range a {
-		if a[i] != b[i] {
-			log.Fatal("stored tracks diverge from the originals")
-		}
+	stored := sets["caldot1"]
+	a, b := tracks.CountTracks("car"), stored.CountTracks("car")
+	fmt.Printf("header-described set %q of %d clips: car counts %v (extracted: %v)\n",
+		stored.Dataset, stored.Clips(), b, a)
+	if !slices.Equal(a, b) {
+		log.Fatal("stored tracks diverge from the originals")
 	}
 
 	// Queries run through the indexed store; the results are bit-identical

@@ -6,6 +6,7 @@ import (
 
 	"otif/internal/core"
 	"otif/internal/dataset"
+	"otif/internal/obs"
 	"otif/internal/query"
 	"otif/internal/tuner"
 )
@@ -60,6 +61,41 @@ func TestMirisIsQueryDriven(t *testing.T) {
 	for _, c := range cands {
 		if c.QueryFraction != 1 {
 			t.Errorf("Miris QueryFraction = %v, want 1 (per-query execution)", c.QueryFraction)
+		}
+	}
+}
+
+// TestMirisClipSpans: a Miris candidate tracks each clip in the run.clip
+// span core's clip-set runner opened for it, so a traced run over N clips
+// records exactly N run.clip spans, each a child of the run's run.set.
+func TestMirisClipSpans(t *testing.T) {
+	sys, metric := trainedSystem(t)
+	cand := (&Miris{Gaps: []int{4}}).Tune(sys, metric)[0]
+	clips := sys.DS.Test
+
+	rec := obs.EnableTracing(1 << 12)
+	defer obs.SetRecorder(nil)
+	cand.Run(clips)
+
+	var setIDs []uint64
+	var parents []uint64
+	for _, s := range rec.Snapshot() {
+		switch s.Name {
+		case "run.set":
+			setIDs = append(setIDs, s.ID)
+		case "run.clip":
+			parents = append(parents, s.Parent)
+		}
+	}
+	if len(setIDs) != 1 {
+		t.Fatalf("recorded %d run.set spans, want 1", len(setIDs))
+	}
+	if len(parents) != len(clips) {
+		t.Errorf("recorded %d run.clip spans over %d clips, want one per clip", len(parents), len(clips))
+	}
+	for _, p := range parents {
+		if p != setIDs[0] {
+			t.Errorf("run.clip parent = %d, want the run.set %d", p, setIDs[0])
 		}
 	}
 }

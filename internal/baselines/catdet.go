@@ -34,16 +34,17 @@ func (c *CaTDet) Name() string { return "CaTDet" }
 func (c *CaTDet) Tune(sys *core.System, metric core.Metric) []Candidate {
 	var out []Candidate
 	for _, scale := range c.ProposalScales {
-		out = append(out, newCandidate(sys, metric, func(_ context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
-			return c.runClip(sys, scale, clip, acct)
+		out = append(out, newCandidate(sys, metric, func(ctx context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+			return c.runClip(ctx, sys, scale, clip, acct)
 		}))
 	}
 	return out
 }
 
 // runClip runs the refinement detector on every frame of clip inside the
-// regions of interest and tracks its detections with SORT.
-func (c *CaTDet) runClip(sys *core.System, proposalScale float64, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+// regions of interest and tracks its detections with SORT. ctx bounds the
+// reader's decode-ahead.
+func (c *CaTDet) runClip(ctx context.Context, sys *core.System, proposalScale float64, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
 	nomW, nomH := sys.DS.Cfg.NomW, sys.DS.Cfg.NomH
 	proposal := &detect.Detector{
 		Cfg: detect.Config{
@@ -57,7 +58,8 @@ func (c *CaTDet) runClip(sys *core.System, proposalScale float64, clip *video.Cl
 	refiner := sys.Detector(sys.Best, acct)
 	tracker := track.NewSORT()
 	var lastDets []detect.Detection
-	reader := video.NewReader(clip, 1, nomW, nomH, acct)
+	reader := video.NewReaderContext(ctx, clip, 1, nomW, nomH, acct)
+	defer reader.Close()
 	for {
 		frame, idx := reader.Next()
 		if frame == nil {

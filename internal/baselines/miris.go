@@ -41,8 +41,8 @@ func (m *Miris) Name() string { return "Miris" }
 func (m *Miris) Tune(sys *core.System, metric core.Metric) []Candidate {
 	var out []Candidate
 	for _, gap := range m.Gaps {
-		c := newCandidate(sys, metric, func(_ context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
-			return m.runClip(sys, gap, clip, acct)
+		c := newCandidate(sys, metric, func(ctx context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+			return m.runClip(ctx, sys, gap, clip, acct)
 		})
 		c.QueryFraction = 1
 		out = append(out, c)
@@ -53,8 +53,9 @@ func (m *Miris) Tune(sys *core.System, metric core.Metric) []Candidate {
 // runClip tracks the clip at the base gap with the pairwise matcher, then
 // refines each track's start and end by decoding intermediate frames and
 // detecting in a window around the extrapolated position, halving the
-// lookback gap until the entry/exit frame is pinned down.
-func (m *Miris) runClip(sys *core.System, gap int, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+// lookback gap until the entry/exit frame is pinned down. It runs in the
+// run.clip span RunClips opened, and ctx bounds its decode-ahead.
+func (m *Miris) runClip(ctx context.Context, sys *core.System, gap int, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
 	cfg := core.Config{
 		Arch:     sys.Best.Arch,
 		DetScale: sys.Best.DetScale,
@@ -62,7 +63,7 @@ func (m *Miris) runClip(sys *core.System, gap int, clip *video.Clip, acct *costm
 		Gap:      gap,
 		Tracker:  core.TrackerPair,
 	}
-	tracks := sys.RunClip(cfg, clip, acct, nil)
+	tracks := sys.TrackClip(ctx, cfg, clip, acct, nil)
 	detector := sys.Detector(cfg, acct)
 	for _, t := range tracks {
 		m.refineEnd(detector, clip, t, acct, false)

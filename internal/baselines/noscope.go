@@ -38,22 +38,24 @@ func (n *NoScope) Name() string { return "NoScope" }
 func (n *NoScope) Tune(sys *core.System, metric core.Metric) []Candidate {
 	var out []Candidate
 	for _, th := range n.Thresholds {
-		out = append(out, newCandidate(sys, metric, func(_ context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
-			return n.runClip(sys, th, clip, acct)
+		out = append(out, newCandidate(sys, metric, func(ctx context.Context, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+			return n.runClip(ctx, sys, th, clip, acct)
 		}))
 	}
 	return out
 }
 
 // runClip runs the detector on every frame of clip whose frame score
-// reaches threshold and tracks the detections with SORT.
-func (n *NoScope) runClip(sys *core.System, threshold float64, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
+// reaches threshold and tracks the detections with SORT. ctx bounds the
+// reader's decode-ahead.
+func (n *NoScope) runClip(ctx context.Context, sys *core.System, threshold float64, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
 	proxyModel := sys.Proxies[len(sys.Proxies)-1] // lowest resolution
 	// The detector uses theta_best's architecture and resolution, so the
 	// threshold-zero candidate is exactly the naive fallback configuration.
 	detector := sys.Detector(sys.Best, acct)
 	tracker := track.NewSORT()
-	reader := video.NewReader(clip, 1, detector.Cfg.Width, detector.Cfg.Height, acct)
+	reader := video.NewReaderContext(ctx, clip, 1, detector.Cfg.Width, detector.Cfg.Height, acct)
+	defer reader.Close()
 	for {
 		frame, idx := reader.Next()
 		if frame == nil {

@@ -75,41 +75,27 @@ func (s *Suite) Table4(w io.Writer, datasets []string) ([]Table4Row, error) {
 			return dsResult{err: err}
 		}
 		// Tune each variant on validation, evaluate its curve on test.
-		type varCurve struct {
-			pts []tuner.Point
-		}
-		curves := make([]varCurve, len(variants))
-		bestAcc := -1.0
+		curves := make([][]tuner.Point, len(variants))
 		for i, v := range variants {
-			valCurve := tuner.Tune(t.Sys, t.Metric, v.opts())
-			for _, p := range valCurve {
-				tp := tuner.Evaluate(t.Sys, p.Cfg, t.Sys.DS.Test, t.Metric)
-				curves[i].pts = append(curves[i].pts, tp)
-				if tp.Accuracy > bestAcc {
-					bestAcc = tp.Accuracy
-				}
+			for _, p := range tuner.Tune(t.Sys, t.Metric, v.opts()) {
+				curves[i] = append(curves[i], tuner.Evaluate(t.Sys, p.Cfg, t.Sys.DS.Test, t.Metric))
 			}
 		}
+		floor := tuner.BestAccuracy(curves...) - Table2Tol
 		out := dsResult{runtimes: make([]float64, len(variants))}
-		for i := range variants {
-			best := -1.0
-			for _, p := range curves[i].pts {
-				if p.Accuracy >= bestAcc-Table2Tol && (best < 0 || p.Runtime < best) {
-					best = p.Runtime
-				}
-			}
-			if best < 0 {
+		for i, pts := range curves {
+			pick, ok := tuner.FastestAtLeast(pts, floor)
+			if !ok {
 				// No configuration of this variant reaches the accuracy
 				// band; report its most accurate configuration's runtime.
-				mostAcc := tuner.Point{Accuracy: -1}
-				for _, p := range curves[i].pts {
-					if p.Accuracy > mostAcc.Accuracy {
-						mostAcc = p
+				pick = tuner.Point{Accuracy: -1}
+				for _, p := range pts {
+					if p.Accuracy > pick.Accuracy {
+						pick = p
 					}
 				}
-				best = mostAcc.Runtime
 			}
-			out.runtimes[i] = best * scale
+			out.runtimes[i] = pick.Runtime * scale
 		}
 		return out
 	})

@@ -160,28 +160,17 @@ func onPareto(pts []tuner.Point, i int) bool {
 // test points, the fastest whose accuracy is within tol of the best
 // accuracy achieved by ANY method on the dataset.
 func FastestWithinTol(curves []MethodCurve, method string, tol float64) (tuner.Point, bool) {
-	bestAcc := -1.0
+	all := make([][]tuner.Point, len(curves))
+	for i, c := range curves {
+		all[i] = c.Points
+	}
+	floor := tuner.BestAccuracy(all...) - tol
 	for _, c := range curves {
-		for _, p := range c.Points {
-			if p.Accuracy > bestAcc {
-				bestAcc = p.Accuracy
-			}
+		if c.Method == method {
+			return tuner.FastestAtLeast(c.Points, floor)
 		}
 	}
-	var out tuner.Point
-	found := false
-	for _, c := range curves {
-		if c.Method != method {
-			continue
-		}
-		for _, p := range c.Points {
-			if p.Accuracy >= bestAcc-tol && (!found || p.Runtime < out.Runtime) {
-				out = p
-				found = true
-			}
-		}
-	}
-	return out, found
+	return tuner.Point{}, false
 }
 
 // fprintf is a helper that ignores write errors (harness output goes to

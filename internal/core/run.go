@@ -45,30 +45,33 @@ func (s *System) Detector(cfg Config, acct *costmodel.Accountant) *detect.Detect
 
 // ExtractClip is the per-clip body RunSet and streaming ingest share: it
 // runs cfg over clip and returns the clip's stored tracks (QueryTracks of
-// what runClip tracked), charging acct. ctx bounds the reader's
+// what TrackClip tracked), charging acct. ctx bounds the reader's
 // decode-ahead producer.
 func (s *System) ExtractClip(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant) []*query.Track {
-	return s.QueryTracks(cfg, s.runClip(ctx, cfg, clip, acct, nil), clip.Len())
+	return s.QueryTracks(cfg, s.TrackClip(ctx, cfg, clip, acct, nil), clip.Len())
 }
 
-// RunClip executes the pipeline of Figure 2 under cfg over one clip and
-// returns the pipeline tracks, for callers that work on them before (or
-// instead of) storing them. Costs are charged to acct; observe may be nil.
+// RunClip executes the pipeline of Figure 2 under cfg over one clip, in a
+// run.clip span of its own, and returns the pipeline tracks, for callers
+// that work on them before (or instead of) storing them. Costs are charged
+// to acct; observe may be nil. A body run by RunClips calls TrackClip
+// instead: RunClips has opened the clip's span already.
 func (s *System) RunClip(cfg Config, clip *video.Clip, acct *costmodel.Accountant, observe FrameObserver) []*track.Track {
 	ctx, sp := obs.StartSpan(context.Background(), "run.clip")
 	sp.SetStage("extract")
 	defer sp.End()
-	return s.runClip(ctx, cfg, clip, acct, observe)
+	return s.TrackClip(ctx, cfg, clip, acct, observe)
 }
 
-// runClip is the clip loop: the tracker's sampling gap selects frames; on
-// each sampled frame the proxy model (if enabled) chooses detector windows;
-// the detector produces detections; observe (if non-nil) sees them; the
-// tracker associates them into tracks. Detection slices are carved from a
-// pooled arena and analysis scratch is recycled, which is safe because
-// trackers copy Detection values into track-owned slices: nothing in the
-// returned tracks aliases pooled memory.
-func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant, observe FrameObserver) []*track.Track {
+// TrackClip is the clip loop, run in the caller's span: the tracker's
+// sampling gap selects frames; on each sampled frame the proxy model (if
+// enabled) chooses detector windows; the detector produces detections;
+// observe (if non-nil) sees them; the tracker associates them into tracks.
+// ctx bounds the reader's decode-ahead producer. Detection slices are
+// carved from a pooled arena and analysis scratch is recycled, which is
+// safe because trackers copy Detection values into track-owned slices:
+// nothing in the returned tracks aliases pooled memory.
+func (s *System) TrackClip(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant, observe FrameObserver) []*track.Track {
 	detector := s.Detector(cfg, acct)
 	detW, detH := detector.Cfg.Width, detector.Cfg.Height
 	detector.Arena = detect.GetArena()
@@ -138,13 +141,12 @@ func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct
 // runVariable executes the Miris-style variable-rate policy: after a
 // confident association round the gap doubles (up to cfg.Gap); after a
 // low-confidence round it halves (down to 1), re-processing sooner.
-// Decode cost is charged like the fixed-rate reader's (skipped frames
-// still cost a fraction of a decode).
+// Decode cost is charged like the fixed-rate reader's
+// (costmodel.SampledDecodeCost).
 func (s *System) runVariable(cfg Config, clip *video.Clip, detW, detH int,
 	acct *costmodel.Accountant, rec *track.RecurrentTracker,
 	processFrame func(frame *video.Frame, idx, gapUsed int)) {
 	const confidenceFloor = 0.75
-	per := costmodel.DecodeCost(detW, detH)
 	gap := cfg.Gap
 	idx := 0
 	prev := -1
@@ -153,7 +155,7 @@ func (s *System) runVariable(cfg Config, clip *video.Clip, detW, detH int,
 		if prev >= 0 {
 			skipped = idx - prev - 1
 		}
-		acct.Add(costmodel.OpDecode, per*(1+0.15*float64(skipped)))
+		acct.Add(costmodel.OpDecode, costmodel.SampledDecodeCost(detW, detH, skipped))
 		gapUsed := cfg.Gap
 		if prev >= 0 {
 			gapUsed = idx - prev

@@ -213,6 +213,16 @@ func DecodeCost(w, h int) float64 {
 	return DecodePerPixel * float64(w*h)
 }
 
+// SampledDecodeCost returns the simulated cost of decoding one sampled
+// frame at w x h after skipping the given number of frames since the
+// previous sample. Modern codecs decode a group of pictures at a time, so
+// skipping frames still pays a fraction of their decode cost: the sampled
+// frame plus 15% of each skipped frame, which reproduces the paper's
+// observation that decode remains a bottleneck at high speedups.
+func SampledDecodeCost(w, h, skipped int) float64 {
+	return DecodeCost(w, h) * (1 + 0.15*float64(skipped))
+}
+
 // EmbedCost returns the simulated cost of one embedding extraction at w x h.
 func EmbedCost(w, h int) float64 {
 	return ProxyFixed + EmbedPerPixel*float64(w*h)

@@ -10,9 +10,15 @@ import (
 	"otif/internal/query"
 )
 
-// The track-set file format: self-describing, so a file loads with zero
-// positional arguments. The header records the frame rate, nominal
-// geometry, frames per clip and dataset name.
+// The track-set file format (OTIFTRK2): self-describing, so a file loads
+// with zero positional arguments. The header records the frame rate,
+// nominal geometry, frames per clip and dataset name.
+//
+// WriteTracksV2, ReadTracksAuto and TrackMeta are named by
+// benchmark/querymix.go; delete with the next benchmark PR. A track set
+// is saved and loaded as segment files (segment.go), and no product code
+// reads or writes this format. The track body encoding below is shared
+// with segments.
 const (
 	trackMagic   = "OTIFTRK2"
 	trackVersion = 2

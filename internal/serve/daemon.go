@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -28,7 +27,6 @@ type Config struct {
 	Seconds float64 // -seconds (0 = default)
 	Seed    int64   // -seed
 
-	Tracks      string // -tracks: stored track file to serve at start-up
 	SegmentsDir string // -segments-dir: segment files to serve at start-up
 
 	// Flags reports every effective flag value for the debug bundle's
@@ -41,11 +39,11 @@ type Config struct {
 //
 // One rule decides which tracks answer the default dataset: the last
 // publication. A source publishes by replacing the dataset's registry
-// entry (publish), in the order things happen — the -segments-dir shard
-// set, then the -tracks file, at start-up; every finished extract job;
-// a stream job's live store when its first clip lands. The live store
-// keeps growing behind its entry and stays registered after the session
-// ends, until something else publishes.
+// entry, in the order things happen — the -segments-dir track set of that
+// dataset's name at start-up; every finished extract job; a stream job's
+// live store when its first clip lands. The live store keeps growing
+// behind its entry and stays registered after the session ends, until
+// something else publishes.
 type Daemon struct {
 	cfg      Config
 	datasets *store.Registry
@@ -76,29 +74,17 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	// an empty track set resolves to "not loaded" until something publishes.
 	d.publish(&otif.TrackSet{})
 	if cfg.SegmentsDir != "" {
-		shards, err := store.OpenSegmentsDir(cfg.SegmentsDir, store.NewCache())
+		// Segment files are self-describing, so they serve queries with no
+		// geometry arguments, and before the pipeline has trained. Each set
+		// registers under the dataset name in its headers.
+		sets, err := otif.LoadTrackSets(cfg.SegmentsDir)
 		if err != nil {
 			return nil, err
 		}
-		for ds, sh := range shards {
-			d.datasets.Register(ds, sh)
-			logInfo("otifd: segments loaded", "dataset", ds, "segments", len(sh.Segments()), "clips", sh.Clips())
+		for name, ts := range sets {
+			d.datasets.Register(name, ts)
+			logInfo("otifd: segments loaded", "dataset", name, "clips", ts.Clips())
 		}
-	}
-	if cfg.Tracks != "" {
-		// The track format is self-describing, so the file serves queries
-		// with no geometry arguments, and before the pipeline has trained.
-		f, err := os.Open(cfg.Tracks)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := otif.ReadTrackSet(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cfg.Tracks, err)
-		}
-		d.publish(ts)
-		logInfo("otifd: tracks loaded", "file", cfg.Tracks, "dataset", ts.Dataset, "clips", ts.Clips())
 	}
 	d.jobs.Register("tune", d.runTune)
 	d.jobs.Register("extract", d.runExtract)
@@ -206,7 +192,7 @@ func (d *Daemon) streams() (otif.IngestStats, bool) {
 }
 
 // movements are the dataset's labeled movements for /v1/query/breakdown,
-// known once the pipeline is up (a track file carries none).
+// known once the pipeline is up (segment files carry none).
 func (d *Daemon) movements() []query.Movement {
 	if p := d.pipe.Load(); p != nil {
 		return p.Movements()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -210,19 +211,10 @@ func TestJobsBeforeReadyFail(t *testing.T) {
 // (otifd then exits 1).
 func TestStartFailures(t *testing.T) {
 	cfg := testConfig()
-	cfg.Tracks = filepath.Join(t.TempDir(), "missing.tracks")
-	if _, err := NewDaemon(cfg); err == nil {
-		t.Error("NewDaemon with a missing -tracks file succeeded")
-	}
-	cfg.Tracks = filepath.Join(t.TempDir(), "garbage.tracks")
-	if err := os.WriteFile(cfg.Tracks, []byte("not a track file"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDaemon(cfg); err == nil {
-		t.Error("NewDaemon with a garbage -tracks file succeeded")
-	}
-	cfg = testConfig()
 	cfg.SegmentsDir = t.TempDir()
+	if _, err := NewDaemon(cfg); !errors.Is(err, otif.ErrNoSegments) {
+		t.Errorf("NewDaemon with an empty -segments-dir: err = %v, want otif.ErrNoSegments", err)
+	}
 	if err := os.WriteFile(filepath.Join(cfg.SegmentsDir, "bad.otifseg"), []byte("OTIFSEG1"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -307,55 +299,50 @@ func TestExtractAndTuneJobs(t *testing.T) {
 }
 
 var (
-	trackFileOnce sync.Once
-	trackFileSet  *otif.TrackSet
-	trackFileErr  error
+	trackSetOnce sync.Once
+	trackSet     *otif.TrackSet
+	trackSetErr  error
 )
 
-// writeTrackFile stores two streamed clips of 5 seconds (the 2-second sets
-// are too short to hold many tracks) and returns the file and the set.
-func writeTrackFile(t *testing.T) (string, *otif.TrackSet) {
+// writeSegments saves two streamed clips of 5 seconds (the 2-second sets
+// are too short to hold many tracks) as segment files and returns their
+// directory and the set.
+func writeSegments(t *testing.T) (string, *otif.TrackSet) {
 	t.Helper()
-	trackFileOnce.Do(func() {
+	trackSetOnce.Do(func() {
 		p, err := otif.Open("caldot1", otif.Options{ClipsPerSet: 2, ClipSeconds: 2})
 		if err != nil {
-			trackFileErr = err
+			trackSetErr = err
 			return
 		}
 		p.Train()
 		sess, err := p.Ingest(context.Background(), otif.IngestOptions{ClipsPerCamera: 2, ClipSeconds: 5})
 		if err != nil {
-			trackFileErr = err
+			trackSetErr = err
 			return
 		}
-		trackFileErr = sess.Wait()
-		trackFileSet = sess.Tracks()
+		trackSetErr = sess.Wait()
+		trackSet = sess.Tracks()
 	})
-	if trackFileErr != nil {
-		t.Fatal(trackFileErr)
+	if trackSetErr != nil {
+		t.Fatal(trackSetErr)
 	}
-	path := filepath.Join(t.TempDir(), "caldot1.tracks")
-	f, err := os.Create(path)
-	if err != nil {
+	dir := t.TempDir()
+	if _, err := trackSet.ExportSegments(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trackFileSet.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path, trackFileSet
+	return dir, trackSet
 }
 
 const dwellBody = `{"category":"car","region":[[0,0],[720,0],[720,480],[0,480]]}`
 
-// TestTrackFileAnswersBeforeReady starts from -tracks: every query kind
-// that needs no trained state answers while the pipeline is still down.
+// TestTrackFileAnswersBeforeReady starts from -segments-dir: every query
+// kind that needs no trained state answers while the pipeline is still
+// down.
 func TestTrackFileAnswersBeforeReady(t *testing.T) {
 	cfg := testConfig()
 	var ts *otif.TrackSet
-	cfg.Tracks, ts = writeTrackFile(t)
+	cfg.SegmentsDir, ts = writeSegments(t)
 	d := newTestDaemon(t, cfg)
 	if code, _ := d.get("/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz = %d, want 503", code)
@@ -385,23 +372,26 @@ func TestTrackFileAnswersBeforeReady(t *testing.T) {
 	d.ok("/v1/query/breakdown?category=car")
 }
 
-// TestSegmentReplicaAnswersByteEqual exports the track file as segment
-// files and serves them from a second daemon: the scatter-gather replica
-// answers with the same bytes as the monolithic store, cold and from its
-// result cache, and a second dataset in the directory registers under its
-// own name.
+// TestSegmentReplicaAnswersByteEqual serves a track set from a monolithic
+// store in one daemon and as segment files of one clip each from a second:
+// the scatter-gather replica answers with the same bytes as the monolithic
+// store, cold and from its result cache, and a second dataset in the
+// directory registers under its own name.
 func TestSegmentReplicaAnswersByteEqual(t *testing.T) {
-	cfg := testConfig()
-	var ts *otif.TrackSet
-	cfg.Tracks, ts = writeTrackFile(t)
-	primary := newTestDaemon(t, cfg)
+	_, ts := writeSegments(t)
+	qctx := ts.Context()
+	perClip := make([][]*query.Track, ts.Clips())
+	for i := range perClip {
+		perClip[i] = ts.Tracks(i)
+	}
+	primary := newTestDaemon(t, testConfig())
+	primary.publish(&otif.TrackSet{Querier: store.New(perClip, qctx), Dataset: ts.Dataset})
 
-	cfg = testConfig()
+	cfg := testConfig()
 	cfg.SegmentsDir = t.TempDir()
-	if paths, err := ts.ExportSegments(cfg.SegmentsDir, 1); err != nil || len(paths) != 2 {
+	if paths, err := store.ExportSegments(cfg.SegmentsDir, ts.Dataset, qctx, perClip, 1); err != nil || len(paths) != 2 {
 		t.Fatalf("ExportSegments = %v, %v; want 2 files", paths, err)
 	}
-	qctx := ts.Context()
 	other, err := os.Create(filepath.Join(cfg.SegmentsDir, "other"+".otifseg"))
 	if err != nil {
 		t.Fatal(err)
@@ -556,23 +546,18 @@ func TestHostileJobParams(t *testing.T) {
 // entry back.
 func TestLastPublicationAnswers(t *testing.T) {
 	cfg := testConfig()
-	var ts *otif.TrackSet
-	cfg.Tracks, ts = writeTrackFile(t)
-	cfg.SegmentsDir = t.TempDir()
-	if _, err := ts.ExportSegments(cfg.SegmentsDir, 1); err != nil {
-		t.Fatal(err)
-	}
+	cfg.SegmentsDir, _ = writeSegments(t)
 	d := readyTestDaemon(t, cfg)
-	// Start-up: the track file is published after the segments.
-	if view, _ := d.defaultDataset(); view.Manifest != nil || view.Clips != 2 {
-		t.Fatalf("at start-up the default dataset is %+v, want the track file's monolithic store", view)
+	// Start-up: the segment files are published.
+	if view, _ := d.defaultDataset(); view.Manifest == nil || view.Clips != 2 {
+		t.Fatalf("at start-up the default dataset is %+v, want the segment files' store", view)
 	}
 	d.run("extract", map[string]string{"set": "train"}, JobDone)
 	extracted := d.count()
 
 	// An unbounded stream of 3-second clips: nothing changes until its
-	// first clip lands, then the live store (the only source here with a
-	// segment manifest) answers.
+	// first clip lands, then the live store (the only source since the
+	// extract with a segment manifest) answers.
 	stream := d.submit("stream", map[string]string{"cameras": "1", "interval": "10ms", "seconds": "3"})
 	eventually(t, "the live store to answer", func() bool {
 		view, _ := d.defaultDataset()

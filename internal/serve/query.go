@@ -66,14 +66,14 @@ func (q *QueryAPI) resolve(w http.ResponseWriter, r *http.Request) (store.Querie
 	if err != nil {
 		if name == "" {
 			// No default registered yet: the deployment is still loading.
-			writeError(w, http.StatusServiceUnavailable, "no track set loaded (extract first, or start with -tracks)")
+			writeError(w, http.StatusServiceUnavailable, "no track set loaded (extract first, or start with -segments-dir)")
 		} else {
 			writeError(w, http.StatusNotFound, err.Error())
 		}
 		return nil, false
 	}
 	if s == nil {
-		writeError(w, http.StatusServiceUnavailable, "no track set loaded (extract first, or start with -tracks)")
+		writeError(w, http.StatusServiceUnavailable, "no track set loaded (extract first, or start with -segments-dir)")
 		return nil, false
 	}
 	return s, true

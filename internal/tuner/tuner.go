@@ -3,7 +3,6 @@ package tuner
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"otif/internal/core"
@@ -553,22 +552,37 @@ func nextTracking(cur core.Config, opts Options) (core.Config, bool) {
 // the best accuracy among the points (the paper's Table 2 selection rule:
 // fastest configuration within 5% of best achieved accuracy).
 func FastestWithin(points []Point, tol float64) (Point, bool) {
-	if len(points) == 0 {
-		return Point{}, false
-	}
-	bestAcc := -1.0
-	for _, p := range points {
-		bestAcc = math.Max(bestAcc, p.Accuracy)
-	}
+	return FastestAtLeast(points, BestAccuracy(points)-tol)
+}
+
+// FastestAtLeast is the one "fastest within tolerance" rule: it returns
+// the fastest point whose accuracy is at least floor, the first of equal
+// runtimes winning, and false when no point reaches the floor. Callers
+// differ only in what the floor is measured from: the best of one curve
+// (FastestWithin), of every method (Table 2) or of every variant
+// (Table 4).
+func FastestAtLeast(points []Point, floor float64) (Point, bool) {
 	var out Point
 	found := false
 	for _, p := range points {
-		if p.Accuracy >= bestAcc-tol {
-			if !found || p.Runtime < out.Runtime {
-				out = p
-				found = true
-			}
+		if p.Accuracy >= floor && (!found || p.Runtime < out.Runtime) {
+			out = p
+			found = true
 		}
 	}
 	return out, found
+}
+
+// BestAccuracy returns the highest accuracy among the points of every
+// curve, or -1 when they have none. A NaN accuracy is never the best.
+func BestAccuracy(curves ...[]Point) float64 {
+	best := -1.0
+	for _, c := range curves {
+		for _, p := range c {
+			if p.Accuracy > best {
+				best = p.Accuracy
+			}
+		}
+	}
+	return best
 }

@@ -2,6 +2,7 @@ package tuner
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,5 +181,32 @@ func TestFastestWithin(t *testing.T) {
 	}
 	if _, ok := FastestWithin(nil, 0.05); ok {
 		t.Error("empty points should not find anything")
+	}
+}
+
+// TestFastestAtLeast pins the rule's comparisons: a point exactly at the
+// floor qualifies, the first of equal runtimes wins, and a NaN accuracy
+// neither qualifies nor sets the floor.
+func TestFastestAtLeast(t *testing.T) {
+	pts := []Point{
+		{Runtime: 4, Accuracy: 0.80},
+		{Runtime: 2, Accuracy: 0.75, Cfg: core.Config{Gap: 1}},
+		{Runtime: 2, Accuracy: 0.90, Cfg: core.Config{Gap: 2}},
+		{Runtime: 1, Accuracy: math.NaN()},
+	}
+	if p, ok := FastestAtLeast(pts, 0.75); !ok || p.Runtime != 2 || p.Cfg.Gap != 1 {
+		t.Errorf("FastestAtLeast(0.75) = %+v, %v; want the first runtime-2 point", p, ok)
+	}
+	if p, ok := FastestAtLeast(pts, 0.85); !ok || p.Cfg.Gap != 2 {
+		t.Errorf("FastestAtLeast(0.85) = %+v, %v; want the 0.90 point", p, ok)
+	}
+	if _, ok := FastestAtLeast(pts, 0.95); ok {
+		t.Error("no point reaches 0.95")
+	}
+	if got := BestAccuracy(pts, []Point{{Accuracy: 0.85}}); got != 0.90 {
+		t.Errorf("BestAccuracy = %v, want 0.90", got)
+	}
+	if got := BestAccuracy(); got != -1 {
+		t.Errorf("BestAccuracy() = %v, want -1", got)
 	}
 }

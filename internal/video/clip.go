@@ -96,11 +96,8 @@ func newReader(ctx context.Context, clip *Clip, gap, decodeW, decodeH int, acct 
 }
 
 // Next returns the next sampled frame and its index, or (nil, -1) at end of
-// clip. Decode cost is charged per returned frame. Modern codecs decode a
-// group of pictures at a time, so skipping frames still pays a fraction of
-// their decode cost; we charge the sampled frame plus 15% of each skipped
-// frame, which reproduces the paper's observation that decode remains a
-// bottleneck at high speedups.
+// clip. Decode cost is charged per returned frame, skipped frames included
+// (costmodel.SampledDecodeCost).
 func (r *Reader) Next() (*Frame, int) {
 	if r.next >= r.clip.Len() {
 		return nil, -1
@@ -110,8 +107,7 @@ func (r *Reader) Next() (*Frame, int) {
 	if r.haveLast {
 		skipped = idx - r.lastIdx - 1
 	}
-	per := costmodel.DecodeCost(r.decodeW, r.decodeH)
-	r.acct.Add(costmodel.OpDecode, per*(1+0.15*float64(skipped)))
+	r.acct.Add(costmodel.OpDecode, costmodel.SampledDecodeCost(r.decodeW, r.decodeH, skipped))
 	f := r.fetch(idx)
 	metFramesDecoded.Inc()
 	r.lastIdx = idx

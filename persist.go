@@ -1,10 +1,10 @@
 package otif
 
 import (
+	"fmt"
 	"io"
 
 	"otif/internal/persist"
-	"otif/internal/query"
 	"otif/internal/store"
 )
 
@@ -27,51 +27,35 @@ func (p *Pipeline) LoadModels(r io.Reader) error {
 	return persist.LoadModels(r, p.sys)
 }
 
-// WriteTo serializes the track set in OTIF's self-describing binary track
-// format: the header records frame rate, nominal geometry, frames per clip
-// and dataset name, so the file reloads with ReadTrackSet and no further
-// arguments. n is the number of bytes written.
-func (ts *TrackSet) WriteTo(w io.Writer) (n int64, err error) {
-	cw := &countWriter{w: w}
-	ctx := ts.Context()
-	err = persist.WriteTracksV2(cw, ts.perClip(), persist.TrackMeta{
-		FPS:     ctx.FPS,
-		NomW:    ctx.NomW,
-		NomH:    ctx.NomH,
-		Frames:  ctx.Frames,
-		Dataset: ts.Dataset,
-	})
-	return cw.n, err
+// ExportSegments saves the track set into dir, creating it if needed, as
+// sealed segment files (OTIFSEG1, "<seg-id>.otifseg"), cut every
+// store.DefaultSealClips clips as a live store seals. The files are
+// self-describing and deterministic: LoadTrackSets reads them back, and a
+// replica started with otifd -segments-dir over them answers every
+// /v1/query/* request byte-identically to the exporting process. It
+// returns the written paths in segment order.
+func (ts *TrackSet) ExportSegments(dir string) ([]string, error) {
+	return store.ExportSegments(dir, ts.Dataset, ts.Context(), ts.perClip(), store.DefaultSealClips)
 }
 
-// ExportSegments writes the track set as sealed segment files (OTIFSEG1,
-// one "<seg-id>.otifseg" per clipsPerSegment clips; <= 0 writes one
-// segment) into dir, creating it if needed. The files are self-describing
-// and deterministic: a replica started with otifd -segments-dir over them
-// answers every /v1/query/* request byte-identically to the exporting
-// process. It returns the written paths in segment order.
-func (ts *TrackSet) ExportSegments(dir string, clipsPerSegment int) ([]string, error) {
-	return store.ExportSegments(dir, ts.Dataset, ts.Context(), ts.perClip(), clipsPerSegment)
-}
-
-// ReadTrackSet loads a track set written by WriteTo. The file is
-// self-describing: clip geometry and dataset name come from its header.
-func ReadTrackSet(r io.Reader) (*TrackSet, error) {
-	perClip, meta, err := persist.ReadTracksAuto(r)
+// LoadTrackSets loads the segment files in dir written by ExportSegments
+// (or sealed by a live store) and returns their track sets by the dataset
+// name in their headers. Clip geometry comes from the headers too, so
+// nothing but the directory is needed. It returns ErrNoSegments for a
+// directory that holds no segment file, and an error naming the file for
+// one that does not decode or for segments that do not tile their
+// dataset's clips.
+func LoadTrackSets(dir string) (map[string]*TrackSet, error) {
+	shards, err := store.OpenSegmentsDir(dir, store.NewCache())
 	if err != nil {
 		return nil, err
 	}
-	ctx := query.Context{FPS: meta.FPS, NomW: meta.NomW, NomH: meta.NomH, Frames: meta.Frames}
-	return &TrackSet{Querier: store.New(perClip, ctx), Dataset: meta.Dataset}, nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("%w in %s", ErrNoSegments, dir)
+	}
+	sets := make(map[string]*TrackSet, len(shards))
+	for name, sh := range shards {
+		sets[name] = &TrackSet{Querier: sh, Dataset: name}
+	}
+	return sets, nil
 }

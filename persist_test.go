@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"otif"
-	"otif/internal/persist"
 	"otif/internal/store"
 )
 
@@ -69,6 +71,10 @@ func TestLoadModelsWrongDataset(t *testing.T) {
 	}
 }
 
+// TestTrackSetPersistence saves a track set as segment files and loads it
+// back from nothing but the directory, and pins LoadTrackSets' failure
+// modes: a directory without a segment file, and a file that does not
+// decode, which the error names.
 func TestTrackSetPersistence(t *testing.T) {
 	pipe, curve := pipeline(t)
 	pick, err := otif.PickFastestWithin(curve, 0.05)
@@ -79,17 +85,22 @@ func TestTrackSetPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	n, err := ts.WriteTo(&buf)
+	dir := t.TempDir()
+	paths, err := ts.ExportSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	// 3 clips fit one segment at the size a live store seals at.
+	if len(paths) != 1 || filepath.Base(paths[0]) != "seg-00000.otifseg" {
+		t.Fatalf("ExportSegments wrote %v, want one seg-00000.otifseg", paths)
 	}
-	got, err := otif.ReadTrackSet(bytes.NewReader(buf.Bytes()))
+	sets, err := otif.LoadTrackSets(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	got := sets["caldot1"]
+	if len(sets) != 1 || got == nil || got.Dataset != "caldot1" {
+		t.Fatalf("LoadTrackSets = %v, want one set named caldot1 from the header", sets)
 	}
 	a, b := ts.CountTracks(""), got.CountTracks("")
 	if len(a) != len(b) {
@@ -100,55 +111,27 @@ func TestTrackSetPersistence(t *testing.T) {
 			t.Errorf("clip %d: %d vs %d tracks", i, a[i], b[i])
 		}
 	}
-	// Frame-level queries work identically on the reloaded set.
+	// The separation in seconds converts at the header's frame rate.
 	la := ts.LimitQuery("car", otif.CountPredicate{N: 1}, 3, 1)
 	lb := got.LimitQuery("car", otif.CountPredicate{N: 1}, 3, 1)
-	for i := range la {
-		if len(la[i]) != len(lb[i]) {
-			t.Errorf("clip %d: limit query %d vs %d matches", i, len(la[i]), len(lb[i]))
-		}
+	if !reflect.DeepEqual(la, lb) {
+		t.Errorf("limit query on the loaded set = %v, want %v", lb, la)
 	}
-}
 
-// TestTrackSetV2SelfDescribing asserts the track format's contract: a file
-// written by WriteTo reloads with zero positional arguments, carrying its
-// clip geometry and dataset name in the header, and answers queries
-// identically to the original set.
-func TestTrackSetV2SelfDescribing(t *testing.T) {
-	pipe, curve := pipeline(t)
-	pick, err := otif.PickFastestWithin(curve, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ts.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := otif.ReadTrackSet(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dataset != "caldot1" {
-		t.Errorf("Dataset from header = %q, want caldot1", got.Dataset)
-	}
-	a, b := ts.CountTracks("car"), got.CountTracks("car")
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("clip %d: %d vs %d car tracks", i, a[i], b[i])
+	for name, dir := range map[string]string{
+		"empty":   t.TempDir(),
+		"missing": filepath.Join(t.TempDir(), "missing"),
+	} {
+		if _, err := otif.LoadTrackSets(dir); !errors.Is(err, otif.ErrNoSegments) {
+			t.Errorf("LoadTrackSets over a %s directory: err = %v, want ErrNoSegments", name, err)
 		}
 	}
-	// Frame-window queries must work without any caller-supplied context:
-	// the header's geometry drives the sweep.
-	la := ts.LimitQuery("car", otif.CountPredicate{N: 1}, 3, 1)
-	lb := got.LimitQuery("car", otif.CountPredicate{N: 1}, 3, 1)
-	for i := range la {
-		if len(la[i]) != len(lb[i]) {
-			t.Errorf("clip %d: limit query %d vs %d matches on header-described set", i, len(la[i]), len(lb[i]))
-		}
+	bad := filepath.Join(t.TempDir(), "seg-00000.otifseg")
+	if err := os.WriteFile(bad, []byte("not a segment file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := otif.LoadTrackSets(filepath.Dir(bad)); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Errorf("LoadTrackSets over a garbage file: err = %v, want one naming %s", err, bad)
 	}
 }
 
@@ -172,10 +155,9 @@ func nineKinds(q store.Querier, movements []otif.Movement) map[string]any {
 	}
 }
 
-// TestTrackSetRoundTripsAnswerEveryKind pins both ways a track set leaves
-// the process: Extract -> WriteTo -> ReadTrackSet and Extract ->
-// ExportSegments -> OpenSegmentsDir answer all nine query kinds exactly as
-// the extracted set does.
+// TestTrackSetRoundTripsAnswerEveryKind pins the way a track set leaves
+// the process: Extract -> ExportSegments -> LoadTrackSets answers all nine
+// query kinds exactly as the extracted set does.
 func TestTrackSetRoundTripsAnswerEveryKind(t *testing.T) {
 	pipe, curve := pipeline(t)
 	pick, err := otif.PickFastestWithin(curve, 0.05)
@@ -208,41 +190,22 @@ func TestTrackSetRoundTripsAnswerEveryKind(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if _, err := ts.WriteTo(&buf); err != nil {
+	dir := t.TempDir()
+	if _, err := ts.ExportSegments(dir); err != nil {
 		t.Fatal(err)
 	}
-	reread, err := otif.ReadTrackSet(&buf)
+	sets, err := otif.LoadTrackSets(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	reread := sets[ts.Dataset]
+	if len(sets) != 1 || reread == nil {
+		t.Fatalf("LoadTrackSets found datasets %v, want only %q", sets, ts.Dataset)
 	}
 	if reread.Dataset != ts.Dataset || reread.Context() != ts.Context() {
 		t.Errorf("reread header = %q %+v, want %q %+v", reread.Dataset, reread.Context(), ts.Dataset, ts.Context())
 	}
-	check("track file", reread.Querier)
-
-	dir := t.TempDir()
-	if paths, err := ts.ExportSegments(dir, 2); err != nil || len(paths) != 2 {
-		t.Fatalf("ExportSegments = %v, %v; want 2 files for 3 clips", paths, err)
-	}
-	shards, err := store.OpenSegmentsDir(dir, store.NewCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 1 || shards[ts.Dataset] == nil {
-		t.Fatalf("OpenSegmentsDir found datasets %v, want only %q", shards, ts.Dataset)
-	}
-	check("segment files", shards[ts.Dataset])
-}
-
-// TestTrackSetV1Rejected asserts the retired headerless format is refused
-// by its magic rather than loaded with zero-length clips.
-func TestTrackSetV1Rejected(t *testing.T) {
-	v1 := append([]byte("OTIFTRK1"), 1, 0, 0, 0) // magic, version 1, then the body
-	v1 = append(v1, make([]byte, 12)...)         // zero clips and a checksum
-	if _, err := otif.ReadTrackSet(bytes.NewReader(v1)); !errors.Is(err, persist.ErrBadMagic) {
-		t.Errorf("OTIFTRK1 file: err = %v, want persist.ErrBadMagic", err)
-	}
+	check("segment files", reread.Querier)
 }
 
 func TestSaveModelsBeforeTrainErrors(t *testing.T) {

@@ -11,15 +11,16 @@ import (
 // subsequent queries are answered from the stored tracks — no video
 // decoding or model inference. The nine query kinds, Clips, Tracks(clip),
 // VisibleBoxes and Context are the embedded store.Querier's own methods:
-// a monolithic index for an extracted or reloaded set, the live segmented
-// snapshot for an ingest session's — both answer bit-identically to a
-// linear scan, and both are safe for concurrent queries.
+// a monolithic index for an extracted set, a segmented one for a set
+// loaded by LoadTrackSets or an ingest session's live snapshot. Each
+// answers bit-identically to a linear scan and is safe for concurrent
+// queries.
 type TrackSet struct {
 	store.Querier
 	// Runtime is the simulated extraction cost in seconds.
 	Runtime float64
 	// Dataset is the name of the dataset the tracks were extracted from
-	// (stored in the file header).
+	// (stored in every segment header).
 	Dataset string
 }
 
