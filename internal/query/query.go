@@ -59,97 +59,29 @@ func (t *Track) BoxAt(frameIdx int) (geom.Rect, bool) {
 			continue
 		}
 		metScanBoxes.Add(int64(i) + 2)
-		return InterpBox(&t.Dets[i], &t.Dets[i+1], frameIdx), true
+		a, b := &t.Dets[i], &t.Dets[i+1]
+		return InterpBox(a.Box, b.Box, a.FrameIdx, b.FrameIdx, frameIdx), true
 	}
 	metScanBoxes.Add(int64(n))
 	return t.Dets[n-1].Box, true
 }
 
-// InterpBox interpolates between two detections at frameIdx with the exact
-// arithmetic BoxAt uses; the indexed store shares it so index-backed
-// results are bit-identical to the scans.
-func InterpBox(a, b *detect.Detection, frameIdx int) geom.Rect {
-	if b.FrameIdx == a.FrameIdx {
-		return a.Box
+// InterpBox is the one interpolation expression: the box at frameIdx
+// between box a at frame fa and box b at frame fb, a itself when the two
+// frames are equal. BoxAt applies it to detections, and the indexed store
+// to the same boxes in its geometry column, so index-backed results are
+// bit-identical to the scans.
+func InterpBox(a, b geom.Rect, fa, fb, frameIdx int) geom.Rect {
+	if fb == fa {
+		return a
 	}
-	f := float64(frameIdx-a.FrameIdx) / float64(b.FrameIdx-a.FrameIdx)
+	f := float64(frameIdx-fa) / float64(fb-fa)
 	return geom.Rect{
-		X: a.Box.X + (b.Box.X-a.Box.X)*f,
-		Y: a.Box.Y + (b.Box.Y-a.Box.Y)*f,
-		W: a.Box.W + (b.Box.W-a.Box.W)*f,
-		H: a.Box.H + (b.Box.H-a.Box.H)*f,
+		X: a.X + (b.X-a.X)*f,
+		Y: a.Y + (b.Y-a.Y)*f,
+		W: a.W + (b.W-a.W)*f,
+		H: a.H + (b.H-a.H)*f,
 	}
-}
-
-// Interp walks one track's detections forward, interpolating boxes at
-// non-decreasing frame indices in O(dets + frames) amortized instead of
-// BoxAt's O(dets) per call. It returns exactly what BoxAt would: the pair
-// chosen for any frame is the first detection pair whose second endpoint is
-// at or past the frame, and the arithmetic is InterpBox's.
-//
-// The pair serving the current frames is held by value — its first box,
-// the per-coordinate difference to its second, and both frames — so that
-// the frames up to the second detection's touch no Detection; the walk
-// loads the next pair only when a frame passes it.
-type Interp struct {
-	t *Track
-	// loaded is the number of detections the walk has read, 0 before the
-	// first BoxAt; the pair is Dets[loaded-2] and Dets[loaded-1] (just
-	// Dets[0] for a single-detection track).
-	loaded   int
-	from, to int       // the pair's frames; it serves frames up to to
-	span     float64   // to - from; 0 when the pair answers its first box
-	a, d     geom.Rect // the first box and the second box minus it
-}
-
-// NewInterp starts an interpolating walk over t.
-func NewInterp(t *Track) Interp { return Interp{t: t} }
-
-// Visited counts the detections the walk has loaded, in the same unit as
-// the query.scan_boxes / store.index_boxes counters.
-func (ip *Interp) Visited() int64 { return int64(ip.loaded) }
-
-// BoxAt returns the same box as t.BoxAt(frameIdx). Frame indices must be
-// non-decreasing across calls on one Interp.
-func (ip *Interp) BoxAt(frameIdx int) (geom.Rect, bool) {
-	if (ip.loaded == 0 || frameIdx > ip.to) && !ip.load(frameIdx) {
-		return geom.Rect{}, false
-	}
-	if ip.span == 0 {
-		return ip.a, true
-	}
-	// InterpBox's operations on the same operands: a + (b-a)*f.
-	f := float64(frameIdx-ip.from) / ip.span
-	return geom.Rect{
-		X: ip.a.X + ip.d.X*f,
-		Y: ip.a.Y + ip.d.Y*f,
-		W: ip.a.W + ip.d.W*f,
-		H: ip.a.H + ip.d.H*f,
-	}, true
-}
-
-// load moves the walk to the pair serving frameIdx, or reports that the
-// track is not visible there.
-func (ip *Interp) load(frameIdx int) bool {
-	dets := ip.t.Dets
-	n := len(dets)
-	if n == 0 || frameIdx < dets[0].FrameIdx || frameIdx > dets[n-1].FrameIdx {
-		return false
-	}
-	j := max(ip.loaded, min(n-1, 1)) // the pair's second detection
-	for frameIdx > dets[j].FrameIdx {
-		j++
-	}
-	a, b := &dets[max(j-1, 0)], &dets[j]
-	ip.loaded = j + 1
-	ip.from, ip.to = a.FrameIdx, b.FrameIdx
-	ip.a = a.Box
-	ip.span = 0
-	if b.FrameIdx != a.FrameIdx {
-		ip.span = float64(b.FrameIdx - a.FrameIdx)
-		ip.d = geom.Rect{X: b.Box.X - a.Box.X, Y: b.Box.Y - a.Box.Y, W: b.Box.W - a.Box.W, H: b.Box.H - a.Box.H}
-	}
-	return true
 }
 
 // Context carries the clip geometry queries need.
@@ -191,7 +123,12 @@ func ClassifyPath(p geom.Path, movements []Movement, maxEndpointDist float64) st
 	if len(p) == 0 {
 		return ""
 	}
-	start, end := p[0], p[len(p)-1]
+	return ClassifyEnds(p[0], p[len(p)-1], movements, maxEndpointDist)
+}
+
+// ClassifyEnds is ClassifyPath for a non-empty path given by its first and
+// last points, all the classification reads of it.
+func ClassifyEnds(start, end geom.Point, movements []Movement, maxEndpointDist float64) string {
 	bestName := ""
 	bestDist := math.Inf(1)
 	for _, m := range movements {

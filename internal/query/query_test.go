@@ -316,43 +316,3 @@ func TestCountCoresAdvancePerRun(t *testing.T) {
 		check("LimitQueryFrom", got, LimitQueryFrom(perFrame, pred, ctx, limit, minSep, &scratch), runs)
 	}
 }
-
-// TestInterpMatchesBoxAt: the pair-keeping walk returns Track.BoxAt's box
-// bit for bit, at ascending frames with gaps, on tracks with repeated frame
-// indices, a single detection, and coordinates that are negative zero, not
-// finite or huge; and it loads no detection before its first BoxAt and
-// never more than the track has.
-func TestInterpMatchesBoxAt(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	odd := []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, 5e-324}
-	coord := func() float64 {
-		if r.Intn(8) == 0 {
-			return odd[r.Intn(len(odd))]
-		}
-		return r.Float64()*600 - 100
-	}
-	same := func(a, b geom.Rect) bool {
-		return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
-			math.Float64bits(a.W) == math.Float64bits(b.W) && math.Float64bits(a.H) == math.Float64bits(b.H)
-	}
-	for trial := 0; trial < 500; trial++ {
-		tr := &Track{ID: trial}
-		for f, n := r.Intn(20), r.Intn(12); len(tr.Dets) < n; f += r.Intn(4) { // steps of 0 repeat a frame
-			tr.Dets = append(tr.Dets, detect.Detection{FrameIdx: f, Box: geom.Rect{X: coord(), Y: coord(), W: coord(), H: coord()}})
-		}
-		ip := NewInterp(tr)
-		if ip.Visited() != 0 {
-			t.Fatalf("trial %d: a fresh walk loaded %d detections", trial, ip.Visited())
-		}
-		for f := 0; f < 60; f += 1 + r.Intn(3) {
-			got, gotOK := ip.BoxAt(f)
-			want, wantOK := tr.BoxAt(f)
-			if gotOK != wantOK || !same(got, want) {
-				t.Fatalf("trial %d frame %d: Interp.BoxAt = %v %v, Track.BoxAt = %v %v", trial, f, got, gotOK, want, wantOK)
-			}
-		}
-		if ip.Visited() > int64(len(tr.Dets)) {
-			t.Fatalf("trial %d: loaded %d of %d detections", trial, ip.Visited(), len(tr.Dets))
-		}
-	}
-}

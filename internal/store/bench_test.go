@@ -35,22 +35,8 @@ func BenchmarkLimitQueryScan(b *testing.B) {
 	}
 }
 
-// BenchmarkDwellIndexed measures region dwell through the extent mask and
-// the pair walk.
-func BenchmarkDwellIndexed(b *testing.B) {
-	perClip, ctx := benchWorkload()
-	s := New(perClip, ctx)
-	region := randRegion(rand.New(rand.NewSource(1)), ctx)
-	s.DwellTime("car", region)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.DwellTime("car", region)
-	}
-}
-
-// BenchmarkDwellScan is the same dwell query as the frame-by-frame BoxAt
-// scan.
+// BenchmarkDwellScan is BenchmarkDwellIndexed/random's first region as
+// the frame-by-frame BoxAt scan.
 func BenchmarkDwellScan(b *testing.B) {
 	perClip, ctx := benchWorkload()
 	region := randRegion(rand.New(rand.NewSource(1)), ctx)
@@ -115,41 +101,90 @@ func benchScan(b *testing.B, run func(tracks []*query.Track, ctx query.Context))
 	}
 }
 
-// The frame-level kinds through the sweep line, each on two workloads:
-// "random" is benchWorkload; "querymix" is queryMixWorkload, the shape of
-// the benchmark's query-mix archive, where a run of frames with one
-// visible set lasts about four frames and interpolation dominates.
+// The frame-level kinds through the sweep line, and the track-level kinds
+// that read the geometry column, each on two workloads: "random" is
+// benchWorkload; "querymix" is queryMixWorkload, the shape of the
+// benchmark's query-mix archive, where a run of frames with one visible
+// set lasts about four frames and interpolation dominates.
 
 func BenchmarkLimitQueryIndexed(b *testing.B) {
-	benchFrameKind(b, func(s *Store) { s.LimitQuery("car", query.CountPredicate{N: 3}, 5, s.Context().FPS) })
+	benchKind(b, func(s *Store, _ geom.Polygon) { s.LimitQuery("car", query.CountPredicate{N: 3}, 5, s.Context().FPS) })
 }
 
 func BenchmarkAvgVisibleIndexed(b *testing.B) {
-	benchFrameKind(b, func(s *Store) { s.AvgVisible("car") })
+	benchKind(b, func(s *Store, _ geom.Polygon) { s.AvgVisible("car") })
 }
 
 func BenchmarkBusyFramesIndexed(b *testing.B) {
-	benchFrameKind(b, func(s *Store) { s.BusyFrames("car", 3, "bus", 1) })
+	benchKind(b, func(s *Store, _ geom.Polygon) { s.BusyFrames("car", 3, "bus", 1) })
 }
 
 func BenchmarkCoOccurrencesIndexed(b *testing.B) {
-	benchFrameKind(b, func(s *Store) { s.CoOccurrences("car", 80) })
+	benchKind(b, func(s *Store, _ geom.Polygon) { s.CoOccurrences("car", 80) })
 }
 
-// benchFrameKind times one query on each workload as a sub-benchmark.
-func benchFrameKind(b *testing.B, run func(s *Store)) {
+// BenchmarkDwellIndexed measures region dwell through the centre-extent
+// mask and the block walk, a different region each call.
+func BenchmarkDwellIndexed(b *testing.B) {
+	benchKind(b, func(s *Store, region geom.Polygon) { s.DwellTime("car", region) })
+}
+
+// BenchmarkPathBreakdownIndexed classifies every car's path endpoints
+// against benchMovements.
+func BenchmarkPathBreakdownIndexed(b *testing.B) {
+	benchKind(b, func(s *Store, _ geom.Polygon) {
+		ctx := s.Context()
+		s.PathBreakdown("car", benchMovements(ctx), 0.22*float64(ctx.NomW))
+	})
+}
+
+// benchKind times one query on each workload as a sub-benchmark. Each
+// workload draws 16 regions its own way, and call i is handed region
+// i mod 16: randRegion's anywhere in the frame for random, and the
+// benchmark's query-mix draw for querymix (queryMixRegion).
+func benchKind(b *testing.B, run func(s *Store, region geom.Polygon)) {
 	for _, w := range []struct {
-		name string
-		load func() ([][]*query.Track, query.Context)
-	}{{"random", benchWorkload}, {"querymix", queryMixWorkload}} {
+		name   string
+		load   func() ([][]*query.Track, query.Context)
+		region func(*rand.Rand, query.Context) geom.Polygon
+	}{{"random", benchWorkload, randRegion}, {"querymix", queryMixWorkload, queryMixRegion}} {
 		b.Run(w.name, func(b *testing.B) {
 			s := New(w.load())
+			r := rand.New(rand.NewSource(1))
+			regions := make([]geom.Polygon, 16)
+			for i := range regions {
+				regions[i] = w.region(r, s.Context())
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				run(s)
+				run(s, regions[i%len(regions)])
 			}
 		})
+	}
+}
+
+// queryMixRegion draws a dwell region as the benchmark's query-mix does: a
+// rectangle with its corner in the frame's top-left quarter and sides 20 to
+// 50 % of the frame's.
+func queryMixRegion(r *rand.Rand, ctx query.Context) geom.Polygon {
+	w, h := float64(ctx.NomW), float64(ctx.NomH)
+	x, y := r.Float64()*w*0.5, r.Float64()*h*0.5
+	rw, rh := w*(0.2+0.3*r.Float64()), h*(0.2+0.3*r.Float64())
+	return geom.Polygon{{X: x, Y: y}, {X: x + rw, Y: y}, {X: x + rw, Y: y + rh}, {X: x, Y: y + rh}}
+}
+
+// benchMovements are four straight movements across the frame, two each
+// way along two lanes, for the path breakdown benchmark and alloc gate.
+func benchMovements(ctx query.Context) []query.Movement {
+	w, h := float64(ctx.NomW), float64(ctx.NomH)
+	west, east := geom.Point{X: 0, Y: h / 3}, geom.Point{X: w, Y: h / 3}
+	north, south := geom.Point{X: w / 2, Y: 0}, geom.Point{X: w / 2, Y: h}
+	return []query.Movement{
+		{Name: "W->E", Path: geom.Path{west, east}},
+		{Name: "E->W", Path: geom.Path{east, west}},
+		{Name: "N->S", Path: geom.Path{north, south}},
+		{Name: "S->N", Path: geom.Path{south, north}},
 	}
 }
 
@@ -227,12 +262,14 @@ func TestFrameQueryAllocGate(t *testing.T) {
 // nothing per track; as scans they allocated a speeds slice per track,
 // 2000 a call here. DwellTime allocates, per call, the answer, one mask
 // that grows to the largest clip and the region's edge boxes, and per clip
-// its map growing with the tracks that dwell; nothing per track, pair or
-// frame.
+// its map growing with the tracks that dwell; nothing per track, block,
+// pair or frame. PathBreakdown allocates the answer and one map per clip,
+// sized to the movements; nothing per track.
 func TestTrackQueryAllocGate(t *testing.T) {
 	perClip, ctx := benchWorkload()
 	s := New(perClip, ctx)
 	region := randRegion(rand.New(rand.NewSource(1)), ctx)
+	movements := benchMovements(ctx)
 	perClipBudget := func(n int) float64 { return float64(n * len(perClip)) }
 	for _, g := range []struct {
 		name string
@@ -244,6 +281,8 @@ func TestTrackQueryAllocGate(t *testing.T) {
 		{"HardBraking", perClipBudget(12) + 1, func() { s.HardBraking(250) }},
 		// A map of up to 500 entries is about twenty allocations.
 		{"DwellTime", perClipBudget(24) + 4, func() { s.DwellTime("car", region) }},
+		// One map of four movements a clip: its header and its one group.
+		{"PathBreakdown", perClipBudget(2) + 1, func() { s.PathBreakdown("car", movements, 0.22*float64(ctx.NomW)) }},
 	} {
 		if got := testing.AllocsPerRun(5, g.run); got > g.max {
 			t.Errorf("%s: %.0f allocs per call, want at most %.0f", g.name, got, g.max)

@@ -3,7 +3,6 @@ package store
 import (
 	"math"
 
-	"otif/internal/detect"
 	"otif/internal/geom"
 )
 
@@ -82,8 +81,8 @@ type pairEnd struct {
 	sx, sy float64
 }
 
-func pairEndOf(d *detect.Detection) pairEnd {
-	return pairEnd{d.Box.Center(), math.Abs(d.Box.X) + math.Abs(d.Box.W), math.Abs(d.Box.Y) + math.Abs(d.Box.H)}
+func pairEndOf(b geom.Rect) pairEnd {
+	return pairEnd{b.Center(), math.Abs(b.X) + math.Abs(b.W), math.Abs(b.Y) + math.Abs(b.H)}
 }
 
 // span bounds the centres of every box interpolated between the two
@@ -94,6 +93,12 @@ func pairEndOf(d *detect.Detection) pairEnd {
 func (a pairEnd) span(b pairEnd) extent {
 	mx, my := roundingMargin*(a.sx+b.sx), roundingMargin*(a.sy+b.sy)
 	return extent{min(a.c.X, b.c.X) - mx, min(a.c.Y, b.c.Y) - my, max(a.c.X, b.c.X) + mx, max(a.c.Y, b.c.Y) + my}
+}
+
+// union is the smallest extent holding both; a NaN bound stays NaN, so a
+// union with a NaN in it is apart from nothing either.
+func (e extent) union(o extent) extent {
+	return extent{min(e.minX, o.minX), min(e.minY, o.minY), max(e.maxX, o.maxX), max(e.maxY, o.maxY)}
 }
 
 // apart reports that two extents share no point. A NaN compares as not

@@ -13,8 +13,10 @@ import (
 
 // hostileWorld is one seed's 7-clip fixture for TestDifferentialHostile:
 // genTracks' mix (empty, single-detection and repeated-frame tracks among
-// the ordinary ones) plus, in clip 0, one track of a single detection and
-// one of two detections on the same frame.
+// the ordinary ones) plus, in clip 0, one track of a single detection, one
+// of two detections on the same frame, and tracks whose boxes have zero
+// width, zero height or negative size, alone and beside ordinary boxes (a
+// box without area still has a centre for a region to hold).
 func hostileWorld(r *rand.Rand, ctx query.Context) [][]*query.Track {
 	perClip := [][]*query.Track{
 		genTracks(r, 10+r.Intn(25), ctx.Frames, ctx),
@@ -30,6 +32,26 @@ func hostileWorld(r *rand.Rand, ctx query.Context) [][]*query.Track {
 		&query.Track{ID: 1000, Category: "car", Dets: []detect.Detection{randDet(r, f, ctx)}},
 		&query.Track{ID: 1001, Category: "car", Dets: []detect.Detection{randDet(r, f, ctx), randDet(r, f, ctx)}},
 	)
+	degenerate := []func(b geom.Rect) geom.Rect{
+		func(b geom.Rect) geom.Rect { return geom.Rect{X: b.X, Y: b.Y} },
+		func(b geom.Rect) geom.Rect { b.W = 0; return b },
+		func(b geom.Rect) geom.Rect { b.H = 0; return b },
+		func(b geom.Rect) geom.Rect { return geom.Rect{X: b.MaxX(), Y: b.MaxY(), W: -b.W, H: -b.H} },
+	}
+	for k, shrink := range degenerate {
+		start := r.Intn(ctx.Frames - 20)
+		alone := &query.Track{ID: 1010 + k, Category: "car"}
+		mixed := &query.Track{ID: 1020 + k, Category: "car", Dets: []detect.Detection{randDet(r, start, ctx)}}
+		for f := start; f < start+20; f += 1 + r.Intn(6) {
+			d := randDet(r, f, ctx)
+			d.Box = shrink(d.Box)
+			alone.Dets = append(alone.Dets, d)
+			if f > start {
+				mixed.Dets = append(mixed.Dets, d)
+			}
+		}
+		perClip[0] = append(perClip[0], alone, mixed)
+	}
 	return perClip
 }
 
@@ -199,12 +221,28 @@ func peakVisible(perClip [][]*query.Track, cat string, ctx query.Context) int {
 	return peak
 }
 
-// TestDwellPairWalkSkipsAndSettles pins the pair walk's useful-work ratio on
-// a case with a known answer: a track crossing the frame left to right in
-// steps of four frames, and a rectangle over the middle third. Pairs left
-// and right of the rectangle are skipped as apart, pairs well inside it are
-// settled without interpolating, and only the pairs that straddle its two
-// vertical edges are walked frame by frame; every detection is visited once.
+// TestDwellPairWalkSkipsAndSettles pins the block walk's useful-work ratio
+// on a case with a known answer: a track crossing the frame left to right
+// in steps of four frames, and a rectangle over the middle third. Blocks
+// left and right of the rectangle are skipped whole as apart, a block well
+// inside it is settled whole, and inside the blocks that straddle its two
+// vertical edges pairs left and right of it are skipped as apart, pairs
+// well inside it are settled without interpolating, and only the pairs that
+// straddle an edge are walked frame by frame.
+//
+// The counts, derived by hand for dwellBlock = 4: detection k sits at
+// frame 4k with its centre at x = 20k, so pair i (detections i-1 and i)
+// spans x in [20(i-1), 20i]. The rectangle runs from x = 203 to 397, so
+// pair 11 (x 200..220) straddles the left edge and pair 20 (x 380..400) the
+// right one. The 30 pairs fall in eight blocks: pairs 1-4 (x 0..80), 5-8
+// (80..160), 9-12 (160..240), 13-16 (240..320), 17-20 (320..400), 21-24
+// (400..480), 25-28 (480..560) and 29-30 (560..600). Blocks 1, 2 and 6-8
+// are apart from the rectangle and block 4 is settled inside it: 6 blocks
+// skipped, none of their pairs walked. Blocks 3 and 5 reach an edge and are
+// walked pair by pair: 8 pairs walked. Of those, pairs 9 and 10 are apart,
+// 12, 17, 18 and 19 settled, and 11 and 20 interpolated: 6 skipped. The
+// walk loads detections 8-12 and 16-20, each once: 10. (Block 4 needs no
+// load: pair 12, settled inside, already gave its answer.)
 func TestDwellPairWalkSkipsAndSettles(t *testing.T) {
 	ctx := query.Context{FPS: 10, NomW: 600, NomH: 300, Frames: 121}
 	tr := &query.Track{ID: 1, Category: "car"}
@@ -215,9 +253,9 @@ func TestDwellPairWalkSkipsAndSettles(t *testing.T) {
 	s := New(perClip, ctx)
 	region := geom.Polygon{{X: 203, Y: 100}, {X: 397, Y: 100}, {X: 397, Y: 200}, {X: 203, Y: 200}}
 
-	w0, s0, b0 := metPairsWalked.Value(), metPairsSkipped.Value(), metIndexBoxes.Value()
+	w0, s0, k0, b0 := metPairsWalked.Value(), metPairsSkipped.Value(), metBlocksSkipped.Value(), metIndexBoxes.Value()
 	got := s.DwellTime("car", region)
-	walked, skipped, boxes := metPairsWalked.Value()-w0, metPairsSkipped.Value()-s0, metIndexBoxes.Value()-b0
+	walked, skipped, blocks, boxes := metPairsWalked.Value()-w0, metPairsSkipped.Value()-s0, metBlocksSkipped.Value()-k0, metIndexBoxes.Value()-b0
 	if want := query.DwellTime(perClip[0], "car", region, ctx); !reflect.DeepEqual(got[0], want) {
 		t.Fatalf("DwellTime = %v, scan says %v", got[0], want)
 	}
@@ -225,7 +263,10 @@ func TestDwellPairWalkSkipsAndSettles(t *testing.T) {
 	if got[0][1] != 3.9 {
 		t.Errorf("dwell = %v s, want 3.9", got[0][1])
 	}
-	if pairs := int64(len(tr.Dets) - 1); walked != pairs || skipped != pairs-2 || boxes != pairs+1 {
-		t.Errorf("walked %d pairs, skipped %d, visited %d detections; want %d, %d, %d", walked, skipped, boxes, pairs, pairs-2, pairs+1)
+	if dwellBlock != 4 {
+		t.Fatalf("the counts below are derived for dwellBlock = 4, not %d", dwellBlock)
+	}
+	if walked != 8 || skipped != 6 || blocks != 6 || boxes != 10 {
+		t.Errorf("walked %d pairs, skipped %d pairs and %d blocks, loaded %d detections; want 8, 6, 6, 10", walked, skipped, blocks, boxes)
 	}
 }

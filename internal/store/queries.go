@@ -16,9 +16,10 @@ import (
 // only needs the visible count costs two comparisons. The active list holds
 // track indices in ascending order — the order the linear scan visits — so
 // entering and leaving move four bytes a track. A sweep that is asked for
-// boxes (walks) also starts an interpolator per entering track, kept by
-// track index, so a track's detections are walked once per sweep; the kinds
-// that only count touch none. Box and owner buffers are the sweep's and are
+// boxes (walks) also keeps, by track index, where each active track's
+// interpolation stands in the clip's geometry column (clipIndex.boxAt), so a
+// track's detections are walked once per sweep; the kinds that only count
+// touch none. Box and owner buffers are the sweep's and are
 // overwritten by the next frame.
 //
 // A query method makes one sweep and resets it per clip; sweeps are never
@@ -27,13 +28,13 @@ type sweep struct {
 	ci    *clipIndex
 	cat   string
 	mask  []bool // spatial pre-prune; nil = no region constraint
-	walks bool   // the call asks for boxes: active tracks carry interpolators
+	walks bool   // the call asks for boxes: active tracks carry column positions
 
 	f          int
-	nextStart  int            // tracks before it in byStart have entered
-	nextEnd    int            // tracks before it in byEnd have left
-	active     []int32        // the visible tracks' indices, ascending
-	interps    []query.Interp // by track index, valid for active tracks when walks
+	nextStart  int     // tracks before it in byStart have entered
+	nextEnd    int     // tracks before it in byEnd have left
+	active     []int32 // the visible tracks' indices, ascending
+	pos        []int32 // by track index, boxAt's position for active tracks when walks
 	boxes      []geom.Rect
 	owners     []*query.Track
 	candidates []int32 // point lookups' stabbing result
@@ -46,13 +47,13 @@ func (sw *sweep) reset(ci *clipIndex, cat string, mask []bool) {
 	sw.retire()
 	sw.ci, sw.cat, sw.mask = ci, cat, mask
 	sw.nextStart, sw.nextEnd = 0, 0
-	if sw.walks && len(sw.interps) < len(ci.tracks) {
-		sw.interps = make([]query.Interp, len(ci.tracks))
+	if sw.walks && len(sw.pos) < len(ci.tracks) {
+		sw.pos = make([]int32, len(ci.tracks))
 	}
 }
 
 // retire empties the active list, keeping count of the detections its
-// interpolators walked.
+// tracks' interpolation walked.
 func (sw *sweep) retire() {
 	for _, ti := range sw.active {
 		sw.leave(ti)
@@ -60,10 +61,10 @@ func (sw *sweep) retire() {
 	sw.active = sw.active[:0]
 }
 
-// leave counts the detections a departing track's interpolator walked.
+// leave counts the detections a departing track's interpolation walked.
 func (sw *sweep) leave(ti int32) {
 	if sw.walks {
-		sw.visited += sw.interps[ti].Visited()
+		sw.visited += sw.ci.loaded(ti, sw.pos[ti])
 	}
 }
 
@@ -107,7 +108,7 @@ func (sw *sweep) Advance(f int) (int, int) {
 		i, _ := slices.BinarySearch(sw.active, ti)
 		sw.active = slices.Insert(sw.active, i, ti)
 		if sw.walks {
-			sw.interps[ti] = query.NewInterp(ci.tracks[ti])
+			sw.pos[ti] = -1
 		}
 	}
 	next := math.MaxInt
@@ -140,10 +141,8 @@ func (sw *sweep) Boxes() ([]geom.Rect, []*query.Track) {
 	}
 	sw.boxes, sw.owners = sw.boxes[:0], sw.owners[:0]
 	for _, ti := range sw.active {
-		if b, ok := sw.interps[ti].BoxAt(sw.f); ok {
-			sw.boxes = append(sw.boxes, b)
-			sw.owners = append(sw.owners, sw.ci.tracks[ti])
-		}
+		sw.boxes = append(sw.boxes, sw.ci.boxAt(ti, &sw.pos[ti], sw.f))
+		sw.owners = append(sw.owners, sw.ci.tracks[ti])
 	}
 	return sw.boxes, sw.owners
 }
@@ -161,13 +160,10 @@ func (sw *sweep) At(f int) ([]geom.Rect, []*query.Track) {
 		if !sw.admits(ti) {
 			continue
 		}
-		t := sw.ci.tracks[ti]
-		ip := query.NewInterp(t)
-		if b, ok := ip.BoxAt(f); ok {
-			boxes = append(boxes, b)
-			owners = append(owners, t)
-		}
-		sw.visited += ip.Visited()
+		pos := int32(-1)
+		boxes = append(boxes, sw.ci.boxAt(ti, &pos, f))
+		owners = append(owners, sw.ci.tracks[ti])
+		sw.visited += sw.ci.loaded(ti, pos)
 	}
 	return boxes, owners
 }
@@ -212,7 +208,8 @@ func (s *Store) CountTracks(cat string) []int {
 }
 
 // PathBreakdown classifies category tracks against the movements, walking
-// only the category's postings list.
+// only the category's postings list and reading each track's path
+// endpoints from their column.
 func (s *Store) PathBreakdown(cat string, movements []query.Movement, maxEndpointDist float64) []map[string]int {
 	metQueries.Inc()
 	out := make([]map[string]int, len(s.clips))
@@ -223,7 +220,11 @@ func (s *Store) PathBreakdown(cat string, movements []query.Movement, maxEndpoin
 			m[mv.Name] = 0
 		}
 		ci.eachOfCategory(cat, func(ti int32) {
-			if name := query.ClassifyPath(ci.tracks[ti].Path, movements, maxEndpointDist); name != "" {
+			if !ci.hasPath[ti] {
+				return
+			}
+			e := &ci.pathEnds[ti]
+			if name := query.ClassifyEnds(e[0], e[1], movements, maxEndpointDist); name != "" {
 				m[name]++
 			}
 		})
@@ -244,7 +245,7 @@ func (s *Store) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, [
 
 // LimitQuery runs a frame-level limit query per clip through the indexes.
 // RegionPredicate queries additionally pre-prune candidate tracks by their
-// bounding extents; the predicate then sees only boxes that could satisfy
+// centre extents; the predicate then sees only boxes that could satisfy
 // it, which cannot change its matched set.
 func (s *Store) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
 	metQueries.Inc()
@@ -299,7 +300,7 @@ func (s *Store) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 // CoOccurrences totals frame-wise close pairs per clip: query.CoOccurrences
 // over the sweep's active list, one run of frames with one visible set at a
 // time. Runs with fewer than two visible tracks are skipped whole; on the
-// frames of the others each active track's interpolator gives its centre,
+// frames of the others each active track's centre comes from clipIndex.boxAt,
 // into one buffer for the call, and every pair is tested with the scan's
 // Dist <= dist.
 func (s *Store) CoOccurrences(cat string, dist float64) []int {
@@ -320,8 +321,7 @@ func (s *Store) CoOccurrences(cat string, dist float64) []int {
 			centers = slices.Grow(centers[:0], n)[:n]
 			for ; f < end; f++ {
 				for k, ti := range sw.active {
-					b, _ := sw.interps[ti].BoxAt(f)
-					centers[k] = b.Center()
+					centers[k] = sw.ci.boxAt(ti, &sw.pos[ti], f).Center()
 				}
 				for a, c := range centers {
 					for _, o := range centers[a+1:] {
@@ -340,9 +340,10 @@ func (s *Store) CoOccurrences(cat string, dist float64) []int {
 
 // DwellTime returns, per clip, seconds each category track's interpolated
 // center spends inside the region. regionCandidates prunes tracks whose
-// bounding extent cannot reach the region; a surviving track is walked one
-// detection pair at a time (dwellWalk), and only pairs that come near one
-// of the region's edges are interpolated frame by frame.
+// centre extent cannot reach the region; a surviving track is walked one
+// dwell block of detection pairs at a time (dwellWalk), a block near one of
+// the region's edges one pair at a time, and only pairs that come near an
+// edge are interpolated frame by frame.
 func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 	metQueries.Inc()
 	out := make([]map[int]float64, len(s.clips))
@@ -365,9 +366,8 @@ func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 				pruned++
 				return
 			}
-			t := ci.tracks[ti]
-			if frames := w.frames(t); frames > 0 {
-				m[t.ID] = float64(frames) / float64(s.ctx.FPS)
+			if frames := w.frames(ci, ti); frames > 0 {
+				m[ci.tracks[ti].ID] = float64(frames) / float64(s.ctx.FPS)
 			}
 		})
 		metRegionPruned.Add(pruned)
@@ -375,6 +375,7 @@ func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 	metIndexBoxes.Add(w.visited)
 	metPairsWalked.Add(w.walked)
 	metPairsSkipped.Add(w.skipped)
+	metBlocksSkipped.Add(w.blocksSkipped)
 	return out
 }
 
@@ -385,7 +386,7 @@ type dwellWalk struct {
 	ext    extent
 	edges  []extent // nil when ext is everywhere
 
-	visited, walked, skipped int64
+	visited, walked, skipped, blocksSkipped int64
 }
 
 // contains is region.Contains behind the extent's cheap rejection.
@@ -417,51 +418,94 @@ func (w *dwellWalk) settled(span extent) bool {
 // when a frame index repeats). A pair whose span is apart from the region's
 // extent, or settled, has one answer for all its frames and is not
 // interpolated; the answer at a settled pair's second centre is also the
-// answer at the next pair's first. The track has at least one detection.
-func (w *dwellWalk) frames(t *query.Track) int {
-	dets := t.Dets
-	w.visited += int64(len(dets))
-	from := pairEndOf(&dets[0])
-	if len(dets) == 1 {
-		if w.contains(from.c) {
+// answer at the next pair's first.
+//
+// The walk takes a dwell block of pairs at a time. The block's span holds
+// every pair's, so when it is apart or settled so is each pair, and since
+// consecutive pairs share a centre the whole block has one answer; its
+// pairs serve the frames from the first no earlier pair serves up to its
+// largest frame (capped at the track's last), all or none of which count.
+// Any other block is walked pair by pair. Each detection is loaded from the
+// column at most once. The track has at least one detection.
+func (w *dwellWalk) frames(ci *clipIndex, ti int32) int {
+	boxes, fr := ci.geometry(ti)
+	if len(boxes) == 1 {
+		w.visited++
+		if w.contains(boxes[0].Center()) {
 			return 1
 		}
 		return 0
 	}
 	frames := 0
-	last := dets[len(dets)-1].FrameIdx
-	next := dets[0].FrameIdx      // the first frame no earlier pair serves
-	known, inside := false, false // whether, and what, the region answers at from.c
-	var to pairEnd
-	for i := 1; i < len(dets); i, from = i+1, to {
-		to = pairEndOf(&dets[i])
-		lo, hi := next, min(dets[i].FrameIdx, last)
-		if hi < lo {
+	last := int(fr[len(fr)-1])
+	next := int(fr[0])            // the first frame no earlier pair serves
+	known, inside := false, false // whether, and what, the region answers at the last pair's second centre
+	var from pairEnd
+	at := -1 // the detection from holds, -1 for none
+	b0 := int(ci.blockOff[ti])
+	for k, span := range ci.blockSpan[b0:ci.blockOff[ti+1]] {
+		p0 := 1 + k*dwellBlock // the block's first pair
+		hi := min(int(ci.blockLast[b0+k]), last)
+		if hi < next {
 			known = false
 			continue
 		}
-		next = hi + 1
-		w.walked++
-		switch span := from.span(to); {
+		switch {
 		case span.apart(w.ext):
 			known, inside = true, false
 		case w.settled(span):
 			if !known {
-				known, inside = true, w.contains(from.c)
+				if at != p0-1 {
+					w.visited++
+				}
+				known, inside = true, w.contains(boxes[p0-1].Center())
 			}
 		default:
-			known = false
-			for f := lo; f <= hi; f++ {
-				if w.contains(query.InterpBox(&dets[i-1], &dets[i], f).Center()) {
-					frames++
+			if at != p0-1 {
+				from = pairEndOf(boxes[p0-1])
+				w.visited++
+			}
+			end := min(p0+dwellBlock, len(boxes)) // one past the block's last pair
+			w.visited += int64(end - p0)
+			var to pairEnd
+			for i := p0; i < end; i, from = i+1, to {
+				to = pairEndOf(boxes[i])
+				lo, hi := next, min(int(fr[i]), last)
+				if hi < lo {
+					known = false
+					continue
+				}
+				next = hi + 1
+				w.walked++
+				switch span := from.span(to); {
+				case span.apart(w.ext):
+					known, inside = true, false
+				case w.settled(span):
+					if !known {
+						known, inside = true, w.contains(from.c)
+					}
+				default:
+					known = false
+					for f := lo; f <= hi; f++ {
+						if w.contains(query.InterpBox(boxes[i-1], boxes[i], int(fr[i-1]), int(fr[i]), f).Center()) {
+							frames++
+						}
+					}
+					continue
+				}
+				w.skipped++
+				if inside {
+					frames += hi - lo + 1
 				}
 			}
+			at = end - 1
 			continue
 		}
-		w.skipped++
+		w.blocksSkipped++
 		if inside {
-			frames += hi - lo + 1
+			frames += hi - next + 1
 		}
+		next = hi + 1
 	}
 	return frames
 }

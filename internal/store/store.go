@@ -1,6 +1,6 @@
 // Package store is OTIF's indexed track store: the query-side counterpart
 // of the pre-processing pipeline. A Store wraps one loaded track set with
-// four read-only indexes built once per clip —
+// read-only indexes and columns built once per clip —
 //
 //   - a temporal interval index in a flat sorted-endpoints layout (track
 //     first/last frames sorted twice, by start and by end, as parallel
@@ -11,21 +11,26 @@
 //     visible at frame f" by enumerating the smaller of the start-prefix
 //     and the end-suffix (clipIndex.active);
 //
-//   - each track's bounding extent (the union of its detection boxes,
-//     which contains every interpolated box), so region queries prune
-//     tracks that can never place a box center inside the region with one
-//     rectangle test per track;
-//
 //   - per-category postings lists, so category-filtered queries never
 //     visit tracks of other categories;
 //
-//   - two columns of per-track summaries, the median speed and the maximum
-//     deceleration, so Speeding and HardBraking are one comparison per track
-//     over a contiguous []float64 and never visit a detection.
+//   - a geometry column: every track's detection boxes and frame indices,
+//     laid out contiguously track by track (column.go). The kinds that
+//     interpolate read it instead of a Track's detections. Beside it, each
+//     track's centre extent (the rectangle its interpolated box centres
+//     lie in), so region queries prune tracks that can never place a
+//     centre inside the region with one rectangle test per track, and its
+//     dwell blocks, one extent and one last frame per four detection
+//     pairs, so DwellTime decides most of a track a block at a time;
+//
+//   - columns of per-track summaries: the path's two endpoints, all
+//     PathBreakdown classifies, and the median speed and the maximum
+//     deceleration, so Speeding and HardBraking are one comparison per
+//     track over a contiguous []float64 and never visit a detection.
 //
 // Query execution shares the scan implementations' cores (the query
-// package's *From functions over a query.FrameSource, and InterpBox
-// arithmetic), so every indexed result is bit-identical to the
+// package's *From functions over a query.FrameSource, query.InterpBox and
+// query.ClassifyEnds), so every indexed result is bit-identical to the
 // corresponding linear scan — the differential tests in this package assert
 // element-for-element equality and TestGoldenQueries pins the answers across
 // commits. CoOccurrences and DwellTime have loops of their own, held to
@@ -40,8 +45,8 @@
 // only the active list (its size, and the last frames the interval index
 // holds), once per run, and never interpolate a box. CoOccurrences skips
 // runs with fewer than two visible and reads each active track's centre
-// straight from its interpolator, which keeps its detection pair between
-// frames.
+// straight from the geometry column, where the track's position is kept
+// between frames.
 //
 // The index arrays hold track indices, not pointers, and are immutable
 // after New returns; a Store is safe for concurrent queries.
@@ -56,15 +61,18 @@ import (
 )
 
 // Observability handles. index_boxes counts detection elements examined by
-// indexed queries' interpolators (the same unit the scans record under
-// query.scan_boxes; kinds that only count add nothing). A sweep's
-// interpolator loads each detection of its track at most once, however
-// many frames the pair it belongs to serves, so for the frame-level kinds
-// it is the detections loaded, not one per frame. For DwellTime it is
-// the detections of the tracks the pair walk visited, each once, whether the
-// pair test then skipped the pair or not: dwell_pairs_walked counts those
-// pairs and dwell_pairs_skipped the ones whose frames were never
-// interpolated, so skipped / walked is what the pair test removed.
+// indexed queries' interpolation (the same unit the scans record under
+// query.scan_boxes; kinds that only count add nothing). A sweep loads each
+// detection of a track from the geometry column at most once, however many
+// frames the pair it belongs to serves, so for the frame-level kinds it is
+// the detections loaded, not one per frame. For DwellTime it is the
+// detections the block walk loaded, each once: those of the blocks it
+// walked pair by pair, and the first of a settled block whose answer it did
+// not carry. dwell_blocks_skipped counts the blocks decided whole, whose
+// pairs are neither loaded nor counted; dwell_pairs_walked counts the pairs
+// of the other blocks and dwell_pairs_skipped those of them whose frames
+// were never interpolated, so skipped / walked is what the pair test
+// removed.
 //
 // Per sweep and clip, candidates_examined counts the tracks whose first
 // frame the sweep line reached and candidates_kept those that also passed
@@ -73,13 +81,14 @@ import (
 // query's candidates to both in the same way. region_pruned counts tracks
 // the region mask turned away. kept / examined is store.index_hit_ratio.
 var (
-	metQueries      = obs.Default.Counter("store.queries")
-	metIndexBoxes   = obs.Default.Counter("store.index_boxes")
-	metCandExamined = obs.Default.Counter("store.candidates_examined")
-	metCandKept     = obs.Default.Counter("store.candidates_kept")
-	metRegionPruned = obs.Default.Counter("store.region_pruned")
-	metPairsWalked  = obs.Default.Counter("store.dwell_pairs_walked")
-	metPairsSkipped = obs.Default.Counter("store.dwell_pairs_skipped")
+	metQueries       = obs.Default.Counter("store.queries")
+	metIndexBoxes    = obs.Default.Counter("store.index_boxes")
+	metCandExamined  = obs.Default.Counter("store.candidates_examined")
+	metCandKept      = obs.Default.Counter("store.candidates_kept")
+	metRegionPruned  = obs.Default.Counter("store.region_pruned")
+	metPairsWalked   = obs.Default.Counter("store.dwell_pairs_walked")
+	metPairsSkipped  = obs.Default.Counter("store.dwell_pairs_skipped")
+	metBlocksSkipped = obs.Default.Counter("store.dwell_blocks_skipped")
 )
 
 func init() {
@@ -117,12 +126,36 @@ type clipIndex struct {
 	// Per-category postings, track indices ascending.
 	cats map[string][]int32
 
-	// bounds is each track's bounding extent (union of detection boxes).
-	bounds []geom.Rect
+	// Geometry column: every track's detection boxes and frames, laid out
+	// contiguously track by track; track i's are at positions
+	// [off[i], off[i+1]). What the interpolating kinds read instead of a
+	// Track's detections: 36 bytes a detection where a Detection is 80.
+	boxes  []geom.Rect
+	frames []int32
+	off    []int32
+
+	// centres bounds each track's interpolated box centres (the union of
+	// its pairs' spans, or its one centre's), so region queries prune
+	// tracks that can never place a centre in the region with one
+	// rectangle test per track.
+	centres []extent
+
+	// Dwell blocks: per track, one entry per dwellBlock consecutive
+	// detection pairs, the union of the pairs' spans and the largest frame
+	// of their second detections; track i's are at [blockOff[i],
+	// blockOff[i+1]).
+	blockSpan []extent
+	blockLast []int32
+	blockOff  []int32
+
+	// Path endpoints, all PathBreakdown reads of a track: its path's first
+	// and last points, when hasPath.
+	pathEnds [][2]geom.Point
+	hasPath  []bool
 
 	// Track columns: what the track-level kinds compare with a threshold,
 	// query.TrackSpeed's median and query.MaxDecel at the store's frame
-	// rate. Not persisted; 16 bytes a track.
+	// rate. 16 bytes a track.
 	p50Speed, maxDecel []float64
 }
 
@@ -145,20 +178,46 @@ func (s *Store) Clips() int { return len(s.clips) }
 // Tracks returns one clip's track slice (shared, read-only).
 func (s *Store) Tracks(clip int) []*query.Track { return s.clips[clip].tracks }
 
+// buildClipIndex builds one clip's indexes and columns, each in one
+// exact-size allocation, so the build allocates a fixed number of slices
+// per clip however many tracks and detections it holds. None of it is
+// persisted: the segment format is the tracks and nothing derived from
+// them.
 func buildClipIndex(tracks []*query.Track, fps int) clipIndex {
 	n := len(tracks)
-	ci := clipIndex{
-		tracks:   tracks,
-		starts:   make([]int32, n),
-		ends:     make([]int32, n),
-		byStart:  make([]int32, n),
-		byEnd:    make([]int32, n),
-		cats:     make(map[string][]int32),
-		bounds:   make([]geom.Rect, n),
-		p50Speed: make([]float64, n),
-		maxDecel: make([]float64, n),
+	dets, blocks, longest := 0, 0, 0
+	perCat := map[string]int{}
+	for _, t := range tracks {
+		dets += len(t.Dets)
+		blocks += blocksOf(len(t.Dets))
+		longest = max(longest, len(t.Dets))
+		perCat[t.Category]++
 	}
-	var speeds []float64 // TrackSpeedScratch's buffer, shared by the clip's tracks
+	ci := clipIndex{
+		tracks:    tracks,
+		starts:    make([]int32, n),
+		ends:      make([]int32, n),
+		byStart:   make([]int32, n),
+		byEnd:     make([]int32, n),
+		cats:      make(map[string][]int32, len(perCat)),
+		boxes:     make([]geom.Rect, dets),
+		frames:    make([]int32, dets),
+		off:       make([]int32, n+1),
+		centres:   make([]extent, n),
+		blockSpan: make([]extent, blocks),
+		blockLast: make([]int32, blocks),
+		blockOff:  make([]int32, n+1),
+		pathEnds:  make([][2]geom.Point, n),
+		hasPath:   make([]bool, n),
+		p50Speed:  make([]float64, n),
+		maxDecel:  make([]float64, n),
+	}
+	postings := make([]int32, 0, n) // every category's list, end to end
+	for cat, k := range perCat {
+		ci.cats[cat] = postings[len(postings) : len(postings) : len(postings)+k]
+		postings = postings[:len(postings)+k]
+	}
+	speeds := make([]float64, 0, max(longest-1, 0)) // TrackSpeedScratch's buffer, shared by the clip's tracks
 	for i, t := range tracks {
 		if len(t.Dets) == 0 {
 			// Inverted interval: never enumerated as visible.
@@ -170,11 +229,11 @@ func buildClipIndex(tracks []*query.Track, fps int) clipIndex {
 		ci.byStart[i] = int32(i)
 		ci.byEnd[i] = int32(i)
 		ci.cats[t.Category] = append(ci.cats[t.Category], int32(i))
-		var b geom.Rect
-		for _, d := range t.Dets {
-			b = b.Union(d.Box)
+		ci.addGeometry(i, t)
+		if len(t.Path) > 0 {
+			ci.pathEnds[i] = [2]geom.Point{t.Path[0], t.Path[len(t.Path)-1]}
+			ci.hasPath[i] = true
 		}
-		ci.bounds[i] = b
 		ci.p50Speed[i] = query.TrackSpeedScratch(t, fps, &speeds).P50
 		ci.maxDecel[i] = query.MaxDecel(t, fps)
 	}
@@ -263,20 +322,20 @@ func sortInt32(a []int32) {
 }
 
 // regionCandidates fills mask (reused when large enough) with per-track
-// membership: tracks whose bounding extent meets the region's, contact and
+// membership: tracks whose centre extent meets the region's, contact and
 // degenerate rectangles included. Tracks outside the mask can never place
-// an interpolated box center inside the region (every interpolated box lies
-// within the union of the track's detection boxes); a track with no
-// detections has no extent and is never a candidate.
+// an interpolated box centre inside the region; a track with no detections
+// (or whose frames run backwards, so no frame is its) is never a
+// candidate.
 func (ci *clipIndex) regionCandidates(e extent, mask []bool) []bool {
 	if cap(mask) < len(ci.tracks) {
 		mask = make([]bool, len(ci.tracks))
 	}
 	mask = mask[:len(ci.tracks)]
-	for ti, b := range ci.bounds {
-		// ends < starts is the inverted interval of a track with no
-		// detections; read here so the loop touches no Track.
-		mask[ti] = ci.ends[ti] >= ci.starts[ti] && !e.apart(extent{b.X, b.Y, b.MaxX(), b.MaxY()})
+	for ti, c := range ci.centres {
+		// ends < starts is the inverted interval; read here so the loop
+		// touches no Track.
+		mask[ti] = ci.ends[ti] >= ci.starts[ti] && !e.apart(c)
 	}
 	return mask
 }
