@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -18,6 +19,18 @@ import (
 // modelMagic identifies a trained-model bundle file.
 const modelMagic = "OTIFMDL1"
 
+// Limits on a bundle's counts, which the loader reads ahead of the
+// checksum and SaveModels refuses to exceed.
+const (
+	maxPlane       = 1 << 26 // background pixels
+	maxProxies     = 64
+	maxWindowSizes = 16
+	maxClusters    = 1 << 20
+	maxCenter      = 1 << 16 // points in a cluster center
+	maxLayers      = 16      // layers in an MLP
+	maxDenseDim    = 1 << 16 // a dense layer's inputs or outputs
+)
+
 // SaveModels serializes a trained system's artifacts: theta_best, the
 // background model, the proxy models, the window-size set, the recurrent
 // and pairwise tracking models, and the refinement clusters. Dataset
@@ -34,6 +47,9 @@ func SaveModels(dst io.Writer, sys *core.System) error {
 
 	// Background frame.
 	bg := sys.Background.Frame()
+	if bg.W <= 0 || bg.H <= 0 || bg.W*bg.H > maxPlane || len(bg.Pix) != bg.W*bg.H {
+		w.fail(fmt.Errorf("persist: background %dx%d with %d pixels, want 1 to %d and one per position", bg.W, bg.H, len(bg.Pix), maxPlane))
+	}
 	w.int(bg.W)
 	w.int(bg.H)
 	w.int(bg.NomW)
@@ -41,7 +57,7 @@ func SaveModels(dst io.Writer, sys *core.System) error {
 	w.bytes(bg.Pix)
 
 	// Proxy models.
-	w.int(len(sys.Proxies))
+	w.count("proxies", len(sys.Proxies), maxProxies)
 	for _, m := range sys.Proxies {
 		w.int(m.ResW)
 		w.int(m.ResH)
@@ -50,7 +66,7 @@ func SaveModels(dst io.Writer, sys *core.System) error {
 	}
 
 	// Window sizes (beyond the implicit full frame).
-	w.int(len(sys.WindowSizes))
+	w.count("window sizes", len(sys.WindowSizes), maxWindowSizes)
 	for _, s := range sys.WindowSizes {
 		w.int(s[0])
 		w.int(s[1])
@@ -64,10 +80,10 @@ func SaveModels(dst io.Writer, sys *core.System) error {
 	if sys.Refiner == nil {
 		w.int(-1)
 	} else {
-		w.int(len(sys.Refiner.Clusters))
+		w.count("refinement clusters", len(sys.Refiner.Clusters), maxClusters)
 		for _, c := range sys.Refiner.Clusters {
 			w.int(c.Size)
-			w.int(len(c.Center))
+			w.count("cluster center points", len(c.Center), maxCenter)
 			for _, p := range c.Center {
 				w.f64(p.X)
 				w.f64(p.Y)
@@ -103,7 +119,7 @@ func LoadModels(src io.Reader, sys *core.System) error {
 
 	bw, bh := r.int(), r.int()
 	nomW, nomH := r.int(), r.int()
-	if r.err != nil || bw <= 0 || bh <= 0 || bw*bh > 1<<26 {
+	if r.err != nil || bw <= 0 || bh <= 0 || bw*bh > maxPlane {
 		return badLen(r, bw*bh)
 	}
 	pix := r.bytes(bw * bh)
@@ -115,7 +131,7 @@ func LoadModels(src io.Reader, sys *core.System) error {
 	sys.Background = detect.NewBackgroundModel(frame)
 
 	nProxies := r.int()
-	if r.err != nil || nProxies < 0 || nProxies > 64 {
+	if r.err != nil || nProxies < 0 || nProxies > maxProxies {
 		return badLen(r, nProxies)
 	}
 	if best.UseProxy && (best.ProxyIdx < 0 || best.ProxyIdx >= nProxies) {
@@ -142,7 +158,7 @@ func LoadModels(src io.Reader, sys *core.System) error {
 	}
 
 	nSizes := r.int()
-	if r.err != nil || nSizes < 0 || nSizes > 16 {
+	if r.err != nil || nSizes < 0 || nSizes > maxWindowSizes {
 		return badLen(r, nSizes)
 	}
 	sys.WindowSizes = make([][2]int, nSizes)
@@ -167,14 +183,14 @@ func LoadModels(src io.Reader, sys *core.System) error {
 	if nClusters < 0 {
 		sys.Refiner = nil
 	} else {
-		if nClusters > 1<<20 {
+		if nClusters > maxClusters {
 			return badLen(r, nClusters)
 		}
 		clusters := make([]*refine.Cluster, 0, min(nClusters, maxPrealloc))
 		for i := 0; i < nClusters; i++ {
 			c := &refine.Cluster{Size: r.int()}
 			n := r.int()
-			if r.err != nil || n < 0 || n > 1<<16 {
+			if r.err != nil || n < 0 || n > maxCenter {
 				return badLen(r, n)
 			}
 			c.Center = make(geom.Path, 0, min(n, maxPrealloc))
@@ -253,6 +269,10 @@ func checkConfig(c core.Config) error {
 }
 
 func writeDense(w *writer, d *nn.Dense) {
+	if d.In <= 0 || d.Out <= 0 || d.In > maxDenseDim || d.Out > maxDenseDim || len(d.W) != d.In*d.Out {
+		w.fail(fmt.Errorf("persist: dense layer %dx%d with %d weights, want 1 to %d a side and one per pair", d.In, d.Out, len(d.W), maxDenseDim))
+		return
+	}
 	w.int(d.In)
 	w.int(d.Out)
 	w.int(int(d.Act))
@@ -267,7 +287,7 @@ func writeDense(w *writer, d *nn.Dense) {
 func readDense(r *reader) (*nn.Dense, error) {
 	in, out := r.int(), r.int()
 	act := nn.Activation(r.int())
-	if r.err != nil || in <= 0 || out <= 0 || in > 1<<16 || out > 1<<16 {
+	if r.err != nil || in <= 0 || out <= 0 || in > maxDenseDim || out > maxDenseDim {
 		return nil, badLen(r, in*out)
 	}
 	d := &nn.Dense{In: in, Out: out, Act: act, W: make(nn.Vec, 0, min(in*out, maxPrealloc))}
@@ -283,7 +303,10 @@ func readDense(r *reader) (*nn.Dense, error) {
 }
 
 func writeMLP(w *writer, m *nn.MLP) {
-	w.int(len(m.Layers))
+	if len(m.Layers) == 0 {
+		w.fail(errors.New("persist: an MLP without layers"))
+	}
+	w.count("MLP layers", len(m.Layers), maxLayers)
 	for _, l := range m.Layers {
 		writeDense(w, l)
 	}
@@ -291,7 +314,7 @@ func writeMLP(w *writer, m *nn.MLP) {
 
 func readMLP(r *reader) (*nn.MLP, error) {
 	n := r.int()
-	if r.err != nil || n <= 0 || n > 16 {
+	if r.err != nil || n <= 0 || n > maxLayers {
 		return nil, badLen(r, n)
 	}
 	m := &nn.MLP{Layers: make([]*nn.Dense, n)}

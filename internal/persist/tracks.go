@@ -50,9 +50,9 @@ func WriteTracksV2(dst io.Writer, perClip [][]*query.Track, meta TrackMeta) erro
 }
 
 func writeTrackBody(w *writer, perClip [][]*query.Track) {
-	w.int(len(perClip))
+	w.count("clips", len(perClip), maxClips)
 	for _, tracks := range perClip {
-		w.int(len(tracks))
+		w.count("tracks in a clip", len(tracks), maxRecords)
 		for _, t := range tracks {
 			writeTrack(w, t)
 		}
@@ -62,7 +62,7 @@ func writeTrackBody(w *writer, perClip [][]*query.Track) {
 func writeTrack(w *writer, t *query.Track) {
 	w.int(t.ID)
 	w.str(t.Category)
-	w.int(len(t.Dets))
+	w.count("detections in a track", len(t.Dets), maxRecords)
 	for _, d := range t.Dets {
 		w.int(d.FrameIdx)
 		w.f64(d.Box.X)
@@ -74,7 +74,7 @@ func writeTrack(w *writer, t *query.Track) {
 		w.f64(d.AppMean)
 		w.f64(d.AppStd)
 	}
-	w.int(len(t.Path))
+	w.count("path points", len(t.Path), maxRecords)
 	for _, p := range t.Path {
 		w.f64(p.X)
 		w.f64(p.Y)
@@ -136,17 +136,24 @@ func checkFrames(frames int) error {
 // start at most this long and grow as records actually arrive.
 const maxPrealloc = 1 << 10
 
+// Limits on a track body's counts: clips in a file, and tracks in a clip,
+// detections in a track and points in a path.
+const (
+	maxClips   = 1 << 20
+	maxRecords = 1 << 24
+)
+
 // readTrackBody reads the clips of a file whose header gave frames as the
 // clip length.
 func readTrackBody(r *reader, frames int) ([][]*query.Track, error) {
 	nClips := r.int()
-	if r.err != nil || nClips < 0 || nClips > 1<<20 {
+	if r.err != nil || nClips < 0 || nClips > maxClips {
 		return nil, badLen(r, nClips)
 	}
 	out := make([][]*query.Track, 0, min(nClips, maxPrealloc))
 	for c := 0; c < nClips; c++ {
 		nTracks := r.int()
-		if r.err != nil || nTracks < 0 || nTracks > 1<<24 {
+		if r.err != nil || nTracks < 0 || nTracks > maxRecords {
 			return nil, badLen(r, nTracks)
 		}
 		tracks := make([]*query.Track, 0, min(nTracks, maxPrealloc))
@@ -176,7 +183,7 @@ func readTrack(r *reader, frames int) (*query.Track, error) {
 		Category: r.str(),
 	}
 	nDets := r.int()
-	if r.err != nil || nDets < 0 || nDets > 1<<24 {
+	if r.err != nil || nDets < 0 || nDets > maxRecords {
 		return nil, badLen(r, nDets)
 	}
 	t.Dets = make([]detect.Detection, 0, min(nDets, maxPrealloc))
@@ -189,7 +196,7 @@ func readTrack(r *reader, frames int) (*query.Track, error) {
 			FrameIdx: r.int(),
 			Box:      geom.Rect{X: r.f64(), Y: r.f64(), W: r.f64(), H: r.f64()},
 			Score:    r.f64(),
-			Category: r.str(),
+			Category: r.strLike(t.Category),
 			AppMean:  r.f64(),
 			AppStd:   r.f64(),
 		}
@@ -204,7 +211,7 @@ func readTrack(r *reader, frames int) (*query.Track, error) {
 		t.Dets = append(t.Dets, d)
 	}
 	nPath := r.int()
-	if r.err != nil || nPath < 0 || nPath > 1<<24 {
+	if r.err != nil || nPath < 0 || nPath > maxRecords {
 		return nil, badLen(r, nPath)
 	}
 	t.Path = make(geom.Path, 0, min(nPath, maxPrealloc))

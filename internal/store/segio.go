@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"otif/internal/parallel"
 	"otif/internal/persist"
 	"otif/internal/query"
 )
@@ -15,9 +16,11 @@ const SegmentExt = ".otifseg"
 
 // ExportSegments writes a dataset's clips as sealed segment files of at
 // most clipsPerSeg clips each (<= 0 means one segment) into dir, named
-// "<id>.otifseg" with conventional ids. It returns the written paths in
-// segment order. The encoding is deterministic, so two replicas exporting
-// the same track set produce identical files.
+// "<id>.otifseg" with conventional ids, on the worker pool. It returns the
+// written paths in segment order, or the error of the first segment in
+// that order that failed. The encoding is deterministic, so two replicas
+// exporting the same track set produce identical files, at any worker
+// count.
 func ExportSegments(dir, dataset string, ctx query.Context, perClip [][]*query.Track, clipsPerSeg int) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -25,40 +28,55 @@ func ExportSegments(dir, dataset string, ctx query.Context, perClip [][]*query.T
 	if clipsPerSeg <= 0 {
 		clipsPerSeg = len(perClip)
 	}
-	var paths []string
-	for start, n := 0, 0; start < len(perClip); start, n = start+clipsPerSeg, n+1 {
-		end := start + clipsPerSeg
-		if end > len(perClip) {
-			end = len(perClip)
-		}
+	n := 0
+	if len(perClip) > 0 {
+		n = (len(perClip) + clipsPerSeg - 1) / clipsPerSeg
+	}
+	paths := make([]string, n)
+	errs := parallel.Map(n, func(i int) error {
+		start := i * clipsPerSeg
+		end := min(start+clipsPerSeg, len(perClip))
 		meta := persist.SegmentMeta{
 			Dataset:   dataset,
-			ID:        SegmentID(n),
+			ID:        SegmentID(i),
 			StartClip: start,
 			FPS:       ctx.FPS,
 			NomW:      ctx.NomW,
 			NomH:      ctx.NomH,
 			Frames:    ctx.Frames,
 		}
-		path := filepath.Join(dir, meta.ID+SegmentExt)
-		if err := writeSegmentFile(path, meta, perClip[start:end]); err != nil {
+		paths[i] = filepath.Join(dir, meta.ID+SegmentExt)
+		return writeSegmentFile(paths[i], meta, perClip[start:end])
+	})
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-		paths = append(paths, path)
 	}
 	return paths, nil
 }
 
+// writeSegmentFile writes path by way of path+".tmp", renamed once it is
+// complete and closed: a process stopped midway leaves a temporary file,
+// which OpenSegmentsDir does not read, never a truncated segment.
 func writeSegmentFile(path string, meta persist.SegmentMeta, perClip [][]*query.Track) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := persist.WriteSegment(f, meta, perClip); err != nil {
-		f.Close()
+	err = persist.WriteSegment(f, meta, perClip)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("write segment %s: %w", path, err)
 	}
-	return f.Close()
+	return nil
 }
 
 // OpenSegmentsDir loads every "*.otifseg" file in dir and assembles them
@@ -66,6 +84,10 @@ func writeSegmentFile(path string, meta persist.SegmentMeta, perClip [][]*query.
 // tile its clip range contiguously and agree on clip geometry. cache is
 // shared across the returned shard sets (nil disables result caching).
 // This is what a replica serves from a directory of shipped segments.
+//
+// The files are read and indexed on the worker pool; grouping and
+// validation then run in sorted path order, so the error reported is the
+// same at any worker count.
 func OpenSegmentsDir(dir string, cache *Cache) (map[string]*Sharded, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*"+SegmentExt))
 	if err != nil {
@@ -73,41 +95,45 @@ func OpenSegmentsDir(dir string, cache *Cache) (map[string]*Sharded, error) {
 	}
 	sort.Strings(paths)
 	type loaded struct {
-		meta    persist.SegmentMeta
-		perClip [][]*query.Track
+		meta persist.SegmentMeta
+		seg  *Segment
+		err  error
 	}
-	byDataset := map[string][]loaded{}
-	for _, path := range paths {
-		f, err := os.Open(path)
+	ls := parallel.Map(len(paths), func(i int) loaded {
+		meta, perClip, err := readSegmentFile(paths[i])
 		if err != nil {
-			return nil, err
-		}
-		meta, perClip, err := persist.ReadSegment(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("read segment %s: %w", path, err)
+			return loaded{err: fmt.Errorf("read segment %s: %w", paths[i], err)}
 		}
 		if meta.Dataset == "" {
 			// A registry entry needs a name; "" selects the default dataset.
-			return nil, fmt.Errorf("read segment %s: header carries no dataset name", path)
+			return loaded{err: fmt.Errorf("read segment %s: header carries no dataset name", paths[i])}
 		}
-		byDataset[meta.Dataset] = append(byDataset[meta.Dataset], loaded{meta, perClip})
+		return loaded{meta: meta, seg: NewSegment(meta.ID, meta.StartClip, perClip, metaContext(meta))}
+	})
+	// Datasets in the order their first file sorts, each holding indices
+	// into ls in path order.
+	var names []string
+	byDataset := map[string][]int{}
+	for i, l := range ls {
+		if l.err != nil {
+			return nil, l.err
+		}
+		if _, ok := byDataset[l.meta.Dataset]; !ok {
+			names = append(names, l.meta.Dataset)
+		}
+		byDataset[l.meta.Dataset] = append(byDataset[l.meta.Dataset], i)
 	}
-	out := make(map[string]*Sharded, len(byDataset))
-	for dataset, ls := range byDataset {
-		sort.Slice(ls, func(a, b int) bool { return ls[a].meta.StartClip < ls[b].meta.StartClip })
-		ctx := query.Context{
-			FPS:    ls[0].meta.FPS,
-			NomW:   ls[0].meta.NomW,
-			NomH:   ls[0].meta.NomH,
-			Frames: ls[0].meta.Frames,
-		}
-		segs := make([]*Segment, len(ls))
-		for i, l := range ls {
-			if got := (query.Context{FPS: l.meta.FPS, NomW: l.meta.NomW, NomH: l.meta.NomH, Frames: l.meta.Frames}); got != ctx {
-				return nil, fmt.Errorf("segment %q of dataset %q has context %+v, want %+v", l.meta.ID, dataset, got, ctx)
+	out := make(map[string]*Sharded, len(names))
+	for _, dataset := range names {
+		idx := byDataset[dataset]
+		sort.SliceStable(idx, func(a, b int) bool { return ls[idx[a]].meta.StartClip < ls[idx[b]].meta.StartClip })
+		ctx := metaContext(ls[idx[0]].meta)
+		segs := make([]*Segment, len(idx))
+		for k, i := range idx {
+			if got := metaContext(ls[i].meta); got != ctx {
+				return nil, fmt.Errorf("segment %q of dataset %q has context %+v, want %+v", ls[i].meta.ID, dataset, got, ctx)
 			}
-			segs[i] = NewSegment(l.meta.ID, l.meta.StartClip, l.perClip, ctx)
+			segs[k] = ls[i].seg
 		}
 		sh, err := NewSharded(dataset, ctx, segs, cache)
 		if err != nil {
@@ -116,4 +142,18 @@ func OpenSegmentsDir(dir string, cache *Cache) (map[string]*Sharded, error) {
 		out[dataset] = sh
 	}
 	return out, nil
+}
+
+func readSegmentFile(path string) (persist.SegmentMeta, [][]*query.Track, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return persist.SegmentMeta{}, nil, err
+	}
+	defer f.Close()
+	return persist.ReadSegment(f)
+}
+
+// metaContext is the clip geometry a segment header records.
+func metaContext(m persist.SegmentMeta) query.Context {
+	return query.Context{FPS: m.FPS, NomW: m.NomW, NomH: m.NomH, Frames: m.Frames}
 }

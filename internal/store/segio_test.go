@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"otif/internal/detect"
+	"otif/internal/parallel"
 	"otif/internal/persist"
 	"otif/internal/query"
 )
@@ -66,18 +68,21 @@ func TestExportOpenRoundtrip(t *testing.T) {
 
 // TestExportDeterministic pins that exporting the same track set twice
 // produces byte-identical files — the property that lets replicas verify
-// shipped segments and share result-cache key space.
+// shipped segments and share result-cache key space — whether the files
+// are written one at a time or four at once.
 func TestExportDeterministic(t *testing.T) {
 	perClip, _, ctx, _ := shardedFixture(6)
-	dirA, dirB := t.TempDir(), t.TempDir()
-	pathsA, err := ExportSegments(dirA, "cam0", ctx, perClip, 2)
-	if err != nil {
-		t.Fatal(err)
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	export := func(workers int) []string {
+		parallel.SetWorkers(workers)
+		paths, err := ExportSegments(t.TempDir(), "cam0", ctx, perClip, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths
 	}
-	pathsB, err := ExportSegments(dirB, "cam0", ctx, perClip, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pathsA, pathsB := export(1), export(4)
 	if len(pathsA) != len(pathsB) {
 		t.Fatalf("exports differ in file count: %d vs %d", len(pathsA), len(pathsB))
 	}
@@ -90,8 +95,8 @@ func TestExportDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("segment %d differs between identical exports", i)
+		if filepath.Base(pathsA[i]) != filepath.Base(pathsB[i]) || !bytes.Equal(a, b) {
+			t.Errorf("segment %d differs between exports at 1 and 4 workers", i)
 		}
 	}
 }
@@ -310,5 +315,146 @@ func TestOpenSegmentsDirRejectsHostileClipLength(t *testing.T) {
 	_, err = OpenSegmentsDir(dir, nil)
 	if err == nil || !strings.Contains(err.Error(), paths[0]) || !strings.Contains(err.Error(), "1099511627776") {
 		t.Fatalf("OpenSegmentsDir over a segment of 1<<40 frames: err = %v, want one naming %s and the length", err, paths[0])
+	}
+}
+
+// bigSegment exports three clips of 60 tracks as one segment file of more
+// than 128 KiB, so 64 KiB buffer boundaries fall inside it, and returns its
+// tracks, path and bytes.
+func bigSegment(t *testing.T, dir string) ([][]*query.Track, string, []byte) {
+	ctx := testCtx()
+	r := rand.New(rand.NewSource(11))
+	perClip := [][]*query.Track{genTracks(r, 60, ctx.Frames, ctx), genTracks(r, 60, ctx.Frames, ctx), genTracks(r, 60, ctx.Frames, ctx)}
+	paths, err := ExportSegments(dir, "cam0", ctx, perClip, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) <= 128<<10 {
+		t.Fatalf("segment is %d bytes, want more than 128 KiB", len(data))
+	}
+	return perClip, paths[0], data
+}
+
+// TestOpenSegmentsDirRejectsDamageAtBufferBoundaries: a segment cut at any
+// length within 16 bytes of a 64 KiB boundary or of its end, or with one
+// bit flipped at every 997th byte, makes OpenSegmentsDir fail, never
+// succeed or panic.
+func TestOpenSegmentsDirRejectsDamageAtBufferBoundaries(t *testing.T) {
+	dir := t.TempDir()
+	_, path, data := bigSegment(t, dir)
+	open := func(what string, b []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSegmentsDir(dir, nil); err == nil {
+			t.Errorf("segment %s opened without error", what)
+		}
+	}
+	for b := 64 << 10; b < len(data)-16; b += 64 << 10 {
+		for n := b - 16; n <= b+16; n++ {
+			open(fmt.Sprintf("cut to %d bytes", n), data[:n])
+		}
+	}
+	for n := len(data) - 16; n < len(data); n++ {
+		open(fmt.Sprintf("cut to %d of %d bytes", n, len(data)), data[:n])
+	}
+	bad := make([]byte, len(data))
+	for off := 0; off < len(data); off += 997 {
+		copy(bad, data)
+		bad[off] ^= 1 << (off % 8)
+		open(fmt.Sprintf("with bit %d of byte %d flipped", off%8, off), bad)
+	}
+}
+
+// TestExportFailureLeavesNoSegment: an export that fails after the first
+// 64 KiB of a segment have reached the disk (here on a category longer than
+// any reader accepts) leaves neither the segment nor its temporary file.
+func TestExportFailureLeavesNoSegment(t *testing.T) {
+	perClip, _, _ := bigSegment(t, t.TempDir())
+	last := perClip[2][len(perClip[2])-1]
+	last.Category = strings.Repeat("x", 1<<20+1)
+	dir := t.TempDir()
+	if _, err := ExportSegments(dir, "cam0", testCtx(), perClip, 0); err == nil {
+		t.Fatal("export of an unreadable category succeeded")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("failed export left %v (%v), want an empty directory", entries, err)
+	}
+}
+
+// TestOpenSegmentsDirIgnoresLeftoverTemp: the temporary file an export
+// stopped midway leaves is not read; the complete segments open.
+func TestOpenSegmentsDirIgnoresLeftoverTemp(t *testing.T) {
+	perClip, mono, ctx, _ := shardedFixture(12)
+	dir := t.TempDir()
+	paths, err := ExportSegments(dir, "cam0", ctx, perClip, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, SegmentID(1)+SegmentExt+".tmp"), data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	byDataset, err := OpenSegmentsDir(dir, nil)
+	if err != nil {
+		t.Fatalf("directory with a leftover temporary file: %v", err)
+	}
+	if got := byDataset["cam0"].CountTracks("car"); !reflect.DeepEqual(got, mono.CountTracks("car")) {
+		t.Error("counts diverged")
+	}
+}
+
+// TestOpenSegmentsDirReportsFirstErrorInPathOrder: with several broken
+// files, the error names the first in sorted path order, at one worker and
+// at four.
+func TestOpenSegmentsDirReportsFirstErrorInPathOrder(t *testing.T) {
+	perClip, _, ctx, _ := shardedFixture(13)
+	dir := t.TempDir()
+	paths, err := ExportSegments(dir, "cam0", ctx, perClip, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths[1:] {
+		if err := os.WriteFile(p, []byte("OTIFSEG1"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	for _, workers := range []int{1, 4, 4, 4} {
+		parallel.SetWorkers(workers)
+		if _, err := OpenSegmentsDir(dir, nil); err == nil || !strings.Contains(err.Error(), paths[1]) {
+			t.Errorf("%d workers: err = %v, want one naming %s", workers, err, paths[1])
+		}
+	}
+}
+
+// TestOpenSegmentsDirRejectsDuplicateIDs: two files of one dataset that
+// tile its clips under the same segment id used to open, and then shared
+// result-cache entries, so a cached answer of one segment was served for
+// the other.
+func TestOpenSegmentsDirRejectsDuplicateIDs(t *testing.T) {
+	perClip, _, ctx, _ := shardedFixture(14)
+	dir := t.TempDir()
+	for i, clips := range [][][]*query.Track{perClip[:2], perClip[2:]} {
+		meta := persist.SegmentMeta{Dataset: "cam0", ID: SegmentID(0), StartClip: 2 * i, FPS: ctx.FPS, NomW: ctx.NomW, NomH: ctx.NomH, Frames: ctx.Frames}
+		var buf bytes.Buffer
+		if err := persist.WriteSegment(&buf, meta, clips); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%c%s", 'a'+i, SegmentExt)), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := OpenSegmentsDir(dir, NewCache()); err == nil || !strings.Contains(err.Error(), SegmentID(0)) {
+		t.Errorf("two segments with one id: err = %v, want one naming %s", err, SegmentID(0))
 	}
 }

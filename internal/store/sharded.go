@@ -31,12 +31,18 @@ type Sharded struct {
 }
 
 // NewSharded assembles segments into one queryable dataset. Segments must
-// tile [0, clips) contiguously in order and share the dataset's clip
-// geometry. cache may be nil to disable result caching.
+// tile [0, clips) contiguously in order, share the dataset's clip geometry
+// and have distinct ids (an id keys the result cache). cache may be nil to
+// disable result caching.
 func NewSharded(dataset string, ctx query.Context, segs []*Segment, cache *Cache) (*Sharded, error) {
 	sh := &Sharded{dataset: dataset, ctx: ctx, segs: segs, starts: make([]int, len(segs)), cache: cache}
+	ids := make(map[string]bool, len(segs))
 	next := 0
 	for i, sg := range segs {
+		if ids[sg.id] {
+			return nil, fmt.Errorf("store: two segments have id %q (an id names one segment's cached answers)", sg.id)
+		}
+		ids[sg.id] = true
 		if sg.start != next {
 			return nil, fmt.Errorf("store: segment %q starts at clip %d, want %d (segments must tile the clip range)", sg.id, sg.start, next)
 		}

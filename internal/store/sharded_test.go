@@ -199,8 +199,9 @@ func TestCacheKeysInjective(t *testing.T) {
 	}
 }
 
-// TestNewShardedValidation pins the tiling and context invariants: segments
-// that leave a gap, overlap, or disagree on clip geometry are rejected.
+// TestNewShardedValidation pins the tiling, context and id invariants:
+// segments that leave a gap, overlap, disagree on clip geometry or share an
+// id are rejected.
 func TestNewShardedValidation(t *testing.T) {
 	perClip, _, ctx, _ := shardedFixture(1)
 
@@ -227,6 +228,12 @@ func TestNewShardedValidation(t *testing.T) {
 	bad := []*Segment{NewSegment(SegmentID(0), 0, perClip, other)}
 	if _, err := NewSharded("test", ctx, bad, nil); err == nil {
 		t.Error("segment with mismatched context accepted")
+	}
+
+	// Two segments under one id: they would share result-cache entries.
+	dup := []*Segment{NewSegment("a", 0, perClip[:3], ctx), NewSegment("a", 3, perClip[3:], ctx)}
+	if _, err := NewSharded("test", ctx, dup, nil); err == nil {
+		t.Error("segments with one id accepted")
 	}
 }
 
