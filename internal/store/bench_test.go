@@ -123,6 +123,34 @@ func BenchmarkCoOccurrencesIndexed(b *testing.B) {
 	benchKind(b, func(s *Store, _ geom.Polygon) { s.CoOccurrences("car", 80) })
 }
 
+// BenchmarkCoOccurrencesSharded is a frame pass's CoOccurrences on the
+// query-mix shape through a Sharded of two segments, each call at a
+// distance not asked before: "walk" has no result cache and walks the
+// sweep, "column" counts from the cached pair-distance columns that its
+// first call leaves behind.
+func BenchmarkCoOccurrencesSharded(b *testing.B) {
+	perClip, ctx := queryMixWorkload()
+	for _, w := range []struct {
+		name  string
+		cache *Cache
+	}{{"walk", nil}, {"column", NewCache()}} {
+		b.Run(w.name, func(b *testing.B) {
+			sh, err := NewSharded("bench", ctx, SplitSegments(perClip, ctx, 2), w.cache)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dist := 60.0
+			sh.CoOccurrences("car", dist)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dist++
+				sh.CoOccurrences("car", dist)
+			}
+		})
+	}
+}
+
 // BenchmarkDwellIndexed measures region dwell through the centre-extent
 // mask and the block walk, a different region each call.
 func BenchmarkDwellIndexed(b *testing.B) {
@@ -226,6 +254,17 @@ func TestFrameQueryAllocGate(t *testing.T) {
 	perClip, ctx := benchWorkload()
 	s := New(perClip, ctx)
 	perClipBudget := func(n int) float64 { return float64(n * len(perClip)) }
+	// CoOccurrences answered from pair-distance columns, on the query-mix
+	// shape (benchWorkload's columns are past the size limit) at one clip a
+	// segment: the first call builds the columns, and every call after it
+	// asks a distance not asked before, so the answer is counted, not hit.
+	mixClips, mixCtx := queryMixWorkload()
+	cached, err := NewSharded("test", mixCtx, SplitSegments(mixClips, mixCtx, 1), NewCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := 80.0
+	cached.CoOccurrences("car", dist)
 	for _, g := range []struct {
 		name string
 		max  float64
@@ -242,6 +281,11 @@ func TestFrameQueryAllocGate(t *testing.T) {
 		// where the two slices grow in twice as many steps. (Through the
 		// shared frame core it was 58: centres and boxes per clip.)
 		{"CoOccurrences", 32, func() { s.CoOccurrences("car", 80) }},
+		// Per segment: the answer and its cache entry, the column's key and
+		// lookup; 5, under -race too. Per call: the answer's key, the
+		// scatter and the merge; 7, and 10 under -race. Nothing per frame
+		// or pair: the count reads a column of 42k distances a clip here.
+		{"CoOccurrences from columns", float64(7*len(cached.Segments()) + 12), func() { dist += 2; cached.CoOccurrences("car", dist) }},
 		// Per clip: five matches with boxes and owners looked up again,
 		// each grown by append. (Region and hot spot predicates build
 		// their matched list inside Eval on every frame they look at;

@@ -38,10 +38,15 @@ type CacheStats struct {
 // returns. Only sealed segments are cached (an open segment's content
 // changes on every append); Sharded enforces that at the call site.
 //
+// Beside the answers the same LRU holds one derived kind, each segment's
+// pair-distance column for a category that CoOccurrences has been asked
+// about (pairs.go), charged and evicted like answers.
+//
 // Construct with NewCache. A nil *Cache disables caching: Get then just
 // runs fn.
 type Cache struct {
-	lru *lru.Cache[cacheKey, any]
+	lru       *lru.Cache[cacheKey, any]
+	columnMax int64 // the most a pair-distance column may be charged
 
 	mu        sync.Mutex
 	published lru.Stats // what the store.cache.* series have been told
@@ -49,7 +54,13 @@ type Cache struct {
 
 // NewCache returns an empty cache of cacheBudget bytes.
 func NewCache() *Cache {
-	return &Cache{lru: lru.New[cacheKey, any](cacheBudget)}
+	return newCache(cacheBudget)
+}
+
+// newCache returns an empty cache of budget bytes, which takes columns of
+// up to a columnShare of it.
+func newCache(budget int64) *Cache {
+	return &Cache{lru: lru.New[cacheKey, any](budget), columnMax: budget / columnShare}
 }
 
 // Get returns the memoized result for (dataset, segment, query), running fn
@@ -107,7 +118,8 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: s.Hits, Fills: s.Fills, Dedup: s.Waits}
 }
 
-// Len reports how many (segment, query) results are memoized or in flight.
+// Len reports how many entries are memoized or in flight: (segment, query)
+// answers and pair-distance columns.
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -246,6 +247,8 @@ func TestResultCacheChargesKeys(t *testing.T) {
 // TestResultBytesCoversEveryKind runs every kind the store answers through
 // resultBytes, so a kind added to the table without a case there fails here
 // and not as a panic in a serving process. Point lookups are not cached.
+// The derived entries go through it too: a pair-distance column is charged
+// at least 8 bytes a distance, and a refused column nothing.
 func TestResultBytesCoversEveryKind(t *testing.T) {
 	perClip, _, ctx, _ := shardedFixture(3)
 	s := New(perClip, ctx)
@@ -262,5 +265,12 @@ func TestResultBytesCoversEveryKind(t *testing.T) {
 		if n := resultBytes(k.indexed(s, p)); n < 24 {
 			t.Errorf("%s: resultBytes = %d, want at least a slice header", k.name, n)
 		}
+	}
+	col := s.buildPairColumn("car", math.MaxInt64)
+	if n, want := resultBytes(col), 24+8*int64(len(col.dists)+len(col.off)); len(col.dists) == 0 || n < want {
+		t.Errorf("a column of %d distances is charged %d bytes, want at least %d", len(col.dists), n, want)
+	}
+	if n := resultBytes((*pairColumn)(nil)); n != 0 {
+		t.Errorf("a refused column is charged %d bytes, want 0", n)
 	}
 }

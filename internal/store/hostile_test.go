@@ -113,11 +113,12 @@ func hostileRegions(r *rand.Rand, ctx query.Context, tracks []*query.Track) []ge
 // over 200 worlds, DwellTime, Speeding, HardBraking, the count-only
 // LimitQuery, CoOccurrences, AvgVisible and BusyFrames must equal the
 // internal/query scans through a monolithic Store, and equal that Store
-// through Sharded splits of 1, 2, 3 and 7 segments, on the regions of
-// hostileRegions, on thresholds of 0, below 0, NaN, both infinities and
-// exactly one track's own column value, on the distances of coocDists, on N
-// of -1, 0, 1, a clip's peak and above it, and (every eighth world) at a
-// frame rate of 0.
+// through Sharded splits of 1, 2, 3 and 7 segments, each without a result
+// cache and with one, and through a 3-segment split with a small cache, on
+// the regions of hostileRegions, on thresholds of 0, below 0, NaN, both
+// infinities and exactly one track's own column value, on the distances of
+// coocDists, on N of -1, 0, 1, a clip's peak and above it, and (every
+// eighth world) at a frame rate of 0.
 func TestDifferentialHostile(t *testing.T) {
 	kinds := map[string]queryKind{}
 	for _, k := range queryKinds {
@@ -132,18 +133,26 @@ func TestDifferentialHostile(t *testing.T) {
 		perClip := hostileWorld(r, ctx)
 		mono := New(perClip, ctx)
 		var shards []*Sharded
-		for _, clipsPerSeg := range []int{7, 4, 3, 1} {
-			sh, err := NewSharded("test", ctx, SplitSegments(perClip, ctx, clipsPerSeg), nil)
+		add := func(clipsPerSeg int, cache *Cache) {
+			sh, err := NewSharded("test", ctx, SplitSegments(perClip, ctx, clipsPerSeg), cache)
 			if err != nil {
 				t.Fatal(err)
 			}
 			shards = append(shards, sh)
 		}
+		for _, clipsPerSeg := range []int{7, 4, 3, 1} {
+			add(clipsPerSeg, nil)
+			add(clipsPerSeg, NewCache())
+		}
+		// A cache of 64 KiB takes pair-distance columns of 4 KiB: it
+		// refuses the columns of the busier segments and builds the rest.
+		add(3, newCache(64<<10))
 		sharded := func(what string, want any, run func(q Querier) any) {
 			t.Helper()
 			for _, sh := range shards {
 				if got := run(sh); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d, %d segments: %s diverged from the monolithic store\n got: %v\nwant: %v", seed, len(sh.Segments()), what, got, want)
+					t.Fatalf("seed %d, %d segments, cache %v: %s diverged from the monolithic store\n got: %v\nwant: %v",
+						seed, len(sh.Segments()), sh.Cache() != nil, what, got, want)
 				}
 			}
 		}
@@ -161,6 +170,8 @@ func TestDifferentialHostile(t *testing.T) {
 			}
 		}
 
+		// On a cached split the first distance builds the category's
+		// pair-distance columns and the rest count from them.
 		for _, dist := range coocDists(r, perClip[0]) {
 			for _, cat := range []string{"", "car"} {
 				want := kinds["cooc"].both(t, mono, perClip, queryParams{cat: cat, dist: dist})

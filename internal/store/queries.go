@@ -37,7 +37,9 @@ type sweep struct {
 	pos        []int32 // by track index, boxAt's position for active tracks when walks
 	boxes      []geom.Rect
 	owners     []*query.Track
-	candidates []int32 // point lookups' stabbing result
+	centers    []geom.Point // pairs' buffer, one centre per active track
+	dists      []float64    // a pair-distance column pairs fills; nil when it counts
+	candidates []int32      // point lookups' stabbing result
 
 	examined, kept, pruned, visited int64
 }
@@ -297,45 +299,77 @@ func (s *Store) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 	return out
 }
 
-// CoOccurrences totals frame-wise close pairs per clip: query.CoOccurrences
-// over the sweep's active list, one run of frames with one visible set at a
-// time. Runs with fewer than two visible tracks are skipped whole; on the
-// frames of the others each active track's centre comes from clipIndex.boxAt,
-// into one buffer for the call, and every pair is tested with the scan's
-// Dist <= dist.
+// CoOccurrences totals frame-wise close pairs per clip: the pair walk
+// (sweep.pairs) over each clip, counting with the scan's Dist <= dist.
 func (s *Store) CoOccurrences(cat string, dist float64) []int {
 	metQueries.Inc()
 	out := make([]int, len(s.clips))
 	sw := sweep{walks: true}
-	var centers []geom.Point
 	for i := range s.clips {
 		sw.reset(&s.clips[i], cat, nil)
-		total := 0
-		for f := 0; f < s.ctx.Frames; {
-			n, next := sw.Advance(f)
-			end := min(next, s.ctx.Frames)
-			if n < 2 {
-				f = end
-				continue
-			}
-			centers = slices.Grow(centers[:0], n)[:n]
+		out[i] = sw.pairs(s.ctx.Frames, dist)
+	}
+	sw.flush()
+	return out
+}
+
+// pairs is query.CoOccurrences' loop over one clip, one run of frames with
+// one visible set at a time. Runs with fewer than two visible tracks are
+// skipped whole; on the frames of the others each active track's centre
+// comes from clipIndex.boxAt, into the sweep's centres buffer, and each
+// pair of centres is measured once with Dist. It returns how many of the
+// distances are at most dist, as the scan counts them — unless the sweep
+// carries a pair-distance column (dists not nil, pairs.go), when it
+// appends every distance there instead and returns 0. Which of the two it
+// does is decided once a run, not on every frame.
+func (sw *sweep) pairs(frames int, dist float64) int {
+	total := 0
+	centers := sw.centers
+	for f := 0; f < frames; {
+		n, next := sw.Advance(f)
+		end := min(next, frames)
+		if n < 2 {
+			f = end
+			continue
+		}
+		centers = slices.Grow(centers[:0], n)[:n]
+		if sw.dists != nil {
 			for ; f < end; f++ {
-				for k, ti := range sw.active {
-					centers[k] = sw.ci.boxAt(ti, &sw.pos[ti], f).Center()
-				}
-				for a, c := range centers {
-					for _, o := range centers[a+1:] {
-						if c.Dist(o) <= dist {
-							total++
-						}
+				sw.centersAt(centers, f)
+				sw.keepDists(centers)
+			}
+			continue
+		}
+		for ; f < end; f++ {
+			sw.centersAt(centers, f)
+			for a, c := range centers {
+				for _, o := range centers[a+1:] {
+					if c.Dist(o) <= dist {
+						total++
 					}
 				}
 			}
 		}
-		out[i] = total
 	}
-	sw.flush()
-	return out
+	sw.centers = centers
+	return total
+}
+
+// centersAt fills centers with the active tracks' centres at frame f.
+func (sw *sweep) centersAt(centers []geom.Point, f int) {
+	for k, ti := range sw.active {
+		centers[k] = sw.ci.boxAt(ti, &sw.pos[ti], f).Center()
+	}
+}
+
+// keepDists appends the Dist of every pair of centres to the sweep's
+// column: the distances pairs compares when it counts.
+func (sw *sweep) keepDists(centers []geom.Point) {
+	for a, c := range centers {
+		for _, o := range centers[a+1:] {
+			sw.dists = append(sw.dists, c.Dist(o))
+		}
+	}
 }
 
 // DwellTime returns, per clip, seconds each category track's interpolated

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 
 	"otif/internal/parallel"
 	"otif/internal/persist"
@@ -16,11 +20,17 @@ const SegmentExt = ".otifseg"
 
 // ExportSegments writes a dataset's clips as sealed segment files of at
 // most clipsPerSeg clips each (<= 0 means one segment) into dir, named
-// "<id>.otifseg" with conventional ids, on the worker pool. It returns the
-// written paths in segment order, or the error of the first segment in
-// that order that failed. The encoding is deterministic, so two replicas
-// exporting the same track set produce identical files, at any worker
-// count.
+// "<id>.otifseg" with conventional ids, on the worker pool. Each file is
+// written as "<id>.otifseg.tmp" and none is renamed into place before all
+// are complete, so an export that fails leaves dir as it found it. Once
+// every file is in place it removes the files an older, longer export
+// named past the last of them, so the directory opens as this export and
+// not as its tiles over the older one; a segment file under any other
+// name, such as another dataset's renamed to sit beside these, stays. It
+// returns the written paths in segment order, or the error
+// of the first segment in that order that failed. The encoding is
+// deterministic, so two replicas exporting the same track set produce
+// identical files, at any worker count.
 func ExportSegments(dir, dataset string, ctx query.Context, perClip [][]*query.Track, clipsPerSeg int) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -46,31 +56,82 @@ func ExportSegments(dir, dataset string, ctx query.Context, perClip [][]*query.T
 			Frames:    ctx.Frames,
 		}
 		paths[i] = filepath.Join(dir, meta.ID+SegmentExt)
-		return writeSegmentFile(paths[i], meta, perClip[start:end])
+		return writeSegmentTemp(paths[i], meta, perClip[start:end])
 	})
 	for _, err := range errs {
 		if err != nil {
+			for _, p := range paths {
+				os.Remove(p + ".tmp")
+			}
 			return nil, err
+		}
+	}
+	for _, p := range paths {
+		if err := os.Rename(p+".tmp", p); err != nil {
+			return nil, fmt.Errorf("write segment %s: %w", p, err)
+		}
+	}
+	if err := removeStaleSegments(dir, n); err != nil {
+		return nil, err
+	}
+	return paths, nil
+}
+
+// removeStaleSegments removes the segment files in dir named as
+// ExportSegments names the n-th segment and later ones: what an older
+// export of more segments leaves behind an export of n.
+func removeStaleSegments(dir string, n int) error {
+	found, err := segmentFiles(dir)
+	if err != nil {
+		return err
+	}
+	for _, p := range found {
+		stem := strings.TrimSuffix(filepath.Base(p), SegmentExt)
+		k, err := strconv.Atoi(strings.TrimPrefix(stem, "seg-"))
+		if err != nil || k < n || SegmentID(k) != stem {
+			continue
+		}
+		if err := os.Remove(p); err != nil {
+			return fmt.Errorf("remove stale segment: %w", err)
+		}
+	}
+	return nil
+}
+
+// segmentFiles lists the "*.otifseg" files in dir in name order, none
+// when dir does not exist. It reads the directory rather than matching a
+// pattern built from its name, so a dir named "data[12]" lists itself and
+// not data1 and data2.
+func segmentFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var paths []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), SegmentExt) {
+			paths = append(paths, filepath.Join(dir, e.Name()))
 		}
 	}
 	return paths, nil
 }
 
-// writeSegmentFile writes path by way of path+".tmp", renamed once it is
-// complete and closed: a process stopped midway leaves a temporary file,
-// which OpenSegmentsDir does not read, never a truncated segment.
-func writeSegmentFile(path string, meta persist.SegmentMeta, perClip [][]*query.Track) error {
+// writeSegmentTemp writes the segment to path+".tmp", for ExportSegments
+// to rename once every segment is complete: a process stopped midway
+// leaves temporary files, which OpenSegmentsDir does not read, never a
+// truncated segment. A write that fails removes its temporary file.
+func writeSegmentTemp(path string, meta persist.SegmentMeta, perClip [][]*query.Track) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return fmt.Errorf("write segment %s: %w", path, err)
 	}
 	err = persist.WriteSegment(f, meta, perClip)
 	if cerr := f.Close(); err == nil {
 		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
 	}
 	if err != nil {
 		os.Remove(tmp)
@@ -89,11 +150,10 @@ func writeSegmentFile(path string, meta persist.SegmentMeta, perClip [][]*query.
 // validation then run in sorted path order, so the error reported is the
 // same at any worker count.
 func OpenSegmentsDir(dir string, cache *Cache) (map[string]*Sharded, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+SegmentExt))
+	paths, err := segmentFiles(dir)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(paths)
 	type loaded struct {
 		meta persist.SegmentMeta
 		seg  *Segment

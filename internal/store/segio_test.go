@@ -387,6 +387,128 @@ func TestExportFailureLeavesNoSegment(t *testing.T) {
 	}
 }
 
+// TestExportReplacesStaleSegments: exporting 7 clips at 2 a segment and
+// then 2 clips into the same directory leaves the second export alone.
+// Before the export removed what it did not write, the first export's
+// seg-00001..00003 stayed behind and the directory opened as 7 clips.
+func TestExportReplacesStaleSegments(t *testing.T) {
+	perClip, _, ctx, _ := shardedFixture(14)
+	dir := t.TempDir()
+	if paths, err := ExportSegments(dir, "cam0", ctx, perClip, 2); err != nil || len(paths) != 4 {
+		t.Fatalf("first export = %v, %v; want 4 files", paths, err)
+	}
+	paths, err := ExportSegments(dir, "cam0", ctx, perClip[:2], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found, _ := filepath.Glob(filepath.Join(dir, "*"+SegmentExt)); !reflect.DeepEqual(found, paths) {
+		t.Errorf("directory holds %v, want only %v", found, paths)
+	}
+	byDataset, err := OpenSegmentsDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := byDataset["cam0"]
+	if sh.Clips() != 2 {
+		t.Fatalf("directory opens as %d clips, want the 2 of the second export", sh.Clips())
+	}
+	if got, want := sh.CountTracks("car"), New(perClip[:2], ctx).CountTracks("car"); !reflect.DeepEqual(got, want) {
+		t.Errorf("counts %v, want %v", got, want)
+	}
+}
+
+// TestExportKeepsOtherSegmentFiles: re-exporting cam0, shorter, into the
+// layout of TestOpenSegmentsDirMultiDataset removes cam0's stale files and
+// keeps cam1's renamed ones, and exporting into a directory whose name is
+// a glob pattern ("data[12]") leaves data1 and data2, which that pattern
+// matches, untouched. Both directories then open as their own exports.
+func TestExportKeepsOtherSegmentFiles(t *testing.T) {
+	perClip, _, ctx, _ := shardedFixture(16)
+	dir := t.TempDir()
+	if _, err := ExportSegments(dir, "cam0", ctx, perClip, 2); err != nil {
+		t.Fatal(err)
+	}
+	sub := filepath.Join(t.TempDir(), "b")
+	paths, err := ExportSegments(sub, "cam1", ctx, perClip[:4], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range paths {
+		if err := os.Rename(p, filepath.Join(dir, "cam1-"+SegmentID(i)+SegmentExt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ExportSegments(dir, "cam0", ctx, perClip[:3], 2); err != nil {
+		t.Fatal(err)
+	}
+	byDataset, err := OpenSegmentsDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := byDataset["cam0"], byDataset["cam1"]; len(byDataset) != 2 || a.Clips() != 3 || b.Clips() != 4 {
+		t.Fatalf("after re-exporting cam0 the directory opens as %v, want cam0 of 3 clips and cam1 of 4", byDataset)
+	}
+
+	root := t.TempDir()
+	var kept []string
+	for _, name := range []string{"data1", "data2"} {
+		paths, err := ExportSegments(filepath.Join(root, name), name, ctx, perClip, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, paths...)
+	}
+	meta := filepath.Join(root, "data[12]")
+	if _, err := ExportSegments(meta, "meta", ctx, perClip[:1], 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range kept {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("an export into %s removed %s", meta, p)
+		}
+	}
+	if byDataset, err = OpenSegmentsDir(meta, nil); err != nil || len(byDataset) != 1 || byDataset["meta"].Clips() != 1 {
+		t.Fatalf("%s opens as %v, %v; want dataset meta of 1 clip", meta, byDataset, err)
+	}
+}
+
+// TestFailedExportKeepsTheOldSegments: an export that fails on its second
+// segment leaves the directory's earlier export as it was, every file
+// byte for byte, with no temporary file beside it. When each segment was
+// renamed as soon as it was written, the new seg-00000 sat in front of the
+// old seg-00001..00003 and the directory opened as 7 clips of two track
+// sets.
+func TestFailedExportKeepsTheOldSegments(t *testing.T) {
+	perClip, _, ctx, _ := shardedFixture(15)
+	dir := t.TempDir()
+	paths, err := ExportSegments(dir, "cam0", ctx, perClip, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, p := range paths {
+		if before[p], err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := [][]*query.Track{perClip[1], perClip[0], perClip[3], {{ID: 1, Category: strings.Repeat("x", 1<<20+1)}}}
+	if _, err := ExportSegments(dir, "cam0", ctx, next, 2); err == nil {
+		t.Fatal("export of an unreadable category succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(paths) {
+		t.Errorf("directory holds %v after the failed export, want the %d files of the first", entries, len(paths))
+	}
+	for _, p := range paths {
+		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, before[p]) {
+			t.Errorf("%s changed under a failed export (%v)", p, err)
+		}
+	}
+}
+
 // TestOpenSegmentsDirIgnoresLeftoverTemp: the temporary file an export
 // stopped midway leaves is not read; the complete segments open.
 func TestOpenSegmentsDirIgnoresLeftoverTemp(t *testing.T) {

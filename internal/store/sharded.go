@@ -112,14 +112,14 @@ func (sh *Sharded) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect
 // per-segment results in segment order — the deterministic merge. Sealed
 // segments answer through the result cache under key; cached values are
 // shared read-only slices.
-func scatter[E any](sh *Sharded, key string, run func(*Store) []E) []E {
+func scatter[E any](sh *Sharded, key string, run func(*Segment) []E) []E {
 	parts := make([][]E, len(sh.segs))
 	parallel.For(len(sh.segs), func(i int) {
 		sg := sh.segs[i]
 		if sg.sealed && sh.cache != nil {
-			parts[i] = sh.cache.Get(sh.dataset, sg.id, key, func() any { return run(sg.s) }).([]E)
+			parts[i] = sh.cache.Get(sh.dataset, sg.id, key, func() any { return run(sg) }).([]E)
 		} else {
-			parts[i] = run(sg.s)
+			parts[i] = run(sg)
 		}
 	})
 	out := make([]E, 0, sh.nclips)
@@ -134,8 +134,9 @@ func scatter[E any](sh *Sharded, key string, run func(*Store) []E) []E {
 // slice header, 48 a map plus 24 or 32 an entry beside its key's bytes, 8 a
 // number or a pointer). Tracks an answer points at belong to the segment
 // and are not charged. Every result type scatter is instantiated with needs
-// a case here; TestResultBytesCoversEveryKind runs the store's kinds
-// through it.
+// a case here, and so does each derived entry the cache holds (pairs.go);
+// TestResultBytesCoversEveryKind runs the store's kinds and the derived
+// entries through it.
 func resultBytes(v any) int64 {
 	const sliceHdr, mapHdr, word = 24, 48, 8
 	n := int64(sliceHdr)
@@ -163,6 +164,11 @@ func resultBytes(v any) int64 {
 		for _, m := range r {
 			n += mapHdr + 24*int64(len(m))
 		}
+	case *pairColumn:
+		if r == nil { // a refused column holds nothing
+			return 0
+		}
+		n += sliceHdr + word*int64(len(r.dists)+len(r.off))
 	case [][]query.FrameMatch:
 		for _, c := range r {
 			n += sliceHdr
@@ -184,49 +190,57 @@ func resultBytes(v any) int64 {
 
 func (sh *Sharded) CountTracks(cat string) []int {
 	key := fmt.Sprintf("count|%#v", cat)
-	return scatter(sh, key, func(s *Store) []int { return s.CountTracks(cat) })
+	return scatter(sh, key, func(sg *Segment) []int { return sg.s.CountTracks(cat) })
 }
 
 func (sh *Sharded) PathBreakdown(cat string, movements []query.Movement, maxEndpointDist float64) []map[string]int {
 	key := fmt.Sprintf("breakdown|%#v|%#v|%#v", cat, maxEndpointDist, movements)
-	return scatter(sh, key, func(s *Store) []map[string]int { return s.PathBreakdown(cat, movements, maxEndpointDist) })
+	return scatter(sh, key, func(sg *Segment) []map[string]int { return sg.s.PathBreakdown(cat, movements, maxEndpointDist) })
 }
 
 func (sh *Sharded) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
 	// Limit semantics are per clip (each clip's sweep stops at limit), so
 	// per-segment execution matches the single store exactly.
 	key := fmt.Sprintf("limit|%#v|%#v|%#v|%#v", cat, pred, limit, minSepFrames)
-	return scatter(sh, key, func(s *Store) [][]query.FrameMatch { return s.LimitQuery(cat, pred, limit, minSepFrames) })
+	return scatter(sh, key, func(sg *Segment) [][]query.FrameMatch { return sg.s.LimitQuery(cat, pred, limit, minSepFrames) })
 }
 
 func (sh *Sharded) AvgVisible(cat string) []float64 {
 	key := fmt.Sprintf("avgvisible|%#v", cat)
-	return scatter(sh, key, func(s *Store) []float64 { return s.AvgVisible(cat) })
+	return scatter(sh, key, func(sg *Segment) []float64 { return sg.s.AvgVisible(cat) })
 }
 
 func (sh *Sharded) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 	key := fmt.Sprintf("busy|%#v|%#v|%#v|%#v", catA, nA, catB, nB)
-	return scatter(sh, key, func(s *Store) [][]int { return s.BusyFrames(catA, nA, catB, nB) })
+	return scatter(sh, key, func(sg *Segment) [][]int { return sg.s.BusyFrames(catA, nA, catB, nB) })
 }
 
+// CoOccurrences answers a sealed segment behind the cache from its
+// pair-distance column for cat (cachedPairColumn, built by the first call
+// that asks), and walks the sweep where there is none.
 func (sh *Sharded) CoOccurrences(cat string, dist float64) []int {
 	key := fmt.Sprintf("cooccur|%#v|%#v", cat, dist)
-	return scatter(sh, key, func(s *Store) []int { return s.CoOccurrences(cat, dist) })
+	return scatter(sh, key, func(sg *Segment) []int {
+		if col := sh.cachedPairColumn(sg, cat); col != nil {
+			return col.count(dist)
+		}
+		return sg.s.CoOccurrences(cat, dist)
+	})
 }
 
 func (sh *Sharded) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 	key := fmt.Sprintf("dwell|%#v|%#v", cat, region)
-	return scatter(sh, key, func(s *Store) []map[int]float64 { return s.DwellTime(cat, region) })
+	return scatter(sh, key, func(sg *Segment) []map[int]float64 { return sg.s.DwellTime(cat, region) })
 }
 
 func (sh *Sharded) HardBraking(decelThreshold float64) [][]*query.Track {
 	key := fmt.Sprintf("braking|%#v", decelThreshold)
-	return scatter(sh, key, func(s *Store) [][]*query.Track { return s.HardBraking(decelThreshold) })
+	return scatter(sh, key, func(sg *Segment) [][]*query.Track { return sg.s.HardBraking(decelThreshold) })
 }
 
 func (sh *Sharded) Speeding(threshold float64) [][]*query.Track {
 	key := fmt.Sprintf("speeding|%#v", threshold)
-	return scatter(sh, key, func(s *Store) [][]*query.Track { return s.Speeding(threshold) })
+	return scatter(sh, key, func(sg *Segment) [][]*query.Track { return sg.s.Speeding(threshold) })
 }
 
 var (

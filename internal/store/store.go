@@ -34,7 +34,8 @@
 // corresponding linear scan — the differential tests in this package assert
 // element-for-element equality and TestGoldenQueries pins the answers across
 // commits. CoOccurrences and DwellTime have loops of their own, held to
-// their scans by those tests alone.
+// their scans by those tests alone; so is the pair-distance column that
+// CoOccurrences counts from behind a result cache.
 //
 // The sweep (queries.go) hands the cores views into buffers it reuses for
 // the next frame: boxes are valid until the next Advance and whatever a
@@ -43,10 +44,19 @@
 // end — and the visible set is the same on every frame of the run.
 // AvgVisible, BusyFrames and a CountPredicate limit query's ranking read
 // only the active list (its size, and the last frames the interval index
-// holds), once per run, and never interpolate a box. CoOccurrences skips
-// runs with fewer than two visible and reads each active track's centre
-// straight from the geometry column, where the track's position is kept
-// between frames.
+// holds), once per run, and never interpolate a box. CoOccurrences' pair
+// walk (sweep.pairs) skips runs with fewer than two visible and reads each
+// active track's centre straight from the geometry column, where the
+// track's position is kept between frames.
+//
+// Behind a result cache, a sealed segment asked for one category's
+// co-occurrences keeps that category's pair-distance column there
+// (pairs.go): the centre distance of every pair the walk measures, built
+// by the same walk and sized by a count-only sweep. A CoOccurrences call
+// at a distance not asked before then counts the column's distances that
+// are at most it, which is the walk's comparison on the walk's numbers,
+// and interpolates nothing. A column over a share of the cache's budget, a
+// Sharded without a cache and a Live store's open segment walk the sweep.
 //
 // The index arrays hold track indices, not pointers, and are immutable
 // after New returns; a Store is safe for concurrent queries.
@@ -62,10 +72,11 @@ import (
 
 // Observability handles. index_boxes counts detection elements examined by
 // indexed queries' interpolation (the same unit the scans record under
-// query.scan_boxes; kinds that only count add nothing). A sweep loads each
-// detection of a track from the geometry column at most once, however many
-// frames the pair it belongs to serves, so for the frame-level kinds it is
-// the detections loaded, not one per frame. For DwellTime it is the
+// query.scan_boxes; kinds that only count add nothing, and so does a
+// CoOccurrences answer counted from a pair-distance column). A sweep loads
+// each detection of a track from the geometry column at most once, however
+// many frames the pair it belongs to serves, so for the frame-level kinds
+// it is the detections loaded, not one per frame. For DwellTime it is the
 // detections the block walk loaded, each once: those of the blocks it
 // walked pair by pair, and the first of a settled block whose answer it did
 // not carry. dwell_blocks_skipped counts the blocks decided whole, whose

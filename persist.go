@@ -32,8 +32,9 @@ func (p *Pipeline) LoadModels(r io.Reader) error {
 // store.DefaultSealClips clips as a live store seals. The files are
 // self-describing and deterministic: LoadTrackSets reads them back, and a
 // replica started with otifd -segments-dir over them answers every
-// /v1/query/* request byte-identically to the exporting process. It
-// returns the written paths in segment order.
+// /v1/query/* request byte-identically to the exporting process. The
+// segment files an older, longer export left in dir past this one's last
+// are removed once it has written its own. It returns the written paths in segment order.
 func (ts *TrackSet) ExportSegments(dir string) ([]string, error) {
 	return store.ExportSegments(dir, ts.Dataset, ts.Context(), ts.perClip(), store.DefaultSealClips)
 }
