@@ -128,7 +128,11 @@ func (s *Suite) Table3(w io.Writer, datasets []string) (*Table3Result, error) {
 		// OTIF: pre-process with the same configuration Table 2 selects —
 		// the fastest test-curve point within the accuracy band (§4.2 uses
 		// "the same configurations as the ones from Table 2").
-		pt, ok := tuner.FastestWithin(testPointsOTIF(t), Table2Tol)
+		pts, err := s.testPointsOTIF(pair.ds)
+		if err != nil {
+			return pairResult{err: err}
+		}
+		pt, ok := tuner.FastestWithin(pts, Table2Tol)
 		if !ok {
 			return pairResult{err: fmt.Errorf("bench: no tuned configuration for %s", pair.ds)}
 		}

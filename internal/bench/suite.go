@@ -19,6 +19,7 @@ import (
 
 	"otif/internal/baselines"
 	"otif/internal/core"
+	"otif/internal/costmodel"
 	"otif/internal/dataset"
 	"otif/internal/lru"
 	"otif/internal/tuner"
@@ -36,8 +37,9 @@ type Suite struct {
 	Spec dataset.SetSpec
 	Seed int64
 
-	systems *lru.Cache[string, memo[*trained]]
-	curves  *lru.Cache[string, memo[[]MethodCurve]]
+	systems  *lru.Cache[string, memo[*trained]]
+	otifTest *lru.Cache[string, memo[[]tuner.Point]]
+	curves   *lru.Cache[string, memo[[]MethodCurve]]
 }
 
 // memo is one memoized outcome.
@@ -60,14 +62,20 @@ type trained struct {
 	Sys    *core.System
 	Metric core.Metric
 	Curve  []tuner.Point // validation curve
+	// Pre is the pre-processing cost breakdown as it stood when the
+	// system's own Tune finished: later tables charge Sys.Acct too (the
+	// ablation's Tunes, CenterTrack's pair-model training), and Figure 6
+	// reports OTIF's pre-processing alone.
+	Pre map[costmodel.Op]float64
 }
 
 // NewSuite creates a harness with the given set sizes.
 func NewSuite(spec dataset.SetSpec, seed int64) *Suite {
 	return &Suite{
 		Spec: spec, Seed: seed,
-		systems: lru.New[string, memo[*trained]](0),
-		curves:  lru.New[string, memo[[]MethodCurve]](0),
+		systems:  lru.New[string, memo[*trained]](0),
+		otifTest: lru.New[string, memo[[]tuner.Point]](0),
+		curves:   lru.New[string, memo[[]MethodCurve]](0),
 	}
 }
 
@@ -85,7 +93,7 @@ func (s *Suite) System(name string) (*trained, error) {
 		best, _ := tuner.SelectBest(sys, metric)
 		sys.FinishTraining(best, 42)
 		curve := tuner.Tune(sys, metric, tuner.DefaultOptions())
-		return &trained{Sys: sys, Metric: metric, Curve: curve}, nil
+		return &trained{Sys: sys, Metric: metric, Curve: curve, Pre: sys.Acct.Breakdown()}, nil
 	})
 }
 
@@ -100,14 +108,21 @@ type MethodCurve struct {
 	QueryFraction float64
 }
 
-// testPointsOTIF re-evaluates each validation-chosen configuration on the
-// test set.
-func testPointsOTIF(t *trained) []tuner.Point {
-	pts := make([]tuner.Point, 0, len(t.Curve))
-	for _, p := range t.Curve {
-		pts = append(pts, tuner.Evaluate(t.Sys, p.Cfg, t.Sys.DS.Test, t.Metric))
-	}
-	return pts
+// testPointsOTIF evaluates each configuration of a dataset's OTIF curve on
+// the test set, once per dataset: Table 2 and Figure 5 (through
+// TrackCurves), Table 3 and Table 4's full-system row read these points.
+func (s *Suite) testPointsOTIF(name string) ([]tuner.Point, error) {
+	return memoize(s.otifTest, name, func() ([]tuner.Point, error) {
+		t, err := s.System(name)
+		if err != nil {
+			return nil, err
+		}
+		pts := make([]tuner.Point, 0, len(t.Curve))
+		for _, p := range t.Curve {
+			pts = append(pts, tuner.Evaluate(t.Sys, p.Cfg, t.Sys.DS.Test, t.Metric))
+		}
+		return pts, nil
+	})
 }
 
 // TrackCurves runs OTIF and all track-query baselines on one dataset,
@@ -119,7 +134,11 @@ func (s *Suite) TrackCurves(name string) ([]MethodCurve, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := []MethodCurve{{Method: "OTIF", Points: testPointsOTIF(t)}}
+		otif, err := s.testPointsOTIF(name)
+		if err != nil {
+			return nil, err
+		}
+		out := []MethodCurve{{Method: "OTIF", Points: otif}}
 		for _, m := range baselines.All() {
 			cands := m.Tune(t.Sys, t.Metric)
 			// Keep validation-Pareto candidates, then evaluate them on the

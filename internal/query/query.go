@@ -91,6 +91,19 @@ type Context struct {
 	Frames     int // clip length in frames
 }
 
+// SepFrames converts a separation in seconds to frames at the clips' rate
+// for a limit query. Two frames of one clip are never Frames apart, so a
+// longer separation asks for the same thing and is clamped to Frames: the
+// conversion stays defined for any input (+Inf, 1e300). NaN and negative
+// separations count as 0.
+func (c Context) SepFrames(sec float64) int {
+	f := sec * float64(c.FPS)
+	if !(f > 0) {
+		return 0
+	}
+	return int(min(f, float64(c.Frames)))
+}
+
 // ---- Object track queries (§4.1) ----
 
 // CountTracks returns the number of tracks of the given category (all

@@ -196,7 +196,8 @@ func (q *QueryAPI) handleLimit(w http.ResponseWriter, r *http.Request, s store.Q
 
 // limitParams reads the limit route's parameters and bounds them: n=0
 // would match every empty frame, limit=-1 silently returns nothing, and a
-// huge minsep makes the conversion to frames undefined.
+// minsep that is not a finite number, 0 or more, is refused; an accepted
+// one converts to frames through query.Context.SepFrames.
 func limitParams(r *http.Request, ctx query.Context) (n, limit, minSep int, err error) {
 	// A clip cannot return more frames than it has; a store without clip
 	// geometry (Frames 0) still accepts the smallest request.
@@ -219,9 +220,7 @@ func limitParams(r *http.Request, ctx query.Context) (n, limit, minSep int, err 
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	// Two frames of one clip are never ctx.Frames apart, so a larger
-	// separation asks for the same thing and the conversion stays defined.
-	return n, limit, int(min(sec*float64(ctx.FPS), float64(ctx.Frames))), nil
+	return n, limit, ctx.SepFrames(sec), nil
 }
 
 // maxRegionVertices bounds a dwell region: DwellTime tests the polygon,

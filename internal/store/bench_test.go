@@ -270,20 +270,26 @@ func TestFrameQueryAllocGate(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		// Per clip: nothing. Per call: the answer, the sweep and its
-		// active list growing to the clip's peak.
+		// Per clip: nothing. Per call: the answer and the sweep's active
+		// list, sized once to the largest clip's tracks: 3, under -race
+		// too. (Grown by doubling, the list took it to 9, and 15 under
+		// -race, where a slice grows in twice as many steps.)
 		{"AvgVisible", perClipBudget(1) + 12, func() { s.AvgVisible("car") }},
-		// Per clip: the answer's frame list growing by doubling.
+		// Per clip: the answer's frame list growing by doubling. Per call:
+		// two sweeps' active lists, sized once: 57, under -race too (68
+		// and 78 with the lists grown by doubling).
 		{"BusyFrames", perClipBudget(14) + 24, func() { s.BusyFrames("car", 3, "bus", 1) }},
-		// Per clip: nothing. Per call: the answer, the interpolators sized to
-		// the largest clip's tracks, and the active list and the centres
-		// buffer growing to the peak visible count: 17, and 29 under -race,
-		// where the two slices grow in twice as many steps. (Through the
-		// shared frame core it was 58: centres and boxes per clip.)
+		// Per clip: nothing. Per call: the answer, and the interpolators,
+		// the active list and the centres buffer, each sized once to the
+		// largest clip's tracks: 4, and 5 under -race. (With the active
+		// list and the centres growing to the peak visible count it was 16,
+		// and 29 under -race; through the shared frame core, 58: centres
+		// and boxes per clip.)
 		{"CoOccurrences", 32, func() { s.CoOccurrences("car", 80) }},
 		// Per segment: the answer and its cache entry, the column's key and
 		// lookup; 5, under -race too. Per call: the answer's key, the
-		// scatter and the merge; 7, and 10 under -race. Nothing per frame
+		// scatter and the merge; 7, and 10 under -race (29 to 32 a run
+		// in all: the scatter's share varies there). Nothing per frame
 		// or pair: the count reads a column of 42k distances a clip here.
 		{"CoOccurrences from columns", float64(7*len(cached.Segments()) + 12), func() { dist += 2; cached.CoOccurrences("car", dist) }},
 		// Per clip: five matches with boxes and owners looked up again,

@@ -47,7 +47,7 @@ func (p *pairColumn) count(dist float64) []int {
 // clip then fills them.
 func (s *Store) buildPairColumn(cat string, maxBytes int64) *pairColumn {
 	col := &pairColumn{off: make([]int, len(s.clips)+1)}
-	var count sweep
+	count := s.newSweep(false)
 	for i := range s.clips {
 		count.reset(&s.clips[i], cat, nil)
 		col.off[i+1] = col.off[i] + count.pairCount(s.ctx.Frames)
@@ -57,7 +57,8 @@ func (s *Store) buildPairColumn(cat string, maxBytes int64) *pairColumn {
 	if resultBytes(col)+8*int64(n) > maxBytes {
 		return nil
 	}
-	walk := sweep{walks: true, dists: make([]float64, 0, n)}
+	walk := s.newSweep(true)
+	walk.dists = make([]float64, 0, n)
 	for i := range s.clips {
 		walk.reset(&s.clips[i], cat, nil)
 		walk.pairs(s.ctx.Frames, 0)

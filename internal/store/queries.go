@@ -44,6 +44,23 @@ type sweep struct {
 	examined, kept, pruned, visited int64
 }
 
+// newSweep returns the sweep of one call over the store's clips, its
+// active list (and its interpolation positions, when it walks) sized once
+// to the largest clip's track count. Grown by doubling instead, they took
+// a call a few allocations per clip, and twice as many under the race
+// detector.
+func (s *Store) newSweep(walks bool) sweep {
+	n := 0
+	for i := range s.clips {
+		n = max(n, len(s.clips[i].tracks))
+	}
+	sw := sweep{walks: walks, active: make([]int32, 0, n)}
+	if walks {
+		sw.pos = make([]int32, n)
+	}
+	return sw
+}
+
 // reset points the sweep at the start of a clip, keeping its buffers.
 func (sw *sweep) reset(ci *clipIndex, cat string, mask []bool) {
 	sw.retire()
@@ -253,7 +270,7 @@ func (s *Store) LimitQuery(cat string, pred query.FramePredicate, limit, minSepF
 	metQueries.Inc()
 	out := make([][]query.FrameMatch, len(s.clips))
 	_, countOnly := pred.(query.CountPredicate) // ranked without a box
-	sw := sweep{walks: !countOnly}
+	sw := s.newSweep(!countOnly)
 	var scratch query.LimitScratch
 	rp, regional := pred.(query.RegionPredicate)
 	ext := regionExtent(rp.Region)
@@ -274,7 +291,7 @@ func (s *Store) LimitQuery(cat string, pred query.FramePredicate, limit, minSepF
 func (s *Store) AvgVisible(cat string) []float64 {
 	metQueries.Inc()
 	out := make([]float64, len(s.clips))
-	var sw sweep
+	sw := s.newSweep(false)
 	for i := range s.clips {
 		sw.reset(&s.clips[i], cat, nil)
 		out[i] = query.AvgVisibleFrom(&sw, s.ctx)
@@ -288,7 +305,7 @@ func (s *Store) AvgVisible(cat string) []float64 {
 func (s *Store) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 	metQueries.Inc()
 	out := make([][]int, len(s.clips))
-	var swA, swB sweep
+	swA, swB := s.newSweep(false), s.newSweep(false)
 	for i := range s.clips {
 		swA.reset(&s.clips[i], catA, nil)
 		swB.reset(&s.clips[i], catB, nil)
@@ -304,7 +321,7 @@ func (s *Store) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 func (s *Store) CoOccurrences(cat string, dist float64) []int {
 	metQueries.Inc()
 	out := make([]int, len(s.clips))
-	sw := sweep{walks: true}
+	sw := s.newSweep(true)
 	for i := range s.clips {
 		sw.reset(&s.clips[i], cat, nil)
 		out[i] = sw.pairs(s.ctx.Frames, dist)
@@ -332,7 +349,9 @@ func (sw *sweep) pairs(frames int, dist float64) int {
 			f = end
 			continue
 		}
-		centers = slices.Grow(centers[:0], n)[:n]
+		// Sized to the active list's capacity, the buffer grows when that
+		// does: once a call for a sweep from newSweep.
+		centers = slices.Grow(centers[:0], cap(sw.active))[:n]
 		if sw.dists != nil {
 			for ; f < end; f++ {
 				sw.centersAt(centers, f)

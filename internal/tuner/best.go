@@ -6,6 +6,7 @@ package tuner
 
 import (
 	"otif/internal/core"
+	"otif/internal/costmodel"
 	"otif/internal/dataset"
 	"otif/internal/detect"
 )
@@ -44,32 +45,29 @@ func SelectBest(sys *core.System, metric core.Metric) (core.Config, Point) {
 		Tracker:  core.TrackerSORT,
 	}
 	best := Evaluate(sys, cfg, sys.DS.Val, metric)
-	sys.Acct.Add("tune", best.Runtime)
+	sys.Acct.Add(costmodel.OpTune, best.Runtime)
 
-	// Descend the resolution ladder while accuracy does not drop.
-	for _, scale := range core.DetScaleLadder[1:] {
-		cand := cfg
-		cand.DetScale = scale
-		p := Evaluate(sys, cand, sys.DS.Val, metric)
-		sys.Acct.Add("tune", p.Runtime)
-		if p.Accuracy < best.Accuracy {
-			break
-		}
-		best = p
-		cfg = cand
+	// Descend the resolution ladder while accuracy does not drop, then the
+	// sampling-rate ladder the same way.
+	ladders := []struct {
+		rungs int
+		set   func(c *core.Config, rung int)
+	}{
+		{len(core.DetScaleLadder), func(c *core.Config, rung int) { c.DetScale = core.DetScaleLadder[rung] }},
+		{len(core.GapLadder), func(c *core.Config, rung int) { c.Gap = core.GapLadder[rung] }},
 	}
-
-	// Then descend the sampling-rate ladder the same way.
-	for _, gap := range core.GapLadder[1:] {
-		cand := cfg
-		cand.Gap = gap
-		p := Evaluate(sys, cand, sys.DS.Val, metric)
-		sys.Acct.Add("tune", p.Runtime)
-		if p.Accuracy < best.Accuracy {
-			break
+	for _, l := range ladders {
+		for rung := 1; rung < l.rungs; rung++ {
+			cand := cfg
+			l.set(&cand, rung)
+			p := Evaluate(sys, cand, sys.DS.Val, metric)
+			sys.Acct.Add(costmodel.OpTune, p.Runtime)
+			if p.Accuracy < best.Accuracy {
+				break
+			}
+			best = p
+			cfg = cand
 		}
-		best = p
-		cfg = cand
 	}
 	return cfg, best
 }

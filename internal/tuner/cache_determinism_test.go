@@ -60,7 +60,7 @@ func TestTuneDeterministicAcrossCacheBudgets(t *testing.T) {
 	// alone, so no warm Tune detection missed.
 	before = video.GlobalCacheStats()
 	calls := 0
-	for _, arch := range opts.Archs {
+	for _, arch := range archs {
 		for _, scale := range core.DetScaleLadder {
 			cfg := sys.Best
 			cfg.Arch, cfg.DetScale = arch, scale

@@ -51,7 +51,7 @@ func TestProxyEstimatesSameAtAnyWorkerCount(t *testing.T) {
 	sys, metric := trainedSystem(t)
 	opts := DefaultOptions()
 	defer parallel.SetWorkers(0)
-	built := buildCache(sys, metric, opts, map[core.Config]Point{})
+	built := newCache(sys, metric, opts)
 
 	type run struct {
 		memo  map[proxyEstKey]proxyEstVal
@@ -62,11 +62,11 @@ func TestProxyEstimatesSameAtAnyWorkerCount(t *testing.T) {
 		c := *built
 		c.proxyEst = map[proxyEstKey]proxyEstVal{}
 		var r run
-		for _, arch := range opts.Archs {
+		for _, arch := range archs {
 			for _, scale := range core.DetScaleLadder {
 				cur := sys.Best
 				cur.Arch, cur.DetScale = arch, scale
-				next, _ := c.nextProxy(sys, cur, opts)
+				next, _ := c.nextProxy(sys, cur)
 				r.picks = append(r.picks, next)
 			}
 		}
@@ -74,7 +74,7 @@ func TestProxyEstimatesSameAtAnyWorkerCount(t *testing.T) {
 		return r
 	}
 	serial, par := fill(1), fill(4)
-	if want := len(opts.Archs) * len(core.DetScaleLadder) * len(sys.Proxies) * len(core.ProxyThreshLadder); len(serial.memo) != want {
+	if want := len(archs) * len(core.DetScaleLadder) * len(sys.Proxies) * len(core.ProxyThreshLadder); len(serial.memo) != want {
 		t.Fatalf("serial memo holds %d estimates, want %d", len(serial.memo), want)
 	}
 	if len(par.memo) != len(serial.memo) {

@@ -77,13 +77,13 @@ func referenceEstimate(sys *core.System, scores [][]float64, boxes [][]geom.Rect
 func TestProxyEstimatesMatchFullGrid(t *testing.T) {
 	sys, metric := trainedSystem(t)
 	opts := DefaultOptions()
-	c := buildCache(sys, metric, opts, map[core.Config]Point{})
+	c := newCache(sys, metric, opts)
 	scores := validationScores(sys)
 	if len(scores) == 0 || len(scores[0]) != c.frameCount || c.frameCount == 0 {
 		t.Fatalf("re-read %d models' frames, the cache holds %d frames", len(scores), c.frameCount)
 	}
 	settings, positive := 0, 0
-	for _, arch := range opts.Archs {
+	for _, arch := range archs {
 		for _, scale := range core.DetScaleLadder {
 			settings++
 			ws := proxy.NewWindowSet(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH, arch.PerPixelCost(), scale, sys.WindowSizes)
@@ -113,7 +113,7 @@ func TestProxyEstimatesMatchFullGrid(t *testing.T) {
 // model and ladder threshold) from a built cache, on one goroutine.
 func BenchmarkProxyEstimate(b *testing.B) {
 	sys, metric := trainedSystem(b)
-	c := buildCache(sys, metric, DefaultOptions(), map[core.Config]Point{})
+	c := newCache(sys, metric, DefaultOptions())
 	ws := proxy.NewWindowSet(sys.DS.Cfg.NomW, sys.DS.Cfg.NomH, sys.Best.Arch.PerPixelCost(), sys.Best.DetScale, sys.WindowSizes)
 	b.ReportAllocs()
 	b.ResetTimer()

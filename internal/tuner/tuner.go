@@ -25,16 +25,15 @@ var (
 // step asks every module for a candidate configuration roughly 30% faster.
 const DefaultCoarseness = 0.30
 
-// Options configures the joint tuner.
-type Options struct {
-	// C is the tuning coarseness (fractional speedup per step).
-	C float64
-	// MaxIters bounds the number of greedy iterations.
-	MaxIters int
-	// Archs are the detector architectures considered by the detection
-	// module.
-	Archs []detect.Arch
+// maxIters bounds the number of greedy iterations.
+const maxIters = 12
 
+// archs are the detector architectures the detection module considers.
+var archs = []detect.Arch{detect.ArchYOLO, detect.ArchRCNN}
+
+// Options configures the joint tuner. The zero value enables no module;
+// callers start from DefaultOptions.
+type Options struct {
 	// Module mask for the ablation study (Table 4): which modules may
 	// propose candidate configurations. DefaultOptions enables all.
 	UseDetection bool
@@ -56,10 +55,6 @@ type Options struct {
 // DefaultOptions returns the paper's tuner settings.
 func DefaultOptions() Options {
 	return Options{
-		C:        DefaultCoarseness,
-		MaxIters: 12,
-		Archs:    []detect.Arch{detect.ArchYOLO, detect.ArchRCNN},
-
 		UseDetection: true,
 		UseTracking:  true,
 		UseProxy:     true,
@@ -73,8 +68,9 @@ func DefaultOptions() Options {
 // at each resolution plus the theta_best detections used to measure
 // recall.
 type cache struct {
-	detTime map[detKey]float64
-	detAcc  map[detKey]float64
+	// det holds the detection grid's points, one per (architecture,
+	// scale) cell, in evaluation order.
+	det []Point
 
 	// proxyCells keeps, per model and frame, the cells scoring at least
 	// the lowest threshold an estimate can ask for (the ladder's, or
@@ -100,11 +96,6 @@ type cellScore struct {
 	score float64
 }
 
-type detKey struct {
-	arch  detect.Arch
-	scale float64
-}
-
 // proxyEstKey captures every input that can change an estProxyCost
 // result: the proxy model, its threshold, and the detector architecture
 // and scale (which determine the window set's sizes and costs).
@@ -118,6 +109,46 @@ type proxyEstKey struct {
 type proxyEstVal struct {
 	est    float64
 	recall float64
+}
+
+// tuning is one Tune call: the system and metric it evaluates with, its
+// options, and every point it has evaluated, by configuration.
+type tuning struct {
+	sys    *core.System
+	metric core.Metric
+	opts   Options
+	evals  map[core.Config]Point
+}
+
+// evaluate is the one way a Tune call evaluates configurations: it returns
+// their validation points in argument order. A configuration this call has
+// evaluated before is looked up (theta_best is also a cell of the
+// detection grid, and the detection module's first candidate is another;
+// Evaluate is a deterministic function of the configuration); the rest run
+// on the worker pool. When iter is a greedy iteration (not -1, the caching
+// phase and theta_best), each point is reported as an EventCandidate from
+// its worker. The points are then recorded and charged to OpTune in
+// argument order, looked up or not, so the accountant's total is the same
+// at any worker count.
+func (t *tuning) evaluate(iter int, cfgs []core.Config) []Point {
+	points := parallel.Map(len(cfgs), func(i int) Point {
+		p, ok := t.evals[cfgs[i]]
+		if !ok {
+			p = Evaluate(t.sys, cfgs[i], t.sys.DS.Val, t.metric)
+		}
+		if iter >= 0 && t.opts.Progress != nil {
+			t.opts.Progress(obs.Event{
+				Kind: obs.EventCandidate, Iteration: iter, Index: i,
+				Config: fmt.Sprintf("%v", p.Cfg), Runtime: p.Runtime, Accuracy: p.Accuracy,
+			})
+		}
+		return p
+	})
+	for _, p := range points {
+		t.evals[p.Cfg] = p
+		t.sys.Acct.Add(costmodel.OpTune, p.Runtime)
+	}
+	return points
 }
 
 // Tune runs OTIF's greedy joint parameter tuner (§3.5) and returns the
@@ -141,15 +172,8 @@ func Tune(sys *core.System, metric core.Metric, opts Options) []Point {
 // iteration run to completion, mirroring RunSetContext's clip-boundary
 // drain.
 func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts Options) ([]Point, error) {
-	if opts.C == 0 {
-		// Zero-valued options select the paper defaults; the progress
-		// hook rides along rather than being defaulted away.
-		prog := opts.Progress
-		opts = DefaultOptions()
-		opts.Progress = prog
-	}
 	partial := func(done int, err error) error {
-		return &core.PartialError{Stage: "tune", Done: done, Total: opts.MaxIters, Err: err}
+		return &core.PartialError{Stage: "tune", Done: done, Total: maxIters, Err: err}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, partial(0, err)
@@ -159,13 +183,8 @@ func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts
 	defer tuneSpan.End()
 	_, cacheSpan := obs.StartSpan(ctx, "tune.cache")
 	cacheSpan.SetStage("tune")
-	// evals holds every evaluation of this call by configuration: theta_best
-	// is also a cell of the detection grid, and the detection module's first
-	// candidate is another. Evaluate is a deterministic function of the
-	// configuration, so a repeat is looked up; it is still charged to
-	// sys.Acct and still reported as a candidate.
-	evals := map[core.Config]Point{}
-	c := buildCache(sys, metric, opts, evals)
+	t := &tuning{sys: sys, metric: metric, opts: opts, evals: map[core.Config]Point{}}
+	c := t.buildCache()
 	cacheSpan.End()
 	opts.Progress.Emit(obs.Event{
 		Kind: obs.EventCacheSnapshot, CacheHitRate: video.GlobalCacheStats().HitRate(),
@@ -174,21 +193,14 @@ func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts
 		return nil, partial(0, err)
 	}
 
-	cfg := sys.Best
-	cfg.Tracker = opts.Tracker
-	cfg.Refine = sys.DS.FixedCamera && opts.Tracker == core.TrackerRecurrent
+	cfg := t.base()
 	if !opts.UseTracking {
 		cfg.Gap = 1
 	}
-	cur, ok := evals[cfg]
-	if !ok {
-		cur = Evaluate(sys, cfg, sys.DS.Val, metric)
-		evals[cfg] = cur
-	}
-	sys.Acct.Add(costmodel.OpTune, cur.Runtime)
+	cur := t.evaluate(-1, []core.Config{cfg})[0]
 	curve := []Point{cur}
 
-	for iter := 0; iter < opts.MaxIters; iter++ {
+	for iter := 0; iter < maxIters; iter++ {
 		if err := ctx.Err(); err != nil {
 			return curve, partial(iter, err)
 		}
@@ -196,21 +208,21 @@ func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts
 		_, iterSpan := obs.StartSpan(ctx, "tune.iter")
 		iterSpan.SetStage("tune")
 		opts.Progress.Emit(obs.Event{
-			Kind: obs.EventTuneIter, Iteration: iter, Total: opts.MaxIters,
+			Kind: obs.EventTuneIter, Iteration: iter, Total: maxIters,
 		})
 		var cands []core.Config
 		if opts.UseDetection {
-			if next, ok := c.nextDetection(cur.Cfg, opts); ok {
+			if next, ok := c.nextDetection(cur.Cfg); ok {
 				cands = append(cands, next)
 			}
 		}
 		if opts.UseProxy {
-			if next, ok := c.nextProxy(sys, cur.Cfg, opts); ok {
+			if next, ok := c.nextProxy(sys, cur.Cfg); ok {
 				cands = append(cands, next)
 			}
 		}
 		if opts.UseTracking {
-			if next, ok := nextTracking(cur.Cfg, opts); ok {
+			if next, ok := nextTracking(cur.Cfg); ok {
 				cands = append(cands, next)
 			}
 		}
@@ -218,28 +230,11 @@ func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts
 			iterSpan.End()
 			break
 		}
-		// Evaluate the iteration's module candidates concurrently; the
-		// tuning-cost charges and the argmax run in candidate order
-		// afterwards, so the chosen point and the accountant totals are
+		// The argmax runs in candidate order, so the chosen point is
 		// independent of the worker count.
 		metCandidates.Add(int64(len(cands)))
-		points := parallel.Map(len(cands), func(i int) Point {
-			p, ok := evals[cands[i]]
-			if !ok {
-				p = Evaluate(sys, cands[i], sys.DS.Val, metric)
-			}
-			if opts.Progress != nil {
-				opts.Progress(obs.Event{
-					Kind: obs.EventCandidate, Iteration: iter, Index: i,
-					Config: fmt.Sprintf("%v", p.Cfg), Runtime: p.Runtime, Accuracy: p.Accuracy,
-				})
-			}
-			return p
-		})
 		best := Point{Accuracy: -1}
-		for _, p := range points {
-			evals[p.Cfg] = p
-			sys.Acct.Add(costmodel.OpTune, p.Runtime)
+		for _, p := range t.evaluate(iter, cands) {
 			if p.Accuracy > best.Accuracy {
 				best = p
 			}
@@ -258,47 +253,41 @@ func TuneContext(ctx context.Context, sys *core.System, metric core.Metric, opts
 	return curve, nil
 }
 
+// base is theta_best under the call's tracker, refining where the
+// recurrent tracker runs on a fixed camera.
+func (t *tuning) base() core.Config {
+	cfg := t.sys.Best
+	cfg.Tracker = t.opts.Tracker
+	cfg.Refine = t.sys.DS.FixedCamera && t.opts.Tracker == core.TrackerRecurrent
+	return cfg
+}
+
 // buildCache runs the caching phase. Both halves fan out on the worker
 // pool — the (arch, scale) detection grid cells are independent
 // evaluations, and the per-clip proxy-score extraction is independent per
-// clip — with all reductions (map fills, accountant charges, frame
-// concatenation) performed in grid/clip order afterwards so the cache is
-// identical at any worker count. The grid's evaluations are recorded in
-// evals.
-func buildCache(sys *core.System, metric core.Metric, opts Options, evals map[core.Config]Point) *cache {
-	c := &cache{
-		detTime:  map[detKey]float64{},
-		detAcc:   map[detKey]float64{},
-		proxyEst: map[proxyEstKey]proxyEstVal{},
-	}
-	if !opts.UseDetection && !opts.UseProxy {
+// clip — with all reductions (accountant charges, frame concatenation)
+// performed in grid/clip order afterwards so the cache is identical at any
+// worker count.
+func (t *tuning) buildCache() *cache {
+	sys := t.sys
+	c := &cache{proxyEst: map[proxyEstKey]proxyEstVal{}}
+	if !t.opts.UseDetection && !t.opts.UseProxy {
 		return c
 	}
 
 	// Detection grid: runtime and accuracy of each (arch, scale) with the
 	// other parameters from theta_best.
-	var keys []detKey
-	for _, arch := range opts.Archs {
+	var grid []core.Config
+	for _, arch := range archs {
 		for _, scale := range core.DetScaleLadder {
-			keys = append(keys, detKey{arch, scale})
+			cfg := t.base()
+			cfg.Arch, cfg.DetScale = arch, scale
+			grid = append(grid, cfg)
 		}
 	}
-	gridPts := parallel.Map(len(keys), func(i int) Point {
-		cfg := sys.Best
-		cfg.Arch = keys[i].arch
-		cfg.DetScale = keys[i].scale
-		cfg.Tracker = opts.Tracker
-		cfg.Refine = sys.DS.FixedCamera && opts.Tracker == core.TrackerRecurrent
-		return Evaluate(sys, cfg, sys.DS.Val, metric)
-	})
-	for i, k := range keys {
-		evals[gridPts[i].Cfg] = gridPts[i]
-		sys.Acct.Add(costmodel.OpTune, gridPts[i].Runtime)
-		c.detTime[k] = gridPts[i].Runtime
-		c.detAcc[k] = gridPts[i].Accuracy
-	}
+	c.det = t.evaluate(-1, grid)
 
-	if !opts.UseProxy {
+	if !t.opts.UseProxy {
 		return c
 	}
 	// Proxy cache: the cells each trained resolution scores at or above
@@ -361,39 +350,38 @@ func buildCache(sys *core.System, metric core.Metric, opts Options, evals map[co
 // nextDetection returns the detection-module candidate: the (architecture,
 // resolution) with maximum cached accuracy among those at least C faster
 // than the current detection configuration (§3.5.1).
-func (c *cache) nextDetection(cur core.Config, opts Options) (core.Config, bool) {
-	curTime, ok := c.detTime[detKey{cur.Arch, cur.DetScale}]
-	if !ok {
+func (c *cache) nextDetection(cur core.Config) (core.Config, bool) {
+	i := slices.IndexFunc(c.det, func(p Point) bool {
+		return p.Cfg.Arch == cur.Arch && p.Cfg.DetScale == cur.DetScale
+	})
+	if i < 0 {
 		return core.Config{}, false
 	}
-	limit := (1 - opts.C) * curTime
-	bestAcc := -1.0
-	var bestKey detKey
-	// Deterministic iteration order: accuracy ties break toward the
-	// faster configuration, then lexicographically, so tuning curves are
-	// reproducible across runs (map iteration order is randomized).
-	for k, t := range c.detTime {
-		if t > limit {
+	limit := (1 - DefaultCoarseness) * c.det[i].Runtime
+	best := Point{Accuracy: -1}
+	// Accuracy ties break toward the faster configuration, then by
+	// architecture, then by scale: this rule, not the grid's order,
+	// decides the curve.
+	for _, p := range c.det {
+		if p.Runtime > limit {
 			continue
 		}
-		a := c.detAcc[k]
-		switch {
-		case a > bestAcc:
-		case a == bestAcc && t < c.detTime[bestKey]:
-		case a == bestAcc && t == c.detTime[bestKey] &&
-			(k.arch < bestKey.arch || (k.arch == bestKey.arch && k.scale < bestKey.scale)):
+		switch a, b := p.Cfg, best.Cfg; {
+		case p.Accuracy > best.Accuracy:
+		case p.Accuracy == best.Accuracy && p.Runtime < best.Runtime:
+		case p.Accuracy == best.Accuracy && p.Runtime == best.Runtime &&
+			(a.Arch < b.Arch || (a.Arch == b.Arch && a.DetScale < b.DetScale)):
 		default:
 			continue
 		}
-		bestAcc = a
-		bestKey = k
+		best = p
 	}
-	if bestAcc < 0 {
+	if best.Accuracy < 0 {
 		return core.Config{}, false
 	}
 	next := cur
-	next.Arch = bestKey.arch
-	next.DetScale = bestKey.scale
+	next.Arch = best.Cfg.Arch
+	next.DetScale = best.Cfg.DetScale
 	return next, true
 }
 
@@ -406,7 +394,7 @@ func (c *cache) nextDetection(cur core.Config, opts Options) (core.Config, bool)
 // worker pool; each is a pure function of the cached scores and theta_best
 // boxes, and the memo is filled and the winner picked in grid order
 // afterwards, so the candidate is the same at any worker count.
-func (c *cache) nextProxy(sys *core.System, cur core.Config, opts Options) (core.Config, bool) {
+func (c *cache) nextProxy(sys *core.System, cur core.Config) (core.Config, bool) {
 	if len(sys.Proxies) == 0 || c.frameCount == 0 {
 		return core.Config{}, false
 	}
@@ -430,7 +418,7 @@ func (c *cache) nextProxy(sys *core.System, cur core.Config, opts Options) (core
 	}
 
 	curCost := c.estConfigCost(sys, cur, ws)
-	limit := (1 - opts.C) * curCost
+	limit := (1 - DefaultCoarseness) * curCost
 
 	bestRecall := -1.0
 	bestIdx, bestThreshIdx := -1, -1
@@ -538,8 +526,8 @@ func (c *cache) proxyEstimate(sys *core.System, key proxyEstKey, ws *proxy.Windo
 
 // nextTracking returns the tracking-module candidate: the next sampling gap
 // reaching roughly a C speedup (§3.5.3).
-func nextTracking(cur core.Config, opts Options) (core.Config, bool) {
-	g := core.NextGapForSpeedup(cur.Gap, opts.C)
+func nextTracking(cur core.Config) (core.Config, bool) {
+	g := core.NextGapForSpeedup(cur.Gap, DefaultCoarseness)
 	if g == cur.Gap {
 		return core.Config{}, false
 	}

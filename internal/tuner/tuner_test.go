@@ -32,6 +32,12 @@ func trainedSystem(t testing.TB) (*core.System, core.Metric) {
 	return sys, metric
 }
 
+// newCache runs one Tune call's caching phase.
+func newCache(sys *core.System, metric core.Metric, opts Options) *cache {
+	t := &tuning{sys: sys, metric: metric, opts: opts, evals: map[core.Config]Point{}}
+	return t.buildCache()
+}
+
 func TestSelectBestUsesSORTAtFullRateOrReduced(t *testing.T) {
 	sys, _ := trainedSystem(t)
 	best := sys.Best
@@ -99,7 +105,6 @@ func TestTuneModuleMask(t *testing.T) {
 	opts.UseProxy = false
 	opts.UseTracking = false
 	opts.Tracker = core.TrackerSORT
-	opts.MaxIters = 6
 	curve := Tune(sys, metric, opts)
 	for _, p := range curve {
 		if p.Cfg.UseProxy {
@@ -143,7 +148,7 @@ func TestTuneEvaluatesEachConfigOnce(t *testing.T) {
 	curve := Tune(sys, metric, opts)
 
 	grid := 0
-	for _, arch := range opts.Archs {
+	for _, arch := range archs {
 		for _, scale := range core.DetScaleLadder {
 			cfg := curve[0].Cfg
 			cfg.Arch, cfg.DetScale = arch, scale

@@ -3,6 +3,8 @@ package otif_test
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"otif"
@@ -87,6 +89,43 @@ func TestEndToEndWorkflow(t *testing.T) {
 	lq := ts.LimitQuery("car", otif.CountPredicate{N: 1}, 5, 1)
 	if len(lq) != 3 {
 		t.Error("limit query per-clip size wrong")
+	}
+}
+
+// TestLimitQueryAnySeparation asks for separations no clip can hold: each
+// clip then answers at most one frame, where the conversion to frames
+// used to overflow to no separation at all. A NaN or negative separation
+// is none.
+func TestLimitQueryAnySeparation(t *testing.T) {
+	pipe, curve := pipeline(t)
+	pick, err := otif.PickFastestWithin(curve, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := pipe.Extract(context.Background(), pick.Cfg, otif.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := otif.CountPredicate{N: 1}
+	none := ts.LimitQuery("car", pred, 5, 0)
+	most := 0
+	for _, m := range none {
+		most = max(most, len(m))
+	}
+	if most < 2 {
+		t.Fatalf("without separation no clip answers more than %d frames: the test proves nothing", most)
+	}
+	for _, sec := range []float64{math.Inf(1), 1e300} {
+		for clip, m := range ts.LimitQuery("car", pred, 5, sec) {
+			if len(m) > 1 {
+				t.Errorf("minsep %v s: clip %d answers %d frames, want at most 1", sec, clip, len(m))
+			}
+		}
+	}
+	for _, sec := range []float64{math.NaN(), -1} {
+		if got := ts.LimitQuery("car", pred, 5, sec); !reflect.DeepEqual(got, none) {
+			t.Errorf("minsep %v s answers %v, want the unseparated %v", sec, got, none)
+		}
 	}
 }
 

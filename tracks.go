@@ -38,11 +38,12 @@ type FrameMatch = query.FrameMatch
 func (ts *TrackSet) Snapshot() store.Querier { return ts.Querier }
 
 // LimitQuery runs a frame-level limit query per clip: up to limit frames
-// satisfying pred, at least minSepSec apart. It shadows the store's method
-// of the same name, which takes the separation in frames.
+// satisfying pred, at least minSepSec apart (any separation longer than a
+// clip asks for one frame per clip; a NaN or negative one for no
+// separation). It shadows the store's method of the same name, which takes
+// the separation in frames.
 func (ts *TrackSet) LimitQuery(category string, pred query.FramePredicate, limit int, minSepSec float64) [][]FrameMatch {
-	minSep := int(minSepSec * float64(ts.Context().FPS))
-	return ts.Querier.LimitQuery(category, pred, limit, minSep)
+	return ts.Querier.LimitQuery(category, pred, limit, ts.Context().SepFrames(minSepSec))
 }
 
 // perClip reads the clips' track slices back from the store (shared,
