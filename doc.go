@@ -29,9 +29,11 @@
 //	counts := ts.PathBreakdown("car", pipe.Movements(), 100)
 //
 // A TrackSet is the indexed track store (store.Querier) plus a header: the
-// query kinds, Clips, Tracks(i) and Context are the store's own methods,
-// and only LimitQuery is declared on top, to take its separation in
-// seconds. An IngestSession is likewise the ingest session itself plus
+// query kinds, Clips, Tracks(i), Context and Manifest are the store's own
+// methods, and only LimitQuery is declared on top, to take its separation
+// in seconds. The store has one shape, a segmented store.Sharded, whether
+// Extract built it, LoadTrackSets read it or an ingest session published
+// it. An IngestSession is likewise the ingest session itself plus
 // Tracks().
 //
 // Tune and Extract cancel cooperatively at iteration/clip boundaries and

@@ -60,7 +60,7 @@ type IngestSession struct {
 // Ingest starts a streaming ingest session: per-camera sources emit
 // fixed-length clips into a bounded shared queue, extraction workers run
 // them through the trained pipeline, and every extracted clip appends
-// atomically to a live indexed store that Store snapshots at any moment.
+// atomically to a live indexed store that Tracks snapshots at any moment.
 // It returns ErrNotTrained before Train (or LoadModels).
 //
 // Each (camera, clip) pair's extracted tracks are bit-identical to running
@@ -112,5 +112,5 @@ func (p *Pipeline) Ingest(ctx context.Context, o IngestOptions) (*IngestSession,
 // live store's current snapshot: clips published after the call do not
 // appear in it.
 func (s *IngestSession) Tracks() *TrackSet {
-	return &TrackSet{Querier: s.Store(), Runtime: s.Stats().Runtime, Dataset: s.name}
+	return &TrackSet{Querier: s.Live().Snapshot(), Runtime: s.Stats().Runtime, Dataset: s.name}
 }

@@ -25,7 +25,7 @@ func TestIngestSessionEndToEnd(t *testing.T) {
 	if len(st.Cameras) != 2 || st.Cameras[0].Name != "caldot1-cam0" {
 		t.Fatalf("camera stats = %+v", st.Cameras)
 	}
-	if got := sess.Store().Clips(); got != 4 {
+	if got := sess.Live().Snapshot().Clips(); got != 4 {
 		t.Fatalf("store clips = %d, want 4", got)
 	}
 	if got := len(sess.Published()); got != 4 {
@@ -41,7 +41,7 @@ func TestIngestSessionEndToEnd(t *testing.T) {
 	}
 	// The TrackSet answers from the live store's snapshot rather than an
 	// index of its own.
-	if ts.Querier != sess.Store() {
+	if ts.Querier != sess.Live().Snapshot() {
 		t.Error("TrackSet does not answer from the live store snapshot")
 	}
 }

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -252,7 +253,7 @@ func TestOTIFFramesReusesTracks(t *testing.T) {
 	sys, _ := trainedSystem(t)
 	cfg := sys.Best
 	cfg.Gap = 2
-	of := NewOTIFFrames(cfg)
+	of := NewOTIFFrames(sys.RunSet(cfg, sys.DS.Test))
 	q := FrameQuery{
 		Name: "count", Category: "car",
 		Pred:  query.CountPredicate{N: 1},
@@ -271,6 +272,21 @@ func TestOTIFFramesReusesTracks(t *testing.T) {
 	}
 	if r2.QueryTime >= r1.PreprocessTime/10 {
 		t.Errorf("query time %v should be far below pre-processing %v", r2.QueryTime, r1.PreprocessTime)
+	}
+}
+
+// TestOTIFFramesAnySeparation: a separation longer than any clip, +Inf
+// included, asks for at most one frame per clip. Converted with a bare
+// int(), +Inf seconds became math.MinInt64 frames, which is no separation.
+func TestOTIFFramesAnySeparation(t *testing.T) {
+	sys, _ := trainedSystem(t)
+	of := NewOTIFFrames(sys.RunSet(sys.Best, sys.DS.Test))
+	for _, sep := range []float64{math.Inf(1), 1e300} {
+		q := FrameQuery{Name: "count", Category: "car", Pred: query.CountPredicate{N: 1}, Limit: 10, MinSepSec: sep}
+		res := of.RunFrameQuery(sys, q, sys.DS.Test)
+		if res.Returned == 0 || res.Returned > len(sys.DS.Test) {
+			t.Errorf("MinSepSec %v: %d frames over %d clips, want 1 to %d", sep, res.Returned, len(sys.DS.Test), len(sys.DS.Test))
+		}
 	}
 }
 

@@ -215,7 +215,7 @@ func TestGoldenFrameLevel(t *testing.T) {
 	}
 	cfg := sys.Best
 	cfg.Gap = 2
-	otif := NewOTIFFrames(cfg)
+	otif := NewOTIFFrames(sys.RunSet(cfg, sys.DS.Test))
 	methods := []struct {
 		name string
 		run  func(q FrameQuery) FrameLevelResult

@@ -12,23 +12,16 @@ import (
 // query-agnostic, so additional queries cost only the (milliseconds-scale)
 // track scan — the central claim of §4.2.
 type OTIFFrames struct {
-	// Cfg is the pipeline configuration used for pre-processing (the
-	// fastest configuration within 5% of best track-query accuracy).
-	Cfg core.Config
-
 	tracksPerClip [][]*query.Track
 	preprocess    float64
 }
 
-// NewOTIFFrames wraps a tuned OTIF configuration.
-func NewOTIFFrames(cfg core.Config) *OTIFFrames { return &OTIFFrames{Cfg: cfg} }
-
-// Preprocess extracts all tracks once; the result is reused by every
-// subsequent query.
-func (o *OTIFFrames) Preprocess(sys *core.System, clips []*dataset.ClipTruth) {
-	res := sys.RunSet(o.Cfg, clips)
-	o.tracksPerClip = res.PerClip
-	o.preprocess = res.Runtime
+// NewOTIFFrames answers from one pre-processing pass: the run of a tuned
+// configuration (the fastest within 5% of best track-query accuracy) over
+// the clips the queries ask about. Its runtime is the pre-processing time
+// every query reports.
+func NewOTIFFrames(res *core.SetResult) *OTIFFrames {
+	return &OTIFFrames{tracksPerClip: res.PerClip, preprocess: res.Runtime}
 }
 
 // RunFrameQuery answers one limit query from the stored tracks. Query cost
@@ -36,12 +29,9 @@ func (o *OTIFFrames) Preprocess(sys *core.System, clips []*dataset.ClipTruth) {
 // around a simulated second per query on paper-sized sets, matching the
 // sub-second to second-scale latencies of Table 3.
 func (o *OTIFFrames) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset.ClipTruth) FrameLevelResult {
-	if o.tracksPerClip == nil {
-		o.Preprocess(sys, clips)
-	}
 	acct := costmodel.NewAccountant()
 	ctx := sys.Ctx()
-	minSep := int(q.MinSepSec * float64(ctx.FPS))
+	minSep := ctx.SepFrames(q.MinSepSec)
 
 	// Gather per-clip matches ranked by the minimum duration of their
 	// visible tracks (§4.2), then interleave clips preserving rank order.

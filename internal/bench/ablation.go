@@ -68,7 +68,7 @@ func (s *Suite) Table4(w io.Writer, datasets []string) ([]Table4Row, error) {
 		if err != nil {
 			return dsResult{err: err}
 		}
-		curves = append(curves, full)
+		curves = append(curves, full.Points)
 		floor := tuner.BestAccuracy(curves...) - Table2Tol
 		out := dsResult{runtimes: make([]float64, len(variants))}
 		for i, pts := range curves {

@@ -57,8 +57,11 @@ func (m testSetMetric) Accuracy(perClip [][]*query.Track, clips []*dataset.ClipT
 // ablation variants, whose full-system row is the suite's curve. The test
 // set scores each configuration of the OTIF curve once, beside each
 // baseline point and each configuration of the three ablation curves.
-// (Before the OTIF test points were memoized, Table 3 and Table 4 each
-// evaluated the curve again, and Table 4 re-ran the suite's Tune.)
+// Table 3 extracts no OTIF clip: it answers from the tracks of the pick the
+// curve's test-set evaluation kept. (Before the OTIF test points were
+// memoized, Table 3 and Table 4 each evaluated the curve again, and Table 4
+// re-ran the suite's Tune; before the pick's tracks were kept, Table 3
+// extracted the pick once more.)
 func TestTablesEvaluateOTIFCurveOnce(t *testing.T) {
 	var tunes, points, evals atomic.Int64
 	prev := obs.Log()
@@ -78,8 +81,13 @@ func TestTablesEvaluateOTIFCurveOnce(t *testing.T) {
 	if _, err := s.Table2(io.Discard, ds); err != nil {
 		t.Fatal(err)
 	}
+	clips := obs.Default.Counter("run.clips")
+	before := clips.Value()
 	if _, err := s.Table3(io.Discard, ds); err != nil {
 		t.Fatal(err)
+	}
+	if got := clips.Value() - before; got != 0 {
+		t.Errorf("Table 3 extracted %d clips after Table 2, want 0: its OTIF pick's test-set tracks are the curve's", got)
 	}
 	ablationPoints := -points.Load()
 	if _, err := s.Table4(io.Discard, ds); err != nil {

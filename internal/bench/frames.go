@@ -8,7 +8,6 @@ import (
 	"otif/internal/geom"
 	"otif/internal/parallel"
 	"otif/internal/query"
-	"otif/internal/tuner"
 )
 
 // Table3Result aggregates the frame-level limit query comparison (Table 3):
@@ -125,19 +124,18 @@ func (s *Suite) Table3(w io.Writer, datasets []string) (*Table3Result, error) {
 		q := buildFrameQuery(t, pair.kind)
 		clips := t.Sys.DS.Test
 
-		// OTIF: pre-process with the same configuration Table 2 selects —
+		// OTIF: answer from the tracks of the configuration Table 2 selects —
 		// the fastest test-curve point within the accuracy band (§4.2 uses
-		// "the same configurations as the ones from Table 2").
-		pts, err := s.testPointsOTIF(pair.ds)
+		// "the same configurations as the ones from Table 2"), extracted
+		// once, when the curve was evaluated on the test set.
+		curve, err := s.testPointsOTIF(pair.ds)
 		if err != nil {
 			return pairResult{err: err}
 		}
-		pt, ok := tuner.FastestWithin(pts, Table2Tol)
-		if !ok {
+		if curve.Pick == nil {
 			return pairResult{err: fmt.Errorf("bench: no tuned configuration for %s", pair.ds)}
 		}
-		otif := baselines.NewOTIFFrames(pt.Cfg)
-		ro := otif.RunFrameQuery(t.Sys, q, clips)
+		ro := baselines.NewOTIFFrames(curve.Pick).RunFrameQuery(t.Sys, q, clips)
 
 		blaze := baselines.NewBlazeIt()
 		rb := blaze.RunFrameQuery(t.Sys, q, clips)

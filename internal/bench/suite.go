@@ -16,6 +16,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"otif/internal/baselines"
 	"otif/internal/core"
@@ -38,7 +39,7 @@ type Suite struct {
 	Seed int64
 
 	systems  *lru.Cache[string, memo[*trained]]
-	otifTest *lru.Cache[string, memo[[]tuner.Point]]
+	otifTest *lru.Cache[string, memo[*otifTest]]
 	curves   *lru.Cache[string, memo[[]MethodCurve]]
 }
 
@@ -74,7 +75,7 @@ func NewSuite(spec dataset.SetSpec, seed int64) *Suite {
 	return &Suite{
 		Spec: spec, Seed: seed,
 		systems:  lru.New[string, memo[*trained]](0),
-		otifTest: lru.New[string, memo[[]tuner.Point]](0),
+		otifTest: lru.New[string, memo[*otifTest]](0),
 		curves:   lru.New[string, memo[[]MethodCurve]](0),
 	}
 }
@@ -108,20 +109,36 @@ type MethodCurve struct {
 	QueryFraction float64
 }
 
+// otifTest is a dataset's OTIF curve evaluated on the test set.
+type otifTest struct {
+	Points []tuner.Point
+	// Pick is the test-set run of the point Tables 2 and 3 select,
+	// tuner.FastestWithin(Points, Table2Tol): Table 3 pre-processes with
+	// its tracks and runtime. Nil when the curve is empty.
+	Pick *core.SetResult
+}
+
 // testPointsOTIF evaluates each configuration of a dataset's OTIF curve on
 // the test set, once per dataset: Table 2 and Figure 5 (through
 // TrackCurves), Table 3 and Table 4's full-system row read these points.
-func (s *Suite) testPointsOTIF(name string) ([]tuner.Point, error) {
-	return memoize(s.otifTest, name, func() ([]tuner.Point, error) {
+// Of the runs' tracks it keeps only the pick's.
+func (s *Suite) testPointsOTIF(name string) (*otifTest, error) {
+	return memoize(s.otifTest, name, func() (*otifTest, error) {
 		t, err := s.System(name)
 		if err != nil {
 			return nil, err
 		}
-		pts := make([]tuner.Point, 0, len(t.Curve))
-		for _, p := range t.Curve {
-			pts = append(pts, tuner.Evaluate(t.Sys, p.Cfg, t.Sys.DS.Test, t.Metric))
+		test := t.Sys.DS.Test
+		out := &otifTest{Points: make([]tuner.Point, len(t.Curve))}
+		runs := make([]*core.SetResult, len(t.Curve))
+		for i, p := range t.Curve {
+			runs[i] = t.Sys.RunSet(p.Cfg, test)
+			out.Points[i] = tuner.Point{Cfg: p.Cfg, Runtime: runs[i].Runtime, Accuracy: t.Metric.Accuracy(runs[i].PerClip, test)}
 		}
-		return pts, nil
+		if pick, ok := tuner.FastestWithin(out.Points, Table2Tol); ok {
+			out.Pick = runs[slices.IndexFunc(out.Points, func(p tuner.Point) bool { return p.Cfg == pick.Cfg })]
+		}
+		return out, nil
 	})
 }
 
@@ -138,7 +155,7 @@ func (s *Suite) TrackCurves(name string) ([]MethodCurve, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := []MethodCurve{{Method: "OTIF", Points: otif}}
+		out := []MethodCurve{{Method: "OTIF", Points: otif.Points}}
 		for _, m := range baselines.All() {
 			cands := m.Tune(t.Sys, t.Metric)
 			// Keep validation-Pareto candidates, then evaluate them on the

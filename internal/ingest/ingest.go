@@ -319,15 +319,10 @@ func (s *Session) work(it workItem) {
 	}
 }
 
-// Live returns the session's live store. Its snapshots remain valid after
-// the session ends.
+// Live returns the session's live store. Its Snapshot is the published
+// *store.Sharded (sealed segments plus the open tail), safe for concurrent
+// queries while ingest continues and valid after the session ends.
 func (s *Session) Live() *store.Live { return s.live }
-
-// Store returns the current published snapshot, safe for concurrent
-// queries while ingest continues. Since the segment model landed it is a
-// *store.Sharded — sealed segments plus the open tail — but callers only
-// see the Querier surface, which answers bit-identically.
-func (s *Session) Store() store.Querier { return s.live.Snapshot() }
 
 // Stats snapshots the session's counters.
 func (s *Session) Stats() Stats {

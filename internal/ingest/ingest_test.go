@@ -77,7 +77,7 @@ func TestSessionPublishesEveryClipBitIdentically(t *testing.T) {
 	if len(log) != 2*limit {
 		t.Fatalf("published %d clips, want %d", len(log), 2*limit)
 	}
-	snap := s.Store()
+	snap := s.Live().Snapshot()
 	if snap.Clips() != 2*limit {
 		t.Fatalf("store has %d clips, want %d", snap.Clips(), 2*limit)
 	}
@@ -126,12 +126,15 @@ func TestSessionIncrementalMatchesFullRebuild(t *testing.T) {
 	if err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.Store()
+	snap := s.Live().Snapshot()
 	perClip := make([][]*query.Track, snap.Clips())
 	for i := range perClip {
 		perClip[i] = snap.Tracks(i)
 	}
-	full := store.New(perClip, snap.Context())
+	full, err := store.NewSharded("full", snap.Context(), store.SplitSegments(perClip, snap.Context(), 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cat := range []string{"", "car", "bus"} {
 		if got, want := snap.CountTracks(cat), full.CountTracks(cat); !reflect.DeepEqual(got, want) {
 			t.Fatalf("CountTracks(%q): incremental %v vs full rebuild %v", cat, got, want)
@@ -145,7 +148,7 @@ func TestSessionIncrementalMatchesFullRebuild(t *testing.T) {
 }
 
 // TestSessionCancelDrainsCleanly cancels an unbounded session mid-stream
-// while other goroutines hammer Stats and Store, asserting (under -race)
+// while other goroutines hammer Stats and Snapshot, asserting (under -race)
 // that shutdown is clean and already-published clips stay queryable.
 func TestSessionCancelDrainsCleanly(t *testing.T) {
 	sys, ds, cfg := testWorld(t)
@@ -169,7 +172,7 @@ func TestSessionCancelDrainsCleanly(t *testing.T) {
 				default:
 				}
 				s.Stats()
-				s.Store().CountTracks("car")
+				s.Live().Snapshot().CountTracks("car")
 			}
 		}()
 	}
@@ -195,7 +198,7 @@ func TestSessionCancelDrainsCleanly(t *testing.T) {
 	if st.ClipsIngested < 2 {
 		t.Fatalf("published clips lost on close: %+v", st)
 	}
-	if got := s.Store().Clips(); int64(got) != st.ClipsIngested {
+	if got := s.Live().Snapshot().Clips(); int64(got) != st.ClipsIngested {
 		t.Fatalf("store has %d clips, stats say %d", got, st.ClipsIngested)
 	}
 	// Close is idempotent, and Wait after Close reports the cancellation.
@@ -233,8 +236,8 @@ func TestSessionDropPolicy(t *testing.T) {
 	if c.ClipsPublished+c.ClipsDropped != limit || c.Lag != 0 {
 		t.Fatalf("conservation violated: %+v", c)
 	}
-	if int64(s.Store().Clips()) != c.ClipsPublished {
-		t.Fatalf("store clips %d != published %d", s.Store().Clips(), c.ClipsPublished)
+	if int64(s.Live().Snapshot().Clips()) != c.ClipsPublished {
+		t.Fatalf("store clips %d != published %d", s.Live().Snapshot().Clips(), c.ClipsPublished)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -176,6 +177,11 @@ func (d *testDaemon) defaultDataset() (view datasetView, names []string) {
 	return view, names
 }
 
+// streamed reports whether a /v1/datasets row is an ingest session's live
+// store. Every source shows a manifest; the live store's names the dataset
+// "live", where an extract's and segment files' carry the dataset's name.
+func streamed(v datasetView) bool { return v.Manifest.Dataset == "live" }
+
 // TestJobsBeforeReadyFail pins the daemon before Start: it is live but not
 // ready, every job kind fails with the not-ready message, the default
 // dataset is named but not loaded, and /v1/streams already answers.
@@ -258,11 +264,19 @@ func TestExtractAndTuneJobs(t *testing.T) {
 	if res["set"] != "test" || res["clips"] != 2 || res["config"] == "" {
 		t.Errorf("extract result = %+v", v.Result)
 	}
-	if got := d.count(); len(got.PerClip) != 2 {
+	got := d.count()
+	if len(got.PerClip) != 2 {
 		t.Errorf("count after extract = %+v, want 2 clips", got)
 	}
-	if view, _ := d.defaultDataset(); !view.Ready || view.Clips != 2 {
+	view, _ := d.defaultDataset()
+	if !view.Ready || view.Clips != 2 {
 		t.Errorf("default dataset after extract = %+v", view)
+	}
+	// An extracted set is sealed segments, as its export is, and shows
+	// their manifest.
+	want := []store.SegmentInfo{{ID: store.SegmentID(0), Clips: 2, Tracks: got.Total, Sealed: true}}
+	if m := view.Manifest; m.Dataset != "caldot1" || m.Clips != 2 || !reflect.DeepEqual(m.Segments, want) {
+		t.Errorf("manifest after extract = %+v, want one sealed segment of the extract's 2 clips", m)
 	}
 	// The validation set has its own clips; the newer extract answers.
 	d.run("extract", map[string]string{"set": "val", "tolerance": "0.2"}, JobDone)
@@ -372,11 +386,11 @@ func TestTrackFileAnswersBeforeReady(t *testing.T) {
 	d.ok("/v1/query/breakdown?category=car")
 }
 
-// TestSegmentReplicaAnswersByteEqual serves a track set from a monolithic
-// store in one daemon and as segment files of one clip each from a second:
-// the scatter-gather replica answers with the same bytes as the monolithic
-// store, cold and from its result cache, and a second dataset in the
-// directory registers under its own name.
+// TestSegmentReplicaAnswersByteEqual serves a track set from one segment
+// of every clip in one daemon and as segment files of one clip each from a
+// second: the scatter-gather replica answers with the same bytes as the
+// single segment, cold and from its result cache, and a second dataset in
+// the directory registers under its own name.
 func TestSegmentReplicaAnswersByteEqual(t *testing.T) {
 	_, ts := writeSegments(t)
 	qctx := ts.Context()
@@ -384,8 +398,12 @@ func TestSegmentReplicaAnswersByteEqual(t *testing.T) {
 	for i := range perClip {
 		perClip[i] = ts.Tracks(i)
 	}
+	whole, err := store.NewSharded(ts.Dataset, qctx, store.SplitSegments(perClip, qctx, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	primary := newTestDaemon(t, testConfig())
-	primary.publish(&otif.TrackSet{Querier: store.New(perClip, qctx), Dataset: ts.Dataset})
+	primary.publish(&otif.TrackSet{Querier: whole, Dataset: ts.Dataset})
 
 	cfg := testConfig()
 	cfg.SegmentsDir = t.TempDir()
@@ -411,7 +429,7 @@ func TestSegmentReplicaAnswersByteEqual(t *testing.T) {
 	if strings.Join(names, ",") != "caldot1,other" {
 		t.Errorf("replica datasets = %v, want caldot1 and other", names)
 	}
-	if view.Manifest == nil || len(view.Manifest.Segments) != 2 || view.Manifest.Segments[1].ID != "seg-00001" {
+	if len(view.Manifest.Segments) != 2 || view.Manifest.Segments[1].ID != "seg-00001" {
 		t.Errorf("replica manifest = %+v, want seg-00000 and seg-00001", view.Manifest)
 	}
 	var otherCount countResponse
@@ -489,7 +507,7 @@ func TestStreamJob(t *testing.T) {
 	if body := d.ok("/v1/streams"); !bytes.Contains(body, []byte(`"streaming": false`)) {
 		t.Errorf("/v1/streams after the stream = %s", body)
 	}
-	if view, _ := d.defaultDataset(); view.Manifest == nil || view.Clips != int(clips) {
+	if view, _ := d.defaultDataset(); !streamed(view) || view.Clips != int(clips) {
 		t.Errorf("default dataset after the stream = %+v, want the live store's %d clips", view, clips)
 	}
 	if body := d.ok("/jobs"); !bytes.Contains(body, []byte(`"kind": "stream"`)) {
@@ -549,22 +567,21 @@ func TestLastPublicationAnswers(t *testing.T) {
 	cfg.SegmentsDir, _ = writeSegments(t)
 	d := readyTestDaemon(t, cfg)
 	// Start-up: the segment files are published.
-	if view, _ := d.defaultDataset(); view.Manifest == nil || view.Clips != 2 {
+	if view, _ := d.defaultDataset(); streamed(view) || view.Clips != 2 {
 		t.Fatalf("at start-up the default dataset is %+v, want the segment files' store", view)
 	}
 	d.run("extract", map[string]string{"set": "train"}, JobDone)
 	extracted := d.count()
 
 	// An unbounded stream of 3-second clips: nothing changes until its
-	// first clip lands, then the live store (the only source since the
-	// extract with a segment manifest) answers.
+	// first clip lands, then the live store answers.
 	stream := d.submit("stream", map[string]string{"cameras": "1", "interval": "10ms", "seconds": "3"})
 	eventually(t, "the live store to answer", func() bool {
 		view, _ := d.defaultDataset()
-		if view.Manifest == nil && view.Clips != len(extracted.PerClip) {
+		if !streamed(view) && view.Clips != len(extracted.PerClip) {
 			t.Fatalf("before the first streamed clip the default dataset is %+v", view)
 		}
-		return view.Manifest != nil
+		return streamed(view)
 	})
 
 	// An extract that finishes while the stream is live takes the entry
@@ -572,7 +589,7 @@ func TestLastPublicationAnswers(t *testing.T) {
 	d.run("extract", map[string]string{"set": "train"}, JobDone)
 	before := d.session.Load().Stats().ClipsIngested
 	eventually(t, "two more streamed clips", func() bool { return d.session.Load().Stats().ClipsIngested >= before+2 })
-	if view, _ := d.defaultDataset(); view.Manifest != nil {
+	if view, _ := d.defaultDataset(); streamed(view) {
 		t.Fatalf("after an extract beside a live stream the default dataset is %+v, want the extract's store", view)
 	}
 	if got := d.count(); got.Total != extracted.Total || len(got.PerClip) != len(extracted.PerClip) {
@@ -583,7 +600,7 @@ func TestLastPublicationAnswers(t *testing.T) {
 		t.Fatalf("cancel = %d", code)
 	}
 	waitState(t, stream, JobDone) // a canceled stream reports what it ingested
-	if view, _ := d.defaultDataset(); view.Manifest != nil {
+	if view, _ := d.defaultDataset(); streamed(view) {
 		t.Errorf("the ended stream took the entry back: %+v", view)
 	}
 }

@@ -89,12 +89,13 @@ func (q *QueryAPI) withStore(h func(w http.ResponseWriter, r *http.Request, s st
 	}
 }
 
-// datasetView is one row of the GET /v1/datasets response.
+// datasetView is one row of the GET /v1/datasets response; a ready row
+// carries its track set's manifest, a not-ready one the zero Manifest.
 type datasetView struct {
-	Name     string          `json:"name"`
-	Ready    bool            `json:"ready"`
-	Clips    int             `json:"clips"`
-	Manifest *store.Manifest `json:"manifest,omitempty"`
+	Name     string         `json:"name"`
+	Ready    bool           `json:"ready"`
+	Clips    int            `json:"clips"`
+	Manifest store.Manifest `json:"manifest"`
 }
 
 func (q *QueryAPI) handleDatasets(w http.ResponseWriter, r *http.Request) {
@@ -107,12 +108,7 @@ func (q *QueryAPI) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	for _, name := range names {
 		v := datasetView{Name: name}
 		if s, err := q.Datasets.Resolve(name); err == nil && s != nil {
-			v.Ready = true
-			v.Clips = s.Clips()
-			if sh, ok := s.(*store.Sharded); ok {
-				m := sh.Manifest()
-				v.Manifest = &m
-			}
+			v.Ready, v.Clips, v.Manifest = true, s.Clips(), s.Manifest()
 		}
 		views = append(views, v)
 	}

@@ -16,7 +16,7 @@ import (
 
 // queryFixture builds a Server with a two-clip store: clip 0 holds two cars
 // crossing the frame left-to-right, clip 1 holds one bus.
-func queryFixture() (*Server, *store.Store) {
+func queryFixture() (*Server, *store.Sharded) {
 	car := func(id, startF int, y float64) *query.Track {
 		return &query.Track{
 			ID: id, Category: "car",
@@ -38,7 +38,11 @@ func queryFixture() (*Server, *store.Store) {
 		{car(1, 0, 100), car(2, 20, 160)},
 		{bus},
 	}
-	st := store.New(perClip, query.Context{FPS: 10, NomW: 640, NomH: 360, Frames: 100})
+	ctx := query.Context{FPS: 10, NomW: 640, NomH: 360, Frames: 100}
+	st, err := store.NewSharded("test", ctx, store.SplitSegments(perClip, ctx, store.DefaultSealClips), nil)
+	if err != nil {
+		panic(err)
+	}
 	datasets := store.NewRegistry()
 	datasets.Register("test", st)
 	srv := &Server{
@@ -175,7 +179,11 @@ func TestQueryLimitBadParam(t *testing.T) {
 	// A store loaded without clip geometry has no frames to return, but
 	// the route's defaults must not be a 400 there.
 	bare := store.NewRegistry()
-	bare.Register("bare", store.New([][]*query.Track{nil}, query.Context{}))
+	empty, err := store.NewSharded("bare", query.Context{}, store.SplitSegments([][]*query.Track{nil}, query.Context{}, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare.Register("bare", empty)
 	if code, out := doQueryJSON(t, &Server{Queries: &QueryAPI{Datasets: bare}}, "GET", "/v1/query/limit", ""); code != 200 {
 		t.Errorf("defaults on a store without geometry: status = %d, want 200: %v", code, out)
 	}

@@ -12,7 +12,7 @@ import (
 
 // shardedFixtureDataset rebuilds the query fixture's clips as a two-segment
 // Sharded, registered under "shards" — the same data served scatter-gather.
-func shardedFixtureDataset(t *testing.T, srv *Server, st *store.Store) *store.Sharded {
+func shardedFixtureDataset(t *testing.T, srv *Server, st *store.Sharded) *store.Sharded {
 	t.Helper()
 	perClip := [][]*query.Track{st.Tracks(0), st.Tracks(1)}
 	segs := store.SplitSegments(perClip, st.Context(), 1)
@@ -66,7 +66,7 @@ func TestUnversionedRoutesGone(t *testing.T) {
 }
 
 // TestDatasetsEndpoint pins the GET /v1/datasets shape: the default name
-// plus one row per dataset, with the segment manifest for sharded ones.
+// plus one row per dataset, each with its segment manifest.
 func TestDatasetsEndpoint(t *testing.T) {
 	srv, st := queryFixture()
 	shardedFixtureDataset(t, srv, st)
@@ -92,31 +92,35 @@ func TestDatasetsEndpoint(t *testing.T) {
 			t.Errorf("dataset %s = %v, want ready with 2 clips", name, m)
 		}
 	}
-	if _, hasManifest := byName["test"]["manifest"]; hasManifest {
-		t.Error("monolithic dataset carries a manifest")
-	}
-	manifest, ok := byName["shards"]["manifest"].(map[string]any)
-	if !ok {
-		t.Fatalf("sharded dataset missing manifest: %v", byName["shards"])
-	}
-	segs := manifest["segments"].([]any)
-	if len(segs) != 2 {
-		t.Fatalf("manifest segments = %d, want 2", len(segs))
-	}
-	next := 0.0
-	for i, s := range segs {
-		m := s.(map[string]any)
-		if m["id"] != store.SegmentID(i) || m["start_clip"].(float64) != next || m["sealed"] != true {
-			t.Errorf("manifest segment %d = %v", i, m)
+	// Every ready dataset shows its manifest: the fixture's one segment and
+	// the rebuild's two, tiling the 2 clips.
+	for name, want := range map[string]int{"test": 1, "shards": 2} {
+		manifest, ok := byName[name]["manifest"].(map[string]any)
+		if !ok {
+			t.Fatalf("dataset %s has no manifest: %v", name, byName[name])
 		}
-		next += m["clips"].(float64)
+		segs := manifest["segments"].([]any)
+		if len(segs) != want {
+			t.Fatalf("dataset %s: manifest segments = %d, want %d", name, len(segs), want)
+		}
+		next := 0.0
+		for i, s := range segs {
+			m := s.(map[string]any)
+			if m["id"] != store.SegmentID(i) || m["start_clip"].(float64) != next || m["sealed"] != true {
+				t.Errorf("dataset %s: manifest segment %d = %v", name, i, m)
+			}
+			next += m["clips"].(float64)
+		}
+		if next != 2 {
+			t.Errorf("dataset %s: manifest segments cover %v clips, want 2", name, next)
+		}
 	}
 }
 
 // TestQueryDatasetSelector pins the ?dataset= contract: the empty selector
 // answers from the default, a named dataset answers from its own store, a
-// sharded dataset answers byte-identically to the monolithic one over the
-// same clips, and an unknown name is 404.
+// two-segment dataset answers byte-identically to the one-segment one over
+// the same clips, and an unknown name is 404.
 func TestQueryDatasetSelector(t *testing.T) {
 	srv, st := queryFixture()
 	shardedFixtureDataset(t, srv, st)
@@ -143,7 +147,7 @@ func TestQueryDatasetSelector(t *testing.T) {
 		t.Error("default and dataset=test answers differ")
 	}
 	if bodyDef != bodyShards {
-		t.Errorf("scatter-gather answer differs from monolithic:\n mono: %s\nshard: %s", bodyDef, bodyShards)
+		t.Errorf("two-segment answer differs from one segment:\n  one: %s\nshard: %s", bodyDef, bodyShards)
 	}
 
 	if code, _ := get("/v1/query/count?category=car&dataset=nope", ""); code != 404 {
@@ -159,6 +163,6 @@ func TestQueryDatasetSelector(t *testing.T) {
 		t.Fatalf("dwell with selector = %d/%d, want 200", codeA, codeB)
 	}
 	if bodyA != bodyB {
-		t.Error("dwell over sharded dataset differs from monolithic")
+		t.Error("dwell over two segments differs from one segment")
 	}
 }

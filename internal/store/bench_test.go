@@ -53,7 +53,7 @@ func BenchmarkDwellScan(b *testing.B) {
 // index, against the scan that derives the number from every detection.
 
 func BenchmarkSpeedingIndexed(b *testing.B) {
-	benchIndexed(b, func(s *Store) { s.Speeding(800) })
+	benchIndexed(b, func(s *Segment) { s.Speeding(800) })
 }
 
 func BenchmarkSpeedingScan(b *testing.B) {
@@ -61,7 +61,7 @@ func BenchmarkSpeedingScan(b *testing.B) {
 }
 
 func BenchmarkHardBrakingIndexed(b *testing.B) {
-	benchIndexed(b, func(s *Store) { s.HardBraking(250) })
+	benchIndexed(b, func(s *Segment) { s.HardBraking(250) })
 }
 
 func BenchmarkHardBrakingScan(b *testing.B) {
@@ -79,7 +79,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // benchIndexed times one query over the benchWorkload store.
-func benchIndexed(b *testing.B, run func(s *Store)) {
+func benchIndexed(b *testing.B, run func(s *Segment)) {
 	perClip, ctx := benchWorkload()
 	s := New(perClip, ctx)
 	b.ReportAllocs()
@@ -108,19 +108,19 @@ func benchScan(b *testing.B, run func(tracks []*query.Track, ctx query.Context))
 // set lasts about four frames and interpolation dominates.
 
 func BenchmarkLimitQueryIndexed(b *testing.B) {
-	benchKind(b, func(s *Store, _ geom.Polygon) { s.LimitQuery("car", query.CountPredicate{N: 3}, 5, s.Context().FPS) })
+	benchKind(b, func(s *Segment, _ geom.Polygon) { s.LimitQuery("car", query.CountPredicate{N: 3}, 5, s.Context().FPS) })
 }
 
 func BenchmarkAvgVisibleIndexed(b *testing.B) {
-	benchKind(b, func(s *Store, _ geom.Polygon) { s.AvgVisible("car") })
+	benchKind(b, func(s *Segment, _ geom.Polygon) { s.AvgVisible("car") })
 }
 
 func BenchmarkBusyFramesIndexed(b *testing.B) {
-	benchKind(b, func(s *Store, _ geom.Polygon) { s.BusyFrames("car", 3, "bus", 1) })
+	benchKind(b, func(s *Segment, _ geom.Polygon) { s.BusyFrames("car", 3, "bus", 1) })
 }
 
 func BenchmarkCoOccurrencesIndexed(b *testing.B) {
-	benchKind(b, func(s *Store, _ geom.Polygon) { s.CoOccurrences("car", 80) })
+	benchKind(b, func(s *Segment, _ geom.Polygon) { s.CoOccurrences("car", 80) })
 }
 
 // BenchmarkCoOccurrencesSharded is a frame pass's CoOccurrences on the
@@ -154,13 +154,13 @@ func BenchmarkCoOccurrencesSharded(b *testing.B) {
 // BenchmarkDwellIndexed measures region dwell through the centre-extent
 // mask and the block walk, a different region each call.
 func BenchmarkDwellIndexed(b *testing.B) {
-	benchKind(b, func(s *Store, region geom.Polygon) { s.DwellTime("car", region) })
+	benchKind(b, func(s *Segment, region geom.Polygon) { s.DwellTime("car", region) })
 }
 
 // BenchmarkPathBreakdownIndexed classifies every car's path endpoints
 // against benchMovements.
 func BenchmarkPathBreakdownIndexed(b *testing.B) {
-	benchKind(b, func(s *Store, _ geom.Polygon) {
+	benchKind(b, func(s *Segment, _ geom.Polygon) {
 		ctx := s.Context()
 		s.PathBreakdown("car", benchMovements(ctx), 0.22*float64(ctx.NomW))
 	})
@@ -170,7 +170,7 @@ func BenchmarkPathBreakdownIndexed(b *testing.B) {
 // workload draws 16 regions its own way, and call i is handed region
 // i mod 16: randRegion's anywhere in the frame for random, and the
 // benchmark's query-mix draw for querymix (queryMixRegion).
-func benchKind(b *testing.B, run func(s *Store, region geom.Polygon)) {
+func benchKind(b *testing.B, run func(s *Segment, region geom.Polygon)) {
 	for _, w := range []struct {
 		name   string
 		load   func() ([][]*query.Track, query.Context)

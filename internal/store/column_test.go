@@ -86,7 +86,7 @@ func TestIndexBuildAllocGate(t *testing.T) {
 		return testing.AllocsPerRun(5, func() { New(perClip, ctx) })
 	}
 	// Per clip: 19 slices, two small maps (the category counts and the
-	// postings) and sort.Slice's two swappers. Per call: the Store and its
+	// postings) and sort.Slice's two swappers. Per call: the Segment and its
 	// clip slice.
 	const perClip, perCall = 25, 2
 	a, b := allocs(small), allocs(large)
@@ -186,7 +186,7 @@ func fuzzTracks(b *fuzzBytes) []*query.Track {
 }
 
 // FuzzDwellTime holds the block walk to the scan on arbitrary tracks and
-// arbitrary polygons: Store.DwellTime must equal query.DwellTime.
+// arbitrary polygons: Segment.DwellTime must equal query.DwellTime.
 func FuzzDwellTime(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 9, 0, 1, 50, 1, 50, 1, 10, 1, 10, 2, 1, 60, 1, 50, 1, 10, 1, 10, 2})

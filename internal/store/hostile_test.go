@@ -112,9 +112,9 @@ func hostileRegions(r *rand.Rand, ctx query.Context, tracks []*query.Track) []ge
 // that answer from the index alone, from the pair walk or a run at a time:
 // over 200 worlds, DwellTime, Speeding, HardBraking, the count-only
 // LimitQuery, CoOccurrences, AvgVisible and BusyFrames must equal the
-// internal/query scans through a monolithic Store, and equal that Store
-// through Sharded splits of 1, 2, 3 and 7 segments, each without a result
-// cache and with one, and through a 3-segment split with a small cache, on
+// internal/query scans through one Segment of every clip, and equal that
+// Segment through Sharded splits of 1, 2, 3 and 7 segments, each without a
+// result cache and with one, and through a 3-segment split with a small cache, on
 // the regions of hostileRegions, on thresholds of 0, below 0, NaN, both
 // infinities and exactly one track's own column value, on the distances of
 // coocDists, on N of -1, 0, 1, a clip's peak and above it, and (every

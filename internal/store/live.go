@@ -18,7 +18,7 @@ const DefaultSealClips = 8
 // *Sharded snapshots. Each Append builds one clip's flat indexes (the same
 // build New runs per clip) outside any lock, then publishes a new Sharded
 // whose sealed segments are shared with the previous snapshot and whose
-// open segment is a fresh copy-on-append Store — publication is one atomic
+// open segment is a fresh copy-on-append Segment — publication is one atomic
 // pointer swap, so readers always see a fully consistent store: either the
 // snapshot before a clip landed or the one after, never a torn index.
 //
@@ -26,7 +26,7 @@ const DefaultSealClips = 8
 // keeps its id (assigned when it opened, stable "seg-%05d" numbering) and
 // flips immutable, making it eligible for the shared result cache and for
 // export over the segment wire format. Query answers are bit-identical to
-// a monolithic store over the same clip sequence at every step (pinned by
+// one segment over the same clip sequence at every step (pinned by
 // the differential tests), so ingest publication semantics are unchanged.
 //
 // Appends are serialized by a mutex; any number of concurrent readers
@@ -71,11 +71,7 @@ func (l *Live) assemble() *Sharded {
 	if len(l.openClips) > 0 {
 		segs = make([]*Segment, len(l.sealed)+1)
 		copy(segs, l.sealed)
-		segs[len(l.sealed)] = &Segment{
-			id:    SegmentID(len(l.sealed)),
-			start: start,
-			s:     &Store{clips: l.openClips, ctx: l.ctx},
-		}
+		segs[len(l.sealed)] = &Segment{id: SegmentID(len(l.sealed)), start: start, clips: l.openClips, ctx: l.ctx}
 	}
 	sh, err := NewSharded(l.dataset, l.ctx, segs, l.cache)
 	if err != nil {
@@ -103,7 +99,7 @@ func (l *Live) Append(tracks []*query.Track) int {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Copy-on-append: old snapshots keep their open Store's clip slice.
+	// Copy-on-append: old snapshots keep their open segment's clip slice.
 	open := make([]clipIndex, len(l.openClips)+1)
 	copy(open, l.openClips)
 	open[len(l.openClips)] = ci
@@ -113,12 +109,7 @@ func (l *Live) Append(tracks []*query.Track) int {
 		for _, sg := range l.sealed {
 			start += sg.Clips()
 		}
-		seg := &Segment{
-			id:     SegmentID(len(l.sealed)),
-			start:  start,
-			sealed: true,
-			s:      &Store{clips: open, ctx: l.ctx},
-		}
+		seg := &Segment{id: SegmentID(len(l.sealed)), start: start, sealed: true, clips: open, ctx: l.ctx}
 		sealed := make([]*Segment, len(l.sealed)+1)
 		copy(sealed, l.sealed)
 		sealed[len(l.sealed)] = seg

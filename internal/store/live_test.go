@@ -11,11 +11,11 @@ import (
 
 // flatClips gathers a Sharded's per-clip indexes in dataset clip order, so
 // tests can compare the segmented layout element-for-element against a
-// monolithic store.New build.
+// single-segment store.New build.
 func flatClips(sh *Sharded) []clipIndex {
 	out := make([]clipIndex, 0, sh.Clips())
 	for _, sg := range sh.segs {
-		out = append(out, sg.s.clips...)
+		out = append(out, sg.clips...)
 	}
 	return out
 }
@@ -75,11 +75,11 @@ func TestLiveSealsSegments(t *testing.T) {
 		t.Fatalf("after 5 appends at sealEvery=2: %d segments, want 3 (2 sealed + open)", len(segs))
 	}
 	for i, wantSealed := range []bool{true, true, false} {
-		if segs[i].Sealed() != wantSealed {
-			t.Errorf("segment %d sealed = %v, want %v", i, segs[i].Sealed(), wantSealed)
+		if segs[i].sealed != wantSealed {
+			t.Errorf("segment %d sealed = %v, want %v", i, segs[i].sealed, wantSealed)
 		}
-		if want := SegmentID(i); segs[i].ID() != want {
-			t.Errorf("segment %d id = %q, want %q", i, segs[i].ID(), want)
+		if want := SegmentID(i); segs[i].id != want {
+			t.Errorf("segment %d id = %q, want %q", i, segs[i].id, want)
 		}
 	}
 	m := sh.Manifest()

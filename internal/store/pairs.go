@@ -45,23 +45,23 @@ func (p *pairColumn) count(dist float64) []int {
 // it from the interval index, so a refusal interpolates nothing and a build
 // allocates the distances once, at their exact size; one pair walk per
 // clip then fills them.
-func (s *Store) buildPairColumn(cat string, maxBytes int64) *pairColumn {
-	col := &pairColumn{off: make([]int, len(s.clips)+1)}
-	count := s.newSweep(false)
-	for i := range s.clips {
-		count.reset(&s.clips[i], cat, nil)
-		col.off[i+1] = col.off[i] + count.pairCount(s.ctx.Frames)
+func (sg *Segment) buildPairColumn(cat string, maxBytes int64) *pairColumn {
+	col := &pairColumn{off: make([]int, len(sg.clips)+1)}
+	count := sg.newSweep(false)
+	for i := range sg.clips {
+		count.reset(&sg.clips[i], cat, nil)
+		col.off[i+1] = col.off[i] + count.pairCount(sg.ctx.Frames)
 	}
 	count.flush()
-	n := col.off[len(s.clips)]
+	n := col.off[len(sg.clips)]
 	if resultBytes(col)+8*int64(n) > maxBytes {
 		return nil
 	}
-	walk := s.newSweep(true)
+	walk := sg.newSweep(true)
 	walk.dists = make([]float64, 0, n)
-	for i := range s.clips {
-		walk.reset(&s.clips[i], cat, nil)
-		walk.pairs(s.ctx.Frames, 0)
+	for i := range sg.clips {
+		walk.reset(&sg.clips[i], cat, nil)
+		walk.pairs(sg.ctx.Frames, 0)
 	}
 	walk.flush()
 	col.dists = walk.dists
@@ -93,5 +93,5 @@ func (sh *Sharded) cachedPairColumn(sg *Segment, cat string) *pairColumn {
 	if !sg.sealed || c == nil {
 		return nil
 	}
-	return c.Get(sh.dataset, sg.id, fmt.Sprintf("pairs|%#v", cat), func() any { return sg.s.buildPairColumn(cat, c.columnMax) }).(*pairColumn)
+	return c.Get(sh.dataset, sg.id, fmt.Sprintf("pairs|%#v", cat), func() any { return sg.buildPairColumn(cat, c.columnMax) }).(*pairColumn)
 }

@@ -12,7 +12,7 @@ import (
 // requires the monolithic store's answer; it returns the detections the
 // call loaded from the geometry columns (store.index_boxes), which is 0
 // exactly when every segment counted from its pair-distance column.
-func coocStep(t *testing.T, sh *Sharded, mono *Store, dist float64) int64 {
+func coocStep(t *testing.T, sh *Sharded, mono *Segment, dist float64) int64 {
 	t.Helper()
 	want := mono.CoOccurrences("car", dist)
 	b0 := indexBoxes()

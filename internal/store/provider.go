@@ -10,16 +10,17 @@ import (
 	"otif/internal/query"
 )
 
-// Querier is the read-side query surface shared by a single *Store and a
-// segmented *Sharded: one result element per clip for every dataset-wide
-// query, exactly the shape the scan queries produce. Everything above the
-// store (the public TrackSet, which embeds one, serve.QueryAPI, the otifd
-// daemon) speaks Querier, so callers cannot tell a monolithic index from a
-// scatter-gather over segments — the differential tests pin the answers
-// bit-identical.
+// Querier is the read-side query surface of a track set: one result element
+// per clip for every dataset-wide query, exactly the shape the scan queries
+// produce. *Sharded is its one implementation; everything above the store
+// (the public TrackSet, which embeds one, serve.QueryAPI, the otifd daemon)
+// speaks Querier.
 type Querier interface {
 	// Context is the clip geometry: frame rate, nominal size, frames per clip.
 	Context() query.Context
+	// Manifest describes the set's segments: id, first clip, clips, tracks
+	// and seal of each.
+	Manifest() Manifest
 	// Clips is the number of clips; Tracks is one clip's tracks (shared,
 	// read-only).
 	Clips() int
@@ -58,17 +59,13 @@ type Querier interface {
 	Speeding(threshold float64) [][]*query.Track
 }
 
-// Provider yields a consistent point-in-time Querier. Static stores return
-// themselves; Live returns its current published shard set; the Registry
+// Provider yields a consistent point-in-time Querier. A Sharded returns
+// itself; Live returns its current published shard set; the Registry
 // resolves named datasets to their providers. Snapshot must be cheap and
 // safe for concurrent use — servers call it once per request.
 type Provider interface {
 	Snapshot() Querier
 }
-
-// Snapshot makes a static *Store its own Provider: the store is immutable,
-// so it is its own point-in-time view.
-func (s *Store) Snapshot() Querier { return s }
 
 // ProviderFunc adapts a function to the Provider interface, for callers
 // (like the daemon's hot-swap chain) whose current store is computed.
@@ -146,8 +143,4 @@ func (r *Registry) Default() string {
 	return r.def
 }
 
-var (
-	_ Querier  = (*Store)(nil)
-	_ Provider = (*Store)(nil)
-	_ Provider = ProviderFunc(nil)
-)
+var _ Provider = ProviderFunc(nil)

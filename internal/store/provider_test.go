@@ -10,14 +10,18 @@ import (
 // becomes the default, the empty name resolves to the default, unknown
 // names fail with ErrUnknownDataset, and Names is sorted.
 func TestRegistry(t *testing.T) {
-	perClip, mono, ctx, _ := shardedFixture(9)
+	perClip, _, ctx, _ := shardedFixture(9)
+	one, err := NewSharded("zebra", ctx, SplitSegments(perClip, ctx, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := NewRegistry()
 
 	if _, err := reg.Resolve(""); !errors.Is(err, ErrUnknownDataset) {
 		t.Errorf("empty registry Resolve err = %v, want ErrUnknownDataset", err)
 	}
 
-	reg.Register("zebra", mono)
+	reg.Register("zebra", one)
 	sh, err := NewSharded("alpha", ctx, SplitSegments(perClip, ctx, 3), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +39,7 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.(*Store) != mono {
+	if def.(*Sharded) != one {
 		t.Error("empty name did not resolve to the default dataset")
 	}
 	named, err := reg.Resolve("alpha")
@@ -53,20 +57,24 @@ func TestRegistry(t *testing.T) {
 // TestProviderFunc pins that a ProviderFunc snapshot is taken per call, so
 // a not-yet-loaded dataset can become ready without re-registration.
 func TestProviderFunc(t *testing.T) {
-	_, mono, _, _ := shardedFixture(10)
+	perClip, _, ctx, _ := shardedFixture(10)
+	one, err := NewSharded("live", ctx, SplitSegments(perClip, ctx, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ready bool
 	reg := NewRegistry()
 	reg.Register("live", ProviderFunc(func() Querier {
 		if !ready {
 			return nil
 		}
-		return mono
+		return one
 	}))
 	if s, err := reg.Resolve(""); err != nil || s != nil {
 		t.Fatalf("unready provider resolved to %v, %v; want nil, nil", s, err)
 	}
 	ready = true
-	if s, err := reg.Resolve(""); err != nil || s.(*Store) != mono {
+	if s, err := reg.Resolve(""); err != nil || s.(*Sharded) != one {
 		t.Fatalf("ready provider resolved to %v, %v", s, err)
 	}
 }

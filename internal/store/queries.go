@@ -44,15 +44,15 @@ type sweep struct {
 	examined, kept, pruned, visited int64
 }
 
-// newSweep returns the sweep of one call over the store's clips, its
+// newSweep returns the sweep of one call over the segment's clips, its
 // active list (and its interpolation positions, when it walks) sized once
 // to the largest clip's track count. Grown by doubling instead, they took
 // a call a few allocations per clip, and twice as many under the race
 // detector.
-func (s *Store) newSweep(walks bool) sweep {
+func (sg *Segment) newSweep(walks bool) sweep {
 	n := 0
-	for i := range s.clips {
-		n = max(n, len(s.clips[i].tracks))
+	for i := range sg.clips {
+		n = max(n, len(sg.clips[i].tracks))
 	}
 	sw := sweep{walks: walks, active: make([]int32, 0, n)}
 	if walks {
@@ -213,14 +213,14 @@ func (ci *clipIndex) eachOfCategory(cat string, fn func(ti int32)) {
 // ---- Indexed queries (one result element per clip, like TrackSet) ----
 
 // CountTracks counts category tracks per clip from the postings lists.
-func (s *Store) CountTracks(cat string) []int {
+func (sg *Segment) CountTracks(cat string) []int {
 	metQueries.Inc()
-	out := make([]int, len(s.clips))
-	for i := range s.clips {
+	out := make([]int, len(sg.clips))
+	for i := range sg.clips {
 		if cat == "" {
-			out[i] = len(s.clips[i].tracks)
+			out[i] = len(sg.clips[i].tracks)
 		} else {
-			out[i] = len(s.clips[i].cats[cat])
+			out[i] = len(sg.clips[i].cats[cat])
 		}
 	}
 	return out
@@ -229,11 +229,11 @@ func (s *Store) CountTracks(cat string) []int {
 // PathBreakdown classifies category tracks against the movements, walking
 // only the category's postings list and reading each track's path
 // endpoints from their column.
-func (s *Store) PathBreakdown(cat string, movements []query.Movement, maxEndpointDist float64) []map[string]int {
+func (sg *Segment) PathBreakdown(cat string, movements []query.Movement, maxEndpointDist float64) []map[string]int {
 	metQueries.Inc()
-	out := make([]map[string]int, len(s.clips))
-	for i := range s.clips {
-		ci := &s.clips[i]
+	out := make([]map[string]int, len(sg.clips))
+	for i := range sg.clips {
+		ci := &sg.clips[i]
 		m := make(map[string]int, len(movements))
 		for _, mv := range movements {
 			m[mv.Name] = 0
@@ -254,9 +254,9 @@ func (s *Store) PathBreakdown(cat string, movements []query.Movement, maxEndpoin
 
 // VisibleBoxes returns the category boxes visible at one frame of one
 // clip, pruned through the temporal index.
-func (s *Store) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, []*query.Track) {
+func (sg *Segment) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, []*query.Track) {
 	metQueries.Inc()
-	sw := sweep{ci: &s.clips[clip], cat: cat}
+	sw := sweep{ci: &sg.clips[clip], cat: cat}
 	boxes, owners := sw.At(frameIdx)
 	sw.flush()
 	return boxes, owners
@@ -266,35 +266,35 @@ func (s *Store) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, [
 // RegionPredicate queries additionally pre-prune candidate tracks by their
 // centre extents; the predicate then sees only boxes that could satisfy
 // it, which cannot change its matched set.
-func (s *Store) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
+func (sg *Segment) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
 	metQueries.Inc()
-	out := make([][]query.FrameMatch, len(s.clips))
+	out := make([][]query.FrameMatch, len(sg.clips))
 	_, countOnly := pred.(query.CountPredicate) // ranked without a box
-	sw := s.newSweep(!countOnly)
+	sw := sg.newSweep(!countOnly)
 	var scratch query.LimitScratch
 	rp, regional := pred.(query.RegionPredicate)
 	ext := regionExtent(rp.Region)
 	var mask []bool // nil unless regional; one buffer for every clip
-	for i := range s.clips {
-		ci := &s.clips[i]
+	for i := range sg.clips {
+		ci := &sg.clips[i]
 		if regional {
 			mask = ci.regionCandidates(ext, mask)
 		}
 		sw.reset(ci, cat, mask)
-		out[i] = query.LimitQueryFrom(&sw, pred, s.ctx, limit, minSepFrames, &scratch)
+		out[i] = query.LimitQueryFrom(&sw, pred, sg.ctx, limit, minSepFrames, &scratch)
 	}
 	sw.flush()
 	return out
 }
 
 // AvgVisible averages the per-frame visible count per clip.
-func (s *Store) AvgVisible(cat string) []float64 {
+func (sg *Segment) AvgVisible(cat string) []float64 {
 	metQueries.Inc()
-	out := make([]float64, len(s.clips))
-	sw := s.newSweep(false)
-	for i := range s.clips {
-		sw.reset(&s.clips[i], cat, nil)
-		out[i] = query.AvgVisibleFrom(&sw, s.ctx)
+	out := make([]float64, len(sg.clips))
+	sw := sg.newSweep(false)
+	for i := range sg.clips {
+		sw.reset(&sg.clips[i], cat, nil)
+		out[i] = query.AvgVisibleFrom(&sw, sg.ctx)
 	}
 	sw.flush()
 	return out
@@ -302,14 +302,14 @@ func (s *Store) AvgVisible(cat string) []float64 {
 
 // BusyFrames returns, per clip, frames with at least nA catA objects and
 // nB catB objects.
-func (s *Store) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
+func (sg *Segment) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 	metQueries.Inc()
-	out := make([][]int, len(s.clips))
-	swA, swB := s.newSweep(false), s.newSweep(false)
-	for i := range s.clips {
-		swA.reset(&s.clips[i], catA, nil)
-		swB.reset(&s.clips[i], catB, nil)
-		out[i] = query.BusyFramesFrom(&swA, nA, &swB, nB, s.ctx)
+	out := make([][]int, len(sg.clips))
+	swA, swB := sg.newSweep(false), sg.newSweep(false)
+	for i := range sg.clips {
+		swA.reset(&sg.clips[i], catA, nil)
+		swB.reset(&sg.clips[i], catB, nil)
+		out[i] = query.BusyFramesFrom(&swA, nA, &swB, nB, sg.ctx)
 	}
 	swA.flush()
 	swB.flush()
@@ -318,13 +318,13 @@ func (s *Store) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 
 // CoOccurrences totals frame-wise close pairs per clip: the pair walk
 // (sweep.pairs) over each clip, counting with the scan's Dist <= dist.
-func (s *Store) CoOccurrences(cat string, dist float64) []int {
+func (sg *Segment) CoOccurrences(cat string, dist float64) []int {
 	metQueries.Inc()
-	out := make([]int, len(s.clips))
-	sw := s.newSweep(true)
-	for i := range s.clips {
-		sw.reset(&s.clips[i], cat, nil)
-		out[i] = sw.pairs(s.ctx.Frames, dist)
+	out := make([]int, len(sg.clips))
+	sw := sg.newSweep(true)
+	for i := range sg.clips {
+		sw.reset(&sg.clips[i], cat, nil)
+		out[i] = sw.pairs(sg.ctx.Frames, dist)
 	}
 	sw.flush()
 	return out
@@ -397,19 +397,19 @@ func (sw *sweep) keepDists(centers []geom.Point) {
 // dwell block of detection pairs at a time (dwellWalk), a block near one of
 // the region's edges one pair at a time, and only pairs that come near an
 // edge are interpolated frame by frame.
-func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
+func (sg *Segment) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 	metQueries.Inc()
-	out := make([]map[int]float64, len(s.clips))
+	out := make([]map[int]float64, len(sg.clips))
 	w := dwellWalk{region: region, ext: regionExtent(region)}
 	if w.ext != everywhere {
 		w.edges = edgeExtents(region)
 	}
 	var mask []bool // one buffer for every clip
-	for i := range s.clips {
-		ci := &s.clips[i]
+	for i := range sg.clips {
+		ci := &sg.clips[i]
 		m := map[int]float64{}
 		out[i] = m
-		if s.ctx.FPS <= 0 {
+		if sg.ctx.FPS <= 0 {
 			continue
 		}
 		mask = ci.regionCandidates(w.ext, mask)
@@ -420,7 +420,7 @@ func (s *Store) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 				return
 			}
 			if frames := w.frames(ci, ti); frames > 0 {
-				m[ci.tracks[ti].ID] = float64(frames) / float64(s.ctx.FPS)
+				m[ci.tracks[ti].ID] = float64(frames) / float64(sg.ctx.FPS)
 			}
 		})
 		metRegionPruned.Add(pruned)
@@ -578,22 +578,22 @@ func (ci *clipIndex) atLeast(column []float64, threshold float64) []*query.Track
 
 // HardBraking returns, per clip, tracks exceeding the deceleration
 // threshold, from the maximum-deceleration column.
-func (s *Store) HardBraking(decelThreshold float64) [][]*query.Track {
+func (sg *Segment) HardBraking(decelThreshold float64) [][]*query.Track {
 	metQueries.Inc()
-	out := make([][]*query.Track, len(s.clips))
-	for i := range s.clips {
-		out[i] = s.clips[i].atLeast(s.clips[i].maxDecel, decelThreshold)
+	out := make([][]*query.Track, len(sg.clips))
+	for i := range sg.clips {
+		out[i] = sg.clips[i].atLeast(sg.clips[i].maxDecel, decelThreshold)
 	}
 	return out
 }
 
 // Speeding returns, per clip, tracks whose median speed reaches the
 // threshold, from the median-speed column.
-func (s *Store) Speeding(threshold float64) [][]*query.Track {
+func (sg *Segment) Speeding(threshold float64) [][]*query.Track {
 	metQueries.Inc()
-	out := make([][]*query.Track, len(s.clips))
-	for i := range s.clips {
-		out[i] = s.clips[i].atLeast(s.clips[i].p50Speed, threshold)
+	out := make([][]*query.Track, len(sg.clips))
+	for i := range sg.clips {
+		out[i] = sg.clips[i].atLeast(sg.clips[i].p50Speed, threshold)
 	}
 	return out
 }

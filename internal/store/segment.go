@@ -6,41 +6,38 @@ import (
 	"otif/internal/query"
 )
 
-// Segment is an immutable Store over a contiguous clip range of a dataset.
-// Segments are the unit of scatter-gather (each query fans out across
-// them), of result caching (a sealed segment's answers never change), and
-// of shipping (the OTIFSEG1 wire format moves one segment between
-// replicas).
+// Segment indexes a contiguous clip range of a dataset. Segments are the
+// unit of scatter-gather (each query fans out across them), of result
+// caching (a sealed segment's answers never change), and of shipping (the
+// OTIFSEG1 wire format moves one segment between replicas). A Live store's
+// open tail segment is not sealed: it is re-built on every append and
+// answers queries directly. The manifest reports each segment's id, first
+// clip and seal.
 type Segment struct {
 	id     string
 	start  int // dataset clip index of the segment's first clip
 	sealed bool
-	s      *Store
+	clips  []clipIndex
+	ctx    query.Context
 }
 
 // NewSegment indexes one clip range as a sealed segment. id must be stable
 // across processes for the same content — it keys the result cache and
 // names the exported file.
 func NewSegment(id string, startClip int, perClip [][]*query.Track, ctx query.Context) *Segment {
-	return &Segment{id: id, start: startClip, sealed: true, s: New(perClip, ctx)}
+	sg := New(perClip, ctx)
+	sg.id, sg.start, sg.sealed = id, startClip, true
+	return sg
 }
 
-// ID returns the segment's stable identifier.
-func (sg *Segment) ID() string { return sg.id }
-
-// StartClip returns the dataset clip index of the segment's first clip.
-func (sg *Segment) StartClip() int { return sg.start }
+// Context returns the clip geometry the segment was built with.
+func (sg *Segment) Context() query.Context { return sg.ctx }
 
 // Clips returns the number of clips in the segment.
-func (sg *Segment) Clips() int { return sg.s.Clips() }
+func (sg *Segment) Clips() int { return len(sg.clips) }
 
-// Sealed reports whether the segment is immutable. Only sealed segments
-// participate in result caching; a Live store's open tail segment is
-// re-built on every append and answers queries directly.
-func (sg *Segment) Sealed() bool { return sg.sealed }
-
-// Store exposes the segment's underlying index (shared, read-only).
-func (sg *Segment) Store() *Store { return sg.s }
+// Tracks returns one clip's track slice (shared, read-only).
+func (sg *Segment) Tracks(clip int) []*query.Track { return sg.clips[clip].tracks }
 
 // SegmentID formats the conventional stable segment identifier for the
 // n-th sealed segment of a dataset.

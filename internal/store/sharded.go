@@ -9,13 +9,15 @@ import (
 	"otif/internal/query"
 )
 
-// Sharded answers every Store query over an ordered list of segments by
+// Sharded is the one shape of a queryable track set: an extracted set, a
+// set loaded from segment files and an ingest session's live snapshot are
+// each one. It answers every query over an ordered list of segments by
 // scatter-gather: fan the query out across segments (in parallel), then
 // merge deterministically. Because every dataset-wide query returns one
 // result element per clip and segments tile the clip range contiguously,
 // the merge is concatenation in segment order — which makes every answer
-// bit-identical to the same query over one monolithic Store, a property
-// the differential tests pin for K ∈ {1,2,3,7} splits.
+// bit-identical to the same query over one segment holding every clip, a
+// property the differential tests pin for K ∈ {1,2,3,7} splits.
 //
 // Sealed segments route through the shared result cache (keyed by segment
 // id + canonical query string); the open tail segment of a Live store is
@@ -46,8 +48,8 @@ func NewSharded(dataset string, ctx query.Context, segs []*Segment, cache *Cache
 		if sg.start != next {
 			return nil, fmt.Errorf("store: segment %q starts at clip %d, want %d (segments must tile the clip range)", sg.id, sg.start, next)
 		}
-		if sg.s.ctx != ctx {
-			return nil, fmt.Errorf("store: segment %q context %+v differs from dataset context %+v", sg.id, sg.s.ctx, ctx)
+		if sg.ctx != ctx {
+			return nil, fmt.Errorf("store: segment %q context %+v differs from dataset context %+v", sg.id, sg.ctx, ctx)
 		}
 		sh.starts[i] = sg.start
 		next += sg.Clips()
@@ -68,8 +70,8 @@ func (sh *Sharded) Manifest() Manifest {
 	m := Manifest{Dataset: sh.dataset, Context: sh.ctx, Clips: sh.nclips, Segments: make([]SegmentInfo, len(sh.segs))}
 	for i, sg := range sh.segs {
 		tracks := 0
-		for c := 0; c < sg.s.Clips(); c++ {
-			tracks += len(sg.s.Tracks(c))
+		for c := range sg.clips {
+			tracks += len(sg.clips[c].tracks)
 		}
 		m.Segments[i] = SegmentInfo{ID: sg.id, StartClip: sg.start, Clips: sg.Clips(), Tracks: tracks, Sealed: sg.sealed}
 	}
@@ -98,14 +100,14 @@ func (sh *Sharded) locate(clip int) (*Segment, int) {
 // segment.
 func (sh *Sharded) Tracks(clip int) []*query.Track {
 	sg, off := sh.locate(clip)
-	return sg.s.Tracks(off)
+	return sg.Tracks(off)
 }
 
 // VisibleBoxes routes the single-clip query to the owning segment. Point
 // lookups are not cached: the cache holds whole-segment answers.
 func (sh *Sharded) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect, []*query.Track) {
 	sg, off := sh.locate(clip)
-	return sg.s.VisibleBoxes(off, cat, frameIdx)
+	return sg.VisibleBoxes(off, cat, frameIdx)
 }
 
 // scatter fans run across the segments in parallel and concatenates the
@@ -190,29 +192,29 @@ func resultBytes(v any) int64 {
 
 func (sh *Sharded) CountTracks(cat string) []int {
 	key := fmt.Sprintf("count|%#v", cat)
-	return scatter(sh, key, func(sg *Segment) []int { return sg.s.CountTracks(cat) })
+	return scatter(sh, key, func(sg *Segment) []int { return sg.CountTracks(cat) })
 }
 
 func (sh *Sharded) PathBreakdown(cat string, movements []query.Movement, maxEndpointDist float64) []map[string]int {
 	key := fmt.Sprintf("breakdown|%#v|%#v|%#v", cat, maxEndpointDist, movements)
-	return scatter(sh, key, func(sg *Segment) []map[string]int { return sg.s.PathBreakdown(cat, movements, maxEndpointDist) })
+	return scatter(sh, key, func(sg *Segment) []map[string]int { return sg.PathBreakdown(cat, movements, maxEndpointDist) })
 }
 
 func (sh *Sharded) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
 	// Limit semantics are per clip (each clip's sweep stops at limit), so
 	// per-segment execution matches the single store exactly.
 	key := fmt.Sprintf("limit|%#v|%#v|%#v|%#v", cat, pred, limit, minSepFrames)
-	return scatter(sh, key, func(sg *Segment) [][]query.FrameMatch { return sg.s.LimitQuery(cat, pred, limit, minSepFrames) })
+	return scatter(sh, key, func(sg *Segment) [][]query.FrameMatch { return sg.LimitQuery(cat, pred, limit, minSepFrames) })
 }
 
 func (sh *Sharded) AvgVisible(cat string) []float64 {
 	key := fmt.Sprintf("avgvisible|%#v", cat)
-	return scatter(sh, key, func(sg *Segment) []float64 { return sg.s.AvgVisible(cat) })
+	return scatter(sh, key, func(sg *Segment) []float64 { return sg.AvgVisible(cat) })
 }
 
 func (sh *Sharded) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 	key := fmt.Sprintf("busy|%#v|%#v|%#v|%#v", catA, nA, catB, nB)
-	return scatter(sh, key, func(sg *Segment) [][]int { return sg.s.BusyFrames(catA, nA, catB, nB) })
+	return scatter(sh, key, func(sg *Segment) [][]int { return sg.BusyFrames(catA, nA, catB, nB) })
 }
 
 // CoOccurrences answers a sealed segment behind the cache from its
@@ -224,23 +226,23 @@ func (sh *Sharded) CoOccurrences(cat string, dist float64) []int {
 		if col := sh.cachedPairColumn(sg, cat); col != nil {
 			return col.count(dist)
 		}
-		return sg.s.CoOccurrences(cat, dist)
+		return sg.CoOccurrences(cat, dist)
 	})
 }
 
 func (sh *Sharded) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
 	key := fmt.Sprintf("dwell|%#v|%#v", cat, region)
-	return scatter(sh, key, func(sg *Segment) []map[int]float64 { return sg.s.DwellTime(cat, region) })
+	return scatter(sh, key, func(sg *Segment) []map[int]float64 { return sg.DwellTime(cat, region) })
 }
 
 func (sh *Sharded) HardBraking(decelThreshold float64) [][]*query.Track {
 	key := fmt.Sprintf("braking|%#v", decelThreshold)
-	return scatter(sh, key, func(sg *Segment) [][]*query.Track { return sg.s.HardBraking(decelThreshold) })
+	return scatter(sh, key, func(sg *Segment) [][]*query.Track { return sg.HardBraking(decelThreshold) })
 }
 
 func (sh *Sharded) Speeding(threshold float64) [][]*query.Track {
 	key := fmt.Sprintf("speeding|%#v", threshold)
-	return scatter(sh, key, func(sg *Segment) [][]*query.Track { return sg.s.Speeding(threshold) })
+	return scatter(sh, key, func(sg *Segment) [][]*query.Track { return sg.Speeding(threshold) })
 }
 
 var (

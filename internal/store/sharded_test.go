@@ -11,7 +11,7 @@ import (
 
 // shardedFixture builds a randomized 7-clip dataset (with an empty and a
 // tiny clip mixed in) plus the monolithic reference store.
-func shardedFixture(seed int64) ([][]*query.Track, *Store, query.Context, *rand.Rand) {
+func shardedFixture(seed int64) ([][]*query.Track, *Segment, query.Context, *rand.Rand) {
 	ctx := testCtx()
 	r := rand.New(rand.NewSource(seed))
 	perClip := [][]*query.Track{
@@ -30,7 +30,7 @@ func shardedFixture(seed int64) ([][]*query.Track, *Store, query.Context, *rand.
 // split K ∈ {1,2,3,7} of a 7-clip dataset, with the result cache off, on,
 // and warm, every query builder terminal over the Sharded store must be
 // element-for-element identical (reflect.DeepEqual over the full result
-// structures) to the same query over one monolithic Store.
+// structures) to the same query over one Segment of every clip.
 func TestShardedDifferential(t *testing.T) {
 	movements := []query.Movement{
 		{Name: "a", Path: geom.Path{{X: 0, Y: 0}, {X: 640, Y: 360}}},

@@ -1,6 +1,7 @@
 // Package store is OTIF's indexed track store: the query-side counterpart
-// of the pre-processing pipeline. A Store wraps one loaded track set with
-// read-only indexes and columns built once per clip —
+// of the pre-processing pipeline. Every track set has one shape, a Sharded:
+// an ordered list of Segments, each a contiguous clip range with read-only
+// indexes and columns built once per clip —
 //
 //   - a temporal interval index in a flat sorted-endpoints layout (track
 //     first/last frames sorted twice, by start and by end, as parallel
@@ -59,7 +60,8 @@
 // Sharded without a cache and a Live store's open segment walk the sweep.
 //
 // The index arrays hold track indices, not pointers, and are immutable
-// after New returns; a Store is safe for concurrent queries.
+// once a clip is built; a Segment and a Sharded are safe for concurrent
+// queries.
 package store
 
 import (
@@ -112,12 +114,6 @@ func init() {
 	})
 }
 
-// Store indexes one track set for millisecond query execution.
-type Store struct {
-	clips []clipIndex
-	ctx   query.Context
-}
-
 // clipIndex holds one clip's flat indexes. All arrays are indexed by track
 // position in the clip's slice (the "track index").
 type clipIndex struct {
@@ -165,29 +161,21 @@ type clipIndex struct {
 	hasPath  []bool
 
 	// Track columns: what the track-level kinds compare with a threshold,
-	// query.TrackSpeed's median and query.MaxDecel at the store's frame
+	// query.TrackSpeed's median and query.MaxDecel at the segment's frame
 	// rate. 16 bytes a track.
 	p50Speed, maxDecel []float64
 }
 
-// New builds the indexes over a loaded track set. perClip is retained (not
-// copied); tracks must not be mutated afterwards.
-func New(perClip [][]*query.Track, ctx query.Context) *Store {
-	s := &Store{clips: make([]clipIndex, len(perClip)), ctx: ctx}
+// New indexes a track set as one unsealed segment starting at clip 0: an
+// index of its own, outside any Sharded. perClip is retained (not copied);
+// tracks must not be mutated afterwards.
+func New(perClip [][]*query.Track, ctx query.Context) *Segment {
+	sg := &Segment{clips: make([]clipIndex, len(perClip)), ctx: ctx}
 	for c, tracks := range perClip {
-		s.clips[c] = buildClipIndex(tracks, ctx.FPS)
+		sg.clips[c] = buildClipIndex(tracks, ctx.FPS)
 	}
-	return s
+	return sg
 }
-
-// Context returns the clip geometry the store was built with.
-func (s *Store) Context() query.Context { return s.ctx }
-
-// Clips returns the number of indexed clips.
-func (s *Store) Clips() int { return len(s.clips) }
-
-// Tracks returns one clip's track slice (shared, read-only).
-func (s *Store) Tracks(clip int) []*query.Track { return s.clips[clip].tracks }
 
 // buildClipIndex builds one clip's indexes and columns, each in one
 // exact-size allocation, so the build allocates a fixed number of slices

@@ -102,14 +102,14 @@ type visible struct {
 // store's indexes and the same query as a linear scan over every clip.
 type queryKind struct {
 	name    string
-	indexed func(s *Store, p queryParams) any
+	indexed func(s *Segment, p queryParams) any
 	scan    func(perClip [][]*query.Track, ctx query.Context, p queryParams) any
 }
 
-func kind[E any](name string, indexed func(*Store, queryParams) []E, scan func([]*query.Track, query.Context, queryParams) E) queryKind {
+func kind[E any](name string, indexed func(*Segment, queryParams) []E, scan func([]*query.Track, query.Context, queryParams) E) queryKind {
 	return queryKind{
 		name:    name,
-		indexed: func(s *Store, p queryParams) any { return indexed(s, p) },
+		indexed: func(s *Segment, p queryParams) any { return indexed(s, p) },
 		scan: func(perClip [][]*query.Track, ctx query.Context, p queryParams) any {
 			out := make([]E, len(perClip))
 			for i, tracks := range perClip {
@@ -126,52 +126,52 @@ func kind[E any](name string, indexed func(*Store, queryParams) []E, scan func([
 // the rows, so a constant there vouches for index and scan alike.
 var queryKinds = []queryKind{
 	kind("count",
-		func(s *Store, p queryParams) []int { return s.CountTracks(p.cat) },
+		func(s *Segment, p queryParams) []int { return s.CountTracks(p.cat) },
 		func(tr []*query.Track, _ query.Context, p queryParams) int { return query.CountTracks(tr, p.cat) }),
 	kind("breakdown",
-		func(s *Store, p queryParams) []map[string]int { return s.PathBreakdown(p.cat, p.movements, p.dist) },
+		func(s *Segment, p queryParams) []map[string]int { return s.PathBreakdown(p.cat, p.movements, p.dist) },
 		func(tr []*query.Track, _ query.Context, p queryParams) map[string]int {
 			return query.PathBreakdown(tr, p.cat, p.movements, p.dist)
 		}),
 	kind("limit",
-		func(s *Store, p queryParams) [][]query.FrameMatch {
+		func(s *Segment, p queryParams) [][]query.FrameMatch {
 			return s.LimitQuery(p.cat, p.pred, p.limit, p.minSep)
 		},
 		func(tr []*query.Track, ctx query.Context, p queryParams) []query.FrameMatch {
 			return query.LimitQuery(tr, p.cat, p.pred, ctx, p.limit, p.minSep)
 		}),
 	kind("avgvisible",
-		func(s *Store, p queryParams) []float64 { return s.AvgVisible(p.cat) },
+		func(s *Segment, p queryParams) []float64 { return s.AvgVisible(p.cat) },
 		func(tr []*query.Track, ctx query.Context, p queryParams) float64 {
 			return query.AvgVisible(tr, p.cat, ctx)
 		}),
 	kind("busy",
-		func(s *Store, p queryParams) [][]int { return s.BusyFrames(p.cat, p.nA, p.catB, p.nB) },
+		func(s *Segment, p queryParams) [][]int { return s.BusyFrames(p.cat, p.nA, p.catB, p.nB) },
 		func(tr []*query.Track, ctx query.Context, p queryParams) []int {
 			return query.BusyFrames(tr, p.cat, p.nA, p.catB, p.nB, ctx)
 		}),
 	kind("cooc",
-		func(s *Store, p queryParams) []int { return s.CoOccurrences(p.cat, p.dist) },
+		func(s *Segment, p queryParams) []int { return s.CoOccurrences(p.cat, p.dist) },
 		func(tr []*query.Track, ctx query.Context, p queryParams) int {
 			return query.CoOccurrences(tr, p.cat, p.dist, ctx)
 		}),
 	kind("dwell",
-		func(s *Store, p queryParams) []map[int]float64 { return s.DwellTime(p.cat, p.region) },
+		func(s *Segment, p queryParams) []map[int]float64 { return s.DwellTime(p.cat, p.region) },
 		func(tr []*query.Track, ctx query.Context, p queryParams) map[int]float64 {
 			return query.DwellTime(tr, p.cat, p.region, ctx)
 		}),
 	kind("braking",
-		func(s *Store, p queryParams) [][]*query.Track { return s.HardBraking(p.threshold) },
+		func(s *Segment, p queryParams) [][]*query.Track { return s.HardBraking(p.threshold) },
 		func(tr []*query.Track, ctx query.Context, p queryParams) []*query.Track {
 			return query.HardBraking(tr, ctx, p.threshold)
 		}),
 	kind("speeding",
-		func(s *Store, p queryParams) [][]*query.Track { return s.Speeding(p.threshold) },
+		func(s *Segment, p queryParams) [][]*query.Track { return s.Speeding(p.threshold) },
 		func(tr []*query.Track, ctx query.Context, p queryParams) []*query.Track {
 			return query.Speeding(tr, ctx, p.threshold)
 		}),
 	kind("visibleboxes",
-		func(s *Store, p queryParams) []visible {
+		func(s *Segment, p queryParams) []visible {
 			out := make([]visible, s.Clips())
 			for c := range out {
 				out[c].Boxes, out[c].Owners = s.VisibleBoxes(c, p.cat, p.frame)
@@ -187,7 +187,7 @@ var queryKinds = []queryKind{
 // both answers one query through the index and through the scan, fails the
 // test unless the two are deeply equal (nil-ness and order included), and
 // returns the answer.
-func (k queryKind) both(t *testing.T, s *Store, perClip [][]*query.Track, p queryParams) any {
+func (k queryKind) both(t *testing.T, s *Segment, perClip [][]*query.Track, p queryParams) any {
 	t.Helper()
 	got := k.indexed(s, p)
 	if want := k.scan(perClip, s.Context(), p); !reflect.DeepEqual(got, want) {

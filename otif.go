@@ -129,7 +129,10 @@ func PickFastestWithin(curve []Point, tol float64) (Point, error) {
 }
 
 // Extract runs the pipeline under cfg over the chosen clip set and returns
-// the extracted tracks together with the simulated execution cost. Clip
+// the extracted tracks together with the simulated execution cost. The
+// tracks are indexed as the sealed segments ExportSegments writes, cut
+// every store.DefaultSealClips clips, so the set and its reload by
+// LoadTrackSets have one manifest and one code path. Clip
 // workers check ctx before starting each clip and the pool drains cleanly;
 // a canceled extraction returns a *PartialError wrapping ctx.Err() that
 // reports how many clips completed.
@@ -142,11 +145,12 @@ func (p *Pipeline) Extract(ctx context.Context, cfg Config, set SetName) (*Track
 	if err != nil {
 		return nil, err
 	}
-	return &TrackSet{
-		Querier: store.New(res.PerClip, p.sys.Ctx()),
-		Runtime: res.Runtime,
-		Dataset: p.sys.DS.Name,
-	}, nil
+	qctx := p.sys.Ctx()
+	sh, err := store.NewSharded(p.sys.DS.Name, qctx, store.SplitSegments(res.PerClip, qctx, store.DefaultSealClips), nil)
+	if err != nil {
+		return nil, err
+	}
+	return &TrackSet{Querier: sh, Runtime: res.Runtime, Dataset: p.sys.DS.Name}, nil
 }
 
 // Accuracy scores a TrackSet extracted from the given set against ground

@@ -156,8 +156,8 @@ func nineKinds(q store.Querier, movements []otif.Movement) map[string]any {
 }
 
 // TestTrackSetRoundTripsAnswerEveryKind pins the way a track set leaves
-// the process: Extract -> ExportSegments -> LoadTrackSets answers all nine
-// query kinds exactly as the extracted set does.
+// the process: Extract -> ExportSegments -> LoadTrackSets has the extracted
+// set's manifest and answers all nine query kinds exactly as it does.
 func TestTrackSetRoundTripsAnswerEveryKind(t *testing.T) {
 	pipe, curve := pipeline(t)
 	pick, err := otif.PickFastestWithin(curve, 0.05)
@@ -204,6 +204,9 @@ func TestTrackSetRoundTripsAnswerEveryKind(t *testing.T) {
 	}
 	if reread.Dataset != ts.Dataset || reread.Context() != ts.Context() {
 		t.Errorf("reread header = %q %+v, want %q %+v", reread.Dataset, reread.Context(), ts.Dataset, ts.Context())
+	}
+	if got, want := reread.Manifest(), ts.Manifest(); !reflect.DeepEqual(got, want) {
+		t.Errorf("reread manifest = %+v, extracted set's = %+v", got, want)
 	}
 	check("segment files", reread.Querier)
 }

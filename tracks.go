@@ -10,11 +10,12 @@ import (
 // per-clip object tracks plus a header (simulated cost, dataset name). All
 // subsequent queries are answered from the stored tracks — no video
 // decoding or model inference. The nine query kinds, Clips, Tracks(clip),
-// VisibleBoxes and Context are the embedded store.Querier's own methods:
-// a monolithic index for an extracted set, a segmented one for a set
-// loaded by LoadTrackSets or an ingest session's live snapshot. Each
-// answers bit-identically to a linear scan and is safe for concurrent
-// queries.
+// VisibleBoxes, Context and Manifest are the embedded store.Querier's own
+// methods. It has one shape, a *store.Sharded of segments, whether the set
+// was extracted, loaded by LoadTrackSets or is an ingest session's live
+// snapshot; an extracted set and its reload have the same segments. Each
+// query answers bit-identically to a linear scan and is safe for
+// concurrent queries.
 type TrackSet struct {
 	store.Querier
 	// Runtime is the simulated extraction cost in seconds.
