@@ -82,7 +82,7 @@ func main() {
 		sort.Strings(names)
 		for _, name := range names {
 			ts := sets[name]
-			fmt.Printf("loaded %s: dataset=%q clips=%d\n", *queryD, ts.Dataset, ts.Clips())
+			fmt.Printf("loaded %s: dataset=%q clips=%d\n", *queryD, ts.Manifest().Dataset, ts.Clips())
 			counts := ts.CountTracks("car")
 			fmt.Printf("  unique cars per clip: %v (total %d)\n", counts, sum(counts))
 			frames := ts.LimitQuery("car", otif.CountPredicate{N: 2}, 3, 1)

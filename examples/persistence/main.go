@@ -81,7 +81,7 @@ func main() {
 	stored := sets["caldot1"]
 	a, b := tracks.CountTracks("car"), stored.CountTracks("car")
 	fmt.Printf("header-described set %q of %d clips: car counts %v (extracted: %v)\n",
-		stored.Dataset, stored.Clips(), b, a)
+		stored.Manifest().Dataset, stored.Clips(), b, a)
 	if !slices.Equal(a, b) {
 		log.Fatal("stored tracks diverge from the originals")
 	}

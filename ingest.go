@@ -54,7 +54,6 @@ type IngestOptions struct {
 // Pipeline.Ingest; stop with Close or by canceling the start context.
 type IngestSession struct {
 	*ingest.Session
-	name string
 }
 
 // Ingest starts a streaming ingest session: per-camera sources emit
@@ -105,12 +104,12 @@ func (p *Pipeline) Ingest(ctx context.Context, o IngestOptions) (*IngestSession,
 	if err != nil {
 		return nil, err
 	}
-	return &IngestSession{Session: s, name: p.sys.DS.Name}, nil
+	return &IngestSession{Session: s}, nil
 }
 
 // Tracks returns the session's published clips as a TrackSet over the
 // live store's current snapshot: clips published after the call do not
 // appear in it.
 func (s *IngestSession) Tracks() *TrackSet {
-	return &TrackSet{Querier: s.Live().Snapshot(), Runtime: s.Stats().Runtime, Dataset: s.name}
+	return &TrackSet{Querier: s.Live().Snapshot(), Runtime: s.Stats().Runtime}
 }

@@ -39,6 +39,9 @@ func TestIngestSessionEndToEnd(t *testing.T) {
 	if ts.Runtime <= 0 {
 		t.Error("TrackSet runtime not carried over from session")
 	}
+	if got := ts.Manifest().Dataset; got != "caldot1" {
+		t.Errorf("the session's tracks are named %q, want the pipeline's dataset caldot1", got)
+	}
 	// The TrackSet answers from the live store's snapshot rather than an
 	// index of its own.
 	if ts.Querier != sess.Live().Snapshot() {

@@ -9,12 +9,17 @@ import (
 
 // TestRunSetAllocGate pins the end-to-end cached extraction path's heap
 // traffic. The PR-2 seed measured 10,756 allocs/op on the BENCH spec
-// (8 clips x 8 s = 64 clip-seconds, ~168 allocs per clip-second); the
-// pooled clip execution of PR 6 (tracker scratch pool, detection arena,
-// geometry-keyed analysis scratch, no per-frame detections retained) must
-// hold the rate to at most HALF that — and in practice sits near a
-// quarter. The gate runs on this package's tiny suite and scales the
+// (8 clips x 8 s = 64 clip-seconds, ~168 allocs per clip-second); clip
+// execution on a reused working set (detection arena, analysis and
+// tracker scratch, no per-frame detections retained) must hold the rate
+// to at most HALF that — and in practice sits near a quarter. The gate runs on this package's tiny suite and scales the
 // bound by clip-seconds, so it needs no extra training.
+//
+// It also bounds the bytes a warm RunSet allocates per clip, which is what
+// notices lost reuse of the clip working set (core's clipBuffers): with
+// the working set kept across clips the tiny suite reads about 77 KB a
+// clip, and with every clip building its own about 122-126 KB, while the
+// allocation count stays far under its gate.
 func TestRunSetAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmarks one full RunSet repeatedly")
@@ -32,7 +37,7 @@ func TestRunSetAllocGate(t *testing.T) {
 
 	cfg := tr.Sys.Best
 	clips := tr.Sys.DS.Val
-	tr.Sys.RunSet(cfg, clips) // warm the frame cache and clip pools
+	tr.Sys.RunSet(cfg, clips) // warm the frame cache and the clip working set
 
 	var sink float64
 	r := testing.Benchmark(func(b *testing.B) {
@@ -51,5 +56,12 @@ func TestRunSetAllocGate(t *testing.T) {
 			got, limit, clipSeconds)
 	} else {
 		t.Logf("cached RunSet: %d allocs/op (gate %d)", got, limit)
+	}
+	const bytesLimit = 96 << 10
+	if got := r.AllocedBytesPerOp() / int64(len(clips)); got > bytesLimit {
+		t.Errorf("cached RunSet allocates %d bytes a clip, gate is %d: is the clip working set reused across clips?",
+			got, bytesLimit)
+	} else {
+		t.Logf("cached RunSet: %d bytes a clip (gate %d)", got, bytesLimit)
 	}
 }

@@ -3,9 +3,11 @@ package bench
 import (
 	"bytes"
 	"context"
+	"hash/fnv"
 	"io"
 	"log/slog"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -61,8 +63,13 @@ func (m testSetMetric) Accuracy(perClip [][]*query.Track, clips []*dataset.ClipT
 // curve's test-set evaluation kept. (Before the OTIF test points were
 // memoized, Table 3 and Table 4 each evaluated the curve again, and Table 4
 // re-ran the suite's Tune; before the pick's tracks were kept, Table 3
-// extracted the pick once more.)
+// extracted the pick once more.) On amd64 it also compares an FNV-64a of
+// each table's text with the one recorded before the clip working set
+// moved into core: a refactor must leave the tables byte-identical.
 func TestTablesEvaluateOTIFCurveOnce(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("table hashes were recorded on amd64")
+	}
 	var tunes, points, evals atomic.Int64
 	prev := obs.Log()
 	obs.SetLogger(slog.New(tuneCounter{&tunes, &points}))
@@ -78,19 +85,20 @@ func TestTablesEvaluateOTIFCurveOnce(t *testing.T) {
 	}
 	tr.Metric = testSetMetric{Metric: tr.Metric, set: tr.Sys.DS.Test, evals: &evals}
 	ds := []string{"caldot1"}
-	if _, err := s.Table2(io.Discard, ds); err != nil {
+	var table2, table3, table4 bytes.Buffer
+	if _, err := s.Table2(&table2, ds); err != nil {
 		t.Fatal(err)
 	}
 	clips := obs.Default.Counter("run.clips")
 	before := clips.Value()
-	if _, err := s.Table3(io.Discard, ds); err != nil {
+	if _, err := s.Table3(&table3, ds); err != nil {
 		t.Fatal(err)
 	}
 	if got := clips.Value() - before; got != 0 {
 		t.Errorf("Table 3 extracted %d clips after Table 2, want 0: its OTIF pick's test-set tracks are the curve's", got)
 	}
 	ablationPoints := -points.Load()
-	if _, err := s.Table4(io.Discard, ds); err != nil {
+	if _, err := s.Table4(&table4, ds); err != nil {
 		t.Fatal(err)
 	}
 	ablationPoints += points.Load()
@@ -110,6 +118,21 @@ func TestTablesEvaluateOTIFCurveOnce(t *testing.T) {
 	if got := evals.Load(); got != want {
 		t.Errorf("%d test-set evaluations, want %d: the OTIF curve's %d once, %d baseline points, %d ablation points",
 			got, want, len(tr.Curve), baseline, ablationPoints)
+	}
+	for _, tb := range []struct {
+		name string
+		text *bytes.Buffer
+		want uint64
+	}{
+		{"Table 2", &table2, 0x313df0fbc91d4a08},
+		{"Table 3", &table3, 0x704e8ba897e2fe62},
+		{"Table 4", &table4, 0x3d979d9b37958f10},
+	} {
+		h := fnv.New64a()
+		h.Write(tb.text.Bytes())
+		if got := h.Sum64(); got != tb.want {
+			t.Errorf("%s hashes to %#x, want %#x:\n%s", tb.name, got, tb.want, tb.text.String())
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"otif/internal/costmodel"
 	"otif/internal/dataset"
@@ -27,7 +28,7 @@ var (
 )
 
 // FrameObserver sees one processed frame's detections, before the tracker
-// does. dets is carved from the clip's pooled arena and is valid only
+// does. dets is carved from the clip's detection arena and is valid only
 // during the call: an observer that keeps anything copies it out.
 type FrameObserver func(frameIdx int, dets []detect.Detection)
 
@@ -63,44 +64,66 @@ func (s *System) RunClip(cfg Config, clip *video.Clip, acct *costmodel.Accountan
 	return s.TrackClip(ctx, cfg, clip, acct, observe)
 }
 
+// clipBuffers is the working memory of one clip: the detection arena, the
+// detector's analysis scratch, the tracker's scratch and the proxy's grid
+// and grouper. TrackClip takes one from clipPool at entry and returns it
+// when the clip is done, so a clip reuses the buffers an earlier clip grew
+// (the tuner runs candidate after candidate over the same clips). Each
+// buffer serves any geometry except the grid, which is rebuilt when the
+// dataset's cell grid differs.
+type clipBuffers struct {
+	arena   detect.Arena
+	detect  detect.Scratch
+	track   track.Scratch
+	grid    *proxy.Grid
+	grouper proxy.Grouper
+}
+
+// clipPool holds the idle clip working sets of the process. It is not a
+// field of System: every System of the process shares it, so a freshly
+// trained System starts warm.
+var clipPool = sync.Pool{New: func() any { return new(clipBuffers) }}
+
+// gridFor returns the buffers' proxy grid for a nominal frame size.
+func (b *clipBuffers) gridFor(nomW, nomH int) *proxy.Grid {
+	if w, h := proxy.GridDims(nomW, nomH); b.grid == nil || b.grid.W != w || b.grid.H != h {
+		b.grid = proxy.NewGrid(nomW, nomH)
+	}
+	return b.grid
+}
+
 // TrackClip is the clip loop, run in the caller's span: the tracker's
 // sampling gap selects frames; on each sampled frame the proxy model (if
 // enabled) chooses detector windows; the detector produces detections;
 // observe (if non-nil) sees them; the tracker associates them into tracks.
-// ctx bounds the reader's decode-ahead producer. Detection slices are
-// carved from a pooled arena and analysis scratch is recycled, which is
-// safe because trackers copy Detection values into track-owned slices:
-// nothing in the returned tracks aliases pooled memory.
+// ctx bounds the reader's decode-ahead producer. The clip runs on a
+// working set from clipPool; detection slices are carved from its arena,
+// which is safe because trackers copy Detection values into track-owned
+// slices: nothing in the returned tracks aliases the working set.
 func (s *System) TrackClip(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant, observe FrameObserver) []*track.Track {
+	bufs := clipPool.Get().(*clipBuffers)
 	detector := s.Detector(cfg, acct)
 	detW, detH := detector.Cfg.Width, detector.Cfg.Height
-	detector.Arena = detect.GetArena()
-	defer detector.Arena.Release()
-	defer detector.Release()
+	detector.Arena, detector.Scratch = &bufs.arena, &bufs.detect
 
 	var ws *proxy.WindowSet
 	var pm *proxy.Model
+	var grid *proxy.Grid
 	if cfg.UseProxy && len(s.Proxies) > 0 {
 		pm = s.Proxies[min(max(cfg.ProxyIdx, 0), len(s.Proxies)-1)]
 		ws = proxy.NewWindowSet(s.DS.Cfg.NomW, s.DS.Cfg.NomH,
 			cfg.Arch.PerPixelCost(), cfg.DetScale, s.WindowSizes)
+		grid = bufs.gridFor(s.DS.Cfg.NomW, s.DS.Cfg.NomH)
 	}
 
-	tracker := s.newTracker(cfg, acct)
-
-	// One grid and one grouper per clip, reused by every processed frame.
-	var grid *proxy.Grid
-	var grouper proxy.Grouper
-	if pm != nil {
-		grid = proxy.NewGrid(s.DS.Cfg.NomW, s.DS.Cfg.NomH)
-	}
+	tracker := s.newTracker(cfg, acct, &bufs.track)
 	processFrame := func(frame *video.Frame, idx, gapUsed int) {
 		metFrames.Inc()
 		var dets []detect.Detection
 		if pm != nil {
 			scores := pm.Score(frame, s.Background, acct)
 			pos := proxy.ThresholdInto(grid, scores, cfg.ProxyThresh)
-			wins := grouper.Group(grid, pos, ws)
+			wins := bufs.grouper.Group(grid, pos, ws)
 			if len(wins) > 0 {
 				dets = detector.DetectWindows(frame, idx, wins)
 			}
@@ -133,6 +156,10 @@ func (s *System) TrackClip(ctx context.Context, cfg Config, clip *video.Clip, ac
 	// Prune single-detection tracks: they mostly correspond to spurious
 	// detections (§3.4).
 	tracks := track.PruneShort(tracker.Finish(), 2)
+	// Not deferred: a clip that panics drops its working set rather than
+	// return one whose invariants it may have broken.
+	bufs.arena.Reset()
+	clipPool.Put(bufs)
 	metClips.Inc()
 	metTracksPerClip.Observe(float64(len(tracks)))
 	return tracks
@@ -173,28 +200,28 @@ func (s *System) runVariable(cfg Config, clip *video.Clip, detW, detH int,
 	}
 }
 
-// newTracker instantiates the tracker selected by cfg. Track termination
-// is time-based: a track survives roughly maxMissSeconds of consecutive
-// unmatched processed frames (bridging brief detector misses and
-// occlusion merges) regardless of the sampling gap.
-func (s *System) newTracker(cfg Config, acct *costmodel.Accountant) track.Tracker {
+// newTracker instantiates the tracker selected by cfg on the lent
+// scratch. Track termination is time-based: a track survives roughly
+// maxMissSeconds of consecutive unmatched processed frames (bridging brief
+// detector misses and occlusion merges) regardless of the sampling gap.
+func (s *System) newTracker(cfg Config, acct *costmodel.Accountant, scratch *track.Scratch) track.Tracker {
 	misses := maxMisses(s.DS.Cfg.FPS, cfg.Gap)
 	switch cfg.Tracker {
 	case TrackerRecurrent:
 		if s.Recurrent != nil {
 			t := track.NewRecurrentTracker(s.Recurrent, acct)
-			t.MaxMisses = misses
+			t.MaxMisses, t.Scratch = misses, scratch
 			return t
 		}
 	case TrackerPair:
 		if s.Pair != nil {
 			t := track.NewPairTracker(s.Pair, acct)
-			t.MaxMisses = misses
+			t.MaxMisses, t.Scratch = misses, scratch
 			return t
 		}
 	}
 	t := track.NewSORT()
-	t.MaxMisses = misses
+	t.MaxMisses, t.Scratch = misses, scratch
 	return t
 }
 

@@ -89,9 +89,7 @@ func TestDetectStampsEachIndex(t *testing.T) {
 	frame, bg, _ := benchScene()
 	src := &video.MemorySource{Frames: []*video.Frame{frame, frame}, Rate: 10}
 	d := &Detector{Cfg: Config{Arch: ArchRCNN, Width: frame.NomW, Height: frame.NomH, ConfThresh: 0.25},
-		Background: bg, Arena: GetArena()}
-	defer d.Arena.Release()
-	defer d.Release()
+		Background: bg, Arena: new(Arena)}
 	first, second := d.Detect(src.Frame(0), 0), d.Detect(src.Frame(1), 1)
 	if len(first) == 0 || len(first) != len(second) {
 		t.Fatalf("got %d and %d detections, want the same non-zero count", len(first), len(second))
@@ -195,10 +193,8 @@ func TestDetectConcurrentFill(t *testing.T) {
 			defer wg.Done()
 			d := &Detector{Cfg: cfg, Background: bg, Acct: costmodel.NewAccountant()}
 			if g%2 == 0 {
-				d.Arena = GetArena()
-				defer d.Arena.Release()
+				d.Arena = new(Arena)
 			}
-			defer d.Release()
 			for i := 0; i < 40; i++ {
 				fi := (g + i) % len(frames)
 				got := d.Detect(frames[fi], 0)
@@ -220,9 +216,7 @@ func TestDetectConcurrentFill(t *testing.T) {
 func TestDetectAllocGate(t *testing.T) {
 	frame, bg, _ := benchScene()
 	d := &Detector{Cfg: Config{Arch: ArchRCNN, Width: frame.NomW, Height: frame.NomH, ConfThresh: 0.25},
-		Background: bg, Classify: SizeClassifier{BusMinArea: 3000}, Arena: GetArena()}
-	defer d.Arena.Release()
-	defer d.Release()
+		Background: bg, Classify: SizeClassifier{BusMinArea: 3000}, Arena: new(Arena)}
 	if len(d.Detect(frame, 0)) == 0 {
 		t.Fatal("the scene yields no detection; the gate is vacuous")
 	}

@@ -192,14 +192,10 @@ type Config struct {
 // Detector detects objects in frames or frame windows.
 //
 // A Detector carries reusable analysis scratch, so each instance must be
-// used by one goroutine at a time (every call site in this repository
-// constructs detectors per worker); the models it points to (background,
-// classifier, accountant) remain safely shareable.
-//
-// The scratch is drawn lazily from a geometry-keyed pool; owners that run
-// one detector per clip should call Release when the clip finishes so the
-// next clip reuses the grown buffers. Detectors that are never Released
-// still work — their scratch is simply collected.
+// used by one goroutine at a time; the models it points to (background,
+// classifier, accountant) remain safely shareable. The scratch is the
+// caller's to lend (core lends one per clip from its clip working set); a
+// detector lent none allocates its own on first use.
 type Detector struct {
 	Cfg        Config
 	Background *BackgroundModel
@@ -210,15 +206,17 @@ type Detector struct {
 	Prec nn.Precision
 
 	// Arena, when non-nil, owns every detection slice this detector
-	// returns: results stay valid until the arena's Release, instead of
-	// being independent heap allocations. The pooled clip-execution path
-	// sets it; a nil arena preserves plain heap semantics.
+	// returns: results stay valid until the arena's Reset, instead of
+	// being independent heap allocations. A nil arena preserves plain
+	// heap semantics.
 	Arena *Arena
-
-	scratch *analyzeScratch
+	// Scratch holds the analysis buffers; nil means one is allocated on
+	// first use. One Scratch serves any geometry, threshold and
+	// architecture, one detector at a time.
+	Scratch *Scratch
 }
 
-// analyzeScratch holds the per-invocation buffers of analyze and
+// Scratch holds the per-invocation buffers of analyze and
 // connectedComponentsInto, reused across calls to keep the per-frame hot
 // path allocation-free. Per-pixel work touches only the call's region and
 // its foreground: mark lists the region's foreground pixels in fg, in
@@ -233,7 +231,7 @@ type Detector struct {
 //
 // dets and win carry each call's detections until they are copied out
 // (into the arena or the heap).
-type analyzeScratch struct {
+type Scratch struct {
 	labels []int32
 	fg     []int32
 	stack  []int
@@ -255,7 +253,7 @@ type analyzeScratch struct {
 
 // fillTables makes tab and the background interval those of a brightness
 // offset and threshold.
-func (s *analyzeScratch) fillTables(offset, thresh float64) {
+func (s *Scratch) fillTables(offset, thresh float64) {
 	if s.tabFilled && s.tabOffset == offset && s.tabThresh == thresh {
 		return
 	}
@@ -273,7 +271,7 @@ func (s *analyzeScratch) fillTables(offset, thresh float64) {
 
 // mark lists the foreground pixels of the region [x0,x1)×[y0,y1) of an
 // aw-wide plane in fg, in row-major order, and labels each -1.
-func (s *analyzeScratch) mark(img, bg []uint8, aw, x0, x1, y0, y1 int) {
+func (s *Scratch) mark(img, bg []uint8, aw, x0, x1, y0, y1 int) {
 	if len(s.labels) < len(img) {
 		s.labels = make([]int32, len(img))
 	}
@@ -306,23 +304,10 @@ func markRow(fg, labels []int32, ip, bp []uint8, lo, span, base int) []int32 {
 	return fg[:n]
 }
 
-// scratchFor returns the detector's analysis scratch, acquiring one from
-// the geometry-keyed pool (sized for a plane of the given pixel count) on
-// first use.
-func (d *Detector) scratchFor(pixels int) *analyzeScratch {
-	if d.scratch == nil {
-		d.scratch = getAnalyzeScratch(pixels)
-	}
-	return d.scratch
-}
-
-// Release returns the detector's pooled scratch. The detector remains
-// usable (a fresh scratch is acquired on the next call); call it when the
-// detector's clip is done.
-func (d *Detector) Release() {
-	putAnalyzeScratch(d.scratch)
-	d.scratch = nil
-}
+// Release drops the detector's scratch; the next call allocates one. It
+// is named by benchmark/replay.go; delete with the next change to the
+// benchmark.
+func (d *Detector) Release() { d.Scratch = nil }
 
 // minComponentPixels is the smallest connected component (in analysis
 // pixels) accepted as a detection; smaller blobs are treated as noise.
@@ -341,7 +326,7 @@ func (d *Detector) diffThreshold() float64 {
 // Detect runs the detector on the whole frame, charging cost for one
 // full-frame invocation at the configured input resolution. The returned
 // slice is arena-owned when the detector has an Arena (valid until its
-// Release), and a fresh heap slice otherwise; empty results are nil either
+// Reset), and a fresh heap slice otherwise; empty results are nil either
 // way.
 //
 // Detections are kept in the process-wide frame cache under (frame,
@@ -415,7 +400,7 @@ func (d *Detector) DetectWindows(frame *video.Frame, frameIdx int, windows []geo
 // background at the effective analysis resolution, with the scratch's
 // tables filled for the frame's brightness offset. Every window of a frame
 // shares them.
-func (d *Detector) prepare(frame *video.Frame) (s *analyzeScratch, img, bg *video.Frame) {
+func (d *Detector) prepare(frame *video.Frame) (s *Scratch, img, bg *video.Frame) {
 	// Effective stored analysis resolution: the detector input resolution
 	// expressed as a fraction of nominal, applied to the stored buffer.
 	fx := float64(d.Cfg.Width) / float64(frame.NomW)
@@ -441,7 +426,10 @@ func (d *Detector) prepare(frame *video.Frame) (s *analyzeScratch, img, bg *vide
 	// full-frame stats memoize on the frame.
 	imgMean, _ := img.SharedMeanStd()
 	bgMean, _ := bg.SharedMeanStd()
-	s = d.scratchFor(aw * ah)
+	if d.Scratch == nil {
+		d.Scratch = new(Scratch)
+	}
+	s = d.Scratch
 	s.fillTables(imgMean-bgMean, d.diffThreshold())
 	return s, img, bg
 }
@@ -449,7 +437,7 @@ func (d *Detector) prepare(frame *video.Frame) (s *analyzeScratch, img, bg *vide
 // analyze performs background subtraction inside region (nominal coords;
 // empty means full frame) of the frame's analysis planes, appending
 // detections to dst.
-func (d *Detector) analyze(dst []Detection, s *analyzeScratch, img, bg, frame *video.Frame, frameIdx int, region, bounds geom.Rect) []Detection {
+func (d *Detector) analyze(dst []Detection, s *Scratch, img, bg, frame *video.Frame, frameIdx int, region, bounds geom.Rect) []Detection {
 	aw, ah := img.W, img.H
 	// Restrict analysis to the region (in analysis pixels).
 	x0, y0, x1, y1 := 0, 0, aw, ah
@@ -552,7 +540,7 @@ type component struct {
 // their pixels visited in the same order as such a scan would. Before it
 // returns it zeroes the labels it touched. The returned slice aliases
 // s.comps and is valid until the next call with the same scratch.
-func connectedComponentsInto(s *analyzeScratch, img, bg []uint8, w, h int) []component {
+func connectedComponentsInto(s *Scratch, img, bg []uint8, w, h int) []component {
 	labels := s.labels
 	comps := s.comps[:0]
 	stack := s.stack

@@ -233,7 +233,7 @@ func TestConnectedComponents(t *testing.T) {
 	set(0, 1)
 	set(4, 2)
 	set(5, 2)
-	var s analyzeScratch
+	var s Scratch
 	s.fillTables(0, 5)
 	s.mark(img.Pix, bg.Pix, w, 0, w, 0, h)
 	comps := connectedComponentsInto(&s, img.Pix, bg.Pix, w, h)

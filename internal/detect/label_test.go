@@ -108,7 +108,7 @@ func blobPlanes(rng *rand.Rand, w, h int, density float64) (img, bg *video.Frame
 
 // assertLabelsZero fails unless the scratch's label plane is all zero, the
 // invariant every call must leave behind.
-func assertLabelsZero(t testing.TB, s *analyzeScratch, what string) {
+func assertLabelsZero(t testing.TB, s *Scratch, what string) {
 	t.Helper()
 	for p, l := range s.labels {
 		if l != 0 {
@@ -121,7 +121,7 @@ func assertLabelsZero(t testing.TB, s *analyzeScratch, what string) {
 // a plane through s and compares them with the float oracle and the plane
 // scan: the foreground list, every difference inside the region by
 // math.Float64bits, and every component's count, extents and sumDiff.
-func checkComponents(t testing.TB, s *analyzeScratch, img, bg *video.Frame, offset, thresh float64, x0, x1, y0, y1 int) {
+func checkComponents(t testing.TB, s *Scratch, img, bg *video.Frame, offset, thresh float64, x0, x1, y0, y1 int) {
 	t.Helper()
 	w, h := img.W, img.H
 	diff, mask := make([]float64, w*h), make([]bool, w*h)
@@ -187,7 +187,7 @@ func TestFillDiffMatchesFloatReference(t *testing.T) {
 	// One scratch throughout: the tables are refilled only when the
 	// offset or the threshold changes, and the labels must come back
 	// zero from every call.
-	var s analyzeScratch
+	var s Scratch
 	for _, offset := range offsets {
 		img, bg := noisePlane(rng, aw, ah), noisePlane(rng, aw, ah)
 		for _, thresh := range []float64{16, 22} {
@@ -205,7 +205,7 @@ func TestFillDiffMatchesFloatReference(t *testing.T) {
 func TestComponentsMatchPlaneScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	shapes := [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 9}, {9, 2}, {2, 2}, {37, 23}, {224, 126}}
-	var s analyzeScratch
+	var s Scratch
 	for _, sh := range shapes {
 		w, h := sh[0], sh[1]
 		regions := [][4]int{
@@ -233,7 +233,7 @@ func TestComponentsMatchPlaneScan(t *testing.T) {
 // densities, offsets and thresholds. The committed corpus lives in
 // testdata/fuzz/FuzzComponents.
 func FuzzComponents(f *testing.F) {
-	var s analyzeScratch
+	var s Scratch
 	f.Fuzz(func(t *testing.T, w, h, x0, x1, y0, y1, density uint8, offset int16, thresh uint8, seed uint64) {
 		pw, ph := int(w)%64+1, int(h)%64+1
 		rx0, rx1 := int(x0)%(pw+1), int(x1)%(pw+1)
@@ -251,7 +251,8 @@ func FuzzComponents(f *testing.F) {
 
 // TestReusedScratchMatchesFresh runs detectors over frames and windows
 // that differ from call to call and checks every result against a detector
-// that has never run. All of them share one pooled scratch: YOLO and RCNN,
+// that has never run. All of them share one scratch, as every detector of
+// core's clip working set does across clips: YOLO and RCNN,
 // at two resolutions each, so consecutive calls alternate analysis
 // geometry, threshold and full-frame/windowed regions. The label plane is
 // never cleared, only its foreground reset, and the tables are kept across
@@ -259,8 +260,7 @@ func FuzzComponents(f *testing.F) {
 // must be all zero after every call. One window overhangs the frame.
 func TestReusedScratchMatchesFresh(t *testing.T) {
 	ds, bg := harness(t)
-	shared := getAnalyzeScratch(1)
-	defer putAnalyzeScratch(shared)
+	shared := new(Scratch)
 	type variant struct {
 		arch  Arch
 		scale float64
@@ -269,7 +269,7 @@ func TestReusedScratchMatchesFresh(t *testing.T) {
 	reused := make([]*Detector, len(variants))
 	for i, v := range variants {
 		reused[i] = detectorFor(ds, bg, v.arch, v.scale, costmodel.NewAccountant())
-		reused[i].scratch = shared
+		reused[i].Scratch = shared
 	}
 	ct := ds.Val[0]
 	bounds := ct.Clip.Frame(0).Bounds()
@@ -346,7 +346,6 @@ func BenchmarkDetect(b *testing.B) {
 	b.Run("full_rcnn", func(b *testing.B) {
 		// Width = nominal: the analysis plane is the stored 224x126.
 		d := &Detector{Cfg: Config{Arch: ArchRCNN, Width: frame.NomW, Height: frame.NomH, ConfThresh: 0.25}, Background: bg}
-		defer d.Release()
 		d.Detect(frame, 0) // grow the scratch
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -357,9 +356,7 @@ func BenchmarkDetect(b *testing.B) {
 	})
 	b.Run("full_hit", func(b *testing.B) {
 		d := &Detector{Cfg: Config{Arch: ArchRCNN, Width: frame.NomW, Height: frame.NomH, ConfThresh: 0.25},
-			Background: bg, Arena: GetArena()}
-		defer d.Arena.Release()
-		defer d.Release()
+			Background: bg, Arena: new(Arena)}
 		d.Detect(frame, 0)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -371,7 +368,6 @@ func BenchmarkDetect(b *testing.B) {
 	b.Run("windows_yolo", func(b *testing.B) {
 		// Twice the nominal width, so YOLO's halved grid is 224x126 too.
 		d := &Detector{Cfg: Config{Arch: ArchYOLO, Width: 2 * frame.NomW, Height: 2 * frame.NomH, ConfThresh: 0.25}, Background: bg}
-		defer d.Release()
 		d.DetectWindows(frame, 0, windows)
 		b.ReportAllocs()
 		b.ResetTimer()

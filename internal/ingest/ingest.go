@@ -216,7 +216,7 @@ func Start(ctx context.Context, sys *core.System, opts Options) (*Session, error
 		cancel:   cancel,
 		queue:    make(chan workItem, depth),
 		drop:     opts.DropWhenFull,
-		live:     store.NewLive(qctx),
+		live:     store.NewLiveOptions(sys.DS.Name, qctx, store.DefaultSealClips, store.NewCache()),
 		cams:     make([]*camState, len(opts.Cameras)),
 		progress: opts.Progress,
 		done:     make(chan struct{}),

@@ -178,9 +178,14 @@ func (d *testDaemon) defaultDataset() (view datasetView, names []string) {
 }
 
 // streamed reports whether a /v1/datasets row is an ingest session's live
-// store. Every source shows a manifest; the live store's names the dataset
-// "live", where an extract's and segment files' carry the dataset's name.
-func streamed(v datasetView) bool { return v.Manifest.Dataset == "live" }
+// store: its manifest ends in the open tail segment, where an extract's
+// and segment files' segments are all sealed. A live store of a multiple
+// of store.DefaultSealClips clips has no tail; these tests' streams stop
+// long before eight clips.
+func streamed(v datasetView) bool {
+	segs := v.Manifest.Segments
+	return len(segs) > 0 && !segs[len(segs)-1].Sealed
+}
 
 // TestJobsBeforeReadyFail pins the daemon before Start: it is live but not
 // ready, every job kind fails with the not-ready message, the default
@@ -398,16 +403,17 @@ func TestSegmentReplicaAnswersByteEqual(t *testing.T) {
 	for i := range perClip {
 		perClip[i] = ts.Tracks(i)
 	}
-	whole, err := store.NewSharded(ts.Dataset, qctx, store.SplitSegments(perClip, qctx, 0), nil)
+	name := ts.Manifest().Dataset
+	whole, err := store.NewSharded(name, qctx, store.SplitSegments(perClip, qctx, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	primary := newTestDaemon(t, testConfig())
-	primary.publish(&otif.TrackSet{Querier: whole, Dataset: ts.Dataset})
+	primary.publish(&otif.TrackSet{Querier: whole})
 
 	cfg := testConfig()
 	cfg.SegmentsDir = t.TempDir()
-	if paths, err := store.ExportSegments(cfg.SegmentsDir, ts.Dataset, qctx, perClip, 1); err != nil || len(paths) != 2 {
+	if paths, err := store.ExportSegments(cfg.SegmentsDir, name, qctx, perClip, 1); err != nil || len(paths) != 2 {
 		t.Fatalf("ExportSegments = %v, %v; want 2 files", paths, err)
 	}
 	other, err := os.Create(filepath.Join(cfg.SegmentsDir, "other"+".otifseg"))

@@ -215,8 +215,10 @@ func TestResultCacheBounded(t *testing.T) {
 }
 
 // TestResultCacheChargesKeys: a cache key holds the request's category
-// verbatim, so four hundred counts over distinct kilobyte-long categories
-// are four hundred kilobyte-long keys per segment beside 40-byte answers.
+// verbatim, so four hundred average-visible queries over distinct
+// kilobyte-long categories are four hundred kilobyte-long keys per segment
+// beside 40-byte answers (counts, which have the same shape, are not
+// cached).
 // The cache must charge what it holds for them and evict; charging the
 // answers alone it would report 64,000 bytes for 1.6 MB and never evict.
 func TestResultCacheChargesKeys(t *testing.T) {
@@ -232,7 +234,7 @@ func TestResultCacheChargesKeys(t *testing.T) {
 	c := sh.Cache()
 	c.lru = lru.New[cacheKey, any](budget)
 	for i := 0; i < 400; i++ {
-		sh.CountTracks(fmt.Sprintf("%0*d", catBytes, i))
+		sh.AvgVisible(fmt.Sprintf("%0*d", catBytes, i))
 		if s := c.lru.Stats(); s.Bytes > budget || s.Bytes < s.Entries*catBytes {
 			t.Fatalf("call %d: %d entries, each keyed by %d bytes of category, are charged %d bytes (budget %d)",
 				i, s.Entries, catBytes, s.Bytes, budget)

@@ -87,8 +87,9 @@ func TestCoOccurrencesColumnRefusedOrEvicted(t *testing.T) {
 		}
 	}
 
-	// 4 MiB takes each column (256 KiB at most) and 63 counts over 64 KiB
-	// categories are enough to push every one of them out.
+	// 4 MiB takes each column (256 KiB at most) and 63 average-visible
+	// queries over 64 KiB categories are enough to push every one of them
+	// out.
 	evicting := newCache(4 << 20)
 	if sh, err = NewSharded("test", ctx, segs, evicting); err != nil {
 		t.Fatal(err)
@@ -99,10 +100,10 @@ func TestCoOccurrencesColumnRefusedOrEvicted(t *testing.T) {
 	}
 	ev := evicting.lru.Stats().Evictions
 	for i := 0; i < 63; i++ {
-		sh.CountTracks(fmt.Sprintf("%d%s", i, strings.Repeat("x", 64<<10)))
+		sh.AvgVisible(fmt.Sprintf("%d%s", i, strings.Repeat("x", 64<<10)))
 	}
 	if evicting.lru.Stats().Evictions-ev < int64(len(segs)) {
-		t.Fatal("the flood of counts evicted fewer entries than the columns")
+		t.Fatal("the flood of queries evicted fewer entries than the columns")
 	}
 	if coocStep(t, sh, mono, 80) == 0 {
 		t.Fatal("the call after the eviction loaded no detection; the columns should be gone")

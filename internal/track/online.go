@@ -34,16 +34,18 @@ const (
 // tracker carries between rounds.
 //
 // The scratch makes each round allocation-free; it also means a tracker
-// instance must be driven by a single goroutine. It is drawn from the
-// scratch pool when first needed and released by Finish.
+// instance must be driven by a single goroutine.
 type online[S any] struct {
 	// MaxMisses is the number of consecutive processed frames a track may
 	// go unmatched before it is terminated.
 	MaxMisses int
 
-	active  []*live[S]
-	done    []*Track
-	scratch *matchScratch
+	// Scratch is the round's working storage; nil means one is allocated
+	// on first use.
+	Scratch *Scratch
+
+	active []*live[S]
+	done   []*Track
 }
 
 // live is an active track and the tracker's state for it.
@@ -53,13 +55,12 @@ type live[S any] struct {
 	misses int
 }
 
-// scratchRef returns the tracker's scratch, acquiring one from the pool
-// on first use.
-func (o *online[S]) scratchRef() *matchScratch {
-	if o.scratch == nil {
-		o.scratch = getScratch()
+// scratchRef returns the tracker's scratch, allocating one on first use.
+func (o *online[S]) scratchRef() *Scratch {
+	if o.Scratch == nil {
+		o.Scratch = new(Scratch)
 	}
-	return o.scratch
+	return o.Scratch
 }
 
 // costs counts the round and shapes its cost matrix: row i is active
@@ -162,10 +163,11 @@ func (o *online[S]) Finish() []*Track {
 	o.active = nil
 	out := o.done
 	o.done = nil
-	// All tracks are cloned; nothing references the scratch arena's hidden
-	// vectors anymore, so the scratch can recycle.
-	putScratch(o.scratch)
-	o.scratch = nil
+	// All tracks are cloned; nothing references the hidden vectors of the
+	// scratch's arena anymore.
+	if o.Scratch != nil {
+		o.Scratch.arena.release()
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FirstFrame() < out[j].FirstFrame() })
 	for i, t := range out {
 		t.ID = i

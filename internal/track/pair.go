@@ -59,7 +59,7 @@ func NewPairTracker(model *PairModel, acct *costmodel.Accountant) *PairTracker {
 func (p *PairTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 	m := p.model
 	cost := p.costs(len(dets))
-	s := p.scratch // nil only with no active track, when nothing is scored
+	s := p.Scratch // nil only with no active track, when nothing is scored
 	p.scoreReachable(cost, dets, reach(ctx.GapFrames, m.FPS, m.NomW), p.acct, func(l *live[struct{}], j int) float64 {
 		s.featBuf = AppendPairFeatures(s.featBuf[:0], l.track.Dets[len(l.track.Dets)-1], dets[j], m.NomW, m.NomH, m.FPS, ctx.GapFrames)
 		return m.Match.ApplyWith(&s.nn, nn.Vec(s.featBuf))[0]

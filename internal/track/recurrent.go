@@ -120,7 +120,7 @@ func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 // scoreWith is Score evaluated through the tracker scratch: the inputs are
 // concatenated into a reused buffer and the matching MLP runs on scratch
 // ping-pong buffers. Output is bit-identical to Score's.
-func (m *RecurrentModel) scoreWith(s *matchScratch, h, f, motion nn.Vec) float64 {
+func (m *RecurrentModel) scoreWith(s *Scratch, h, f, motion nn.Vec) float64 {
 	in := growVec(&s.in, len(h)+len(f)+len(motion))
 	copy(in, h)
 	copy(in[len(h):], f)

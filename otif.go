@@ -131,8 +131,9 @@ func PickFastestWithin(curve []Point, tol float64) (Point, error) {
 // Extract runs the pipeline under cfg over the chosen clip set and returns
 // the extracted tracks together with the simulated execution cost. The
 // tracks are indexed as the sealed segments ExportSegments writes, cut
-// every store.DefaultSealClips clips, so the set and its reload by
-// LoadTrackSets have one manifest and one code path. Clip
+// every store.DefaultSealClips clips and answered through a result cache,
+// so the set and its reload by LoadTrackSets have one manifest and one
+// code path. Clip
 // workers check ctx before starting each clip and the pool drains cleanly;
 // a canceled extraction returns a *PartialError wrapping ctx.Err() that
 // reports how many clips completed.
@@ -146,11 +147,11 @@ func (p *Pipeline) Extract(ctx context.Context, cfg Config, set SetName) (*Track
 		return nil, err
 	}
 	qctx := p.sys.Ctx()
-	sh, err := store.NewSharded(p.sys.DS.Name, qctx, store.SplitSegments(res.PerClip, qctx, store.DefaultSealClips), nil)
+	sh, err := store.NewSharded(p.sys.DS.Name, qctx, store.SplitSegments(res.PerClip, qctx, store.DefaultSealClips), store.NewCache())
 	if err != nil {
 		return nil, err
 	}
-	return &TrackSet{Querier: sh, Runtime: res.Runtime, Dataset: p.sys.DS.Name}, nil
+	return &TrackSet{Querier: sh, Runtime: res.Runtime}, nil
 }
 
 // Accuracy scores a TrackSet extracted from the given set against ground

@@ -36,7 +36,7 @@ func (p *Pipeline) LoadModels(r io.Reader) error {
 // segment files an older, longer export left in dir past this one's last
 // are removed once it has written its own. It returns the written paths in segment order.
 func (ts *TrackSet) ExportSegments(dir string) ([]string, error) {
-	return store.ExportSegments(dir, ts.Dataset, ts.Context(), ts.perClip(), store.DefaultSealClips)
+	return store.ExportSegments(dir, ts.Manifest().Dataset, ts.Context(), ts.perClip(), store.DefaultSealClips)
 }
 
 // LoadTrackSets loads the segment files in dir written by ExportSegments
@@ -56,7 +56,7 @@ func LoadTrackSets(dir string) (map[string]*TrackSet, error) {
 	}
 	sets := make(map[string]*TrackSet, len(shards))
 	for name, sh := range shards {
-		sets[name] = &TrackSet{Querier: sh, Dataset: name}
+		sets[name] = &TrackSet{Querier: sh}
 	}
 	return sets, nil
 }

@@ -99,7 +99,7 @@ func TestTrackSetPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sets["caldot1"]
-	if len(sets) != 1 || got == nil || got.Dataset != "caldot1" {
+	if len(sets) != 1 || got == nil || got.Manifest().Dataset != "caldot1" {
 		t.Fatalf("LoadTrackSets = %v, want one set named caldot1 from the header", sets)
 	}
 	a, b := ts.CountTracks(""), got.CountTracks("")
@@ -198,17 +198,38 @@ func TestTrackSetRoundTripsAnswerEveryKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reread := sets[ts.Dataset]
+	name := ts.Manifest().Dataset
+	reread := sets[name]
 	if len(sets) != 1 || reread == nil {
-		t.Fatalf("LoadTrackSets found datasets %v, want only %q", sets, ts.Dataset)
+		t.Fatalf("LoadTrackSets found datasets %v, want only %q", sets, name)
 	}
-	if reread.Dataset != ts.Dataset || reread.Context() != ts.Context() {
-		t.Errorf("reread header = %q %+v, want %q %+v", reread.Dataset, reread.Context(), ts.Dataset, ts.Context())
+	if reread.Context() != ts.Context() {
+		t.Errorf("reread context = %+v, want %+v", reread.Context(), ts.Context())
 	}
 	if got, want := reread.Manifest(), ts.Manifest(); !reflect.DeepEqual(got, want) {
 		t.Errorf("reread manifest = %+v, extracted set's = %+v", got, want)
 	}
 	check("segment files", reread.Querier)
+}
+
+// TestExtractedSetCaches: an extracted set answers a repeated query from
+// its result cache, as its reload by LoadTrackSets does. Counts are not
+// cached, so the query repeated is AvgVisible.
+func TestExtractedSetCaches(t *testing.T) {
+	pipe, curve := pipeline(t)
+	ts, err := pipe.Extract(context.Background(), curve[0].Cfg, otif.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := otif.Metrics().Counter("store.cache.hits")
+	want := ts.AvgVisible("car")
+	before := hits.Value()
+	if got := ts.AvgVisible("car"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the repeated query answered %v, the first %v", got, want)
+	}
+	if hits.Value() == before {
+		t.Error("a repeated query on an extracted set did not hit the result cache")
+	}
 }
 
 func TestSaveModelsBeforeTrainErrors(t *testing.T) {

@@ -7,22 +7,20 @@ import (
 )
 
 // TrackSet is the output of one extraction pass: an indexed store of the
-// per-clip object tracks plus a header (simulated cost, dataset name). All
+// per-clip object tracks plus its simulated cost. All
 // subsequent queries are answered from the stored tracks — no video
 // decoding or model inference. The nine query kinds, Clips, Tracks(clip),
 // VisibleBoxes, Context and Manifest are the embedded store.Querier's own
 // methods. It has one shape, a *store.Sharded of segments, whether the set
 // was extracted, loaded by LoadTrackSets or is an ingest session's live
-// snapshot; an extracted set and its reload have the same segments. Each
+// snapshot; an extracted set and its reload have the same segments. The
+// dataset the tracks were extracted from is Manifest().Dataset. Each
 // query answers bit-identically to a linear scan and is safe for
 // concurrent queries.
 type TrackSet struct {
 	store.Querier
 	// Runtime is the simulated extraction cost in seconds.
 	Runtime float64
-	// Dataset is the name of the dataset the tracks were extracted from
-	// (stored in every segment header).
-	Dataset string
 }
 
 // Track is one stored object track.
