@@ -7,7 +7,7 @@
 //	GET  /healthz               liveness
 //	GET  /readyz                readiness (503 until train+tune finish)
 //	GET  /jobs                  job records (JSON)
-//	POST /jobs                  submit {"kind":"tune"|"extract"|"stream","params":{...}}
+//	POST /jobs                  submit {"kind":"extract"|"stream","params":{...}}
 //	GET  /jobs/{id}             one job record
 //	GET  /jobs/{id}/events      live job progress (SSE)
 //	POST /jobs/{id}/cancel      cooperative cancellation
@@ -20,8 +20,11 @@
 //	GET  /v1/debug/trace        flight-recorder spans (Chrome trace-event JSON)
 //	GET  /v1/debug/slow         slowest query requests with span subtrees
 //	GET  /v1/debug/bundle       one-shot tar.gz post-mortem artifact
-//	     /v1/debug/pprof/*      CPU/heap/goroutine profiling
-//	     /debug/pprof/*         the same, where go tool pprof expects it
+//	     /debug/pprof/*         CPU/heap/goroutine profiling, where go tool pprof expects it
+//
+// A query or job parameter the route or job kind does not take, one given
+// twice, a value out of its bounds and a JSON body field the route does
+// not know all answer 400: nothing a client sends is ignored.
 //
 // The flight recorder is always on: a ring of the newest 16384 spans
 // overwrites oldest-first, so the daemon always holds its most recent

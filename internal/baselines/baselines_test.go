@@ -276,16 +276,23 @@ func TestOTIFFramesReusesTracks(t *testing.T) {
 }
 
 // TestOTIFFramesAnySeparation: a separation longer than any clip, +Inf
-// included, asks for at most one frame per clip. Converted with a bare
-// int(), +Inf seconds became math.MinInt64 frames, which is no separation.
+// included, asks every frame-level method for at most one frame per clip.
+// Converted with a bare int(), +Inf seconds became math.MinInt64 frames,
+// which is no separation.
 func TestOTIFFramesAnySeparation(t *testing.T) {
 	sys, _ := trainedSystem(t)
 	of := NewOTIFFrames(sys.RunSet(sys.Best, sys.DS.Test))
-	for _, sep := range []float64{math.Inf(1), 1e300} {
-		q := FrameQuery{Name: "count", Category: "car", Pred: query.CountPredicate{N: 1}, Limit: 10, MinSepSec: sep}
-		res := of.RunFrameQuery(sys, q, sys.DS.Test)
-		if res.Returned == 0 || res.Returned > len(sys.DS.Test) {
-			t.Errorf("MinSepSec %v: %d frames over %d clips, want 1 to %d", sep, res.Returned, len(sys.DS.Test), len(sys.DS.Test))
+	methods := map[string]func(FrameQuery) FrameLevelResult{
+		"OTIF":    func(q FrameQuery) FrameLevelResult { return of.RunFrameQuery(sys, q, sys.DS.Test) },
+		"BlazeIt": func(q FrameQuery) FrameLevelResult { return NewBlazeIt().RunFrameQuery(sys, q, sys.DS.Test) },
+		"TASTI":   func(q FrameQuery) FrameLevelResult { return NewTASTI().RunFrameQuery(sys, q, sys.DS.Test, nil, 0) },
+	}
+	for name, run := range methods {
+		for _, sep := range []float64{math.Inf(1), 1e300} {
+			q := FrameQuery{Name: "count", Category: "car", Pred: query.CountPredicate{N: 1}, Limit: 10, MinSepSec: sep}
+			if res := run(q); res.Returned == 0 || res.Returned > len(sys.DS.Test) {
+				t.Errorf("%s, MinSepSec %v: %d frames over %d clips, want 1 to %d", name, sep, res.Returned, len(sys.DS.Test), len(sys.DS.Test))
+			}
 		}
 	}
 }

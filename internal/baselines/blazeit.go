@@ -55,7 +55,7 @@ func (b *BlazeIt) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset
 	acctQ := costmodel.NewAccountant()
 	apps := 0
 	check := detectorCheck(sys.Detector(sys.Best, acctQ), clips, q, &apps)
-	outputs := selectSeparated(ranked(frames), q.Limit, int(q.MinSepSec*float64(sys.DS.Cfg.FPS)), check)
+	outputs := selectSeparated(ranked(frames), q.Limit, sys.Ctx().SepFrames(q.MinSepSec), check)
 
 	return FrameLevelResult{
 		PreprocessTime: acctPre.Total(),

@@ -55,8 +55,8 @@ func (t *TASTI) Embeddings(sys *core.System, clips []*dataset.ClipTruth) ([][]nn
 }
 
 // RunFrameQuery executes one frame-level limit query given precomputed
-// embeddings (pass nil to compute them here; Table 3 reuses one embedding
-// pass across the five-query estimate).
+// embeddings and the time they cost (pass nil, 0 to compute them here, as
+// Table 3 does for each query).
 func (t *TASTI) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset.ClipTruth,
 	embeddings [][]nn.Vec, preprocessTime float64) FrameLevelResult {
 	if embeddings == nil {
@@ -106,7 +106,7 @@ func (t *TASTI) RunFrameQuery(sys *core.System, q FrameQuery, clips []*dataset.C
 			frames = append(frames, scored{frameRef{ci, f}, scorer.Predict(emb)})
 		}
 	}
-	outputs := selectSeparated(ranked(frames), q.Limit, int(q.MinSepSec*float64(sys.DS.Cfg.FPS)), check)
+	outputs := selectSeparated(ranked(frames), q.Limit, sys.Ctx().SepFrames(q.MinSepSec), check)
 
 	return FrameLevelResult{
 		PreprocessTime: preprocessTime,

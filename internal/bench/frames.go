@@ -124,10 +124,12 @@ func (s *Suite) Table3(w io.Writer, datasets []string) (*Table3Result, error) {
 		q := buildFrameQuery(t, pair.kind)
 		clips := t.Sys.DS.Test
 
-		// OTIF: answer from the tracks of the configuration Table 2 selects —
-		// the fastest test-curve point within the accuracy band (§4.2 uses
-		// "the same configurations as the ones from Table 2"), extracted
-		// once, when the curve was evaluated on the test set.
+		// OTIF: answer from the tracks of the fastest test-curve point
+		// within Table2Tol of OTIF's own best accuracy, kept when the curve
+		// was evaluated on the test set. §4.2 uses "the same configurations
+		// as the ones from Table 2", but Table 2's floor is the best accuracy
+		// of every method, so the two differ wherever a baseline is more
+		// accurate (on amsterdam Table 2 has no OTIF point at all).
 		curve, err := s.testPointsOTIF(pair.ds)
 		if err != nil {
 			return pairResult{err: err}

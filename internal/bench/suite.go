@@ -112,9 +112,11 @@ type MethodCurve struct {
 // otifTest is a dataset's OTIF curve evaluated on the test set.
 type otifTest struct {
 	Points []tuner.Point
-	// Pick is the test-set run of the point Tables 2 and 3 select,
-	// tuner.FastestWithin(Points, Table2Tol): Table 3 pre-processes with
-	// its tracks and runtime. Nil when the curve is empty.
+	// Pick is the test-set run of tuner.FastestWithin(Points, Table2Tol),
+	// the fastest point within Table2Tol of OTIF's own best accuracy:
+	// Table 3 pre-processes with its tracks and runtime. It is not Table
+	// 2's pick, whose floor is the best accuracy of every method
+	// (FastestWithinTol). Nil when the curve is empty.
 	Pick *core.SetResult
 }
 

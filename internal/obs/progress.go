@@ -34,19 +34,20 @@ const (
 )
 
 // Event is one structured progress notification. Only the fields
-// documented on the event's kind are meaningful; the rest are zero.
+// documented on the event's kind are meaningful; the rest are zero, and
+// its JSON form (a job's event stream in otifd) omits them.
 type Event struct {
-	Kind      EventKind
-	Iteration int
-	Index     int
-	Total     int
+	Kind      EventKind `json:"kind"`
+	Iteration int       `json:"iteration,omitempty"`
+	Index     int       `json:"index,omitempty"`
+	Total     int       `json:"total,omitempty"`
 	// Config is the candidate configuration's string form.
-	Config string
+	Config string `json:"config,omitempty"`
 	// Runtime and Accuracy are simulated seconds and metric accuracy.
-	Runtime  float64
-	Accuracy float64
+	Runtime  float64 `json:"runtime,omitempty"`
+	Accuracy float64 `json:"accuracy,omitempty"`
 	// CacheHitRate is the frame cache hit rate in [0, 1].
-	CacheHitRate float64
+	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
 }
 
 // Emit calls p with e when p is non-nil.

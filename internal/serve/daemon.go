@@ -34,8 +34,10 @@ type Config struct {
 	Flags func() map[string]string
 }
 
-// Daemon is otifd's state: the pipeline behind the tune, extract and
-// stream jobs, and the dataset registry /v1/query/* answers from.
+// Daemon is otifd's state: the pipeline behind the extract and stream
+// jobs, and the dataset registry /v1/query/* answers from. Nothing changes
+// the trained and tuned pipeline after Start, so extract jobs pick from the
+// curve Start tuned.
 //
 // One rule decides which tracks answer the default dataset: the last
 // publication. A source publishes by replacing the dataset's registry
@@ -53,11 +55,9 @@ type Daemon struct {
 	// pipe is nil until Start has trained and tuned: jobs fail and
 	// /readyz answers 503 until then.
 	pipe atomic.Pointer[otif.Pipeline]
-	// mu serializes tune and extract (they share trained state) and
-	// guards curve; relay routes the pipeline's progress events to the
-	// job holding mu.
+	// mu serializes extract jobs, so that relay routes the pipeline's
+	// progress events to the one job holding mu.
 	mu    sync.Mutex
-	curve []otif.Point
 	relay atomic.Pointer[obs.Progress]
 
 	// session is the running stream job's ingest session, for /v1/streams
@@ -86,7 +86,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 			logInfo("otifd: segments loaded", "dataset", name, "clips", ts.Clips())
 		}
 	}
-	d.jobs.Register("tune", d.runTune)
 	d.jobs.Register("extract", d.runExtract)
 	d.jobs.Register("stream", d.runStream)
 	d.srv = &Server{
@@ -115,13 +114,9 @@ func (d *Daemon) Start(ctx context.Context) error {
 		return err
 	}
 	pipe.Train()
-	curve, err := pipe.Tune(ctx)
-	if err != nil {
+	if _, err := pipe.Tune(ctx); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	d.curve = curve
-	d.mu.Unlock()
 	d.pipe.Store(pipe)
 	logInfo("otifd: ready", "dataset", d.cfg.Dataset, "startup", time.Since(start).Round(time.Millisecond).String())
 	return nil
@@ -208,8 +203,8 @@ func (d *Daemon) relayProgress(e obs.Event) {
 
 var errNotReady = errors.New("otifd: pipeline not ready (training or tuning still running)")
 
-// acquire locks the pipeline for one tune or extract job and routes its
-// progress events to that job.
+// acquire locks the pipeline for one extract job and routes its progress
+// events to that job.
 func (d *Daemon) acquire(progress obs.Progress) (pipe *otif.Pipeline, release func(), err error) {
 	if pipe = d.pipe.Load(); pipe == nil {
 		return nil, nil, errNotReady
@@ -222,31 +217,12 @@ func (d *Daemon) acquire(progress obs.Progress) (pipe *otif.Pipeline, release fu
 	}, nil
 }
 
-// runTune re-runs the greedy joint tuner and replaces the speed-accuracy
-// curve extract jobs pick from. It takes no parameters.
-func (d *Daemon) runTune(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
-	if err := paramsOf(job).check(); err != nil {
-		return nil, err
-	}
-	pipe, release, err := d.acquire(progress)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	curve, err := pipe.Tune(ctx)
-	if err != nil {
-		return nil, err
-	}
-	d.curve = curve
-	return map[string]any{"points": len(curve)}, nil
-}
-
 // runExtract extracts one clip set under the configuration picked from
-// the current curve and publishes the tracks. Params: "set" (train, val or
-// test; default test) and "tolerance" (accuracy tolerance for the pick,
-// 0 to 1, default 0.05).
+// the curve Start tuned and publishes the tracks. Params: "set" (train,
+// val or test; default test) and "tolerance" (accuracy tolerance for the
+// pick, 0 to 1, default 0.05).
 func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
-	p := paramsOf(job)
+	p := jobParams(job)
 	set := otif.Test
 	if s, ok := p.get("set"); ok {
 		set = otif.SetName(s)
@@ -260,7 +236,7 @@ func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress
 		return nil, err
 	}
 	defer release()
-	pick, err := otif.PickFastestWithin(d.curve, tol)
+	pick, err := otif.PickFastestWithin(pipe.Curve(), tol)
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +260,7 @@ func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress
 
 // runStream runs one streaming ingest session until its cameras are
 // exhausted or the job is canceled. It does not hold mu: ingest only reads
-// trained state, so tune and extract jobs run beside it. One progress event
+// trained state, so extract jobs run beside it. One progress event
 // per published clip flows to the job's event stream; the first publishes
 // the session's live store. Params: "cameras" (1 to 64, default 1),
 // "clips" (per camera, 0 = unbounded), "interval" (Go duration, 0 or
@@ -292,7 +268,7 @@ func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress
 // when the queue is full), "seconds" (clip duration up to 600, 0 = dataset
 // default).
 func (d *Daemon) runStream(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
-	p := paramsOf(job)
+	p := jobParams(job)
 	opts := otif.IngestOptions{
 		Cameras:        num(p, "cameras", 1, 1, maxStreamCameras, strconv.Atoi),
 		ClipsPerCamera: num(p, "clips", 0, 0, math.MaxInt, strconv.Atoi),

@@ -198,7 +198,7 @@ func TestJobsBeforeReadyFail(t *testing.T) {
 	if code, _ := d.get("/readyz"); code != http.StatusServiceUnavailable {
 		t.Errorf("/readyz = %d before ready, want 503", code)
 	}
-	for _, kind := range []string{"tune", "extract", "stream"} {
+	for _, kind := range []string{"extract", "stream"} {
 		v := d.run(kind, nil, JobFailed)
 		if v.Error != errNotReady.Error() {
 			t.Errorf("%s before ready: error %q, want %q", kind, v.Error, errNotReady)
@@ -252,10 +252,11 @@ func TestStartFailures(t *testing.T) {
 	}
 }
 
-// TestExtractAndTuneJobs runs the two pipeline jobs on a ready daemon: a
-// finished extract job publishes its tracks to /v1/query/*, and the routes
-// it touched show up in /metrics.
-func TestExtractAndTuneJobs(t *testing.T) {
+// TestExtractJobs runs extract jobs on a ready daemon: a finished one
+// relays its clips' progress and publishes its tracks to /v1/query/*, a
+// bad parameter fails one, and the routes they touched show up in
+// /metrics.
+func TestExtractJobs(t *testing.T) {
 	d := readyTestDaemon(t, testConfig())
 	if body := d.ok("/readyz"); !bytes.Contains(body, []byte("ready")) {
 		t.Errorf("/readyz = %s", body)
@@ -268,6 +269,10 @@ func TestExtractAndTuneJobs(t *testing.T) {
 	res, _ := v.Result.(map[string]any)
 	if res["set"] != "test" || res["clips"] != 2 || res["config"] == "" {
 		t.Errorf("extract result = %+v", v.Result)
+	}
+	// Running, one clip event per clip, done.
+	if v.Events != 4 {
+		t.Errorf("extract job has %d events, want 4: it relayed no progress events", v.Events)
 	}
 	got := d.count()
 	if len(got.PerClip) != 2 {
@@ -292,13 +297,19 @@ func TestExtractAndTuneJobs(t *testing.T) {
 	if v := d.run("extract", map[string]string{"set": "nope"}, JobFailed); !strings.Contains(v.Error, "unknown set") {
 		t.Errorf("bad set: error %q", v.Error)
 	}
-
-	v = d.run("tune", nil, JobDone)
-	if res, _ := v.Result.(map[string]any); res["points"] != len(d.curve) || len(d.curve) == 0 {
-		t.Errorf("tune result = %+v with a curve of %d points", v.Result, len(d.curve))
+	// A misspelled field of the body is refused, not ignored: this one
+	// would have extracted the test set on defaults.
+	if code, body := d.do("POST", "/jobs", `{"kind":"extract","parms":{"set":"val"}}`); code != http.StatusBadRequest || !bytes.Contains(body, []byte("parms")) {
+		t.Errorf(`POST /jobs with "parms" = %d %s, want 400 naming the field`, code, body)
 	}
-	if v.Events == 0 {
-		t.Error("tune job relayed no progress events")
+	// Nor is a repeated one half read.
+	if code, body := d.do("POST", "/jobs", `{"kind":"extract","params":{"tolerance":"NaN","tolerance":"0.1"}}`); code != http.StatusBadRequest || !bytes.Contains(body, []byte("tolerance")) {
+		t.Errorf("POST /jobs with tolerance twice = %d %s, want 400 naming it", code, body)
+	}
+	// Nothing changes the tuned curve after Start, so there is no job that
+	// recomputes it.
+	if code, body := d.do("POST", "/jobs", `{"kind":"tune"}`); code != http.StatusBadRequest || !bytes.Contains(body, []byte("unknown job kind")) {
+		t.Errorf("POST /jobs tune = %d %s, want 400 unknown job kind", code, body)
 	}
 
 	metrics := string(d.ok("/metrics"))
@@ -550,7 +561,7 @@ func TestHostileJobParams(t *testing.T) {
 		{"extract", "tolerance", "1.5"},
 		{"extract", "tolerance", "+Inf"},
 		{"extract", "sets", "val"},
-		{"tune", "iterations", "3"},
+		{"extract", "iterations", "3"},
 	} {
 		v := d.run(c.kind, map[string]string{c.key: c.value}, JobFailed)
 		if !strings.Contains(v.Error, c.key) {
@@ -620,7 +631,7 @@ func TestStreamJobAndClose(t *testing.T) {
 	}
 	d.submit("stream", map[string]string{"cameras": "2", "interval": "10ms", "queue": "1", "drop": "false"})
 	eventually(t, "two streamed clips", func() bool { return d.clipsServed() >= 2 })
-	d.submit("tune", nil)
+	d.submit("extract", nil)
 
 	closed := make(chan struct{})
 	go func() {
@@ -637,7 +648,7 @@ func TestStreamJobAndClose(t *testing.T) {
 			t.Errorf("job %s is %q after Close", v.ID, v.State)
 		}
 	}
-	if _, err := d.jobs.Submit("tune", nil); err == nil {
+	if _, err := d.jobs.Submit("extract", nil); err == nil {
 		t.Error("Submit after Close succeeded")
 	}
 	// What was published is still served.

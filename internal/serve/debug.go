@@ -113,12 +113,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		addJSON("config.json", s.Config())
 	}
 	if s.Streams != nil {
-		st, ok := s.Streams()
-		if ok {
-			addJSON("streams.json", map[string]any{"streaming": true, "stats": st})
-		} else {
-			addJSON("streams.json", map[string]any{"streaming": false})
-		}
+		addJSON("streams.json", s.streamStatus())
 	}
 
 	if err := tw.Close(); err == nil {

@@ -12,15 +12,14 @@ import (
 	"otif/internal/obs"
 )
 
-// The job manager runs long pipeline operations (tune, extract) in the
+// The job manager runs long pipeline operations (extract, stream) in the
 // background on behalf of HTTP clients. Each job owns a bounded ring
 // buffer of structured events — its state transitions plus every
 // obs.Progress event the operation emits — that late subscribers replay
 // and live subscribers stream over SSE. Cancellation goes through the
 // job's context, so it lands exactly where the pipeline's cooperative
-// cancellation does: clip boundaries for extraction, iteration
-// boundaries for tuning, with a *core.PartialError recording how far the
-// work got.
+// cancellation does: clip boundaries for extraction, with a
+// *core.PartialError recording how far the work got.
 
 // JobState is one node of the job lifecycle state machine:
 //
@@ -44,26 +43,20 @@ func (s JobState) Terminal() bool {
 }
 
 // JobEvent is one entry of a job's event stream: either a lifecycle
-// transition (Kind "state") or a pipeline progress event (Kind is the
-// obs event kind: "tune.iter", "tune.candidate", "clip", "cache",
-// "ingest.clip"). Seq
-// numbers are per-job, contiguous from 1; a gap at an SSE client means
-// the bounded ring evicted events faster than the client read them.
+// transition (Kind "state", with State and, on failure, Error) or a
+// pipeline progress event as the pipeline emitted it ("clip" from an
+// extract job, "ingest.clip" from a stream job). Seq numbers are per-job,
+// contiguous from 1; a gap at an SSE client means the bounded ring evicted
+// events faster than the client read them.
 type JobEvent struct {
-	Seq   int64    `json:"seq"`
-	Kind  string   `json:"kind"`
+	Seq int64 `json:"seq"`
+	obs.Event
 	State JobState `json:"state,omitempty"`
-
-	Iteration    int     `json:"iteration,omitempty"`
-	Index        int     `json:"index,omitempty"`
-	Total        int     `json:"total,omitempty"`
-	Config       string  `json:"config,omitempty"`
-	Runtime      float64 `json:"runtime,omitempty"`
-	Accuracy     float64 `json:"accuracy,omitempty"`
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-
-	Error string `json:"error,omitempty"`
+	Error string   `json:"error,omitempty"`
 }
+
+// eventState is the kind of a job's lifecycle events.
+const eventState obs.EventKind = "state"
 
 // PartialInfo mirrors core.PartialError for job records: how many units
 // (clips or iterations) a canceled or failed operation completed.
@@ -214,25 +207,14 @@ func (j *Job) transition(state JobState, errMsg string) {
 		j.errMsg = errMsg
 	}
 	j.mu.Unlock()
-	j.publish(JobEvent{Kind: "state", State: state, Error: errMsg})
+	j.publish(JobEvent{Event: obs.Event{Kind: eventState}, State: state, Error: errMsg})
 	logInfo("otifd: job state", "job", j.id, "kind", j.kind, "state", string(state), "error", errMsg)
 }
 
-// progress adapts obs.Progress events into the job's event stream. It is
+// progress publishes obs.Progress events to the job's event stream. It is
 // installed for the duration of the job's pipeline operation; events
 // arrive concurrently from clip workers, and publish serializes them.
-func (j *Job) progress(e obs.Event) {
-	j.publish(JobEvent{
-		Kind:         string(e.Kind),
-		Iteration:    e.Iteration,
-		Index:        e.Index,
-		Total:        e.Total,
-		Config:       e.Config,
-		Runtime:      e.Runtime,
-		Accuracy:     e.Accuracy,
-		CacheHitRate: e.CacheHitRate,
-	})
-}
+func (j *Job) progress(e obs.Event) { j.publish(JobEvent{Event: e}) }
 
 // Runner executes one job kind. It receives a context canceled by
 // POST /jobs/{id}/cancel (and by manager shutdown), and a progress
@@ -249,9 +231,9 @@ type Runner func(ctx context.Context, job *Job, progress obs.Progress) (any, err
 const retainedJobs = 64
 
 // jobEvents is how many events each job's ring retains for late
-// subscribers, and the depth of a subscriber's channel: a tune job emits
-// a few dozen, a stream job one per clip, so a reader that falls further
-// behind sees a gap in Seq rather than holding the daemon's memory.
+// subscribers, and the depth of a subscriber's channel: an extract or
+// stream job emits one per clip, so a reader that falls further behind
+// sees a gap in Seq rather than holding the daemon's memory.
 const jobEvents = 256
 
 // Manager owns job submission, lookup and cancellation.
@@ -278,7 +260,7 @@ func NewManager() *Manager {
 	}
 }
 
-// Register installs the runner for a job kind (e.g. "tune", "extract").
+// Register installs the runner for a job kind (e.g. "extract", "stream").
 func (m *Manager) Register(kind string, r Runner) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

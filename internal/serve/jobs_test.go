@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -328,6 +330,65 @@ func TestHTTPJobSubmitBodyTooLarge(t *testing.T) {
 	}
 	if jobs := m.List(); len(jobs) != 0 {
 		t.Errorf("an oversized submit created %d jobs", len(jobs))
+	}
+}
+
+// TestJobEventKeys pins the JSON keys of /jobs/{id}/events frames: a
+// state frame and one frame of each progress kind, every field its kind
+// documents set, decode to the keys they had when JobEvent copied
+// obs.Event field by field.
+func TestJobEventKeys(t *testing.T) {
+	m := NewManager()
+	defer m.Close()
+	m.Register("all", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+		for _, e := range []obs.Event{
+			{Kind: obs.EventTuneIter, Iteration: 1, Total: 3},
+			{Kind: obs.EventCandidate, Iteration: 1, Index: 2, Config: "c", Runtime: 1.5, Accuracy: 0.5},
+			{Kind: obs.EventClip, Index: 1, Total: 2, Runtime: 0.25},
+			{Kind: obs.EventCacheSnapshot, CacheHitRate: 0.75},
+			{Kind: obs.EventIngestClip, Index: 3, Config: "cam0", Runtime: 0.5},
+		} {
+			progress(e)
+		}
+		return nil, errors.New("boom")
+	})
+	srv := newTestServer(t, m, nil)
+	j, _ := m.Submit("all", nil)
+	waitState(t, j, JobFailed)
+	resp, err := http.Get(srv.URL + "/jobs/" + j.ID() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var frame map[string]any
+		if err := json.Unmarshal([]byte(data), &frame); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(frame))
+		for k := range frame {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		got = append(got, fmt.Sprintf("%v %v", frame["kind"], keys))
+	}
+	want := []string{
+		"state [kind seq state]",
+		"tune.iter [iteration kind seq total]",
+		"tune.candidate [accuracy config index iteration kind runtime seq]",
+		"clip [index kind runtime seq total]",
+		"cache [cache_hit_rate kind seq]",
+		"ingest.clip [config index kind runtime seq]",
+		"state [error kind seq state]",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("event frames:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -19,32 +20,46 @@ const (
 	maxClipSeconds = 600
 )
 
-// jobParams reads one job's parameters against their bounds. The first
-// failure sticks, so a runner reads every parameter and calls check once.
-// An absent or empty parameter takes its default.
-type jobParams struct {
-	kind string
-	m    map[string]string
+// params reads the parameters of one job or one query request against
+// their bounds; it is the only reader of either. The first failure sticks,
+// so a reader reads every parameter it takes and calls check once. An
+// absent or empty parameter takes its default.
+type params struct {
+	what string // "extract job", "limit query", … for error messages
+	v    url.Values
 	read []string
 	err  error
 }
 
-func paramsOf(job *Job) *jobParams { return &jobParams{kind: job.kind, m: job.params} }
+// jobParams reads a job's parameters.
+func jobParams(job *Job) *params {
+	v := make(url.Values, len(job.params))
+	for k, s := range job.params {
+		v[k] = []string{s}
+	}
+	return &params{what: job.kind + " job", v: v}
+}
 
 // get returns the parameter's text, and false when it is unset or an
 // earlier parameter has already failed.
-func (p *jobParams) get(key string) (string, bool) {
+func (p *params) get(key string) (string, bool) {
 	p.read = append(p.read, key)
-	s := p.m[key]
+	s := p.v.Get(key)
 	return s, s != "" && p.err == nil
 }
 
-func (p *jobParams) fail(key, s string, why any) {
+// str reads a parameter that any text is valid for.
+func (p *params) str(key string) string {
+	s, _ := p.get(key)
+	return s
+}
+
+func (p *params) fail(key, s string, why any) {
 	p.err = fmt.Errorf("otifd: bad %s %q: %v", key, s, why)
 }
 
 // num reads a number in [lo, hi]; a NaN fails both comparisons.
-func num[T int | float64 | time.Duration](p *jobParams, key string, def, lo, hi T, parse func(string) (T, error)) T {
+func num[T int | float64 | time.Duration](p *params, key string, def, lo, hi T, parse func(string) (T, error)) T {
 	s, ok := p.get(key)
 	if !ok {
 		return def
@@ -61,7 +76,7 @@ func num[T int | float64 | time.Duration](p *jobParams, key string, def, lo, hi 
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
-func (p *jobParams) bool(key string) bool {
+func (p *params) bool(key string) bool {
 	s, ok := p.get(key)
 	if !ok {
 		return false
@@ -74,20 +89,28 @@ func (p *jobParams) bool(key string) bool {
 }
 
 // check returns the first failure, or else an error naming the parameters
-// the job kind does not read: a misspelled key must not be ignored.
-func (p *jobParams) check() error {
+// that were not read or were given more than once: a misspelled key must
+// not be ignored, and a repeated one must not be half read.
+func (p *params) check() error {
 	if p.err != nil {
 		return p.err
 	}
-	var unknown []string
-	for k := range p.m {
-		if !slices.Contains(p.read, k) {
+	var unknown, twice []string
+	for k, vs := range p.v {
+		switch {
+		case !slices.Contains(p.read, k):
 			unknown = append(unknown, k)
+		case len(vs) > 1:
+			twice = append(twice, k)
 		}
 	}
-	if len(unknown) > 0 {
+	switch {
+	case len(unknown) > 0:
 		sort.Strings(unknown)
-		return fmt.Errorf("otifd: unknown %s job parameter %q", p.kind, unknown)
+		return fmt.Errorf("otifd: unknown %s parameter %q", p.what, unknown)
+	case len(twice) > 0:
+		sort.Strings(twice)
+		return fmt.Errorf("otifd: %s parameter %q given more than once", p.what, twice)
 	}
 	return nil
 }

@@ -61,7 +61,7 @@ func TestScrapeRacesWithExtractionJob(t *testing.T) {
 // bit-identical runtimes and track counts.
 func TestExtractionBitIdenticalWithServingEnabled(t *testing.T) {
 	d := readyTestDaemon(t, testConfig())
-	pick, err := otif.PickFastestWithin(d.curve, 0.05)
+	pick, err := otif.PickFastestWithin(d.pipe.Load().Curve(), 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package serve is OTIF's live exposition layer: it renders the
 // observability registry (internal/obs) in Prometheus text exposition
-// format, runs background tune/extract jobs whose progress events stream
-// over SSE, and wires both — plus health, readiness and pprof —
+// format, runs background extract and stream jobs whose progress events
+// stream over SSE, and wires both — plus health, readiness and pprof —
 // onto a stdlib net/http mux served by cmd/otifd.
 //
 // Everything here is read-only with respect to pipeline results: the

@@ -23,9 +23,11 @@ import (
 //
 // Every query endpoint accepts a ?dataset= selector resolved against
 // Datasets; the empty selector means the registry's default dataset, so
-// single-dataset deployments need no selector. The selector is read from
-// the URL query string only — never the body — so POST bodies pass
-// through untouched.
+// single-dataset deployments need no selector. Parameters are read from
+// the URL query string only — never the body — through the one reader
+// (params), which answers 400 for a value out of bounds, a key the route
+// does not take, or a key given twice; the dwell body refuses unknown
+// fields too (decodeBody). An empty category means every category.
 //
 // Datasets supplies the named stores. A default dataset that is not yet
 // loaded answers 503; an explicitly named dataset that is not registered
@@ -41,23 +43,25 @@ func (q *QueryAPI) register(handle func(pattern string, h http.HandlerFunc)) {
 	handle("GET /v1/datasets", q.handleDatasets)
 	routes := []struct {
 		method, name string
-		h            http.HandlerFunc
+		h            queryHandler
 	}{
-		{"GET", "count", q.withStore(q.handleCount)},
-		{"GET", "breakdown", q.withStore(q.handleBreakdown)},
-		{"GET", "limit", q.withStore(q.handleLimit)},
-		{"POST", "dwell", q.withStore(q.handleDwell)},
+		{"GET", "count", q.handleCount},
+		{"GET", "breakdown", q.handleBreakdown},
+		{"GET", "limit", q.handleLimit},
+		{"POST", "dwell", q.handleDwell},
 	}
 	for _, rt := range routes {
-		handle(rt.method+" /v1/query/"+rt.name, rt.h)
+		handle(rt.method+" /v1/query/"+rt.name, q.withStore(rt.name, rt.h))
 	}
 }
 
-// resolve maps the request's ?dataset= selector to a point-in-time store.
+// queryHandler answers one query route from a resolved store. It reads its
+// parameters from p and answers 400 when p.check fails (badParams).
+type queryHandler func(w http.ResponseWriter, r *http.Request, s store.Querier, p *params)
+
+// resolve maps the request's dataset selector to a point-in-time store.
 // The error, when non-nil, has already been written to w.
-func (q *QueryAPI) resolve(w http.ResponseWriter, r *http.Request) (store.Querier, bool) {
-	// URL query only: FormValue would consume a form-encoded POST body.
-	name := r.URL.Query().Get("dataset")
+func (q *QueryAPI) resolve(w http.ResponseWriter, name string) (store.Querier, bool) {
 	if q.Datasets == nil {
 		writeError(w, http.StatusServiceUnavailable, "no dataset registry configured")
 		return nil, false
@@ -79,14 +83,26 @@ func (q *QueryAPI) resolve(w http.ResponseWriter, r *http.Request) (store.Querie
 	return s, true
 }
 
-// withStore wraps a query handler with dataset resolution. Requests, errors
-// and latency are the route middleware's serve.route.v1_query_* series.
-func (q *QueryAPI) withStore(h func(w http.ResponseWriter, r *http.Request, s store.Querier)) http.HandlerFunc {
+// withStore wraps a query handler with its parameters and dataset
+// resolution. Requests, errors and latency are the route middleware's
+// serve.route.v1_query_* series.
+func (q *QueryAPI) withStore(route string, h queryHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s, ok := q.resolve(w, r); ok {
-			h(w, r, s)
+		// The URL's query string only, never a form-encoded POST body.
+		p := &params{what: route + " query", v: r.URL.Query()}
+		if s, ok := q.resolve(w, p.str("dataset")); ok {
+			h(w, r, s, p)
 		}
 	}
+}
+
+// badParams answers 400 and reports true when p holds a failure.
+func badParams(w http.ResponseWriter, p *params) bool {
+	err := p.check()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+	}
+	return err != nil
 }
 
 // datasetView is one row of the GET /v1/datasets response; a ready row
@@ -118,8 +134,11 @@ func (q *QueryAPI) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (q *QueryAPI) handleCount(w http.ResponseWriter, r *http.Request, s store.Querier) {
-	cat := r.FormValue("category")
+func (q *QueryAPI) handleCount(w http.ResponseWriter, r *http.Request, s store.Querier, p *params) {
+	cat := p.str("category")
+	if badParams(w, p) {
+		return
+	}
 	perClip := s.CountTracks(cat)
 	total := 0
 	for _, c := range perClip {
@@ -132,19 +151,20 @@ func (q *QueryAPI) handleCount(w http.ResponseWriter, r *http.Request, s store.Q
 	})
 }
 
-func (q *QueryAPI) handleBreakdown(w http.ResponseWriter, r *http.Request, s store.Querier) {
+func (q *QueryAPI) handleBreakdown(w http.ResponseWriter, r *http.Request, s store.Querier, p *params) {
+	cat := p.str("category")
+	// A distance: finite and 0 or more. NaN and Inf cannot be encoded as
+	// JSON, and a negative distance matches nothing.
+	maxDist := num(p, "maxdist", 0.22*float64(s.Context().NomW), 0, math.MaxFloat64, parseFloat)
+	if badParams(w, p) {
+		return
+	}
 	var movements []query.Movement
 	if q.Movements != nil {
 		movements = q.Movements()
 	}
 	if len(movements) == 0 {
 		writeError(w, http.StatusNotFound, "no movements available for this dataset")
-		return
-	}
-	cat := r.FormValue("category")
-	maxDist, err := nonNegParam(r, "maxdist", 0.22*float64(s.Context().NomW))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	perClip := s.PathBreakdown(cat, movements, maxDist)
@@ -168,14 +188,21 @@ type limitFrame struct {
 	Boxes    []geom.Rect `json:"boxes"`
 }
 
-func (q *QueryAPI) handleLimit(w http.ResponseWriter, r *http.Request, s store.Querier) {
-	cat := r.FormValue("category")
-	n, limit, minSep, err := limitParams(r, s.Context())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+// handleLimit bounds its parameters: n=0 would match every empty frame,
+// and a clip cannot return more frames than it has (a store without clip
+// geometry, Frames 0, still takes the smallest request). A separation in
+// seconds, finite and 0 or more, converts through query.Context.SepFrames.
+func (q *QueryAPI) handleLimit(w http.ResponseWriter, r *http.Request, s store.Querier, p *params) {
+	ctx := s.Context()
+	maxLimit := max(ctx.Frames, 1)
+	cat := p.str("category")
+	n := num(p, "n", 1, 1, math.MaxInt, strconv.Atoi)
+	limit := num(p, "limit", min(10, maxLimit), 1, maxLimit, strconv.Atoi)
+	minSep := num(p, "minsep", 0, 0, math.MaxFloat64, parseFloat)
+	if badParams(w, p) {
 		return
 	}
-	perClip := s.LimitQuery(cat, query.CountPredicate{N: n}, limit, minSep)
+	perClip := s.LimitQuery(cat, query.CountPredicate{N: n}, limit, ctx.SepFrames(minSep))
 	out := make([][]limitFrame, len(perClip))
 	for i, ms := range perClip {
 		out[i] = make([]limitFrame, len(ms))
@@ -190,35 +217,6 @@ func (q *QueryAPI) handleLimit(w http.ResponseWriter, r *http.Request, s store.Q
 	})
 }
 
-// limitParams reads the limit route's parameters and bounds them: n=0
-// would match every empty frame, limit=-1 silently returns nothing, and a
-// minsep that is not a finite number, 0 or more, is refused; an accepted
-// one converts to frames through query.Context.SepFrames.
-func limitParams(r *http.Request, ctx query.Context) (n, limit, minSep int, err error) {
-	// A clip cannot return more frames than it has; a store without clip
-	// geometry (Frames 0) still accepts the smallest request.
-	maxLimit := max(ctx.Frames, 1)
-	n, err = intParam(r, "n", 1)
-	if err == nil {
-		limit, err = intParam(r, "limit", min(10, maxLimit))
-	}
-	var sec float64
-	if err == nil {
-		sec, err = nonNegParam(r, "minsep", 0)
-	}
-	switch {
-	case err != nil:
-	case n < 1:
-		err = fmt.Errorf("n must be at least 1, got %d", n)
-	case limit < 1 || limit > maxLimit:
-		err = fmt.Errorf("limit must be between 1 and %d (the clip's frame count), got %d", maxLimit, limit)
-	}
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return n, limit, ctx.SepFrames(sec), nil
-}
-
 // maxRegionVertices bounds a dwell region: DwellTime tests the polygon,
 // linear in its vertices, once per track per frame, and a body of
 // maxBodyBytes holds tens of thousands of vertices.
@@ -231,7 +229,10 @@ type dwellRequest struct {
 	Region   [][2]float64 `json:"region"`
 }
 
-func (q *QueryAPI) handleDwell(w http.ResponseWriter, r *http.Request, s store.Querier) {
+func (q *QueryAPI) handleDwell(w http.ResponseWriter, r *http.Request, s store.Querier, p *params) {
+	if badParams(w, p) {
+		return
+	}
 	var req dwellRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -256,27 +257,4 @@ func (q *QueryAPI) handleDwell(w http.ResponseWriter, r *http.Request, s store.Q
 		"category": req.Category,
 		"per_clip": out,
 	})
-}
-
-func intParam(r *http.Request, name string, def int) (int, error) {
-	s := r.FormValue(name)
-	if s == "" {
-		return def, nil
-	}
-	return strconv.Atoi(s)
-}
-
-// nonNegParam reads a distance or a duration: finite and 0 or more. NaN and
-// Inf parse as floats, compare false with everything (or match everything)
-// and cannot be encoded as JSON; a negative value can match nothing.
-func nonNegParam(r *http.Request, name string, def float64) (float64, error) {
-	s := r.FormValue(name)
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0) || v < 0) {
-		err = fmt.Errorf("%s must be a finite number, 0 or more, got %v", name, v)
-	}
-	return v, err
 }

@@ -90,6 +90,10 @@ func TestQueryCount(t *testing.T) {
 			t.Errorf("clip %d: count %v, want %d", i, got[i], want[i])
 		}
 	}
+	// A misspelled category must not answer for every category.
+	if code, out := doQueryJSON(t, srv, "GET", "/v1/query/count?categroy=car", ""); code != 400 || out["error"] == nil {
+		t.Errorf("categroy=car: status = %d, want 400 with a message: %v", code, out)
+	}
 }
 
 func TestQueryBreakdown(t *testing.T) {
@@ -118,7 +122,7 @@ func TestQueryBreakdownNoMovements(t *testing.T) {
 // empty body); a negative distance matches nothing.
 func TestQueryBreakdownBadParam(t *testing.T) {
 	srv, _ := queryFixture()
-	for _, q := range []string{"maxdist=NaN", "maxdist=Inf", "maxdist=-Inf", "maxdist=-1", "maxdist=far"} {
+	for _, q := range []string{"maxdist=NaN", "maxdist=Inf", "maxdist=-Inf", "maxdist=-1", "maxdist=far", "maxdst=9"} {
 		code, out := doQueryJSON(t, srv, "GET", "/v1/query/breakdown?category=car&"+q, "")
 		if code != 400 || out["error"] == nil {
 			t.Errorf("%s: status = %d, want 400 with a message: %v", q, code, out)
@@ -163,6 +167,7 @@ func TestQueryLimitBadParam(t *testing.T) {
 		"n=two", "n=0", "n=-3",
 		"limit=0", "limit=-1", fmt.Sprintf("limit=%d", frames+1), "limit=1e3",
 		"minsep=-0.5", "minsep=NaN", "minsep=Inf", "minsep=-Inf", "minsep=soon",
+		"limt=5", "n=1&n=2",
 	} {
 		code, out := doQueryJSON(t, srv, "GET", "/v1/query/limit?category=car&"+q, "")
 		if code != 400 {
@@ -187,6 +192,44 @@ func TestQueryLimitBadParam(t *testing.T) {
 	if code, out := doQueryJSON(t, &Server{Queries: &QueryAPI{Datasets: bare}}, "GET", "/v1/query/limit", ""); code != 200 {
 		t.Errorf("defaults on a store without geometry: status = %d, want 200: %v", code, out)
 	}
+}
+
+// FuzzQueryParams sends raw query strings to the limit and breakdown
+// routes: each answers 200 with a JSON body, or 400 with an error, or 404
+// with an error when it names a dataset the fixture does not have; none
+// panics.
+func FuzzQueryParams(f *testing.F) {
+	for _, q := range []string{
+		"n=two", "n=0", "n=-3", "limit=0", "limit=-1", "limit=101", "limit=1e3",
+		"minsep=-0.5", "minsep=NaN", "minsep=Inf", "minsep=-Inf", "minsep=soon",
+		"n=1&limit=1", "limit=100", "minsep=0", "minsep=1e300",
+		"maxdist=NaN", "maxdist=Inf", "maxdist=-Inf", "maxdist=-1", "maxdist=far",
+		"maxdist=0", "maxdist=1e300",
+	} {
+		f.Add("category=car&" + q)
+	}
+	srv, _ := queryFixture()
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, raw string) {
+		for _, route := range []string{"/v1/query/limit", "/v1/query/breakdown"} {
+			req := httptest.NewRequest("GET", route, nil)
+			req.URL.RawQuery = raw
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var out map[string]any
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatalf("%s?%s: %d, non-JSON body %q", route, raw, rec.Code, rec.Body)
+			}
+			ds := req.URL.Query().Get("dataset")
+			switch {
+			case rec.Code == 200 && out["per_clip"] != nil:
+			case rec.Code == 400 && out["error"] != nil:
+			case rec.Code == 404 && out["error"] != nil && ds != "" && ds != "test":
+			default:
+				t.Fatalf("%s?%s: %d %v", route, raw, rec.Code, out)
+			}
+		}
+	})
 }
 
 func TestQueryDwell(t *testing.T) {
@@ -219,6 +262,11 @@ func TestQueryDwellBadRegion(t *testing.T) {
 	code, _ = doQueryJSON(t, srv, "POST", "/v1/query/dwell", `not json`)
 	if code != 400 {
 		t.Errorf("status for invalid JSON = %d, want 400", code)
+	}
+	// A misspelled field must not answer for every category.
+	code, _ = doQueryJSON(t, srv, "POST", "/v1/query/dwell", `{"categry":"car","region":[[0,0],[9,0],[9,9]]}`)
+	if code != 400 {
+		t.Errorf("status for a body with \"categry\" = %d, want 400", code)
 	}
 	// A polygon costs its vertex count per track per frame.
 	ring := func(n int) string {

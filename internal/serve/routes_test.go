@@ -25,8 +25,8 @@ func shardedFixtureDataset(t *testing.T, srv *Server, st *store.Sharded) *store.
 }
 
 // TestUnversionedRoutesGone is the routing table test: the query, stream
-// and debug routes answer under /v1 only, and pprof answers both under
-// /v1 and where the stdlib hardcodes it.
+// and debug routes answer under /v1 only, and pprof only where the stdlib
+// and go tool pprof expect it.
 func TestUnversionedRoutesGone(t *testing.T) {
 	srv, _ := queryFixture()
 	srv.Streams = func() (ingest.Stats, bool) { return ingest.Stats{}, false }
@@ -58,10 +58,11 @@ func TestUnversionedRoutesGone(t *testing.T) {
 			t.Errorf("%s /v1%s = %d, want 200", c.method, c.path, got)
 		}
 	}
-	for _, path := range []string{"/debug/pprof/", "/v1/debug/pprof/"} {
-		if got := status("GET", path, ""); got != 200 {
-			t.Errorf("GET %s = %d, want 200", path, got)
-		}
+	if got := status("GET", "/debug/pprof/", ""); got != 200 {
+		t.Errorf("GET /debug/pprof/ = %d, want 200", got)
+	}
+	if got := status("GET", "/v1/debug/pprof/", ""); got != 404 {
+		t.Errorf("GET /v1/debug/pprof/ = %d, want 404", got)
 	}
 }
 

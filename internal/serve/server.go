@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,8 +30,13 @@ import (
 //	GET  /v1/debug/trace        flight-recorder spans (Chrome trace-event JSON)
 //	GET  /v1/debug/slow         the K slowest query requests with spans
 //	GET  /v1/debug/bundle       one-shot tar.gz post-mortem artifact
-//	     /v1/debug/pprof/*      CPU/heap/goroutine profiling
-//	     /debug/pprof/*         the same, where the stdlib and its tools expect it
+//	     /debug/pprof/*         CPU/heap/goroutine profiling, where the
+//	                            stdlib and go tool pprof expect it
+//
+// A request body and every parameter a route or job takes are read one way
+// each: a JSON body refuses unknown fields (decodeBody), and query and job
+// parameters go through params, which refuses an unknown key, a key given
+// twice and a value out of bounds. Either answers 400.
 //
 // Every route is wrapped with per-route telemetry (request counter,
 // in-flight gauge, status-class counters, latency histogram) exported as
@@ -65,10 +71,9 @@ func (s *Server) Handler() http.Handler {
 		s.slow = &slowLog{max: slowRequests}
 	}
 	mux := http.NewServeMux()
-	handle := func(pattern string, h http.Handler) {
+	handleFunc := func(pattern string, h http.HandlerFunc) {
 		mux.Handle(pattern, s.instrumentRoute(pattern, h))
 	}
-	handleFunc := func(pattern string, h http.HandlerFunc) { handle(pattern, h) }
 	handleFunc("GET /metrics", s.handleMetrics)
 	handleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -98,22 +103,12 @@ func (s *Server) Handler() http.Handler {
 	handleFunc("GET /v1/debug/trace", s.handleTrace)
 	handleFunc("GET /v1/debug/slow", s.handleSlow)
 	handleFunc("GET /v1/debug/bundle", s.handleBundle)
-	// The stdlib pprof handlers key on the hardcoded /debug/pprof/ prefix,
-	// so the /v1 mount strips its version prefix before delegating.
-	pprofRoutes := []struct {
-		suffix string
-		h      http.HandlerFunc
-	}{
-		{"", pprof.Index},
-		{"cmdline", pprof.Cmdline},
-		{"profile", pprof.Profile},
-		{"symbol", pprof.Symbol},
-		{"trace", pprof.Trace},
-	}
-	for _, pr := range pprofRoutes {
-		handle("/v1/debug/pprof/"+pr.suffix, http.StripPrefix("/v1", pr.h))
-		handleFunc("/debug/pprof/"+pr.suffix, pr.h)
-	}
+	// The stdlib pprof handlers key on the hardcoded /debug/pprof/ prefix.
+	handleFunc("/debug/pprof/", pprof.Index)
+	handleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	handleFunc("/debug/pprof/profile", pprof.Profile)
+	handleFunc("/debug/pprof/symbol", pprof.Symbol)
+	handleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
@@ -131,16 +126,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleStreams reports streaming ingest status. It always answers 200 so
-// pollers need no error handling: {"streaming": false} when idle, the
+// streamStatus is the streaming ingest status /v1/streams and the debug
+// bundle's streams.json report: {"streaming": false} when idle, the
 // session's stats inline when a stream is active.
-func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
+func (s *Server) streamStatus() map[string]any {
 	st, ok := s.Streams()
 	if !ok {
-		writeJSON(w, http.StatusOK, map[string]any{"streaming": false})
-		return
+		return map[string]any{"streaming": false}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"streaming": true, "stats": st})
+	return map[string]any{"streaming": true, "stats": st}
+}
+
+// handleStreams always answers 200, so pollers need no error handling.
+func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.streamStatus())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -159,10 +158,13 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 // few hundred bytes in practice.
 const maxBodyBytes = 1 << 20
 
-// decodeBody reads a JSON request body of at most maxBodyBytes into v. When
-// it cannot it has answered 413 or 400 itself.
+// decodeBody reads a JSON request body of at most maxBodyBytes into v,
+// refusing a field v does not have: a misspelled one must not be ignored.
+// When it cannot it has answered 413 or 400 itself.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}
@@ -184,8 +186,38 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 
 // submitRequest is the POST /jobs body.
 type submitRequest struct {
-	Kind   string            `json:"kind"`
-	Params map[string]string `json:"params"`
+	Kind   string        `json:"kind"`
+	Params jobParamsBody `json:"params"`
+}
+
+// jobParamsBody is a job's params object. encoding/json keeps the last of
+// a repeated name, so the object is read pair by pair and a name given
+// twice is refused, as params.check refuses one in a query string.
+type jobParamsBody map[string]string
+
+func (m *jobParamsBody) UnmarshalJSON(b []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if t, err := dec.Token(); err != nil || t == nil {
+		return err // null: no parameters
+	} else if t != json.Delim('{') {
+		return fmt.Errorf("params: want an object of strings, got %v", t)
+	}
+	*m = jobParamsBody{}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		var v string
+		if err := dec.Decode(&v); err != nil {
+			return err
+		}
+		if _, ok := (*m)[k.(string)]; ok {
+			return fmt.Errorf("otifd: job parameter %q given more than once", k)
+		}
+		(*m)[k.(string)] = v
+	}
+	return nil
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -261,7 +293,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 		// A terminal state event is the stream's last frame.
-		return !(e.Kind == "state" && e.State.Terminal())
+		return !(e.Kind == eventState && e.State.Terminal())
 	}
 
 	backlog, ch, unsub := job.Subscribe()
