@@ -38,7 +38,7 @@
 //
 // Tune and Extract cancel cooperatively at iteration/clip boundaries and
 // report partial progress via *PartialError. Structured progress events
-// are available by setting Options.Progress, and per-stage metrics via
+// ride the call's context (WithProgress), and per-stage metrics via
 // otif.Snapshot() (see DESIGN.md §9).
 //
 // Beyond batch extraction, Pipeline.Ingest streams clips from N

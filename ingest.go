@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"otif/internal/ingest"
+	"otif/internal/obs"
 	"otif/internal/video"
 )
 
@@ -42,10 +43,6 @@ type IngestOptions struct {
 	// DropWhenFull sheds clips instead of blocking producers when the
 	// extraction queue is full; dropped clips are counted in IngestStats.
 	DropWhenFull bool
-	// Progress receives one EventIngestClip per published clip, in place
-	// of the pipeline's Options.Progress. Events arrive concurrently from
-	// clip workers.
-	Progress ProgressFunc
 }
 
 // IngestSession is one running streaming ingest over a pipeline's trained
@@ -60,7 +57,9 @@ type IngestSession struct {
 // fixed-length clips into a bounded shared queue, extraction workers run
 // them through the trained pipeline, and every extracted clip appends
 // atomically to a live indexed store that Tracks snapshots at any moment.
-// It returns ErrNotTrained before Train (or LoadModels).
+// It returns ErrNotTrained before Train (or LoadModels). The ProgressFunc
+// in ctx (WithProgress) receives one EventIngestClip per published clip,
+// concurrently from clip workers.
 //
 // Each (camera, clip) pair's extracted tracks are bit-identical to running
 // that clip through Extract's batch path; only the publication order
@@ -71,9 +70,6 @@ func (p *Pipeline) Ingest(ctx context.Context, o IngestOptions) (*IngestSession,
 	}
 	if o.Cameras < 1 {
 		o.Cameras = 1
-	}
-	if o.Progress == nil {
-		o.Progress = p.progress
 	}
 
 	cams := make([]ingest.Camera, o.Cameras)
@@ -99,7 +95,7 @@ func (p *Pipeline) Ingest(ctx context.Context, o IngestOptions) (*IngestSession,
 		QueueDepth:   o.QueueDepth,
 		DropWhenFull: o.DropWhenFull,
 		Ctx:          qctx,
-		Progress:     o.Progress,
+		Progress:     obs.ProgressFrom(ctx),
 	})
 	if err != nil {
 		return nil, err

@@ -3,14 +3,23 @@ package otif_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"otif"
+	"otif/internal/obs"
 )
 
 func TestIngestSessionEndToEnd(t *testing.T) {
 	pipe, _ := pipeline(t)
-	sess, err := pipe.Ingest(context.Background(),
+	var mu sync.Mutex
+	var events []obs.Event
+	ctx := otif.WithProgress(context.Background(), func(e obs.Event) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	})
+	sess, err := pipe.Ingest(ctx,
 		otif.IngestOptions{Cameras: 2, ClipsPerCamera: 2, ClipSeconds: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -30,6 +39,17 @@ func TestIngestSessionEndToEnd(t *testing.T) {
 	}
 	if got := len(sess.Published()); got != 4 {
 		t.Fatalf("published log has %d entries, want 4", got)
+	}
+	// The context's progress hears one EventIngestClip per published clip.
+	mu.Lock()
+	defer mu.Unlock()
+	if len(events) != 4 {
+		t.Errorf("%d progress events, want 4 (one per published clip)", len(events))
+	}
+	for _, e := range events {
+		if e.Kind != otif.EventIngestClip {
+			t.Errorf("ingest reported %+v, want only %s events", e, otif.EventIngestClip)
+		}
 	}
 
 	ts := sess.Tracks()

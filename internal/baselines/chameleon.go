@@ -3,7 +3,6 @@ package baselines
 import (
 	"otif/internal/core"
 	"otif/internal/detect"
-	"otif/internal/tuner"
 )
 
 // Chameleon is our implementation of the Chameleon video analytics
@@ -36,24 +35,16 @@ func (c *Chameleon) Tune(sys *core.System, metric core.Metric) []Candidate {
 		scale float64
 		gap   int
 	}
-	cur := knob{detect.ArchRCNN, core.DetScaleLadder[0], 1}
-	eval := func(k knob) (Candidate, tuner.Point) {
-		cfg := core.Config{
+	eval := func(k knob) Candidate {
+		return newCandidate(sys, metric, sys.Extractor(core.Config{
 			Arch: k.arch, DetScale: k.scale, DetConf: core.DetConfDefault,
 			Gap: k.gap, Tracker: core.TrackerSORT,
-		}
-		p := tuner.Evaluate(sys, cfg, sys.DS.Val, metric)
-		return Candidate{
-			ValAccuracy: p.Accuracy,
-			ValRuntime:  p.Runtime,
-			sys:         sys,
-			body:        sys.Extractor(cfg),
-		}, p
+		}))
 	}
 
-	cand, p := eval(cur)
-	out := []Candidate{cand}
-	curPoint := p
+	cur := knob{detect.ArchRCNN, core.DetScaleLadder[0], 1}
+	curCand := eval(cur)
+	out := []Candidate{curCand}
 	for iter := 0; iter < 10; iter++ {
 		// Neighbor moves: next architecture, next resolution step, next
 		// framerate step.
@@ -73,27 +64,25 @@ func (c *Chameleon) Tune(sys *core.System, metric core.Metric) []Candidate {
 		bestRatio := -1.0
 		var bestKnob knob
 		var bestCand Candidate
-		var bestPoint tuner.Point
 		for _, mv := range moves {
-			cand, p := eval(mv)
-			speedup := curPoint.Runtime - p.Runtime
+			cand := eval(mv)
+			speedup := curCand.ValRuntime - cand.ValRuntime
 			if speedup <= 0 {
 				continue
 			}
 			// Accuracy retained per unit of speedup.
-			ratio := (1 + p.Accuracy - curPoint.Accuracy) / 1
+			ratio := (1 + cand.ValAccuracy - curCand.ValAccuracy) / 1
 			if ratio > bestRatio {
 				bestRatio = ratio
 				bestKnob = mv
 				bestCand = cand
-				bestPoint = p
 			}
 		}
 		if bestRatio < 0 {
 			break
 		}
 		cur = bestKnob
-		curPoint = bestPoint
+		curCand = bestCand
 		out = append(out, bestCand)
 	}
 	return out

@@ -378,6 +378,9 @@ func (s *System) Extractor(cfg Config) ClipFunc {
 // nil elsewhere; Runtime covers completed clips only, merged in clip
 // order) together with a *PartialError wrapping ctx.Err().
 //
+// Each finished clip is reported as an obs.EventClip to the Progress ctx
+// carries (obs.WithProgress), from its worker.
+//
 // After the clip-order merge the per-category costs are also charged to
 // the process metrics registry ("cost.<op>" float counters) in sorted
 // category order, so a registry snapshot bracketing a single run
@@ -385,6 +388,7 @@ func (s *System) Extractor(cfg Config) ClipFunc {
 func (s *System) RunClips(ctx context.Context, clips []*dataset.ClipTruth, body ClipFunc) (*SetResult, error) {
 	out := &SetResult{PerClip: make([][]*query.Track, len(clips))}
 	shards := make([]*costmodel.Accountant, len(clips))
+	progress := obs.ProgressFrom(ctx)
 	ctx, setSpan := obs.StartSpan(ctx, "run.set")
 	setSpan.SetStage("extract")
 	defer setSpan.End()
@@ -395,7 +399,7 @@ func (s *System) RunClips(ctx context.Context, clips []*dataset.ClipTruth, body 
 		acct := costmodel.NewAccountant()
 		out.PerClip[i] = body(clipCtx, clips[i].Clip, acct)
 		shards[i] = acct
-		s.Progress.Emit(obs.Event{
+		progress.Emit(obs.Event{
 			Kind: obs.EventClip, Index: i, Total: len(clips), Runtime: acct.Total(),
 		})
 	})

@@ -7,7 +7,6 @@ import (
 	"otif/internal/dataset"
 	"otif/internal/detect"
 	"otif/internal/geom"
-	"otif/internal/obs"
 	"otif/internal/proxy"
 	"otif/internal/refine"
 	"otif/internal/track"
@@ -53,12 +52,6 @@ type System struct {
 
 	// Acct accumulates pre-processing (training/tuning) cost.
 	Acct *costmodel.Accountant
-
-	// Progress, when non-nil, receives a structured event as each clip
-	// of a RunSet finishes. Clips execute on parallel workers, so the
-	// callback must be safe for concurrent use; events are observational
-	// only and never change results.
-	Progress obs.Progress
 }
 
 // NewSystem creates a system for the dataset and estimates the detector

@@ -187,7 +187,7 @@ func (s MetricsSnapshot) WriteJSON(w io.Writer) error {
 }
 
 // Registry holds named metrics. Registration (Counter, Cost, Gauge,
-// Histogram, GaugeFunc) is get-or-create under a mutex and intended to
+// Histogram) is get-or-create under a mutex and intended to
 // run once per metric at package init; the returned handles record
 // lock-free. The zero value is not usable; construct with NewRegistry.
 type Registry struct {
@@ -195,7 +195,6 @@ type Registry struct {
 	counters    map[string]*Counter
 	costs       map[string]*FloatCounter
 	gauges      map[string]*Gauge
-	gaugeFns    map[string]func() float64
 	gaugeGroups []func() map[string]float64
 	hists       map[string]*Histogram
 }
@@ -206,7 +205,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		costs:    map[string]*FloatCounter{},
 		gauges:   map[string]*Gauge{},
-		gaugeFns: map[string]func() float64{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -247,23 +245,14 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a live gauge evaluated at snapshot time (for
-// values owned elsewhere, like the frame cache's counters). The function
-// must be safe to call at any time from any goroutine.
-func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gaugeFns[name] = fn
-}
-
-// GaugeGroup registers a set of live gauges computed together: at snapshot
-// time fn runs once and every (name, value) pair it returns becomes a
-// gauge. Use it when several gauges derive from one state snapshot and
-// must be mutually consistent — e.g. the frame cache's hit count, miss
-// count and hit rate, where evaluating three independent GaugeFuncs would
-// interleave with concurrent updates and could report a rate computed
-// from counts no single moment ever had. fn must be safe to call at any
-// time from any goroutine.
+// GaugeGroup registers live gauges computed together, for values owned
+// elsewhere: at snapshot time fn runs once and every (name, value) pair it
+// returns becomes a gauge. Gauges derived from one state snapshot are
+// mutually consistent — e.g. the frame cache's hit count, miss count and
+// hit rate, where evaluating each on its own would interleave with
+// concurrent updates and could report a rate computed from counts no
+// single moment ever had. A group may hold one gauge. fn must be safe to
+// call at any time from any goroutine.
 func (r *Registry) GaugeGroup(fn func() map[string]float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -294,7 +283,7 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
 		Costs:      make(map[string]float64, len(r.costs)),
-		Gauges:     make(map[string]float64, len(r.gauges)+len(r.gaugeFns)),
+		Gauges:     make(map[string]float64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 	}
 	for k, c := range r.counters {
@@ -305,9 +294,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	}
 	for k, g := range r.gauges {
 		s.Gauges[k] = g.Value()
-	}
-	for k, fn := range r.gaugeFns {
-		s.Gauges[k] = fn()
 	}
 	for _, fn := range r.gaugeGroups {
 		for k, v := range fn() {

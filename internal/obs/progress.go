@@ -1,5 +1,7 @@
 package obs
 
+import "context"
+
 // Progress receives structured pipeline events: tuner iterations
 // starting, candidate configurations evaluated, clips finishing inside a
 // RunSet, and frame-cache hit-rate snapshots. A nil Progress costs one
@@ -8,7 +10,25 @@ package obs
 // delivery order between clips is unspecified at worker counts above
 // one. Events are observational only — nothing a callback does (short of
 // canceling a context) changes pipeline results.
+//
+// A call's Progress rides its context (WithProgress), as its span does,
+// so concurrent calls on one pipeline each report to their own.
 type Progress func(Event)
+
+// progressCtxKey carries a call's Progress through its context.
+type progressCtxKey struct{}
+
+// WithProgress returns a context whose calls report their events to p.
+func WithProgress(ctx context.Context, p Progress) context.Context {
+	return context.WithValue(ctx, progressCtxKey{}, p)
+}
+
+// ProgressFrom returns the Progress ctx carries, or nil (whose Emit does
+// nothing) when it carries none.
+func ProgressFrom(ctx context.Context) Progress {
+	p, _ := ctx.Value(progressCtxKey{}).(Progress)
+	return p
+}
 
 // EventKind names a progress event type.
 type EventKind string

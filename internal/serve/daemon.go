@@ -37,7 +37,8 @@ type Config struct {
 // Daemon is otifd's state: the pipeline behind the extract and stream
 // jobs, and the dataset registry /v1/query/* answers from. Nothing changes
 // the trained and tuned pipeline after Start, so extract jobs pick from the
-// curve Start tuned.
+// curve Start tuned, and they run side by side: each job's progress rides
+// its own call's context.
 //
 // One rule decides which tracks answer the default dataset: the last
 // publication. A source publishes by replacing the dataset's registry
@@ -55,10 +56,6 @@ type Daemon struct {
 	// pipe is nil until Start has trained and tuned: jobs fail and
 	// /readyz answers 503 until then.
 	pipe atomic.Pointer[otif.Pipeline]
-	// mu serializes extract jobs, so that relay routes the pipeline's
-	// progress events to the one job holding mu.
-	mu    sync.Mutex
-	relay atomic.Pointer[obs.Progress]
 
 	// session is the running stream job's ingest session, for /v1/streams
 	// only; streaming admits one stream job at a time.
@@ -108,7 +105,6 @@ func (d *Daemon) Start(ctx context.Context) error {
 	start := time.Now()
 	pipe, err := otif.Open(d.cfg.Dataset, otif.Options{
 		ClipsPerSet: d.cfg.Clips, ClipSeconds: d.cfg.Seconds, Seed: d.cfg.Seed,
-		Progress: d.relayProgress,
 	})
 	if err != nil {
 		return err
@@ -195,32 +191,13 @@ func (d *Daemon) movements() []query.Movement {
 	return nil
 }
 
-func (d *Daemon) relayProgress(e obs.Event) {
-	if p := d.relay.Load(); p != nil {
-		(*p)(e)
-	}
-}
-
 var errNotReady = errors.New("otifd: pipeline not ready (training or tuning still running)")
-
-// acquire locks the pipeline for one extract job and routes its progress
-// events to that job.
-func (d *Daemon) acquire(progress obs.Progress) (pipe *otif.Pipeline, release func(), err error) {
-	if pipe = d.pipe.Load(); pipe == nil {
-		return nil, nil, errNotReady
-	}
-	d.mu.Lock()
-	d.relay.Store(&progress)
-	return pipe, func() {
-		d.relay.Store(nil)
-		d.mu.Unlock()
-	}, nil
-}
 
 // runExtract extracts one clip set under the configuration picked from
 // the curve Start tuned and publishes the tracks. Params: "set" (train,
 // val or test; default test) and "tolerance" (accuracy tolerance for the
-// pick, 0 to 1, default 0.05).
+// pick, 0 to 1, default 0.05). One progress event per extracted clip flows
+// to the job's event stream.
 func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
 	p := jobParams(job)
 	set := otif.Test
@@ -231,16 +208,15 @@ func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress
 	if err := p.check(); err != nil {
 		return nil, err
 	}
-	pipe, release, err := d.acquire(progress)
-	if err != nil {
-		return nil, err
+	pipe := d.pipe.Load()
+	if pipe == nil {
+		return nil, errNotReady
 	}
-	defer release()
 	pick, err := otif.PickFastestWithin(pipe.Curve(), tol)
 	if err != nil {
 		return nil, err
 	}
-	ts, err := pipe.Extract(ctx, pick.Cfg, set)
+	ts, err := pipe.Extract(otif.WithProgress(ctx, progress), pick.Cfg, set)
 	if err != nil {
 		return nil, err
 	}
@@ -259,14 +235,13 @@ func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress
 }
 
 // runStream runs one streaming ingest session until its cameras are
-// exhausted or the job is canceled. It does not hold mu: ingest only reads
-// trained state, so extract jobs run beside it. One progress event
-// per published clip flows to the job's event stream; the first publishes
-// the session's live store. Params: "cameras" (1 to 64, default 1),
-// "clips" (per camera, 0 = unbounded), "interval" (Go duration, 0 or
-// more), "queue" (depth 0 to 1024, 0 = default), "drop" (a bool: shed clips
-// when the queue is full), "seconds" (clip duration up to 600, 0 = dataset
-// default).
+// exhausted or the job is canceled. Ingest only reads trained state, so
+// extract jobs run beside it. One progress event per published clip flows
+// to the job's event stream; the first publishes the session's live store.
+// Params: "cameras" (1 to 64, default 1), "clips" (per camera, 0 =
+// unbounded), "interval" (Go duration, 0 or more), "queue" (depth 0 to
+// 1024, 0 = default), "drop" (a bool: shed clips when the queue is full),
+// "seconds" (clip duration up to 600, 0 = dataset default).
 func (d *Daemon) runStream(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
 	p := jobParams(job)
 	opts := otif.IngestOptions{
@@ -291,10 +266,10 @@ func (d *Daemon) runStream(ctx context.Context, job *Job, progress obs.Progress)
 
 	first := make(chan struct{})
 	var once sync.Once
-	opts.Progress = func(e obs.Event) {
+	ctx = otif.WithProgress(ctx, func(e obs.Event) {
 		progress(e)
 		once.Do(func() { close(first) })
-	}
+	})
 	sess, err := pipe.Ingest(ctx, opts)
 	if err != nil {
 		return nil, err

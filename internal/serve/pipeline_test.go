@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,5 +161,50 @@ func TestCancelLandsAtClipBoundary(t *testing.T) {
 	}
 	if v.Partial.Stage != "extract" || v.Partial.Done < 1 || v.Partial.Done >= v.Partial.Total {
 		t.Errorf("partial = %+v, want extract with 1 <= done < total", v.Partial)
+	}
+}
+
+// TestExtractJobsRunSideBySide holds each of two extract jobs at its first
+// clip event until the other job has reached its own: the jobs must be
+// running at once, and each must still hear exactly its own clips.
+func TestExtractJobsRunSideBySide(t *testing.T) {
+	d := readyTestDaemon(t, testConfig())
+	prev := parallel.Workers()
+	parallel.SetWorkers(1) // one worker a job: the gate holds each job's only clip in flight
+	defer parallel.SetWorkers(prev)
+
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	both := make(chan struct{})
+	go func() { arrived.Wait(); close(both) }()
+	var met atomic.Int32
+	d.jobs.Register("extract", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+		var once sync.Once
+		return d.runExtract(ctx, job, func(e obs.Event) {
+			progress(e)
+			if e.Kind == obs.EventClip {
+				once.Do(func() {
+					arrived.Done()
+					select {
+					case <-both:
+						met.Add(1)
+					case <-time.After(5 * time.Second):
+					}
+				})
+			}
+		})
+	})
+
+	a, b := d.submit("extract", nil), d.submit("extract", map[string]string{"set": "val"})
+	waitState(t, a, JobDone)
+	waitState(t, b, JobDone)
+	if met.Load() != 2 {
+		t.Errorf("%d of 2 extract jobs met the other one mid-run, want both: extract jobs wait for each other", met.Load())
+	}
+	// Running, one clip event per clip, done.
+	for _, j := range []*Job{a, b} {
+		if v := j.View(); v.Events != 4 {
+			t.Errorf("extract job %s has %d events, want 4: its own 2 clips only", v.ID, v.Events)
+		}
 	}
 }

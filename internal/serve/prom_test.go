@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"flag"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -112,5 +113,15 @@ func TestWritePrometheusNamesValid(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestMetricsExportsIndexHitRatio: the store's computed gauge, a one-entry
+// gauge group, is a series of /metrics.
+func TestMetricsExportsIndexHitRatio(t *testing.T) {
+	rec := httptest.NewRecorder()
+	(&Server{}).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if body := rec.Body.String(); !strings.Contains(body, "# TYPE otif_store_index_hit_ratio gauge\n") {
+		t.Errorf("/metrics has no store.index_hit_ratio gauge:\n%s", body)
 	}
 }

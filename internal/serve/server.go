@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
+	"strings"
+	"unicode"
 
 	"otif/internal/ingest"
 	"otif/internal/obs"
@@ -34,9 +37,10 @@ import (
 //	                            stdlib and go tool pprof expect it
 //
 // A request body and every parameter a route or job takes are read one way
-// each: a JSON body refuses unknown fields (decodeBody), and query and job
-// parameters go through params, which refuses an unknown key, a key given
-// twice and a value out of bounds. Either answers 400.
+// each: a JSON body refuses an unknown field and a name given twice
+// (decodeBody), and query and job parameters go through params, which
+// refuses an unknown key, a key given twice and a value out of bounds.
+// Either answers 400.
 //
 // Every route is wrapped with per-route telemetry (request counter,
 // in-flight gauge, status-class counters, latency histogram) exported as
@@ -158,13 +162,26 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 // few hundred bytes in practice.
 const maxBodyBytes = 1 << 20
 
-// decodeBody reads a JSON request body of at most maxBodyBytes into v,
-// refusing a field v does not have: a misspelled one must not be ignored.
-// When it cannot it has answered 413 or 400 itself.
+// decodeBody reads a JSON request body of at most maxBodyBytes into v. The
+// body must be one JSON value, naming no field v does not have and no
+// member of any object twice (checkNames): a misspelled or repeated name
+// must not be read as something else. When it cannot it has answered 413
+// or 400 itself.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err = dec.Decode(v); err == nil {
+			if _, end := dec.Token(); end != io.EOF {
+				err = errors.New("data after the JSON value")
+			}
+		}
+	}
+	if err == nil {
+		// Decode has checked the body's syntax and bounded its depth.
+		err = checkNames(json.NewDecoder(bytes.NewReader(body)))
+	}
 	if err == nil {
 		return true
 	}
@@ -177,6 +194,50 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
+// checkNames refuses an object, anywhere in the JSON value dec reads next,
+// that names a member twice. encoding/json would keep the last of the two,
+// and it matches a name to a field case-insensitively, so names compare as
+// strings.EqualFold does: {"category":…,"Category":…} names one twice.
+func checkNames(dec *json.Decoder) error {
+	t, err := dec.Token()
+	if err != nil || (t != json.Delim('{') && t != json.Delim('[')) {
+		return err
+	}
+	names := map[string]bool{}
+	for dec.More() {
+		if t == json.Delim('{') {
+			k, err := dec.Token()
+			if err != nil {
+				return err
+			}
+			name := foldName(k.(string))
+			if names[name] {
+				return fmt.Errorf("member %q named twice", k)
+			}
+			names[name] = true
+		}
+		if err := checkNames(dec); err != nil {
+			return err
+		}
+	}
+	_, err = dec.Token() // the closing delimiter
+	return err
+}
+
+// foldName spells every name of one strings.EqualFold class the same way:
+// each rune becomes the least rune of its simple case-folding orbit.
+func foldName(name string) string {
+	return strings.Map(func(r rune) rune {
+		for {
+			f := unicode.SimpleFold(r)
+			if f <= r {
+				return f
+			}
+			r = f
+		}
+	}, name)
+}
+
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"kinds": s.Manager.Kinds(),
@@ -186,38 +247,8 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 
 // submitRequest is the POST /jobs body.
 type submitRequest struct {
-	Kind   string        `json:"kind"`
-	Params jobParamsBody `json:"params"`
-}
-
-// jobParamsBody is a job's params object. encoding/json keeps the last of
-// a repeated name, so the object is read pair by pair and a name given
-// twice is refused, as params.check refuses one in a query string.
-type jobParamsBody map[string]string
-
-func (m *jobParamsBody) UnmarshalJSON(b []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	if t, err := dec.Token(); err != nil || t == nil {
-		return err // null: no parameters
-	} else if t != json.Delim('{') {
-		return fmt.Errorf("params: want an object of strings, got %v", t)
-	}
-	*m = jobParamsBody{}
-	for dec.More() {
-		k, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		var v string
-		if err := dec.Decode(&v); err != nil {
-			return err
-		}
-		if _, ok := (*m)[k.(string)]; ok {
-			return fmt.Errorf("otifd: job parameter %q given more than once", k)
-		}
-		(*m)[k.(string)] = v
-	}
-	return nil
+	Kind   string            `json:"kind"`
+	Params map[string]string `json:"params"`
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {

@@ -105,12 +105,12 @@ var (
 )
 
 func init() {
-	obs.Default.GaugeFunc("store.index_hit_ratio", func() float64 {
-		ex := metCandExamined.Value()
-		if ex == 0 {
-			return 0
+	obs.Default.GaugeGroup(func() map[string]float64 {
+		ratio := 0.0
+		if ex := metCandExamined.Value(); ex != 0 {
+			ratio = float64(metCandKept.Value()) / float64(ex)
 		}
-		return float64(metCandKept.Value()) / float64(ex)
+		return map[string]float64{"store.index_hit_ratio": ratio}
 	})
 }
 

@@ -464,4 +464,9 @@ func TestSweepTelemetry(t *testing.T) {
 	if len(matches) != 5 || kept < cars || boxes == 0 || boxes != lookups {
 		t.Errorf("LimitQuery: %d matches, kept %d, interpolated %d detections; want 5, at least %d, and the %d its five point lookups cost", len(matches), kept, boxes, cars, lookups)
 	}
+	// Every snapshot carries kept / examined as a gauge.
+	want := float64(metCandKept.Value()) / float64(metCandExamined.Value())
+	if got, ok := obs.Default.Snapshot().Gauges["store.index_hit_ratio"]; !ok || got != want {
+		t.Errorf("store.index_hit_ratio = %v (present %v), want kept/examined = %v", got, ok, want)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"otif/internal/core"
@@ -122,17 +121,12 @@ func TestTuneModuleMask(t *testing.T) {
 // TestTuneEvaluatesEachConfigOnce: one Tune runs RunSet once per distinct
 // configuration among the detection grid, theta_best and the candidates,
 // and still reports every candidate. theta_best is itself a grid cell, so
-// without the memo it runs twice.
+// without the memo it runs twice. Every RunSet of a Tune is over the
+// validation set, so the RunSets are the clips run (the run.clips counter)
+// over len(Val).
 func TestTuneEvaluatesEachConfigOnce(t *testing.T) {
 	sys, metric := trainedSystem(t)
-	var runSets atomic.Int64
-	prev := sys.Progress
-	defer func() { sys.Progress = prev }()
-	sys.Progress = func(e obs.Event) {
-		if e.Kind == obs.EventClip && e.Index == 0 {
-			runSets.Add(1)
-		}
-	}
+	clipsRun := obs.Default.Counter("run.clips")
 	opts := DefaultOptions()
 	var mu sync.Mutex
 	candidates := 0
@@ -145,7 +139,10 @@ func TestTuneEvaluatesEachConfigOnce(t *testing.T) {
 			mu.Unlock()
 		}
 	}
+	before := clipsRun.Value()
 	curve := Tune(sys, metric, opts)
+	clips := clipsRun.Value() - before
+	runSets := clips / int64(len(sys.DS.Val))
 
 	grid := 0
 	for _, arch := range archs {
@@ -159,9 +156,9 @@ func TestTuneEvaluatesEachConfigOnce(t *testing.T) {
 	if !distinct[fmt.Sprintf("%v", curve[0].Cfg)] {
 		t.Fatalf("theta_best %v is not a detection-grid cell", curve[0].Cfg)
 	}
-	if got := runSets.Load(); got != int64(len(distinct)) {
-		t.Errorf("%d RunSets for %d distinct configurations (%d grid cells, theta_best, %d candidates)",
-			got, len(distinct), grid, candidates)
+	if clips%int64(len(sys.DS.Val)) != 0 || runSets != int64(len(distinct)) {
+		t.Errorf("%d clips run, %d RunSets for %d distinct configurations (%d grid cells, theta_best, %d candidates)",
+			clips, runSets, len(distinct), grid, candidates)
 	}
 	// Every point after theta_best is the best of its iteration's
 	// candidates, each of which is reported, memoised or not.

@@ -116,31 +116,6 @@ func (r *Reader) Next() (*Frame, int) {
 	return f, idx
 }
 
-// Set is an ordered collection of clips: one of the training, validation or
-// test sets sampled from a dataset.
-type Set struct {
-	Name  string
-	Clips []*Clip
-}
-
-// Frames returns the total number of frames across all clips.
-func (s *Set) Frames() int {
-	var n int
-	for _, c := range s.Clips {
-		n += c.Len()
-	}
-	return n
-}
-
-// Seconds returns the total video duration in seconds.
-func (s *Set) Seconds() float64 {
-	var t float64
-	for _, c := range s.Clips {
-		t += float64(c.Len()) / float64(c.FPS())
-	}
-	return t
-}
-
 // MemorySource is a FrameSource backed by an in-memory frame slice, used in
 // tests and for decoded clip caches.
 type MemorySource struct {

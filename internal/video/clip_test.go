@@ -98,13 +98,3 @@ func TestReaderPanicsOnBadGap(t *testing.T) {
 	}()
 	NewReader(memClip(3, 10), 0, 8, 8, costmodel.NewAccountant())
 }
-
-func TestSetStats(t *testing.T) {
-	s := &Set{Name: "test", Clips: []*Clip{memClip(10, 5), memClip(20, 5)}}
-	if s.Frames() != 30 {
-		t.Errorf("Frames = %d", s.Frames())
-	}
-	if s.Seconds() != 6 {
-		t.Errorf("Seconds = %v", s.Seconds())
-	}
-}

@@ -1,6 +1,10 @@
 package otif
 
-import "otif/internal/obs"
+import (
+	"context"
+
+	"otif/internal/obs"
+)
 
 // ProgressFunc receives structured progress events (obs.Event; see the kind
 // constants re-exported below) from tuning and extraction: one event per
@@ -10,6 +14,14 @@ import "otif/internal/obs"
 // delivered concurrently from parallel clip workers, so the callback must
 // be safe for concurrent use.
 type ProgressFunc = obs.Progress
+
+// WithProgress returns a context under which Tune, Extract and Ingest
+// report their events to fn. Progress belongs to the call, not the
+// pipeline: two calls running at once on one pipeline, each under its own
+// context, each see only their own events.
+func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
+	return obs.WithProgress(ctx, fn)
+}
 
 // EventKind names a progress event type.
 type EventKind = obs.EventKind

@@ -6,6 +6,7 @@ import (
 
 	"otif/internal/core"
 	"otif/internal/dataset"
+	"otif/internal/obs"
 	"otif/internal/parallel"
 	"otif/internal/query"
 	"otif/internal/store"
@@ -37,8 +38,6 @@ type Options struct {
 	ClipSeconds float64
 	// Seed drives all dataset sampling and model initialization.
 	Seed int64
-	// Progress, when set, receives tuning, extraction and ingest events.
-	Progress ProgressFunc
 }
 
 // Config is a pipeline parameter configuration theta.
@@ -51,10 +50,9 @@ type Point = tuner.Point
 // Pipeline is an OTIF instance bound to one video dataset: it owns the
 // trained models and exposes tuning, extraction and querying.
 type Pipeline struct {
-	sys      *core.System
-	metric   core.Metric
-	curve    []Point
-	progress ProgressFunc
+	sys    *core.System
+	metric core.Metric
+	curve  []Point
 }
 
 // Open samples the named dataset (one of Datasets()) and estimates the
@@ -75,13 +73,7 @@ func Open(name string, opts Options) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := core.NewSystem(ds)
-	sys.Progress = opts.Progress
-	return &Pipeline{
-		sys:      sys,
-		metric:   core.MetricFor(ds),
-		progress: opts.Progress,
-	}, nil
+	return &Pipeline{sys: core.NewSystem(ds), metric: core.MetricFor(ds)}, nil
 }
 
 // Datasets lists the seven supported datasets.
@@ -101,13 +93,15 @@ func (p *Pipeline) Train() Config {
 // speed-accuracy curve, slowest configuration first. It returns
 // ErrNotTrained if Train (or LoadModels) has not run. The tuner checks ctx
 // at iteration boundaries; a canceled run returns a *PartialError wrapping
-// ctx.Err() together with the curve points completed so far.
+// ctx.Err() together with the curve points completed so far. The
+// ProgressFunc in ctx (WithProgress) receives the tuner's events; the
+// validation runs behind them report no clip events.
 func (p *Pipeline) Tune(ctx context.Context) ([]Point, error) {
 	if p.sys.Recurrent == nil {
 		return nil, ErrNotTrained
 	}
 	opts := tuner.DefaultOptions()
-	opts.Progress = p.progress
+	opts.Progress = obs.ProgressFrom(ctx)
 	curve, err := tuner.TuneContext(ctx, p.sys, p.metric, opts)
 	p.curve = curve
 	return curve, err
@@ -136,7 +130,8 @@ func PickFastestWithin(curve []Point, tol float64) (Point, error) {
 // code path. Clip
 // workers check ctx before starting each clip and the pool drains cleanly;
 // a canceled extraction returns a *PartialError wrapping ctx.Err() that
-// reports how many clips completed.
+// reports how many clips completed. The ProgressFunc in ctx
+// (WithProgress) receives one EventClip per finished clip.
 func (p *Pipeline) Extract(ctx context.Context, cfg Config, set SetName) (*TrackSet, error) {
 	clips, err := p.clips(set)
 	if err != nil {
