@@ -8,8 +8,9 @@
 package query
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"otif/internal/detect"
 	"otif/internal/geom"
@@ -338,33 +339,39 @@ func (s *scan) At(f int) ([]geom.Rect, []*Track) { return VisibleBoxes(s.tracks,
 // minimum remaining duration of their visible tracks (descending), and
 // returns up to limit matches.
 func LimitQuery(tracks []*Track, cat string, pred FramePredicate, ctx Context, limit int, minSepFrames int) []FrameMatch {
-	return LimitQueryFrom(&scan{tracks: tracks, cat: cat}, pred, ctx, limit, minSepFrames, new(LimitScratch))
+	return LimitQueryFrom(&scan{tracks: tracks, cat: cat}, pred, ctx, limit, minSepFrames)
 }
 
-// limitCand is one matching frame while a limit query ranks: 8 bytes, not
+// LimitCand is one matching frame while a limit query ranks: 8 bytes, not
 // a FrameMatch with its boxes. Frame indices and durations fit int32 (a
 // duration never exceeds the math.MaxInt32 it starts from).
-type limitCand struct{ frame, minDur int32 }
+type LimitCand struct{ Frame, MinDur int32 }
 
-// LimitScratch is LimitQueryFrom's candidate buffer, so that one query
-// over many clips allocates it once. The zero value is ready to use.
-type LimitScratch struct{ cands []limitCand }
+// LimitQueryFrom is LimitQuery over any frame source: RankLimit, then
+// PickLimit. The scan, the indexed store and the store's cached ranks all
+// answer through these two steps, so their answers are identical by
+// construction.
+func LimitQueryFrom(src FrameSource, pred FramePredicate, ctx Context, limit int, minSepFrames int) []FrameMatch {
+	return PickLimit(src, pred, RankLimit(src, pred, ctx, nil), limit, minSepFrames)
+}
 
-// LimitQueryFrom is LimitQuery over any frame source. It sweeps the clip
-// recording only (frame, minimum duration) per matching frame, ranks and
-// separates those, and then looks the at most limit chosen frames up
-// again for their boxes. A CountPredicate matches every visible box, so it
-// is decided once per run of frames with one visible set, and the run's
-// frames are ranked from the source's count and MinLastFrame alone, without
-// a box; other predicates see the boxes of every frame.
-func LimitQueryFrom(src FrameSource, pred FramePredicate, ctx Context, limit int, minSepFrames int, scratch *LimitScratch) []FrameMatch {
+// RankLimit sweeps one clip and appends to cands, in frame order, one
+// (frame, minimum duration) per frame that matches pred, then sorts the
+// appended part by duration, descending, and returns the extended slice.
+// The ranking depends on the clip, the category and pred, never on a
+// limit or a separation, so it can be kept and picked from again. A
+// CountPredicate matches every visible box, so it is decided once per run
+// of frames with one visible set, and the run's frames are ranked from the
+// source's count and MinLastFrame alone, without a box; other predicates
+// see the boxes of every frame.
+func RankLimit(src FrameSource, pred FramePredicate, ctx Context, cands []LimitCand) []LimitCand {
+	from := len(cands)
 	count, countOnly := pred.(CountPredicate)
-	cands := scratch.cands[:0]
 	for f := 0; f < ctx.Frames; {
 		n, next := src.Advance(f)
 		if !countOnly {
 			if minDur, ok := matchedMinDur(src, pred, f); ok {
-				cands = append(cands, limitCand{frame: int32(f), minDur: int32(minDur)})
+				cands = append(cands, LimitCand{Frame: int32(f), MinDur: int32(minDur)})
 			}
 			f++
 			continue
@@ -384,32 +391,48 @@ func LimitQueryFrom(src FrameSource, pred FramePredicate, ctx Context, limit int
 			if n > 0 {
 				minDur = last - f
 			}
-			cands = append(cands, limitCand{frame: int32(f), minDur: int32(minDur)})
+			cands = append(cands, LimitCand{Frame: int32(f), MinDur: int32(minDur)})
 		}
 	}
-	scratch.cands = cands
-	// Rank by minimum visible-track duration, descending. sort.Slice is
-	// not stable: which of two equal durations comes first follows from
-	// the candidates' order and this comparator alone, and answers are
-	// pinned on it (TestGoldenQueries).
-	sort.Slice(cands, func(i, j int) bool { return cands[i].minDur > cands[j].minDur })
+	rankByDuration(cands[from:])
+	return cands
+}
+
+// rankByDuration sorts candidates by minimum visible-track duration,
+// descending. The sort is not stable: which of two equal durations comes
+// first follows from the candidates' order and the comparisons' outcomes
+// alone, and answers are pinned on it (TestGoldenQueries). slices.SortFunc
+// and the sort.Slice call it replaced are one pdqsort, so they permute
+// alike; TestRankByDurationMatchesSortSlice holds them to that. The
+// comparator is a difference, negative exactly when a's duration is the
+// larger (two int32 differ by less than an int can hold): cmp.Compare's
+// two branches made the sort slower than sort.Slice's reflection swapper.
+func rankByDuration(cands []LimitCand) {
+	slices.SortFunc(cands, func(a, b LimitCand) int { return int(b.MinDur) - int(a.MinDur) })
+}
+
+// PickLimit answers a limit query from one clip's ranked candidates: it
+// takes them best first, skipping any closer than minSepFrames to one
+// already taken, until it has limit, and then looks the chosen frames up
+// in src (At) for the boxes pred matches there, in frame order.
+func PickLimit(src FrameSource, pred FramePredicate, ranked []LimitCand, limit int, minSepFrames int) []FrameMatch {
 	var out []FrameMatch
-	for _, c := range cands {
+	for _, c := range ranked {
 		if len(out) >= limit {
 			break
 		}
 		ok := true
 		for _, o := range out {
-			if f := int(c.frame); max(o.FrameIdx-f, f-o.FrameIdx) < minSepFrames {
+			if f := int(c.Frame); max(o.FrameIdx-f, f-o.FrameIdx) < minSepFrames {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			out = append(out, FrameMatch{FrameIdx: int(c.frame), MinDuration: int(c.minDur)})
+			out = append(out, FrameMatch{FrameIdx: int(c.Frame), MinDuration: int(c.MinDur)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FrameIdx < out[j].FrameIdx })
+	slices.SortFunc(out, func(a, b FrameMatch) int { return cmp.Compare(a.FrameIdx, b.FrameIdx) })
 	for i := range out {
 		boxes, _ := src.At(out[i].FrameIdx)
 		out[i].Boxes, _ = pred.Eval(boxes)

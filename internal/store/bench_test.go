@@ -131,11 +131,15 @@ func BenchmarkCoOccurrencesIndexed(b *testing.B) {
 func BenchmarkCoOccurrencesSharded(b *testing.B) {
 	perClip, ctx := queryMixWorkload()
 	for _, w := range []struct {
-		name  string
-		cache *Cache
-	}{{"walk", nil}, {"column", NewCache()}} {
+		name   string
+		cached bool
+	}{{"walk", false}, {"column", true}} {
 		b.Run(w.name, func(b *testing.B) {
-			sh, err := NewSharded("bench", ctx, SplitSegments(perClip, ctx, 2), w.cache)
+			var cache *Cache // a fresh one each run, so no run hits another's answers
+			if w.cached {
+				cache = NewCache()
+			}
+			sh, err := NewSharded("bench", ctx, SplitSegments(perClip, ctx, 2), cache)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -146,6 +150,38 @@ func BenchmarkCoOccurrencesSharded(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dist++
 				sh.CoOccurrences("car", dist)
+			}
+		})
+	}
+}
+
+// BenchmarkLimitQuerySharded is a frame pass's LimitQuery on the query-mix
+// shape through a Sharded of two segments, each call at a separation not
+// asked before: "walk" has no result cache and ranks every clip, "column"
+// picks from the cached ranked-candidate columns that its first call
+// leaves behind.
+func BenchmarkLimitQuerySharded(b *testing.B) {
+	perClip, ctx := queryMixWorkload()
+	for _, w := range []struct {
+		name   string
+		cached bool
+	}{{"walk", false}, {"column", true}} {
+		b.Run(w.name, func(b *testing.B) {
+			var cache *Cache // a fresh one each run, so no run hits another's answers
+			if w.cached {
+				cache = NewCache()
+			}
+			sh, err := NewSharded("bench", ctx, SplitSegments(perClip, ctx, 2), cache)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pred, minSep := query.CountPredicate{N: 3}, ctx.FPS
+			sh.LimitQuery("car", pred, 5, minSep)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				minSep++
+				sh.LimitQuery("car", pred, 5, minSep)
 			}
 		})
 	}
@@ -248,7 +284,7 @@ func queryMixWorkload() ([][]*query.Track, query.Context) {
 // TestFrameQueryAllocGate keeps the frame-level kinds off the allocator:
 // a sweep owns its buffers, so what a call allocates depends on how many
 // clips it answers for and on what it returns, not on how many frames it
-// sweeps. The workload is 4 clips of 1800 frames; the parent of the sweep
+// sweeps; an answer from a derived column, not on how long the column is. The workload is 4 clips of 1800 frames; the parent of the sweep
 // line allocated several times per frame and clip (about 30k a call).
 func TestFrameQueryAllocGate(t *testing.T) {
 	perClip, ctx := benchWorkload()
@@ -265,6 +301,11 @@ func TestFrameQueryAllocGate(t *testing.T) {
 	}
 	dist := 80.0
 	cached.CoOccurrences("car", dist)
+	// Limit queries picked from ranked-candidate columns on the same
+	// split: the first call builds the columns, and every call after it
+	// asks a separation not asked before.
+	minSep := mixCtx.FPS
+	cached.LimitQuery("car", query.CountPredicate{N: 3}, 5, minSep)
 	for _, g := range []struct {
 		name string
 		max  float64
@@ -297,6 +338,16 @@ func TestFrameQueryAllocGate(t *testing.T) {
 		// their matched list inside Eval on every frame they look at;
 		// that is theirs, not the sweep's, and is not gated here.)
 		{"LimitQuery", perClipBudget(80) + 32, func() { s.LimitQuery("car", query.CountPredicate{N: 3}, 5, ctx.FPS) }},
+		// Per segment and picked frame: the point lookup's boxes and
+		// owners, each grown by append to the frame's visible count (8 on
+		// average here): about 8. Per segment: the picks growing to five,
+		// the answer and its cache entry, the column's key and lookup:
+		// about 9. 196 a call, 201 under -race; nothing per frame or
+		// candidate, however long the clips.
+		{"LimitQuery from columns", float64(len(cached.Segments())*(10*5+16) + 12), func() {
+			minSep++
+			cached.LimitQuery("car", query.CountPredicate{N: 3}, 5, minSep)
+		}},
 	} {
 		if got := testing.AllocsPerRun(5, g.run); got > g.max {
 			t.Errorf("%s: %.0f allocs per call, want at most %.0f", g.name, got, g.max)

@@ -38,18 +38,53 @@ type CacheStats struct {
 // returns. Only sealed segments are cached (an open segment's content
 // changes on every append); Sharded enforces that at the call site.
 //
-// Beside the answers the same LRU holds one derived kind, each segment's
-// pair-distance column for a category that CoOccurrences has been asked
-// about (pairs.go), charged and evicted like answers.
+// Beside the answers the same LRU holds two derived kinds, charged and
+// evicted like answers: each segment's pair-distance column for a category
+// that CoOccurrences has been asked about (pairs.go), and its
+// ranked-candidate column for a category and frame predicate that
+// LimitQuery has been asked about (ranks.go). Both pass one gate,
+// cachedColumn.
 //
 // Construct with NewCache. A nil *Cache disables caching: Get then just
 // runs fn.
 type Cache struct {
 	lru       *lru.Cache[cacheKey, any]
-	columnMax int64 // the most a pair-distance column may be charged
+	columnMax int64 // the most a derived column may be charged
 
 	mu        sync.Mutex
 	published lru.Stats // what the store.cache.* series have been told
+}
+
+// columnShare bounds one derived column to cacheBudget/columnShare bytes
+// (4 MiB). A column is charged against the budget that also holds the
+// answers it saves, and it costs about one uncached call (a pair column one
+// and a half pair walks) to build, so it only pays while it stays held: a
+// sixteenth keeps one category's pair columns over a paper-scale archive
+// (3.2 MB a segment of 8 clips at 33 pairs a frame) beside the answers, and
+// turns away a column that would push out most of the cache at once and be
+// pushed out in turn before its next use.
+const columnShare = 16
+
+// cachedColumn is the result cache's one gate for derived columns. It
+// returns a sealed segment's column under key, built by the first call
+// that asks for it, or nil when the caller should answer without one: for a
+// segment that is not sealed or not cached, and when the column would be
+// charged more than the cache's columnMax. plan reports that charge, or a
+// bound on it, before anything is built, and how to build the column. A
+// refusal is cached as a nil column, so the size is counted once.
+// Concurrent first calls share one build (Cache.Get).
+func cachedColumn[C *pairColumn | *rankColumn](sh *Sharded, sg *Segment, key string, plan func() (int64, func() C)) C {
+	c := sh.cache
+	if !sg.sealed || c == nil {
+		return nil
+	}
+	return c.Get(sh.dataset, sg.id, key, func() any {
+		charge, build := plan()
+		if charge > c.columnMax {
+			return C(nil)
+		}
+		return build()
+	}).(C)
 }
 
 // NewCache returns an empty cache of cacheBudget bytes.
@@ -119,7 +154,7 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // Len reports how many entries are memoized or in flight: (segment, query)
-// answers and pair-distance columns.
+// answers and derived columns.
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -249,8 +248,10 @@ func TestResultCacheChargesKeys(t *testing.T) {
 // TestResultBytesCoversEveryKind runs every kind the store answers through
 // resultBytes, so a kind added to the table without a case there fails here
 // and not as a panic in a serving process. Point lookups are not cached.
-// The derived entries go through it too: a pair-distance column is charged
-// at least 8 bytes a distance, and a refused column nothing.
+// The derived columns go through it too: a pair-distance column is charged
+// at least 8 bytes a distance, exactly what its plan said, a ranked-candidate
+// column at least 8 bytes a candidate and no more than its plan's bound, and
+// a refused column of either kind nothing.
 func TestResultBytesCoversEveryKind(t *testing.T) {
 	perClip, _, ctx, _ := shardedFixture(3)
 	s := New(perClip, ctx)
@@ -268,11 +269,20 @@ func TestResultBytesCoversEveryKind(t *testing.T) {
 			t.Errorf("%s: resultBytes = %d, want at least a slice header", k.name, n)
 		}
 	}
-	col := s.buildPairColumn("car", math.MaxInt64)
-	if n, want := resultBytes(col), 24+8*int64(len(col.dists)+len(col.off)); len(col.dists) == 0 || n < want {
-		t.Errorf("a column of %d distances is charged %d bytes, want at least %d", len(col.dists), n, want)
+	charge, build := s.planPairColumn("car")
+	col := build()
+	if n, want := resultBytes(col), 24+8*int64(len(col.dists)+len(col.off)); len(col.dists) == 0 || n < want || n != charge {
+		t.Errorf("a column of %d distances is charged %d bytes, planned at %d, want at least %d", len(col.dists), n, charge, want)
 	}
 	if n := resultBytes((*pairColumn)(nil)); n != 0 {
 		t.Errorf("a refused column is charged %d bytes, want 0", n)
+	}
+	bound, buildRanks := s.planRankColumn("car", p.pred)
+	ranks := buildRanks()
+	if n, want := resultBytes(ranks), 24+8*int64(len(ranks.cands)+len(ranks.off)); len(ranks.cands) == 0 || n < want || n > bound {
+		t.Errorf("a rank column of %d candidates is charged %d bytes, want at least %d and at most its bound, %d", len(ranks.cands), n, want, bound)
+	}
+	if n := resultBytes((*rankColumn)(nil)); n != 0 {
+		t.Errorf("a refused rank column is charged %d bytes, want 0", n)
 	}
 }

@@ -109,13 +109,16 @@ func hostileRegions(r *rand.Rand, ctx query.Context, tracks []*query.Track) []ge
 }
 
 // TestDifferentialHostile is the randomized differential test of the kinds
-// that answer from the index alone, from the pair walk or a run at a time:
-// over 200 worlds, DwellTime, Speeding, HardBraking, the count-only
+// that answer from the index alone, from the pair walk, a run at a time or
+// from a derived column: over 200 worlds, DwellTime, Speeding, HardBraking,
 // LimitQuery, CoOccurrences, AvgVisible and BusyFrames must equal the
 // internal/query scans through one Segment of every clip, and equal that
 // Segment through Sharded splits of 1, 2, 3 and 7 segments, each without a
 // result cache and with one, and through a 3-segment split with a small cache, on
-// the regions of hostileRegions, on thresholds of 0, below 0, NaN, both
+// the regions of hostileRegions, on the limit predicates of
+// hostileLimitPreds (each asked two (limit, minSep) pairs in turn, so a
+// cached split's first call builds its ranked-candidate columns and the
+// second picks from them), on thresholds of 0, below 0, NaN, both
 // infinities and exactly one track's own column value, on the distances of
 // coocDists, on N of -1, 0, 1, a clip's peak and above it, and (every
 // eighth world) at a frame rate of 0.
@@ -157,16 +160,23 @@ func TestDifferentialHostile(t *testing.T) {
 			}
 		}
 
+		lr := rand.New(rand.NewSource(seed)) // the limit queries' draws
 		for _, cat := range []string{"", "car"} {
-			for _, region := range hostileRegions(r, ctx, perClip[0]) {
+			regions := hostileRegions(r, ctx, perClip[0])
+			for _, region := range regions {
 				p := queryParams{cat: cat, region: region}
 				want := kinds["dwell"].both(t, mono, perClip, p)
 				sharded("DwellTime", want, func(q Querier) any { return q.DwellTime(cat, region) })
 			}
-			for _, n := range []int{0, 1, 1 + r.Intn(4), 2000, -1} {
-				p := queryParams{cat: cat, pred: query.CountPredicate{N: n}, limit: 1 + r.Intn(6), minSep: r.Intn(12)}
-				want := kinds["limit"].both(t, mono, perClip, p)
-				sharded("LimitQuery", want, func(q Querier) any { return q.LimitQuery(cat, p.pred, p.limit, p.minSep) })
+			for _, pred := range hostileLimitPreds(lr, seed, regions) {
+				// On a cached split the first pair builds the segments'
+				// ranked-candidate columns for pred and the second picks
+				// from them.
+				for _, pair := range [][2]int{{1 + lr.Intn(6), lr.Intn(12)}, {lr.Intn(20) - 1, lr.Intn(40)}} {
+					p := queryParams{cat: cat, pred: pred, limit: pair[0], minSep: pair[1]}
+					want := kinds["limit"].both(t, mono, perClip, p)
+					sharded("LimitQuery", want, func(q Querier) any { return q.LimitQuery(cat, p.pred, p.limit, p.minSep) })
+				}
 			}
 		}
 
@@ -202,6 +212,27 @@ func TestDifferentialHostile(t *testing.T) {
 			sharded("HardBraking", want, func(q Querier) any { return q.HardBraking(th) })
 		}
 	}
+}
+
+// hostileLimitPreds are the frame predicates TestDifferentialHostile asks
+// limit queries about: counts of N = -1, 0, 1, a random small N and more
+// than any clip shows; region predicates over a seventh of regions, a
+// different seventh each seed, at N from -1 to 3; and hot spots of radius 0,
+// below 0, NaN, +Inf or a random one (by seed), and of a random radius.
+func hostileLimitPreds(r *rand.Rand, seed int64, regions []geom.Polygon) []query.FramePredicate {
+	var preds []query.FramePredicate
+	for _, n := range []int{0, 1, 1 + r.Intn(4), 2000, -1} {
+		preds = append(preds, query.CountPredicate{N: n})
+	}
+	for i, region := range regions {
+		if (i+int(seed))%7 == 0 {
+			preds = append(preds, query.RegionPredicate{Region: region, N: r.Intn(5) - 1})
+		}
+	}
+	radii := []float64{0, -1, math.NaN(), math.Inf(1), 20 + 130*r.Float64()}
+	return append(preds,
+		query.HotSpotPredicate{Radius: radii[seed%int64(len(radii))], N: r.Intn(5) - 1},
+		query.HotSpotPredicate{Radius: 20 + 130*r.Float64(), N: 1 + r.Intn(4)})
 }
 
 // coocDists are the CoOccurrences distances TestDifferentialHostile asks

@@ -2,16 +2,6 @@ package store
 
 import "fmt"
 
-// columnShare bounds one pair-distance column to cacheBudget/columnShare
-// bytes (4 MiB). A column is charged against the budget that also holds the
-// answers it saves, and it costs about one and a half pair walks to build,
-// so it only pays while it stays held: a sixteenth keeps one category's
-// columns over a paper-scale archive (3.2 MB a segment of 8 clips at 33
-// pairs a frame) beside the answers, and turns away a column that would
-// push out most of the cache at once and be pushed out in turn before its
-// next use.
-const columnShare = 16
-
 // pairColumn is one sealed segment's pair-distance column for one
 // category: per clip, the centre distance of every pair of category tracks
 // visible together, on every frame — exactly the float64 values the pair
@@ -40,12 +30,12 @@ func (p *pairColumn) count(dist float64) []int {
 	return out
 }
 
-// buildPairColumn builds the category's column, or returns nil when it
-// would be charged more than maxBytes. A count-only sweep (pairCount) sizes
-// it from the interval index, so a refusal interpolates nothing and a build
-// allocates the distances once, at their exact size; one pair walk per
-// clip then fills them.
-func (sg *Segment) buildPairColumn(cat string, maxBytes int64) *pairColumn {
+// planPairColumn plans the category's column: what it would be charged
+// and how to build it. A count-only sweep (pairCount) sizes it from the
+// interval index, so a refusal interpolates nothing and a build allocates
+// the distances once, at their exact size; one pair walk per clip then
+// fills them.
+func (sg *Segment) planPairColumn(cat string) (int64, func() *pairColumn) {
 	col := &pairColumn{off: make([]int, len(sg.clips)+1)}
 	count := sg.newSweep(false)
 	for i := range sg.clips {
@@ -54,18 +44,17 @@ func (sg *Segment) buildPairColumn(cat string, maxBytes int64) *pairColumn {
 	}
 	count.flush()
 	n := col.off[len(sg.clips)]
-	if resultBytes(col)+8*int64(n) > maxBytes {
-		return nil
+	return resultBytes(col) + 8*int64(n), func() *pairColumn {
+		walk := sg.newSweep(true)
+		walk.dists = make([]float64, 0, n)
+		for i := range sg.clips {
+			walk.reset(&sg.clips[i], cat, nil)
+			walk.pairs(sg.ctx.Frames, 0)
+		}
+		walk.flush()
+		col.dists = walk.dists
+		return col
 	}
-	walk := sg.newSweep(true)
-	walk.dists = make([]float64, 0, n)
-	for i := range sg.clips {
-		walk.reset(&sg.clips[i], cat, nil)
-		walk.pairs(sg.ctx.Frames, 0)
-	}
-	walk.flush()
-	col.dists = walk.dists
-	return col
 }
 
 // pairCount is how many distances sweep.pairs measures on one clip: per
@@ -83,15 +72,8 @@ func (sw *sweep) pairCount(frames int) int {
 }
 
 // cachedPairColumn returns a sealed segment's pair-distance column for cat
-// from the result cache, built by the first call that asks for it, or nil
-// when CoOccurrences should walk the sweep: for a segment that is not
-// sealed or not cached, and when the column would be charged more than the
-// cache's column limit. A refusal is cached as a nil column, so its size
-// is counted once. Concurrent first calls share one build (Cache.Get).
+// through the result cache's one gate for derived columns (cachedColumn),
+// or nil when CoOccurrences should walk the sweep.
 func (sh *Sharded) cachedPairColumn(sg *Segment, cat string) *pairColumn {
-	c := sh.cache
-	if !sg.sealed || c == nil {
-		return nil
-	}
-	return c.Get(sh.dataset, sg.id, fmt.Sprintf("pairs|%#v", cat), func() any { return sg.buildPairColumn(cat, c.columnMax) }).(*pairColumn)
+	return cachedColumn(sh, sg, fmt.Sprintf("pairs|%#v", cat), func() (int64, func() *pairColumn) { return sg.planPairColumn(cat) })
 }

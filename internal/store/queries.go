@@ -262,16 +262,33 @@ func (sg *Segment) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect
 	return boxes, owners
 }
 
-// LimitQuery runs a frame-level limit query per clip through the indexes.
-// RegionPredicate queries additionally pre-prune candidate tracks by their
-// centre extents; the predicate then sees only boxes that could satisfy
-// it, which cannot change its matched set.
+// LimitQuery runs a frame-level limit query per clip through the indexes:
+// query.RankLimit over the clip's sweep, then query.PickLimit.
 func (sg *Segment) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
 	metQueries.Inc()
 	out := make([][]query.FrameMatch, len(sg.clips))
-	_, countOnly := pred.(query.CountPredicate) // ranked without a box
-	sw := sg.newSweep(!countOnly)
-	var scratch query.LimitScratch
+	var ranked []query.LimitCand // one buffer for every clip
+	sw := sg.newLimitSweep(pred)
+	sg.limitClips(&sw, cat, pred, func(i int) {
+		ranked = query.RankLimit(&sw, pred, sg.ctx, ranked[:0])
+		out[i] = query.PickLimit(&sw, pred, ranked, limit, minSepFrames)
+	})
+	return out
+}
+
+// newLimitSweep returns the sweep that ranks for pred: a CountPredicate is
+// ranked without a box, every other predicate from the boxes it matches.
+func (sg *Segment) newLimitSweep(pred query.FramePredicate) sweep {
+	_, countOnly := pred.(query.CountPredicate)
+	return sg.newSweep(!countOnly)
+}
+
+// limitClips calls fn(i) with sw reset to clip i, each clip in turn, for a
+// limit query with pred, and publishes the sweep's statistics after the last.
+// RegionPredicate queries additionally pre-prune candidate tracks by their
+// centre extents; the predicate then sees only boxes that could satisfy
+// it, which cannot change its matched set.
+func (sg *Segment) limitClips(sw *sweep, cat string, pred query.FramePredicate, fn func(i int)) {
 	rp, regional := pred.(query.RegionPredicate)
 	ext := regionExtent(rp.Region)
 	var mask []bool // nil unless regional; one buffer for every clip
@@ -281,10 +298,9 @@ func (sg *Segment) LimitQuery(cat string, pred query.FramePredicate, limit, minS
 			mask = ci.regionCandidates(ext, mask)
 		}
 		sw.reset(ci, cat, mask)
-		out[i] = query.LimitQueryFrom(&sw, pred, sg.ctx, limit, minSepFrames, &scratch)
+		fn(i)
 	}
 	sw.flush()
-	return out
 }
 
 // AvgVisible averages the per-frame visible count per clip.

@@ -136,7 +136,8 @@ func scatter[E any](sh *Sharded, key string, run func(*Segment) []E) []E {
 // slice header, 48 a map plus 24 or 32 an entry beside its key's bytes, 8 a
 // number or a pointer). Tracks an answer points at belong to the segment
 // and are not charged. Every result type scatter is instantiated with needs
-// a case here, and so does each derived entry the cache holds (pairs.go);
+// a case here, and so does each derived column the cache holds (pairs.go,
+// ranks.go; a candidate is two int32, one word);
 // TestResultBytesCoversEveryKind runs the store's kinds and the derived
 // entries through it.
 func resultBytes(v any) int64 {
@@ -171,6 +172,11 @@ func resultBytes(v any) int64 {
 			return 0
 		}
 		n += sliceHdr + word*int64(len(r.dists)+len(r.off))
+	case *rankColumn:
+		if r == nil {
+			return 0
+		}
+		n += sliceHdr + word*int64(len(r.cands)+len(r.off))
 	case [][]query.FrameMatch:
 		for _, c := range r {
 			n += sliceHdr
@@ -202,11 +208,19 @@ func (sh *Sharded) PathBreakdown(cat string, movements []query.Movement, maxEndp
 	return scatter(sh, key, func(sg *Segment) []map[string]int { return sg.PathBreakdown(cat, movements, maxEndpointDist) })
 }
 
+// LimitQuery answers a sealed segment behind the cache from its
+// ranked-candidate column for (cat, pred) (cachedRankColumn, built by the
+// first call that asks), picking each clip's frames from it, and sweeps
+// where there is none. Limit semantics are per clip, so per-segment
+// execution matches the single store exactly.
 func (sh *Sharded) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
-	// Limit semantics are per clip (each clip's sweep stops at limit), so
-	// per-segment execution matches the single store exactly.
 	key := fmt.Sprintf("limit|%#v|%#v|%#v|%#v", cat, pred, limit, minSepFrames)
-	return scatter(sh, key, func(sg *Segment) [][]query.FrameMatch { return sg.LimitQuery(cat, pred, limit, minSepFrames) })
+	return scatter(sh, key, func(sg *Segment) [][]query.FrameMatch {
+		if col := sh.cachedRankColumn(sg, cat, pred); col != nil {
+			return sg.pick(col, cat, pred, limit, minSepFrames)
+		}
+		return sg.LimitQuery(cat, pred, limit, minSepFrames)
+	})
 }
 
 func (sh *Sharded) AvgVisible(cat string) []float64 {

@@ -58,6 +58,11 @@
 // are at most it, which is the walk's comparison on the walk's numbers,
 // and interpolates nothing. A column over a share of the cache's budget, a
 // Sharded without a cache and a Live store's open segment walk the sweep.
+// In the same way a sealed segment asked for a limit query keeps the
+// category and predicate's ranked-candidate column (ranks.go): what
+// query.RankLimit leaves for every clip, which no limit or separation
+// changes, so a call with new ones only picks (query.PickLimit) and looks
+// its frames up. Both kinds of column pass one gate, cachedColumn.
 //
 // The index arrays hold track indices, not pointers, and are immutable
 // once a clip is built; a Segment and a Sharded are safe for concurrent
