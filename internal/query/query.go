@@ -284,13 +284,7 @@ func VisibleBoxes(tracks []*Track, cat string, frameIdx int) ([]geom.Rect, []*Tr
 // the query cores below run the same logic over either and their answers
 // are identical by construction.
 type FrameSource interface {
-	// Advance moves the sweep to frame f and returns how many objects are
-	// visible there, n, and the first frame after f at which the visible set
-	// may change, next: every frame in [f, next) sees the same tracks, so n
-	// holds for the whole run. Across the calls of one sweep f only ascends
-	// (it may skip frames). A track is visible exactly on [FirstFrame,
-	// LastFrame], so a source can count without interpolating a box.
-	Advance(f int) (n, next int)
+	CountSource
 	// Boxes materialises the boxes and owning tracks of the frame last
 	// advanced to, in track order, nil when nothing is visible. The slices
 	// belong to the source and are valid only until the next Advance:
@@ -304,6 +298,20 @@ type FrameSource interface {
 	// At is the point lookup: the boxes and owners visible at any frame,
 	// wherever the sweep stands, in fresh slices the caller may keep.
 	At(f int) ([]geom.Rect, []*Track)
+}
+
+// CountSource supplies one category's visible count frame by frame: all
+// the counting cores (AvgVisibleFrom, BusyFramesFrom) ask of a source. A
+// FrameSource is one, and so is a replay of counts kept from an earlier
+// sweep.
+type CountSource interface {
+	// Advance moves the sweep to frame f and returns how many objects are
+	// visible there, n, and the first frame after f at which the visible set
+	// may change, next: every frame in [f, next) sees the same tracks, so n
+	// holds for the whole run. Across the calls of one sweep f only ascends
+	// (it may skip frames). A track is visible exactly on [FirstFrame,
+	// LastFrame], so a source can count without interpolating a box.
+	Advance(f int) (n, next int)
 }
 
 // scan is the linear-scan FrameSource, the reference the indexed store is
@@ -414,25 +422,24 @@ func rankByDuration(cands []LimitCand) {
 // PickLimit answers a limit query from one clip's ranked candidates: it
 // takes them best first, skipping any closer than minSepFrames to one
 // already taken, until it has limit, and then looks the chosen frames up
-// in src (At) for the boxes pred matches there, in frame order.
+// in src (At) for the boxes pred matches there, in frame order. The frames
+// taken are kept in frame order, so a candidate is checked against the
+// nearest taken frame on each side only, found by binary search: if any
+// taken frame is too close, one of those two is. A separation of 0 or less
+// turns no candidate away, and is not checked at all.
 func PickLimit(src FrameSource, pred FramePredicate, ranked []LimitCand, limit int, minSepFrames int) []FrameMatch {
 	var out []FrameMatch
 	for _, c := range ranked {
 		if len(out) >= limit {
 			break
 		}
-		ok := true
-		for _, o := range out {
-			if f := int(c.Frame); max(o.FrameIdx-f, f-o.FrameIdx) < minSepFrames {
-				ok = false
-				break
-			}
+		f := int(c.Frame)
+		i, _ := slices.BinarySearchFunc(out, f, func(m FrameMatch, f int) int { return cmp.Compare(m.FrameIdx, f) })
+		if minSepFrames > 0 && (i > 0 && f-out[i-1].FrameIdx < minSepFrames || i < len(out) && out[i].FrameIdx-f < minSepFrames) {
+			continue
 		}
-		if ok {
-			out = append(out, FrameMatch{FrameIdx: int(c.Frame), MinDuration: int(c.MinDur)})
-		}
+		out = slices.Insert(out, i, FrameMatch{FrameIdx: f, MinDuration: int(c.MinDur)})
 	}
-	slices.SortFunc(out, func(a, b FrameMatch) int { return cmp.Compare(a.FrameIdx, b.FrameIdx) })
 	for i := range out {
 		boxes, _ := src.At(out[i].FrameIdx)
 		out[i].Boxes, _ = pred.Eval(boxes)
@@ -514,9 +521,9 @@ func AvgVisible(tracks []*Track, cat string, ctx Context) float64 {
 	return AvgVisibleFrom(&scan{tracks: tracks, cat: cat}, ctx)
 }
 
-// AvgVisibleFrom is AvgVisible over any frame source. It only counts, once
+// AvgVisibleFrom is AvgVisible over any count source. It only counts, once
 // per run of frames with one visible set: no box is materialised.
-func AvgVisibleFrom(src FrameSource, ctx Context) float64 {
+func AvgVisibleFrom(src CountSource, ctx Context) float64 {
 	if ctx.Frames == 0 {
 		return 0
 	}
@@ -537,10 +544,12 @@ func BusyFrames(tracks []*Track, catA string, nA int, catB string, nB int, ctx C
 	return BusyFramesFrom(&scan{tracks: tracks, cat: catA}, nA, &scan{tracks: tracks, cat: catB}, nB, ctx)
 }
 
-// BusyFramesFrom is BusyFrames over any pair of frame sources, counting
+// BusyFramesFrom is BusyFrames over any pair of count sources, counting
 // only, once per run of frames on which neither visible set changes. The
-// catB source is advanced only to frames where catA qualifies.
-func BusyFramesFrom(srcA FrameSource, nA int, srcB FrameSource, nB int, ctx Context) []int {
+// catB source is advanced only to frames where catA qualifies. The scan,
+// the store's sweep and the store's cached count runs all answer through
+// it.
+func BusyFramesFrom(srcA CountSource, nA int, srcB CountSource, nB int, ctx Context) []int {
 	var out []int
 	for f := 0; f < ctx.Frames; {
 		a, next := srcA.Advance(f)

@@ -361,3 +361,61 @@ func TestRankByDurationMatchesSortSlice(t *testing.T) {
 		}
 	}
 }
+
+// pickQuadratic is PickLimit's separation loop as it was first written,
+// each candidate checked against every frame already taken, then sorted by
+// frame: the reference TestPickLimitMatchesQuadratic holds the binary
+// search to.
+func pickQuadratic(ranked []LimitCand, limit, minSepFrames int) []FrameMatch {
+	var out []FrameMatch
+	for _, c := range ranked {
+		if len(out) >= limit {
+			break
+		}
+		ok := true
+		for _, o := range out {
+			if f := int(c.Frame); max(o.FrameIdx-f, f-o.FrameIdx) < minSepFrames {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			out = append(out, FrameMatch{FrameIdx: int(c.Frame), MinDuration: int(c.MinDur)})
+		}
+	}
+	slices.SortFunc(out, func(a, b FrameMatch) int { return a.FrameIdx - b.FrameIdx })
+	return out
+}
+
+// TestPickLimitMatchesQuadratic: over 5,000 ranked lists of distinct
+// frames (a clip yields one candidate a frame), ranked by duration as
+// RankLimit leaves them or in random order, PickLimit takes the frames the
+// quadratic loop takes, at limits from 0 to past the candidate count and
+// separations of -3, 0, 1, a random one and more than the clip is long.
+func TestPickLimitMatchesQuadratic(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	src, _ := newRunSources(r, nil, 8, 2000)
+	pred := CountPredicate{N: 0}
+	for trial := 0; trial < 5000; trial++ {
+		frames := 1 + r.Intn(2000)
+		ranked := make([]LimitCand, 0, frames)
+		for _, f := range r.Perm(frames)[:r.Intn(frames+1)] {
+			ranked = append(ranked, LimitCand{Frame: int32(f), MinDur: int32(r.Intn(200))})
+		}
+		if trial%2 == 0 {
+			rankByDuration(ranked)
+		}
+		limit := []int{0, 1, 1 + r.Intn(20), len(ranked), len(ranked) + 1 + r.Intn(5)}[trial%5]
+		minSep := []int{-3, 0, 1, r.Intn(100), 3 * frames}[(trial/5)%5]
+		got := PickLimit(src, pred, ranked, limit, minSep)
+		want := pickQuadratic(ranked, limit, minSep)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (limit %d, separation %d): %d frames taken, want %d", trial, limit, minSep, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].FrameIdx != want[i].FrameIdx || got[i].MinDuration != want[i].MinDuration {
+				t.Fatalf("trial %d (limit %d, separation %d): match %d is %+v, want %+v", trial, limit, minSep, i, got[i], want[i])
+			}
+		}
+	}
+}

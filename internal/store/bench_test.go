@@ -187,6 +187,38 @@ func BenchmarkLimitQuerySharded(b *testing.B) {
 	}
 }
 
+// BenchmarkBusyFramesSharded is a frame pass's BusyFrames on the query-mix
+// shape through a Sharded of two segments, each call at an (nA, nB) not
+// asked before: nA cycles through 2, 3 and 4 and nB counts down from 1, so
+// from the fourth call on every frame has enough buses and the answer is
+// every frame with nA cars. "walk" has no result cache and sweeps both
+// categories, "column" replays the cached count-run columns that its first
+// call leaves behind.
+func BenchmarkBusyFramesSharded(b *testing.B) {
+	perClip, ctx := queryMixWorkload()
+	for _, w := range []struct {
+		name   string
+		cached bool
+	}{{"walk", false}, {"column", true}} {
+		b.Run(w.name, func(b *testing.B) {
+			var cache *Cache // a fresh one each run, so no run hits another's answers
+			if w.cached {
+				cache = NewCache()
+			}
+			sh, err := NewSharded("bench", ctx, SplitSegments(perClip, ctx, 2), cache)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sh.BusyFrames("car", 3, "bus", 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sh.BusyFrames("car", 2+i%3, "bus", 1-i)
+			}
+		})
+	}
+}
+
 // BenchmarkDwellIndexed measures region dwell through the centre-extent
 // mask and the block walk, a different region each call.
 func BenchmarkDwellIndexed(b *testing.B) {
@@ -306,6 +338,11 @@ func TestFrameQueryAllocGate(t *testing.T) {
 	// asks a separation not asked before.
 	minSep := mixCtx.FPS
 	cached.LimitQuery("car", query.CountPredicate{N: 3}, 5, minSep)
+	// BusyFrames replayed from count-run columns on the same split: the
+	// first call builds the car and bus columns, and every call after it
+	// asks an (nA, nB) not asked before.
+	busyA, busyB := 2, 1
+	cached.BusyFrames("car", busyA, "bus", busyB)
 	for _, g := range []struct {
 		name string
 		max  float64
@@ -348,6 +385,15 @@ func TestFrameQueryAllocGate(t *testing.T) {
 			minSep++
 			cached.LimitQuery("car", query.CountPredicate{N: 3}, 5, minSep)
 		}},
+		// Per segment: the answer's frame list growing by doubling (about
+		// ten steps here), the answer and its cache entry, the two
+		// columns' keys and lookups: about 13. Per call: the answer's key,
+		// the scatter and the merge. 52 a call, 60 under -race; nothing
+		// per frame or run, however long the clips.
+		{"BusyFrames from columns", float64(len(cached.Segments())*18 + 12), func() {
+			busyA, busyB = 2+busyB%3, busyB+1
+			cached.BusyFrames("car", busyA, "bus", busyB)
+		}},
 	} {
 		if got := testing.AllocsPerRun(5, g.run); got > g.max {
 			t.Errorf("%s: %.0f allocs per call, want at most %.0f", g.name, got, g.max)
@@ -363,8 +409,8 @@ func TestFrameQueryAllocGate(t *testing.T) {
 // nothing per track; as scans they allocated a speeds slice per track,
 // 2000 a call here. DwellTime allocates, per call, the answer, one mask
 // that grows to the largest clip and the region's edge boxes, and per clip
-// its map growing with the tracks that dwell; nothing per track, block,
-// pair or frame. PathBreakdown allocates the answer and one map per clip,
+// its map, sized once to the tracks the mask keeps; nothing per track,
+// block, pair or frame. PathBreakdown allocates the answer and one map per clip,
 // sized to the movements; nothing per track.
 func TestTrackQueryAllocGate(t *testing.T) {
 	perClip, ctx := benchWorkload()
@@ -380,8 +426,10 @@ func TestTrackQueryAllocGate(t *testing.T) {
 		// 500 tracks a clip: about ten doublings of the track list.
 		{"Speeding", perClipBudget(12) + 1, func() { s.Speeding(800) }},
 		{"HardBraking", perClipBudget(12) + 1, func() { s.HardBraking(250) }},
-		// A map of up to 500 entries is about twenty allocations.
-		{"DwellTime", perClipBudget(24) + 4, func() { s.DwellTime("car", region) }},
+		// A map sized to the tracks the mask keeps: its header and its
+		// tables, four allocations. (Grown from empty, 14 a clip: 59 a
+		// call.)
+		{"DwellTime", perClipBudget(4) + 3, func() { s.DwellTime("car", region) }},
 		// One map of four movements a clip: its header and its one group.
 		{"PathBreakdown", perClipBudget(2) + 1, func() { s.PathBreakdown("car", movements, 0.22*float64(ctx.NomW)) }},
 	} {

@@ -38,11 +38,12 @@ type CacheStats struct {
 // returns. Only sealed segments are cached (an open segment's content
 // changes on every append); Sharded enforces that at the call site.
 //
-// Beside the answers the same LRU holds two derived kinds, charged and
+// Beside the answers the same LRU holds three derived kinds, charged and
 // evicted like answers: each segment's pair-distance column for a category
-// that CoOccurrences has been asked about (pairs.go), and its
-// ranked-candidate column for a category and frame predicate that
-// LimitQuery has been asked about (ranks.go). Both pass one gate,
+// that CoOccurrences has been asked about (pairs.go), its ranked-candidate
+// column for a category and frame predicate that LimitQuery has been asked
+// about (ranks.go), and its count-run column for a category that
+// BusyFrames has been asked about (runs.go). All pass one gate,
 // cachedColumn.
 //
 // Construct with NewCache. A nil *Cache disables caching: Get then just
@@ -57,8 +58,8 @@ type Cache struct {
 
 // columnShare bounds one derived column to cacheBudget/columnShare bytes
 // (4 MiB). A column is charged against the budget that also holds the
-// answers it saves, and it costs about one uncached call (a pair column one
-// and a half pair walks) to build, so it only pays while it stays held: a
+// answers it saves, and it costs about one uncached call (a pair column
+// two to three pair walks) to build, so it only pays while it stays held: a
 // sixteenth keeps one category's pair columns over a paper-scale archive
 // (3.2 MB a segment of 8 clips at 33 pairs a frame) beside the answers, and
 // turns away a column that would push out most of the cache at once and be
@@ -73,7 +74,7 @@ const columnShare = 16
 // bound on it, before anything is built, and how to build the column. A
 // refusal is cached as a nil column, so the size is counted once.
 // Concurrent first calls share one build (Cache.Get).
-func cachedColumn[C *pairColumn | *rankColumn](sh *Sharded, sg *Segment, key string, plan func() (int64, func() C)) C {
+func cachedColumn[C *pairColumn | *rankColumn | *runColumn](sh *Sharded, sg *Segment, key string, plan func() (int64, func() C)) C {
 	c := sh.cache
 	if !sg.sealed || c == nil {
 		return nil

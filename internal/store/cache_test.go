@@ -248,10 +248,11 @@ func TestResultCacheChargesKeys(t *testing.T) {
 // TestResultBytesCoversEveryKind runs every kind the store answers through
 // resultBytes, so a kind added to the table without a case there fails here
 // and not as a panic in a serving process. Point lookups are not cached.
-// The derived columns go through it too: a pair-distance column is charged
-// at least 8 bytes a distance, exactly what its plan said, a ranked-candidate
-// column at least 8 bytes a candidate and no more than its plan's bound, and
-// a refused column of either kind nothing.
+// The derived columns go through it too, each charged exactly what its
+// plan said: a pair-distance column at least 8 bytes a distance and 4 a
+// bucket, a ranked-candidate column at least 8 bytes a candidate, a
+// count-run column at least 8 bytes a run, and a refused column of any
+// kind nothing.
 func TestResultBytesCoversEveryKind(t *testing.T) {
 	perClip, _, ctx, _ := shardedFixture(3)
 	s := New(perClip, ctx)
@@ -271,18 +272,30 @@ func TestResultBytesCoversEveryKind(t *testing.T) {
 	}
 	charge, build := s.planPairColumn("car")
 	col := build()
-	if n, want := resultBytes(col), 24+8*int64(len(col.dists)+len(col.off)); len(col.dists) == 0 || n < want || n != charge {
-		t.Errorf("a column of %d distances is charged %d bytes, planned at %d, want at least %d", len(col.dists), n, charge, want)
+	buckets := 0
+	for _, b := range col.buckets {
+		buckets += len(b.starts) - 1
+	}
+	if n, want := resultBytes(col), 24+8*int64(len(col.dists)+len(col.off))+4*int64(buckets); len(col.dists) == 0 || n < want || n != charge {
+		t.Errorf("a column of %d distances in %d buckets is charged %d bytes, planned at %d, want at least %d", len(col.dists), buckets, n, charge, want)
 	}
 	if n := resultBytes((*pairColumn)(nil)); n != 0 {
 		t.Errorf("a refused column is charged %d bytes, want 0", n)
 	}
 	bound, buildRanks := s.planRankColumn("car", p.pred)
 	ranks := buildRanks()
-	if n, want := resultBytes(ranks), 24+8*int64(len(ranks.cands)+len(ranks.off)); len(ranks.cands) == 0 || n < want || n > bound {
-		t.Errorf("a rank column of %d candidates is charged %d bytes, want at least %d and at most its bound, %d", len(ranks.cands), n, want, bound)
+	if n, want := resultBytes(ranks), 24+8*int64(len(ranks.cands)+len(ranks.off)); len(ranks.cands) == 0 || n < want || n != bound {
+		t.Errorf("a rank column of %d candidates is charged %d bytes, want at least %d and its plan's bound, %d", len(ranks.cands), n, want, bound)
 	}
 	if n := resultBytes((*rankColumn)(nil)); n != 0 {
 		t.Errorf("a refused rank column is charged %d bytes, want 0", n)
+	}
+	bound, buildRuns := s.planRunColumn("car")
+	runs := buildRuns()
+	if n, want := resultBytes(runs), 24+8*int64(len(runs.runs)+len(runs.off)); len(runs.runs) == 0 || n < want || n != bound {
+		t.Errorf("a run column of %d runs is charged %d bytes, want at least %d and its plan's bound, %d", len(runs.runs), n, want, bound)
+	}
+	if n := resultBytes((*runColumn)(nil)); n != 0 {
+		t.Errorf("a refused run column is charged %d bytes, want 0", n)
 	}
 }

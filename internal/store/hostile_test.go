@@ -120,8 +120,10 @@ func hostileRegions(r *rand.Rand, ctx query.Context, tracks []*query.Track) []ge
 // cached split's first call builds its ranked-candidate columns and the
 // second picks from them), on thresholds of 0, below 0, NaN, both
 // infinities and exactly one track's own column value, on the distances of
-// coocDists, on N of -1, 0, 1, a clip's peak and above it, and (every
-// eighth world) at a frame rate of 0.
+// coocDists, on N of -1, 0, 1, a clip's peak and above it (BusyFrames of
+// each of "", "car" and "nosuch" against the next and against itself, so a
+// cached split's first call builds the count-run columns and the rest
+// replay them), and (every eighth world) at a frame rate of 0.
 func TestDifferentialHostile(t *testing.T) {
 	kinds := map[string]queryKind{}
 	for _, k := range queryKinds {
@@ -147,8 +149,8 @@ func TestDifferentialHostile(t *testing.T) {
 			add(clipsPerSeg, nil)
 			add(clipsPerSeg, NewCache())
 		}
-		// A cache of 64 KiB takes pair-distance columns of 4 KiB: it
-		// refuses the columns of the busier segments and builds the rest.
+		// A cache of 64 KiB takes derived columns of 4 KiB: it refuses the
+		// pair-distance columns of the busier segments and builds the rest.
 		add(3, newCache(64<<10))
 		sharded := func(what string, want any, run func(q Querier) any) {
 			t.Helper()
@@ -194,10 +196,15 @@ func TestDifferentialHostile(t *testing.T) {
 			sharded("AvgVisible", want, func(q Querier) any { return q.AvgVisible(cat) })
 			peak := peakVisible(perClip, cat, ctx)
 			ns := []int{-1, 0, 1, peak, peak + 1}
-			for j, n := range ns {
-				p := queryParams{cat: cat, nA: n, catB: cats[(i+1)%len(cats)], nB: ns[len(ns)-1-j]}
-				want := kinds["busy"].both(t, mono, perClip, p)
-				sharded("BusyFrames", want, func(q Querier) any { return q.BusyFrames(p.cat, p.nA, p.catB, p.nB) })
+			// On a cached split the first call for a category builds its
+			// count-run columns and the rest replay them: against the next
+			// category, and against itself.
+			for _, catB := range []string{cats[(i+1)%len(cats)], cat} {
+				for j, n := range ns {
+					p := queryParams{cat: cat, nA: n, catB: catB, nB: ns[len(ns)-1-j]}
+					want := kinds["busy"].both(t, mono, perClip, p)
+					sharded("BusyFrames", want, func(q Querier) any { return q.BusyFrames(p.cat, p.nA, p.catB, p.nB) })
+				}
 			}
 		}
 

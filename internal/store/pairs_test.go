@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -132,4 +133,67 @@ func TestLiveOpenSegmentWalks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPairColumn holds a clip's bucketed count to the linear one, on raw
+// float bits for the distances, for dist, for the frame diagonal the
+// buckets span and for the bucket count: NaN, both infinities, both
+// zeros, subnormals, the largest float and values on a bucket's edge
+// among them, a diagonal of 0, NaN or Inf included. The grouping must
+// keep every distance but the NaN ones, each in the bucket of() names, and
+// the count must equal the walk's comparison, d <= dist, over every
+// distance, at dist and at each distance of the clip and its neighbours.
+func FuzzPairColumn(f *testing.F) {
+	f.Add([]byte{}, math.Float64bits(1), math.Float64bits(734), uint16(0))
+	f.Add(pairFuzzBytes(0, 1, 2.5, 733.9), math.Float64bits(2), math.Float64bits(734), uint16(3))
+	f.Fuzz(func(t *testing.T, raw []byte, distBits, diagBits uint64, buckets uint16) {
+		dists := make([]float64, len(raw)/8)
+		for i := range dists {
+			dists[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		nb := 1 + int(buckets)%maxPairBuckets
+		b := newPairBuckets(make([]int32, nb+1), math.Float64frombits(diagBits))
+		col := append([]float64(nil), dists...)
+		kept := b.group(col, make([]float64, len(dists)))
+		numbers := 0
+		for _, d := range dists {
+			if d == d {
+				numbers++
+			}
+		}
+		if kept != numbers || int(b.starts[0]) != 0 || int(b.starts[nb]) != kept {
+			t.Fatalf("%d of %d distances kept, starts %d..%d; want the %d that are not NaN", kept, len(dists), b.starts[0], b.starts[nb], numbers)
+		}
+		for k := 0; k < nb; k++ {
+			for _, d := range col[b.starts[k]:b.starts[k+1]] {
+				if d != d || b.of(d) != k {
+					t.Fatalf("bucket %d holds %v, whose bucket is %d", k, d, b.of(d))
+				}
+			}
+		}
+		asks := []float64{math.Float64frombits(distBits)}
+		for _, d := range dists[:min(len(dists), 16)] {
+			asks = append(asks, d, math.Nextafter(d, math.Inf(-1)), math.Nextafter(d, math.Inf(1)))
+		}
+		for _, dist := range asks {
+			want := 0
+			for _, d := range dists {
+				if d <= dist {
+					want++
+				}
+			}
+			if got := b.count(col[:kept], dist); got != want {
+				t.Fatalf("count(%v) = %d over %d buckets of scale %v, want %d", dist, got, nb, b.scale, want)
+			}
+		}
+	})
+}
+
+// pairFuzzBytes is FuzzPairColumn's encoding of distances.
+func pairFuzzBytes(dists ...float64) []byte {
+	out := make([]byte, 0, 8*len(dists))
+	for _, d := range dists {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d))
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"slices"
 
 	"otif/internal/query"
 )
@@ -20,19 +19,20 @@ type rankColumn struct {
 
 // planRankColumn plans the column for (cat, pred). A clip yields at most
 // one candidate a frame, so 8 bytes a frame and clip bound the column
-// before anything is swept; a build then ranks each clip as an uncached
-// call does and holds the candidates at their exact length.
+// before anything is swept; a build allocates the candidates once, at that
+// bound, which is what the column is charged, and ranks each clip into
+// them as an uncached call does.
 func (sg *Segment) planRankColumn(cat string, pred query.FramePredicate) (int64, func() *rankColumn) {
 	col := &rankColumn{off: make([]int, len(sg.clips)+1)}
-	bound := resultBytes(col) + 8*int64(sg.ctx.Frames)*int64(len(sg.clips))
-	return bound, func() *rankColumn {
-		var cands []query.LimitCand
+	n := max(sg.ctx.Frames, 0) * len(sg.clips)
+	return resultBytes(col) + 8*int64(n), func() *rankColumn {
+		cands := make([]query.LimitCand, 0, n)
 		sw := sg.newLimitSweep(pred)
 		sg.limitClips(&sw, cat, pred, func(i int) {
 			cands = query.RankLimit(&sw, pred, sg.ctx, cands)
 			col.off[i+1] = len(cands)
 		})
-		col.cands = slices.Clone(cands)
+		col.cands = cands
 		return col
 	}
 }

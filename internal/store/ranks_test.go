@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -87,5 +89,46 @@ func TestLimitColumnRefusedOrEvicted(t *testing.T) {
 		if ex, lk := limitStep(t, sh, mono, pred, 8); ex != lk {
 			t.Fatalf("%#v: the rebuilt columns did not answer: %d candidates examined, %d by the lookups", pred, ex, lk)
 		}
+	}
+}
+
+// TestLimitColumnAllocatesOnce: a cold first LimitQuery on a two-segment
+// split of the query-mix shape, which builds every segment's
+// ranked-candidate column and picks from it, allocates no more bytes than
+// the uncached call beside the columns themselves. The build ranks into
+// the column's one allocation; grown by append and copied to its length,
+// it took 240 KB against the uncached call's 93 KB and the columns' 45 KB.
+func TestLimitColumnAllocatesOnce(t *testing.T) {
+	perClip, ctx := queryMixWorkload()
+	segs := SplitSegments(perClip, ctx, 2)
+	pred := query.CountPredicate{N: 3}
+	allocated := func(cache *Cache) (bytes, columns int64) {
+		sh, err := NewSharded("test", ctx, segs, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sh.LimitQuery("car", pred, 5, ctx.FPS)
+		runtime.ReadMemStats(&after)
+		for _, sg := range sh.Segments() {
+			columns += resultBytes(sh.cachedRankColumn(sg, "car", pred))
+		}
+		return int64(after.TotalAlloc - before.TotalAlloc), columns
+	}
+	uncached, cold := int64(math.MaxInt64), int64(math.MaxInt64) // the least of five, against stray allocations
+	var columns int64
+	for i := 0; i < 5; i++ {
+		u, _ := allocated(nil)
+		c, cols := allocated(NewCache())
+		uncached, cold, columns = min(uncached, u), min(cold, c), cols
+	}
+	if columns == 0 {
+		t.Fatal("the cached call left no column")
+	}
+	if cold > uncached+columns {
+		t.Errorf("a cold cached LimitQuery allocated %d bytes, more than the uncached call's %d and the columns' %d together", cold, uncached, columns)
+	} else {
+		t.Logf("cold cached call %d bytes, uncached %d, columns %d", cold, uncached, columns)
 	}
 }

@@ -137,7 +137,9 @@ func scatter[E any](sh *Sharded, key string, run func(*Segment) []E) []E {
 // number or a pointer). Tracks an answer points at belong to the segment
 // and are not charged. Every result type scatter is instantiated with needs
 // a case here, and so does each derived column the cache holds (pairs.go,
-// ranks.go; a candidate is two int32, one word);
+// ranks.go, runs.go; a candidate and a run are two int32, one word, and a
+// column is charged the capacity it holds, which its build allocates
+// once);
 // TestResultBytesCoversEveryKind runs the store's kinds and the derived
 // entries through it.
 func resultBytes(v any) int64 {
@@ -171,12 +173,20 @@ func resultBytes(v any) int64 {
 		if r == nil { // a refused column holds nothing
 			return 0
 		}
-		n += sliceHdr + word*int64(len(r.dists)+len(r.off))
+		n += 2*sliceHdr + word*int64(cap(r.dists)+len(r.off)) + (sliceHdr+2*word)*int64(len(r.buckets))
+		for _, b := range r.buckets {
+			n += 4 * int64(len(b.starts))
+		}
 	case *rankColumn:
 		if r == nil {
 			return 0
 		}
-		n += sliceHdr + word*int64(len(r.cands)+len(r.off))
+		n += sliceHdr + word*int64(cap(r.cands)+len(r.off))
+	case *runColumn:
+		if r == nil {
+			return 0
+		}
+		n += sliceHdr + word*int64(cap(r.runs)+len(r.off))
 	case [][]query.FrameMatch:
 		for _, c := range r {
 			n += sliceHdr
@@ -228,9 +238,19 @@ func (sh *Sharded) AvgVisible(cat string) []float64 {
 	return scatter(sh, key, func(sg *Segment) []float64 { return sg.AvgVisible(cat) })
 }
 
+// BusyFrames answers a sealed segment behind the cache from the count-run
+// columns of catA and catB (cachedRunColumn, built by the first call that
+// asks for each; one column when they are the same category), and sweeps
+// where either is missing.
 func (sh *Sharded) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
 	key := fmt.Sprintf("busy|%#v|%#v|%#v|%#v", catA, nA, catB, nB)
-	return scatter(sh, key, func(sg *Segment) [][]int { return sg.BusyFrames(catA, nA, catB, nB) })
+	return scatter(sh, key, func(sg *Segment) [][]int {
+		colA, colB := sh.cachedRunColumn(sg, catA), sh.cachedRunColumn(sg, catB)
+		if colA != nil && colB != nil {
+			return sg.busyFromRuns(colA, nA, colB, nB)
+		}
+		return sg.BusyFrames(catA, nA, catB, nB)
+	})
 }
 
 // CoOccurrences answers a sealed segment behind the cache from its

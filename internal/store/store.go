@@ -36,7 +36,8 @@
 // element-for-element equality and TestGoldenQueries pins the answers across
 // commits. CoOccurrences and DwellTime have loops of their own, held to
 // their scans by those tests alone; so is the pair-distance column that
-// CoOccurrences counts from behind a result cache.
+// CoOccurrences counts from behind a result cache, whose bucketed count
+// FuzzPairColumn also holds to the linear one.
 //
 // The sweep (queries.go) hands the cores views into buffers it reuses for
 // the next frame: boxes are valid until the next Advance and whatever a
@@ -53,16 +54,26 @@
 // Behind a result cache, a sealed segment asked for one category's
 // co-occurrences keeps that category's pair-distance column there
 // (pairs.go): the centre distance of every pair the walk measures, built
-// by the same walk and sized by a count-only sweep. A CoOccurrences call
-// at a distance not asked before then counts the column's distances that
-// are at most it, which is the walk's comparison on the walk's numbers,
-// and interpolates nothing. A column over a share of the cache's budget, a
-// Sharded without a cache and a Live store's open segment walk the sweep.
-// In the same way a sealed segment asked for a limit query keeps the
-// category and predicate's ranked-candidate column (ranks.go): what
-// query.RankLimit leaves for every clip, which no limit or separation
-// changes, so a call with new ones only picks (query.PickLimit) and looks
-// its frames up. Both kinds of column pass one gate, cachedColumn.
+// by the same walk and sized by a count-only sweep. Each clip's distances
+// are grouped by a bucket index that never decreases as the distance
+// grows (about 32 distances a bucket, at most 1,024 buckets over the
+// frame's diagonal, the last bucket open-ended), with the buckets' start
+// offsets beside them, and a NaN distance, which no dist counts, is
+// dropped. A CoOccurrences call at a distance not asked before then adds
+// the buckets below dist's whole and compares dist's own bucket one
+// distance at a time: every distance below that bucket is less than dist
+// and every one above it greater, so the count is the walk's comparison
+// on the walk's numbers, and it interpolates nothing. A column over a
+// share of the cache's budget, a Sharded without a cache and a Live
+// store's open segment walk the sweep. In the same way a sealed segment
+// asked for a limit query keeps the category and predicate's
+// ranked-candidate column (ranks.go): what query.RankLimit leaves for
+// every clip, which no limit or separation changes, so a call with new
+// ones only picks (query.PickLimit) and looks its frames up. And a segment
+// asked for busy frames keeps each category's count-run column (runs.go):
+// every clip's runs of frames with one visible count, from one count-only
+// sweep, which query.BusyFramesFrom replays for any (nA, nB) as it reads
+// the sweep. All three kinds of column pass one gate, cachedColumn.
 //
 // The index arrays hold track indices, not pointers, and are immutable
 // once a clip is built; a Segment and a Sharded are safe for concurrent
