@@ -42,15 +42,13 @@ func (m TrackCountMetric) Accuracy(perClip [][]*query.Track, clips []*dataset.Cl
 // trueUniqueCount counts the unique objects of a category ever visible in
 // the clip's ground truth.
 func trueUniqueCount(ct *dataset.ClipTruth, cat string) int {
-	seen := map[int]bool{}
-	for f := 0; f < ct.Clip.Len(); f++ {
-		for _, gt := range ct.Truth(f) {
-			if cat == "" || string(gt.Cat) == cat {
-				seen[gt.ID] = true
-			}
+	n := 0
+	for _, p := range ct.World.Paths() {
+		if cat == "" || string(p.Cat) == cat {
+			n++
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // PathBreakdownMetric scores the path breakdown (turning movement count)
@@ -89,17 +87,12 @@ func (m PathBreakdownMetric) Accuracy(perClip [][]*query.Track, clips []*dataset
 // movement on either side, so the query semantics — "count objects that
 // traveled movement X within this clip" — are consistent.
 func (m PathBreakdownMetric) trueMovementCounts(ct *dataset.ClipTruth, cat string) map[string]int {
-	paths := map[int]geom.Path{}
-	for f := 0; f < ct.Clip.Len(); f++ {
-		for _, gt := range ct.Truth(f) {
-			if cat == "" || string(gt.Cat) == cat {
-				paths[gt.ID] = append(paths[gt.ID], gt.Box.Center())
-			}
-		}
-	}
 	out := map[string]int{}
-	for _, p := range paths {
-		if name := query.ClassifyPath(p, m.Movements, m.MaxEndpointDist); name != "" {
+	for _, p := range ct.World.Paths() {
+		if cat != "" && string(p.Cat) != cat {
+			continue
+		}
+		if name := query.ClassifyPath(p.Centers, m.Movements, m.MaxEndpointDist); name != "" {
 			out[name]++
 		}
 	}

@@ -17,8 +17,10 @@ package lru
 
 import "sync"
 
-// Stats is one consistent snapshot of a cache's counters. Every Get counts
-// exactly once: Hits + Fills + Waits is the number of calls.
+// Stats is one consistent snapshot of a cache's counters. Every Get, and
+// every Lookup that finds a value, counts exactly once: Hits + Fills + Waits
+// is the number of values returned. A Lookup that finds none counts
+// nothing.
 type Stats struct {
 	Hits      int64 // answered from memory
 	Fills     int64 // ran fill
@@ -69,13 +71,9 @@ func (c *Cache[K, V]) Get(key K, fill func() (V, int64)) V {
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
 		if !e.filling {
-			c.stats.Hits++
-			if c.head != e {
-				c.unlink(e)
-				c.pushFront(e)
-			}
+			v := c.hit(e)
 			c.mu.Unlock()
-			return e.v
+			return v
 		}
 		c.stats.Waits++
 		if e.done == nil {
@@ -117,6 +115,35 @@ func (c *Cache[K, V]) Get(key K, fill func() (V, int64)) V {
 	}()
 	e.v, e.size = fill()
 	filled = true
+	return e.v
+}
+
+// Lookup returns the value held for key and true, counted as a hit and
+// made the most recently used, or the zero value and false, counted
+// nowhere, when the key is not held or is still being filled. It never
+// waits and never fills: a caller that finds nothing goes on to Get, which
+// shares a fill in flight.
+func (c *Cache[K, V]) Lookup(key K) (V, bool) {
+	var zero V
+	if c == nil {
+		return zero, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.m[key]; ok && !e.filling {
+		return c.hit(e), true
+	}
+	return zero, false
+}
+
+// hit counts a hit on a filled entry and makes it the most recently used.
+// c.mu is held.
+func (c *Cache[K, V]) hit(e *entry[K, V]) V {
+	c.stats.Hits++
+	if c.head != e {
+		c.unlink(e)
+		c.pushFront(e)
+	}
 	return e.v
 }
 

@@ -273,3 +273,57 @@ func TestHammerUnderEviction(t *testing.T) {
 		t.Errorf("stats = %+v, want at most 2 entries in 32 bytes, evictions, and %d calls", s, goroutines*rounds)
 	}
 }
+
+// TestLookupCountsOnlyValues: Lookup mixed with Get under eviction, from
+// eight goroutines, as a scatter probes and then fills only its misses. A
+// Lookup that finds a value counts one hit and one that finds none counts
+// nothing, so Hits + Fills + Waits equals the calls that returned a value;
+// a Lookup never waits for a fill in flight nor reports one as found.
+func TestLookupCountsOnlyValues(t *testing.T) {
+	const goroutines, rounds, keys = 8, 300, 9
+	c := New[int, int](48)
+	var returned atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := (g + i*5) % keys
+				v, ok := c.Lookup(k)
+				if !ok && i%2 == 0 {
+					v, ok = c.Get(k, func() (int, int64) { return k * 10, 16 }), true
+				}
+				if ok {
+					returned.Add(1)
+					if v != k*10 {
+						t.Errorf("key %d = %d", k, v)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s := c.Stats()
+	if n := returned.Load(); s.Hits+s.Fills+s.Waits != n || n == 0 || n == goroutines*rounds || s.Bytes > 48 {
+		t.Errorf("stats = %+v for %d values returned of %d calls; want Hits + Fills + Waits equal to them, within 48 bytes", s, n, goroutines*rounds)
+	}
+
+	// A key being filled is not found, and the probe counts nothing.
+	d := New[string, int](1 << 10)
+	started, release := make(chan struct{}), make(chan struct{})
+	go d.Get("k", func() (int, int64) { close(started); <-release; return 1, 8 })
+	<-started
+	if _, ok := d.Lookup("k"); ok {
+		t.Error("Lookup found a key still being filled")
+	}
+	close(release)
+	if s := d.Stats(); s.Hits != 0 || s.Waits != 0 {
+		t.Errorf("a probe of a key in flight counted %+v", s)
+	}
+	var nilCache *Cache[string, int]
+	if _, ok := nilCache.Lookup("k"); ok {
+		t.Error("a nil cache found a key")
+	}
+}

@@ -313,11 +313,51 @@ func queryMixWorkload() ([][]*query.Track, query.Context) {
 	return perClip, ctx
 }
 
+// warmPass returns a pass of the eight cached kinds over sh, the same
+// parameters every time, as the benchmark's query-mix warm passes ask
+// them (CountTracks is not cached).
+func warmPass(sh *Sharded) func() {
+	ctx := sh.Context()
+	region := queryMixRegion(rand.New(rand.NewSource(1)), ctx)
+	movements := benchMovements(ctx)
+	return func() {
+		sh.PathBreakdown("car", movements, 0.22*float64(ctx.NomW))
+		sh.DwellTime("car", region)
+		sh.HardBraking(250)
+		sh.Speeding(800)
+		sh.LimitQuery("car", query.CountPredicate{N: 3}, 5, ctx.FPS)
+		sh.AvgVisible("car")
+		sh.BusyFrames("car", 3, "bus", 1)
+		sh.CoOccurrences("car", 70)
+	}
+}
+
+// BenchmarkWarmPassSharded is warmPass on the query-mix shape through a
+// Sharded of four one-clip segments, every answer from the result cache:
+// what a repeated call costs beyond its work.
+func BenchmarkWarmPassSharded(b *testing.B) {
+	perClip, ctx := queryMixWorkload()
+	sh, err := NewSharded("bench", ctx, SplitSegments(perClip, ctx, 1), NewCache())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pass := warmPass(sh)
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}
+
 // TestFrameQueryAllocGate keeps the frame-level kinds off the allocator:
 // a sweep owns its buffers, so what a call allocates depends on how many
 // clips it answers for and on what it returns, not on how many frames it
-// sweeps; an answer from a derived column, not on how long the column is. The workload is 4 clips of 1800 frames; the parent of the sweep
-// line allocated several times per frame and clip (about 30k a call).
+// sweeps; an answer from a derived column, not on how long the column is;
+// a warm call, answered from the result cache, not on how many segments
+// answer it. The workload is 4 clips of 1800 frames; the parent of the
+// sweep line allocated several times per frame and clip (about 30k a
+// call).
 func TestFrameQueryAllocGate(t *testing.T) {
 	perClip, ctx := benchWorkload()
 	s := New(perClip, ctx)
@@ -343,6 +383,15 @@ func TestFrameQueryAllocGate(t *testing.T) {
 	// asks an (nA, nB) not asked before.
 	busyA, busyB := 2, 1
 	cached.BusyFrames("car", busyA, "bus", busyB)
+	// Warm passes: every cached kind asked again with the parameters of a
+	// pass already answered, on the four-segment split and on one segment
+	// of the same clips.
+	whole, err := NewSharded("test", mixCtx, SplitSegments(mixClips, mixCtx, len(mixClips)), NewCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmPass(cached)()
+	warmPass(whole)()
 	for _, g := range []struct {
 		name string
 		max  float64
@@ -365,10 +414,11 @@ func TestFrameQueryAllocGate(t *testing.T) {
 		// and boxes per clip.)
 		{"CoOccurrences", 32, func() { s.CoOccurrences("car", 80) }},
 		// Per segment: the answer and its cache entry, the column's key and
-		// lookup; 5, under -race too. Per call: the answer's key, the
-		// scatter and the merge; 7, and 10 under -race (29 to 32 a run
-		// in all: the scatter's share varies there). Nothing per frame
-		// or pair: the count reads a column of 42k distances a clip here.
+		// lookup. Per call: the answer's key, the probes' misses, the
+		// scatter and the merge. 24 a call, under -race too (29 to 32
+		// when every segment went through the scatter's goroutines and
+		// the keys were formatted). Nothing per frame or pair: the count
+		// reads a column of 42k distances a clip here.
 		{"CoOccurrences from columns", float64(7*len(cached.Segments()) + 12), func() { dist += 2; cached.CoOccurrences("car", dist) }},
 		// Per clip: five matches with boxes and owners looked up again,
 		// each grown by append. (Region and hot spot predicates build
@@ -379,7 +429,7 @@ func TestFrameQueryAllocGate(t *testing.T) {
 		// owners, each grown by append to the frame's visible count (8 on
 		// average here): about 8. Per segment: the picks growing to five,
 		// the answer and its cache entry, the column's key and lookup:
-		// about 9. 196 a call, 201 under -race; nothing per frame or
+		// about 9. 194 a call, 202 under -race; nothing per frame or
 		// candidate, however long the clips.
 		{"LimitQuery from columns", float64(len(cached.Segments())*(10*5+16) + 12), func() {
 			minSep++
@@ -388,12 +438,18 @@ func TestFrameQueryAllocGate(t *testing.T) {
 		// Per segment: the answer's frame list growing by doubling (about
 		// ten steps here), the answer and its cache entry, the two
 		// columns' keys and lookups: about 13. Per call: the answer's key,
-		// the scatter and the merge. 52 a call, 60 under -race; nothing
+		// the scatter and the merge. 45 a call, under -race too; nothing
 		// per frame or run, however long the clips.
 		{"BusyFrames from columns", float64(len(cached.Segments())*18 + 12), func() {
 			busyA, busyB = 2+busyB%3, busyB+1
 			cached.BusyFrames("car", busyA, "bus", busyB)
 		}},
+		// Per call: the key, the closure the segments' runs would share,
+		// the per-segment slots and the merged answer; 4 a kind, 32 a pass
+		// of the eight cached kinds, under -race too. Nothing per segment:
+		// the same on one segment as on four.
+		{"Warm pass", 32, warmPass(cached)},
+		{"Warm pass, one segment", 32, warmPass(whole)},
 	} {
 		if got := testing.AllocsPerRun(5, g.run); got > g.max {
 			t.Errorf("%s: %.0f allocs per call, want at most %.0f", g.name, got, g.max)
@@ -404,9 +460,9 @@ func TestFrameQueryAllocGate(t *testing.T) {
 }
 
 // TestTrackQueryAllocGate keeps the track-level kinds off the allocator.
-// Speeding and HardBraking read a column: they allocate the answer (one
-// slice per call, and per clip its track list growing by doubling) and
-// nothing per track; as scans they allocated a speeds slice per track,
+// Speeding and HardBraking read a column: they allocate the answer, one
+// slice per call and per clip its track list, counted before it is made,
+// and nothing per track; as scans they allocated a speeds slice per track,
 // 2000 a call here. DwellTime allocates, per call, the answer, one mask
 // that grows to the largest clip and the region's edge boxes, and per clip
 // its map, sized once to the tracks the mask keeps; nothing per track,
@@ -423,9 +479,10 @@ func TestTrackQueryAllocGate(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		// 500 tracks a clip: about ten doublings of the track list.
-		{"Speeding", perClipBudget(12) + 1, func() { s.Speeding(800) }},
-		{"HardBraking", perClipBudget(12) + 1, func() { s.HardBraking(250) }},
+		// 500 tracks a clip: 5, under -race too. (Grown by doubling, the
+		// track list took about ten steps a clip: 49 a call.)
+		{"Speeding", perClipBudget(1) + 1, func() { s.Speeding(800) }},
+		{"HardBraking", perClipBudget(1) + 1, func() { s.HardBraking(250) }},
 		// A map sized to the tracks the mask keeps: its header and its
 		// tables, four allocations. (Grown from empty, 14 a clip: 59 a
 		// call.)

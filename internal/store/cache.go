@@ -13,8 +13,8 @@ import (
 const cacheBudget int64 = 64 << 20
 
 // cacheKey identifies one memoized result: a sealed segment, named by its
-// dataset and id, plus the canonical string form of the query (method name
-// and every parameter). The dataset is part of the key because one cache
+// dataset and id, plus the query's binary encoding (key.go: its kind and
+// every parameter). The dataset is part of the key because one cache
 // serves every dataset of a segment directory, and each dataset numbers
 // its segments from seg-00000.
 type cacheKey struct {
@@ -73,13 +73,14 @@ const columnShare = 16
 // charged more than the cache's columnMax. plan reports that charge, or a
 // bound on it, before anything is built, and how to build the column. A
 // refusal is cached as a nil column, so the size is counted once.
-// Concurrent first calls share one build (Cache.Get).
+// Concurrent first calls share one build (Cache.fill); the scatter the
+// call is part of publishes the counters.
 func cachedColumn[C *pairColumn | *rankColumn | *runColumn](sh *Sharded, sg *Segment, key string, plan func() (int64, func() C)) C {
 	c := sh.cache
 	if !sg.sealed || c == nil {
 		return nil
 	}
-	return c.Get(sh.dataset, sg.id, key, func() any {
+	return c.fill(sh.dataset, sg.id, key, func() any {
 		charge, build := plan()
 		if charge > c.columnMax {
 			return C(nil)
@@ -100,16 +101,29 @@ func newCache(budget int64) *Cache {
 }
 
 // Get returns the memoized result for (dataset, segment, query), running fn
-// to fill it on first use and charging it resultBytes plus the key's own
-// bytes: the query string carries request parameters verbatim (a category,
-// a region), so a key can be far larger than the answer it maps to. Errors
-// are not part of the contract — query execution over an in-memory segment
+// to fill it on first use, and publishes the cache's counters. Errors are
+// not part of the contract — query execution over an in-memory segment
 // cannot fail — so fn returns only a value.
 func (c *Cache) Get(dataset, segment, query string, fn func() any) any {
 	if c == nil {
 		return fn()
 	}
 	defer c.publish()
+	return c.fill(dataset, segment, query, fn)
+}
+
+// lookup returns the result held for (dataset, segment, query), counted as
+// a hit, or false, counted nowhere, when there is none yet (lru.Lookup).
+// It publishes nothing: a scatter probes every segment and publishes once.
+func (c *Cache) lookup(dataset, segment, query string) (any, bool) {
+	return c.lru.Lookup(cacheKey{dataset, segment, query})
+}
+
+// fill is Get without the publish: it charges a result resultBytes plus
+// the key's own bytes, since the query part carries request parameters
+// verbatim (a category, a region), so a key can be far larger than the
+// answer it maps to.
+func (c *Cache) fill(dataset, segment, query string, fn func() any) any {
 	return c.lru.Get(cacheKey{dataset, segment, query}, func() (any, int64) {
 		v := fn()
 		return v, resultBytes(v) + int64(len(dataset)+len(segment)+len(query))

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // pairColumn is one sealed segment's pair-distance column for one
 // category: per clip, the centre distance of every pair of category tracks
@@ -186,5 +183,5 @@ func (sw *sweep) pairCount(frames int) int {
 // through the result cache's one gate for derived columns (cachedColumn),
 // or nil when CoOccurrences should walk the sweep.
 func (sh *Sharded) cachedPairColumn(sg *Segment, cat string) *pairColumn {
-	return cachedColumn(sh, sg, fmt.Sprintf("pairs|%#v", cat), func() (int64, func() *pairColumn) { return sg.planPairColumn(cat) })
+	return cachedColumn(sh, sg, pairsKey(cat), func() (int64, func() *pairColumn) { return sg.planPairColumn(cat) })
 }

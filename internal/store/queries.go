@@ -42,6 +42,7 @@ type sweep struct {
 	candidates []int32      // point lookups' stabbing result
 
 	examined, kept, pruned, visited int64
+	lookupExamined, lookupKept      int64 // the point lookups' candidates, apart from the sweep's
 }
 
 // newSweep returns the sweep of one call over the segment's clips, its
@@ -96,7 +97,6 @@ func (sw *sweep) admits(ti int32) bool {
 		sw.pruned++
 		return false
 	}
-	sw.kept++
 	return true
 }
 
@@ -124,6 +124,7 @@ func (sw *sweep) Advance(f int) (int, int) {
 		if int(ci.ends[ti]) < f || !sw.admits(ti) {
 			continue
 		}
+		sw.kept++
 		i, _ := slices.BinarySearch(sw.active, ti)
 		sw.active = slices.Insert(sw.active, i, ti)
 		if sw.walks {
@@ -172,13 +173,14 @@ func (sw *sweep) Boxes() ([]geom.Rect, []*query.Track) {
 func (sw *sweep) At(f int) ([]geom.Rect, []*query.Track) {
 	cand, examined := sw.ci.active(f, sw.candidates[:0])
 	sw.candidates = cand
-	sw.examined += int64(examined)
+	sw.lookupExamined += int64(examined)
 	var boxes []geom.Rect
 	var owners []*query.Track
 	for _, ti := range cand {
 		if !sw.admits(ti) {
 			continue
 		}
+		sw.lookupKept++
 		pos := int32(-1)
 		boxes = append(boxes, sw.ci.boxAt(ti, &pos, f))
 		owners = append(owners, sw.ci.tracks[ti])
@@ -193,6 +195,8 @@ func (sw *sweep) flush() {
 	metIndexBoxes.Add(sw.visited)
 	metCandExamined.Add(sw.examined)
 	metCandKept.Add(sw.kept)
+	metLookupExamined.Add(sw.lookupExamined)
+	metLookupKept.Add(sw.lookupKept)
 	metRegionPruned.Add(sw.pruned)
 }
 
@@ -214,8 +218,14 @@ func (ci *clipIndex) eachOfCategory(cat string, fn func(ti int32)) {
 
 // CountTracks counts category tracks per clip from the postings lists.
 func (sg *Segment) CountTracks(cat string) []int {
-	metQueries.Inc()
 	out := make([]int, len(sg.clips))
+	sg.countTracks(cat, out)
+	return out
+}
+
+// countTracks writes the segment's per-clip counts to the front of out.
+func (sg *Segment) countTracks(cat string, out []int) {
+	metQueries.Inc()
 	for i := range sg.clips {
 		if cat == "" {
 			out[i] = len(sg.clips[i].tracks)
@@ -223,7 +233,6 @@ func (sg *Segment) CountTracks(cat string) []int {
 			out[i] = len(sg.clips[i].cats[cat])
 		}
 	}
-	return out
 }
 
 // PathBreakdown classifies category tracks against the movements, walking
@@ -590,9 +599,19 @@ func (w *dwellWalk) frames(ci *clipIndex, ti int32) int {
 
 // atLeast returns the tracks whose column value reaches the threshold, in
 // track order and nil when there are none, as the scans append them: the
-// same >= on the same number, NaN and infinities included.
+// same >= on the same number, NaN and infinities included. It counts them
+// first and allocates the answer once, at its length.
 func (ci *clipIndex) atLeast(column []float64, threshold float64) []*query.Track {
-	var out []*query.Track
+	n := 0
+	for _, v := range column {
+		if v >= threshold {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*query.Track, 0, n)
 	for ti, v := range column {
 		if v >= threshold {
 			out = append(out, ci.tracks[ti])

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"fmt"
-
-	"otif/internal/query"
-)
+import "otif/internal/query"
 
 // rankColumn is one sealed segment's ranked-candidate column for one
 // category and frame predicate: per clip, what query.RankLimit leaves, every
@@ -54,5 +50,5 @@ func (sg *Segment) pick(col *rankColumn, cat string, pred query.FramePredicate, 
 // (cat, pred) through the result cache's one gate for derived columns
 // (cachedColumn), or nil when LimitQuery should sweep.
 func (sh *Sharded) cachedRankColumn(sg *Segment, cat string, pred query.FramePredicate) *rankColumn {
-	return cachedColumn(sh, sg, fmt.Sprintf("ranks|%#v|%#v", cat, pred), func() (int64, func() *rankColumn) { return sg.planRankColumn(cat, pred) })
+	return cachedColumn(sh, sg, ranksKey(cat, pred), func() (int64, func() *rankColumn) { return sg.planRankColumn(cat, pred) })
 }

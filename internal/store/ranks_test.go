@@ -12,20 +12,23 @@ import (
 )
 
 // limitStep asks a cached Sharded for LimitQuery("car", pred, 5, minSep)
-// and requires the monolithic store's answer. It returns what the call
-// examined (store.candidates_examined) beside what the point lookups for
-// the answer's boxes examine, which are equal exactly when no segment
-// swept: a sweep examines every track of a clip whose first frame it
-// reaches, and a ranked-candidate column leaves only the lookups.
-func limitStep(t *testing.T, sh *Sharded, mono *Segment, pred query.FramePredicate, minSep int) (examined, lookups int64) {
+// and requires the monolithic store's answer, and that the call's point
+// lookups (store.lookup_candidates_examined) examined exactly what the
+// stabbing queries for the answer's frames examine. It returns what the
+// call's sweeps examined (store.candidates_examined), which is 0 exactly
+// when no segment swept: a sweep examines every track of a clip whose
+// first frame it reaches, and a ranked-candidate column leaves only the
+// lookups.
+func limitStep(t *testing.T, sh *Sharded, mono *Segment, pred query.FramePredicate, minSep int) (swept int64) {
 	t.Helper()
 	want := mono.LimitQuery("car", pred, 5, minSep)
-	e0 := metCandExamined.Value()
+	e0, l0 := metCandExamined.Value(), metLookupExamined.Value()
 	got := sh.LimitQuery("car", pred, 5, minSep)
-	examined = metCandExamined.Value() - e0
+	swept, looked := metCandExamined.Value()-e0, metLookupExamined.Value()-l0
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("LimitQuery(car, %#v, 5, %d) = %v through the cache, %v through the monolithic store", pred, minSep, got, want)
 	}
+	var lookups int64
 	for c, matches := range got {
 		sg, off := sh.locate(c)
 		for _, m := range matches {
@@ -33,13 +36,16 @@ func limitStep(t *testing.T, sh *Sharded, mono *Segment, pred query.FramePredica
 			lookups += int64(n)
 		}
 	}
-	return examined, lookups
+	if looked != lookups {
+		t.Fatalf("LimitQuery(car, %#v, 5, %d): the point lookups examined %d candidates, the answer's frames hold %d", pred, minSep, looked, lookups)
+	}
+	return swept
 }
 
 // TestLimitColumnRefusedOrEvicted follows limit queries through a cached
 // Sharded, asked at a new separation each call: with every column refused
 // each call sweeps and no column exists; with columns admitted, a call
-// after the first examines nothing beyond its point lookups; a column
+// after the first sweeps nothing and only looks its frames up; a column
 // evicted between calls is rebuilt by the next. Every answer equals the
 // monolithic store's.
 func TestLimitColumnRefusedOrEvicted(t *testing.T) {
@@ -53,8 +59,8 @@ func TestLimitColumnRefusedOrEvicted(t *testing.T) {
 			t.Fatal(err)
 		}
 		for minSep := 5; minSep < 9; minSep++ {
-			if ex, lk := limitStep(t, sh, mono, pred, minSep); ex == lk {
-				t.Fatalf("%#v, separation %d: examined %d candidates, only the lookups', with every column refused", pred, minSep, ex)
+			if swept := limitStep(t, sh, mono, pred, minSep); swept == 0 {
+				t.Fatalf("%#v, separation %d: no segment swept with every column refused", pred, minSep)
 			}
 		}
 		for _, sg := range sh.Segments() {
@@ -70,11 +76,11 @@ func TestLimitColumnRefusedOrEvicted(t *testing.T) {
 		if sh, err = NewSharded("test", ctx, segs, evicting); err != nil {
 			t.Fatal(err)
 		}
-		if ex, lk := limitStep(t, sh, mono, pred, 5); ex == lk {
-			t.Fatalf("%#v: the first call examined only its lookups; it should sweep to build the columns", pred)
+		if swept := limitStep(t, sh, mono, pred, 5); swept == 0 {
+			t.Fatalf("%#v: the first call swept nothing; it should sweep to build the columns", pred)
 		}
-		if ex, lk := limitStep(t, sh, mono, pred, 6); ex != lk {
-			t.Fatalf("%#v: the second call examined %d candidates, its lookups %d; want the columns", pred, ex, lk)
+		if swept := limitStep(t, sh, mono, pred, 6); swept != 0 {
+			t.Fatalf("%#v: the second call swept %d candidates; want the columns", pred, swept)
 		}
 		ev := evicting.lru.Stats().Evictions
 		for i := 0; i < 63; i++ {
@@ -83,11 +89,11 @@ func TestLimitColumnRefusedOrEvicted(t *testing.T) {
 		if evicting.lru.Stats().Evictions-ev < int64(len(segs)) {
 			t.Fatal("the flood of queries evicted fewer entries than the columns")
 		}
-		if ex, lk := limitStep(t, sh, mono, pred, 7); ex == lk {
-			t.Fatalf("%#v: the call after the eviction examined only its lookups; the columns should be gone", pred)
+		if swept := limitStep(t, sh, mono, pred, 7); swept == 0 {
+			t.Fatalf("%#v: the call after the eviction swept nothing; the columns should be gone", pred)
 		}
-		if ex, lk := limitStep(t, sh, mono, pred, 8); ex != lk {
-			t.Fatalf("%#v: the rebuilt columns did not answer: %d candidates examined, %d by the lookups", pred, ex, lk)
+		if swept := limitStep(t, sh, mono, pred, 8); swept != 0 {
+			t.Fatalf("%#v: the rebuilt columns did not answer: %d candidates swept", pred, swept)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"math"
 
 	"otif/internal/query"
@@ -101,5 +100,5 @@ func (sg *Segment) busyFromRuns(colA *runColumn, nA int, colB *runColumn, nB int
 // through the result cache's one gate for derived columns (cachedColumn),
 // or nil when BusyFrames should sweep.
 func (sh *Sharded) cachedRunColumn(sg *Segment, cat string) *runColumn {
-	return cachedColumn(sh, sg, fmt.Sprintf("runs|%#v", cat), func() (int64, func() *runColumn) { return sg.planRunColumn(cat) })
+	return cachedColumn(sh, sg, runsKey(cat), func() (int64, func() *runColumn) { return sg.planRunColumn(cat) })
 }

@@ -12,17 +12,17 @@ import (
 // Sharded is the one shape of a queryable track set: an extracted set, a
 // set loaded from segment files and an ingest session's live snapshot are
 // each one. It answers every query over an ordered list of segments by
-// scatter-gather: fan the query out across segments (in parallel), then
-// merge deterministically. Because every dataset-wide query returns one
-// result element per clip and segments tile the clip range contiguously,
+// scatter-gather: answer the query on every segment (in parallel, those
+// the result cache cannot answer), then merge deterministically. Because
+// every dataset-wide query returns one result element per clip and segments tile the clip range contiguously,
 // the merge is concatenation in segment order — which makes every answer
 // bit-identical to the same query over one segment holding every clip, a
 // property the differential tests pin for K ∈ {1,2,3,7} splits.
 //
 // Sealed segments route through the shared result cache (keyed by segment
-// id + canonical query string); the open tail segment of a Live store is
-// always recomputed. A Sharded is immutable after construction and safe
-// for concurrent queries.
+// id and the query's binary encoding, key.go); the open tail segment of a
+// Live store is always recomputed. A Sharded is immutable after
+// construction and safe for concurrent queries.
 type Sharded struct {
 	dataset string
 	ctx     query.Context
@@ -110,20 +110,43 @@ func (sh *Sharded) VisibleBoxes(clip int, cat string, frameIdx int) ([]geom.Rect
 	return sg.VisibleBoxes(off, cat, frameIdx)
 }
 
-// scatter fans run across the segments in parallel and concatenates the
-// per-segment results in segment order — the deterministic merge. Sealed
-// segments answer through the result cache under key; cached values are
-// shared read-only slices. An empty key runs every segment uncached.
+// scatter answers run over every segment and concatenates the per-segment
+// results in segment order — the deterministic merge. Sealed segments
+// answer through the result cache under key; cached values are shared
+// read-only slices. The call first probes every sealed segment's entry,
+// one lookup each, and only the segments that miss fan out in parallel,
+// sealed ones through Cache.fill, so concurrent fills of one entry are
+// still shared: a call that every segment answers from memory starts no
+// goroutine. It publishes the cache's counters once.
 func scatter[E any](sh *Sharded, key string, run func(*Segment) []E) []E {
+	c := sh.cache
 	parts := make([][]E, len(sh.segs))
-	parallel.For(len(sh.segs), func(i int) {
-		sg := sh.segs[i]
-		if key != "" && sg.sealed && sh.cache != nil {
-			parts[i] = sh.cache.Get(sh.dataset, sg.id, key, func() any { return run(sg) }).([]E)
-		} else {
-			parts[i] = run(sg)
+	var miss []int // the segments left to run, allocated at the first
+	for i, sg := range sh.segs {
+		if c != nil && sg.sealed {
+			if v, ok := c.lookup(sh.dataset, sg.id, key); ok {
+				parts[i] = v.([]E)
+				continue
+			}
 		}
-	})
+		if miss == nil {
+			miss = make([]int, 0, len(sh.segs)-i)
+		}
+		miss = append(miss, i)
+	}
+	if len(miss) > 0 {
+		parallel.For(len(miss), func(j int) {
+			sg := sh.segs[miss[j]]
+			if c != nil && sg.sealed {
+				parts[miss[j]] = c.fill(sh.dataset, sg.id, key, func() any { return run(sg) }).([]E)
+			} else {
+				parts[miss[j]] = run(sg)
+			}
+		})
+	}
+	if c != nil {
+		c.publish()
+	}
 	out := make([]E, 0, sh.nclips)
 	for _, p := range parts {
 		out = append(out, p...)
@@ -200,22 +223,22 @@ func resultBytes(v any) int64 {
 	return n
 }
 
-// Canonical query keys: method name plus every parameter rendered with %#v,
-// which quotes strings and names types, so no parameter can spell a
-// separator and two distinct calls never share a key
-// (TestCacheKeysInjective). Floats render in their shortest form, which is
-// deterministic for identical values.
-
-// CountTracks is not cached: a segment counts its tracks in about half the
-// time a cache hit takes (store.count_p50_us against store.cache_hit_us on
-// query-mix).
+// CountTracks is not cached and does not fan out: a segment's count is
+// one postings-list length a clip, read inline into the answer, which
+// costs less than probing a cache entry (store.count_p50_us against
+// store.cache_hit_us on query-mix).
 func (sh *Sharded) CountTracks(cat string) []int {
-	return scatter(sh, "", func(sg *Segment) []int { return sg.CountTracks(cat) })
+	out := make([]int, sh.nclips)
+	for i, sg := range sh.segs {
+		sg.countTracks(cat, out[sh.starts[i]:])
+	}
+	return out
 }
 
 func (sh *Sharded) PathBreakdown(cat string, movements []query.Movement, maxEndpointDist float64) []map[string]int {
-	key := fmt.Sprintf("breakdown|%#v|%#v|%#v", cat, maxEndpointDist, movements)
-	return scatter(sh, key, func(sg *Segment) []map[string]int { return sg.PathBreakdown(cat, movements, maxEndpointDist) })
+	return scatter(sh, breakdownKey(cat, movements, maxEndpointDist), func(sg *Segment) []map[string]int {
+		return sg.PathBreakdown(cat, movements, maxEndpointDist)
+	})
 }
 
 // LimitQuery answers a sealed segment behind the cache from its
@@ -224,8 +247,7 @@ func (sh *Sharded) PathBreakdown(cat string, movements []query.Movement, maxEndp
 // where there is none. Limit semantics are per clip, so per-segment
 // execution matches the single store exactly.
 func (sh *Sharded) LimitQuery(cat string, pred query.FramePredicate, limit, minSepFrames int) [][]query.FrameMatch {
-	key := fmt.Sprintf("limit|%#v|%#v|%#v|%#v", cat, pred, limit, minSepFrames)
-	return scatter(sh, key, func(sg *Segment) [][]query.FrameMatch {
+	return scatter(sh, limitKey(cat, pred, limit, minSepFrames), func(sg *Segment) [][]query.FrameMatch {
 		if col := sh.cachedRankColumn(sg, cat, pred); col != nil {
 			return sg.pick(col, cat, pred, limit, minSepFrames)
 		}
@@ -234,8 +256,7 @@ func (sh *Sharded) LimitQuery(cat string, pred query.FramePredicate, limit, minS
 }
 
 func (sh *Sharded) AvgVisible(cat string) []float64 {
-	key := fmt.Sprintf("avgvisible|%#v", cat)
-	return scatter(sh, key, func(sg *Segment) []float64 { return sg.AvgVisible(cat) })
+	return scatter(sh, avgVisibleKey(cat), func(sg *Segment) []float64 { return sg.AvgVisible(cat) })
 }
 
 // BusyFrames answers a sealed segment behind the cache from the count-run
@@ -243,8 +264,7 @@ func (sh *Sharded) AvgVisible(cat string) []float64 {
 // asks for each; one column when they are the same category), and sweeps
 // where either is missing.
 func (sh *Sharded) BusyFrames(catA string, nA int, catB string, nB int) [][]int {
-	key := fmt.Sprintf("busy|%#v|%#v|%#v|%#v", catA, nA, catB, nB)
-	return scatter(sh, key, func(sg *Segment) [][]int {
+	return scatter(sh, busyKey(catA, nA, catB, nB), func(sg *Segment) [][]int {
 		colA, colB := sh.cachedRunColumn(sg, catA), sh.cachedRunColumn(sg, catB)
 		if colA != nil && colB != nil {
 			return sg.busyFromRuns(colA, nA, colB, nB)
@@ -257,8 +277,7 @@ func (sh *Sharded) BusyFrames(catA string, nA int, catB string, nB int) [][]int 
 // pair-distance column for cat (cachedPairColumn, built by the first call
 // that asks), and walks the sweep where there is none.
 func (sh *Sharded) CoOccurrences(cat string, dist float64) []int {
-	key := fmt.Sprintf("cooccur|%#v|%#v", cat, dist)
-	return scatter(sh, key, func(sg *Segment) []int {
+	return scatter(sh, coOccurKey(cat, dist), func(sg *Segment) []int {
 		if col := sh.cachedPairColumn(sg, cat); col != nil {
 			return col.count(dist)
 		}
@@ -267,18 +286,15 @@ func (sh *Sharded) CoOccurrences(cat string, dist float64) []int {
 }
 
 func (sh *Sharded) DwellTime(cat string, region geom.Polygon) []map[int]float64 {
-	key := fmt.Sprintf("dwell|%#v|%#v", cat, region)
-	return scatter(sh, key, func(sg *Segment) []map[int]float64 { return sg.DwellTime(cat, region) })
+	return scatter(sh, dwellKey(cat, region), func(sg *Segment) []map[int]float64 { return sg.DwellTime(cat, region) })
 }
 
 func (sh *Sharded) HardBraking(decelThreshold float64) [][]*query.Track {
-	key := fmt.Sprintf("braking|%#v", decelThreshold)
-	return scatter(sh, key, func(sg *Segment) [][]*query.Track { return sg.HardBraking(decelThreshold) })
+	return scatter(sh, brakingKey(decelThreshold), func(sg *Segment) [][]*query.Track { return sg.HardBraking(decelThreshold) })
 }
 
 func (sh *Sharded) Speeding(threshold float64) [][]*query.Track {
-	key := fmt.Sprintf("speeding|%#v", threshold)
-	return scatter(sh, key, func(sg *Segment) [][]*query.Track { return sg.Speeding(threshold) })
+	return scatter(sh, speedingKey(threshold), func(sg *Segment) [][]*query.Track { return sg.Speeding(threshold) })
 }
 
 var (

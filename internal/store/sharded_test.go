@@ -255,3 +255,65 @@ func TestShardedLocatePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestWarmCallDoesNoSegmentWork asks a Live store's snapshot — three
+// sealed segments behind a result cache and an open tail — every cached
+// kind twice. The second call must answer each sealed segment with one
+// cache hit and no fill or shared fill, run no query on them
+// (store.queries counts only the tail's), and return the first call's
+// answer. CountTracks is not cached: it reads every segment and touches
+// no cache entry.
+func TestWarmCallDoesNoSegmentWork(t *testing.T) {
+	perClip, _, ctx, r := shardedFixture(3)
+	live := NewLiveOptions("test", ctx, 2, NewCache())
+	for _, tracks := range perClip {
+		live.Append(tracks)
+	}
+	sh := live.Snapshot().(*Sharded)
+	sealed := 0
+	for _, sg := range sh.Segments() {
+		if sg.sealed {
+			sealed++
+		}
+	}
+	if sealed != 3 || len(sh.Segments()) != 4 {
+		t.Fatalf("%d segments, %d sealed; want 4 and 3", len(sh.Segments()), sealed)
+	}
+	region := randRegion(r, ctx)
+	movements := []query.Movement{{Name: "a", Path: geom.Path{{X: 0, Y: 0}, {X: 640, Y: 360}}}}
+	for _, k := range []struct {
+		name string
+		call func() any
+	}{
+		{"PathBreakdown", func() any { return sh.PathBreakdown("car", movements, 200) }},
+		{"LimitQuery", func() any { return sh.LimitQuery("car", query.CountPredicate{N: 2}, 3, 5) }},
+		{"LimitQuery hot spot", func() any { return sh.LimitQuery("", query.HotSpotPredicate{Radius: 90, N: 2}, 3, 5) }},
+		{"AvgVisible", func() any { return sh.AvgVisible("car") }},
+		{"BusyFrames", func() any { return sh.BusyFrames("car", 2, "bus", 1) }},
+		{"CoOccurrences", func() any { return sh.CoOccurrences("car", 90) }},
+		{"DwellTime", func() any { return sh.DwellTime("car", region) }},
+		{"HardBraking", func() any { return sh.HardBraking(250) }},
+		{"Speeding", func() any { return sh.Speeding(800) }},
+	} {
+		first := k.call()
+		s0, q0 := sh.Cache().Stats(), metQueries.Value()
+		second := k.call()
+		s1, q1 := sh.Cache().Stats(), metQueries.Value()
+		if hits := s1.Hits - s0.Hits; hits != int64(sealed) || s1.Fills != s0.Fills || s1.Dedup != s0.Dedup {
+			t.Errorf("%s: the second call added %d hits, %d fills and %d shared fills; want %d, 0 and 0",
+				k.name, hits, s1.Fills-s0.Fills, s1.Dedup-s0.Dedup, sealed)
+		}
+		if q1-q0 != 1 {
+			t.Errorf("%s: the second call ran %d segment queries, want 1 (the open tail)", k.name, q1-q0)
+		}
+		if !reflect.DeepEqual(second, first) {
+			t.Errorf("%s: the warm answer differs from the first\n got: %v\nwant: %v", k.name, second, first)
+		}
+	}
+	s0, q0 := sh.Cache().Stats(), metQueries.Value()
+	sh.CountTracks("car")
+	if s1 := sh.Cache().Stats(); s1 != s0 || metQueries.Value()-q0 != int64(len(sh.Segments())) {
+		t.Errorf("CountTracks moved the cache from %+v to %+v and ran %d segment queries; want no cache traffic and %d",
+			s0, s1, metQueries.Value()-q0, len(sh.Segments()))
+	}
+}

@@ -106,18 +106,24 @@ import (
 // Per sweep and clip, candidates_examined counts the tracks whose first
 // frame the sweep line reached and candidates_kept those that also passed
 // the category and region filters and entered the active list — each track
-// once per sweep, not once per frame; a point lookup adds its stabbing
-// query's candidates to both in the same way. region_pruned counts tracks
-// the region mask turned away. kept / examined is store.index_hit_ratio.
+// once per sweep, not once per frame; kept / examined is
+// store.index_hit_ratio. A point lookup (VisibleBoxes, and the frames a
+// limit query picks) counts its stabbing query's candidates in
+// lookup_candidates_examined and those that pass the filters in
+// lookup_candidates_kept instead, so the ratio measures sweeps alone.
+// region_pruned counts tracks the region mask turned away, in sweeps and
+// lookups.
 var (
-	metQueries       = obs.Default.Counter("store.queries")
-	metIndexBoxes    = obs.Default.Counter("store.index_boxes")
-	metCandExamined  = obs.Default.Counter("store.candidates_examined")
-	metCandKept      = obs.Default.Counter("store.candidates_kept")
-	metRegionPruned  = obs.Default.Counter("store.region_pruned")
-	metPairsWalked   = obs.Default.Counter("store.dwell_pairs_walked")
-	metPairsSkipped  = obs.Default.Counter("store.dwell_pairs_skipped")
-	metBlocksSkipped = obs.Default.Counter("store.dwell_blocks_skipped")
+	metQueries        = obs.Default.Counter("store.queries")
+	metIndexBoxes     = obs.Default.Counter("store.index_boxes")
+	metCandExamined   = obs.Default.Counter("store.candidates_examined")
+	metCandKept       = obs.Default.Counter("store.candidates_kept")
+	metLookupExamined = obs.Default.Counter("store.lookup_candidates_examined")
+	metLookupKept     = obs.Default.Counter("store.lookup_candidates_kept")
+	metRegionPruned   = obs.Default.Counter("store.region_pruned")
+	metPairsWalked    = obs.Default.Counter("store.dwell_pairs_walked")
+	metPairsSkipped   = obs.Default.Counter("store.dwell_pairs_skipped")
+	metBlocksSkipped  = obs.Default.Counter("store.dwell_blocks_skipped")
 )
 
 func init() {

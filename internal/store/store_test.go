@@ -424,7 +424,8 @@ func TestLimitResultsOwnTheirBoxes(t *testing.T) {
 // line: candidates_examined counts tracks reaching their first frame,
 // candidates_kept those that also pass the category and region filters,
 // and index_boxes the detections interpolators walked — which is none for
-// the kinds that only count, a limit query's ranking included.
+// the kinds that only count, a limit query's ranking included. Point
+// lookups count their candidates in counters of their own.
 func TestSweepTelemetry(t *testing.T) {
 	ctx := testCtx()
 	tracks := genTracks(rand.New(rand.NewSource(11)), 50, ctx.Frames, ctx)
@@ -456,13 +457,19 @@ func TestSweepTelemetry(t *testing.T) {
 	// and interpolates only what the point lookup fetches for its survivors.
 	var matches []query.FrameMatch
 	_, kept, boxes = delta(func() { matches = s.LimitQuery("car", query.CountPredicate{N: 1}, 5, 0)[0] })
-	_, _, lookups := delta(func() {
+	l0 := metLookupExamined.Value()
+	lookupEx, lookupKept, lookups := delta(func() {
 		for _, m := range matches {
 			s.VisibleBoxes(0, "car", m.FrameIdx)
 		}
 	})
 	if len(matches) != 5 || kept < cars || boxes == 0 || boxes != lookups {
 		t.Errorf("LimitQuery: %d matches, kept %d, interpolated %d detections; want 5, at least %d, and the %d its five point lookups cost", len(matches), kept, boxes, cars, lookups)
+	}
+	// Point lookups count their candidates apart from the sweeps'.
+	if lookupEx != 0 || lookupKept != 0 || metLookupExamined.Value() == l0 {
+		t.Errorf("five point lookups added %d examined and %d kept to the sweep counters and %d to their own; want 0, 0 and more than 0",
+			lookupEx, lookupKept, metLookupExamined.Value()-l0)
 	}
 	// Every snapshot carries kept / examined as a gauge.
 	want := float64(metCandKept.Value()) / float64(metCandExamined.Value())

@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"otif/internal/geom"
 )
@@ -106,6 +107,14 @@ type World struct {
 
 	bg      []uint8 // background at sim resolution
 	pathLen []float64
+	paths   *pathsMemo // Paths, computed once
+}
+
+// pathsMemo holds a world's object paths, filled by the first caller. It
+// is held by pointer so that a World value carries no lock of its own.
+type pathsMemo struct {
+	once  sync.Once
+	paths []ObjectPath
 }
 
 // GroundTruth is the true state of one visible object at some frame.
@@ -120,7 +129,7 @@ type GroundTruth struct {
 // from seed, so the same (cfg, duration, seed) triple always produces the
 // same video and ground truth.
 func NewWorld(cfg Config, durationSec float64, seed int64) *World {
-	w := &World{Cfg: cfg, Duration: durationSec}
+	w := &World{Cfg: cfg, Duration: durationSec, paths: new(pathsMemo)}
 	rng := rand.New(rand.NewSource(seed))
 	w.pathLen = make([]float64, len(cfg.Lanes))
 	for i, lane := range cfg.Lanes {
@@ -281,6 +290,37 @@ func (w *World) VisibleAt(frameIdx int) []GroundTruth {
 		}
 	}
 	return out
+}
+
+// ObjectPath is one object's ground truth over the world's frames: its id
+// and category and the centre of its box on every frame it is visible, in
+// frame order.
+type ObjectPath struct {
+	ID      int
+	Cat     Category
+	Centers geom.Path
+}
+
+// Paths regroups VisibleAt over the world's frames object by object: the
+// path of every object visible on at least one frame, in object order,
+// each centre the one VisibleAt's box has. The paths are computed once, by
+// the first caller, and shared, so callers must not modify them.
+func (w *World) Paths() []ObjectPath {
+	w.paths.once.Do(func() {
+		for i := range w.Objects {
+			o := &w.Objects[i]
+			var centers geom.Path
+			for f := 0; f < w.FrameCount(); f++ {
+				if box, ok := w.stateAt(o, float64(f)/float64(w.Cfg.FPS)); ok {
+					centers = append(centers, box.Center())
+				}
+			}
+			if centers != nil {
+				w.paths.paths = append(w.paths.paths, ObjectPath{ID: o.ID, Cat: o.Cat, Centers: centers})
+			}
+		}
+	})
+	return w.paths.paths
 }
 
 // FrameCount returns the number of frames in the world's duration.

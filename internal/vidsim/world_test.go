@@ -2,6 +2,9 @@ package vidsim
 
 import (
 	"math"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -210,5 +213,42 @@ func TestFrameCount(t *testing.T) {
 	w := NewWorld(testConfig(), 6, 1)
 	if w.FrameCount() != 60 {
 		t.Errorf("FrameCount = %d, want 60", w.FrameCount())
+	}
+}
+
+// TestPathsRegroupVisibleAt: Paths is VisibleAt read object by object,
+// the same for callers asking from several goroutines at once.
+func TestPathsRegroupVisibleAt(t *testing.T) {
+	w := NewWorld(testConfig(), 10, 42)
+	want := map[int]ObjectPath{}
+	var order []int
+	for f := 0; f < w.FrameCount(); f++ {
+		for _, gt := range w.VisibleAt(f) {
+			p, ok := want[gt.ID]
+			if !ok {
+				order = append(order, gt.ID)
+			}
+			p.ID, p.Cat = gt.ID, gt.Cat
+			p.Centers = append(p.Centers, gt.Box.Center())
+			want[gt.ID] = p
+		}
+	}
+	sort.Ints(order)
+	got := make([][]ObjectPath, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() { defer wg.Done(); got[g] = w.Paths() }()
+	}
+	wg.Wait()
+	for g, paths := range got {
+		if len(paths) != len(order) || len(paths) == 0 {
+			t.Fatalf("caller %d: %d paths, want %d objects seen", g, len(paths), len(order))
+		}
+		for i, p := range paths {
+			if !reflect.DeepEqual(p, want[order[i]]) {
+				t.Fatalf("caller %d: path %d = %+v, want %+v", g, i, p, want[order[i]])
+			}
+		}
 	}
 }
