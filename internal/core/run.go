@@ -381,6 +381,12 @@ func (s *System) Extractor(cfg Config) ClipFunc {
 // Each finished clip is reported as an obs.EventClip to the Progress ctx
 // carries (obs.WithProgress), from its worker.
 //
+// A set of fewer clips than workers would leave workers idle, so each
+// clip's reader decodes ahead on an equal share of the pool instead
+// (video.WithProducers): Workers()/len(clips) producers, never more
+// goroutines rendering than workers. A larger set reads with one producer
+// a clip.
+//
 // After the clip-order merge the per-category costs are also charged to
 // the process metrics registry ("cost.<op>" float counters) in sorted
 // category order, so a registry snapshot bracketing a single run
@@ -389,6 +395,9 @@ func (s *System) RunClips(ctx context.Context, clips []*dataset.ClipTruth, body 
 	out := &SetResult{PerClip: make([][]*query.Track, len(clips))}
 	shards := make([]*costmodel.Accountant, len(clips))
 	progress := obs.ProgressFrom(ctx)
+	if w := parallel.Workers(); len(clips) > 0 && len(clips) < w {
+		ctx = video.WithProducers(ctx, w/len(clips))
+	}
 	ctx, setSpan := obs.StartSpan(ctx, "run.set")
 	setSpan.SetStage("extract")
 	defer setSpan.End()

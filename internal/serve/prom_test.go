@@ -125,3 +125,24 @@ func TestMetricsExportsIndexHitRatio(t *testing.T) {
 		t.Errorf("/metrics has no store.index_hit_ratio gauge:\n%s", body)
 	}
 }
+
+// TestMetricsExportsReaderCounters: the decode-ahead counters, the frame
+// cache's fill counters and the simulator's render count are series of
+// /metrics.
+func TestMetricsExportsReaderCounters(t *testing.T) {
+	rec := httptest.NewRecorder()
+	(&Server{}).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	for _, name := range []string{
+		"video_prefetch_producers", "video_prefetch_served", "video_prefetch_fallback",
+		"video_fills_clip_frames", "video_fill_bytes_clip_frames",
+		"video_fills_downsamples", "video_fill_bytes_downsamples",
+		"video_fills_scores", "video_fill_bytes_scores",
+		"video_fills_detections", "video_fill_bytes_detections",
+		"vidsim_renders",
+	} {
+		if !strings.Contains(body, "# TYPE otif_"+name+"_total counter\n") {
+			t.Errorf("/metrics has no %s counter", name)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -260,6 +261,23 @@ func (p *keyParams) mutate(r *keyReader) {
 	}
 }
 
+// spellOp is the least mutation byte that picks spell over mutate; the
+// bytes below it keep the mutations they picked before spell existed.
+const spellOp = 250
+
+// spell rewrites p's first string so that it spells a separator, drawn
+// from r, and the eight bytes a key holds for the int after it, and puts
+// the same nine bytes in front of q's second string, on the far side of
+// that int. A busy key of p and one of q then hold the same bytes in the
+// same order but for the strings' lengths, so a key that ended each string
+// with that separator instead of prefixing its length would let the two
+// collide.
+func spell(p, q *keyParams, r *keyReader) {
+	sep := string(keyAlphabet[int(r.byte())%len(keyAlphabet)])
+	p.cat += sep + string(binary.LittleEndian.AppendUint64(nil, uint64(p.a)))
+	q.catB = sep + string(binary.LittleEndian.AppendUint64(nil, uint64(q.a))) + q.catB
+}
+
 // clone copies p deeply enough that mutate leaves p as it was.
 func (p *keyParams) clone() *keyParams {
 	q := *p
@@ -272,7 +290,8 @@ func (p *keyParams) clone() *keyParams {
 }
 
 // FuzzCacheKey draws a parameter tuple and a copy of it changed by up to a
-// few mutations, and requires, for every kind, that their keys are equal
+// few mutations (spell changes the tuple too, so that one of its strings
+// spells the int after it), and requires, for every kind, that their keys are equal
 // exactly when the fields the kind reads are identical bit for bit, and
 // that no two kinds share a key. Strings come from an alphabet heavy in the
 // characters the %#v keys used as separators; floats are raw bits or
@@ -287,6 +306,11 @@ func FuzzCacheKey(f *testing.F) {
 		q := p.clone()
 		r := &keyReader{b: mutations}
 		for i := 0; i < 3 && len(r.b) > 0; i++ {
+			if r.b[0] >= spellOp {
+				r.byte()
+				spell(p, q, r)
+				continue
+			}
 			q.mutate(r)
 		}
 		pk := make([]string, len(keyKinds))

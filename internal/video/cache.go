@@ -107,6 +107,34 @@ func detectionsKey(frame, detector uint64) cacheKey {
 	return cacheKey{kind: kindDetections, owner: frame, a: detector}
 }
 
+// fillCounters counts one kind's fills: entries computed on a miss, and
+// the bytes they were charged against the budget (cacheEntryOverhead
+// included). A hit does no work and counts nothing.
+type fillCounters struct{ fills, bytes *obs.Counter }
+
+// fillsBy holds each key kind's fill counters, indexed by keyKind.
+var fillsBy = [...]fillCounters{
+	kindDownsample: newFillCounters("downsamples"),
+	kindClipFrame:  newFillCounters("clip_frames"),
+	kindScores:     newFillCounters("scores"),
+	kindDetections: newFillCounters("detections"),
+}
+
+func newFillCounters(kind string) fillCounters {
+	return fillCounters{
+		fills: obs.Default.Counter("video.fills." + kind),
+		bytes: obs.Default.Counter("video.fill_bytes." + kind),
+	}
+}
+
+// filled counts a fill of kind k that the LRU is charged cost for, and
+// passes the entry through: every fill returns through it.
+func filled(k keyKind, v cached, cost int64) (cached, int64) {
+	fillsBy[k].fills.Inc()
+	fillsBy[k].bytes.Add(cost)
+	return v, cost
+}
+
 // cached is the one value type the LRU holds: a frame (downsamples and clip
 // frames), a score vector or a detection slice, as the key's kind says.
 // video cannot name the detector's Detection type, so detections are held
@@ -129,16 +157,16 @@ func NewCache(budgetBytes int64) *Cache {
 	return &Cache{lru: lru.New[cacheKey, cached](budgetBytes)}
 }
 
-// frameEntry is what a frame fill hands the LRU: the frame and its cost,
-// the pixels plus cacheEntryOverhead.
-func frameEntry(f *Frame) (cached, int64) {
-	return cached{frame: f}, int64(len(f.Pix)) + cacheEntryOverhead
+// frameEntry is what a frame fill of kind k hands the LRU: the frame and
+// its cost, the pixels plus cacheEntryOverhead.
+func frameEntry(k keyKind, f *Frame) (cached, int64) {
+	return filled(k, cached{frame: f}, int64(len(f.Pix))+cacheEntryOverhead)
 }
 
 // scoresEntry is what a score fill hands the LRU: the scores and their
 // cost, 8 bytes per cell plus cacheEntryOverhead.
 func scoresEntry(s []float64) (cached, int64) {
-	return cached{scores: s}, 8*int64(len(s)) + cacheEntryOverhead
+	return filled(kindScores, cached{scores: s}, 8*int64(len(s))+cacheEntryOverhead)
 }
 
 // Downsample returns f box-filtered to stored resolution w x h, serving
@@ -152,7 +180,7 @@ func (c *Cache) Downsample(f *Frame, w, h int) *Frame {
 		return f.Downsample(w, h)
 	}
 	return c.lru.Get(downsampleKey(f.id, w, h),
-		func() (cached, int64) { return frameEntry(f.Downsample(w, h)) }).frame
+		func() (cached, int64) { return frameEntry(kindDownsample, f.Downsample(w, h)) }).frame
 }
 
 // Scores returns fill's per-cell proxy scores for frame f under the model
@@ -186,7 +214,7 @@ func detections[T any](c *Cache, f *Frame, detector uint64, fill func() []T) []T
 	}
 	v := c.lru.Get(detectionsKey(f.id, detector), func() (cached, int64) {
 		d := fill()
-		return cached{dets: d}, int64(unsafe.Sizeof(*new(T)))*int64(len(d)) + cacheEntryOverhead
+		return filled(kindDetections, cached{dets: d}, int64(unsafe.Sizeof(*new(T)))*int64(len(d))+cacheEntryOverhead)
 	})
 	// A waiter on a fill that panicked gets the zero value: no slice.
 	d, _ := v.dets.([]T)
@@ -306,7 +334,7 @@ func (s *CachedSource) Frame(idx int) *Frame {
 		return s.src.Frame(idx)
 	}
 	return c.lru.Get(clipFrameKey(s.id, idx),
-		func() (cached, int64) { return frameEntry(s.src.Frame(idx)) }).frame
+		func() (cached, int64) { return frameEntry(kindClipFrame, s.src.Frame(idx)) }).frame
 }
 
 // Len implements FrameSource.

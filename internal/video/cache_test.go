@@ -411,3 +411,33 @@ func ExampleCacheStats_HitRate() {
 	fmt.Println(s.HitRate())
 	// Output: 0.75
 }
+
+// TestCacheFillCounters: each kind's fill counters count a miss once, with
+// the bytes the entry is charged, and a hit not at all.
+func TestCacheFillCounters(t *testing.T) {
+	c := NewCache(1 << 20)
+	f := cacheTestFrame(64, 36, 5)
+	before := make([][2]int64, len(fillsBy))
+	for k, fc := range fillsBy {
+		if fc.fills != nil {
+			before[k] = [2]int64{fc.fills.Value(), fc.bytes.Value()}
+		}
+	}
+	for range 2 {
+		c.Downsample(f, 32, 18)
+		c.Scores(f, 7, nil, func() []float64 { return make([]float64, 5) })
+		detections(c, f, 9, func() []detItem { return make([]detItem, 3) })
+	}
+	for k, want := range map[keyKind]int64{
+		kindDownsample: 32*18 + cacheEntryOverhead,
+		kindScores:     8*5 + cacheEntryOverhead,
+		kindDetections: 3*80 + cacheEntryOverhead,
+		kindClipFrame:  0,
+	} {
+		fills := fillsBy[k].fills.Value() - before[k][0]
+		charged := fillsBy[k].bytes.Value() - before[k][1]
+		if wantFills := min(want, 1); fills != wantFills || charged != want {
+			t.Errorf("kind %d: %d fills of %d bytes, want %d of %d", k, fills, charged, wantFills, want)
+		}
+	}
+}

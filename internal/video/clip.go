@@ -48,7 +48,7 @@ func (c *Clip) Frame(idx int) *Frame { return c.Source.Frame(idx) }
 // given decode resolution to the accountant. It mirrors the paper's
 // execution pipeline where frames are decoded at the object detector
 // resolution, so lower-resolution configurations also decode faster.
-// Decoding runs in a producer goroutine a bounded number of frames ahead
+// Decoding runs in producer goroutines a bounded number of frames ahead
 // (see prefetch.go); frames, costs and counters are bit-identical to
 // synchronous decode.
 type Reader struct {
@@ -61,8 +61,10 @@ type Reader struct {
 	lastIdx  int
 	haveLast bool
 
-	// Decode-ahead state; nil once the producer is gone.
-	ch     chan prefetched
+	// Decode-ahead state: one channel per producer, nil once the
+	// producers are gone, and the channel the next frame comes from.
+	chs    []chan prefetched
+	turn   int
 	cancel context.CancelFunc
 }
 
@@ -75,22 +77,24 @@ func NewReader(clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant
 }
 
 // NewReaderContext is NewReader with a context bounding the reader's
-// decode-ahead producer: cancelling ctx stops prefetching (the reader
-// falls back to synchronous decode and remains fully usable). The caller
-// should defer Close.
+// decode-ahead producers: cancelling ctx stops prefetching (the reader
+// falls back to synchronous decode and remains fully usable). The reader
+// runs as many producers as ctx carries (WithProducers), one by default.
+// The caller should defer Close.
 func NewReaderContext(ctx context.Context, clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant) *Reader {
-	return newReader(ctx, clip, gap, decodeW, decodeH, acct, prefetchDepth)
+	return newReader(ctx, clip, gap, decodeW, decodeH, acct, prefetchDepth, producersFrom(ctx))
 }
 
-// newReader is NewReaderContext at an explicit decode-ahead depth; depth 0
-// decodes synchronously, which is the reference the tests compare against.
-func newReader(ctx context.Context, clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant, depth int) *Reader {
+// newReader is NewReaderContext at an explicit decode-ahead depth and
+// producer count; depth 0 decodes synchronously, which is the reference
+// the tests compare against.
+func newReader(ctx context.Context, clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant, depth, producers int) *Reader {
 	if gap < 1 {
 		panic(fmt.Sprintf("video: invalid sampling gap %d", gap))
 	}
 	r := &Reader{clip: clip, gap: gap, decodeW: decodeW, decodeH: decodeH, acct: acct}
 	if depth > 0 && clip.Len() > 0 {
-		r.startPrefetch(ctx, depth)
+		r.startPrefetch(ctx, depth, producers)
 	}
 	return r
 }

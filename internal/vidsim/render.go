@@ -4,8 +4,13 @@ import (
 	"math"
 	"math/rand"
 
+	"otif/internal/obs"
 	"otif/internal/video"
 )
+
+// metRenders counts frames rendered: every Render call, which is the work
+// a frame-cache hit on a clip frame saves.
+var metRenders = obs.Default.Counter("vidsim.renders")
 
 // renderBackground builds the static background texture at sim resolution:
 // a smooth bilinear interpolation of a coarse random grid (road/buildings
@@ -52,6 +57,7 @@ func (w *World) renderBackground(rng *rand.Rand) {
 // flicker + objects + per-frame sensor noise. Rendering is deterministic
 // in (world, frameIdx).
 func (w *World) Render(frameIdx int) *video.Frame {
+	metRenders.Inc()
 	sw, sh := w.Cfg.SimW, w.Cfg.SimH
 	f := video.NewFrame(sw, sh, w.Cfg.NomW, w.Cfg.NomH)
 

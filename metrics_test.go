@@ -11,19 +11,24 @@ import (
 	"otif"
 )
 
-// deterministicParts strips the live gauges and the pool traffic counters
-// from a snapshot. The remaining counters, per-stage costs and histograms
-// are deterministic for a given sequence of operations at any worker
-// count; cache hit/miss gauges depend on worker interleaving (two workers
-// can race to miss the same key), and sync.Pool hit/miss counters depend
-// both on interleaving and on the runtime itself (race-enabled builds
-// randomly drop pooled items), so both are excluded from determinism
-// comparisons.
+// deterministicParts strips the live gauges, the pool traffic counters,
+// the frame cache's fill counters, the render count and the decode-ahead
+// producer count from a snapshot. The remaining counters, per-stage costs
+// and histograms are deterministic for a given sequence of operations at
+// any worker count; cache hit/miss gauges depend on worker interleaving
+// (two workers can race to miss the same key), and sync.Pool hit/miss
+// counters depend both on interleaving and on the runtime itself
+// (race-enabled builds randomly drop pooled items), so both are excluded
+// from determinism comparisons. Fills and renders happen on misses only,
+// so they depend on what the cache already holds (a second extraction of
+// the same clips fills nothing), and a reader's producers are a share of
+// the worker pool (core.System.RunClips).
 func deterministicParts(s otif.MetricsSnapshot) otif.MetricsSnapshot {
 	s.Gauges = nil
 	counters := make(map[string]int64, len(s.Counters))
 	for k, v := range s.Counters {
-		if !strings.Contains(k, ".pool.") {
+		if !strings.Contains(k, ".pool.") && !strings.HasPrefix(k, "video.fill") &&
+			k != "vidsim.renders" && k != "video.prefetch.producers" {
 			counters[k] = v
 		}
 	}
