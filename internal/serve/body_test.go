@@ -10,8 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"otif/internal/obs"
 )
 
 // bodyFixture is queryFixture's server with a job manager that runs one
@@ -19,7 +17,7 @@ import (
 func bodyFixture(tb testing.TB) *Server {
 	srv, _ := queryFixture()
 	srv.Manager = NewManager()
-	srv.Manager.Register("noop", func(context.Context, *Job, obs.Progress) (any, error) { return nil, nil })
+	srv.Manager.Register("noop", func(context.Context, *Job) (any, error) { return nil, nil })
 	tb.Cleanup(srv.Manager.Close)
 	return srv
 }

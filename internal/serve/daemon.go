@@ -196,9 +196,9 @@ var errNotReady = errors.New("otifd: pipeline not ready (training or tuning stil
 // runExtract extracts one clip set under the configuration picked from
 // the curve Start tuned and publishes the tracks. Params: "set" (train,
 // val or test; default test) and "tolerance" (accuracy tolerance for the
-// pick, 0 to 1, default 0.05). One progress event per extracted clip flows
-// to the job's event stream.
-func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+// pick, 0 to 1, default 0.05). Extract reports one progress event per clip
+// to the progress ctx carries, the job's event stream.
+func (d *Daemon) runExtract(ctx context.Context, job *Job) (any, error) {
 	p := jobParams(job)
 	set := otif.Test
 	if s, ok := p.get("set"); ok {
@@ -216,7 +216,7 @@ func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress
 	if err != nil {
 		return nil, err
 	}
-	ts, err := pipe.Extract(otif.WithProgress(ctx, progress), pick.Cfg, set)
+	ts, err := pipe.Extract(ctx, pick.Cfg, set)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +242,7 @@ func (d *Daemon) runExtract(ctx context.Context, job *Job, progress obs.Progress
 // unbounded), "interval" (Go duration, 0 or more), "queue" (depth 0 to
 // 1024, 0 = default), "drop" (a bool: shed clips when the queue is full),
 // "seconds" (clip duration up to 600, 0 = dataset default).
-func (d *Daemon) runStream(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+func (d *Daemon) runStream(ctx context.Context, job *Job) (any, error) {
 	p := jobParams(job)
 	opts := otif.IngestOptions{
 		Cameras:        num(p, "cameras", 1, 1, maxStreamCameras, strconv.Atoi),
@@ -266,8 +266,9 @@ func (d *Daemon) runStream(ctx context.Context, job *Job, progress obs.Progress)
 
 	first := make(chan struct{})
 	var once sync.Once
+	progress := obs.ProgressFrom(ctx)
 	ctx = otif.WithProgress(ctx, func(e obs.Event) {
-		progress(e)
+		progress.Emit(e)
 		once.Do(func() { close(first) })
 	})
 	sess, err := pipe.Ingest(ctx, opts)

@@ -15,10 +15,10 @@ import (
 // The job manager runs long pipeline operations (extract, stream) in the
 // background on behalf of HTTP clients. Each job owns a bounded ring
 // buffer of structured events — its state transitions plus every
-// obs.Progress event the operation emits — that late subscribers replay
-// and live subscribers stream over SSE. Cancellation goes through the
-// job's context, so it lands exactly where the pipeline's cooperative
-// cancellation does: clip boundaries for extraction, with a
+// obs.Progress event the operation emits — and an SSE reader holds only a
+// cursor into it: the seq of the last event it sent. Cancellation goes
+// through the job's context, so it lands exactly where the pipeline's
+// cooperative cancellation does: clip boundaries for extraction, with a
 // *core.PartialError recording how far the work got.
 
 // JobState is one node of the job lifecycle state machine:
@@ -86,7 +86,7 @@ type JobView struct {
 }
 
 // Job is one background operation. All fields are guarded by mu; HTTP
-// handlers read through View and Subscribe.
+// handlers read through View and since.
 type Job struct {
 	id     string
 	kind   string
@@ -104,10 +104,9 @@ type Job struct {
 	cancel    context.CancelFunc
 	cancelled bool // cancel was requested by a client
 
-	ring    []JobEvent // bounded backlog of at most jobEvents, oldest first
+	ring    []JobEvent // the newest jobEvents events, oldest first
 	seq     int64
-	dropped int64
-	subs    map[chan JobEvent]struct{}
+	changed chan struct{} // closed, and replaced, by every publish
 	done    chan struct{} // closed on entering a terminal state
 }
 
@@ -137,7 +136,7 @@ func (j *Job) View() JobView {
 		Error:   j.errMsg,
 		Result:  j.result,
 		Events:  j.seq,
-		Dropped: j.dropped,
+		Dropped: j.seq - int64(len(j.ring)),
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -154,47 +153,36 @@ func (j *Job) View() JobView {
 	return v
 }
 
-// publish appends one event to the ring (evicting the oldest beyond
-// capacity) and fans it out to subscribers. Slow subscribers never block
-// a publish: a full subscriber channel drops the event for that client,
-// who sees the gap in Seq and can re-read the backlog.
-func (j *Job) publish(e JobEvent) {
-	j.mu.Lock()
+// publishLocked appends one event to the ring, evicting the oldest beyond
+// capacity, and wakes every reader waiting on changed. It never waits on a
+// reader: one that falls behind the ring sees a gap in Seq. Caller holds
+// j.mu.
+func (j *Job) publishLocked(e JobEvent) {
 	j.seq++
 	e.Seq = j.seq
 	if len(j.ring) >= jobEvents {
 		n := copy(j.ring, j.ring[1:])
 		j.ring = j.ring[:n]
-		j.dropped++
 	}
 	j.ring = append(j.ring, e)
-	for ch := range j.subs {
-		select {
-		case ch <- e:
-		default:
-		}
-	}
-	j.mu.Unlock()
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
-// Subscribe returns a copy of the buffered backlog plus a channel
-// receiving subsequent events. Call the returned cancel function to
-// unsubscribe.
-func (j *Job) Subscribe() (backlog []JobEvent, ch <-chan JobEvent, cancel func()) {
-	c := make(chan JobEvent, jobEvents)
+// since returns a copy of the retained events after seq, oldest first, and
+// a channel the next publish closes.
+func (j *Job) since(seq int64) ([]JobEvent, <-chan struct{}) {
 	j.mu.Lock()
-	backlog = append([]JobEvent(nil), j.ring...)
-	j.subs[c] = struct{}{}
-	j.mu.Unlock()
-	return backlog, c, func() {
-		j.mu.Lock()
-		delete(j.subs, c)
-		j.mu.Unlock()
-	}
+	defer j.mu.Unlock()
+	// The ring holds seqs j.seq-len(j.ring)+1 through j.seq.
+	after := min(max(j.seq-seq, 0), int64(len(j.ring)))
+	return append([]JobEvent(nil), j.ring[len(j.ring)-int(after):]...), j.changed
 }
 
 // transition moves the job to state, stamps timestamps, publishes the
-// "state" event and logs it. errMsg rides along for failure states.
+// "state" event and logs it. errMsg rides along for failure states. The
+// state and its event change under one lock, so a reader that sees a
+// terminal state also finds its event in the ring.
 func (j *Job) transition(state JobState, errMsg string) {
 	j.mu.Lock()
 	j.state = state
@@ -206,34 +194,37 @@ func (j *Job) transition(state JobState, errMsg string) {
 		j.finished = now
 		j.errMsg = errMsg
 	}
+	j.publishLocked(JobEvent{Event: obs.Event{Kind: eventState}, State: state, Error: errMsg})
 	j.mu.Unlock()
-	j.publish(JobEvent{Event: obs.Event{Kind: eventState}, State: state, Error: errMsg})
 	logInfo("otifd: job state", "job", j.id, "kind", j.kind, "state", string(state), "error", errMsg)
 }
 
-// progress publishes obs.Progress events to the job's event stream. It is
-// installed for the duration of the job's pipeline operation; events
-// arrive concurrently from clip workers, and publish serializes them.
-func (j *Job) progress(e obs.Event) { j.publish(JobEvent{Event: e}) }
+// progress publishes obs.Progress events to the job's event stream. Run
+// puts it on the runner's context; events arrive concurrently from clip
+// workers, and j.mu serializes them.
+func (j *Job) progress(e obs.Event) {
+	j.mu.Lock()
+	j.publishLocked(JobEvent{Event: e})
+	j.mu.Unlock()
+}
 
-// Runner executes one job kind. It receives a context canceled by
-// POST /jobs/{id}/cancel (and by manager shutdown), and a progress
-// callback already wired into the job's event stream; the returned value
-// becomes the job record's result field. Returning an error wrapping
-// context.Canceled after a cancel request yields state "canceled";
-// any other error yields "failed". A *core.PartialError in the chain is
-// surfaced as the job's partial record either way.
-type Runner func(ctx context.Context, job *Job, progress obs.Progress) (any, error)
+// Runner executes one job kind. Its context is canceled by
+// POST /jobs/{id}/cancel (and by manager shutdown) and carries the job's
+// progress (obs.ProgressFrom), already wired into the job's event stream;
+// the returned value becomes the job record's result field. Returning an
+// error wrapping context.Canceled after a cancel request yields state
+// "canceled"; any other error yields "failed". A *core.PartialError in the
+// chain is surfaced as the job's partial record either way.
+type Runner func(ctx context.Context, job *Job) (any, error)
 
 // retainedJobs is how many finished jobs the manager remembers. Pending and
 // running jobs are always kept; of the terminal ones only the newest this
 // many, and an older one answers 404 like an id that never existed.
 const retainedJobs = 64
 
-// jobEvents is how many events each job's ring retains for late
-// subscribers, and the depth of a subscriber's channel: an extract or
-// stream job emits one per clip, so a reader that falls further behind
-// sees a gap in Seq rather than holding the daemon's memory.
+// jobEvents is how many events each job's ring retains for its readers:
+// an extract or stream job emits one per clip, so a reader that falls
+// further behind sees a gap in Seq rather than holding the daemon's memory.
 const jobEvents = 256
 
 // Manager owns job submission, lookup and cancellation.
@@ -303,7 +294,7 @@ func (m *Manager) Submit(kind string, params map[string]string) (*Job, error) {
 		state:   JobPending,
 		created: time.Now(),
 		cancel:  cancel,
-		subs:    map[chan JobEvent]struct{}{},
+		changed: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	m.jobs[j.id] = j
@@ -345,7 +336,7 @@ func (m *Manager) run(ctx context.Context, cancel context.CancelFunc, j *Job, r 
 	defer cancel()
 
 	j.transition(JobRunning, "")
-	res, err := r(ctx, j, j.progress)
+	res, err := r(obs.WithProgress(ctx, j.progress), j)
 
 	var pe *core.PartialError
 	if errors.As(err, &pe) {

@@ -6,11 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,9 +37,9 @@ func waitState(t *testing.T, j *Job, want JobState) {
 func TestJobLifecycleDone(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
-	m.Register("ok", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	m.Register("ok", func(ctx context.Context, job *Job) (any, error) {
 		for i := 0; i < 3; i++ {
-			progress.Emit(obs.Event{Kind: obs.EventClip, Index: i, Total: 3, Runtime: 0.5})
+			obs.ProgressFrom(ctx).Emit(obs.Event{Kind: obs.EventClip, Index: i, Total: 3, Runtime: 0.5})
 		}
 		return map[string]int{"clips": 3}, nil
 	})
@@ -49,8 +53,7 @@ func TestJobLifecycleDone(t *testing.T) {
 		t.Errorf("done view incomplete: %+v", v)
 	}
 	// Events: running + 3 clips + done = 5, in order with contiguous seq.
-	backlog, _, unsub := j.Subscribe()
-	unsub()
+	backlog, _ := j.since(0)
 	if len(backlog) != 5 {
 		t.Fatalf("backlog has %d events, want 5: %+v", len(backlog), backlog)
 	}
@@ -70,7 +73,7 @@ func TestJobLifecycleDone(t *testing.T) {
 func TestJobFailureSurfacesPartialError(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
-	m.Register("partial", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	m.Register("partial", func(ctx context.Context, job *Job) (any, error) {
 		return nil, &core.PartialError{Stage: "extract", Done: 2, Total: 5, Err: errors.New("disk on fire")}
 	})
 	j, _ := m.Submit("partial", nil)
@@ -88,7 +91,7 @@ func TestJobCancel(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
 	started := make(chan struct{})
-	m.Register("slow", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	m.Register("slow", func(ctx context.Context, job *Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, &core.PartialError{Stage: "extract", Done: 1, Total: 4, Err: ctx.Err()}
@@ -112,7 +115,7 @@ func TestJobCancel(t *testing.T) {
 func TestJobCancelBeforeRunObserved(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
-	m.Register("ctx", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	m.Register("ctx", func(ctx context.Context, job *Job) (any, error) {
 		// The runner sees an already-canceled context if cancel arrived
 		// while the job was still pending.
 		<-ctx.Done()
@@ -132,8 +135,8 @@ func TestJobCancelBeforeRunObserved(t *testing.T) {
 func TestFinishedJobsAreForgotten(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
-	m.Register("noop", func(ctx context.Context, j *Job, p obs.Progress) (any, error) { return nil, nil })
-	m.Register("block", func(ctx context.Context, j *Job, p obs.Progress) (any, error) {
+	m.Register("noop", func(ctx context.Context, j *Job) (any, error) { return nil, nil })
+	m.Register("block", func(ctx context.Context, j *Job) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -184,16 +187,15 @@ func TestEventRingBounded(t *testing.T) {
 	const clips = jobEvents + 100
 	m := NewManager()
 	defer m.Close()
-	m.Register("chatty", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	m.Register("chatty", func(ctx context.Context, job *Job) (any, error) {
 		for i := 0; i < clips; i++ {
-			progress.Emit(obs.Event{Kind: obs.EventClip, Index: i, Total: clips})
+			obs.ProgressFrom(ctx).Emit(obs.Event{Kind: obs.EventClip, Index: i, Total: clips})
 		}
 		return nil, nil
 	})
 	j, _ := m.Submit("chatty", nil)
 	waitState(t, j, JobDone)
-	backlog, _, unsub := j.Subscribe()
-	unsub()
+	backlog, _ := j.since(0)
 	if len(backlog) != jobEvents {
 		t.Fatalf("backlog holds %d events, want ring capacity %d", len(backlog), jobEvents)
 	}
@@ -213,6 +215,212 @@ func TestEventRingBounded(t *testing.T) {
 	}
 }
 
+// chattyJob submits a job whose runner waits for release, then emits the
+// given number of clip events: its events are running, the clips, done.
+func chattyJob(t *testing.T, m *Manager, clips int, release <-chan struct{}) *Job {
+	t.Helper()
+	m.Register("chatty", func(ctx context.Context, job *Job) (any, error) {
+		<-release
+		for i := 0; i < clips; i++ {
+			obs.ProgressFrom(ctx).Emit(obs.Event{Kind: obs.EventClip, Index: i, Total: clips})
+		}
+		return nil, nil
+	})
+	j, err := m.Submit("chatty", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// TestEventRingStalledCursor holds a cursor that never advances while ten
+// rings' worth of events are published: no publish waits on its reader,
+// the job holds at most jobEvents events, and the reader was woken.
+func TestEventRingStalledCursor(t *testing.T) {
+	const clips = 10 * jobEvents
+	m := NewManager()
+	defer m.Close()
+	release := make(chan struct{})
+	j := chattyJob(t, m, clips, release)
+	_, changed := j.since(0) // a reader that never reads again
+	close(release)
+	waitState(t, j, JobDone)
+	select {
+	case <-changed:
+	default:
+		t.Error("the stalled reader was never woken")
+	}
+	j.mu.Lock()
+	held := len(j.ring)
+	j.mu.Unlock()
+	if held > jobEvents {
+		t.Errorf("job holds %d events, want at most %d", held, jobEvents)
+	}
+	// The reader resumes past a gap, at the oldest retained event.
+	if events, _ := j.since(0); events[0].Seq != clips+2-jobEvents+1 {
+		t.Errorf("a read from seq 0 starts at seq %d, want %d", events[0].Seq, clips+2-jobEvents+1)
+	}
+}
+
+// sseEvents decodes the data frames of an event stream.
+func sseEvents(r io.Reader) ([]JobEvent, error) {
+	var out []JobEvent
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var e JobEvent
+		if err := json.Unmarshal([]byte(data), &e); err != nil {
+			return out, err
+		}
+		out = append(out, e)
+	}
+	return out, sc.Err()
+}
+
+// TestSSEResumesAtLastEventID: a client reconnecting with Last-Event-ID
+// gets only the events after it, one at or past a finished job's last seq
+// gets an empty stream, and a header that is not a non-negative integer
+// gets 400.
+func TestSSEResumesAtLastEventID(t *testing.T) {
+	m := NewManager()
+	defer m.Close()
+	release := make(chan struct{})
+	close(release)
+	j := chattyJob(t, m, 3, release) // seqs 1 to 5
+	waitState(t, j, JobDone)
+	srv := newTestServer(t, m, nil)
+	client := &http.Client{Timeout: 10 * time.Second} // a stream that does not end fails
+	for _, c := range []struct {
+		id   string
+		code int
+		seqs []int64
+	}{
+		{"", http.StatusOK, []int64{1, 2, 3, 4, 5}},
+		{"0", http.StatusOK, []int64{1, 2, 3, 4, 5}},
+		{"3", http.StatusOK, []int64{4, 5}},
+		{"5", http.StatusOK, nil},
+		{"99", http.StatusOK, nil},
+		{"-1", http.StatusBadRequest, nil},
+		{"+3", http.StatusBadRequest, nil},
+		{"3.0", http.StatusBadRequest, nil},
+		{"x", http.StatusBadRequest, nil},
+		{"9223372036854775808", http.StatusBadRequest, nil},
+	} {
+		req, err := http.NewRequest("GET", srv.URL+"/jobs/"+j.ID()+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.id != "" {
+			req.Header.Set("Last-Event-ID", c.id)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqs []int64
+		if resp.StatusCode == http.StatusOK {
+			events, err := sseEvents(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range events {
+				seqs = append(seqs, e.Seq)
+			}
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.code || !reflect.DeepEqual(seqs, c.seqs) {
+			t.Errorf("Last-Event-ID %q: status %d, seqs %v; want %d, %v", c.id, resp.StatusCode, seqs, c.code, c.seqs)
+		}
+	}
+}
+
+// TestSSEManyReaders opens 32 event streams on one job that emits more
+// events than its ring holds: each stream's seq rises strictly and ends
+// with the done event, every handler returns once the job ends, and no
+// goroutine is left behind.
+func TestSSEManyReaders(t *testing.T) {
+	const readers = 32
+	m := NewManager()
+	defer m.Close()
+	var handlers atomic.Int32
+	h := (&Server{Manager: m, Registry: obs.NewRegistry()}).Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handlers.Add(1)
+		defer handlers.Add(-1)
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 10 * time.Second}
+	base := runtime.NumGoroutine()
+
+	release := make(chan struct{})
+	j := chattyJob(t, m, 2*jobEvents, release)
+	streams := make([][]JobEvent, readers)
+	errs := make([]error, readers)
+	var attached, finished sync.WaitGroup
+	attached.Add(readers)
+	finished.Add(readers)
+	for i := range streams {
+		go func() {
+			defer finished.Done()
+			resp, err := client.Get(srv.URL + "/jobs/" + j.ID() + "/events")
+			if err != nil {
+				errs[i] = err
+				attached.Done()
+				return
+			}
+			defer resp.Body.Close()
+			// The first frame, the running event, arrives before release:
+			// the stream is open.
+			br := bufio.NewReader(resp.Body)
+			var first strings.Builder
+			for line := ""; err == nil && line != "\n"; {
+				line, err = br.ReadString('\n')
+				first.WriteString(line)
+			}
+			attached.Done()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			streams[i], errs[i] = sseEvents(io.MultiReader(strings.NewReader(first.String()), br))
+		}()
+	}
+	attached.Wait()
+	close(release)
+	waitState(t, j, JobDone)
+	finished.Wait()
+	if n := handlers.Load(); n != 0 {
+		t.Errorf("%d event handlers still running after the job ended", n)
+	}
+	for i, events := range streams {
+		if errs[i] != nil {
+			t.Fatalf("stream %d: %v", i, errs[i])
+		}
+		if len(events) == 0 || events[0].State != JobRunning {
+			t.Fatalf("stream %d does not start with the running event", i)
+		}
+		for k := 1; k < len(events); k++ {
+			if events[k].Seq <= events[k-1].Seq {
+				t.Fatalf("stream %d: seq %d after %d", i, events[k].Seq, events[k-1].Seq)
+			}
+		}
+		if events[len(events)-1].State != JobDone {
+			t.Fatalf("stream %d does not end with the done event: %d events", i, len(events))
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the streams ended, %d before", n, base)
+	}
+}
+
 // newTestServer wires a manager into the full handler stack.
 func newTestServer(t *testing.T, m *Manager, ready func() bool) *httptest.Server {
 	t.Helper()
@@ -225,8 +433,8 @@ func TestHTTPJobEndpoints(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
 	release := make(chan struct{})
-	m.Register("gated", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
-		progress.Emit(obs.Event{Kind: obs.EventClip, Index: 0, Total: 2, Runtime: 0.25})
+	m.Register("gated", func(ctx context.Context, job *Job) (any, error) {
+		obs.ProgressFrom(ctx).Emit(obs.Event{Kind: obs.EventClip, Index: 0, Total: 2, Runtime: 0.25})
 		select {
 		case <-release:
 			return "finished", nil
@@ -317,7 +525,7 @@ func TestHTTPJobEndpoints(t *testing.T) {
 func TestHTTPJobSubmitBodyTooLarge(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
-	m.Register("noop", func(context.Context, *Job, obs.Progress) (any, error) { return nil, nil })
+	m.Register("noop", func(context.Context, *Job) (any, error) { return nil, nil })
 	srv := newTestServer(t, m, nil)
 	body := `{"kind":"noop","params":{"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}}`
 	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
@@ -340,7 +548,7 @@ func TestHTTPJobSubmitBodyTooLarge(t *testing.T) {
 func TestJobEventKeys(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
-	m.Register("all", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	m.Register("all", func(ctx context.Context, job *Job) (any, error) {
 		for _, e := range []obs.Event{
 			{Kind: obs.EventTuneIter, Iteration: 1, Total: 3},
 			{Kind: obs.EventCandidate, Iteration: 1, Index: 2, Config: "c", Runtime: 1.5, Accuracy: 0.5},
@@ -348,7 +556,7 @@ func TestJobEventKeys(t *testing.T) {
 			{Kind: obs.EventCacheSnapshot, CacheHitRate: 0.75},
 			{Kind: obs.EventIngestClip, Index: 3, Config: "cam0", Runtime: 0.5},
 		} {
-			progress(e)
+			obs.ProgressFrom(ctx)(e)
 		}
 		return nil, errors.New("boom")
 	})
@@ -396,7 +604,7 @@ func TestHTTPCancelEndpoint(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
 	started := make(chan struct{})
-	m.Register("slow", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	m.Register("slow", func(ctx context.Context, job *Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()

@@ -124,8 +124,9 @@ func TestCancelLandsAtClipBoundary(t *testing.T) {
 	proceed := make(chan struct{})
 	var once sync.Once
 	// The real runner, its progress hook decorated to hold the worker.
-	d.jobs.Register("extract", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
-		return d.runExtract(ctx, job, func(e obs.Event) {
+	d.jobs.Register("extract", func(ctx context.Context, job *Job) (any, error) {
+		progress := obs.ProgressFrom(ctx)
+		return d.runExtract(obs.WithProgress(ctx, func(e obs.Event) {
 			progress(e)
 			if e.Kind == obs.EventClip {
 				once.Do(func() {
@@ -133,7 +134,7 @@ func TestCancelLandsAtClipBoundary(t *testing.T) {
 					<-proceed
 				})
 			}
-		})
+		}), job)
 	})
 
 	j := d.submit("extract", nil)
@@ -178,9 +179,10 @@ func TestExtractJobsRunSideBySide(t *testing.T) {
 	both := make(chan struct{})
 	go func() { arrived.Wait(); close(both) }()
 	var met atomic.Int32
-	d.jobs.Register("extract", func(ctx context.Context, job *Job, progress obs.Progress) (any, error) {
+	d.jobs.Register("extract", func(ctx context.Context, job *Job) (any, error) {
 		var once sync.Once
-		return d.runExtract(ctx, job, func(e obs.Event) {
+		progress := obs.ProgressFrom(ctx)
+		return d.runExtract(obs.WithProgress(ctx, func(e obs.Event) {
 			progress(e)
 			if e.Kind == obs.EventClip {
 				once.Do(func() {
@@ -192,7 +194,7 @@ func TestExtractJobsRunSideBySide(t *testing.T) {
 					}
 				})
 			}
-		})
+		}), job)
 	})
 
 	a, b := d.submit("extract", nil), d.submit("extract", map[string]string{"set": "val"})

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -296,9 +297,12 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job.View())
 }
 
-// handleJobEvents streams the job's events as Server-Sent Events: the
-// buffered backlog first, then live events until the job reaches a
-// terminal state or the client disconnects. Each frame carries the
+// handleJobEvents streams the job's events as Server-Sent Events from a
+// cursor: the seq of the last event sent, which starts at the request's
+// Last-Event-ID (0 without one). Each pass copies the retained events after
+// the cursor, sends them, and waits for the next publish. The stream ends
+// after a terminal state event, at once when the job has ended and nothing
+// follows the cursor, or when the client goes. Each frame carries the
 // per-job sequence number as the SSE id, the event kind as the SSE event
 // name, and the JobEvent JSON as data.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
@@ -306,64 +310,49 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	var last int64
+	if id := r.Header.Get("Last-Event-ID"); id != "" {
+		n, err := strconv.ParseUint(id, 10, 63)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("Last-Event-ID %q is not a non-negative integer", id))
+			return
+		}
+		last = int64(n)
+	}
 	fl, canFlush := w.(http.Flusher)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-
-	send := func(e JobEvent) bool {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data); err != nil {
-			return false
+	for {
+		// Read before the events: a job terminal here has published its
+		// last event, so the copy below holds everything still to come.
+		ended := job.State().Terminal()
+		events, changed := job.since(last)
+		for _, e := range events {
+			data, err := json.Marshal(e)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data); err != nil {
+				return
+			}
+			last = e.Seq
+			if e.Kind == eventState && e.State.Terminal() {
+				ended = true
+				break
+			}
 		}
 		if canFlush {
 			fl.Flush()
 		}
-		// A terminal state event is the stream's last frame.
-		return !(e.Kind == eventState && e.State.Terminal())
-	}
-
-	backlog, ch, unsub := job.Subscribe()
-	defer unsub()
-	last := int64(0)
-	for _, e := range backlog {
-		if !send(e) {
+		if ended {
 			return
 		}
-		last = e.Seq
-	}
-	for {
 		select {
+		case <-changed:
 		case <-r.Context().Done():
 			return
-		case e := <-ch:
-			if e.Seq <= last {
-				continue // already replayed from the backlog
-			}
-			if !send(e) {
-				return
-			}
-			last = e.Seq
-		case <-job.Done():
-			// Drain events published before the terminal transition.
-			for {
-				select {
-				case e := <-ch:
-					if e.Seq <= last {
-						continue
-					}
-					if !send(e) {
-						return
-					}
-					last = e.Seq
-				default:
-					return
-				}
-			}
 		}
 	}
 }
